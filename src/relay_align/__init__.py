@@ -24,6 +24,7 @@ from .feasibility import (
     StrategySpec,
     VerificationReport,
     construct_strategy,
+    feasibility_reason,
     feasible_variety_dim,
     generic_feasibility_rate,
     is_feasible_tuple,
@@ -36,13 +37,13 @@ from .feasibility import (
 from .relaysim import (
     ChannelSet,
     Constellation,
+    Link,
     NoiseModel,
     SimReport,
     design_encoders,
     draw_channels,
     receiver_decode,
     relay_map_success,
-    relay_observe,
     run_monte_carlo,
     secrecy_audit,
     snr,

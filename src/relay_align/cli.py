@@ -96,14 +96,9 @@ def _json_text(obj) -> str:
 
 def cmd_feasible(args) -> int:
     spec = _spec_from_args(args)
-    if sum(spec.d) != 2 * spec.N:
-        feasible, reason = False, "sum"
-    elif max(spec.d) > spec.N:
-        feasible, reason = False, "bound"
-    else:
-        feasible, reason = True, "ok"
+    reason = feasibility.feasibility_reason(spec)
     verdict = {
-        "feasible": feasible,
+        "feasible": reason == "ok",
         "reason": reason,
         "K": spec.K,
         "N": spec.N,
@@ -111,7 +106,7 @@ def cmd_feasible(args) -> int:
         "seed": _resolve_seed(args),
     }
     _emit(_json_text(verdict), args.output)
-    return 0 if feasible else 2
+    return 0 if reason == "ok" else 2
 
 
 def cmd_construct(args) -> int:
@@ -133,18 +128,21 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     strategy = load_strategy(args.strategy_file)
     report = feasibility.verify_strategy(strategy.subspaces, strategy.spec.N)
+    dims_ok = report.dims == strategy.spec.d
+    failed = report.failed_conditions() + ([] if dims_ok else ["declared dimensions d"])
+    ok = report.ok and dims_ok
     doc = {
-        "ok": report.ok,
+        "ok": ok,
         "dims": list(report.dims),
         "pair_dims": {f"{i + 1}-{j + 1}": v for (i, j), v in sorted(report.pair_dims.items())},
         "per_user_decomposition_ok": list(report.per_user_ok),
         "global_decomposition_ok": report.global_ok,
         "worst_triple_intersection_dim": report.worst_triple_dim,
-        "failed_conditions": report.failed_conditions(),
+        "failed_conditions": failed,
         "seed": _resolve_seed(args),
     }
     _emit(_json_text(doc), args.output)
-    return 0 if report.ok else 2
+    return 0 if ok else 2
 
 
 def cmd_genericity(args) -> int:
@@ -175,8 +173,8 @@ def cmd_simulate(args) -> int:
         with open(args.config) as fh:
             cfg = json.load(fh)
         for key in ("K", "N", "d", "constellation", "noise_grid", "trials", "seed"):
-            if key in cfg and getattr(args, _cfg_attr(key), None) in (None, False):
-                setattr(args, _cfg_attr(key), _cfg_value(key, cfg[key]))
+            if key in cfg and getattr(args, key, None) in (None, False):
+                setattr(args, key, _cfg_value(key, cfg[key]))
     if args.K is None or args.N is None or args.d is None:
         raise UsageError("simulate requires -K, -N and -d (flags or --config)")
     if args.constellation is None:
@@ -225,10 +223,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _cfg_attr(key: str) -> str:
-    return {"noise_grid": "noise_grid"}.get(key, key)
-
-
 def _cfg_value(key: str, value):
     if key == "d" and isinstance(value, list):
         return ",".join(map(str, value))
@@ -259,6 +253,8 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_variety(args) -> int:
     seed = _resolve_seed(args)
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     rng = np.random.default_rng(seed)
     n, d = args.N, args.d_dim
     want_det = args.det_probe or (n == 3 and d == 2)
@@ -313,7 +309,6 @@ def build_parser() -> _Parser:
             p.add_argument("-d", type=str, required=spec_required, help="comma list of per-user dims")
         p.add_argument("--seed", type=int, default=None, help=f"RNG seed (fallback: ${SEED_ENV_VAR}, then 0)")
         p.add_argument("-o", "--output", type=str, default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], default=None, help="output format hint")
 
     p = sub.add_parser("feasible", help="decide feasibility of a tuple")
     common(p)
@@ -350,7 +345,6 @@ def build_parser() -> _Parser:
     p.add_argument("--det-probe", action="store_true", help="force the N=3 determinant probe")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", type=str, default=None)
-    p.add_argument("--format", choices=["json", "csv"], default=None)
     p.set_defaults(func=cmd_variety)
 
     return parser

@@ -34,6 +34,7 @@ __all__ = [
     "StrategySpec",
     "Strategy",
     "VerificationReport",
+    "feasibility_reason",
     "is_feasible_tuple",
     "construct_strategy",
     "verify_strategy",
@@ -95,9 +96,18 @@ class StrategySpec:
         return self.pairwise
 
 
+def feasibility_reason(spec: StrategySpec) -> str:
+    """Verdict on a tuple: "ok", "sum" (sum(d_i) != 2N) or "bound" (some d_i > N)."""
+    if sum(spec.d) != 2 * spec.N:
+        return "sum"
+    if max(spec.d) > spec.N:
+        return "bound"
+    return "ok"
+
+
 def is_feasible_tuple(spec: StrategySpec) -> bool:
     """True iff sum(d_i) = 2N and every d_i <= N."""
-    return sum(spec.d) == 2 * spec.N and max(spec.d) <= spec.N
+    return feasibility_reason(spec) == "ok"
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ Encoders are designed so that the two symbols of every pair land on the same
 relay-side basis vector, so the relay only ever observes pairwise sums.  Each
 receiver subtracts its own contribution, projects away the interference
 space, and decodes by nearest constellation point per coordinate.
+
+A Link binds a strategy to one channel draw and encoder set and computes once
+what observation, decoding and SNR reuse; receiver_decode, snr and
+run_monte_carlo are thin uses of it, for one trial or a block of T trials.
 """
 
 from __future__ import annotations
@@ -36,19 +40,20 @@ __all__ = [
     "BaselineReport",
     "SecrecyAuditReport",
     "DecodeResult",
+    "Link",
     "draw_channels",
     "design_encoders",
-    "relay_observe",
     "secrecy_audit",
     "receiver_decode",
     "snr",
-    "snr_instantaneous",
     "relay_map_success",
     "run_monte_carlo",
     "two_user_baseline",
 ]
 
 COND_LIMIT = 1e8
+MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many misses in one call
+SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class Constellation:
             raise InvalidInput("constellation must be nonempty")
         if len(set(pts.tolist())) != pts.size:
             raise InvalidInput("constellation points must be distinct")
-        if abs(pts.mean()) > 1e-12:
+        if abs(pts.mean()) > 1e-12 * np.abs(pts).max():
             raise InvalidInput("constellation must be zero-mean")
         object.__setattr__(self, "points", pts)
 
@@ -99,19 +104,17 @@ class Constellation:
     def map_success_table(self) -> np.ndarray:
         """succ[a, b] = 1 if the relay's MAP guess for sum a+b is the pair (a, b).
 
-        The MAP guess for each observable sum is a fixed representative
-        preimage; success probability per sum is 1 / (number of preimages).
+        The MAP guess for each observable sum is its first preimage in row-major
+        order; success probability per sum is 1 / (number of preimages).  Two
+        sums are one when they differ by at most SUM_MATCH_TOL times the minimum
+        distance between points, so the table does not depend on scale.
         """
-        m = self.size
-        rep: dict[complex, tuple[int, int]] = {}
-        succ = np.zeros((m, m))
-        for a in range(m):
-            for b in range(m):
-                key = complex(np.round(self.points[a] + self.points[b], 9))
-                if key not in rep:
-                    rep[key] = (a, b)
-                succ[a, b] = 1.0 if rep[key] == (a, b) else 0.0
-        return succ
+        pts = self.points
+        sums = (pts[:, None] + pts[None, :]).ravel()
+        gaps = np.abs(pts[:, None] - pts[None, :])
+        tol = SUM_MATCH_TOL * gaps[gaps > 0].min(initial=np.inf)
+        first = [not np.any(np.abs(sums[:t] - s) <= tol) for t, s in enumerate(sums)]
+        return np.reshape(first, (self.size, self.size)).astype(float)
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,8 @@ def draw_channels(k: int, n: int, rng: np.random.Generator, cond_limit: float = 
     """i.i.d. standard complex Gaussian channels, redrawn if badly conditioned."""
     if k < 2 or n < 1:
         raise InvalidInput("need K >= 2 users and N >= 1 antennas")
+    if not cond_limit >= 1:
+        raise InvalidInput("cond_limit must be >= 1: no matrix has a condition number below 1")
 
     redraws = 0
 
@@ -168,6 +173,8 @@ def draw_channels(k: int, n: int, rng: np.random.Generator, cond_limit: float = 
             if np.linalg.cond(m) <= cond_limit:
                 return m
             redraws += 1
+            if redraws >= MAX_REDRAWS:
+                raise SingularChannel(f"{redraws} channel draws missed cond <= {cond_limit:g}")
 
     h = [one() for _ in range(k)]
     g = [one() for _ in range(k)]
@@ -190,26 +197,6 @@ def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray
         target = strategy.user_basis(i)
         encoders.append(np.linalg.solve(h, target))
     return encoders
-
-
-def relay_observe(
-    encoders: list[np.ndarray],
-    channels: ChannelSet,
-    symbols: list[np.ndarray],
-    z: np.ndarray | None = None,
-) -> np.ndarray:
-    """Relay observation r = sum_i H_i U_i x_i + z."""
-    if len(encoders) != channels.K or len(symbols) != channels.K:
-        raise DimensionMismatch("need one encoder and one symbol vector per user")
-    r = np.zeros(channels.N, dtype=np.complex128) if z is None else np.asarray(z, dtype=np.complex128).copy()
-    if r.shape[0] != channels.N:
-        raise DimensionMismatch("noise vector length does not match N")
-    for h, u, x in zip(channels.H, encoders, symbols):
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape[0] != u.shape[1]:
-            raise DimensionMismatch("symbol block width does not match encoder")
-        r = r + h @ (u @ x)
-    return r
 
 
 @dataclass(frozen=True)
@@ -271,18 +258,78 @@ def _require_verified(strategy: Strategy, tol: Tolerance) -> None:
         raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
 
 
-def _perp_projector_basis(strategy: Strategy, channels: ChannelSet, k: int, tol: Tolerance) -> Subspace:
-    """Image of user k's interference space through G_k (projection target)."""
-    interference = strategy.interference_space(k, tol)
-    cols = channels.G[k] @ interference.basis
-    return orthonormal_basis(cols, tol) if cols.shape[1] else Subspace.zero(strategy.spec.N)
+@dataclass(frozen=True)
+class Link:
+    """A strategy over one channel draw and set of encoders, precomputed once.
 
+    Per user i: the effective H_i U_i.  Per receiver k: the image G_k I_k of
+    its interference space (P_k projects onto the complement), the
+    pseudo-inverse of the decode matrix P_k G_k B_k (B_k: the pair bases B_jk,
+    partners ascending) and the SNR terms ||P_k G_k V_k||^2 (V_k orthonormal),
+    ||P_k G_k||^2 and rank P_k.  The public entry points verify the strategy.
+    """
 
-def _decode_matrix(strategy: Strategy, channels: ChannelSet, k: int, gik: Subspace) -> np.ndarray:
-    """Projected relay-to-user images of the pair-basis columns serving user k."""
-    blocks = [strategy.pair_basis(j, k) for j in strategy.partners(k)]
-    cols = np.hstack(blocks)
-    return project_onto_perp(channels.G[k] @ cols, gik)
+    strategy: Strategy
+    channels: ChannelSet
+    encoders: list[np.ndarray]
+    tol: Tolerance = DEFAULT_TOL
+    effective: list[np.ndarray] = field(init=False, repr=False)
+    interference: list[Subspace] = field(init=False, repr=False)
+    decoders: list[np.ndarray] = field(init=False, repr=False)
+    snr_terms: list[tuple[float, float, int]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        strategy, channels = self.strategy, self.channels
+        if channels.N != strategy.spec.N or channels.K != strategy.spec.K:
+            raise DimensionMismatch("channel set does not match strategy shape")
+        if len(self.encoders) != strategy.spec.K:
+            raise DimensionMismatch("need one encoder per user")
+        interference, decoders, snr_terms = [], [], []
+        for k, g in enumerate(channels.G):
+            gik = orthonormal_basis(g @ strategy.interference_space(k, self.tol).basis, self.tol)
+            serving = np.hstack([strategy.pair_basis(j, k) for j in strategy.partners(k)])
+            interference.append(gik)
+            decoders.append(np.linalg.pinv(project_onto_perp(g @ serving, gik)))
+            signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k].basis, gik)) ** 2
+            relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
+            snr_terms.append((signal, relay_gain, strategy.spec.N - gik.d))
+        object.__setattr__(self, "effective", [h @ u for h, u in zip(channels.H, self.encoders)])
+        object.__setattr__(self, "interference", interference)
+        object.__setattr__(self, "decoders", decoders)
+        object.__setattr__(self, "snr_terms", snr_terms)
+
+    def observe(self, symbols: list[np.ndarray], z: np.ndarray | None = None) -> np.ndarray:
+        """Relay observation r = sum_i H_i U_i x_i + z.
+
+        Each x_i is a length-d_i vector or a (d_i, T) block of T trials; z, when
+        given, has the shape of r.
+        """
+        if len(symbols) != len(self.effective):
+            raise DimensionMismatch("need one symbol block per user")
+        xs = [np.asarray(x, dtype=np.complex128) for x in symbols]
+        if any(x.shape[0] != e.shape[1] for e, x in zip(self.effective, xs)):
+            raise DimensionMismatch("symbol block width does not match encoder")
+        r = sum(e @ x for e, x in zip(self.effective, xs))
+        if z is not None and np.shape(z) != r.shape:
+            raise DimensionMismatch(f"noise shape {np.shape(z)} does not match the observation {r.shape}")
+        return r if z is None else r + z
+
+    def decode(self, k: int, y_tilde: np.ndarray, x_k: np.ndarray) -> np.ndarray:
+        """Soft estimates of the symbols k's partners sent it, rows ordered as B_k.
+
+        y_tilde and x_k are vectors, or (N, T) and (d_k, T) blocks of T trials.
+        """
+        x_k = np.asarray(x_k, dtype=np.complex128)
+        y = np.asarray(y_tilde, dtype=np.complex128) - self.channels.G[k] @ (self.effective[k] @ x_k)
+        return self.decoders[k] @ project_onto_perp(y, self.interference[k])
+
+    def snr(self, k: int, noise: NoiseModel) -> float:
+        """Analytic-expectation SNR of receiver k; see snr()."""
+        signal, relay_gain, rank = self.snr_terms[k]
+        denom = noise.sigma_relay_sq * relay_gain + noise.sigma_user_sq * rank
+        if denom == 0:
+            return float("inf")
+        return float(signal / denom)
 
 
 @dataclass(frozen=True)
@@ -313,26 +360,16 @@ def receiver_decode(
     columns B_jk, i.e. the block of partner j's symbols destined for user k.
     """
     _require_verified(strategy, tol)
-    spec = strategy.spec
-    if not 0 <= k < spec.K:
+    if not 0 <= k < strategy.spec.K:
         raise InvalidInput(f"user index {k} out of range")
-    y_tilde = np.asarray(y_tilde, dtype=np.complex128)
-    x_k = np.asarray(x_k, dtype=np.complex128)
-    g = channels.G[k]
-    y = y_tilde - g @ (channels.H[k] @ (encoders[k] @ x_k))
-    gik = _perp_projector_basis(strategy, channels, k, tol)
-    yp = project_onto_perp(y.reshape(-1, 1), gik).ravel()
-    m = _decode_matrix(strategy, channels, k, gik)
-    est, *_ = np.linalg.lstsq(m, yp, rcond=None)
+    est = Link(strategy, channels, encoders, tol).decode(k, y_tilde, x_k)
     hard = constellation.points[constellation.nearest_index(est)]
-    symbols, estimates = {}, {}
-    off = 0
-    for j in strategy.partners(k):
-        w = strategy.pair_basis(j, k).shape[1]
-        symbols[j] = hard[off : off + w]
-        estimates[j] = est[off : off + w]
-        off += w
-    return DecodeResult(user=k, symbols_by_partner=symbols, estimates_by_partner=estimates)
+    blocks = {j: strategy.block_slice(k, j) for j in strategy.partners(k)}
+    return DecodeResult(
+        user=k,
+        symbols_by_partner={j: hard[rows] for j, rows in blocks.items()},
+        estimates_by_partner={j: est[rows] for j, rows in blocks.items()},
+    )
 
 
 def snr(
@@ -347,48 +384,18 @@ def snr(
     Numerator ||P_k G_k B_k||_F^2 with B_k an orthonormal basis of V_k;
     denominator replaces the noise by its expected projected power:
     sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf when both
-    variances are zero.
+    variances are zero.  The channels must admit encoders (invertible H_i).
     """
     _require_verified(strategy, tol)
-    gik = _perp_projector_basis(strategy, channels, k, tol)
-    g = channels.G[k]
-    num = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k].basis, gik)) ** 2
-    rank_p = strategy.spec.N - gik.d
-    denom = noise.sigma_relay_sq * np.linalg.norm(project_onto_perp(g, gik)) ** 2
-    denom += noise.sigma_user_sq * rank_p
-    if denom == 0:
-        return float("inf")
-    return float(num / denom)
-
-
-def snr_instantaneous(
-    k: int,
-    strategy: Strategy,
-    channels: ChannelSet,
-    z: np.ndarray,
-    w_k: np.ndarray,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Per-draw variant of snr() with explicit noise realizations."""
-    _require_verified(strategy, tol)
-    gik = _perp_projector_basis(strategy, channels, k, tol)
-    g = channels.G[k]
-    num = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k].basis, gik)) ** 2
-    denom = np.linalg.norm(project_onto_perp((g @ np.asarray(z)).reshape(-1, 1), gik)) ** 2
-    denom += np.linalg.norm(project_onto_perp(np.asarray(w_k).reshape(-1, 1), gik)) ** 2
-    if denom == 0:
-        return float("inf")
-    return float(num / denom)
+    return Link(strategy, channels, design_encoders(strategy, channels), tol).snr(k, noise)
 
 
 def relay_map_success(constellation: Constellation) -> Fraction:
     """Exact MAP probability of the relay guessing an ordered pair from its sum.
 
-    Equals (number of distinct pairwise sums) / |X|^2.
+    Equals (number of distinct pairwise sums, as map_success_table counts them) / |X|^2.
     """
-    pts = constellation.points
-    sums = {complex(np.round(a + b, 9)) for a in pts for b in pts}
-    return Fraction(len(sums), pts.size**2)
+    return Fraction(int(constellation.map_success_table().sum()), constellation.size**2)
 
 
 @dataclass(frozen=True)
@@ -444,34 +451,25 @@ def run_monte_carlo(
     for var, ss in zip(noise_grid, level_seeds):
         rng = np.random.default_rng(ss)
         channels = draw_channels(k_users, n, rng)
-        encoders = design_encoders(strategy, channels)
-        effective = [channels.H[i] @ encoders[i] for i in range(k_users)]
+        link = Link(strategy, channels, design_encoders(strategy, channels), tol)
 
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-
-        r = sum(effective[i] @ x[i] for i in range(k_users))
-        r = r + _complex_gaussian(rng, (n, trials), var)
+        r = link.observe(x, _complex_gaussian(rng, (n, trials), var))
 
         ser = []
         snrs = []
         noise = NoiseModel(sigma_relay_sq=var, sigma_user_sq=var)
         for k in range(k_users):
-            g = channels.G[k]
-            y_tilde = g @ r + _complex_gaussian(rng, (n, trials), var)
-            y = y_tilde - g @ (effective[k] @ x[k])
-            gik = _perp_projector_basis(strategy, channels, k, tol)
-            yp = project_onto_perp(y, gik)
-            m = _decode_matrix(strategy, channels, k, gik)
-            est = np.linalg.pinv(m) @ yp
-            hard_idx = constellation.nearest_index(est)
+            y_tilde = channels.G[k] @ r + _complex_gaussian(rng, (n, trials), var)
+            hard_idx = constellation.nearest_index(link.decode(k, y_tilde, x[k]))
             sent_idx = np.vstack(
                 [idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)]
             )
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(snr(k, strategy, channels, noise, tol))
+            snrs.append(link.snr(k, noise))
 
         relay_hits = 0
         relay_slots = 0

@@ -91,11 +91,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
-    @classmethod
-    def span(cls, cols, tol: Tolerance = DEFAULT_TOL) -> "Subspace":
-        """Span of arbitrary (not necessarily independent) columns."""
-        return orthonormal_basis(cols, tol)
-
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 

@@ -29,11 +29,11 @@ from relay_align.feasibility import (
 )
 from relay_align.relaysim import (
     Constellation,
+    Link,
     design_encoders,
     draw_channels,
     receiver_decode,
     relay_map_success,
-    relay_observe,
     run_monte_carlo,
     secrecy_audit,
 )
@@ -171,9 +171,11 @@ def test_criterion_4_three_user_golden_example():
     # encoders laid out as in the worked example: user i sends on (v_i, v_{i+1})
     encoders = [E3[:, [0, 1]], E3[:, [1, 2]], E3[:, [2, 0]]]
 
+    link = Link(strategy, channels, encoders)
+
     rng = np.random.default_rng(44)
     x = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-    r = relay_observe(encoders, channels, x)
+    r = link.observe(x)
     expected = np.array(
         [x[0][0] + x[2][1], x[0][1] + x[1][0], x[1][1] + x[2][0]]
     )
@@ -182,7 +184,7 @@ def test_criterion_4_three_user_golden_example():
     # user 1 recovers partner symbols x_2^1 and x_3^2 (0-based: x[1][0], x[2][1])
     qpsk = Constellation.qpsk()
     xs = [qpsk.points[rng.integers(0, 4, 2)] for _ in range(3)]
-    r = relay_observe(encoders, channels, xs)
+    r = link.observe(xs)
     recovered = {}
     for k in range(3):
         dec = receiver_decode(k, r, xs[k], encoders, channels, strategy, qpsk)

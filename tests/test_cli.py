@@ -80,6 +80,27 @@ class TestConstructAndVerify:
         assert report["ok"] is False
         assert any("global" in c for c in report["failed_conditions"])
 
+    def test_verify_rejects_undeclared_dims(self, tmp_path, capsys):
+        # declares d = 2,2,2 while the pair bases realise 3,2,1 (B_12 = [e1 e2], B_13 = [e3]);
+        # the same document as the benchmark's certify workload
+        doc = {
+            "schema_version": 1,
+            "K": 3,
+            "N": 3,
+            "d": [2, 2, 2],
+            "pair_bases": {
+                "1-2": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                "1-3": [[[0.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0]]],
+            },
+        }
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["ok"] is False
+        assert report["dims"] == [3, 2, 1]
+        assert "declared dimensions d" in report["failed_conditions"]
+
     def test_truncated_json_exits_1(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"schema_version": 1, "K": 3')
@@ -172,6 +193,11 @@ class TestVariety:
         assert doc["plucker_residual_max"] < 1e-9
         assert doc["det_triple_agreement"] == 1.0
         assert doc["line_probe"]["all_lines_hit"] is True
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_usage_error(self, samples, capsys):
+        assert run("variety", "--samples", samples, "--seed", "0") == 1
+        assert "--samples" in capsys.readouterr().err
 
     def test_det_probe_unsupported_shape(self):
         assert run("variety", "-N", "4", "-d", "2", "--det-probe") == 2

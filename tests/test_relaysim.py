@@ -21,16 +21,15 @@ from relay_align.feasibility import (
 from relay_align.relaysim import (
     ChannelSet,
     Constellation,
+    Link,
     NoiseModel,
     design_encoders,
     draw_channels,
     receiver_decode,
     relay_map_success,
-    relay_observe,
     run_monte_carlo,
     secrecy_audit,
     snr,
-    snr_instantaneous,
     two_user_baseline,
 )
 from relay_align.subspace import orthonormal_basis
@@ -77,6 +76,15 @@ class TestDrawChannels:
         ch = draw_channels(3, 3, np.random.default_rng(1))
         assert all(m.shape == (3, 3) for m in [*ch.H, *ch.G])
 
+    def test_cond_limit_below_one_rejected(self):
+        with pytest.raises(InvalidInput):
+            draw_channels(3, 3, np.random.default_rng(0), cond_limit=0.5)
+
+    def test_unreachable_cond_limit_stops(self):
+        # a 2x2 Gaussian matrix has cond > 1 almost surely, so every draw misses
+        with pytest.raises(SingularChannel):
+            draw_channels(2, 2, np.random.default_rng(0), cond_limit=1.0)
+
 
 class TestDesignEncoders:
     def test_identity_channels_reproduce_pair_blocks(self):
@@ -110,14 +118,14 @@ class TestRelayObserve:
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
         enc = design_encoders(strategy, ch)
-        r = relay_observe(enc, ch, [np.zeros(2)] * 3)
+        r = Link(strategy, ch, enc).observe([np.zeros(2)] * 3)
         assert np.allclose(r, 0)
 
     def test_worked_example_pairwise_sums(self):
         ch = identity_channels(3, 3)
-        enc = worked_example_encoders()
+        link = Link(worked_example_strategy(), ch, worked_example_encoders())
         x = [np.array([1 + 0j, 1j]), np.array([-1 + 0j, -1j]), np.array([1j, -1 + 0j])]
-        r = relay_observe(enc, ch, x)
+        r = link.observe(x)
         expected = np.array([x[0][0] + x[2][1], x[0][1] + x[1][0], x[1][1] + x[2][0]])
         assert np.linalg.norm(r - expected) < 1e-12
 
@@ -125,19 +133,19 @@ class TestRelayObserve:
         rng = np.random.default_rng(3)
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = draw_channels(3, 3, rng)
-        enc = design_encoders(strategy, ch)
+        link = Link(strategy, ch, design_encoders(strategy, ch))
         x = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
         y = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        lhs = relay_observe(enc, ch, [a + b for a, b in zip(x, y)])
-        rhs = relay_observe(enc, ch, x) + relay_observe(enc, ch, y)
+        lhs = link.observe([a + b for a, b in zip(x, y)])
+        rhs = link.observe(x) + link.observe(y)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
     def test_shape_mismatch(self):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
-        enc = design_encoders(strategy, ch)
+        link = Link(strategy, ch, design_encoders(strategy, ch))
         with pytest.raises(DimensionMismatch):
-            relay_observe(enc, ch, [np.zeros(3)] * 3)
+            link.observe([np.zeros(3)] * 3)
 
 
 class TestSecrecyAudit:
@@ -172,7 +180,7 @@ class TestReceiverDecode:
         ch = identity_channels(3, 3)
         enc = worked_example_encoders()
         x = [np.array([1, 1j]), np.array([-1, -1j]), np.array([1j, -1])]
-        r = relay_observe(enc, ch, x)
+        r = Link(strategy, ch, enc).observe(x)
         # user 1 recovers x2^1 (on v2) and x3^2 (on v1)
         res0 = receiver_decode(0, ch.G[0] @ r, x[0], enc, ch, strategy, QPSK)
         assert res0.symbols_by_partner[1][0] == x[1][0]
@@ -193,12 +201,28 @@ class TestReceiverDecode:
             ch = draw_channels(3, 6, rng)
             enc = design_encoders(strategy, ch)
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
-            r = relay_observe(enc, ch, x)
+            r = Link(strategy, ch, enc).observe(x)
             for k in range(3):
                 res = receiver_decode(k, ch.G[k] @ r, x[k], enc, ch, strategy, QPSK)
                 for j, got in res.symbols_by_partner.items():
                     sent = x[j][strategy.block_slice(j, k)]
                     assert np.allclose(got, sent)
+
+    def test_batched_decode_matches_single_trials(self):
+        rng = np.random.default_rng(12)
+        strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 6), rng)
+        ch = draw_channels(3, 6, rng)
+        link = Link(strategy, ch, design_encoders(strategy, ch))
+        x = [QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)]
+        z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+        r = link.observe(x, z)
+        for k in range(3):
+            y_tilde = ch.G[k] @ r
+            block = link.decode(k, y_tilde, x[k])
+            assert block.shape == (4, 5)
+            for t in range(5):
+                single = link.decode(k, y_tilde[:, t], x[k][:, t])
+                assert np.linalg.norm(single - block[:, t]) < 1e-12
 
     def test_unverified_strategy_rejected(self):
         plane = E3[:, [0, 1]]
@@ -232,15 +256,6 @@ class TestSnr:
         scaled = snr(1, strategy, ch, NoiseModel(3.0, 7.0))
         assert abs(base - 10 * scaled) < 1e-9 * base
 
-    def test_instantaneous_variant(self):
-        rng = np.random.default_rng(7)
-        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
-        ch = draw_channels(3, 3, rng)
-        z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        val = snr_instantaneous(0, strategy, ch, z, w)
-        assert val > 0 and np.isfinite(val)
-
 
 class TestRelayMapSuccess:
     def test_qpsk_exact(self):
@@ -259,6 +274,17 @@ class TestRelayMapSuccess:
     def test_bpsk(self):
         frac = relay_map_success(Constellation.bpsk())
         assert (frac.numerator, frac.denominator) == (3, 4)
+
+    @pytest.mark.parametrize("scale", [1e-10, 1e10])
+    def test_scale_free(self, scale):
+        scaled = Constellation(QPSK.points * scale)
+        frac = relay_map_success(scaled)
+        assert (frac.numerator, frac.denominator) == (9, 16)
+        assert np.array_equal(scaled.map_success_table(), QPSK.map_success_table())
+
+    def test_zero_mean_check_is_relative(self):
+        with pytest.raises(InvalidInput):
+            Constellation(np.array([1, -1 + 1e-3]) * 1e-10)
 
 
 class TestTwoUserBaseline:
