@@ -233,7 +233,10 @@ def _cfg_value(key: str, value):
 
 def _parse_constellation(name: str) -> relaysim.Constellation:
     if name.startswith("["):  # explicit point list, e.g. "[[1,0],[-1,0]]"
-        pts = [complex(re, im) for re, im in json.loads(name)]
+        try:
+            pts = [complex(re, im) for re, im in json.loads(name)]
+        except (TypeError, ValueError):  # ValueError covers malformed JSON and points that are not pairs
+            raise UsageError(f"--constellation expects a JSON list of [re, im] pairs, got {name!r}")
         return relaysim.Constellation(np.array(pts))
     try:
         return relaysim.Constellation.from_name(name)
@@ -246,8 +249,8 @@ def _parse_grid(text: str) -> list[float]:
         grid = [float(x) for x in text.split(",")]
     except ValueError:
         raise UsageError(f"--noise-grid expects comma-separated floats, got {text!r}")
-    if not grid or any(v < 0 for v in grid):
-        raise UsageError("--noise-grid must be nonempty and nonnegative")
+    if not grid or not all(math.isfinite(v) and v >= 0 for v in grid):
+        raise UsageError("--noise-grid must be nonempty, finite and nonnegative")
     return grid
 
 

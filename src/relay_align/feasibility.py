@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,12 +23,13 @@ from .errors import (
 )
 from .subspace import (
     DEFAULT_TOL,
+    RaggedRank,
     Subspace,
     Tolerance,
-    intersect,
-    is_direct_sum,
+    contains_stack,
+    intersect_stack,
     orthonormal_basis,
-    subspace_sum,
+    orthonormal_stack,
 )
 
 __all__ = [
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 Pair = tuple[int, int]
+
+VERIFY_BLOCK = 256  # genericity trials drawn and verified per stacked call
 
 
 def _pairs(k: int) -> list[Pair]:
@@ -121,6 +125,7 @@ class Strategy:
     spec: StrategySpec
     pair_bases: dict[Pair, np.ndarray]
     subspaces: list[Subspace] = field(default=None, repr=False)
+    _interference: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pb = {tuple(sorted(p)): np.asarray(b, dtype=np.complex128) for p, b in self.pair_bases.items()}
@@ -164,10 +169,16 @@ class Strategy:
         raise InvalidInput(f"{j} is not a partner of {i}")
 
     def interference_space(self, k: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-        """Direct sum of all pair intersections not involving user k."""
-        blocks = [b for p, b in sorted(self.pair_bases.items()) if k not in p]
-        cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
-        return orthonormal_basis(cols, tol) if cols.shape[1] else Subspace.zero(self.spec.N)
+        """Direct sum of all pair intersections not involving user k.
+
+        It depends on the pair bases alone, so it is computed once per (k, tol).
+        """
+        if (k, tol) not in self._interference:
+            blocks = [b for p, b in sorted(self.pair_bases.items()) if k not in p]
+            cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
+            space = orthonormal_basis(cols, tol) if cols.shape[1] else Subspace.zero(self.spec.N)
+            self._interference[k, tol] = space
+        return self._interference[k, tol]
 
 
 @dataclass(frozen=True)
@@ -192,50 +203,97 @@ class VerificationReport:
         return out
 
 
+class _Verdicts(NamedTuple):
+    """Verification outcomes of a block of T candidates, one row per trial."""
+
+    pair_dims: np.ndarray  # (T, pairs), pairs in _pairs order
+    per_user_ok: np.ndarray  # (T, K)
+    global_ok: np.ndarray  # (T,)
+    worst_triple_dim: np.ndarray  # (T,); 0 when the triple scan is skipped
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.per_user_ok.all(axis=1) & self.global_ok
+
+
+def _verify_stack(bases: list[np.ndarray], n: int, tol: Tolerance, triples: bool) -> _Verdicts:
+    """The direct-sum conditions on T candidates at once.
+
+    bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
+    Every step is one stacked LAPACK call over the trials; raises RaggedRank
+    when they disagree on a rank.  The triple scan only feeds worst_triple_dim,
+    never ok.
+    """
+    k, t = len(bases), bases[0].shape[0]
+    inter = {(i, j): intersect_stack(bases[i], bases[j], tol) for i, j in _pairs(k)}
+    pair_dims = [b.shape[2] for b in inter.values()]
+
+    per_user = np.zeros((t, k), dtype=bool)
+    for i in range(k):
+        parts = [inter[tuple(sorted((i, j)))] for j in range(k) if j != i]
+        total = orthonormal_stack(np.concatenate(parts, axis=2), tol)
+        if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
+            per_user[:, i] = contains_stack(bases[i], total)
+
+    global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2), tol)
+    global_ok = global_total.shape[2] == sum(pair_dims) == n
+
+    worst_triple = 0
+    if triples:
+        for i, j, l in itertools.combinations(range(k), 3):
+            worst_triple = max(worst_triple, intersect_stack(inter[(i, j)], bases[l], tol).shape[2])
+
+    return _Verdicts(
+        pair_dims=np.tile(pair_dims, (t, 1)),
+        per_user_ok=per_user,
+        global_ok=np.full(t, global_ok),
+        worst_triple_dim=np.full(t, worst_triple),
+    )
+
+
+def _split_by_rank(run, stacks: list[np.ndarray]) -> _Verdicts:
+    """run(stacks) on a block of trials, (T, ...) stacks in, _Verdicts out.
+
+    A block whose trials disagree on a rank splits by that rank, and each part
+    runs again, so every trial sees the shapes, rank rule and LAPACK routine of
+    the T = 1 case.
+    """
+    try:
+        return run(stacks)
+    except RaggedRank as exc:
+        ranks = exc.ranks
+    parts = []
+    for r in np.unique(ranks):
+        idx = np.flatnonzero(ranks == r)
+        parts.append((idx, _split_by_rank(run, [s[idx] for s in stacks])))
+    merged = _Verdicts(*(np.empty((ranks.size, *f.shape[1:]), f.dtype) for f in parts[0][1]))
+    for idx, part in parts:
+        for out, f in zip(merged, part):
+            out[idx] = f
+    return merged
+
+
 def verify_strategy(cand: list[Subspace], n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
     """Check the direct-sum conditions on a candidate list of subspaces.
 
     Computes all pairwise intersections, all triple intersections, the
     per-user decomposition V_i = (+)_{j != i} V_i & V_j, and the global
-    decomposition of C^N into all pairwise intersections.
+    decomposition of C^N into all pairwise intersections: the T = 1 case of
+    the stacked verifier generic_feasibility_rate runs.
     """
     k = len(cand)
     if k < 2:
         raise InvalidInput("need at least two subspaces")
     if any(s.ambient_dim != n for s in cand):
         raise DimensionMismatch("candidate ambient dimensions differ from N")
-
-    inter = {(i, j): intersect(cand[i], cand[j], tol) for i, j in _pairs(k)}
-    pair_dims = {p: s.d for p, s in inter.items()}
-
-    per_user = []
-    for i in range(k):
-        parts = [inter[tuple(sorted((i, j)))] for j in range(k) if j != i]
-        total = subspace_sum(parts, tol)
-        ok_i = (
-            total.d == sum(p.d for p in parts)
-            and total.d == cand[i].d
-            and cand[i].contains(total)
-        )
-        per_user.append(ok_i)
-
-    all_parts = [inter[p] for p in _pairs(k)]
-    global_total = subspace_sum(all_parts, tol)
-    global_ok = global_total.d == sum(p.d for p in all_parts) == n
-
-    worst_triple = 0
-    for i, j, l in itertools.combinations(range(k), 3):
-        t = intersect(inter[(i, j)], cand[l], tol)
-        worst_triple = max(worst_triple, t.d)
-
-    ok = all(per_user) and global_ok
+    v = _verify_stack([s.basis[None] for s in cand], n, tol, triples=True)  # one trial: no rank split
     return VerificationReport(
-        ok=ok,
+        ok=bool(v.ok[0]),
         dims=tuple(s.d for s in cand),
-        pair_dims=pair_dims,
-        per_user_ok=tuple(per_user),
-        global_ok=global_ok,
-        worst_triple_dim=worst_triple,
+        pair_dims={p: int(w) for p, w in zip(_pairs(k), v.pair_dims[0])},
+        per_user_ok=tuple(bool(x) for x in v.per_user_ok[0]),
+        global_ok=bool(v.global_ok[0]),
+        worst_triple_dim=int(v.worst_triple_dim[0]),
     )
 
 
@@ -349,6 +407,26 @@ def paired_pairwise_table(k: int, n: int) -> StrategySpec:
     return StrategySpec(K=k, N=n, d=(d,) * k, pairwise=pw)
 
 
+def _gaussian_stacks(n: int, dims: tuple[int, ...], rngs: list[np.random.Generator]) -> list[np.ndarray]:
+    """Complex Gaussian (T, n, d) stacks, one per d in dims, T = len(rngs).
+
+    Each generator makes one standard_normal call, whose values are, per d in
+    order, the n x d real parts and then the n x d imaginary parts: the values
+    sample_generic_strategy draws from that generator.
+    """
+    sizes = [n * d for d in dims]
+    raw = np.empty((len(rngs), 2 * sum(sizes)))
+    for row, rng in zip(raw, rngs):
+        rng.standard_normal(out=row)
+    stacks, off = [], 0
+    for d, size in zip(dims, sizes):
+        re = raw[:, off : off + size].reshape(len(rngs), n, d)
+        im = raw[:, off + size : off + 2 * size].reshape(len(rngs), n, d)
+        stacks.append(re + 1j * im)
+        off += 2 * size
+    return stacks
+
+
 def generic_feasibility_rate(
     spec: StrategySpec,
     trials: int,
@@ -357,15 +435,24 @@ def generic_feasibility_rate(
 ) -> float:
     """Fraction of Haar-random strategies that verify.
 
-    Each trial uses an independent child generator so the result does not
-    depend on evaluation order.
+    Each trial draws its subspaces from its own child generator, so the result
+    does not depend on evaluation order, and equals the fraction of the
+    children rng.spawn(trials) for which
+    verify_strategy(sample_generic_strategy(spec, child)).ok holds.  Trials
+    are spawned, drawn and verified in blocks of VERIFY_BLOCK with the stacked
+    verifier, without the triple scan, which never decides ok.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    children = rng.spawn(trials)
+    if max(spec.d) > spec.N:
+        raise InvalidInput("per-user dimension exceeds ambient dimension")
+
+    def run(draws: list[np.ndarray]) -> _Verdicts:
+        return _verify_stack([orthonormal_stack(g, tol) for g in draws], spec.N, tol, triples=False)
+
     hits = 0
-    for child in children:
-        cand = sample_generic_strategy(spec, child, tol)
-        if verify_strategy(cand, spec.N, tol).ok:
-            hits += 1
+    for start in range(0, trials, VERIFY_BLOCK):
+        # successive spawn calls continue the numbering of the children
+        children = rng.spawn(min(VERIFY_BLOCK, trials - start))
+        hits += int(np.count_nonzero(_split_by_rank(run, _gaussian_stacks(spec.N, spec.d, children)).ok))
     return hits / trials

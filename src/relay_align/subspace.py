@@ -5,6 +5,11 @@ first-class value (empty basis) so direct-sum decompositions with empty parts
 need no special-casing.  All rank decisions go through a single threshold rule
 (see Tolerance) because everything downstream -- intersections, direct-sum
 tests, feasibility verification -- reduces to numeric rank.
+
+The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
+stack; orthonormal_basis and intersect are their T = 1 case.  One array holds
+bases of one width, so a kernel whose trials disagree on a rank raises
+RaggedRank and leaves the split to the caller.
 """
 
 from __future__ import annotations
@@ -18,8 +23,12 @@ from .errors import DimensionMismatch, InvalidInput
 __all__ = [
     "Tolerance",
     "Subspace",
+    "RaggedRank",
     "orthonormal_basis",
+    "orthonormal_stack",
     "intersect",
+    "intersect_stack",
+    "contains_stack",
     "subspace_sum",
     "is_direct_sum",
     "project_onto_perp",
@@ -45,15 +54,20 @@ class Tolerance:
         if not (np.isfinite(self.abs_floor) and self.abs_floor >= 0):
             raise InvalidInput("abs_floor must be finite and >= 0")
 
-    def rank_threshold(self, shape: tuple[int, int], sigma_max: float) -> float:
+    def rank_threshold(self, shape: tuple[int, int], sigma_max):
+        """Threshold for an m x n matrix of this shape; elementwise over an array of sigma_max."""
         rel = max(shape) * _EPS * sigma_max * self.rel_rank_tol
-        return max(rel, self.abs_floor)
+        return np.maximum(rel, self.abs_floor)
 
-    def numeric_rank(self, singular_values: np.ndarray, shape: tuple[int, int]) -> int:
-        if singular_values.size == 0:
-            return 0
-        thr = self.rank_threshold(shape, float(singular_values[0]))
-        return int(np.count_nonzero(singular_values > thr))
+    def numeric_rank(self, singular_values: np.ndarray, shape: tuple[int, int]):
+        """Rank of an m x n matrix from its singular values, sorted descending.
+
+        A (T, k) stack of singular values gives an array of T ranks, one per row.
+        """
+        s = np.asarray(singular_values)
+        if s.shape[-1] == 0:
+            return np.zeros(s.shape[:-1], dtype=np.intp)
+        return (s > self.rank_threshold(shape, s[..., :1])).sum(axis=-1)
 
 
 DEFAULT_TOL = Tolerance()
@@ -72,12 +86,16 @@ class Subspace:
             raise InvalidInput(f"basis shape {b.shape} does not match N={self.ambient_dim}")
         if b.shape[1] > self.ambient_dim:
             raise InvalidInput("subspace dimension exceeds ambient dimension")
-        if b.size and not (np.all(np.isfinite(b.real)) and np.all(np.isfinite(b.imag))):
-            raise InvalidInput("basis contains non-finite entries")
-        gram = b.conj().T @ b
-        if np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-10:
-            raise InvalidInput("basis columns are not orthonormal")
+        _check_orthonormal(b)
         object.__setattr__(self, "basis", b)
+
+    @classmethod
+    def _of_checked(cls, basis: np.ndarray) -> "Subspace":
+        """The subspace of a kernel's T = 1 result, which _check_orthonormal has passed."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "ambient_dim", basis.shape[0])
+        object.__setattr__(s, "basis", basis)
+        return s
 
     @property
     def d(self) -> int:
@@ -94,18 +112,52 @@ class Subspace:
     def projector(self) -> np.ndarray:
         return self.basis @ self.basis.conj().T
 
-    def contains(self, other: "Subspace", tol: float = 1e-9) -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        if other.d == 0:
-            return True
-        resid = other.basis - self.projector() @ other.basis
-        return bool(np.linalg.norm(resid) < tol)
-
     def same_subspace(self, other: "Subspace", tol: float = 1e-9) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatch("ambient dimensions differ")
         return bool(np.linalg.norm(self.projector() - other.projector()) < tol)
+
+
+class RaggedRank(Exception):
+    """The trials of one stack disagree on a numeric rank; ranks holds each trial's."""
+
+    def __init__(self, ranks: np.ndarray):
+        super().__init__(f"trials disagree on a numeric rank: {np.unique(ranks).tolist()}")
+        self.ranks = ranks
+
+
+def _common_rank(ranks: np.ndarray) -> int:
+    if (ranks != ranks[0]).any():
+        raise RaggedRank(ranks)
+    return int(ranks[0])
+
+
+def _check_orthonormal(b: np.ndarray) -> None:
+    """Raise unless every basis of the (..., N, d) stack b is finite with orthonormal columns."""
+    if not np.isfinite(b).all():
+        raise InvalidInput("basis contains non-finite entries")
+    gram = b.conj().swapaxes(-1, -2) @ b
+    if np.any(np.linalg.norm(gram - np.eye(b.shape[-1]), axis=(-2, -1)) > 1e-10):
+        raise InvalidInput("basis columns are not orthonormal")
+
+
+def orthonormal_stack(cols, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal bases of the column spaces of a (T, N, m) stack, rank-truncated.
+
+    Each trial's rank follows the Tolerance rule; raises RaggedRank when the
+    trials' ranks differ.
+    """
+    a = np.asarray(cols, dtype=np.complex128)
+    if a.ndim != 3 or a.shape[1] < 1:
+        raise InvalidInput(f"expected a T x N x m stack with N >= 1, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidInput("input contains non-finite entries")
+    if a.shape[2] == 0:
+        return a
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    u = u[..., : _common_rank(tol.numeric_rank(s, a.shape[1:]))]
+    _check_orthonormal(u)
+    return u
 
 
 def orthonormal_basis(cols, tol: Tolerance = DEFAULT_TOL) -> Subspace:
@@ -113,33 +165,41 @@ def orthonormal_basis(cols, tol: Tolerance = DEFAULT_TOL) -> Subspace:
     a = np.asarray(cols, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1:
         raise InvalidInput(f"expected an N x m matrix with N >= 1, got shape {a.shape}")
-    if a.size and not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(a.imag))):
-        raise InvalidInput("input contains non-finite entries")
-    if a.shape[1] == 0:
-        return Subspace.zero(a.shape[0])
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    r = tol.numeric_rank(s, a.shape)
-    return Subspace(a.shape[0], u[:, :r])
+    return Subspace._of_checked(orthonormal_stack(a[None], tol)[0])
+
+
+def intersect_stack(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Intersections span(A_t) & span(B_t) of two (T, N, d) stacks of orthonormal bases.
+
+    Null vectors (x; y) of [A | -B] satisfy A x = B y; mapping the x-block
+    through A yields a spanning set of the intersection.  Raises RaggedRank
+    when the trials disagree on a rank.
+    """
+    if a.shape[:2] != b.shape[:2]:
+        raise DimensionMismatch(f"stacks of shape {a.shape} and {b.shape} do not pair up")
+    t, n, da = a.shape
+    if da == 0 or b.shape[2] == 0:
+        return np.zeros((t, n, 0), dtype=np.complex128)
+    stacked = np.concatenate([a, -b], axis=2)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    r = _common_rank(tol.numeric_rank(s, stacked.shape[1:]))
+    null = vh[:, r:].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)
+    return orthonormal_stack(a @ null[:, :da], tol)
 
 
 def intersect(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Intersection span(A) & span(B) via the stacked-nullspace method.
-
-    Null vectors (x; y) of [A | -B] satisfy A x = B y; mapping the x-block
-    through A yields a spanning set of the intersection.
-    """
+    """Intersection span(A) & span(B); the T = 1 case of intersect_stack."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    if a.d == 0 or b.d == 0:
-        return Subspace.zero(a.ambient_dim)
-    stacked = np.hstack([a.basis, -b.basis])
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    s = np.concatenate([s, np.zeros(stacked.shape[1] - s.size)])
-    r = tol.numeric_rank(s, stacked.shape)
-    null = vh[r:].conj().T  # (dA+dB) x nullity
-    if null.shape[1] == 0:
-        return Subspace.zero(a.ambient_dim)
-    return orthonormal_basis(a.basis @ null[: a.d], tol)
+    return Subspace._of_checked(intersect_stack(a.basis[None], b.basis[None], tol)[0])
+
+
+def contains_stack(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Per trial, whether span(B_t) lies in span(A_t), for stacks of orthonormal bases."""
+    if b.shape[2] == 0:
+        return np.ones(b.shape[0], dtype=bool)
+    resid = b - (a @ a.conj().swapaxes(1, 2)) @ b
+    return np.linalg.norm(resid, axis=(1, 2)) < tol
 
 
 def subspace_sum(parts: list[Subspace], tol: Tolerance = DEFAULT_TOL) -> Subspace:

@@ -160,6 +160,16 @@ class TestSimulate:
     def test_infeasible_exits_2(self):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10") == 2
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "1,nan"])
+    def test_nonfinite_noise_level_usage_error(self, grid, capsys):
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--noise-grid", grid) == 1
+        assert "usage error: --noise-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["[1]", "[oops", "[[1,0,2]]"])
+    def test_malformed_constellation_usage_error(self, points, capsys):
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--constellation", points) == 1
+        assert "usage error: --constellation" in capsys.readouterr().err
+
     def test_outputs_and_determinism(self, tmp_path):
         args = (
             "simulate", "-K", "3", "-N", "3", "-d", "2,2,2",

@@ -1,11 +1,17 @@
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 
 from relay_align.errors import InconsistentPairwise, InfeasibleTuple, InvalidInput
 from relay_align.feasibility import (
+    VERIFY_BLOCK,
     StrategySpec,
+    _gaussian_stacks,
+    _pairs,
+    _split_by_rank,
+    _verify_stack,
     construct_strategy,
     feasible_variety_dim,
     generic_feasibility_rate,
@@ -16,7 +22,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
-from relay_align.subspace import Subspace, orthonormal_basis
+from relay_align.subspace import DEFAULT_TOL, RaggedRank, Subspace, orthonormal_basis, orthonormal_stack
 
 E3 = np.eye(3, dtype=complex)
 
@@ -107,6 +113,17 @@ class TestVerifyStrategy:
                         s = construct_strategy(spec)
                         assert verify_strategy(s.subspaces, n).ok, (k, n, d)
 
+    @pytest.mark.parametrize("k,n", [(3, 3), (8, 16), (16, 32)])
+    def test_construct_report_fields(self, k, n):
+        spec = StrategySpec(k, n, (2 * n // k,) * k)
+        s = construct_strategy(spec)
+        rep = verify_strategy(s.subspaces, n)
+        assert rep.ok and rep.global_ok
+        assert rep.dims == spec.d
+        assert rep.pair_dims == s.pair_dims()
+        assert rep.per_user_ok == (True,) * k
+        assert rep.worst_triple_dim == 0
+
     def test_dimension_bookkeeping(self):
         # for a verified strategy, sum d_i = 2 * dim of the pairwise direct sum
         for spec in [StrategySpec(3, 3, (2, 2, 2)), StrategySpec(4, 5, (5, 3, 1, 1))]:
@@ -136,6 +153,61 @@ class TestGenericSampling:
         spec = StrategySpec(2, 4, (4, 4))
         rng = np.random.default_rng(1)
         assert generic_feasibility_rate(spec, 10, rng) == 1.0
+
+
+def per_trial_rate(spec, trials, rng):
+    """Reference for generic_feasibility_rate: one verify_strategy call per child generator."""
+    return sum(verify_strategy(sample_generic_strategy(spec, c), spec.N).ok for c in rng.spawn(trials)) / trials
+
+
+class TestBatchedGenericity:
+    @pytest.mark.parametrize(
+        "k,n,d",
+        [
+            (3, 3, (2, 2, 2)),
+            (4, 4, (2, 2, 2, 2)),
+            (3, 4, (3, 3, 2)),
+            (5, 5, (2,) * 5),
+            (2, 3, (3, 3)),
+            (3, 2, (2, 2, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_trial_reference(self, k, n, d, seed):
+        spec = StrategySpec(k, n, d)
+        rate = generic_feasibility_rate(spec, 20, np.random.default_rng(seed))
+        assert rate == per_trial_rate(spec, 20, np.random.default_rng(seed))
+
+    def test_draws_equal_per_trial_bases(self):
+        spec = StrategySpec(4, 3, (2, 0, 3, 1))
+        stacks = _gaussian_stacks(spec.N, spec.d, np.random.default_rng(4).spawn(5))
+        for t, child in enumerate(np.random.default_rng(4).spawn(5)):
+            for stack, sub in zip(stacks, sample_generic_strategy(spec, child)):
+                assert np.array_equal(orthonormal_stack(stack)[t], sub.basis)
+
+    def test_several_blocks(self):
+        spec = StrategySpec(3, 3, (2, 2, 2))
+        trials = VERIFY_BLOCK + 7
+        rate = generic_feasibility_rate(spec, trials, np.random.default_rng(8))
+        assert rate == per_trial_rate(spec, trials, np.random.default_rng(8)) == 1.0
+
+    def test_ragged_block_splits_by_rank(self):
+        spec = StrategySpec(3, 3, (2, 2, 2))
+        rng = np.random.default_rng(3)
+        cands = [sample_generic_strategy(spec, rng) for _ in range(4)]
+        cands[2][1] = cands[2][0]  # users 1 and 2 share a plane in trial 2 only
+        bases = [np.stack([c[i].basis for c in cands]) for i in range(3)]
+        with pytest.raises(RaggedRank):
+            _verify_stack(bases, 3, DEFAULT_TOL, triples=True)
+        v = _split_by_rank(partial(_verify_stack, n=3, tol=DEFAULT_TOL, triples=True), bases)
+        for t, cand in enumerate(cands):
+            ref = verify_strategy(cand, 3)
+            assert v.ok[t] == ref.ok
+            assert dict(zip(_pairs(3), v.pair_dims[t].tolist())) == ref.pair_dims
+            assert tuple(v.per_user_ok[t].tolist()) == ref.per_user_ok
+            assert v.global_ok[t] == ref.global_ok
+            assert v.worst_triple_dim[t] == ref.worst_triple_dim
+        assert v.ok.tolist() == [True, True, False, True]
 
 
 class TestPairwise:
