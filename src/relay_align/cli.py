@@ -42,15 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
+    seed = args.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if seed is None and env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-    return 0
+    if seed is not None and seed < 0:  # numpy's generators take no negative seed
+        raise UsageError(f"the seed must be >= 0, got {seed}")
+    return 0 if seed is None else seed
 
 
 def _parse_d(text: str) -> tuple[int, ...]:
@@ -70,15 +71,25 @@ def _spec_from_args(args) -> StrategySpec:
         raise UsageError(str(exc))
 
 
-def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
+def _read_json_object(path: str, flag: str) -> dict:
     with open(path) as fh:
-        raw = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise UsageError(f"{flag} file {path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise UsageError(f"{flag} file {path} must hold a JSON object")
+    return doc
+
+
+def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
+    raw = _read_json_object(path, "--dij")
     try:
         pw = {}
         for key, val in raw.items():
             i_s, j_s = key.split("-")
             pw[(int(i_s) - 1, int(j_s) - 1)] = int(val)
-    except (ValueError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise UsageError(f"bad pairwise table in {path}: {exc}")
     return StrategySpec(K=spec.K, N=spec.N, d=spec.d, pairwise=pw)
 
@@ -168,12 +179,14 @@ def _snr_db(value: float) -> str:
     return f"{10 * math.log10(value):.4f}"
 
 
+_CFG_TYPES = {"K": int, "N": int, "d": str, "constellation": str, "noise_grid": str, "trials": int, "seed": int}
+
+
 def cmd_simulate(args) -> int:
     if args.config:
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        for key in ("K", "N", "d", "constellation", "noise_grid", "trials", "seed"):
-            if key in cfg and getattr(args, key, None) in (None, False):
+        cfg = _read_json_object(args.config, "--config")
+        for key in _CFG_TYPES:
+            if key in cfg and getattr(args, key) is None:
                 setattr(args, key, _cfg_value(key, cfg[key]))
     if args.K is None or args.N is None or args.d is None:
         raise UsageError("simulate requires -K, -N and -d (flags or --config)")
@@ -224,10 +237,14 @@ def cmd_simulate(args) -> int:
 
 
 def _cfg_value(key: str, value):
-    if key == "d" and isinstance(value, list):
-        return ",".join(map(str, value))
-    if key == "noise_grid" and isinstance(value, list):
-        return ",".join(map(str, value))
+    """A --config entry as its flag would give it; lists become the flag's text."""
+    if key in ("d", "noise_grid") and isinstance(value, list):
+        value = ",".join(map(str, value))
+    elif key == "constellation" and isinstance(value, list):
+        value = json.dumps(value)  # a point list, parsed like --constellation '[[1,0],[-1,0]]'
+    if not isinstance(value, _CFG_TYPES[key]) or isinstance(value, bool):
+        kind = "an integer" if _CFG_TYPES[key] is int else "a string or a list"
+        raise UsageError(f"--config {key} must be {kind}, got {value!r}")
     return value
 
 
@@ -256,40 +273,34 @@ def _parse_grid(text: str) -> list[float]:
 
 def cmd_variety(args) -> int:
     seed = _resolve_seed(args)
+    n, d = args.N, args.d_dim
+    if n < 1:
+        raise UsageError("-N must be >= 1")
+    if not 1 <= d <= n:
+        raise UsageError(f"-d must be between 1 and N={n}, got {d}")
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    if args.lines < 1:
+        raise UsageError("--lines must be >= 1")
     rng = np.random.default_rng(seed)
-    n, d = args.N, args.d_dim
     want_det = args.det_probe or (n == 3 and d == 2)
     if args.det_probe and (n, d) != (3, 2):
         sys.stderr.write("determinant probe requires N=3, d=2\n")
         return 2
 
-    residuals = []
-    for _ in range(args.samples):
-        s = feasibility.haar_subspace(n, d, rng)
-        residuals.append(variety.plucker_residual(variety.plucker(s)))
-
     doc = {
         "seed": seed,
         "N": n,
         "d": d,
-        "plucker_residual_max": max(residuals),
+        "plucker_residual_max": float(variety.plucker_probe(n, d, args.samples, rng).max()),
         "samples": args.samples,
     }
     if want_det:
-        dets, dims, agree = [], [], 0
-        for _ in range(args.samples):
-            planes = [feasibility.haar_subspace(3, 2, rng) for _ in range(3)]
-            det = variety.determinantal_test(*planes)
-            dim = variety.triple_intersection_dim(*planes)
-            dets.append(abs(det))
-            dims.append(dim)
-            if (abs(det) < variety.DET_ZERO_THRESHOLD) == (dim > 0):
-                agree += 1
-        doc["determinant_abs_min"] = min(dets)
-        doc["triple_dims"] = sorted(set(dims))
-        doc["det_triple_agreement"] = agree / args.samples
+        dets, dims = variety.determinant_probe(args.samples, rng)
+        agree = np.count_nonzero((dets < variety.DET_ZERO_THRESHOLD) == (dims > 0))
+        doc["determinant_abs_min"] = float(dets.min())
+        doc["triple_dims"] = sorted({int(x) for x in dims})
+        doc["det_triple_agreement"] = int(agree) / args.samples
     probe = variety.codim_line_probe(rng, args.lines)
     doc["line_probe"] = {
         "lines": probe.samples,

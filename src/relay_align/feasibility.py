@@ -47,6 +47,7 @@ __all__ = [
     "symmetric_pairwise_table",
     "paired_pairwise_table",
     "haar_subspace",
+    "haar_stack",
 ]
 
 Pair = tuple[int, int]
@@ -320,12 +321,23 @@ def construct_strategy(spec: StrategySpec) -> Strategy:
     return Strategy(spec=spec, pair_bases=pair_bases)
 
 
+def haar_stack(n: int, d: int, count: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal bases of count uniformly random d-dimensional subspaces of C^n, as a (count, n, d) stack.
+
+    One standard_normal call draws, per subspace in order, the n x d real parts
+    and then the n x d imaginary parts: the values count successive
+    haar_subspace calls draw.  Raises RaggedRank in the measure-zero event
+    that the draws disagree on a numeric rank.
+    """
+    if n < 1 or not 0 <= d <= n:
+        raise InvalidInput(f"need n >= 1 and 0 <= d <= n, got n={n}, d={d}")
+    raw = rng.standard_normal((count, 2, n, d))
+    return orthonormal_stack(raw[:, 0] + 1j * raw[:, 1], tol)
+
+
 def haar_subspace(n: int, d: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Uniformly random d-dimensional subspace of C^n."""
-    if d == 0:
-        return Subspace.zero(n)
-    g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return orthonormal_basis(g, tol)
+    """Uniformly random d-dimensional subspace of C^n; the count = 1 case of haar_stack."""
+    return Subspace._of_checked(haar_stack(n, d, 1, rng, tol)[0])
 
 
 def sample_generic_strategy(

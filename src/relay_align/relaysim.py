@@ -67,6 +67,8 @@ class Constellation:
         pts = np.asarray(self.points, dtype=np.complex128).ravel()
         if pts.size == 0:
             raise InvalidInput("constellation must be nonempty")
+        if not np.isfinite(pts).all():
+            raise InvalidInput("constellation points must be finite")
         if len(set(pts.tolist())) != pts.size:
             raise InvalidInput("constellation points must be distinct")
         if abs(pts.mean()) > 1e-12 * np.abs(pts).max():

@@ -101,6 +101,6 @@ def load_strategy(path: str) -> Strategy:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
     return strategy_from_dict(data)

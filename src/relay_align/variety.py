@@ -4,32 +4,50 @@ For K = 3 equal-dimension strategies, the bad locus is where the triple
 intersection is nonzero.  In the plane case (N = 3, d = 2) this locus is cut
 out by a single 3x3 determinant in the perp-line coordinates; in general we
 detect membership by rank computations on iterated intersections.
+
+Every probe works on stacks of samples: the Haar draws, the wedge minors, the
+three-term relations (gathered from one cached index table per (n, d)), the
+perp lines, the determinants and the line polynomials are each one stacked
+numpy or LAPACK call per block of samples, and the single-item functions are
+their T = 1 case.  Complex products and magnitudes that reach the output are
+formed from real and imaginary parts (np.hypot), which round as numpy's scalar
+complex arithmetic does; numpy's vectorized complex multiply and np.abs may
+round differently in the last bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
+from math import comb
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, intersect, orthonormal_basis
+from .feasibility import haar_stack
+from .subspace import DEFAULT_TOL, RaggedRank, Subspace, Tolerance, intersect_stack
 
 __all__ = [
     "PluckerPoint",
     "plucker",
+    "plucker_coords",
     "check_plucker_relations",
     "plucker_residual",
+    "plucker_probe",
     "triple_intersection_dim",
     "perp_line",
     "determinantal_test",
+    "determinant_probe",
     "line_determinant",
     "codim_line_probe",
     "LineProbeReport",
 ]
 
 DET_ZERO_THRESHOLD = 1e-8
+MAX_RELATION_TERMS = 1 << 20  # largest (relations x terms) table a wedge-relation residual builds
+PROBE_BLOCK_TERMS = 1 << 16  # array entries per sample block of a probe
 
 
 @dataclass(frozen=True)
@@ -47,53 +65,108 @@ class PluckerPoint:
 
     def __post_init__(self):
         c = np.asarray(self.coords, dtype=np.complex128)
-        from math import comb
-
         if c.shape != (comb(self.n, self.d),):
             raise InvalidInput(f"expected {comb(self.n, self.d)} coordinates, got shape {c.shape}")
-        object.__setattr__(self, "coords", _normalize_projective(c))
+        if not np.isfinite(c).all():
+            raise InvalidInput("wedge coordinates must be finite")
+        object.__setattr__(self, "coords", _normalize_projective(c[None])[0])
 
     def index_sets(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(self.n), self.d))
 
 
 def _normalize_projective(c: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(c)
-    if norm == 0:
+    """Each row of a (T, C) stack scaled to unit norm, its first nonzero coordinate real positive.
+
+    The squared norms come from stacked 1 x C by C x 1 products of the real and
+    imaginary parts, which numpy computes with BLAS dot, as np.linalg.norm does
+    for one vector.
+    """
+    re, im = c.real[:, None], c.imag[:, None]
+    norm = np.sqrt((re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0])
+    if (norm == 0).any():
         raise InvalidInput("zero coordinate vector is not a projective point")
-    c = c / norm
-    peak = np.max(np.abs(c))
-    first = int(np.argmax(np.abs(c) > 1e-12 * peak))
-    phase = c[first] / abs(c[first])
-    return c / phase
+    c = c / norm[:, None]
+    mag = np.abs(c)  # only picks the leading coordinate
+    first = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)
+    lead = c[np.arange(len(c)), first]
+    return c / (lead / np.hypot(lead.real, lead.imag))[:, None]
+
+
+def _minors(bases: np.ndarray) -> np.ndarray:
+    """All d x d minors of a (T, n, d) stack of bases, rows in lexicographic order: (T, C(n, d))."""
+    n, d = bases.shape[1:]
+    rows = np.array(list(itertools.combinations(range(n), d)), dtype=np.intp).reshape(-1, d)
+    return np.linalg.det(bases[:, rows, :])
 
 
 def plucker(s: Subspace) -> PluckerPoint:
     """Wedge coordinates of a subspace: all d x d minors of its basis."""
     if s.d < 1:
         raise InvalidInput("zero-dimensional subspace has no projective wedge")
-    rows = list(itertools.combinations(range(s.ambient_dim), s.d))
-    coords = np.array([np.linalg.det(s.basis[list(r), :]) for r in rows])
-    return PluckerPoint(n=s.ambient_dim, d=s.d, coords=coords)
+    return PluckerPoint(n=s.ambient_dim, d=s.d, coords=_minors(s.basis[None])[0])
 
 
-def _coord_lookup(p: PluckerPoint) -> dict[tuple[int, ...], complex]:
-    return dict(zip(p.index_sets(), p.coords))
+def plucker_coords(bases: np.ndarray) -> np.ndarray:
+    """Wedge coordinates of a (T, n, d) stack of bases: row t is plucker(basis t).coords."""
+    if bases.shape[2] < 1:
+        raise InvalidInput("zero-dimensional subspace has no projective wedge")
+    return _normalize_projective(_minors(bases))
 
 
-def _signed_coord(lookup, indices: tuple[int, ...]) -> complex:
-    """Coordinate for an arbitrary index tuple, with antisymmetric sign."""
-    if len(set(indices)) != len(indices):
-        return 0.0
-    order = tuple(sorted(indices))
-    perm = list(indices)
-    sign = 1
-    # count inversions of the sorting permutation
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign * lookup[order]
+class _Relations(NamedTuple):
+    """The three-term wedge relations of Gr(d, n) as gather indices, one column per relation.
+
+    Row pos of relation (S, T) is the term sign * p[left] * p[right], with left
+    the coordinate of S + T[pos], right that of T - T[pos], and sign the product
+    of (-1)^pos and the sorting sign of S + T[pos].  A left index with a repeat
+    points at the zero slot C(n, d) after the last coordinate.
+    """
+
+    left: np.ndarray  # (d + 1, R) intp
+    right: np.ndarray  # (d + 1, R) intp
+    sign: np.ndarray  # (d + 1, R) float, +-1
+
+
+@functools.cache
+def _relation_table(n: int, d: int) -> _Relations:
+    """Every relation sum_l (-1)^l p_{S + T[l]} p_{T - T[l]} over (d-1)-sets S and (d+1)-sets T.
+
+    Dimension-one and full-dimensional points have no relations: the table is
+    empty.  Raises InvalidInput for shapes whose table would exceed
+    MAX_RELATION_TERMS terms.
+    """
+    if d <= 1 or d >= n:
+        return _Relations(*(np.zeros((max(d, 0) + 1, 0), dtype=t) for t in (np.intp, np.intp, float)))
+    terms = comb(n, d - 1) * comb(n, d + 1) * (d + 1)
+    if terms > MAX_RELATION_TERMS:
+        raise InvalidInput(f"Gr({d}, {n}) has {terms} wedge-relation terms, more than {MAX_RELATION_TERMS}")
+    index = {c: i for i, c in enumerate(itertools.combinations(range(n), d))}
+    zero = len(index)
+    left, right, sign = [], [], []
+    for s_idx in itertools.combinations(range(n), d - 1):
+        for t_idx in itertools.combinations(range(n), d + 1):
+            for pos, l in enumerate(t_idx):
+                left.append(zero if l in s_idx else index[tuple(sorted(s_idx + (l,)))])
+                right.append(index[tuple(x for x in t_idx if x != l)])
+                # sorting S + (l,) moves l past every element of S above it
+                sign.append((-1.0) ** (pos + sum(x > l for x in s_idx)))
+    return _Relations(*(np.array(a).reshape(-1, d + 1).T.copy() for a in (left, right, sign)))
+
+
+def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
+    """Largest |relation| per row of a (T, C) coordinate stack, terms summed in position order."""
+    t, c = coords.shape
+    if table.left.size == 0:
+        return np.zeros(t)
+    re, im = np.zeros((t, c + 1)), np.zeros((t, c + 1))
+    re[:, :c], im[:, :c] = coords.real, coords.imag
+    acc_re = acc_im = 0.0
+    for left, right, sign in zip(*table):
+        lr, li, rr, ri = re[:, left], im[:, left], re[:, right], im[:, right]
+        acc_re = acc_re + sign * (lr * rr - li * ri)
+        acc_im = acc_im + sign * (lr * ri + li * rr)
+    return np.hypot(acc_re, acc_im).max(axis=1)
 
 
 def check_plucker_relations(p: PluckerPoint, tol: float = 1e-9) -> bool:
@@ -108,19 +181,31 @@ def check_plucker_relations(p: PluckerPoint, tol: float = 1e-9) -> bool:
 
 def plucker_residual(p: PluckerPoint) -> float:
     """Largest absolute value among all three-term wedge relations."""
-    if p.d <= 1:
-        return 0.0
-    lookup = _coord_lookup(p)
-    worst = 0.0
-    for s_idx in itertools.combinations(range(p.n), p.d - 1):
-        for t_idx in itertools.combinations(range(p.n), p.d + 1):
-            acc = 0.0
-            for pos, l in enumerate(t_idx):
-                left = _signed_coord(lookup, s_idx + (l,))
-                right = _signed_coord(lookup, tuple(x for x in t_idx if x != l))
-                acc += (-1) ** pos * left * right
-            worst = max(worst, abs(acc))
-    return worst
+    return float(_residuals(_relation_table(p.n, p.d), p.coords[None])[0])
+
+
+def _block_counts(samples: int, per_sample: int) -> Iterator[int]:
+    """Sizes of the successive blocks of a probe whose samples take per_sample array entries each."""
+    if samples < 1:
+        raise InvalidInput("samples must be >= 1")
+    block = max(1, PROBE_BLOCK_TERMS // max(1, per_sample))
+    return (min(block, samples - start) for start in range(0, samples, block))
+
+
+def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Wedge-relation residual of each of `samples` Haar-random d-dimensional subspaces of C^n.
+
+    Sample t is plucker_residual(plucker(haar_subspace(n, d, rng))) of the
+    t-th successive draw; the samples are drawn and checked in stacked blocks.
+    """
+    table = _relation_table(n, d)  # an oversized shape fails here, before any draw
+    counts = _block_counts(samples, max(table.left.size, comb(n, d) * d * d))
+    return np.concatenate([_residuals(table, plucker_coords(haar_stack(n, d, t, rng))) for t in counts])
+
+
+def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -> int:
+    """dim of the triple intersection shared by a block of (T, n, d) stacks; raises RaggedRank."""
+    return intersect_stack(intersect_stack(a, b, tol), c, tol).shape[2]
 
 
 def triple_intersection_dim(
@@ -129,16 +214,31 @@ def triple_intersection_dim(
     """dim(V1 & V2 & V3) via iterated intersection."""
     if not (v1.ambient_dim == v2.ambient_dim == v3.ambient_dim):
         raise DimensionMismatch("ambient dimensions differ")
-    return intersect(intersect(v1, v2, tol), v3, tol).d
+    return _triple_dim(v1.basis[None], v2.basis[None], v3.basis[None], tol)
+
+
+def _perp_lines(planes: np.ndarray) -> np.ndarray:
+    """Unit, phase-normalized perp lines of a (T, 3, 2) stack of plane bases: (T, 3)."""
+    _, _, vh = np.linalg.svd(planes.conj().swapaxes(1, 2))
+    return _normalize_projective(vh[:, -1].conj())
+
+
+def _check_plane(v: Subspace) -> None:
+    if v.ambient_dim != 3 or v.d != 2:
+        raise InvalidInput("expected a 2-dimensional subspace of C^3")
 
 
 def perp_line(v: Subspace) -> np.ndarray:
     """Unit, phase-normalized vector spanning the orthogonal complement of a plane in C^3."""
-    if v.ambient_dim != 3 or v.d != 2:
-        raise InvalidInput("expected a 2-dimensional subspace of C^3")
-    _, _, vh = np.linalg.svd(v.basis.conj().T)
-    w = vh[-1].conj()
-    return _normalize_projective(w)
+    _check_plane(v)
+    return _perp_lines(v.basis[None])[0]
+
+
+def _perp_det(planes: np.ndarray) -> np.ndarray:
+    """det of the perp-line columns of each sample of a (T, 3, 3, 2) stack of plane triples."""
+    t = planes.shape[0]
+    lines = _perp_lines(planes.reshape(3 * t, 3, 2)).reshape(t, 3, 3)
+    return np.linalg.det(lines.swapaxes(1, 2))
 
 
 def determinantal_test(v1: Subspace, v2: Subspace, v3: Subspace) -> complex:
@@ -147,8 +247,47 @@ def determinantal_test(v1: Subspace, v2: Subspace, v3: Subspace) -> complex:
     Zero (below DET_ZERO_THRESHOLD) exactly when the three planes share a
     common line, i.e. the triple intersection is nonzero.
     """
-    w = [perp_line(v) for v in (v1, v2, v3)]
-    return complex(np.linalg.det(np.column_stack(w)))
+    for v in (v1, v2, v3):
+        _check_plane(v)
+    return complex(_perp_det(np.stack([v1.basis, v2.basis, v3.basis])[None])[0])
+
+
+def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|determinantal_test| and triple_intersection_dim of each triple of a (T, 3, 3, 2) stack.
+
+    A block whose triples disagree on a rank of the iterated intersection takes
+    the per-sample path for its dimensions.
+    """
+    det = _perp_det(planes)
+    try:
+        dims = np.full(planes.shape[0], _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2], DEFAULT_TOL))
+    except RaggedRank:
+        dims = np.array([triple_intersection_dim(*(Subspace._of_checked(b) for b in triple)) for triple in planes])
+    return np.hypot(det.real, det.imag), dims
+
+
+def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """|det| of the perp-line matrix and the triple-intersection dim of `samples` Haar plane triples.
+
+    Sample t uses the t-th three successive haar_subspace(3, 2, rng) draws;
+    the triples are drawn and checked in stacked blocks.
+    """
+    parts = [
+        _determinant_block(haar_stack(3, 2, 3 * t, rng).reshape(t, 3, 3, 2))
+        for t in _block_counts(samples, 3 * 3 * 2)
+    ]
+    dets, dims = map(np.concatenate, zip(*parts))
+    return dets, dims
+
+
+_NODES = np.array([0.0, 1.0, -1.0, 2.0])
+_VANDER = np.vander(_NODES, 4)  # columns t^3, t^2, t, 1
+
+
+def _line_coeffs(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """line_determinant of each pair of a (T, 3, 3) anchor and direction stack: (T, 4)."""
+    vals = np.linalg.det(anchors[:, None] + _NODES[:, None, None] * directions[:, None])
+    return np.linalg.solve(_VANDER, vals[..., None])[..., 0]
 
 
 def line_determinant(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
@@ -164,10 +303,7 @@ def line_determinant(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
     directions = np.asarray(directions, dtype=np.complex128)
     if anchors.shape != (3, 3) or directions.shape != (3, 3):
         raise InvalidInput("expected 3x3 anchor and direction matrices")
-    nodes = np.array([0.0, 1.0, -1.0, 2.0])
-    vals = np.array([np.linalg.det(anchors + t * directions) for t in nodes])
-    vander = np.vander(nodes, 4)  # columns t^3, t^2, t, 1
-    return np.linalg.solve(vander, vals)
+    return _line_coeffs(anchors[None], directions[None])[0]
 
 
 def _poly_roots(coeffs: np.ndarray, scale_tol: float = 1e-10) -> np.ndarray:
@@ -202,26 +338,20 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     """Restrict the plane-triple determinant to random affine lines.
 
     Each sample draws random anchors and directions for the three perp lines,
-    forms det(t), and finds its roots.  A generic line yields a nonconstant
+    forms det(t), and finds its roots.  The lines are drawn, and their
+    determinants taken at the four nodes and solved for, in stacked blocks;
+    only the root finding runs per line.  A generic line yields a nonconstant
     polynomial with at least one complex root, evidence that the degenerate
     locus has codimension one.
     """
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
     counts, zeros, residuals = [], [], []
-    for _ in range(samples):
-        anchors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        directions = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        coeffs = line_determinant(anchors, directions)
-        roots = _poly_roots(coeffs)
-        is_zero = bool(np.max(np.abs(coeffs)) < 1e-10)
-        counts.append(len(roots))
-        zeros.append(is_zero)
-        if len(roots):
-            vals = [abs(np.polyval(coeffs, r)) for r in roots]
-            residuals.append(float(max(vals)))
-        else:
-            residuals.append(0.0)
+    for t in _block_counts(samples, 4 * 3 * 3):
+        raw = rng.standard_normal((t, 4, 3, 3))
+        for coeffs in _line_coeffs(raw[:, 0] + 1j * raw[:, 1], raw[:, 2] + 1j * raw[:, 3]):
+            roots = _poly_roots(coeffs)
+            counts.append(len(roots))
+            zeros.append(bool(np.max(np.abs(coeffs)) < 1e-10))
+            residuals.append(float(max(abs(np.polyval(coeffs, r)) for r in roots)) if len(roots) else 0.0)
     return LineProbeReport(
         samples=samples, root_counts=counts, identically_zero=zeros, residuals=residuals
     )

@@ -101,6 +101,22 @@ class TestConstructAndVerify:
         assert report["dims"] == [3, 2, 1]
         assert "declared dimensions d" in report["failed_conditions"]
 
+    @pytest.mark.parametrize(
+        "content", [b'{"1-2": ', b"\xff\xfe{}", b"[1]", b'{"1-2": null, "1-3": 1, "2-3": 1}'],
+        ids=["truncated", "not-utf8", "not-an-object", "null-dimension"],
+    )
+    def test_malformed_pairwise_file_usage_error(self, tmp_path, content, capsys):
+        dij = tmp_path / "dij.json"
+        dij.write_bytes(content)
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_non_utf8_strategy_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run("verify", str(path)) == 1
+        assert "invalid JSON" in capsys.readouterr().err
+
     def test_truncated_json_exits_1(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"schema_version": 1, "K": 3')
@@ -195,6 +211,50 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert '"constellation": "bpsk"' in out
 
+    @staticmethod
+    def write_config(tmp_path, constellation) -> str:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "K": 3, "N": 3, "d": [2, 2, 2], "constellation": constellation, "noise_grid": [0.01], "trials": 20,
+        }))
+        return str(cfg)
+
+    def test_config_constellation_point_list(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path, [[1, 0], [-1, 0]])
+        assert run("simulate", "--config", cfg, "--seed", "2") == 0
+        from_config = capsys.readouterr().out
+        assert '"constellation": "custom"' in from_config
+        assert run("simulate", "--config", cfg, "--seed", "2", "--constellation", "[[1,0],[-1,0]]") == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_flag_zero_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 3, "N": 3, "d": [2, 2, 2], "trials": 20, "seed": 5}))
+        assert run("simulate", "--config", str(cfg), "--seed", "0", "--noise-grid", "0.1") == 0
+        assert json.loads(capsys.readouterr().out.split("\nnoise_var")[0])["seed"] == 0
+        assert run("simulate", "--config", str(cfg), "--trials", "0") == 1
+
+    @pytest.mark.parametrize("points", [[1, 2], [[1, 0], [2]], [["a", "b"]], 5])
+    def test_malformed_config_constellation_usage_error(self, tmp_path, points, capsys):
+        assert run("simulate", "--config", self.write_config(tmp_path, points)) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"K": 3,', b"[1, 2]", b"\xff\xfe{}"])
+    def test_config_not_a_json_object_usage_error(self, tmp_path, content, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert run("simulate", "--config", str(cfg)) == 1
+        assert "usage error: --config" in capsys.readouterr().err
+
+    def test_nonfinite_constellation_exits_1(self, tmp_path, capsys):
+        args = ("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5")
+        assert run(*args, "--constellation", "[[1e999,0],[-1e999,0]]") == 1
+        assert "finite" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"constellation": [[1e999, 0], [-1e999, 0]]}')
+        assert run(*args, "--config", str(cfg)) == 1
+        assert "finite" in capsys.readouterr().err
+
 
 class TestVariety:
     def test_default_probe(self, capsys):
@@ -208,6 +268,24 @@ class TestVariety:
     def test_nonpositive_samples_usage_error(self, samples, capsys):
         assert run("variety", "--samples", samples, "--seed", "0") == 1
         assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "shape, flag",
+        [(["-N", "0"], "-N"), (["-N", "-2"], "-N"), (["-N", "3", "-d", "0"], "-d"),
+         (["-N", "3", "-d", "-1"], "-d"), (["-N", "3", "-d", "5"], "-d")],
+    )
+    def test_bad_shape_usage_error(self, shape, flag, capsys):
+        assert run("variety", *shape, "--seed", "0") == 1
+        assert f"usage error: {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines", ["0", "-3"])
+    def test_nonpositive_lines_usage_error(self, lines, capsys):
+        assert run("variety", "--lines", lines, "--seed", "0") == 1
+        assert "usage error: --lines" in capsys.readouterr().err
+
+    def test_oversized_relation_table_exits_1(self, capsys):
+        assert run("variety", "-N", "13", "-d", "4", "--samples", "1", "--seed", "0") == 1
+        assert "wedge-relation terms" in capsys.readouterr().err
 
     def test_det_probe_unsupported_shape(self):
         assert run("variety", "-N", "4", "-d", "2", "--det-probe") == 2
@@ -229,6 +307,15 @@ class TestSeedHandling:
         monkeypatch.setenv("RELAY_ALIGN_SEED", "123")
         assert run("feasible", "-K", "3", "-N", "3", "-d", "2,2,2", "--seed", "5") == 0
         assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+    @pytest.mark.parametrize(
+        "argv", [["variety"], ["genericity", "-K", "3", "-N", "3", "-d", "2,2,2"], ["feasible", "-K", "3", "-N", "3", "-d", "2,2,2"]]
+    )
+    def test_negative_seed_usage_error(self, argv, capsys, monkeypatch):
+        assert run(*argv, "--seed", "-1") == 1
+        assert "usage error: the seed" in capsys.readouterr().err
+        monkeypatch.setenv("RELAY_ALIGN_SEED", "-5")
+        assert run(*argv) == 1
 
     def test_bad_env_var(self, monkeypatch):
         monkeypatch.setenv("RELAY_ALIGN_SEED", "abc")

@@ -36,6 +36,7 @@ CASES = {
     "verify": (0, ["verify", str(GOLDEN / "construct.out"), "--seed", "0"]),
     "genericity": (0, ["genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "50", "--seed", "1"]),
     "variety": (0, ["variety", "--samples", "20", "--lines", "10", "--seed", "4"]),
+    "variety-n6d3": (0, ["variety", "-N", "6", "-d", "3", "--samples", "20", "--lines", "5", "--seed", "4"]),
 }
 
 

@@ -286,6 +286,11 @@ class TestRelayMapSuccess:
         with pytest.raises(InvalidInput):
             Constellation(np.array([1, -1 + 1e-3]) * 1e-10)
 
+    @pytest.mark.parametrize("points", [[np.inf, -np.inf], [1, np.nan], [1j * np.inf, -1j * np.inf]])
+    def test_nonfinite_points_rejected(self, points):
+        with pytest.raises(InvalidInput, match="finite"):
+            Constellation(np.array(points))
+
 
 class TestTwoUserBaseline:
     def test_noiseless_perfect(self):

@@ -1,18 +1,28 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 
+from relay_align import variety
 from relay_align.errors import InvalidInput
-from relay_align.feasibility import haar_subspace
-from relay_align.subspace import Subspace, orthonormal_basis
+from relay_align.feasibility import haar_stack, haar_subspace
+from relay_align.subspace import DEFAULT_TOL, RaggedRank, Subspace, intersect, orthonormal_basis
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     PluckerPoint,
+    _determinant_block,
+    _poly_roots,
+    _triple_dim,
     check_plucker_relations,
     codim_line_probe,
+    determinant_probe,
     determinantal_test,
     line_determinant,
     perp_line,
     plucker,
+    plucker_coords,
+    plucker_probe,
     plucker_residual,
     triple_intersection_dim,
 )
@@ -65,6 +75,11 @@ class TestPluckerRelations:
         # p12 = p34 = 1: the single G(2,4) relation p12 p34 - p13 p24 + p14 p23 = 1
         p = PluckerPoint(4, 2, np.array([1, 0, 0, 0, 0, 1], dtype=complex))
         assert not check_plucker_relations(p)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_coordinates_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            PluckerPoint(4, 2, np.array([bad, 0, 0, 0, 0, 1], dtype=complex))
 
     def test_lines_have_no_relations(self):
         rng = np.random.default_rng(2)
@@ -141,3 +156,142 @@ class TestLineProbe:
         directions = np.zeros((3, 3), dtype=complex)
         coeffs = line_determinant(anchors, directions)
         assert np.allclose(coeffs, [0, 0, 0, 1])
+
+
+# Reference copies of the per-sample probes the stacked kernels replaced.  The
+# stacked code must reproduce them bit for bit: the CLI prints full-precision
+# residuals and determinants.
+
+
+def reference_normalize(c):
+    c = c / np.linalg.norm(c)
+    peak = np.max(np.abs(c))
+    first = int(np.argmax(np.abs(c) > 1e-12 * peak))
+    return c / (c[first] / abs(c[first]))
+
+
+def reference_residual(p):
+    if p.d <= 1:
+        return 0.0
+    lookup = dict(zip(p.index_sets(), p.coords))
+
+    def signed(indices):
+        if len(set(indices)) != len(indices):
+            return 0.0
+        inversions = sum(a > b for k, a in enumerate(indices) for b in indices[k + 1 :])
+        return (-1) ** inversions * lookup[tuple(sorted(indices))]
+
+    worst = 0.0
+    for s_idx in itertools.combinations(range(p.n), p.d - 1):
+        for t_idx in itertools.combinations(range(p.n), p.d + 1):
+            acc = 0.0
+            for pos, l in enumerate(t_idx):
+                acc += (-1) ** pos * signed(s_idx + (l,)) * signed(tuple(x for x in t_idx if x != l))
+            worst = max(worst, abs(acc))
+    return worst
+
+
+def reference_haar(n, d, rng):
+    g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return orthonormal_basis(g).basis
+
+
+def reference_line_determinant(anchors, directions):
+    nodes = np.array([0.0, 1.0, -1.0, 2.0])
+    vals = np.array([np.linalg.det(anchors + t * directions) for t in nodes])
+    return np.linalg.solve(np.vander(nodes, 4), vals)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+SHAPES = [(n, d) for n in range(3, 8) for d in range(2, n)]
+
+
+class TestStackedEquivalence:
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_residual_matches_triple_loop(self, n, d):
+        rng = np.random.default_rng(1000 + 10 * n + d)
+        points = [plucker(haar_subspace(n, d, rng)) for _ in range(4)]
+        raw = rng.standard_normal(comb(n, d)) + 1j * rng.standard_normal(comb(n, d))
+        points.append(PluckerPoint(n, d, raw))  # generic coordinates: no wedge for 2 <= d <= n - 2
+        ends = np.zeros(comb(n, d), dtype=complex)
+        ends[[0, -1]] = 1
+        points.append(PluckerPoint(n, d, ends))  # e_{0..d-1} + e_{n-d..n-1}
+        for p in points:
+            assert same_bits(plucker_residual(p), reference_residual(p))
+        if d <= n - 2:
+            assert plucker_residual(points[-2]) > 1e-3
+            assert plucker_residual(points[-1]) > 1e-3
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_wedge_coordinates_match_per_minor(self, n, d):
+        rng = np.random.default_rng(2000 + 10 * n + d)
+        s = haar_subspace(n, d, rng)
+        minors = [np.linalg.det(s.basis[list(r), :]) for r in itertools.combinations(range(n), d)]
+        assert same_bits(plucker(s).coords, reference_normalize(np.array(minors)))
+        stack = np.stack([haar_subspace(n, d, rng).basis for _ in range(5)])
+        assert same_bits(plucker_coords(stack), np.stack([plucker(Subspace(n, b)).coords for b in stack]))
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (3, 0), (3, 2), (6, 3), (7, 7)])
+    def test_haar_stack_matches_successive_draws(self, n, d):
+        stacked_rng, single_rng, reference_rng = (np.random.default_rng(7) for _ in range(3))
+        stack = haar_stack(n, d, 6, stacked_rng)
+        singles = np.stack([haar_subspace(n, d, single_rng).basis for _ in range(6)])
+        assert same_bits(stack, singles)
+        if d:
+            assert same_bits(stack, np.stack([reference_haar(n, d, reference_rng) for _ in range(6)]))
+        # the generators are left at the same state
+        assert stacked_rng.standard_normal() == single_rng.standard_normal()
+
+    @pytest.fixture(params=[variety.PROBE_BLOCK_TERMS, 40], ids=["one-block", "many-blocks"])
+    def block_terms(self, request, monkeypatch):
+        monkeypatch.setattr(variety, "PROBE_BLOCK_TERMS", request.param)
+
+    def test_plucker_probe_matches_per_sample(self, block_terms):
+        probe_rng, single_rng = np.random.default_rng(3), np.random.default_rng(3)
+        residuals = plucker_probe(6, 3, 9, probe_rng)
+        expected = [reference_residual(plucker(haar_subspace(6, 3, single_rng))) for _ in range(9)]
+        assert same_bits(residuals, np.array(expected))
+        assert probe_rng.standard_normal() == single_rng.standard_normal()
+
+    def test_line_probe_matches_per_line(self, block_terms):
+        report = codim_line_probe(np.random.default_rng(5), 40)
+        rng = np.random.default_rng(5)
+        for t in range(40):
+            anchors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            directions = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            coeffs = reference_line_determinant(anchors, directions)
+            assert same_bits(line_determinant(anchors, directions), coeffs)
+            roots = _poly_roots(coeffs)
+            assert report.root_counts[t] == len(roots)
+            assert report.identically_zero[t] == bool(np.max(np.abs(coeffs)) < 1e-10)
+            assert report.residuals[t] == max((abs(np.polyval(coeffs, r)) for r in roots), default=0.0)
+
+    def test_determinant_probe_matches_per_sample(self, block_terms):
+        dets, dims = determinant_probe(30, np.random.default_rng(6))
+        rng = np.random.default_rng(6)
+        for t in range(30):
+            planes = [haar_subspace(3, 2, rng) for _ in range(3)]
+            lines = [reference_normalize(np.linalg.svd(v.basis.conj().T)[2][-1].conj()) for v in planes]
+            det = complex(np.linalg.det(np.column_stack(lines)))
+            assert same_bits(determinantal_test(*planes), det)
+            assert same_bits(dets[t], abs(det))
+            assert dims[t] == triple_intersection_dim(*planes) == intersect(intersect(*planes[:2]), planes[2]).d
+
+    def test_ragged_block_falls_back_per_sample(self):
+        rng = np.random.default_rng(8)
+        planes = haar_stack(3, 2, 12, rng).reshape(4, 3, 3, 2)
+        planes[2] = planes[2, 0]  # sample 2: three equal planes
+        with pytest.raises(RaggedRank):
+            _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2], DEFAULT_TOL)
+        dets, dims = _determinant_block(planes)
+        assert dims.tolist() == [0, 0, 2, 0]
+        assert dets[2] < DET_ZERO_THRESHOLD < dets.min(initial=1.0, where=dims == 0)
+
+    def test_oversized_table_rejected_before_drawing(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(InvalidInput, match="wedge-relation terms"):
+            plucker_probe(13, 4, 1, rng)
+        assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
