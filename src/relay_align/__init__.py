@@ -42,21 +42,16 @@ from .relaysim import (
     SimReport,
     design_encoders,
     draw_channels,
-    receiver_decode,
     relay_map_success,
     run_monte_carlo,
     secrecy_audit,
-    snr,
-    two_user_baseline,
 )
 from .subspace import (
     Subspace,
     Tolerance,
     intersect,
-    is_direct_sum,
     orthonormal_basis,
     project_onto_perp,
-    subspace_sum,
 )
 from .variety import (
     PluckerPoint,

@@ -5,13 +5,15 @@ relay-side basis vector, so the relay only ever observes pairwise sums.  Each
 receiver subtracts its own contribution, projects away the interference
 space, and decodes by nearest constellation point per coordinate.
 
-A Link binds a strategy to one channel draw and encoder set and computes once
-what observation, decoding and SNR reuse; receiver_decode, snr and
-run_monte_carlo are thin uses of it, for one trial or a block of T trials.
+A Link binds a verified strategy to one channel draw and encoder set and
+computes once what observation, decoding and SNR reuse, for one trial or a
+block of T trials.  run_monte_carlo builds one Link per sweep, so every noise
+level of a sweep runs over the same system.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -37,18 +39,13 @@ __all__ = [
     "NoiseModel",
     "ChannelSet",
     "SimReport",
-    "BaselineReport",
     "SecrecyAuditReport",
-    "DecodeResult",
     "Link",
     "draw_channels",
     "design_encoders",
     "secrecy_audit",
-    "receiver_decode",
-    "snr",
     "relay_map_success",
     "run_monte_carlo",
-    "two_user_baseline",
 ]
 
 COND_LIMIT = 1e8
@@ -127,8 +124,8 @@ class NoiseModel:
     sigma_user_sq: float
 
     def __post_init__(self):
-        if self.sigma_relay_sq < 0 or self.sigma_user_sq < 0:
-            raise InvalidInput("noise variances must be >= 0")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma_relay_sq, self.sigma_user_sq)):
+            raise InvalidInput("noise variances must be finite and >= 0")
 
 
 def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
@@ -254,12 +251,6 @@ def secrecy_audit(
     )
 
 
-def _require_verified(strategy: Strategy, tol: Tolerance) -> None:
-    report = verify_strategy(strategy.subspaces, strategy.spec.N, tol)
-    if not report.ok:
-        raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
-
-
 @dataclass(frozen=True)
 class Link:
     """A strategy over one channel draw and set of encoders, precomputed once.
@@ -268,7 +259,8 @@ class Link:
     its interference space (P_k projects onto the complement), the
     pseudo-inverse of the decode matrix P_k G_k B_k (B_k: the pair bases B_jk,
     partners ascending) and the SNR terms ||P_k G_k V_k||^2 (V_k orthonormal),
-    ||P_k G_k||^2 and rank P_k.  The public entry points verify the strategy.
+    ||P_k G_k||^2 and rank P_k.  Building a Link verifies the strategy and
+    raises StrategyInvalid if it fails.
     """
 
     strategy: Strategy
@@ -286,6 +278,9 @@ class Link:
             raise DimensionMismatch("channel set does not match strategy shape")
         if len(self.encoders) != strategy.spec.K:
             raise DimensionMismatch("need one encoder per user")
+        report = verify_strategy(strategy.subspaces, strategy.spec.N, self.tol)
+        if not report.ok:
+            raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
         interference, decoders, snr_terms = [], [], []
         for k, g in enumerate(channels.G):
             gik = orthonormal_basis(g @ strategy.interference_space(k, self.tol).basis, self.tol)
@@ -321,75 +316,29 @@ class Link:
 
         y_tilde and x_k are vectors, or (N, T) and (d_k, T) blocks of T trials.
         """
+        self._check_receiver(k)
         x_k = np.asarray(x_k, dtype=np.complex128)
         y = np.asarray(y_tilde, dtype=np.complex128) - self.channels.G[k] @ (self.effective[k] @ x_k)
         return self.decoders[k] @ project_onto_perp(y, self.interference[k])
 
     def snr(self, k: int, noise: NoiseModel) -> float:
-        """Analytic-expectation SNR of receiver k; see snr()."""
+        """Analytic-expectation SNR of receiver k after interference projection.
+
+        Numerator ||P_k G_k V_k||_F^2 with V_k an orthonormal basis of user k's
+        subspace; the denominator replaces the noise by its expected projected
+        power: sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf
+        when both variances are zero.
+        """
+        self._check_receiver(k)
         signal, relay_gain, rank = self.snr_terms[k]
         denom = noise.sigma_relay_sq * relay_gain + noise.sigma_user_sq * rank
         if denom == 0:
             return float("inf")
         return float(signal / denom)
 
-
-@dataclass(frozen=True)
-class DecodeResult:
-    """Per-partner decoded symbols for one receiver."""
-
-    user: int
-    symbols_by_partner: dict[int, np.ndarray]
-    estimates_by_partner: dict[int, np.ndarray]
-
-    def all_symbols(self) -> np.ndarray:
-        return np.concatenate([self.symbols_by_partner[j] for j in sorted(self.symbols_by_partner)])
-
-
-def receiver_decode(
-    k: int,
-    y_tilde: np.ndarray,
-    x_k: np.ndarray,
-    encoders: list[np.ndarray],
-    channels: ChannelSet,
-    strategy: Strategy,
-    constellation: Constellation,
-    tol: Tolerance = DEFAULT_TOL,
-) -> DecodeResult:
-    """Subtract own contribution, project away interference, decode per symbol.
-
-    Returns, for each partner j, the decoded coefficients of the shared basis
-    columns B_jk, i.e. the block of partner j's symbols destined for user k.
-    """
-    _require_verified(strategy, tol)
-    if not 0 <= k < strategy.spec.K:
-        raise InvalidInput(f"user index {k} out of range")
-    est = Link(strategy, channels, encoders, tol).decode(k, y_tilde, x_k)
-    hard = constellation.points[constellation.nearest_index(est)]
-    blocks = {j: strategy.block_slice(k, j) for j in strategy.partners(k)}
-    return DecodeResult(
-        user=k,
-        symbols_by_partner={j: hard[rows] for j, rows in blocks.items()},
-        estimates_by_partner={j: est[rows] for j, rows in blocks.items()},
-    )
-
-
-def snr(
-    k: int,
-    strategy: Strategy,
-    channels: ChannelSet,
-    noise: NoiseModel,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
-    """Analytic-expectation signal-to-noise ratio after interference projection.
-
-    Numerator ||P_k G_k B_k||_F^2 with B_k an orthonormal basis of V_k;
-    denominator replaces the noise by its expected projected power:
-    sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf when both
-    variances are zero.  The channels must admit encoders (invertible H_i).
-    """
-    _require_verified(strategy, tol)
-    return Link(strategy, channels, design_encoders(strategy, channels), tol).snr(k, noise)
+    def _check_receiver(self, k: int) -> None:
+        if not 0 <= k < len(self.decoders):
+            raise InvalidInput(f"user index {k} out of range")
 
 
 def relay_map_success(constellation: Constellation) -> Fraction:
@@ -427,15 +376,17 @@ def run_monte_carlo(
 ) -> list[SimReport]:
     """Full pipeline SER / equivocation sweep over a grid of noise variances.
 
-    Block-fading convention: one channel draw per noise level, symbols drawn
-    uniformly per trial.  The relay-equivocation tally uses the noiseless
-    sums, matching the exact counting argument, and is therefore a Monte
-    Carlo estimate of relay_map_success.
+    One system per sweep: a single generator seeded with seed draws the
+    channels and so fixes the Link once, then every noise level draws its
+    symbols, relay noise and per-user noise from it in turn.  The
+    relay-equivocation tally uses the noiseless sums, matching the exact
+    counting argument, and is therefore a Monte Carlo estimate of
+    relay_map_success.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    noises = [NoiseModel(sigma_relay_sq=var, sigma_user_sq=var) for var in noise_grid]
     strategy = construct_strategy(spec)
-    _require_verified(strategy, tol)
     succ_table = constellation.map_success_table()
     pts = constellation.points
     k_users, n = spec.K, spec.N
@@ -448,22 +399,19 @@ def run_monte_carlo(
         "noise_grid": [float(v) for v in noise_grid],
         "trials": trials,
     }
-    level_seeds = np.random.SeedSequence(seed).spawn(len(noise_grid))
+    rng = np.random.default_rng(seed)
+    channels = draw_channels(k_users, n, rng)
+    link = Link(strategy, channels, design_encoders(strategy, channels), tol)
     reports = []
-    for var, ss in zip(noise_grid, level_seeds):
-        rng = np.random.default_rng(ss)
-        channels = draw_channels(k_users, n, rng)
-        link = Link(strategy, channels, design_encoders(strategy, channels), tol)
-
+    for var, noise in zip(noise_grid, noises):
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(x, _complex_gaussian(rng, (n, trials), var))
+        r = link.observe(x, _complex_gaussian(rng, (n, trials), noise.sigma_relay_sq))
 
         ser = []
         snrs = []
-        noise = NoiseModel(sigma_relay_sq=var, sigma_user_sq=var)
         for k in range(k_users):
-            y_tilde = channels.G[k] @ r + _complex_gaussian(rng, (n, trials), var)
+            y_tilde = channels.G[k] @ r + _complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
             hard_idx = constellation.nearest_index(link.decode(k, y_tilde, x[k]))
             sent_idx = np.vstack(
                 [idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)]
@@ -496,55 +444,3 @@ def run_monte_carlo(
             )
         )
     return reports
-
-
-@dataclass(frozen=True)
-class BaselineReport:
-    """Scalar two-user pipeline outcome."""
-
-    ser: tuple[float, float]
-    relay_map_success_rate: float
-    u: tuple[complex, complex]
-    trials: int
-
-
-def two_user_baseline(
-    h1: complex,
-    h2: complex,
-    g1: complex,
-    g2: complex,
-    constellation: Constellation,
-    noise: NoiseModel,
-    trials: int,
-    rng: np.random.Generator,
-) -> BaselineReport:
-    """Scalar baseline: premultipliers aligned so the relay sees x1 + x2."""
-    if h1 == 0 or h2 == 0:
-        raise SingularChannel("zero user-to-relay coefficient")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
-    u1, u2 = 1 / h1, 1 / h2
-    pts = constellation.points
-    succ_table = constellation.map_success_table()
-
-    a = rng.integers(0, pts.size, trials)
-    b = rng.integers(0, pts.size, trials)
-    x1, x2 = pts[a], pts[b]
-    z = _complex_gaussian(rng, trials, noise.sigma_relay_sq)
-    r = x1 + x2 + z
-
-    errors = []
-    for g, own, other_idx, other in ((g1, x1, b, x2), (g2, x2, a, x1)):
-        w = _complex_gaussian(rng, trials, noise.sigma_user_sq)
-        y = g * r + w - g * own
-        est = y / g
-        hard = constellation.nearest_index(est)
-        errors.append(int(np.count_nonzero(hard != other_idx)) / trials)
-
-    relay_rate = float(succ_table[a, b].mean())
-    return BaselineReport(
-        ser=(errors[0], errors[1]),
-        relay_map_success_rate=relay_rate,
-        u=(u1, u2),
-        trials=trials,
-    )

@@ -29,8 +29,6 @@ __all__ = [
     "intersect",
     "intersect_stack",
     "contains_stack",
-    "subspace_sum",
-    "is_direct_sum",
     "project_onto_perp",
 ]
 
@@ -104,18 +102,6 @@ class Subspace:
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
-
-    @classmethod
-    def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.conj().T
-
-    def same_subspace(self, other: "Subspace", tol: float = 1e-9) -> bool:
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("ambient dimensions differ")
-        return bool(np.linalg.norm(self.projector() - other.projector()) < tol)
 
 
 class RaggedRank(Exception):
@@ -200,25 +186,6 @@ def contains_stack(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarra
         return np.ones(b.shape[0], dtype=bool)
     resid = b - (a @ a.conj().swapaxes(1, 2)) @ b
     return np.linalg.norm(resid, axis=(1, 2)) < tol
-
-
-def subspace_sum(parts: list[Subspace], tol: Tolerance = DEFAULT_TOL) -> Subspace:
-    """Span of the union of the parts' bases."""
-    if not parts:
-        raise InvalidInput("empty list of subspaces")
-    n = parts[0].ambient_dim
-    if any(p.ambient_dim != n for p in parts):
-        raise DimensionMismatch("ambient dimensions differ")
-    stacked = np.hstack([p.basis for p in parts])
-    if stacked.shape[1] == 0:
-        return Subspace.zero(n)
-    return orthonormal_basis(stacked, tol)
-
-
-def is_direct_sum(parts: list[Subspace], tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff dim(sum of parts) equals the sum of the parts' dimensions."""
-    total = subspace_sum(parts, tol)
-    return total.d == sum(p.d for p in parts)
 
 
 def project_onto_perp(x, s: Subspace) -> np.ndarray:

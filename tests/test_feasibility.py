@@ -22,13 +22,17 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
-from relay_align.subspace import DEFAULT_TOL, RaggedRank, Subspace, orthonormal_basis, orthonormal_stack
+from relay_align.subspace import DEFAULT_TOL, RaggedRank, orthonormal_basis, orthonormal_stack
 
 E3 = np.eye(3, dtype=complex)
 
 
 def span(n, cols):
     return orthonormal_basis(np.eye(n, dtype=complex)[:, cols])
+
+
+def same_span(a, b):
+    return np.linalg.norm(a.basis @ a.basis.conj().T - b.basis @ b.basis.conj().T) < 1e-9
 
 
 class TestFeasibleTuple:
@@ -54,9 +58,9 @@ class TestFeasibleTuple:
 class TestConstructStrategy:
     def test_three_user_plane_strategy(self):
         s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
-        assert s.subspaces[0].same_subspace(span(3, [0, 1]))
-        assert s.subspaces[1].same_subspace(span(3, [2, 0]))
-        assert s.subspaces[2].same_subspace(span(3, [1, 2]))
+        assert same_span(s.subspaces[0], span(3, [0, 1]))
+        assert same_span(s.subspaces[1], span(3, [2, 0]))
+        assert same_span(s.subspaces[2], span(3, [1, 2]))
         assert sorted(v.shape[1] for v in s.pair_bases.values()) == [1, 1, 1]
         assert verify_strategy(s.subspaces, 3).ok
         # the three pair intersections together span all of C^3
@@ -66,8 +70,8 @@ class TestConstructStrategy:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_two_users_get_whole_space(self, n):
         s = construct_strategy(StrategySpec(2, n, (n, n)))
-        assert s.subspaces[0].same_subspace(Subspace.full(n))
-        assert s.subspaces[1].same_subspace(Subspace.full(n))
+        assert same_span(s.subspaces[0], span(n, list(range(n))))
+        assert same_span(s.subspaces[1], span(n, list(range(n))))
 
     def test_four_lines_pair_up(self):
         s = construct_strategy(StrategySpec(4, 2, (1, 1, 1, 1)))
@@ -296,3 +300,42 @@ class TestEquivalenceSweep:
             else:
                 with pytest.raises(InfeasibleTuple):
                     construct_strategy(spec)
+
+
+# every (K, N) with K <= 5 and N <= 3, and with K <= 4 and N = 4
+TABLE_SHAPES = [(k, n) for k in range(2, 6) for n in range(1, 4)] + [(k, 4) for k in range(2, 5)]
+
+
+def consistent_tables(k, n):
+    """Every pairwise table d_ij >= 0 of K users whose entries sum to N.
+
+    These are the tables of feasible tuples: the row sums d_i then total 2N
+    and none exceeds N.  Stars and bars: the cut positions split N into the
+    K(K-1)/2 pair dimensions.
+    """
+    pairs = _pairs(k)
+    for cuts in itertools.combinations(range(n + len(pairs) - 1), len(pairs) - 1):
+        edges = (-1, *cuts, n + len(pairs) - 1)
+        yield dict(zip(pairs, (b - a - 1 for a, b in zip(edges, edges[1:]))))
+
+
+class TestEveryPairwiseTable:
+    def test_every_table_realised(self):
+        rng = np.random.default_rng(0)
+        count = 0
+        for k, n in TABLE_SHAPES:
+            for table in consistent_tables(k, n):
+                d = tuple(sum(v for p, v in table.items() if i in p) for i in range(k))
+                s = strategy_from_pairwise(StrategySpec(k, n, d, pairwise=table), rng)
+                report = verify_strategy(s.subspaces, n)
+                assert report.ok and report.pair_dims == table, (k, n, table)
+                count += 1
+        assert count == 532
+
+    @pytest.mark.parametrize("k,n", TABLE_SHAPES)
+    def test_feasible_iff_some_table(self, k, n):
+        row_sums = {
+            tuple(sum(v for p, v in table.items() if i in p) for i in range(k)) for table in consistent_tables(k, n)
+        }
+        for d in itertools.product(range(n + 2), repeat=k):
+            assert is_feasible_tuple(StrategySpec(k, n, d)) == (d in row_sums), (k, n, d)

@@ -25,12 +25,9 @@ from relay_align.relaysim import (
     NoiseModel,
     design_encoders,
     draw_channels,
-    receiver_decode,
     relay_map_success,
     run_monte_carlo,
     secrecy_audit,
-    snr,
-    two_user_baseline,
 )
 from relay_align.subspace import orthonormal_basis
 
@@ -41,6 +38,23 @@ QPSK = Constellation.qpsk()
 def identity_channels(k, n):
     eye = np.eye(n, dtype=complex)
     return ChannelSet(K=k, N=n, H=[eye.copy() for _ in range(k)], G=[eye.copy() for _ in range(k)])
+
+
+def link_of(strategy, channels):
+    return Link(strategy, channels, design_encoders(strategy, channels))
+
+
+def decode_by_partner(link, k, y_tilde, x_k):
+    """Hard QPSK decisions of receiver k, split into the blocks its partners sent."""
+    hard = QPSK.points[QPSK.nearest_index(link.decode(k, y_tilde, x_k))]
+    return {j: hard[link.strategy.block_slice(k, j)] for j in link.strategy.partners(k)}
+
+
+def scalar_link(h1, h2, g1, g2):
+    """The two-user, one-antenna link: the relay sees x1 + x2 through H_i U_i = 1."""
+    strategy = construct_strategy(StrategySpec(2, 1, (1, 1)))
+    ch = ChannelSet(K=2, N=1, H=[np.array([[h1]]), np.array([[h2]])], G=[np.array([[g1]]), np.array([[g2]])])
+    return link_of(strategy, ch)
 
 
 def worked_example_strategy():
@@ -178,33 +192,32 @@ class TestReceiverDecode:
     def test_worked_example_all_users(self):
         strategy = worked_example_strategy()
         ch = identity_channels(3, 3)
-        enc = worked_example_encoders()
+        link = Link(strategy, ch, worked_example_encoders())
         x = [np.array([1, 1j]), np.array([-1, -1j]), np.array([1j, -1])]
-        r = Link(strategy, ch, enc).observe(x)
+        r = link.observe(x)
         # user 1 recovers x2^1 (on v2) and x3^2 (on v1)
-        res0 = receiver_decode(0, ch.G[0] @ r, x[0], enc, ch, strategy, QPSK)
-        assert res0.symbols_by_partner[1][0] == x[1][0]
-        assert res0.symbols_by_partner[2][0] == x[2][1]
+        res0 = decode_by_partner(link, 0, ch.G[0] @ r, x[0])
+        assert res0[1][0] == x[1][0]
+        assert res0[2][0] == x[2][1]
         # user 2 recovers x1^2 (on v2) and x3^1 (on v3)
-        res1 = receiver_decode(1, ch.G[1] @ r, x[1], enc, ch, strategy, QPSK)
-        assert res1.symbols_by_partner[0][0] == x[0][1]
-        assert res1.symbols_by_partner[2][0] == x[2][0]
+        res1 = decode_by_partner(link, 1, ch.G[1] @ r, x[1])
+        assert res1[0][0] == x[0][1]
+        assert res1[2][0] == x[2][0]
         # user 3 recovers x1^1 (on v1) and x2^2 (on v3)
-        res2 = receiver_decode(2, ch.G[2] @ r, x[2], enc, ch, strategy, QPSK)
-        assert res2.symbols_by_partner[0][0] == x[0][0]
-        assert res2.symbols_by_partner[1][0] == x[1][1]
+        res2 = decode_by_partner(link, 2, ch.G[2] @ r, x[2])
+        assert res2[0][0] == x[0][0]
+        assert res2[1][0] == x[1][1]
 
     def test_noiseless_random_setup_exact(self):
         for seed in range(20):
             rng = np.random.default_rng(1000 + seed)
             strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 6), rng)
             ch = draw_channels(3, 6, rng)
-            enc = design_encoders(strategy, ch)
+            link = link_of(strategy, ch)
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
-            r = Link(strategy, ch, enc).observe(x)
+            r = link.observe(x)
             for k in range(3):
-                res = receiver_decode(k, ch.G[k] @ r, x[k], enc, ch, strategy, QPSK)
-                for j, got in res.symbols_by_partner.items():
+                for j, got in decode_by_partner(link, k, ch.G[k] @ r, x[k]).items():
                     sent = x[j][strategy.block_slice(j, k)]
                     assert np.allclose(got, sent)
 
@@ -212,7 +225,7 @@ class TestReceiverDecode:
         rng = np.random.default_rng(12)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 6), rng)
         ch = draw_channels(3, 6, rng)
-        link = Link(strategy, ch, design_encoders(strategy, ch))
+        link = link_of(strategy, ch)
         x = [QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)]
         z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
         r = link.observe(x, z)
@@ -232,29 +245,42 @@ class TestReceiverDecode:
         )
         ch = identity_channels(3, 3)
         with pytest.raises(StrategyInvalid):
-            receiver_decode(0, np.zeros(3), np.zeros(2), [plane] * 3, ch, bad, QPSK)
+            Link(bad, ch, [plane] * 3)
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_receiver_out_of_range(self, k):
+        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
+        with pytest.raises(InvalidInput, match="out of range"):
+            link.decode(k, np.zeros(3), np.zeros(2))
+        with pytest.raises(InvalidInput, match="out of range"):
+            link.snr(k, NoiseModel(1, 1))
 
 
 class TestSnr:
     def test_noiseless_is_infinite(self):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
-        assert snr(0, strategy, ch, NoiseModel(0, 0)) == float("inf")
+        assert link_of(strategy, ch).snr(0, NoiseModel(0, 0)) == float("inf")
 
     def test_worked_example_value(self):
         # identity channels: P_1 projects off span{e3}; numerator 2, denominator 2 + 2
         strategy = worked_example_strategy()
         ch = identity_channels(3, 3)
-        val = snr(0, strategy, ch, NoiseModel(1, 1))
+        val = link_of(strategy, ch).snr(0, NoiseModel(1, 1))
         assert abs(val - 0.5) < 1e-12
 
     def test_noise_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
-        ch = draw_channels(3, 3, rng)
-        base = snr(1, strategy, ch, NoiseModel(0.3, 0.7))
-        scaled = snr(1, strategy, ch, NoiseModel(3.0, 7.0))
+        link = link_of(strategy, draw_channels(3, 3, rng))
+        base = link.snr(1, NoiseModel(0.3, 0.7))
+        scaled = link.snr(1, NoiseModel(3.0, 7.0))
         assert abs(base - 10 * scaled) < 1e-9 * base
+
+    @pytest.mark.parametrize("variances", [(float("nan"), 0), (0, float("inf")), (-1, 0), (0, -1e-3)])
+    def test_noise_model_rejects_nonfinite_and_negative(self, variances):
+        with pytest.raises(InvalidInput, match="finite and >= 0"):
+            NoiseModel(*variances)
 
 
 class TestRelayMapSuccess:
@@ -293,25 +319,32 @@ class TestRelayMapSuccess:
 
 
 class TestTwoUserBaseline:
+    """The scalar two-user pipeline, as the K=2, N=1 case of Link."""
+
     def test_noiseless_perfect(self):
         rng = np.random.default_rng(8)
-        rep = two_user_baseline(1 + 1j, 2 - 1j, 0.5j, 1.5, QPSK, NoiseModel(0, 0), 500, rng)
-        assert rep.ser == (0.0, 0.0)
+        link = scalar_link(1 + 1j, 2 - 1j, 0.5j, 1.5)
+        idx = rng.integers(0, 4, (2, 1, 500))
+        x = [QPSK.points[i] for i in idx]
+        r = link.observe(x)
+        ser = tuple(
+            float(np.mean(QPSK.nearest_index(link.decode(k, link.channels.G[k] @ r, x[k])) != idx[1 - k]))
+            for k in (0, 1)
+        )
+        assert ser == (0.0, 0.0)
 
     def test_premultipliers_align(self):
-        rng = np.random.default_rng(9)
         h1, h2 = 1 + 1j, 3 - 2j
-        rep = two_user_baseline(h1, h2, 1, 1, QPSK, NoiseModel(0, 0), 10, rng)
-        assert abs(h1 * rep.u[0] - h2 * rep.u[1]) < 1e-12
+        u = [m[0, 0] for m in scalar_link(h1, h2, 1, 1).encoders]
+        assert abs(h1 * u[0] - h2 * u[1]) < 1e-12
 
     def test_relay_map_rate_near_nine_sixteenths(self):
-        rng = np.random.default_rng(10)
-        rep = two_user_baseline(1, 1, 1, 1, QPSK, NoiseModel(0, 0), 10_000, rng)
-        assert abs(rep.relay_map_success_rate - 9 / 16) < 0.02
+        reports = run_monte_carlo(StrategySpec(2, 1, (1, 1)), QPSK, [0.0], 10_000, seed=10)
+        assert abs(reports[0].relay_map_success_rate - 9 / 16) < 0.02
 
     def test_zero_channel_rejected(self):
         with pytest.raises(SingularChannel):
-            two_user_baseline(0, 1, 1, 1, QPSK, NoiseModel(0, 0), 10, np.random.default_rng(0))
+            scalar_link(0, 1, 1, 1)
 
 
 class TestRunMonteCarlo:
@@ -341,6 +374,21 @@ class TestRunMonteCarlo:
             stacked = np.hstack([gv.basis, gi_img])
             assert gv.d == strategy.spec.d[k]
             assert np.linalg.matrix_rank(stacked) == gv.d + gi.d
+
+    def test_one_system_per_sweep(self):
+        # SNR = signal / (var * (relay gain + rank)) on a fixed Link, so SNR * var
+        # is the same at every level exactly when the sweep keeps one channel draw
+        grid = [1.0, 0.1, 0.01, 0.001, 1e-4]
+        for spec in (StrategySpec(3, 3, (2, 2, 2)), StrategySpec(4, 4, (2, 2, 2, 2))):
+            reports = run_monte_carlo(spec, QPSK, grid, 20, seed=34)
+            for k in range(spec.K):
+                scaled = [rep.per_user_snr[k] * rep.noise_var for rep in reports]
+                assert all(abs(v - scaled[0]) <= 1e-12 * scaled[0] for v in scaled)
+
+    @pytest.mark.parametrize("grid", [[float("nan")], [float("inf")], [-1.0], [0.1, float("nan")]])
+    def test_invalid_noise_grid(self, grid):
+        with pytest.raises(InvalidInput, match="finite and >= 0"):
+            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, grid, 20, seed=0)
 
     def test_invalid_trials(self):
         with pytest.raises(InvalidInput):
