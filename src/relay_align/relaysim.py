@@ -51,6 +51,10 @@ __all__ = [
 COND_LIMIT = 1e8
 MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many misses in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
+# Trials per column block of run_monte_carlo's per-user decode.  A power of two,
+# so every block starts on a column where BLAS's column tiling of the whole
+# array starts a tile too, and each block's products keep the whole-array bits.
+DECODE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,19 @@ class Constellation:
         return table[name.lower()]()
 
     def nearest_index(self, values: np.ndarray) -> np.ndarray:
-        """Index of the closest point, elementwise."""
+        """Index of the closest point, elementwise.
+
+        A running minimum over the points with strict <, so the first of tied
+        points wins and a NaN or infinite value gets index 0, as argmin gives.
+        """
         v = np.asarray(values, dtype=np.complex128)
-        return np.abs(v[..., None] - self.points).argmin(axis=-1)
+        best = np.abs(v - self.points[0])
+        index = np.zeros(v.shape, dtype=np.intp)
+        for i in range(1, self.size):
+            dist = np.abs(v - self.points[i])
+            index += (dist < best) * (i - index)
+            np.minimum(best, dist, out=best)
+        return index
 
     def map_success_table(self) -> np.ndarray:
         """succ[a, b] = 1 if the relay's MAP guess for sum a+b is the pair (a, b).
@@ -128,11 +142,37 @@ class NoiseModel:
             raise InvalidInput("noise variances must be finite and >= 0")
 
 
-def _complex_gaussian(rng: np.random.Generator, shape, variance: float) -> np.ndarray:
+def _complex_gaussian(
+    rng: np.random.Generator,
+    shape,
+    variance: float,
+    out: np.ndarray | None = None,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
+    """scale * (a + 1j*b), a and b two consecutive standard_normal(shape) draws.
+
+    One standard_normal call fills normals, a (2, *shape) float64 array, with a
+    then b.  out (complex128, shape) and normals are allocated when not given,
+    so a caller can reuse them between draws.  The values equal the complex
+    expression bit for bit; a zero scale or normal makes it evaluate that
+    expression, the only thing that gives its zeros' signs.
+    """
+    if out is None:
+        out = np.empty(shape, dtype=np.complex128)
     if variance == 0:
-        return np.zeros(shape, dtype=np.complex128)
+        out.fill(0)
+        return out
+    if normals is None:
+        normals = np.empty((2, *shape))
+    rng.standard_normal(out=normals)
     scale = np.sqrt(variance / 2)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    if scale == 0 or not normals.all():
+        out[...] = scale * (normals[0] + 1j * normals[1])
+        return out
+    parts = out.view(np.float64)
+    np.multiply(normals[0], scale, out=parts[..., 0::2])
+    np.multiply(normals[1], scale, out=parts[..., 1::2])
+    return out
 
 
 @dataclass(frozen=True)
@@ -217,7 +257,8 @@ def secrecy_audit(
     Every pair-basis column must appear (to tol) among the relay-side columns
     of both users of the pair, each relay-side column must be claimed exactly
     once, and the map from per-pair sums to the observation must be injective
-    (stacked pair bases of full rank N).  Raises SecrecyViolation otherwise.
+    (stacked pair bases of full rank N, by the DEFAULT_TOL rank rule).  Raises
+    SecrecyViolation otherwise.
     """
     n = strategy.spec.N
     effective = [channels.H[i] @ encoders[i] for i in range(strategy.spec.K)]
@@ -242,7 +283,8 @@ def secrecy_audit(
     if not all(c.all() for c in claimed):
         raise SecrecyViolation("some relay-side column serves no pair (unmasked symbol)")
     stacked = np.hstack([b for _, b in sorted(strategy.pair_bases.items())])
-    rank = np.linalg.matrix_rank(stacked) if stacked.size else 0
+    sigma = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.zeros(0)
+    rank = DEFAULT_TOL.numeric_rank(sigma, stacked.shape)
     injective = rank == stacked.shape[1] == n
     if not injective:
         raise SecrecyViolation("map from pair sums to the relay observation is not injective")
@@ -328,6 +370,10 @@ class Link:
         subspace; the denominator replaces the noise by its expected projected
         power: sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf
         when both variances are zero.
+
+        The SNR is taken before the decoder: it leaves out the noise gain
+        ||D_k||_F^2 of the pseudo-inverse D_k of P_k G_k B_k, so it cannot
+        explain the SER of a receiver whose decode matrix is badly conditioned.
         """
         self._check_receiver(k)
         signal, relay_gain, rank = self.snr_terms[k]
@@ -381,7 +427,9 @@ def run_monte_carlo(
     symbols, relay noise and per-user noise from it in turn.  The
     relay-equivocation tally uses the noiseless sums, matching the exact
     counting argument, and is therefore a Monte Carlo estimate of
-    relay_map_success.
+    relay_map_success.  Each noise draw is whole, into two buffers reused by
+    every draw of the sweep; each user then decodes in column blocks of
+    DECODE_BLOCK trials, with the output of decoding all trials at once.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -402,22 +450,28 @@ def run_monte_carlo(
     rng = np.random.default_rng(seed)
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels), tol)
+    noise_out = np.empty((n, trials), dtype=np.complex128)
+    normals = np.empty((2, n, trials))
     reports = []
     for var, noise in zip(noise_grid, noises):
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(x, _complex_gaussian(rng, (n, trials), noise.sigma_relay_sq))
+        r = link.observe(x, _complex_gaussian(rng, (n, trials), noise.sigma_relay_sq, noise_out, normals))
 
         ser = []
         snrs = []
         for k in range(k_users):
-            y_tilde = channels.G[k] @ r + _complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
-            hard_idx = constellation.nearest_index(link.decode(k, y_tilde, x[k]))
+            w = _complex_gaussian(rng, (n, trials), noise.sigma_user_sq, noise_out, normals)
             sent_idx = np.vstack(
                 [idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)]
             )
+            errors = 0
+            for start in range(0, trials, DECODE_BLOCK):
+                cols = slice(start, start + DECODE_BLOCK)
+                y_tilde = channels.G[k] @ r[:, cols] + w[:, cols]
+                hard_idx = constellation.nearest_index(link.decode(k, y_tilde, x[k][:, cols]))
+                errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
             d_k = spec.d[k]
-            errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
             snrs.append(link.snr(k, noise))
 

@@ -18,18 +18,20 @@ from relay_align.feasibility import (
     strategy_from_pairwise,
     symmetric_pairwise_table,
 )
+from relay_align import relaysim
 from relay_align.relaysim import (
     ChannelSet,
     Constellation,
     Link,
     NoiseModel,
+    SimReport,
     design_encoders,
     draw_channels,
     relay_map_success,
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import orthonormal_basis
+from relay_align.subspace import DEFAULT_TOL, orthonormal_basis
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -186,6 +188,29 @@ class TestSecrecyAudit:
         # audit matches columns by value, not position
         report = secrecy_audit(worked_example_encoders(), identity_channels(3, 3), worked_example_strategy())
         assert report.ok
+
+    @pytest.mark.parametrize("factor, injective", [(0.9, False), (1.1, True)])
+    def test_stacked_rank_follows_tolerance(self, factor, injective):
+        # stacked pair bases [e1, e2, (e1 + s e3)/|.|] have singular values
+        # about sqrt(2), 1 and s/sqrt(2); put the last at factor times the
+        # DEFAULT_TOL threshold, whose absolute floor rules at this scale
+        sigma = factor * DEFAULT_TOL.rank_threshold((3, 3), np.sqrt(2))
+        s = sigma * np.sqrt(2)
+        b23 = (E3[:, [0]] + s * E3[:, [2]]) / np.sqrt(1 + s * s)
+        strategy = Strategy(
+            spec=StrategySpec(3, 3, (2, 2, 2)), pair_bases={(0, 1): E3[:, [0]], (0, 2): E3[:, [1]], (1, 2): b23}
+        )
+        stacked = np.hstack([E3[:, [0, 1]], b23])
+        assert np.linalg.svd(stacked, compute_uv=False)[-1] == pytest.approx(sigma, rel=1e-3)
+        assert np.linalg.matrix_rank(stacked) == 3  # numpy's default rule calls both full rank
+        ch = identity_channels(3, 3)
+        enc = design_encoders(strategy, ch)
+        if injective:
+            report = secrecy_audit(enc, ch, strategy)
+            assert report.pair_sum_injective and report.stacked_rank == 3
+        else:
+            with pytest.raises(SecrecyViolation, match="not injective"):
+                secrecy_audit(enc, ch, strategy)
 
 
 class TestReceiverDecode:
@@ -393,3 +418,182 @@ class TestRunMonteCarlo:
     def test_invalid_trials(self):
         with pytest.raises(InvalidInput):
             run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1], 0, seed=0)
+
+
+# The sweep and its two kernels as they were before decoding ran in trial blocks,
+# kept as the reference for the blocked form: noise as one complex expression,
+# nearest point by argmin, and every level decoded over all trials at once.
+
+
+def reference_complex_gaussian(rng, shape, variance):
+    if variance == 0:
+        return np.zeros(shape, dtype=np.complex128)
+    scale = np.sqrt(variance / 2)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_nearest_index(constellation, values):
+    v = np.asarray(values, dtype=np.complex128)
+    return np.abs(v[..., None] - constellation.points).argmin(axis=-1)
+
+
+def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
+    noises = [NoiseModel(sigma_relay_sq=var, sigma_user_sq=var) for var in noise_grid]
+    strategy = construct_strategy(spec)
+    succ_table = constellation.map_success_table()
+    pts = constellation.points
+    k_users, n = spec.K, spec.N
+    config = {
+        "K": k_users,
+        "N": n,
+        "d": list(spec.d),
+        "constellation": constellation.name,
+        "points": [[p.real, p.imag] for p in pts.tolist()],
+        "noise_grid": [float(v) for v in noise_grid],
+        "trials": trials,
+    }
+    rng = np.random.default_rng(seed)
+    channels = draw_channels(k_users, n, rng)
+    link = Link(strategy, channels, design_encoders(strategy, channels))
+    reports = []
+    for var, noise in zip(noise_grid, noises):
+        idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
+        x = [pts[ix] for ix in idx]
+        r = link.observe(x, reference_complex_gaussian(rng, (n, trials), noise.sigma_relay_sq))
+        ser = []
+        snrs = []
+        for k in range(k_users):
+            y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
+            hard_idx = reference_nearest_index(constellation, link.decode(k, y_tilde, x[k]))
+            sent_idx = np.vstack([idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)])
+            d_k = spec.d[k]
+            errors = int(np.count_nonzero(hard_idx != sent_idx))
+            ser.append(errors / (d_k * trials) if d_k else 0.0)
+            snrs.append(link.snr(k, noise))
+        relay_hits = 0
+        relay_slots = 0
+        for (i, j), dij in strategy.pair_dims().items():
+            if dij == 0:
+                continue
+            ai = idx[i][strategy.block_slice(i, j)]
+            aj = idx[j][strategy.block_slice(j, i)]
+            relay_hits += succ_table[ai, aj].sum()
+            relay_slots += ai.size
+        relay_rate = relay_hits / relay_slots if relay_slots else 0.0
+        reports.append(
+            SimReport(
+                noise_var=float(var),
+                per_user_snr=snrs,
+                per_user_ser=ser,
+                relay_map_success_rate=float(relay_rate),
+                trials=trials,
+                seed=seed,
+                config=config,
+            )
+        )
+    return reports
+
+
+PSK8 = Constellation(np.exp(2j * np.pi * np.arange(8) / 8), name="8psk")
+GRID = [1.0, 0.1, 0.01, 0.001, 1e-4]
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.float64).view(np.uint64)
+
+
+class TestBlockedSweep:
+    @pytest.mark.parametrize(
+        "spec, constellation, grid, seed",
+        [
+            (StrategySpec(3, 3, (2, 2, 2)), QPSK, GRID, 3),
+            (StrategySpec(3, 3, (2, 2, 2)), Constellation.bpsk(), GRID, 57),
+            (StrategySpec(3, 3, (2, 2, 2)), PSK8, GRID, 0),
+            (StrategySpec(16, 32, (4,) * 16), QPSK, GRID, 1),
+            (StrategySpec(3, 3, (2, 2, 2)), QPSK, [1.0, 0.0, 0.1, 0.0], 2**31 - 1),
+            (StrategySpec(4, 4, (2, 2, 2, 2)), QPSK, [0.5, 0.0, 1e-3], 1234567),
+        ],
+    )
+    def test_ragged_blocks_equal_whole_array_reference(self, monkeypatch, spec, constellation, grid, seed):
+        # 100 trials in blocks of 7: fourteen full blocks and a last one of 2
+        monkeypatch.setattr(relaysim, "DECODE_BLOCK", 7)
+        got = run_monte_carlo(spec, constellation, grid, 100, seed)
+        assert got == reference_monte_carlo(spec, constellation, grid, 100, seed)
+
+    def test_default_blocks_equal_whole_array_reference(self):
+        trials = 2 * relaysim.DECODE_BLOCK + 101
+        spec = StrategySpec(3, 3, (2, 2, 2))
+        got = run_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
+        assert got == reference_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
+
+
+class TestNearestIndex:
+    @pytest.mark.parametrize("constellation", [QPSK, Constellation.bpsk(), PSK8])
+    def test_random_values_match_argmin(self, constellation):
+        rng = np.random.default_rng(8)
+        values = 1.5 * (rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500)))
+        assert np.array_equal(constellation.nearest_index(values), reference_nearest_index(constellation, values))
+
+    @pytest.mark.parametrize("constellation", [QPSK, Constellation.bpsk(), PSK8])
+    def test_lattice_ties_match_argmin(self, constellation):
+        # a half-integer lattice holds many points equidistant from two or more
+        # constellation points
+        grid = np.arange(-4, 5) / 2
+        values = (grid[:, None] + 1j * grid[None, :]).ravel()
+        assert np.array_equal(constellation.nearest_index(values), reference_nearest_index(constellation, values))
+
+    def test_ties_go_to_the_lower_index(self):
+        # QPSK points are 1, -1, 1j, -1j: (1 + 1j)/2 is as close to 1 as to 1j,
+        # and 0 is as close to all four
+        assert QPSK.nearest_index(np.array([(1 + 1j) / 2, 0, (-1 - 1j) / 2])).tolist() == [0, 0, 1]
+
+    def test_nonfinite_values_get_index_zero(self):
+        nan, inf = float("nan"), float("inf")
+        values = np.array([complex(nan, 0), complex(0, nan), complex(inf, 0), complex(-inf, 0), complex(0, -inf),
+                           complex(inf, nan), complex(nan, -inf), -1j])
+        got = QPSK.nearest_index(values)
+        assert got.tolist() == [0, 0, 0, 0, 0, 0, 0, 3]
+        assert np.array_equal(got, reference_nearest_index(QPSK, values))
+
+    def test_shape_and_dtype(self):
+        got = QPSK.nearest_index(np.zeros((2, 3, 4)))
+        assert got.shape == (2, 3, 4) and got.dtype == np.intp
+
+
+class TestComplexGaussian:
+    @pytest.mark.parametrize("variance", [1.0, 0.1, 3.7, 1e-4, 1e-300, 5e-324])
+    @pytest.mark.parametrize("shape", [(3, 1000), (32, 200), (2, 2), (1, 7)])
+    def test_buffered_draw_equals_complex_expression(self, variance, shape):
+        # 5e-324 / 2 rounds to 0, so the scale is 0 and the signs of the zeros
+        # come from the complex expression
+        expected = reference_complex_gaussian(np.random.default_rng(21), shape, variance)
+        out = np.full(shape, np.nan + 0j)
+        normals = np.full((2, *shape), np.nan)
+        got = relaysim._complex_gaussian(np.random.default_rng(21), shape, variance, out, normals)
+        assert got is out
+        assert np.array_equal(bits(got), bits(expected))
+        assert np.array_equal(bits(relaysim._complex_gaussian(np.random.default_rng(21), shape, variance)), bits(expected))
+
+    def test_zero_normals_keep_the_expression_signs(self):
+        class Stub:
+            def standard_normal(self, out):
+                out[0] = [0.0, -0.0, 1.0, -0.0]
+                out[1] = [-0.0, 0.0, -0.0, 2.0]
+                return out
+
+        expected = 0.5 * (np.array([0.0, -0.0, 1.0, -0.0]) + 1j * np.array([-0.0, 0.0, -0.0, 2.0]))
+        assert np.array_equal(bits(relaysim._complex_gaussian(Stub(), (4,), 0.5)), bits(expected))
+
+    def test_variance_zero_gives_zeros_and_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        out = np.full((3, 5), 1 + 1j)
+        got = relaysim._complex_gaussian(rng, (3, 5), 0.0, out, np.empty((2, 3, 5)))
+        assert np.array_equal(bits(got), bits(np.zeros((3, 5), dtype=np.complex128)))
+        assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
+
+    def test_one_filled_buffer_equals_two_draws(self):
+        a_rng, b_rng = np.random.default_rng(9), np.random.default_rng(9)
+        filled = a_rng.standard_normal(out=np.empty((2, 3, 11)))
+        assert np.array_equal(filled[0], b_rng.standard_normal((3, 11)))
+        assert np.array_equal(filled[1], b_rng.standard_normal((3, 11)))
+        assert a_rng.standard_normal() == b_rng.standard_normal()
