@@ -1,7 +1,7 @@
 """Subspace-alignment strategies for secure multi-user relay communication.
 
 Library layout:
-  subspace     tolerance-aware complex subspace arithmetic
+  subspace     complex subspace arithmetic under one numeric rank rule
   feasibility  feasible tuples, strategy construction / sampling / verification
   variety      Plucker coordinates and probes of the degenerate locus
   relaysim     channels, encoders, decoding, SER and equivocation experiments
@@ -48,7 +48,6 @@ from .relaysim import (
 )
 from .subspace import (
     Subspace,
-    Tolerance,
     intersect,
     orthonormal_basis,
     project_onto_perp,

@@ -87,8 +87,10 @@ def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
     try:
         pw = {}
         for key, val in raw.items():
+            if isinstance(val, bool) or not isinstance(val, int):  # no silent truncation of 1.5 or true
+                raise UsageError(f"bad pairwise table in {path}: {key!r} must map to an integer, got {val!r}")
             i_s, j_s = key.split("-")
-            pw[(int(i_s) - 1, int(j_s) - 1)] = int(val)
+            pw[(int(i_s) - 1, int(j_s) - 1)] = val
     except (ValueError, TypeError, AttributeError) as exc:
         raise UsageError(f"bad pairwise table in {path}: {exc}")
     return StrategySpec(K=spec.K, N=spec.N, d=spec.d, pairwise=pw)

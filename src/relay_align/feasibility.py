@@ -22,14 +22,12 @@ from .errors import (
     ResampleExhausted,
 )
 from .subspace import (
-    DEFAULT_TOL,
-    RaggedRank,
     Subspace,
-    Tolerance,
     contains_stack,
     intersect_stack,
     orthonormal_basis,
     orthonormal_stack,
+    split_by_rank,
 )
 
 __all__ = [
@@ -53,6 +51,7 @@ __all__ = [
 Pair = tuple[int, int]
 
 VERIFY_BLOCK = 256  # genericity trials drawn and verified per stacked call
+MAX_ATTEMPTS = 10  # draws strategy_from_pairwise makes before it raises ResampleExhausted
 
 
 def _pairs(k: int) -> list[Pair]:
@@ -169,17 +168,17 @@ class Strategy:
             off += w
         raise InvalidInput(f"{j} is not a partner of {i}")
 
-    def interference_space(self, k: int, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+    def interference_space(self, k: int) -> Subspace:
         """Direct sum of all pair intersections not involving user k.
 
-        It depends on the pair bases alone, so it is computed once per (k, tol).
+        It depends on the pair bases alone, so it is computed once per k.
         """
-        if (k, tol) not in self._interference:
+        if k not in self._interference:
             blocks = [b for p, b in sorted(self.pair_bases.items()) if k not in p]
             cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
-            space = orthonormal_basis(cols, tol) if cols.shape[1] else Subspace.zero(self.spec.N)
-            self._interference[k, tol] = space
-        return self._interference[k, tol]
+            space = orthonormal_basis(cols) if cols.shape[1] else Subspace.zero(self.spec.N)
+            self._interference[k] = space
+        return self._interference[k]
 
 
 @dataclass(frozen=True)
@@ -217,7 +216,7 @@ class _Verdicts(NamedTuple):
         return self.per_user_ok.all(axis=1) & self.global_ok
 
 
-def _verify_stack(bases: list[np.ndarray], n: int, tol: Tolerance, triples: bool) -> _Verdicts:
+def _verify_stack(bases: list[np.ndarray], n: int, triples: bool) -> _Verdicts:
     """The direct-sum conditions on T candidates at once.
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
@@ -226,23 +225,23 @@ def _verify_stack(bases: list[np.ndarray], n: int, tol: Tolerance, triples: bool
     never ok.
     """
     k, t = len(bases), bases[0].shape[0]
-    inter = {(i, j): intersect_stack(bases[i], bases[j], tol) for i, j in _pairs(k)}
+    inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
     pair_dims = [b.shape[2] for b in inter.values()]
 
     per_user = np.zeros((t, k), dtype=bool)
     for i in range(k):
         parts = [inter[tuple(sorted((i, j)))] for j in range(k) if j != i]
-        total = orthonormal_stack(np.concatenate(parts, axis=2), tol)
+        total = orthonormal_stack(np.concatenate(parts, axis=2))
         if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
             per_user[:, i] = contains_stack(bases[i], total)
 
-    global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2), tol)
+    global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
 
     worst_triple = 0
     if triples:
         for i, j, l in itertools.combinations(range(k), 3):
-            worst_triple = max(worst_triple, intersect_stack(inter[(i, j)], bases[l], tol).shape[2])
+            worst_triple = max(worst_triple, intersect_stack(inter[(i, j)], bases[l]).shape[2])
 
     return _Verdicts(
         pair_dims=np.tile(pair_dims, (t, 1)),
@@ -252,29 +251,7 @@ def _verify_stack(bases: list[np.ndarray], n: int, tol: Tolerance, triples: bool
     )
 
 
-def _split_by_rank(run, stacks: list[np.ndarray]) -> _Verdicts:
-    """run(stacks) on a block of trials, (T, ...) stacks in, _Verdicts out.
-
-    A block whose trials disagree on a rank splits by that rank, and each part
-    runs again, so every trial sees the shapes, rank rule and LAPACK routine of
-    the T = 1 case.
-    """
-    try:
-        return run(stacks)
-    except RaggedRank as exc:
-        ranks = exc.ranks
-    parts = []
-    for r in np.unique(ranks):
-        idx = np.flatnonzero(ranks == r)
-        parts.append((idx, _split_by_rank(run, [s[idx] for s in stacks])))
-    merged = _Verdicts(*(np.empty((ranks.size, *f.shape[1:]), f.dtype) for f in parts[0][1]))
-    for idx, part in parts:
-        for out, f in zip(merged, part):
-            out[idx] = f
-    return merged
-
-
-def verify_strategy(cand: list[Subspace], n: int, tol: Tolerance = DEFAULT_TOL) -> VerificationReport:
+def verify_strategy(cand: list[Subspace], n: int) -> VerificationReport:
     """Check the direct-sum conditions on a candidate list of subspaces.
 
     Computes all pairwise intersections, all triple intersections, the
@@ -287,7 +264,7 @@ def verify_strategy(cand: list[Subspace], n: int, tol: Tolerance = DEFAULT_TOL) 
         raise InvalidInput("need at least two subspaces")
     if any(s.ambient_dim != n for s in cand):
         raise DimensionMismatch("candidate ambient dimensions differ from N")
-    v = _verify_stack([s.basis[None] for s in cand], n, tol, triples=True)  # one trial: no rank split
+    v = _verify_stack([s.basis[None] for s in cand], n, triples=True)  # one trial: no rank split
     return VerificationReport(
         ok=bool(v.ok[0]),
         dims=tuple(s.d for s in cand),
@@ -321,7 +298,7 @@ def construct_strategy(spec: StrategySpec) -> Strategy:
     return Strategy(spec=spec, pair_bases=pair_bases)
 
 
-def haar_stack(n: int, d: int, count: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal bases of count uniformly random d-dimensional subspaces of C^n, as a (count, n, d) stack.
 
     One standard_normal call draws, per subspace in order, the n x d real parts
@@ -332,48 +309,39 @@ def haar_stack(n: int, d: int, count: int, rng: np.random.Generator, tol: Tolera
     if n < 1 or not 0 <= d <= n:
         raise InvalidInput(f"need n >= 1 and 0 <= d <= n, got n={n}, d={d}")
     raw = rng.standard_normal((count, 2, n, d))
-    return orthonormal_stack(raw[:, 0] + 1j * raw[:, 1], tol)
+    return orthonormal_stack(raw[:, 0] + 1j * raw[:, 1])
 
 
-def haar_subspace(n: int, d: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
     """Uniformly random d-dimensional subspace of C^n; the count = 1 case of haar_stack."""
-    return Subspace._of_checked(haar_stack(n, d, 1, rng, tol)[0])
+    return Subspace._of_checked(haar_stack(n, d, 1, rng)[0])
 
 
-def sample_generic_strategy(
-    spec: StrategySpec, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
-) -> list[Subspace]:
+def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> list[Subspace]:
     """K independent Haar-random d_i-dimensional subspaces of C^N."""
     if max(spec.d) > spec.N:
         raise InvalidInput("per-user dimension exceeds ambient dimension")
-    return [haar_subspace(spec.N, di, rng, tol) for di in spec.d]
+    return [haar_subspace(spec.N, di, rng) for di in spec.d]
 
 
-def strategy_from_pairwise(
-    spec: StrategySpec,
-    rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
-    max_attempts: int = 10,
-) -> Strategy:
+def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Strategy:
     """Random strategy realizing a prescribed pairwise dimension table.
 
     Samples each pair subspace Haar-uniformly and takes V_i as the span of
     user i's pair blocks; generically this verifies, so failures are treated
-    as degenerate draws and resampled.
+    as degenerate draws and resampled, up to MAX_ATTEMPTS draws in all.
     """
     pw = spec.pairwise_or_raise()
     if not is_feasible_tuple(spec):
         raise InfeasibleTuple(f"tuple (K={spec.K}, N={spec.N}, d={spec.d}) is not feasible")
-    for _ in range(max_attempts):
-        pair_bases = {
-            p: haar_subspace(spec.N, dij, rng, tol).basis for p, dij in pw.items()
-        }
+    for _ in range(MAX_ATTEMPTS):
+        pair_bases = {p: haar_subspace(spec.N, dij, rng).basis for p, dij in pw.items()}
         cand = Strategy(spec=spec, pair_bases=pair_bases)
-        report = verify_strategy(cand.subspaces, spec.N, tol)
+        report = verify_strategy(cand.subspaces, spec.N)
         dims_match = all(report.pair_dims[p] == pw.get(p, 0) for p in report.pair_dims)
         if report.ok and dims_match:
             return cand
-    raise ResampleExhausted(f"no verifying draw in {max_attempts} attempts for {spec}")
+    raise ResampleExhausted(f"no verifying draw in {MAX_ATTEMPTS} attempts for {spec}")
 
 
 def feasible_variety_dim(spec: StrategySpec) -> int:
@@ -439,12 +407,7 @@ def _gaussian_stacks(n: int, dims: tuple[int, ...], rngs: list[np.random.Generat
     return stacks
 
 
-def generic_feasibility_rate(
-    spec: StrategySpec,
-    trials: int,
-    rng: np.random.Generator,
-    tol: Tolerance = DEFAULT_TOL,
-) -> float:
+def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Generator) -> float:
     """Fraction of Haar-random strategies that verify.
 
     Each trial draws its subspaces from its own child generator, so the result
@@ -460,11 +423,11 @@ def generic_feasibility_rate(
         raise InvalidInput("per-user dimension exceeds ambient dimension")
 
     def run(draws: list[np.ndarray]) -> _Verdicts:
-        return _verify_stack([orthonormal_stack(g, tol) for g in draws], spec.N, tol, triples=False)
+        return _verify_stack([orthonormal_stack(g) for g in draws], spec.N, triples=False)
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):
         # successive spawn calls continue the numbering of the children
         children = rng.spawn(min(VERIFY_BLOCK, trials - start))
-        hits += int(np.count_nonzero(_split_by_rank(run, _gaussian_stacks(spec.N, spec.d, children)).ok))
+        hits += int(np.count_nonzero(split_by_rank(run, _gaussian_stacks(spec.N, spec.d, children)).ok))
     return hits / trials

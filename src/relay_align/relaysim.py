@@ -32,7 +32,7 @@ from .feasibility import (
     construct_strategy,
     verify_strategy,
 )
-from .subspace import DEFAULT_TOL, Subspace, Tolerance, orthonormal_basis, project_onto_perp
+from .subspace import Subspace, numeric_rank, orthonormal_basis, project_onto_perp
 
 __all__ = [
     "Constellation",
@@ -48,7 +48,7 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-COND_LIMIT = 1e8
+COND_LIMIT = 1e8  # draw_channels redraws a matrix whose condition number exceeds this
 MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many misses in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
 # Trials per column block of run_monte_carlo's per-user decode.  A power of two,
@@ -79,10 +79,6 @@ class Constellation:
     @property
     def size(self) -> int:
         return self.points.size
-
-    @property
-    def bits_per_symbol(self) -> float:
-        return float(np.log2(self.size))
 
     @classmethod
     def qpsk(cls) -> "Constellation":
@@ -196,12 +192,10 @@ class ChannelSet:
                 raise InvalidInput("channel matrix has non-finite entries")
 
 
-def draw_channels(k: int, n: int, rng: np.random.Generator, cond_limit: float = COND_LIMIT) -> ChannelSet:
-    """i.i.d. standard complex Gaussian channels, redrawn if badly conditioned."""
+def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
+    """i.i.d. standard complex Gaussian channels, each redrawn while its condition number exceeds COND_LIMIT."""
     if k < 2 or n < 1:
         raise InvalidInput("need K >= 2 users and N >= 1 antennas")
-    if not cond_limit >= 1:
-        raise InvalidInput("cond_limit must be >= 1: no matrix has a condition number below 1")
 
     redraws = 0
 
@@ -209,11 +203,11 @@ def draw_channels(k: int, n: int, rng: np.random.Generator, cond_limit: float = 
         nonlocal redraws
         while True:
             m = _complex_gaussian(rng, (n, n), 1.0)
-            if np.linalg.cond(m) <= cond_limit:
+            if np.linalg.cond(m) <= COND_LIMIT:
                 return m
             redraws += 1
             if redraws >= MAX_REDRAWS:
-                raise SingularChannel(f"{redraws} channel draws missed cond <= {cond_limit:g}")
+                raise SingularChannel(f"{redraws} channel draws missed cond <= {COND_LIMIT:g}")
 
     h = [one() for _ in range(k)]
     g = [one() for _ in range(k)]
@@ -246,19 +240,14 @@ class SecrecyAuditReport:
     pair_sum_injective: bool
 
 
-def secrecy_audit(
-    encoders: list[np.ndarray],
-    channels: ChannelSet,
-    strategy: Strategy,
-    tol: float = 1e-9,
-) -> SecrecyAuditReport:
+def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: Strategy) -> SecrecyAuditReport:
     """Check that the relay's noiseless view is a sum of masked pair blocks.
 
-    Every pair-basis column must appear (to tol) among the relay-side columns
-    of both users of the pair, each relay-side column must be claimed exactly
-    once, and the map from per-pair sums to the observation must be injective
-    (stacked pair bases of full rank N, by the DEFAULT_TOL rank rule).  Raises
-    SecrecyViolation otherwise.
+    Every pair-basis column must appear (to within 1e-9, absolute) among the
+    relay-side columns of both users of the pair, each relay-side column must
+    be claimed exactly once, and the map from per-pair sums to the observation
+    must be injective (stacked pair bases of full rank N, by the subspace rank
+    rule).  Raises SecrecyViolation otherwise.
     """
     n = strategy.spec.N
     effective = [channels.H[i] @ encoders[i] for i in range(strategy.spec.K)]
@@ -274,7 +263,7 @@ def secrecy_audit(
                 dist = np.where(claimed[user], np.inf, dist)
                 best = int(dist.argmin())
                 worst = max(worst, float(dist[best]))
-                if dist[best] > tol:
+                if dist[best] > 1e-9:
                     raise SecrecyViolation(
                         f"pair {(i, j)}: no unclaimed column of user {user} matches "
                         f"the shared basis vector (best residual {dist[best]:.3e})"
@@ -284,7 +273,7 @@ def secrecy_audit(
         raise SecrecyViolation("some relay-side column serves no pair (unmasked symbol)")
     stacked = np.hstack([b for _, b in sorted(strategy.pair_bases.items())])
     sigma = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.zeros(0)
-    rank = DEFAULT_TOL.numeric_rank(sigma, stacked.shape)
+    rank = numeric_rank(sigma, stacked.shape)
     injective = rank == stacked.shape[1] == n
     if not injective:
         raise SecrecyViolation("map from pair sums to the relay observation is not injective")
@@ -308,7 +297,6 @@ class Link:
     strategy: Strategy
     channels: ChannelSet
     encoders: list[np.ndarray]
-    tol: Tolerance = DEFAULT_TOL
     effective: list[np.ndarray] = field(init=False, repr=False)
     interference: list[Subspace] = field(init=False, repr=False)
     decoders: list[np.ndarray] = field(init=False, repr=False)
@@ -320,12 +308,12 @@ class Link:
             raise DimensionMismatch("channel set does not match strategy shape")
         if len(self.encoders) != strategy.spec.K:
             raise DimensionMismatch("need one encoder per user")
-        report = verify_strategy(strategy.subspaces, strategy.spec.N, self.tol)
+        report = verify_strategy(strategy.subspaces, strategy.spec.N)
         if not report.ok:
             raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
         interference, decoders, snr_terms = [], [], []
         for k, g in enumerate(channels.G):
-            gik = orthonormal_basis(g @ strategy.interference_space(k, self.tol).basis, self.tol)
+            gik = orthonormal_basis(g @ strategy.interference_space(k).basis)
             serving = np.hstack([strategy.pair_basis(j, k) for j in strategy.partners(k)])
             interference.append(gik)
             decoders.append(np.linalg.pinv(project_onto_perp(g @ serving, gik)))
@@ -418,7 +406,6 @@ def run_monte_carlo(
     noise_grid: list[float],
     trials: int,
     seed: int,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> list[SimReport]:
     """Full pipeline SER / equivocation sweep over a grid of noise variances.
 
@@ -449,7 +436,7 @@ def run_monte_carlo(
     }
     rng = np.random.default_rng(seed)
     channels = draw_channels(k_users, n, rng)
-    link = Link(strategy, channels, design_encoders(strategy, channels), tol)
+    link = Link(strategy, channels, design_encoders(strategy, channels))
     noise_out = np.empty((n, trials), dtype=np.complex128)
     normals = np.empty((2, n, trials))
     reports = []

@@ -51,19 +51,28 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     }
 
 
+def _json_int(value, field: str) -> int:
+    """value if it is a JSON integer; a float or a bool is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"strategy field {field} must be an integer, got {value!r}")
+    return value
+
+
 def strategy_from_dict(data: dict) -> Strategy:
     if not isinstance(data, dict):
         raise InvalidInput("strategy document must be a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise InvalidInput(f"unsupported schema_version {data.get('schema_version')!r}")
     try:
-        k = int(data["K"])
-        n = int(data["N"])
-        d = tuple(int(x) for x in data["d"])
-        raw_pairs = data["pair_bases"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"missing or malformed strategy field: {exc}") from exc
-    spec = StrategySpec(K=k, N=n, d=d)
+        k, n, raw_d, raw_pairs = data["K"], data["N"], data["d"], data["pair_bases"]
+    except KeyError as exc:
+        raise InvalidInput(f"missing strategy field: {exc}") from exc
+    if not isinstance(raw_d, list):
+        raise InvalidInput(f"strategy field d must be a list, got {raw_d!r}")
+    if not isinstance(raw_pairs, dict):
+        raise InvalidInput("strategy field pair_bases must be a JSON object")
+    k, n = _json_int(k, "K"), _json_int(n, "N")
+    spec = StrategySpec(K=k, N=n, d=tuple(_json_int(x, "d") for x in raw_d))
     pair_bases = {}
     for key, rows in raw_pairs.items():
         try:

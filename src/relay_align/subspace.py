@@ -1,15 +1,15 @@
-"""Tolerance-aware complex linear algebra on subspaces of C^N.
+"""Complex linear algebra on subspaces of C^N under one numeric rank rule.
 
 A subspace is stored as an N x d matrix with orthonormal columns; d = 0 is a
 first-class value (empty basis) so direct-sum decompositions with empty parts
 need no special-casing.  All rank decisions go through a single threshold rule
-(see Tolerance) because everything downstream -- intersections, direct-sum
-tests, feasibility verification -- reduces to numeric rank.
+(rank_threshold) because everything downstream -- intersections, direct-sum
+conditions, feasibility verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
 stack; orthonormal_basis and intersect are their T = 1 case.  One array holds
 bases of one width, so a kernel whose trials disagree on a rank raises
-RaggedRank and leaves the split to the caller.
+RaggedRank, and split_by_rank reruns the block split by that rank.
 """
 
 from __future__ import annotations
@@ -21,9 +21,11 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidInput
 
 __all__ = [
-    "Tolerance",
     "Subspace",
     "RaggedRank",
+    "rank_threshold",
+    "numeric_rank",
+    "split_by_rank",
     "orthonormal_basis",
     "orthonormal_stack",
     "intersect",
@@ -33,42 +35,28 @@ __all__ = [
 ]
 
 _EPS = np.finfo(np.float64).eps
+REL_RANK_TOL = 100.0  # multiples of max(m, n) * eps * sigma_max
+ABS_RANK_FLOOR = 1e-12  # no singular value at or below this counts, whatever the scale
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Threshold rule for counting singular values toward numeric rank.
+def rank_threshold(shape: tuple[int, int], sigma_max):
+    """Threshold for an m x n matrix of this shape; elementwise over an array of sigma_max.
 
-    A singular value counts iff it exceeds
-    ``max(max(m, n) * eps * sigma_max * rel_rank_tol, abs_floor)``.
+    A singular value counts toward numeric rank iff it exceeds
+    ``max(max(m, n) * eps * sigma_max * REL_RANK_TOL, ABS_RANK_FLOOR)``.
     """
-
-    rel_rank_tol: float = 100.0
-    abs_floor: float = 1e-12
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rel_rank_tol) and self.rel_rank_tol >= 0):
-            raise InvalidInput("rel_rank_tol must be finite and >= 0")
-        if not (np.isfinite(self.abs_floor) and self.abs_floor >= 0):
-            raise InvalidInput("abs_floor must be finite and >= 0")
-
-    def rank_threshold(self, shape: tuple[int, int], sigma_max):
-        """Threshold for an m x n matrix of this shape; elementwise over an array of sigma_max."""
-        rel = max(shape) * _EPS * sigma_max * self.rel_rank_tol
-        return np.maximum(rel, self.abs_floor)
-
-    def numeric_rank(self, singular_values: np.ndarray, shape: tuple[int, int]):
-        """Rank of an m x n matrix from its singular values, sorted descending.
-
-        A (T, k) stack of singular values gives an array of T ranks, one per row.
-        """
-        s = np.asarray(singular_values)
-        if s.shape[-1] == 0:
-            return np.zeros(s.shape[:-1], dtype=np.intp)
-        return (s > self.rank_threshold(shape, s[..., :1])).sum(axis=-1)
+    return np.maximum(max(shape) * _EPS * sigma_max * REL_RANK_TOL, ABS_RANK_FLOOR)
 
 
-DEFAULT_TOL = Tolerance()
+def numeric_rank(singular_values: np.ndarray, shape: tuple[int, int]):
+    """Rank of an m x n matrix from its singular values, sorted descending.
+
+    A (T, k) stack of singular values gives an array of T ranks, one per row.
+    """
+    s = np.asarray(singular_values)
+    if s.shape[-1] == 0:
+        return np.zeros(s.shape[:-1], dtype=np.intp)
+    return (s > rank_threshold(shape, s[..., :1])).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -118,6 +106,30 @@ def _common_rank(ranks: np.ndarray) -> int:
     return int(ranks[0])
 
 
+def split_by_rank(run, stacks: list[np.ndarray]):
+    """run(stacks) on a block of trials: (T, ...) stacks in, a tuple of (T, ...) arrays out.
+
+    A block whose trials disagree on a rank splits by that rank, and each part
+    runs again, so every trial sees the shapes, rank rule and LAPACK routine of
+    the T = 1 case.  The parts merge back in trial order into a tuple of the
+    type run returns, so a NamedTuple keeps its type.
+    """
+    try:
+        return run(stacks)
+    except RaggedRank as exc:
+        ranks = exc.ranks
+    parts = []
+    for r in np.unique(ranks):
+        idx = np.flatnonzero(ranks == r)
+        parts.append((idx, split_by_rank(run, [s[idx] for s in stacks])))
+    first = parts[0][1]
+    merged = [np.empty((ranks.size, *f.shape[1:]), f.dtype) for f in first]
+    for idx, part in parts:
+        for out, f in zip(merged, part):
+            out[idx] = f
+    return first._make(merged) if hasattr(first, "_make") else tuple(merged)
+
+
 def _check_orthonormal(b: np.ndarray) -> None:
     """Raise unless every basis of the (..., N, d) stack b is finite with orthonormal columns."""
     if not np.isfinite(b).all():
@@ -127,11 +139,11 @@ def _check_orthonormal(b: np.ndarray) -> None:
         raise InvalidInput("basis columns are not orthonormal")
 
 
-def orthonormal_stack(cols, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_stack(cols) -> np.ndarray:
     """Orthonormal bases of the column spaces of a (T, N, m) stack, rank-truncated.
 
-    Each trial's rank follows the Tolerance rule; raises RaggedRank when the
-    trials' ranks differ.
+    Each trial's rank follows the rank_threshold rule; raises RaggedRank when
+    the trials' ranks differ.
     """
     a = np.asarray(cols, dtype=np.complex128)
     if a.ndim != 3 or a.shape[1] < 1:
@@ -141,20 +153,20 @@ def orthonormal_stack(cols, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.shape[2] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    u = u[..., : _common_rank(tol.numeric_rank(s, a.shape[1:]))]
+    u = u[..., : _common_rank(numeric_rank(s, a.shape[1:]))]
     _check_orthonormal(u)
     return u
 
 
-def orthonormal_basis(cols, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def orthonormal_basis(cols) -> Subspace:
     """Orthonormal basis of the column space, with numeric rank truncation."""
     a = np.asarray(cols, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] < 1:
         raise InvalidInput(f"expected an N x m matrix with N >= 1, got shape {a.shape}")
-    return Subspace._of_checked(orthonormal_stack(a[None], tol)[0])
+    return Subspace._of_checked(orthonormal_stack(a[None])[0])
 
 
-def intersect_stack(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersections span(A_t) & span(B_t) of two (T, N, d) stacks of orthonormal bases.
 
     Null vectors (x; y) of [A | -B] satisfy A x = B y; mapping the x-block
@@ -168,24 +180,28 @@ def intersect_stack(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL) 
         return np.zeros((t, n, 0), dtype=np.complex128)
     stacked = np.concatenate([a, -b], axis=2)
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
-    r = _common_rank(tol.numeric_rank(s, stacked.shape[1:]))
+    r = _common_rank(numeric_rank(s, stacked.shape[1:]))
     null = vh[:, r:].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)
-    return orthonormal_stack(a @ null[:, :da], tol)
+    return orthonormal_stack(a @ null[:, :da])
 
 
-def intersect(a: Subspace, b: Subspace, tol: Tolerance = DEFAULT_TOL) -> Subspace:
+def intersect(a: Subspace, b: Subspace) -> Subspace:
     """Intersection span(A) & span(B); the T = 1 case of intersect_stack."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return Subspace._of_checked(intersect_stack(a.basis[None], b.basis[None], tol)[0])
+    return Subspace._of_checked(intersect_stack(a.basis[None], b.basis[None])[0])
 
 
-def contains_stack(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Per trial, whether span(B_t) lies in span(A_t), for stacks of orthonormal bases."""
+def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per trial, whether span(B_t) lies in span(A_t), for stacks of orthonormal bases.
+
+    B_t counts as contained when its residual off span(A_t) has Frobenius norm
+    below the absolute 1e-9, a threshold outside the rank rule.
+    """
     if b.shape[2] == 0:
         return np.ones(b.shape[0], dtype=bool)
     resid = b - (a @ a.conj().swapaxes(1, 2)) @ b
-    return np.linalg.norm(resid, axis=(1, 2)) < tol
+    return np.linalg.norm(resid, axis=(1, 2)) < 1e-9
 
 
 def project_onto_perp(x, s: Subspace) -> np.ndarray:

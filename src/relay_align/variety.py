@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 from .feasibility import haar_stack
-from .subspace import DEFAULT_TOL, RaggedRank, Subspace, Tolerance, intersect_stack
+from .subspace import Subspace, intersect_stack, split_by_rank
 
 __all__ = [
     "PluckerPoint",
@@ -169,14 +169,14 @@ def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
     return np.hypot(acc_re, acc_im).max(axis=1)
 
 
-def check_plucker_relations(p: PluckerPoint, tol: float = 1e-9) -> bool:
-    """True iff all three-term quadratic wedge relations vanish within tol.
+def check_plucker_relations(p: PluckerPoint) -> bool:
+    """True iff all three-term quadratic wedge relations vanish to within 1e-9.
 
     For every (d-1)-subset S and (d+1)-subset T of {0..n-1}:
         sum_l (-1)^l p_{S + T[l]} * p_{T - T[l]} = 0
     Dimension-one points have no relations and always pass.
     """
-    return plucker_residual(p) < tol
+    return plucker_residual(p) < 1e-9
 
 
 def plucker_residual(p: PluckerPoint) -> float:
@@ -203,18 +203,16 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     return np.concatenate([_residuals(table, plucker_coords(haar_stack(n, d, t, rng))) for t in counts])
 
 
-def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerance) -> int:
+def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
     """dim of the triple intersection shared by a block of (T, n, d) stacks; raises RaggedRank."""
-    return intersect_stack(intersect_stack(a, b, tol), c, tol).shape[2]
+    return intersect_stack(intersect_stack(a, b), c).shape[2]
 
 
-def triple_intersection_dim(
-    v1: Subspace, v2: Subspace, v3: Subspace, tol: Tolerance = DEFAULT_TOL
-) -> int:
+def triple_intersection_dim(v1: Subspace, v2: Subspace, v3: Subspace) -> int:
     """dim(V1 & V2 & V3) via iterated intersection."""
     if not (v1.ambient_dim == v2.ambient_dim == v3.ambient_dim):
         raise DimensionMismatch("ambient dimensions differ")
-    return _triple_dim(v1.basis[None], v2.basis[None], v3.basis[None], tol)
+    return _triple_dim(v1.basis[None], v2.basis[None], v3.basis[None])
 
 
 def _perp_lines(planes: np.ndarray) -> np.ndarray:
@@ -255,14 +253,13 @@ def determinantal_test(v1: Subspace, v2: Subspace, v3: Subspace) -> complex:
 def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|determinantal_test| and triple_intersection_dim of each triple of a (T, 3, 3, 2) stack.
 
-    A block whose triples disagree on a rank of the iterated intersection takes
-    the per-sample path for its dimensions.
+    A block whose triples disagree on a rank of the iterated intersection
+    splits by that rank (split_by_rank).
     """
     det = _perp_det(planes)
-    try:
-        dims = np.full(planes.shape[0], _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2], DEFAULT_TOL))
-    except RaggedRank:
-        dims = np.array([triple_intersection_dim(*(Subspace._of_checked(b) for b in triple)) for triple in planes])
+    (dims,) = split_by_rank(
+        lambda abc: (np.full(abc[0].shape[0], _triple_dim(*abc)),), [planes[:, 0], planes[:, 1], planes[:, 2]]
+    )
     return np.hypot(det.real, det.imag), dims
 
 
@@ -306,12 +303,13 @@ def line_determinant(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return _line_coeffs(anchors[None], directions[None])[0]
 
 
-def _poly_roots(coeffs: np.ndarray, scale_tol: float = 1e-10) -> np.ndarray:
+def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of coeffs; a coefficient at most 1e-10 times the largest is zero, and all are when it is below 1e-10."""
     mags = np.abs(coeffs)
     peak = mags.max()
-    if peak == 0 or peak < scale_tol:
+    if peak == 0 or peak < 1e-10:
         return np.array([])  # identically zero
-    trimmed = np.trim_zeros(np.where(mags > scale_tol * peak, coeffs, 0), "f")
+    trimmed = np.trim_zeros(np.where(mags > 1e-10 * peak, coeffs, 0), "f")
     if trimmed.size <= 1:
         return np.array([])  # nonzero constant
     return np.roots(trimmed)

@@ -221,13 +221,13 @@ def test_criterion_5_secrecy_audit():
         assert verify_strategy(strategy.subspaces, spec.N).ok
         channels = draw_channels(spec.K, spec.N, rng)
         encoders = design_encoders(strategy, channels)
-        report = secrecy_audit(encoders, channels, strategy, tol=1e-9)
+        report = secrecy_audit(encoders, channels, strategy)
         if report.ok and report.worst_column_mismatch <= 1e-9:
             passed += 1
         bad = [u.copy() for u in encoders]
         bad[0][0, 0] += 1e-3
         try:
-            secrecy_audit(bad, channels, strategy, tol=1e-9)
+            secrecy_audit(bad, channels, strategy)
         except SecrecyViolation:
             negatives += 1
     ok = passed == total == 50 and negatives == 50

@@ -103,8 +103,16 @@ class TestConstructAndVerify:
         assert "declared dimensions d" in report["failed_conditions"]
 
     @pytest.mark.parametrize(
-        "content", [b'{"1-2": ', b"\xff\xfe{}", b"[1]", b'{"1-2": null, "1-3": 1, "2-3": 1}'],
-        ids=["truncated", "not-utf8", "not-an-object", "null-dimension"],
+        "content",
+        [
+            b'{"1-2": ',
+            b"\xff\xfe{}",
+            b"[1]",
+            b'{"1-2": null, "1-3": 1, "2-3": 1}',
+            b'{"1-2": 1.5, "1-3": 1, "2-3": 1}',
+            b'{"1-2": true, "1-3": 1, "2-3": 1}',
+        ],
+        ids=["truncated", "not-utf8", "not-an-object", "null-dimension", "float-dimension", "bool-dimension"],
     )
     def test_malformed_pairwise_file_usage_error(self, tmp_path, content, capsys):
         dij = tmp_path / "dij.json"
@@ -152,6 +160,29 @@ class TestSerialization:
     def test_bad_schema_version(self):
         with pytest.raises(InvalidInput):
             strategy_from_dict({"schema_version": 99})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("pair_bases", []),
+            ("K", 3.7),
+            ("N", 3.0),
+            ("K", True),
+            ("d", [2.9, 2, 2]),
+            ("d", [2, True, 2]),
+            ("d", "222"),
+        ],
+        ids=["pair-bases-list", "float-K", "float-N", "bool-K", "float-d", "bool-d", "string-d"],
+    )
+    def test_malformed_field_exits_1(self, tmp_path, capsys, field, value):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc[field] = value
+        with pytest.raises(InvalidInput):
+            strategy_from_dict(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestGenericity:

@@ -10,7 +10,6 @@ from relay_align.feasibility import (
     StrategySpec,
     _gaussian_stacks,
     _pairs,
-    _split_by_rank,
     _verify_stack,
     construct_strategy,
     feasible_variety_dim,
@@ -22,7 +21,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
-from relay_align.subspace import DEFAULT_TOL, RaggedRank, orthonormal_basis, orthonormal_stack
+from relay_align.subspace import RaggedRank, orthonormal_basis, orthonormal_stack, split_by_rank
 
 E3 = np.eye(3, dtype=complex)
 
@@ -202,8 +201,8 @@ class TestBatchedGenericity:
         cands[2][1] = cands[2][0]  # users 1 and 2 share a plane in trial 2 only
         bases = [np.stack([c[i].basis for c in cands]) for i in range(3)]
         with pytest.raises(RaggedRank):
-            _verify_stack(bases, 3, DEFAULT_TOL, triples=True)
-        v = _split_by_rank(partial(_verify_stack, n=3, tol=DEFAULT_TOL, triples=True), bases)
+            _verify_stack(bases, 3, triples=True)
+        v = split_by_rank(partial(_verify_stack, n=3, triples=True), bases)
         for t, cand in enumerate(cands):
             ref = verify_strategy(cand, 3)
             assert v.ok[t] == ref.ok

@@ -31,7 +31,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import DEFAULT_TOL, orthonormal_basis
+from relay_align.subspace import orthonormal_basis, rank_threshold
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -92,14 +92,11 @@ class TestDrawChannels:
         ch = draw_channels(3, 3, np.random.default_rng(1))
         assert all(m.shape == (3, 3) for m in [*ch.H, *ch.G])
 
-    def test_cond_limit_below_one_rejected(self):
-        with pytest.raises(InvalidInput):
-            draw_channels(3, 3, np.random.default_rng(0), cond_limit=0.5)
-
-    def test_unreachable_cond_limit_stops(self):
+    def test_unreachable_cond_limit_stops(self, monkeypatch):
         # a 2x2 Gaussian matrix has cond > 1 almost surely, so every draw misses
+        monkeypatch.setattr(relaysim, "COND_LIMIT", 1.0)
         with pytest.raises(SingularChannel):
-            draw_channels(2, 2, np.random.default_rng(0), cond_limit=1.0)
+            draw_channels(2, 2, np.random.default_rng(0))
 
 
 class TestDesignEncoders:
@@ -193,8 +190,8 @@ class TestSecrecyAudit:
     def test_stacked_rank_follows_tolerance(self, factor, injective):
         # stacked pair bases [e1, e2, (e1 + s e3)/|.|] have singular values
         # about sqrt(2), 1 and s/sqrt(2); put the last at factor times the
-        # DEFAULT_TOL threshold, whose absolute floor rules at this scale
-        sigma = factor * DEFAULT_TOL.rank_threshold((3, 3), np.sqrt(2))
+        # rank_threshold, whose absolute floor rules at this scale
+        sigma = factor * rank_threshold((3, 3), np.sqrt(2))
         s = sigma * np.sqrt(2)
         b23 = (E3[:, [0]] + s * E3[:, [2]]) / np.sqrt(1 + s * s)
         strategy = Strategy(

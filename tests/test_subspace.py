@@ -3,11 +3,12 @@ import pytest
 
 from relay_align.errors import DimensionMismatch, InvalidInput
 from relay_align.subspace import (
+    ABS_RANK_FLOOR,
     Subspace,
-    Tolerance,
     intersect,
     orthonormal_basis,
     project_onto_perp,
+    rank_threshold,
 )
 
 E3 = np.eye(3, dtype=complex)
@@ -52,11 +53,24 @@ class TestOrthonormalBasis:
         s = orthonormal_basis(a)
         # independent oracle: count singular values of the raw input above threshold
         sv = np.linalg.svd(a, compute_uv=False)
-        tol = Tolerance()
-        expected = int(np.sum(sv > tol.rank_threshold(a.shape, sv[0])))
+        expected = int(np.sum(sv > rank_threshold(a.shape, sv[0])))
         assert s.d == expected == 2
         p = projector(s)
         assert np.linalg.norm(p @ p - p) < 1e-9
+
+    @pytest.mark.parametrize("sigma_max, floor_rules", [(1.0, True), (1e3, False)], ids=["floor", "relative"])
+    @pytest.mark.parametrize("factor, kept", [(0.9, False), (1.1, True)])
+    def test_rank_rule_boundary(self, sigma_max, floor_rules, factor, kept):
+        # singular values sigma_max, 1 and factor * rank_threshold under random unitaries:
+        # at sigma_max ~ 1 the 1e-12 floor sets the threshold, at 1e3 the relative term
+        rng = np.random.default_rng(11)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        threshold = rank_threshold((3, 3), sigma_max)
+        assert (threshold == ABS_RANK_FLOOR) == floor_rules
+        a = u @ np.diag([sigma_max, 1.0, factor * threshold]) @ v.conj().T
+        assert np.linalg.svd(a, compute_uv=False)[-1] == pytest.approx(factor * threshold, rel=1e-2)
+        assert orthonormal_basis(a).d == (3 if kept else 2)
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])

@@ -7,7 +7,7 @@ import pytest
 from relay_align import variety
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import haar_stack, haar_subspace
-from relay_align.subspace import DEFAULT_TOL, RaggedRank, Subspace, intersect, orthonormal_basis
+from relay_align.subspace import RaggedRank, Subspace, intersect, orthonormal_basis
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     PluckerPoint,
@@ -285,7 +285,7 @@ class TestStackedEquivalence:
         planes = haar_stack(3, 2, 12, rng).reshape(4, 3, 3, 2)
         planes[2] = planes[2, 0]  # sample 2: three equal planes
         with pytest.raises(RaggedRank):
-            _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2], DEFAULT_TOL)
+            _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2])
         dets, dims = _determinant_block(planes)
         assert dims.tolist() == [0, 0, 2, 0]
         assert dets[2] < DET_ZERO_THRESHOLD < dets.min(initial=1.0, where=dims == 0)
