@@ -48,17 +48,9 @@ from .relaysim import (
 )
 from .subspace import (
     Subspace,
-    intersect,
     orthonormal_basis,
     project_onto_perp,
 )
-from .variety import (
-    PluckerPoint,
-    check_plucker_relations,
-    codim_line_probe,
-    determinantal_test,
-    plucker,
-    triple_intersection_dim,
-)
+from .variety import codim_line_probe
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .errors import (
     RelayAlignError,
 )
 from .feasibility import StrategySpec
-from .serialization import atomic_write, dump_strategy, load_strategy, strategy_to_dict
+from .serialization import atomic_write, dump_strategy, load_strategy, parse_pair_key, strategy_to_dict
 
 SEED_ENV_VAR = "RELAY_ALIGN_SEED"
 
@@ -85,15 +85,10 @@ def _read_json_object(path: str, flag: str) -> dict:
 def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
     raw = _read_json_object(path, "--dij")
     try:
-        pw = {}
-        for key, val in raw.items():
-            if isinstance(val, bool) or not isinstance(val, int):  # no silent truncation of 1.5 or true
-                raise UsageError(f"bad pairwise table in {path}: {key!r} must map to an integer, got {val!r}")
-            i_s, j_s = key.split("-")
-            pw[(int(i_s) - 1, int(j_s) - 1)] = val
-    except (ValueError, TypeError, AttributeError) as exc:
+        pw = {parse_pair_key(key, spec.K): val for key, val in raw.items()}
+        return StrategySpec(K=spec.K, N=spec.N, d=spec.d, pairwise=pw)
+    except InvalidInput as exc:
         raise UsageError(f"bad pairwise table in {path}: {exc}")
-    return StrategySpec(K=spec.K, N=spec.N, d=spec.d, pairwise=pw)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -332,7 +327,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("construct", help="build a strategy (deterministic, or random via --dij)")
     common(p)
-    p.add_argument("--dij", type=str, default=None, help="JSON file of pairwise dims keyed 'i-j'")
+    p.add_argument("--dij", type=str, default=None, help="JSON file of pairwise dims keyed 'i-j', 1 <= i < j <= K")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="verify a strategy file")
@@ -358,7 +353,8 @@ def build_parser() -> _Parser:
     p.add_argument("-d", dest="d_dim", type=int, default=2)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--lines", type=int, default=20)
-    p.add_argument("--det-probe", action="store_true", help="force the N=3 determinant probe")
+    p.add_argument("--det-probe", action="store_true",
+                   help="require the determinant probe; it runs by default for N=3, d=2 and other shapes exit 2")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("-o", "--output", type=str, default=None)
     p.set_defaults(func=cmd_variety)

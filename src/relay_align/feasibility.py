@@ -23,6 +23,7 @@ from .errors import (
 )
 from .subspace import (
     Subspace,
+    _check_orthonormal,
     contains_stack,
     intersect_stack,
     orthonormal_basis,
@@ -71,7 +72,13 @@ class StrategySpec:
     pairwise: dict[Pair, int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        values = (self.K, self.N, *self.d, *(self.pairwise or {}).values())
+        bad = [x for x in values if isinstance(x, bool) or not isinstance(x, (int, np.integer))]
+        if bad:  # a float or a bool is rejected, never truncated
+            raise InvalidInput(f"K, N, d and pairwise dimensions must be integers, got {bad[0]!r}")
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "d", tuple(map(int, self.d)))
         if self.K < 2:
             raise InvalidInput("need at least two users")
         if self.N < 1:
@@ -124,24 +131,24 @@ class Strategy:
 
     spec: StrategySpec
     pair_bases: dict[Pair, np.ndarray]
-    subspaces: list[Subspace] = field(default=None, repr=False)
+    subspaces: list[Subspace] = field(init=False, repr=False)
     _interference: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pb = {tuple(sorted(p)): np.asarray(b, dtype=np.complex128) for p, b in self.pair_bases.items()}
-        for (i, j), b in pb.items():
+        for p, b in pb.items():
             if b.shape[0] != self.spec.N:
-                raise DimensionMismatch(f"pair basis {(i, j)} has {b.shape[0]} rows, N={self.spec.N}")
-            gram = b.conj().T @ b
-            if np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-8:
-                raise InvalidInput(f"pair basis {(i, j)} does not have orthonormal columns")
+                raise DimensionMismatch(f"pair basis {p} has {b.shape[0]} rows, N={self.spec.N}")
+            try:
+                _check_orthonormal(b)
+            except InvalidInput as exc:
+                raise InvalidInput(f"pair basis {p}: {exc}") from None
         object.__setattr__(self, "pair_bases", pb)
-        if self.subspaces is None:
-            subs = [
-                orthonormal_basis(self.user_basis(i)) if self.user_basis(i).shape[1] else Subspace.zero(self.spec.N)
-                for i in range(self.spec.K)
-            ]
-            object.__setattr__(self, "subspaces", subs)
+        subs = [
+            orthonormal_basis(self.user_basis(i)) if self.user_basis(i).shape[1] else Subspace.zero(self.spec.N)
+            for i in range(self.spec.K)
+        ]
+        object.__setattr__(self, "subspaces", subs)
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}

@@ -1,8 +1,8 @@
 """JSON wire format for strategies.
 
 Complex numbers are [re, im] pairs; matrices are row-major nested arrays;
-pair bases are keyed "i-j" with 1-based user indices.  A schema_version field
-guards future changes.
+pair bases are keyed "i-j" with 1-based user indices, i < j, and no other
+spelling (parse_pair_key).  A schema_version field guards future changes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ from .feasibility import Strategy, StrategySpec
 
 SCHEMA_VERSION = 1
 
-__all__ = ["strategy_to_dict", "strategy_from_dict", "dump_strategy", "load_strategy", "atomic_write"]
+__all__ = [
+    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "dump_strategy", "load_strategy", "atomic_write"
+]
 
 
 def _encode_matrix(m: np.ndarray) -> list:
@@ -51,11 +53,14 @@ def strategy_to_dict(strategy: Strategy) -> dict:
     }
 
 
-def _json_int(value, field: str) -> int:
-    """value if it is a JSON integer; a float or a bool is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidInput(f"strategy field {field} must be an integer, got {value!r}")
-    return value
+def parse_pair_key(key: str, k: int) -> tuple[int, int]:
+    """The 0-based pair (i, j), i < j < k, of its one key f"{i + 1}-{j + 1}"; other spellings raise InvalidInput."""
+    i, _, j = key.partition("-")
+    if i.isdecimal() and j.isdecimal() and len(key) <= 2 * len(str(k)) + 1:  # bounds the int() conversions
+        i, j = int(i), int(j)
+        if 1 <= i < j <= k and key == f"{i}-{j}":
+            return i - 1, j - 1
+    raise InvalidInput(f"bad pair key {key!r}: expected 'i-j', 1 <= i < j <= K={k}, no leading zeros")
 
 
 def strategy_from_dict(data: dict) -> Strategy:
@@ -71,21 +76,9 @@ def strategy_from_dict(data: dict) -> Strategy:
         raise InvalidInput(f"strategy field d must be a list, got {raw_d!r}")
     if not isinstance(raw_pairs, dict):
         raise InvalidInput("strategy field pair_bases must be a JSON object")
-    k, n = _json_int(k, "K"), _json_int(n, "N")
-    spec = StrategySpec(K=k, N=n, d=tuple(_json_int(x, "d") for x in raw_d))
-    pair_bases = {}
-    for key, rows in raw_pairs.items():
-        try:
-            i_s, j_s = key.split("-")
-            i, j = int(i_s) - 1, int(j_s) - 1
-        except ValueError as exc:
-            raise InvalidInput(f"bad pair key {key!r}") from exc
-        if not 0 <= i < j < k:
-            raise InvalidInput(f"pair key {key!r} out of range for K={k}")
-        m = _decode_matrix(rows, n)
-        if m.shape[1]:
-            pair_bases[(i, j)] = m
-    return Strategy(spec=spec, pair_bases=pair_bases)
+    spec = StrategySpec(K=k, N=n, d=tuple(raw_d))
+    decoded = ((parse_pair_key(key, spec.K), _decode_matrix(rows, spec.N)) for key, rows in raw_pairs.items())
+    return Strategy(spec=spec, pair_bases={pair: m for pair, m in decoded if m.shape[1]})
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -7,9 +7,9 @@ need no special-casing.  All rank decisions go through a single threshold rule
 conditions, feasibility verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
-stack; orthonormal_basis and intersect are their T = 1 case.  One array holds
-bases of one width, so a kernel whose trials disagree on a rank raises
-RaggedRank, and split_by_rank reruns the block split by that rank.
+stack; orthonormal_basis is their T = 1 case.  One array holds bases of one
+width, so a kernel whose trials disagree on a rank raises RaggedRank, and
+split_by_rank reruns the block split by that rank.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "split_by_rank",
     "orthonormal_basis",
     "orthonormal_stack",
-    "intersect",
     "intersect_stack",
     "contains_stack",
     "project_onto_perp",
@@ -183,13 +182,6 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     r = _common_rank(numeric_rank(s, stacked.shape[1:]))
     null = vh[:, r:].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)
     return orthonormal_stack(a @ null[:, :da])
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection span(A) & span(B); the T = 1 case of intersect_stack."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return Subspace._of_checked(intersect_stack(a.basis[None], b.basis[None])[0])
 
 
 def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:

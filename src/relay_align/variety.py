@@ -8,39 +8,32 @@ detect membership by rank computations on iterated intersections.
 Every probe works on stacks of samples: the Haar draws, the wedge minors, the
 three-term relations (gathered from one cached index table per (n, d)), the
 perp lines, the determinants and the line polynomials are each one stacked
-numpy or LAPACK call per block of samples, and the single-item functions are
-their T = 1 case.  Complex products and magnitudes that reach the output are
-formed from real and imaginary parts (np.hypot), which round as numpy's scalar
-complex arithmetic does; numpy's vectorized complex multiply and np.abs may
-round differently in the last bit.
+numpy or LAPACK call per block of samples; a single sample is a stack of one.
+Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
+line-polynomial cut of _poly_roots (1e-10).  Complex products and magnitudes
+that reach the output are formed from real and imaginary parts (np.hypot),
+which round as numpy's scalar complex arithmetic does; numpy's vectorized
+complex multiply and np.abs may round differently in the last bit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import InvalidInput
 from .feasibility import haar_stack
-from .subspace import Subspace, intersect_stack, split_by_rank
+from .subspace import intersect_stack, split_by_rank
 
 __all__ = [
-    "PluckerPoint",
-    "plucker",
     "plucker_coords",
-    "check_plucker_relations",
-    "plucker_residual",
     "plucker_probe",
-    "triple_intersection_dim",
-    "perp_line",
-    "determinantal_test",
     "determinant_probe",
-    "line_determinant",
     "codim_line_probe",
     "LineProbeReport",
 ]
@@ -48,31 +41,6 @@ __all__ = [
 DET_ZERO_THRESHOLD = 1e-8
 MAX_RELATION_TERMS = 1 << 20  # largest (relations x terms) table a wedge-relation residual builds
 PROBE_BLOCK_TERMS = 1 << 16  # array entries per sample block of a probe
-
-
-@dataclass(frozen=True)
-class PluckerPoint:
-    """Projective wedge coordinates of a d-dimensional subspace of C^n.
-
-    Coordinates are indexed by sorted d-subsets of {0..n-1} in lexicographic
-    order, scaled to unit norm with the first nonzero coordinate real
-    positive, so two points are comparable by plain vector distance.
-    """
-
-    n: int
-    d: int
-    coords: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.complex128)
-        if c.shape != (comb(self.n, self.d),):
-            raise InvalidInput(f"expected {comb(self.n, self.d)} coordinates, got shape {c.shape}")
-        if not np.isfinite(c).all():
-            raise InvalidInput("wedge coordinates must be finite")
-        object.__setattr__(self, "coords", _normalize_projective(c[None])[0])
-
-    def index_sets(self) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(self.n), self.d))
 
 
 def _normalize_projective(c: np.ndarray) -> np.ndarray:
@@ -100,15 +68,8 @@ def _minors(bases: np.ndarray) -> np.ndarray:
     return np.linalg.det(bases[:, rows, :])
 
 
-def plucker(s: Subspace) -> PluckerPoint:
-    """Wedge coordinates of a subspace: all d x d minors of its basis."""
-    if s.d < 1:
-        raise InvalidInput("zero-dimensional subspace has no projective wedge")
-    return PluckerPoint(n=s.ambient_dim, d=s.d, coords=_minors(s.basis[None])[0])
-
-
 def plucker_coords(bases: np.ndarray) -> np.ndarray:
-    """Wedge coordinates of a (T, n, d) stack of bases: row t is plucker(basis t).coords."""
+    """Wedge coordinates of a (T, n, d) stack of bases: all d x d minors, normalized by _normalize_projective."""
     if bases.shape[2] < 1:
         raise InvalidInput("zero-dimensional subspace has no projective wedge")
     return _normalize_projective(_minors(bases))
@@ -155,7 +116,10 @@ def _relation_table(n: int, d: int) -> _Relations:
 
 
 def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
-    """Largest |relation| per row of a (T, C) coordinate stack, terms summed in position order."""
+    """Largest |relation| (see _relation_table) per row of a (T, C) coordinate stack, terms summed in position order.
+
+    Every relation vanishes on the wedge coordinates of a subspace.
+    """
     t, c = coords.shape
     if table.left.size == 0:
         return np.zeros(t)
@@ -169,21 +133,6 @@ def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
     return np.hypot(acc_re, acc_im).max(axis=1)
 
 
-def check_plucker_relations(p: PluckerPoint) -> bool:
-    """True iff all three-term quadratic wedge relations vanish to within 1e-9.
-
-    For every (d-1)-subset S and (d+1)-subset T of {0..n-1}:
-        sum_l (-1)^l p_{S + T[l]} * p_{T - T[l]} = 0
-    Dimension-one points have no relations and always pass.
-    """
-    return plucker_residual(p) < 1e-9
-
-
-def plucker_residual(p: PluckerPoint) -> float:
-    """Largest absolute value among all three-term wedge relations."""
-    return float(_residuals(_relation_table(p.n, p.d), p.coords[None])[0])
-
-
 def _block_counts(samples: int, per_sample: int) -> Iterator[int]:
     """Sizes of the successive blocks of a probe whose samples take per_sample array entries each."""
     if samples < 1:
@@ -195,8 +144,9 @@ def _block_counts(samples: int, per_sample: int) -> Iterator[int]:
 def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Wedge-relation residual of each of `samples` Haar-random d-dimensional subspaces of C^n.
 
-    Sample t is plucker_residual(plucker(haar_subspace(n, d, rng))) of the
-    t-th successive draw; the samples are drawn and checked in stacked blocks.
+    Sample t is the largest relation residual (_residuals) of the wedge
+    coordinates of the t-th successive haar_subspace(n, d, rng) draw; the
+    samples are drawn and checked in stacked blocks.
     """
     table = _relation_table(n, d)  # an oversized shape fails here, before any draw
     counts = _block_counts(samples, max(table.left.size, comb(n, d) * d * d))
@@ -208,50 +158,25 @@ def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
     return intersect_stack(intersect_stack(a, b), c).shape[2]
 
 
-def triple_intersection_dim(v1: Subspace, v2: Subspace, v3: Subspace) -> int:
-    """dim(V1 & V2 & V3) via iterated intersection."""
-    if not (v1.ambient_dim == v2.ambient_dim == v3.ambient_dim):
-        raise DimensionMismatch("ambient dimensions differ")
-    return _triple_dim(v1.basis[None], v2.basis[None], v3.basis[None])
-
-
 def _perp_lines(planes: np.ndarray) -> np.ndarray:
     """Unit, phase-normalized perp lines of a (T, 3, 2) stack of plane bases: (T, 3)."""
     _, _, vh = np.linalg.svd(planes.conj().swapaxes(1, 2))
     return _normalize_projective(vh[:, -1].conj())
 
 
-def _check_plane(v: Subspace) -> None:
-    if v.ambient_dim != 3 or v.d != 2:
-        raise InvalidInput("expected a 2-dimensional subspace of C^3")
-
-
-def perp_line(v: Subspace) -> np.ndarray:
-    """Unit, phase-normalized vector spanning the orthogonal complement of a plane in C^3."""
-    _check_plane(v)
-    return _perp_lines(v.basis[None])[0]
-
-
 def _perp_det(planes: np.ndarray) -> np.ndarray:
-    """det of the perp-line columns of each sample of a (T, 3, 3, 2) stack of plane triples."""
+    """det of the perp-line columns of each sample of a (T, 3, 3, 2) stack of plane triples.
+
+    It is zero (below DET_ZERO_THRESHOLD) exactly when the three planes share
+    a common line, i.e. the triple intersection is nonzero.
+    """
     t = planes.shape[0]
     lines = _perp_lines(planes.reshape(3 * t, 3, 2)).reshape(t, 3, 3)
     return np.linalg.det(lines.swapaxes(1, 2))
 
 
-def determinantal_test(v1: Subspace, v2: Subspace, v3: Subspace) -> complex:
-    """Determinant of the perp-line coordinates of three planes in C^3.
-
-    Zero (below DET_ZERO_THRESHOLD) exactly when the three planes share a
-    common line, i.e. the triple intersection is nonzero.
-    """
-    for v in (v1, v2, v3):
-        _check_plane(v)
-    return complex(_perp_det(np.stack([v1.basis, v2.basis, v3.basis])[None])[0])
-
-
 def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|determinantal_test| and triple_intersection_dim of each triple of a (T, 3, 3, 2) stack.
+    """|_perp_det| and the triple-intersection dim (_triple_dim) of each triple of a (T, 3, 3, 2) stack.
 
     A block whose triples disagree on a rank of the iterated intersection
     splits by that rank (split_by_rank).
@@ -282,37 +207,25 @@ _VANDER = np.vander(_NODES, 4)  # columns t^3, t^2, t, 1
 
 
 def _line_coeffs(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """line_determinant of each pair of a (T, 3, 3) anchor and direction stack: (T, 4)."""
+    """Coefficients (highest power first) of the cubic det(A_t + x B_t) in x, per sample of (T, 3, 3) stacks: (T, 4).
+
+    Evaluated at four nodes and solved for with one Vandermonde system.
+    """
     vals = np.linalg.det(anchors[:, None] + _NODES[:, None, None] * directions[:, None])
     return np.linalg.solve(_VANDER, vals[..., None])[..., 0]
 
 
-def line_determinant(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Coefficients (highest power first) of det([a_i + t b_i]) as a polynomial in t.
+def _poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Roots of coeffs, and whether it is identically zero: every coefficient below 1e-10.
 
-    anchors and directions are 3x3 matrices whose columns are the perp-line
-    coordinates of the three planes and their per-column drift.  The
-    determinant is a polynomial of degree <= 3 in t; coefficients are
-    recovered exactly by evaluating at four nodes and solving a Vandermonde
-    system.
+    A coefficient at most 1e-10 times the largest counts as zero; a constant
+    has no roots.
     """
-    anchors = np.asarray(anchors, dtype=np.complex128)
-    directions = np.asarray(directions, dtype=np.complex128)
-    if anchors.shape != (3, 3) or directions.shape != (3, 3):
-        raise InvalidInput("expected 3x3 anchor and direction matrices")
-    return _line_coeffs(anchors[None], directions[None])[0]
-
-
-def _poly_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of coeffs; a coefficient at most 1e-10 times the largest is zero, and all are when it is below 1e-10."""
     mags = np.abs(coeffs)
     peak = mags.max()
-    if peak == 0 or peak < 1e-10:
-        return np.array([])  # identically zero
-    trimmed = np.trim_zeros(np.where(mags > 1e-10 * peak, coeffs, 0), "f")
-    if trimmed.size <= 1:
-        return np.array([])  # nonzero constant
-    return np.roots(trimmed)
+    if peak < 1e-10:
+        return np.array([]), True
+    return np.roots(np.trim_zeros(np.where(mags > 1e-10 * peak, coeffs, 0), "f")), False
 
 
 @dataclass(frozen=True)
@@ -346,9 +259,9 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     for t in _block_counts(samples, 4 * 3 * 3):
         raw = rng.standard_normal((t, 4, 3, 3))
         for coeffs in _line_coeffs(raw[:, 0] + 1j * raw[:, 1], raw[:, 2] + 1j * raw[:, 3]):
-            roots = _poly_roots(coeffs)
+            roots, zero = _poly_roots(coeffs)
             counts.append(len(roots))
-            zeros.append(bool(np.max(np.abs(coeffs)) < 1e-10))
+            zeros.append(zero)
             residuals.append(float(max(abs(np.polyval(coeffs, r)) for r in roots)) if len(roots) else 0.0)
     return LineProbeReport(
         samples=samples, root_counts=counts, identically_zero=zeros, residuals=residuals

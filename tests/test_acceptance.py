@@ -39,12 +39,11 @@ from relay_align.relaysim import (
 from relay_align.subspace import orthonormal_basis
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
-    check_plucker_relations,
+    _determinant_block,
+    _relation_table,
+    _residuals,
     codim_line_probe,
-    determinantal_test,
-    plucker,
-    plucker_residual,
-    triple_intersection_dim,
+    plucker_coords,
 )
 
 E3 = np.eye(3, dtype=complex)
@@ -298,23 +297,16 @@ def test_criterion_8_variety_probes():
         [shared, plane_through(shared.basis[:, :1]), plane_through(shared.basis[:, :1])],
         [plane_through(line.basis), plane_through(line.basis), shared],
     ]
-    agree = 0
-    for vs in triples + degenerate:
-        det_zero = abs(determinantal_test(*vs)) < DET_ZERO_THRESHOLD
-        agree += det_zero == (triple_intersection_dim(*vs) > 0)
+    dets, dims = _determinant_block(np.array([[v.basis for v in vs] for vs in triples + degenerate]))
+    agree = int(np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)))
 
-    worst_residual = 0.0
-    for vs in triples[:30]:
-        for v in vs:
-            p = plucker(v)
-            worst_residual = max(worst_residual, plucker_residual(p))
-            assert check_plucker_relations(p)
+    planes = np.array([v.basis for vs in triples[:30] for v in vs])
+    residuals = list(_residuals(_relation_table(3, 2), plucker_coords(planes)))
     for _ in range(30):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, n + 1))
-        p = plucker(haar_subspace(n, d, rng))
-        worst_residual = max(worst_residual, plucker_residual(p))
-        assert check_plucker_relations(p)
+        residuals.append(_residuals(_relation_table(n, d), plucker_coords(haar_subspace(n, d, rng).basis[None]))[0])
+    worst_residual = max(residuals)
 
     probe = codim_line_probe(rng, 20)
     lines_ok = probe.all_lines_hit and all(c >= 1 for c in probe.root_counts)

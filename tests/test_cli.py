@@ -131,6 +131,15 @@ class TestConstructAndVerify:
         path.write_text('{"schema_version": 1, "K": 3')
         assert run("verify", str(path)) == 1
 
+    @pytest.mark.parametrize("scale, rc", [(2.0, 1), (1 + 1e-9, 1), (1 + 1e-12, 0)])
+    def test_verify_pair_basis_orthonormality(self, tmp_path, scale, rc):
+        # pair bases must pass the subspace rule: finite, Gram matrix within 1e-10 of the identity
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["1-2"] = [[[re * scale, im] for re, im in row] for row in doc["pair_bases"]["1-2"]]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == rc
+
     def test_pairwise_construct(self, tmp_path):
         dij = tmp_path / "dij.json"
         dij.write_text(json.dumps({"1-2": 1, "3-4": 1}))
@@ -183,6 +192,49 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         assert run("verify", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_PAIR_KEYS = ["01-2", "2-1", "1-1", "1-4", "a-b"]  # at K = 3
+
+
+class TestPairKeys:
+    """Each pair has one key, "i-j" with 1 <= i < j <= K, in strategy files and --dij tables alike."""
+
+    @pytest.mark.parametrize("key", BAD_PAIR_KEYS)
+    def test_strategy_file_rejects_key(self, tmp_path, capsys, key):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"][key] = doc["pair_bases"].pop("1-2")
+        with pytest.raises(InvalidInput, match=repr(key)):
+            strategy_from_dict(doc)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    def test_strategy_file_alias_is_not_merged(self, tmp_path, capsys):
+        # "01-2" once replaced the basis of "1-2": here it carries B_13, so a merge would drop a basis
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["01-2"] = doc["pair_bases"]["1-3"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 1
+        assert "'01-2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", BAD_PAIR_KEYS)
+    def test_pairwise_table_rejects_key(self, tmp_path, capsys, key):
+        dij = tmp_path / "dij.json"
+        dij.write_text(json.dumps({key: 1, "1-3": 1, "2-3": 1}))
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and repr(key) in err
+
+    def test_pairwise_table_alias_is_not_merged(self, tmp_path, capsys):
+        # "2-1" once overrode "1-2", and the table failed its row sums (exit 2) on d_12 = 5
+        dij = tmp_path / "dij.json"
+        dij.write_text(json.dumps({"1-2": 1, "2-1": 5, "1-3": 1, "2-3": 1}))
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 1
+        assert "usage error: " in capsys.readouterr().err
 
 
 class TestGenericity:

@@ -54,6 +54,28 @@ class TestFeasibleTuple:
             StrategySpec(3, 3, (2, 2))
 
 
+    @pytest.mark.parametrize(
+        "k, n, d, pairwise",
+        [
+            (3, 3, (2.9, 2, 2), None),
+            (3, 3, (2, 2, 2), {(0, 1): 1.7, (0, 2): 1, (1, 2): 1}),
+            (3.0, 3, (2, 2, 2), None),
+            (3, True, (2, 2, 2), None),
+            (3, 3, (2, True, 2), None),
+        ],
+        ids=["float-d", "float-pairwise", "float-K", "bool-N", "bool-d"],
+    )
+    def test_non_integers_rejected(self, k, n, d, pairwise):
+        with pytest.raises(InvalidInput, match="must be integers"):
+            StrategySpec(k, n, d, pairwise=pairwise)
+
+    def test_numpy_integers_accepted(self):
+        table = {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+        spec = StrategySpec(np.int64(3), np.int32(3), tuple(np.full(3, 2)), pairwise={**table, (0, 1): np.int64(1)})
+        assert spec == StrategySpec(3, 3, (2, 2, 2), pairwise=table)
+        assert all(type(x) is int for x in (spec.K, spec.N, *spec.d, *spec.pairwise.values()))
+
+
 class TestConstructStrategy:
     def test_three_user_plane_strategy(self):
         s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))

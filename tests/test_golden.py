@@ -34,6 +34,12 @@ CASES = {
     "feasible-bound": (2, ["feasible", "-K", "2", "-N", "3", "-d", "4,2", "--seed", "0"]),
     "construct": (0, ["construct", "-K", "4", "-N", "5", "-d", "5,3,1,1", "--seed", "0"]),
     "verify": (0, ["verify", str(GOLDEN / "construct.out"), "--seed", "0"]),
+    # a Haar-random strategy with two zero-width pairs, from the pairwise table construct-dij.json
+    "construct-dij": (
+        0,
+        ["construct", "-K", "4", "-N", "5", "-d", "2,3,3,2", "--dij", str(GOLDEN / "construct-dij.json"), "--seed", "0"],
+    ),
+    "verify-dij": (0, ["verify", str(GOLDEN / "construct-dij.out"), "--seed", "0"]),
     "genericity": (0, ["genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "50", "--seed", "1"]),
     "variety": (0, ["variety", "--samples", "20", "--lines", "10", "--seed", "4"]),
     "variety-n6d3": (0, ["variety", "-N", "6", "-d", "3", "--samples", "20", "--lines", "5", "--seed", "4"]),

@@ -1,0 +1,17 @@
+"""README's python examples run as written, in order, in one namespace.
+
+A public name that README uses and the package no longer has fails here.
+"""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

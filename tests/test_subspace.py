@@ -5,7 +5,7 @@ from relay_align.errors import DimensionMismatch, InvalidInput
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
     Subspace,
-    intersect,
+    intersect_stack,
     orthonormal_basis,
     project_onto_perp,
     rank_threshold,
@@ -19,12 +19,13 @@ def span(*cols):
     return orthonormal_basis(np.column_stack(cols))
 
 
-def projector(s):
-    return s.basis @ s.basis.conj().T
+def projector(b):
+    """Orthogonal projector onto the span of an orthonormal basis."""
+    return b @ b.conj().T
 
 
 def same_span(a, b):
-    return np.linalg.norm(projector(a) - projector(b)) < 1e-9
+    return np.linalg.norm(projector(a.basis) - projector(b.basis)) < 1e-9
 
 
 def span_of_parts(parts):
@@ -40,7 +41,7 @@ class TestOrthonormalBasis:
     def test_identity(self):
         s = orthonormal_basis(E3)
         assert s.d == 3
-        assert np.allclose(projector(s), np.eye(3))
+        assert np.allclose(projector(s.basis), np.eye(3))
 
     def test_rank_deficient_columns(self):
         s = orthonormal_basis(np.column_stack([E3[:, 0], 2 * E3[:, 0]]))
@@ -55,7 +56,7 @@ class TestOrthonormalBasis:
         sv = np.linalg.svd(a, compute_uv=False)
         expected = int(np.sum(sv > rank_threshold(a.shape, sv[0])))
         assert s.d == expected == 2
-        p = projector(s)
+        p = projector(s.basis)
         assert np.linalg.norm(p @ p - p) < 1e-9
 
     @pytest.mark.parametrize("sigma_max, floor_rules", [(1.0, True), (1e3, False)], ids=["floor", "relative"])
@@ -84,15 +85,15 @@ class TestOrthonormalBasis:
 
 class TestIntersect:
     def test_idempotence(self):
-        a = span(E3[:, 0], E3[:, 1])
-        assert same_span(intersect(a, a), a)
+        a = span(E3[:, 0], E3[:, 1]).basis
+        assert np.linalg.norm(projector(intersect_stack(a[None], a[None])[0]) - projector(a)) < 1e-9
 
     def test_adjacent_coordinate_planes(self):
         a = span(E3[:, 0], E3[:, 1])
         b = span(E3[:, 1], E3[:, 2])
-        got = intersect(a, b)
-        assert got.d == 1
-        assert same_span(got, span(E3[:, 1]))
+        got = intersect_stack(a.basis[None], b.basis[None])[0]
+        assert got.shape[1] == 1
+        assert np.linalg.norm(projector(got) - projector(E3[:, [1]])) < 1e-9
 
     def test_generic_planes_in_c4_disjoint(self):
         rng = np.random.default_rng(3)
@@ -100,28 +101,28 @@ class TestIntersect:
         b = random_subspace(4, 2, rng)
         # oracle: stacked bases have full rank 4, so the intersection is trivial
         assert np.linalg.matrix_rank(np.hstack([a.basis, b.basis])) == 4
-        assert intersect(a, b).d == 0
+        assert intersect_stack(a.basis[None], b.basis[None]).shape[2] == 0
 
     def test_generic_planes_in_c3_meet_in_line(self):
         rng = np.random.default_rng(4)
         a = random_subspace(3, 2, rng)
         b = random_subspace(3, 2, rng)
-        assert intersect(a, b).d == 1  # e = 2d - N = 1
+        assert intersect_stack(a.basis[None], b.basis[None]).shape[2] == 1  # e = 2d - N = 1
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            intersect(span(E3[:, 0]), orthonormal_basis(E4))
+            intersect_stack(span(E3[:, 0]).basis[None], orthonormal_basis(E4).basis[None])
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a = random_subspace(4, 2, rng)
-            b = random_subspace(4, 3, rng)
-            ab, ba = intersect(a, b), intersect(b, a)
+            a = random_subspace(4, 2, rng).basis[None]
+            b = random_subspace(4, 3, rng).basis[None]
+            ab, ba = intersect_stack(a, b)[0], intersect_stack(b, a)[0]
             assert np.linalg.norm(projector(ab) - projector(ba)) < 1e-9
 
     def test_zero_dimensional_operand(self):
-        assert intersect(Subspace.zero(3), span(E3[:, 0])).d == 0
+        assert intersect_stack(Subspace.zero(3).basis[None], span(E3[:, 0]).basis[None]).shape[2] == 0
 
 
 class TestSumAndDirectSum:
@@ -194,7 +195,7 @@ class TestGrassmannIdentities:
             da = int(rng.integers(0, n + 1))
             db = int(rng.integers(0, n + 1))
             a, b = random_subspace(n, da, rng), random_subspace(n, db, rng)
-            lhs = span_of_parts([a, b]).d + intersect(a, b).d
+            lhs = span_of_parts([a, b]).d + intersect_stack(a.basis[None], b.basis[None]).shape[2]
             assert lhs == a.d + b.d
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (6, 4), (5, 3)])
@@ -202,7 +203,8 @@ class TestGrassmannIdentities:
         rng = np.random.default_rng(100 + n + d)
         expected = max(0, 2 * d - n)
         hits = sum(
-            intersect(random_subspace(n, d, rng), random_subspace(n, d, rng)).d == expected
+            intersect_stack(random_subspace(n, d, rng).basis[None], random_subspace(n, d, rng).basis[None]).shape[2]
+            == expected
             for _ in range(100)
         )
         assert hits >= 99

@@ -7,24 +7,22 @@ import pytest
 from relay_align import variety
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import haar_stack, haar_subspace
-from relay_align.subspace import RaggedRank, Subspace, intersect, orthonormal_basis
+from relay_align.subspace import RaggedRank, Subspace, orthonormal_basis
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
-    PluckerPoint,
     _determinant_block,
+    _line_coeffs,
+    _normalize_projective,
+    _perp_det,
+    _perp_lines,
     _poly_roots,
+    _relation_table,
+    _residuals,
     _triple_dim,
-    check_plucker_relations,
     codim_line_probe,
     determinant_probe,
-    determinantal_test,
-    line_determinant,
-    perp_line,
-    plucker,
     plucker_coords,
     plucker_probe,
-    plucker_residual,
-    triple_intersection_dim,
 )
 
 E3 = np.eye(3, dtype=complex)
@@ -36,14 +34,14 @@ def plane(cols):
 
 class TestPlucker:
     def test_coordinate_plane(self):
-        p = plucker(plane([0, 1]))
-        assert np.allclose(p.coords, [1, 0, 0])
+        coords = plucker_coords(plane([0, 1]).basis[None])[0]
+        assert np.allclose(coords, [1, 0, 0])
 
     def test_hand_computed_minors(self):
         # span{e1+e2, e3}: the three 2x2 minors are (0, a, a) for a common scale a
         s = orthonormal_basis(np.array([[1, 0], [1, 0], [0, 1]], dtype=complex))
-        p = plucker(s)
-        assert np.allclose(p.coords, np.array([0, 1, 1]) / np.sqrt(2))
+        coords = plucker_coords(s.basis[None])[0]
+        assert np.allclose(coords, np.array([0, 1, 1]) / np.sqrt(2))
 
     def test_basis_change_invariance(self):
         rng = np.random.default_rng(42)
@@ -54,11 +52,12 @@ class TestPlucker:
             # re-span through a random invertible mix; minors scale by one determinant
             mix = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             remixed = orthonormal_basis(s.basis @ mix)
-            assert np.linalg.norm(plucker(s).coords - plucker(remixed).coords) < 1e-9
+            coords = plucker_coords(np.stack([s.basis, remixed.basis]))
+            assert np.linalg.norm(coords[0] - coords[1]) < 1e-9
 
     def test_zero_dimensional_rejected(self):
         with pytest.raises(InvalidInput):
-            plucker(Subspace.zero(3))
+            plucker_coords(Subspace.zero(3).basis[None])
 
 
 class TestPluckerRelations:
@@ -67,69 +66,55 @@ class TestPluckerRelations:
         for _ in range(50):
             n = int(rng.integers(2, 7))
             d = int(rng.integers(1, n + 1))
-            p = plucker(haar_subspace(n, d, rng))
-            assert check_plucker_relations(p)
-            assert plucker_residual(p) < 1e-9
+            coords = plucker_coords(haar_stack(n, d, 1, rng))
+            assert _residuals(_relation_table(n, d), coords)[0] < 1e-9
 
     def test_non_decomposable_point_fails(self):
         # p12 = p34 = 1: the single G(2,4) relation p12 p34 - p13 p24 + p14 p23 = 1
-        p = PluckerPoint(4, 2, np.array([1, 0, 0, 0, 0, 1], dtype=complex))
-        assert not check_plucker_relations(p)
-
-    @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    def test_nonfinite_coordinates_rejected(self, bad):
-        with pytest.raises(InvalidInput, match="finite"):
-            PluckerPoint(4, 2, np.array([bad, 0, 0, 0, 0, 1], dtype=complex))
+        coords = _normalize_projective(np.array([[1, 0, 0, 0, 0, 1]], dtype=complex))
+        assert not _residuals(_relation_table(4, 2), coords)[0] < 1e-9
 
     def test_lines_have_no_relations(self):
         rng = np.random.default_rng(2)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        p = PluckerPoint(5, 1, v)
-        assert check_plucker_relations(p)
+        assert _residuals(_relation_table(5, 1), _normalize_projective(v[None]))[0] < 1e-9
 
 
 class TestTripleIntersection:
     def test_three_plane_example(self):
-        assert triple_intersection_dim(plane([0, 1]), plane([1, 2]), plane([0, 2])) == 0
+        planes = (plane([0, 1]), plane([1, 2]), plane([0, 2]))
+        assert _triple_dim(*(v.basis[None] for v in planes)) == 0
 
     def test_equal_triple(self):
-        s = plane([0, 1])
-        assert triple_intersection_dim(s, s, s) == 2
+        s = plane([0, 1]).basis[None]
+        assert _triple_dim(s, s, s) == 2
 
     @pytest.mark.parametrize("n", [3, 6, 9])
     def test_generic_two_thirds_planes(self, n):
         rng = np.random.default_rng(300 + n)
         d = 2 * n // 3
         for _ in range(20):
-            vs = [haar_subspace(n, d, rng) for _ in range(3)]
-            assert triple_intersection_dim(*vs) == 0
+            assert _triple_dim(*haar_stack(n, d, 3, rng)[:, None]) == 0
 
 
 class TestDeterminantalTest:
     def test_coordinate_planes(self):
-        det = determinantal_test(plane([0, 1]), plane([1, 2]), plane([0, 2]))
+        planes = np.stack([plane([0, 1]).basis, plane([1, 2]).basis, plane([0, 2]).basis])
+        det = _perp_det(planes[None])[0]
         assert abs(abs(det) - 1) < 1e-12  # perp lines are e3, e1, e2
 
     def test_degenerate_equal_planes(self):
-        s = plane([0, 1])
-        assert abs(determinantal_test(s, s, s)) < DET_ZERO_THRESHOLD
-        assert triple_intersection_dim(s, s, s) == 2
+        s = plane([0, 1]).basis
+        dets, dims = _determinant_block(np.stack([s, s, s])[None])
+        assert dets[0] < DET_ZERO_THRESHOLD
+        assert dims[0] == 2
 
     def test_agreement_with_rank_test(self):
-        rng = np.random.default_rng(9)
-        agree = 0
-        for _ in range(100):
-            vs = [haar_subspace(3, 2, rng) for _ in range(3)]
-            det_zero = abs(determinantal_test(*vs)) < DET_ZERO_THRESHOLD
-            agree += det_zero == (triple_intersection_dim(*vs) > 0)
-        assert agree == 100
-
-    def test_shape_guard(self):
-        with pytest.raises(InvalidInput):
-            determinantal_test(plane([0]), plane([1]), plane([2]))
+        dets, dims = determinant_probe(100, np.random.default_rng(9))
+        assert np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)) == 100
 
     def test_perp_line_of_coordinate_plane(self):
-        w = perp_line(plane([0, 1]))
+        w = _perp_lines(plane([0, 1]).basis[None])[0]
         assert np.allclose(np.abs(w), [0, 0, 1])
 
 
@@ -148,14 +133,18 @@ class TestLineProbe:
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         anchors = np.column_stack([a, a, a])
         directions = np.column_stack([b, b, b])
-        coeffs = line_determinant(anchors, directions)
+        coeffs = _line_coeffs(anchors[None], directions[None])[0]
         assert np.max(np.abs(coeffs)) < 1e-10
+        roots, zero = _poly_roots(coeffs)
+        assert zero and len(roots) == 0
 
     def test_constant_line_with_feasible_triple(self):
         anchors = np.eye(3, dtype=complex)  # perp lines e1, e2, e3: det = 1
         directions = np.zeros((3, 3), dtype=complex)
-        coeffs = line_determinant(anchors, directions)
+        coeffs = _line_coeffs(anchors[None], directions[None])[0]
         assert np.allclose(coeffs, [0, 0, 0, 1])
+        roots, zero = _poly_roots(coeffs)
+        assert not zero and len(roots) == 0
 
 
 # Reference copies of the per-sample probes the stacked kernels replaced.  The
@@ -170,10 +159,10 @@ def reference_normalize(c):
     return c / (c[first] / abs(c[first]))
 
 
-def reference_residual(p):
-    if p.d <= 1:
+def reference_residual(n, d, coords):
+    if d <= 1:
         return 0.0
-    lookup = dict(zip(p.index_sets(), p.coords))
+    lookup = dict(zip(itertools.combinations(range(n), d), coords))
 
     def signed(indices):
         if len(set(indices)) != len(indices):
@@ -182,8 +171,8 @@ def reference_residual(p):
         return (-1) ** inversions * lookup[tuple(sorted(indices))]
 
     worst = 0.0
-    for s_idx in itertools.combinations(range(p.n), p.d - 1):
-        for t_idx in itertools.combinations(range(p.n), p.d + 1):
+    for s_idx in itertools.combinations(range(n), d - 1):
+        for t_idx in itertools.combinations(range(n), d + 1):
             acc = 0.0
             for pos, l in enumerate(t_idx):
                 acc += (-1) ** pos * signed(s_idx + (l,)) * signed(tuple(x for x in t_idx if x != l))
@@ -213,26 +202,27 @@ class TestStackedEquivalence:
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_residual_matches_triple_loop(self, n, d):
         rng = np.random.default_rng(1000 + 10 * n + d)
-        points = [plucker(haar_subspace(n, d, rng)) for _ in range(4)]
+        wedges = plucker_coords(haar_stack(n, d, 4, rng))
         raw = rng.standard_normal(comb(n, d)) + 1j * rng.standard_normal(comb(n, d))
-        points.append(PluckerPoint(n, d, raw))  # generic coordinates: no wedge for 2 <= d <= n - 2
         ends = np.zeros(comb(n, d), dtype=complex)
         ends[[0, -1]] = 1
-        points.append(PluckerPoint(n, d, ends))  # e_{0..d-1} + e_{n-d..n-1}
-        for p in points:
-            assert same_bits(plucker_residual(p), reference_residual(p))
+        # generic coordinates, with no wedge for 2 <= d <= n - 2, and e_{0..d-1} + e_{n-d..n-1}
+        points = np.concatenate([wedges, _normalize_projective(np.stack([raw, ends]))])
+        residuals = _residuals(_relation_table(n, d), points)
+        for p, residual in zip(points, residuals):
+            assert same_bits(residual, reference_residual(n, d, p))
         if d <= n - 2:
-            assert plucker_residual(points[-2]) > 1e-3
-            assert plucker_residual(points[-1]) > 1e-3
+            assert residuals[-2] > 1e-3
+            assert residuals[-1] > 1e-3
 
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_wedge_coordinates_match_per_minor(self, n, d):
         rng = np.random.default_rng(2000 + 10 * n + d)
         s = haar_subspace(n, d, rng)
         minors = [np.linalg.det(s.basis[list(r), :]) for r in itertools.combinations(range(n), d)]
-        assert same_bits(plucker(s).coords, reference_normalize(np.array(minors)))
+        assert same_bits(plucker_coords(s.basis[None])[0], reference_normalize(np.array(minors)))
         stack = np.stack([haar_subspace(n, d, rng).basis for _ in range(5)])
-        assert same_bits(plucker_coords(stack), np.stack([plucker(Subspace(n, b)).coords for b in stack]))
+        assert same_bits(plucker_coords(stack), np.stack([plucker_coords(b[None])[0] for b in stack]))
 
     @pytest.mark.parametrize("n, d", [(1, 1), (3, 0), (3, 2), (6, 3), (7, 7)])
     def test_haar_stack_matches_successive_draws(self, n, d):
@@ -252,7 +242,7 @@ class TestStackedEquivalence:
     def test_plucker_probe_matches_per_sample(self, block_terms):
         probe_rng, single_rng = np.random.default_rng(3), np.random.default_rng(3)
         residuals = plucker_probe(6, 3, 9, probe_rng)
-        expected = [reference_residual(plucker(haar_subspace(6, 3, single_rng))) for _ in range(9)]
+        expected = [reference_residual(6, 3, plucker_coords(haar_stack(6, 3, 1, single_rng))[0]) for _ in range(9)]
         assert same_bits(residuals, np.array(expected))
         assert probe_rng.standard_normal() == single_rng.standard_normal()
 
@@ -263,8 +253,8 @@ class TestStackedEquivalence:
             anchors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             directions = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             coeffs = reference_line_determinant(anchors, directions)
-            assert same_bits(line_determinant(anchors, directions), coeffs)
-            roots = _poly_roots(coeffs)
+            assert same_bits(_line_coeffs(anchors[None], directions[None])[0], coeffs)
+            roots, _ = _poly_roots(coeffs)
             assert report.root_counts[t] == len(roots)
             assert report.identically_zero[t] == bool(np.max(np.abs(coeffs)) < 1e-10)
             assert report.residuals[t] == max((abs(np.polyval(coeffs, r)) for r in roots), default=0.0)
@@ -276,9 +266,9 @@ class TestStackedEquivalence:
             planes = [haar_subspace(3, 2, rng) for _ in range(3)]
             lines = [reference_normalize(np.linalg.svd(v.basis.conj().T)[2][-1].conj()) for v in planes]
             det = complex(np.linalg.det(np.column_stack(lines)))
-            assert same_bits(determinantal_test(*planes), det)
+            assert same_bits(_perp_det(np.stack([v.basis for v in planes])[None])[0], det)
             assert same_bits(dets[t], abs(det))
-            assert dims[t] == triple_intersection_dim(*planes) == intersect(intersect(*planes[:2]), planes[2]).d
+            assert dims[t] == _triple_dim(*(v.basis[None] for v in planes))
 
     def test_ragged_block_falls_back_per_sample(self):
         rng = np.random.default_rng(8)
