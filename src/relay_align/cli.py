@@ -27,7 +27,9 @@ from .errors import (
     RelayAlignError,
 )
 from .feasibility import StrategySpec
-from .serialization import atomic_write, dump_strategy, load_strategy, parse_pair_key, strategy_to_dict
+from .serialization import (
+    atomic_write, dump_strategy, load_strategy, parse_pair_key, read_json_object, strategy_to_dict
+)
 
 SEED_ENV_VAR = "RELAY_ALIGN_SEED"
 
@@ -71,24 +73,12 @@ def _spec_from_args(args) -> StrategySpec:
         raise UsageError(str(exc))
 
 
-def _read_json_object(path: str, flag: str) -> dict:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"{flag} file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict):
-        raise UsageError(f"{flag} file {path} must hold a JSON object")
-    return doc
-
-
 def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
-    raw = _read_json_object(path, "--dij")
     try:
-        pw = {parse_pair_key(key, spec.K): val for key, val in raw.items()}
+        pw = {parse_pair_key(key, spec.K): val for key, val in read_json_object(path).items()}
         return StrategySpec(K=spec.K, N=spec.N, d=spec.d, pairwise=pw)
     except InvalidInput as exc:
-        raise UsageError(f"bad pairwise table in {path}: {exc}")
+        raise UsageError(f"--dij: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -181,7 +171,10 @@ _CFG_TYPES = {"K": int, "N": int, "d": str, "constellation": str, "noise_grid": 
 
 def cmd_simulate(args) -> int:
     if args.config:
-        cfg = _read_json_object(args.config, "--config")
+        try:
+            cfg = read_json_object(args.config)
+        except InvalidInput as exc:
+            raise UsageError(f"--config: {exc}")
         for key in _CFG_TYPES:
             if key in cfg and getattr(args, key) is None:
                 setattr(args, key, _cfg_value(key, cfg[key]))
@@ -195,9 +188,6 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     if args.trials is None or args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if not feasibility.is_feasible_tuple(spec):
-        sys.stderr.write(f"infeasible tuple (K={spec.K}, N={spec.N}, d={spec.d})\n")
-        return 2
     constellation = _parse_constellation(args.constellation)
     grid = _parse_grid(args.noise_grid)
     reports = relaysim.run_monte_carlo(spec, constellation, grid, args.trials, seed)

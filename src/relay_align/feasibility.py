@@ -24,6 +24,7 @@ from .errors import (
 from .subspace import (
     Subspace,
     _check_orthonormal,
+    _triple_dim,
     contains_stack,
     intersect_stack,
     orthonormal_basis,
@@ -88,13 +89,15 @@ class StrategySpec:
         if any(di < 0 for di in self.d):
             raise InvalidInput("per-user dimensions must be >= 0")
         if self.pairwise is not None:
-            pw = {tuple(sorted(p)): int(v) for p, v in self.pairwise.items()}
-            if any(not (0 <= i < j < self.K) for i, j in pw):
-                raise InconsistentPairwise("pairwise keys must be pairs of distinct user indices")
+            pairs = _pairs(self.K)
+            bad = [p for p in self.pairwise if p not in pairs]
+            if bad:
+                raise InconsistentPairwise(f"pairwise key {bad[0]!r} is not (i, j) with 0 <= i < j < K={self.K}")
+            pw = {tuple(p): int(v) for p, v in self.pairwise.items()}
             if any(v < 0 for v in pw.values()):
                 raise InconsistentPairwise("pairwise dimensions must be >= 0")
             for i in range(self.K):
-                row = sum(pw.get(tuple(sorted((i, j))), 0) for j in range(self.K) if j != i)
+                row = sum(pw.get((min(i, j), max(i, j)), 0) for j in range(self.K) if j != i)
                 if row != self.d[i]:
                     raise InconsistentPairwise(
                         f"pairwise row sum for user {i} is {row}, expected d_i={self.d[i]}"
@@ -125,55 +128,50 @@ def is_feasible_tuple(spec: StrategySpec) -> bool:
 class Strategy:
     """K subspaces plus explicit orthonormal bases B_ij of the intersections.
 
-    Each user's subspace basis is the concatenation of its pair bases in
-    ascending partner order; encoders and decoders rely on this convention.
+    __post_init__ fixes the layout once.  pair_bases holds every pair (i, j),
+    0 <= i < j < K, in _pairs order, an omitted pair as an N x 0 block, and
+    any other key raises InvalidInput.  user_bases[i] is user i's blocks B_ij,
+    partners ascending: the basis of V_i that encoders and decoders use.
+    slices[(i, j)] are the rows of user i's symbol vector that serve {i, j}.
     """
 
     spec: StrategySpec
     pair_bases: dict[Pair, np.ndarray]
+    user_bases: list[np.ndarray] = field(init=False, repr=False)
+    slices: dict[Pair, slice] = field(init=False, repr=False)
     subspaces: list[Subspace] = field(init=False, repr=False)
     _interference: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pb = {tuple(sorted(p)): np.asarray(b, dtype=np.complex128) for p, b in self.pair_bases.items()}
-        for p, b in pb.items():
-            if b.shape[0] != self.spec.N:
-                raise DimensionMismatch(f"pair basis {p} has {b.shape[0]} rows, N={self.spec.N}")
+        n, k = self.spec.N, self.spec.K
+        pairs = dict.fromkeys(_pairs(k))  # ordered, with fast membership
+        bad = [p for p in self.pair_bases if p not in pairs]
+        if bad:
+            raise InvalidInput(f"pair basis key {bad[0]!r} is not (i, j) with 0 <= i < j < K={k}")
+        pb = {}
+        for p in pairs:
+            b = pb[p] = np.asarray(self.pair_bases.get(p, np.zeros((n, 0))), dtype=np.complex128)
+            if b.ndim != 2 or b.shape[0] != n:
+                raise DimensionMismatch(f"pair basis {p} has shape {b.shape}, expected N={n} rows")
             try:
                 _check_orthonormal(b)
             except InvalidInput as exc:
                 raise InvalidInput(f"pair basis {p}: {exc}") from None
+        slices, user_bases = {}, []
+        for i in range(k):
+            partners = [j for j in range(k) if j != i]
+            blocks = [pb[min(i, j), max(i, j)] for j in partners]
+            ends = itertools.accumulate(b.shape[1] for b in blocks)
+            slices.update({(i, j): slice(e - b.shape[1], e) for j, b, e in zip(partners, blocks, ends)})
+            user_bases.append(np.hstack(blocks))
         object.__setattr__(self, "pair_bases", pb)
-        subs = [
-            orthonormal_basis(self.user_basis(i)) if self.user_basis(i).shape[1] else Subspace.zero(self.spec.N)
-            for i in range(self.spec.K)
-        ]
+        object.__setattr__(self, "user_bases", user_bases)
+        object.__setattr__(self, "slices", slices)
+        subs = [orthonormal_basis(b) if b.shape[1] else Subspace.zero(n) for b in user_bases]
         object.__setattr__(self, "subspaces", subs)
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
-
-    def partners(self, i: int) -> list[int]:
-        """Partners of user i in ascending order (zero-width pairs included)."""
-        return [j for j in range(self.spec.K) if j != i]
-
-    def pair_basis(self, i: int, j: int) -> np.ndarray:
-        return self.pair_bases.get(tuple(sorted((i, j))), np.zeros((self.spec.N, 0), dtype=np.complex128))
-
-    def user_basis(self, i: int) -> np.ndarray:
-        """Columns of V_i: pair bases B_ij concatenated over j != i ascending."""
-        blocks = [self.pair_basis(i, j) for j in self.partners(i)]
-        return np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
-
-    def block_slice(self, i: int, j: int) -> slice:
-        """Slice of user i's symbol vector that serves the pair {i, j}."""
-        off = 0
-        for p in self.partners(i):
-            w = self.pair_basis(i, p).shape[1]
-            if p == j:
-                return slice(off, off + w)
-            off += w
-        raise InvalidInput(f"{j} is not a partner of {i}")
 
     def interference_space(self, k: int) -> Subspace:
         """Direct sum of all pair intersections not involving user k.
@@ -181,7 +179,7 @@ class Strategy:
         It depends on the pair bases alone, so it is computed once per k.
         """
         if k not in self._interference:
-            blocks = [b for p, b in sorted(self.pair_bases.items()) if k not in p]
+            blocks = [b for p, b in self.pair_bases.items() if k not in p]
             cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
             space = orthonormal_basis(cols) if cols.shape[1] else Subspace.zero(self.spec.N)
             self._interference[k] = space
@@ -197,7 +195,7 @@ class VerificationReport:
     pair_dims: dict[Pair, int]
     per_user_ok: tuple[bool, ...]
     global_ok: bool
-    worst_triple_dim: int
+    worst_triple_dim: int  # scanned only when ok is False; 0 for an ok report
 
     def failed_conditions(self) -> list[str]:
         out = []
@@ -216,20 +214,18 @@ class _Verdicts(NamedTuple):
     pair_dims: np.ndarray  # (T, pairs), pairs in _pairs order
     per_user_ok: np.ndarray  # (T, K)
     global_ok: np.ndarray  # (T,)
-    worst_triple_dim: np.ndarray  # (T,); 0 when the triple scan is skipped
 
     @property
     def ok(self) -> np.ndarray:
         return self.per_user_ok.all(axis=1) & self.global_ok
 
 
-def _verify_stack(bases: list[np.ndarray], n: int, triples: bool) -> _Verdicts:
+def _verify_stack(bases: list[np.ndarray], n: int) -> _Verdicts:
     """The direct-sum conditions on T candidates at once.
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
     Every step is one stacked LAPACK call over the trials; raises RaggedRank
-    when they disagree on a rank.  The triple scan only feeds worst_triple_dim,
-    never ok.
+    when they disagree on a rank.
     """
     k, t = len(bases), bases[0].shape[0]
     inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
@@ -237,7 +233,7 @@ def _verify_stack(bases: list[np.ndarray], n: int, triples: bool) -> _Verdicts:
 
     per_user = np.zeros((t, k), dtype=bool)
     for i in range(k):
-        parts = [inter[tuple(sorted((i, j)))] for j in range(k) if j != i]
+        parts = [inter[min(i, j), max(i, j)] for j in range(k) if j != i]
         total = orthonormal_stack(np.concatenate(parts, axis=2))
         if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
             per_user[:, i] = contains_stack(bases[i], total)
@@ -245,40 +241,39 @@ def _verify_stack(bases: list[np.ndarray], n: int, triples: bool) -> _Verdicts:
     global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
 
-    worst_triple = 0
-    if triples:
-        for i, j, l in itertools.combinations(range(k), 3):
-            worst_triple = max(worst_triple, intersect_stack(inter[(i, j)], bases[l]).shape[2])
-
     return _Verdicts(
         pair_dims=np.tile(pair_dims, (t, 1)),
         per_user_ok=per_user,
         global_ok=np.full(t, global_ok),
-        worst_triple_dim=np.full(t, worst_triple),
     )
 
 
 def verify_strategy(cand: list[Subspace], n: int) -> VerificationReport:
     """Check the direct-sum conditions on a candidate list of subspaces.
 
-    Computes all pairwise intersections, all triple intersections, the
-    per-user decomposition V_i = (+)_{j != i} V_i & V_j, and the global
-    decomposition of C^N into all pairwise intersections: the T = 1 case of
-    the stacked verifier generic_feasibility_rate runs.
+    Computes all pairwise intersections, the per-user decomposition
+    V_i = (+)_{j != i} V_i & V_j, and the global decomposition of C^N into all
+    pairwise intersections: the T = 1 case of the stacked verifier
+    generic_feasibility_rate runs.  The triple scan runs only for a failing
+    candidate: with both decompositions, a vector of V_i & V_j & V_l, l not in
+    {i, j}, has two decompositions, so it is zero and an ok report gives 0.
     """
     k = len(cand)
     if k < 2:
         raise InvalidInput("need at least two subspaces")
     if any(s.ambient_dim != n for s in cand):
         raise DimensionMismatch("candidate ambient dimensions differ from N")
-    v = _verify_stack([s.basis[None] for s in cand], n, triples=True)  # one trial: no rank split
+    bases = [s.basis[None] for s in cand]
+    v = _verify_stack(bases, n)  # one trial: no rank split
+    ok = bool(v.ok[0])
+    triples = () if ok else itertools.combinations(bases, 3)
     return VerificationReport(
-        ok=bool(v.ok[0]),
+        ok=ok,
         dims=tuple(s.d for s in cand),
         pair_dims={p: int(w) for p, w in zip(_pairs(k), v.pair_dims[0])},
         per_user_ok=tuple(bool(x) for x in v.per_user_ok[0]),
         global_ok=bool(v.global_ok[0]),
-        worst_triple_dim=int(v.worst_triple_dim[0]),
+        worst_triple_dim=max((_triple_dim(*abc) for abc in triples), default=0),
     )
 
 
@@ -422,7 +417,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     children rng.spawn(trials) for which
     verify_strategy(sample_generic_strategy(spec, child)).ok holds.  Trials
     are spawned, drawn and verified in blocks of VERIFY_BLOCK with the stacked
-    verifier, without the triple scan, which never decides ok.
+    verifier.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -430,7 +425,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
         raise InvalidInput("per-user dimension exceeds ambient dimension")
 
     def run(draws: list[np.ndarray]) -> _Verdicts:
-        return _verify_stack([orthonormal_stack(g) for g in draws], spec.N, triples=False)
+        return _verify_stack([orthonormal_stack(g) for g in draws], spec.N)
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):

@@ -227,8 +227,7 @@ def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray
         h = channels.H[i]
         if np.linalg.cond(h) > 1 / np.finfo(float).eps:
             raise SingularChannel(f"H_{i} is numerically singular")
-        target = strategy.user_basis(i)
-        encoders.append(np.linalg.solve(h, target))
+        encoders.append(np.linalg.solve(h, strategy.user_bases[i]))
     return encoders
 
 
@@ -253,7 +252,7 @@ def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: St
     effective = [channels.H[i] @ encoders[i] for i in range(strategy.spec.K)]
     claimed = [np.zeros(m.shape[1], dtype=bool) for m in effective]
     worst = 0.0
-    for (i, j), b in sorted(strategy.pair_bases.items()):
+    for (i, j), b in strategy.pair_bases.items():
         for col in b.T:
             for user in (i, j):
                 m = effective[user]
@@ -271,7 +270,7 @@ def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: St
                 claimed[user][best] = True
     if not all(c.all() for c in claimed):
         raise SecrecyViolation("some relay-side column serves no pair (unmasked symbol)")
-    stacked = np.hstack([b for _, b in sorted(strategy.pair_bases.items())])
+    stacked = np.hstack(list(strategy.pair_bases.values()))
     sigma = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.zeros(0)
     rank = numeric_rank(sigma, stacked.shape)
     injective = rank == stacked.shape[1] == n
@@ -288,8 +287,8 @@ class Link:
 
     Per user i: the effective H_i U_i.  Per receiver k: the image G_k I_k of
     its interference space (P_k projects onto the complement), the
-    pseudo-inverse of the decode matrix P_k G_k B_k (B_k: the pair bases B_jk,
-    partners ascending) and the SNR terms ||P_k G_k V_k||^2 (V_k orthonormal),
+    pseudo-inverse of the decode matrix P_k G_k B_k (B_k = user_bases[k] of
+    the strategy) and the SNR terms ||P_k G_k V_k||^2 (V_k orthonormal),
     ||P_k G_k||^2 and rank P_k.  Building a Link verifies the strategy and
     raises StrategyInvalid if it fails.
     """
@@ -314,9 +313,8 @@ class Link:
         interference, decoders, snr_terms = [], [], []
         for k, g in enumerate(channels.G):
             gik = orthonormal_basis(g @ strategy.interference_space(k).basis)
-            serving = np.hstack([strategy.pair_basis(j, k) for j in strategy.partners(k)])
             interference.append(gik)
-            decoders.append(np.linalg.pinv(project_onto_perp(g @ serving, gik)))
+            decoders.append(np.linalg.pinv(project_onto_perp(g @ strategy.user_bases[k], gik)))
             signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k].basis, gik)) ** 2
             relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
             snr_terms.append((signal, relay_gain, strategy.spec.N - gik.d))
@@ -449,9 +447,7 @@ def run_monte_carlo(
         snrs = []
         for k in range(k_users):
             w = _complex_gaussian(rng, (n, trials), noise.sigma_user_sq, noise_out, normals)
-            sent_idx = np.vstack(
-                [idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)]
-            )
+            sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             errors = 0
             for start in range(0, trials, DECODE_BLOCK):
                 cols = slice(start, start + DECODE_BLOCK)
@@ -464,11 +460,9 @@ def run_monte_carlo(
 
         relay_hits = 0
         relay_slots = 0
-        for (i, j), dij in strategy.pair_dims().items():
-            if dij == 0:
-                continue
-            ai = idx[i][strategy.block_slice(i, j)]
-            aj = idx[j][strategy.block_slice(j, i)]
+        for i, j in strategy.pair_bases:
+            ai = idx[i][strategy.slices[i, j]]
+            aj = idx[j][strategy.slices[j, i]]
             relay_hits += succ_table[ai, aj].sum()
             relay_slots += ai.size
         relay_rate = relay_hits / relay_slots if relay_slots else 0.0

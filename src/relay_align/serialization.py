@@ -19,7 +19,8 @@ from .feasibility import Strategy, StrategySpec
 SCHEMA_VERSION = 1
 
 __all__ = [
-    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "dump_strategy", "load_strategy", "atomic_write"
+    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "dump_strategy", "load_strategy", "atomic_write",
+    "read_json_object",
 ]
 
 
@@ -48,7 +49,7 @@ def strategy_to_dict(strategy: Strategy) -> dict:
         "d": list(spec.d),
         "pair_bases": {
             f"{i + 1}-{j + 1}": _encode_matrix(b)
-            for (i, j), b in sorted(strategy.pair_bases.items())
+            for (i, j), b in strategy.pair_bases.items()
         },
     }
 
@@ -77,8 +78,8 @@ def strategy_from_dict(data: dict) -> Strategy:
     if not isinstance(raw_pairs, dict):
         raise InvalidInput("strategy field pair_bases must be a JSON object")
     spec = StrategySpec(K=k, N=n, d=tuple(raw_d))
-    decoded = ((parse_pair_key(key, spec.K), _decode_matrix(rows, spec.N)) for key, rows in raw_pairs.items())
-    return Strategy(spec=spec, pair_bases={pair: m for pair, m in decoded if m.shape[1]})
+    pair_bases = {parse_pair_key(key, spec.K): _decode_matrix(rows, spec.N) for key, rows in raw_pairs.items()}
+    return Strategy(spec=spec, pair_bases=pair_bases)
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -99,10 +100,29 @@ def dump_strategy(strategy: Strategy, path: str) -> None:
     atomic_write(path, json.dumps(strategy_to_dict(strategy), indent=2, sort_keys=True) + "\n")
 
 
-def load_strategy(path: str) -> Strategy:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InvalidInput(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r} in one JSON object")
+    return doc
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object in the file at path.
+
+    Invalid JSON, a key repeated within any one object, or a document that is
+    not an object raises InvalidInput.
+    """
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
-    return strategy_from_dict(data)
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"{path} does not hold a JSON object")
+    return doc
+
+
+def load_strategy(path: str) -> Strategy:
+    return strategy_from_dict(read_json_object(path))

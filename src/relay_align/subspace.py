@@ -184,6 +184,11 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return orthonormal_stack(a @ null[:, :da])
 
 
+def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
+    """dim of span(A_t) & span(B_t) & span(C_t), shared by three (T, N, d) stacks; raises RaggedRank."""
+    return intersect_stack(intersect_stack(a, b), c).shape[2]
+
+
 def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per trial, whether span(B_t) lies in span(A_t), for stacks of orthonormal bases.
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .feasibility import haar_stack
-from .subspace import intersect_stack, split_by_rank
+from .subspace import _triple_dim, split_by_rank
 
 __all__ = [
     "plucker_coords",
@@ -151,11 +151,6 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     table = _relation_table(n, d)  # an oversized shape fails here, before any draw
     counts = _block_counts(samples, max(table.left.size, comb(n, d) * d * d))
     return np.concatenate([_residuals(table, plucker_coords(haar_stack(n, d, t, rng))) for t in counts])
-
-
-def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
-    """dim of the triple intersection shared by a block of (T, n, d) stacks; raises RaggedRank."""
-    return intersect_stack(intersect_stack(a, b), c).shape[2]
 
 
 def _perp_lines(planes: np.ndarray) -> np.ndarray:

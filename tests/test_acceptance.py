@@ -186,7 +186,7 @@ def test_criterion_4_three_user_golden_example():
     recovered = {}
     for k in range(3):
         hard = qpsk.points[qpsk.nearest_index(link.decode(k, r, xs[k]))]
-        recovered[k] = {j: hard[strategy.block_slice(k, j)] for j in strategy.partners(k)}
+        recovered[k] = {j: hard[rows] for (i, j), rows in strategy.slices.items() if i == k}
     rec_ok = (
         np.allclose(recovered[0][1], xs[1][:1])
         and np.allclose(recovered[0][2], xs[2][1:])

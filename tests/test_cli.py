@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from relay_align.serialization import (
     strategy_from_dict,
     strategy_to_dict,
 )
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(*argv):
@@ -166,6 +170,23 @@ class TestSerialization:
         for p, b in s.pair_bases.items():
             assert np.array_equal(back.pair_bases[p], b)
 
+    def test_loaded_table_keeps_zero_pairs(self):
+        loaded = load_strategy(str(GOLDEN / "construct.out"))
+        built = construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1)))
+        assert loaded.pair_dims() == built.pair_dims()
+        assert sorted(built.pair_dims().values()).count(0) == 3
+
+    def test_user_bases_split_into_pair_blocks(self):
+        s = load_strategy(str(GOLDEN / "construct-dij.out"))
+        for i in range(s.spec.K):
+            widths = 0
+            for j in range(s.spec.K):
+                if j != i:
+                    block = s.user_bases[i][:, s.slices[i, j]]
+                    assert np.array_equal(block, s.pair_bases[min(i, j), max(i, j)])
+                    widths += block.shape[1]
+            assert widths == s.spec.d[i]
+
     def test_bad_schema_version(self):
         with pytest.raises(InvalidInput):
             strategy_from_dict({"schema_version": 99})
@@ -237,6 +258,34 @@ class TestPairKeys:
         assert "usage error: " in capsys.readouterr().err
 
 
+class TestRepeatedJsonKeys:
+    """A key written twice in one JSON object exits 1 and is named, in every file the CLI reads."""
+
+    def test_pairwise_table(self, tmp_path, capsys):
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": 5, "1-2": 1, "1-3": 1, "2-3": 1}')
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --dij") and "'1-2'" in err
+
+    def test_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"K": 3, "N": 3, "d": [2, 2, 2], "noise_grid": [0.1], "trials": 0, "trials": 5}')
+        assert run("simulate", "--config", str(cfg)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --config") and "'trials'" in err
+
+    def test_strategy_file_pair_bases(self, tmp_path, capsys):
+        # the first "1-2" carries B_13; keeping only the last value would verify
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        b13 = json.dumps(doc["pair_bases"]["1-3"])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc).replace('"pair_bases": {', f'"pair_bases": {{"1-2": {b13}, ', 1))
+        assert run("verify", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'1-2'" in err
+
+
 class TestGenericity:
     def test_three_user_rate_one(self, capsys):
         assert run("genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "100", "--seed", "1") == 0
@@ -259,6 +308,9 @@ class TestSimulate:
 
     def test_infeasible_exits_2(self):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10") == 2
+
+    def test_usage_error_beats_infeasible(self):
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10", "--noise-grid", "nan") == 1
 
     @pytest.mark.parametrize("grid", ["nan", "inf", "1,nan"])
     def test_nonfinite_noise_level_usage_error(self, grid, capsys):

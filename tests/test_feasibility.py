@@ -1,12 +1,15 @@
 import itertools
+import re
 from functools import partial
 
 import numpy as np
 import pytest
 
-from relay_align.errors import InconsistentPairwise, InfeasibleTuple, InvalidInput
+from relay_align.errors import DimensionMismatch, InconsistentPairwise, InfeasibleTuple, InvalidInput
+from relay_align import feasibility
 from relay_align.feasibility import (
     VERIFY_BLOCK,
+    Strategy,
     StrategySpec,
     _gaussian_stacks,
     _pairs,
@@ -114,6 +117,29 @@ class TestConstructStrategy:
         assert verify_strategy(s.subspaces, 1).ok
 
 
+class TestStrategyLayout:
+    @pytest.mark.parametrize("key", [(0, 7), (1, 1), (1, 0), (0, 3), (-1, 2), "0-1"])
+    def test_bad_pair_key_rejected(self, key):
+        # (0, 7) and (1, 1) once verified and then widened interference_space(2); (1, 0) merged with (0, 1)
+        s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        with pytest.raises(InvalidInput, match=re.escape(repr(key))):
+            Strategy(spec=s.spec, pair_bases={**s.pair_bases, key: np.eye(3, dtype=complex)[:, [0]]})
+
+    def test_pair_basis_must_be_a_matrix(self):
+        with pytest.raises(DimensionMismatch, match=r"\(3,\)"):
+            Strategy(spec=StrategySpec(2, 3, (3, 3)), pair_bases={(0, 1): np.ones(3)})
+
+    def test_omitted_pair_is_an_empty_block(self):
+        s = construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1)))
+        t = Strategy(spec=s.spec, pair_bases={p: b for p, b in s.pair_bases.items() if b.shape[1]})
+        assert list(t.pair_bases) == _pairs(4)
+        assert t.pair_dims() == s.pair_dims() and 0 in t.pair_dims().values()
+        assert t.pair_bases[1, 2].shape == (5, 0)
+        assert t.slices == s.slices
+        for a, b in zip(t.user_bases, s.user_bases):
+            assert np.array_equal(a, b)
+
+
 class TestVerifyStrategy:
     def test_three_plane_example(self):
         cand = [span(3, [0, 1]), span(3, [1, 2]), span(3, [0, 2])]
@@ -121,6 +147,14 @@ class TestVerifyStrategy:
         assert rep.ok
         assert rep.worst_triple_dim == 0
         assert all(v == 1 for v in rep.pair_dims.values())
+
+    def test_ok_report_skips_triple_scan(self, monkeypatch):
+        def scan(*abc):
+            raise AssertionError("triple scan ran for an ok report")
+
+        monkeypatch.setattr(feasibility, "_triple_dim", scan)
+        rep = verify_strategy(construct_strategy(StrategySpec(4, 4, (2, 2, 2, 2))).subspaces, 4)
+        assert rep.ok and rep.worst_triple_dim == 0
 
     def test_coincident_planes_fail(self):
         plane = span(3, [0, 1])
@@ -223,15 +257,14 @@ class TestBatchedGenericity:
         cands[2][1] = cands[2][0]  # users 1 and 2 share a plane in trial 2 only
         bases = [np.stack([c[i].basis for c in cands]) for i in range(3)]
         with pytest.raises(RaggedRank):
-            _verify_stack(bases, 3, triples=True)
-        v = split_by_rank(partial(_verify_stack, n=3, triples=True), bases)
+            _verify_stack(bases, 3)
+        v = split_by_rank(partial(_verify_stack, n=3), bases)
         for t, cand in enumerate(cands):
             ref = verify_strategy(cand, 3)
             assert v.ok[t] == ref.ok
             assert dict(zip(_pairs(3), v.pair_dims[t].tolist())) == ref.pair_dims
             assert tuple(v.per_user_ok[t].tolist()) == ref.per_user_ok
             assert v.global_ok[t] == ref.global_ok
-            assert v.worst_triple_dim[t] == ref.worst_triple_dim
         assert v.ok.tolist() == [True, True, False, True]
 
 
@@ -271,6 +304,12 @@ class TestPairwise:
     def test_inconsistent_row_sum_rejected(self):
         with pytest.raises(InconsistentPairwise):
             StrategySpec(3, 3, (2, 2, 2), pairwise={(0, 1): 2, (0, 2): 1, (1, 2): 1})
+
+    @pytest.mark.parametrize("key", [(1, 0), "01", 5, (0, 1, 2)])
+    def test_bad_key_rejected(self, key):
+        # (1, 0) was once sorted into (0, 1), one of the two values dropped; the others raised TypeError
+        with pytest.raises(InconsistentPairwise, match=re.escape(repr(key))):
+            StrategySpec(3, 3, (2, 2, 2), pairwise={(0, 1): 1, key: 5, (0, 2): 1, (1, 2): 1})
 
     def test_non_integral_symmetric_rejected(self):
         with pytest.raises(InconsistentPairwise):

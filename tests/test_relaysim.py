@@ -49,7 +49,7 @@ def link_of(strategy, channels):
 def decode_by_partner(link, k, y_tilde, x_k):
     """Hard QPSK decisions of receiver k, split into the blocks its partners sent."""
     hard = QPSK.points[QPSK.nearest_index(link.decode(k, y_tilde, x_k))]
-    return {j: hard[link.strategy.block_slice(k, j)] for j in link.strategy.partners(k)}
+    return {j: hard[rows] for (i, j), rows in link.strategy.slices.items() if i == k}
 
 
 def scalar_link(h1, h2, g1, g2):
@@ -104,7 +104,7 @@ class TestDesignEncoders:
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         enc = design_encoders(strategy, identity_channels(3, 3))
         for i in range(3):
-            assert np.allclose(enc[i], strategy.user_basis(i))
+            assert np.allclose(enc[i], strategy.user_bases[i])
 
     def test_pair_columns_agree_through_random_channels(self):
         rng = np.random.default_rng(2)
@@ -113,8 +113,8 @@ class TestDesignEncoders:
         enc = design_encoders(strategy, ch)
         eff = [ch.H[i] @ enc[i] for i in range(3)]
         for (i, j), b in strategy.pair_bases.items():
-            ci = eff[i][:, strategy.block_slice(i, j)]
-            cj = eff[j][:, strategy.block_slice(j, i)]
+            ci = eff[i][:, strategy.slices[i, j]]
+            cj = eff[j][:, strategy.slices[j, i]]
             assert np.linalg.norm(ci - b) < 1e-9
             assert np.linalg.norm(cj - b) < 1e-9
 
@@ -240,7 +240,7 @@ class TestReceiverDecode:
             r = link.observe(x)
             for k in range(3):
                 for j, got in decode_by_partner(link, k, ch.G[k] @ r, x[k]).items():
-                    sent = x[j][strategy.block_slice(j, k)]
+                    sent = x[j][strategy.slices[j, k]]
                     assert np.allclose(got, sent)
 
     def test_batched_decode_matches_single_trials(self):
@@ -462,7 +462,7 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         for k in range(k_users):
             y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
             hard_idx = reference_nearest_index(constellation, link.decode(k, y_tilde, x[k]))
-            sent_idx = np.vstack([idx[j][strategy.block_slice(j, k)] for j in strategy.partners(k)])
+            sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
@@ -472,8 +472,8 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         for (i, j), dij in strategy.pair_dims().items():
             if dij == 0:
                 continue
-            ai = idx[i][strategy.block_slice(i, j)]
-            aj = idx[j][strategy.block_slice(j, i)]
+            ai = idx[i][strategy.slices[i, j]]
+            aj = idx[j][strategy.slices[j, i]]
             relay_hits += succ_table[ai, aj].sum()
             relay_slots += ai.size
         relay_rate = relay_hits / relay_slots if relay_slots else 0.0

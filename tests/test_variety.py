@@ -7,7 +7,7 @@ import pytest
 from relay_align import variety
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import haar_stack, haar_subspace
-from relay_align.subspace import RaggedRank, Subspace, orthonormal_basis
+from relay_align.subspace import RaggedRank, Subspace, _triple_dim, orthonormal_basis
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     _determinant_block,
@@ -18,7 +18,6 @@ from relay_align.variety import (
     _poly_roots,
     _relation_table,
     _residuals,
-    _triple_dim,
     codim_line_probe,
     determinant_probe,
     plucker_coords,
