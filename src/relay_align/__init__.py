@@ -46,11 +46,7 @@ from .relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from .subspace import (
-    Subspace,
-    orthonormal_basis,
-    project_onto_perp,
-)
+from .subspace import project_onto_perp
 from .variety import codim_line_probe
 
 __version__ = "0.1.0"

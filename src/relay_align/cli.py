@@ -4,7 +4,7 @@ Subcommands: feasible, construct, verify, genericity, simulate, variety.
 Every command is deterministic given (args, seed); the seed is echoed in all
 machine-readable output.  Exit codes: 0 success/feasible, 2 domain-negative
 (infeasible / verification failure / unsupported probe shape), 1 usage or
-I/O error.
+I/O error, or a float overflow or invalid operation.
 """
 
 from __future__ import annotations
@@ -356,14 +356,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise"):  # an overflow or a NaN is an error, never a figure
+            return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     except (InfeasibleTuple, InconsistentPairwise) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (OSError, InvalidInput) as exc:
+    except (OSError, InvalidInput, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RelayAlignError as exc:

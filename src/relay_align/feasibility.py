@@ -22,12 +22,10 @@ from .errors import (
     ResampleExhausted,
 )
 from .subspace import (
-    Subspace,
     _check_orthonormal,
     _triple_dim,
     contains_stack,
     intersect_stack,
-    orthonormal_basis,
     orthonormal_stack,
     split_by_rank,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "generic_feasibility_rate",
     "symmetric_pairwise_table",
     "paired_pairwise_table",
-    "haar_subspace",
     "haar_stack",
 ]
 
@@ -139,8 +136,7 @@ class Strategy:
     pair_bases: dict[Pair, np.ndarray]
     user_bases: list[np.ndarray] = field(init=False, repr=False)
     slices: dict[Pair, slice] = field(init=False, repr=False)
-    subspaces: list[Subspace] = field(init=False, repr=False)
-    _interference: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    subspaces: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k = self.spec.N, self.spec.K
@@ -167,23 +163,16 @@ class Strategy:
         object.__setattr__(self, "pair_bases", pb)
         object.__setattr__(self, "user_bases", user_bases)
         object.__setattr__(self, "slices", slices)
-        subs = [orthonormal_basis(b) if b.shape[1] else Subspace.zero(n) for b in user_bases]
-        object.__setattr__(self, "subspaces", subs)
+        object.__setattr__(self, "subspaces", [orthonormal_stack(b[None])[0] for b in user_bases])
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
 
-    def interference_space(self, k: int) -> Subspace:
-        """Direct sum of all pair intersections not involving user k.
-
-        It depends on the pair bases alone, so it is computed once per k.
-        """
-        if k not in self._interference:
-            blocks = [b for p, b in self.pair_bases.items() if k not in p]
-            cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
-            space = orthonormal_basis(cols) if cols.shape[1] else Subspace.zero(self.spec.N)
-            self._interference[k] = space
-        return self._interference[k]
+    def interference_space(self, k: int) -> np.ndarray:
+        """Orthonormal basis of the direct sum of all pair intersections not involving user k."""
+        blocks = [b for p, b in self.pair_bases.items() if k not in p]
+        cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
+        return orthonormal_stack(cols[None])[0]
 
 
 @dataclass(frozen=True)
@@ -248,8 +237,8 @@ def _verify_stack(bases: list[np.ndarray], n: int) -> _Verdicts:
     )
 
 
-def verify_strategy(cand: list[Subspace], n: int) -> VerificationReport:
-    """Check the direct-sum conditions on a candidate list of subspaces.
+def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
+    """Check the direct-sum conditions on a candidate list of orthonormal N x d_i bases.
 
     Computes all pairwise intersections, the per-user decomposition
     V_i = (+)_{j != i} V_i & V_j, and the global decomposition of C^N into all
@@ -257,19 +246,23 @@ def verify_strategy(cand: list[Subspace], n: int) -> VerificationReport:
     generic_feasibility_rate runs.  The triple scan runs only for a failing
     candidate: with both decompositions, a vector of V_i & V_j & V_l, l not in
     {i, j}, has two decompositions, so it is zero and an ok report gives 0.
+    A basis that is not an n-row 2-d array raises DimensionMismatch, and one
+    that is non-finite or not orthonormal raises InvalidInput.
     """
     k = len(cand)
     if k < 2:
         raise InvalidInput("need at least two subspaces")
-    if any(s.ambient_dim != n for s in cand):
-        raise DimensionMismatch("candidate ambient dimensions differ from N")
-    bases = [s.basis[None] for s in cand]
+    if any(np.ndim(b) != 2 or np.shape(b)[0] != n for b in cand):
+        raise DimensionMismatch(f"candidate bases must be 2-d with N={n} rows")
+    bases = [np.asarray(b, dtype=np.complex128)[None] for b in cand]
+    for b in bases:
+        _check_orthonormal(b)
     v = _verify_stack(bases, n)  # one trial: no rank split
     ok = bool(v.ok[0])
     triples = () if ok else itertools.combinations(bases, 3)
     return VerificationReport(
         ok=ok,
-        dims=tuple(s.d for s in cand),
+        dims=tuple(b.shape[2] for b in bases),
         pair_dims={p: int(w) for p, w in zip(_pairs(k), v.pair_dims[0])},
         per_user_ok=tuple(bool(x) for x in v.per_user_ok[0]),
         global_ok=bool(v.global_ok[0]),
@@ -305,8 +298,8 @@ def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarr
 
     One standard_normal call draws, per subspace in order, the n x d real parts
     and then the n x d imaginary parts: the values count successive
-    haar_subspace calls draw.  Raises RaggedRank in the measure-zero event
-    that the draws disagree on a numeric rank.
+    haar_stack(n, d, 1, rng) calls draw.  Raises RaggedRank in the
+    measure-zero event that the draws disagree on a numeric rank.
     """
     if n < 1 or not 0 <= d <= n:
         raise InvalidInput(f"need n >= 1 and 0 <= d <= n, got n={n}, d={d}")
@@ -314,16 +307,11 @@ def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarr
     return orthonormal_stack(raw[:, 0] + 1j * raw[:, 1])
 
 
-def haar_subspace(n: int, d: int, rng: np.random.Generator) -> Subspace:
-    """Uniformly random d-dimensional subspace of C^n; the count = 1 case of haar_stack."""
-    return Subspace._of_checked(haar_stack(n, d, 1, rng)[0])
-
-
-def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> list[Subspace]:
-    """K independent Haar-random d_i-dimensional subspaces of C^N."""
+def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> list[np.ndarray]:
+    """Orthonormal bases of K independent Haar-random d_i-dimensional subspaces of C^N."""
     if max(spec.d) > spec.N:
         raise InvalidInput("per-user dimension exceeds ambient dimension")
-    return [haar_subspace(spec.N, di, rng) for di in spec.d]
+    return [haar_stack(spec.N, di, 1, rng)[0] for di in spec.d]
 
 
 def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Strategy:
@@ -337,7 +325,7 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
     if not is_feasible_tuple(spec):
         raise InfeasibleTuple(f"tuple (K={spec.K}, N={spec.N}, d={spec.d}) is not feasible")
     for _ in range(MAX_ATTEMPTS):
-        pair_bases = {p: haar_subspace(spec.N, dij, rng).basis for p, dij in pw.items()}
+        pair_bases = {p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items()}
         cand = Strategy(spec=spec, pair_bases=pair_bases)
         report = verify_strategy(cand.subspaces, spec.N)
         dims_match = all(report.pair_dims[p] == pw.get(p, 0) for p in report.pair_dims)

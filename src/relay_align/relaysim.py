@@ -32,7 +32,7 @@ from .feasibility import (
     construct_strategy,
     verify_strategy,
 )
-from .subspace import Subspace, numeric_rank, orthonormal_basis, project_onto_perp
+from .subspace import numeric_rank, orthonormal_stack, project_onto_perp
 
 __all__ = [
     "Constellation",
@@ -297,7 +297,7 @@ class Link:
     channels: ChannelSet
     encoders: list[np.ndarray]
     effective: list[np.ndarray] = field(init=False, repr=False)
-    interference: list[Subspace] = field(init=False, repr=False)
+    interference: list[np.ndarray] = field(init=False, repr=False)
     decoders: list[np.ndarray] = field(init=False, repr=False)
     snr_terms: list[tuple[float, float, int]] = field(init=False, repr=False)
 
@@ -312,12 +312,12 @@ class Link:
             raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
         interference, decoders, snr_terms = [], [], []
         for k, g in enumerate(channels.G):
-            gik = orthonormal_basis(g @ strategy.interference_space(k).basis)
+            gik = orthonormal_stack((g @ strategy.interference_space(k))[None])[0]
             interference.append(gik)
             decoders.append(np.linalg.pinv(project_onto_perp(g @ strategy.user_bases[k], gik)))
-            signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k].basis, gik)) ** 2
+            signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k], gik)) ** 2
             relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
-            snr_terms.append((signal, relay_gain, strategy.spec.N - gik.d))
+            snr_terms.append((signal, relay_gain, strategy.spec.N - gik.shape[1]))
         object.__setattr__(self, "effective", [h @ u for h, u in zip(channels.H, self.encoders)])
         object.__setattr__(self, "interference", interference)
         object.__setattr__(self, "decoders", decoders)

@@ -1,32 +1,29 @@
 """Complex linear algebra on subspaces of C^N under one numeric rank rule.
 
-A subspace is stored as an N x d matrix with orthonormal columns; d = 0 is a
-first-class value (empty basis) so direct-sum decompositions with empty parts
-need no special-casing.  All rank decisions go through a single threshold rule
-(rank_threshold) because everything downstream -- intersections, direct-sum
-conditions, feasibility verification -- reduces to numeric rank.
+A subspace has one representation: an N x d complex array with orthonormal
+columns.  d = 0 is a first-class value (an N x 0 array) so direct-sum
+decompositions with empty parts need no special-casing.  All rank decisions
+go through a single threshold rule (rank_threshold) because everything
+downstream -- intersections, direct-sum conditions, feasibility
+verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
-stack; orthonormal_basis is their T = 1 case.  One array holds bases of one
-width, so a kernel whose trials disagree on a rank raises RaggedRank, and
-split_by_rank reruns the block split by that rank.
+stack; one basis is a stack of one, orthonormal_stack(x[None])[0].  One
+array holds bases of one width, so a kernel whose trials disagree on a rank
+raises RaggedRank, and split_by_rank reruns the block split by that rank.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput
 
 __all__ = [
-    "Subspace",
     "RaggedRank",
     "rank_threshold",
     "numeric_rank",
     "split_by_rank",
-    "orthonormal_basis",
     "orthonormal_stack",
     "intersect_stack",
     "contains_stack",
@@ -56,39 +53,6 @@ def numeric_rank(singular_values: np.ndarray, shape: tuple[int, int]):
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=np.intp)
     return (s > rank_threshold(shape, s[..., :1])).sum(axis=-1)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A d-dimensional subspace of C^N, represented by an orthonormal basis."""
-
-    ambient_dim: int
-    basis: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise InvalidInput(f"basis shape {b.shape} does not match N={self.ambient_dim}")
-        if b.shape[1] > self.ambient_dim:
-            raise InvalidInput("subspace dimension exceeds ambient dimension")
-        _check_orthonormal(b)
-        object.__setattr__(self, "basis", b)
-
-    @classmethod
-    def _of_checked(cls, basis: np.ndarray) -> "Subspace":
-        """The subspace of a kernel's T = 1 result, which _check_orthonormal has passed."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "ambient_dim", basis.shape[0])
-        object.__setattr__(s, "basis", basis)
-        return s
-
-    @property
-    def d(self) -> int:
-        return self.basis.shape[1]
-
-    @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
 
 
 class RaggedRank(Exception):
@@ -157,14 +121,6 @@ def orthonormal_stack(cols) -> np.ndarray:
     return u
 
 
-def orthonormal_basis(cols) -> Subspace:
-    """Orthonormal basis of the column space, with numeric rank truncation."""
-    a = np.asarray(cols, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1:
-        raise InvalidInput(f"expected an N x m matrix with N >= 1, got shape {a.shape}")
-    return Subspace._of_checked(orthonormal_stack(a[None])[0])
-
-
 def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersections span(A_t) & span(B_t) of two (T, N, d) stacks of orthonormal bases.
 
@@ -201,11 +157,11 @@ def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.norm(resid, axis=(1, 2)) < 1e-9
 
 
-def project_onto_perp(x, s: Subspace) -> np.ndarray:
-    """Orthogonal projection of the columns of x onto the complement of s."""
+def project_onto_perp(x, basis: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of the columns of x onto the complement of span(basis), basis orthonormal N x d."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != s.ambient_dim:
-        raise DimensionMismatch(f"x has {x.shape[0]} rows, ambient dim is {s.ambient_dim}")
-    if s.d == 0:
+    if x.shape[0] != basis.shape[0]:
+        raise DimensionMismatch(f"x has {x.shape[0]} rows, ambient dim is {basis.shape[0]}")
+    if basis.shape[1] == 0:
         return x.copy()
-    return x - s.basis @ (s.basis.conj().T @ x)
+    return x - basis @ (basis.conj().T @ x)

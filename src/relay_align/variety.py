@@ -145,7 +145,7 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     """Wedge-relation residual of each of `samples` Haar-random d-dimensional subspaces of C^n.
 
     Sample t is the largest relation residual (_residuals) of the wedge
-    coordinates of the t-th successive haar_subspace(n, d, rng) draw; the
+    coordinates of the t-th successive haar_stack(n, d, 1, rng) draw; the
     samples are drawn and checked in stacked blocks.
     """
     table = _relation_table(n, d)  # an oversized shape fails here, before any draw
@@ -186,7 +186,7 @@ def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """|det| of the perp-line matrix and the triple-intersection dim of `samples` Haar plane triples.
 
-    Sample t uses the t-th three successive haar_subspace(3, 2, rng) draws;
+    Sample t uses the t-th three successive haar_stack(3, 2, 1, rng) draws;
     the triples are drawn and checked in stacked blocks.
     """
     parts = [

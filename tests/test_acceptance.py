@@ -20,7 +20,7 @@ from relay_align.feasibility import (
     construct_strategy,
     feasible_variety_dim,
     generic_feasibility_rate,
-    haar_subspace,
+    haar_stack,
     is_feasible_tuple,
     paired_pairwise_table,
     strategy_from_pairwise,
@@ -36,7 +36,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import orthonormal_basis
+from relay_align.subspace import orthonormal_stack
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     _determinant_block,
@@ -282,30 +282,30 @@ def test_criterion_8_variety_probes():
     """Determinant test tracks the triple-intersection rank test; relations hold."""
     rng = np.random.default_rng(8008)
 
-    triples = [[haar_subspace(3, 2, rng) for _ in range(3)] for _ in range(100)]
-    shared = haar_subspace(3, 2, rng)
-    line = orthonormal_basis(shared.basis[:, :1])
+    triples = [[haar_stack(3, 2, 1, rng)[0] for _ in range(3)] for _ in range(100)]
+    shared = haar_stack(3, 2, 1, rng)[0]
+    line = orthonormal_stack(shared[None, :, :1])[0]
 
     def plane_through(line_basis):
         extra = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
-        return orthonormal_basis(np.hstack([line_basis, extra]))
+        return orthonormal_stack(np.hstack([line_basis, extra])[None])[0]
 
     degenerate = [
         [shared, shared, shared],
-        [shared, shared, haar_subspace(3, 2, rng)],
-        [plane_through(line.basis), plane_through(line.basis), plane_through(line.basis)],
-        [shared, plane_through(shared.basis[:, :1]), plane_through(shared.basis[:, :1])],
-        [plane_through(line.basis), plane_through(line.basis), shared],
+        [shared, shared, haar_stack(3, 2, 1, rng)[0]],
+        [plane_through(line), plane_through(line), plane_through(line)],
+        [shared, plane_through(shared[:, :1]), plane_through(shared[:, :1])],
+        [plane_through(line), plane_through(line), shared],
     ]
-    dets, dims = _determinant_block(np.array([[v.basis for v in vs] for vs in triples + degenerate]))
+    dets, dims = _determinant_block(np.array(triples + degenerate))
     agree = int(np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)))
 
-    planes = np.array([v.basis for vs in triples[:30] for v in vs])
+    planes = np.array(triples[:30]).reshape(90, 3, 2)
     residuals = list(_residuals(_relation_table(3, 2), plucker_coords(planes)))
     for _ in range(30):
         n = int(rng.integers(2, 7))
         d = int(rng.integers(1, n + 1))
-        residuals.append(_residuals(_relation_table(n, d), plucker_coords(haar_subspace(n, d, rng).basis[None]))[0])
+        residuals.append(_residuals(_relation_table(n, d), plucker_coords(haar_stack(n, d, 1, rng)))[0])
     worst_residual = max(residuals)
 
     probe = codim_line_probe(rng, 20)

@@ -55,8 +55,8 @@ class TestConstructAndVerify:
         out = tmp_path / "s.json"
         assert run("construct", "-K", "2", "-N", "4", "-d", "4,4", "-o", str(out)) == 0
         strategy = load_strategy(str(out))
-        assert strategy.subspaces[0].d == 4
-        a, b = (v.basis for v in strategy.subspaces)
+        assert strategy.subspaces[0].shape[1] == 4
+        a, b = strategy.subspaces
         assert np.linalg.norm(a @ a.conj().T - b @ b.conj().T) < 1e-9
 
     def test_infeasible_exits_2(self, tmp_path):
@@ -390,6 +390,23 @@ class TestSimulate:
         cfg.write_text('{"constellation": [[1e999, 0], [-1e999, 0]]}')
         assert run(*args, "--config", str(cfg)) == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [("--noise-grid", "0.1", "--constellation", "[[1e308,0],[-1e308,0]]"), ("--noise-grid", "1e308")],
+        ids=["constellation", "noise"],
+    )
+    def test_float_overflow_exits_1(self, extra, capsys):
+        # finite inputs whose sums or powers overflow: an error, never inf or NaN figures
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", *extra) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "overflow" in err
+
+    def test_subnormal_constellation_still_runs(self, capsys):
+        args = ("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", "--noise-grid", "0.1")
+        assert run(*args, "--constellation", "[[1e-320,0],[-1e-320,0]]") == 0
+        doc = json.loads(capsys.readouterr().out.split("\nnoise_var,")[0])
+        assert doc["relay_map_success_exact"] == [3, 4]
 
 
 class TestVariety:

@@ -31,7 +31,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import orthonormal_basis, rank_threshold
+from relay_align.subspace import orthonormal_stack, rank_threshold
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -390,12 +390,12 @@ class TestRunMonteCarlo:
         strategy = strategy_from_pairwise(paired_pairwise_table(4, 2), rng)
         ch = draw_channels(4, 2, rng)
         for k in range(4):
-            gv = orthonormal_basis(ch.G[k] @ strategy.subspaces[k].basis)
+            gv = orthonormal_stack((ch.G[k] @ strategy.subspaces[k])[None])[0]
             gi = strategy.interference_space(k)
-            gi_img = ch.G[k] @ gi.basis
-            stacked = np.hstack([gv.basis, gi_img])
-            assert gv.d == strategy.spec.d[k]
-            assert np.linalg.matrix_rank(stacked) == gv.d + gi.d
+            gi_img = ch.G[k] @ gi
+            stacked = np.hstack([gv, gi_img])
+            assert gv.shape[1] == strategy.spec.d[k]
+            assert np.linalg.matrix_rank(stacked) == gv.shape[1] + gi.shape[1]
 
     def test_one_system_per_sweep(self):
         # SNR = signal / (var * (relay gain + rank)) on a fixed Link, so SNR * var

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from relay_align.errors import DimensionMismatch, InvalidInput
+from relay_align.feasibility import verify_strategy
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
-    Subspace,
     intersect_stack,
-    orthonormal_basis,
+    orthonormal_stack,
     project_onto_perp,
     rank_threshold,
 )
@@ -15,8 +15,13 @@ E3 = np.eye(3, dtype=complex)
 E4 = np.eye(4, dtype=complex)
 
 
+def orthonormal(cols):
+    """Orthonormal N x d basis of the column space of one N x m matrix: a stack of one."""
+    return orthonormal_stack(np.asarray(cols)[None])[0]
+
+
 def span(*cols):
-    return orthonormal_basis(np.column_stack(cols))
+    return orthonormal(np.column_stack(cols))
 
 
 def projector(b):
@@ -25,38 +30,38 @@ def projector(b):
 
 
 def same_span(a, b):
-    return np.linalg.norm(projector(a.basis) - projector(b.basis)) < 1e-9
+    return np.linalg.norm(projector(a) - projector(b)) < 1e-9
 
 
 def span_of_parts(parts):
     """The sum of subspaces: the span of their stacked bases."""
-    return orthonormal_basis(np.hstack([p.basis for p in parts]))
+    return orthonormal(np.hstack(parts))
 
 
 def random_subspace(n, d, rng):
-    return orthonormal_basis(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    return orthonormal(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
 
 
 class TestOrthonormalBasis:
     def test_identity(self):
-        s = orthonormal_basis(E3)
-        assert s.d == 3
-        assert np.allclose(projector(s.basis), np.eye(3))
+        s = orthonormal(E3)
+        assert s.shape[1] == 3
+        assert np.allclose(projector(s), np.eye(3))
 
     def test_rank_deficient_columns(self):
-        s = orthonormal_basis(np.column_stack([E3[:, 0], 2 * E3[:, 0]]))
-        assert s.d == 1
+        s = orthonormal(np.column_stack([E3[:, 0], 2 * E3[:, 0]]))
+        assert s.shape[1] == 1
         assert same_span(s, span(E3[:, 0]))
 
     def test_random_matrix_rank_matches_singular_value_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        s = orthonormal_basis(a)
+        s = orthonormal(a)
         # independent oracle: count singular values of the raw input above threshold
         sv = np.linalg.svd(a, compute_uv=False)
         expected = int(np.sum(sv > rank_threshold(a.shape, sv[0])))
-        assert s.d == expected == 2
-        p = projector(s.basis)
+        assert s.shape[1] == expected == 2
+        p = projector(s)
         assert np.linalg.norm(p @ p - p) < 1e-9
 
     @pytest.mark.parametrize("sigma_max, floor_rules", [(1.0, True), (1e3, False)], ids=["floor", "relative"])
@@ -71,27 +76,27 @@ class TestOrthonormalBasis:
         assert (threshold == ABS_RANK_FLOOR) == floor_rules
         a = u @ np.diag([sigma_max, 1.0, factor * threshold]) @ v.conj().T
         assert np.linalg.svd(a, compute_uv=False)[-1] == pytest.approx(factor * threshold, rel=1e-2)
-        assert orthonormal_basis(a).d == (3 if kept else 2)
+        assert orthonormal(a).shape[1] == (3 if kept else 2)
 
     def test_nonfinite_rejected(self):
         bad = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(InvalidInput):
-            orthonormal_basis(bad)
+            orthonormal(bad)
 
     def test_empty_columns(self):
-        s = orthonormal_basis(np.zeros((3, 0)))
-        assert s.d == 0
+        s = orthonormal(np.zeros((3, 0)))
+        assert s.shape[1] == 0
 
 
 class TestIntersect:
     def test_idempotence(self):
-        a = span(E3[:, 0], E3[:, 1]).basis
+        a = span(E3[:, 0], E3[:, 1])
         assert np.linalg.norm(projector(intersect_stack(a[None], a[None])[0]) - projector(a)) < 1e-9
 
     def test_adjacent_coordinate_planes(self):
         a = span(E3[:, 0], E3[:, 1])
         b = span(E3[:, 1], E3[:, 2])
-        got = intersect_stack(a.basis[None], b.basis[None])[0]
+        got = intersect_stack(a[None], b[None])[0]
         assert got.shape[1] == 1
         assert np.linalg.norm(projector(got) - projector(E3[:, [1]])) < 1e-9
 
@@ -100,35 +105,35 @@ class TestIntersect:
         a = random_subspace(4, 2, rng)
         b = random_subspace(4, 2, rng)
         # oracle: stacked bases have full rank 4, so the intersection is trivial
-        assert np.linalg.matrix_rank(np.hstack([a.basis, b.basis])) == 4
-        assert intersect_stack(a.basis[None], b.basis[None]).shape[2] == 0
+        assert np.linalg.matrix_rank(np.hstack([a, b])) == 4
+        assert intersect_stack(a[None], b[None]).shape[2] == 0
 
     def test_generic_planes_in_c3_meet_in_line(self):
         rng = np.random.default_rng(4)
         a = random_subspace(3, 2, rng)
         b = random_subspace(3, 2, rng)
-        assert intersect_stack(a.basis[None], b.basis[None]).shape[2] == 1  # e = 2d - N = 1
+        assert intersect_stack(a[None], b[None]).shape[2] == 1  # e = 2d - N = 1
 
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            intersect_stack(span(E3[:, 0]).basis[None], orthonormal_basis(E4).basis[None])
+            intersect_stack(span(E3[:, 0])[None], orthonormal(E4)[None])
 
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            a = random_subspace(4, 2, rng).basis[None]
-            b = random_subspace(4, 3, rng).basis[None]
+            a = random_subspace(4, 2, rng)[None]
+            b = random_subspace(4, 3, rng)[None]
             ab, ba = intersect_stack(a, b)[0], intersect_stack(b, a)[0]
             assert np.linalg.norm(projector(ab) - projector(ba)) < 1e-9
 
     def test_zero_dimensional_operand(self):
-        assert intersect_stack(Subspace.zero(3).basis[None], span(E3[:, 0]).basis[None]).shape[2] == 0
+        assert intersect_stack(np.zeros((3, 0), complex)[None], span(E3[:, 0])[None]).shape[2] == 0
 
 
 class TestSumAndDirectSum:
     def test_coordinate_sum_full(self):
         parts = [span(E3[:, i]) for i in range(3)]
-        assert same_span(span_of_parts(parts), Subspace(3, E3))
+        assert same_span(span_of_parts(parts), E3)
 
     def test_sum_idempotent(self):
         s = span(E3[:, 0])
@@ -137,17 +142,17 @@ class TestSumAndDirectSum:
     def test_direct_sum_true(self):
         e2 = np.eye(2, dtype=complex)
         parts = [span(e2[:, 0]), span(e2[:, 1])]
-        assert span_of_parts(parts).d == sum(p.d for p in parts)
+        assert span_of_parts(parts).shape[1] == sum(p.shape[1] for p in parts)
 
     def test_direct_sum_false_on_overcount(self):
         e2 = np.eye(2, dtype=complex)
         parts = [span(e2[:, 0]), span(e2[:, 0] + e2[:, 1]), span(e2[:, 1])]
-        assert span_of_parts(parts).d != sum(p.d for p in parts)
+        assert span_of_parts(parts).shape[1] != sum(p.shape[1] for p in parts)
 
     def test_empty_list_rejected(self):
         # no parts stack to a matrix with no rows, which has no ambient space
         with pytest.raises(InvalidInput):
-            orthonormal_basis(np.zeros((0, 0)))
+            orthonormal(np.zeros((0, 0)))
 
 
 class TestProjectOntoPerp:
@@ -184,7 +189,7 @@ class TestProjectOntoPerp:
         s = random_subspace(4, 2, rng)
         x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         out = project_onto_perp(x, s)
-        assert np.linalg.norm(s.basis.conj().T @ out) < 1e-10
+        assert np.linalg.norm(s.conj().T @ out) < 1e-10
 
 
 class TestGrassmannIdentities:
@@ -195,15 +200,15 @@ class TestGrassmannIdentities:
             da = int(rng.integers(0, n + 1))
             db = int(rng.integers(0, n + 1))
             a, b = random_subspace(n, da, rng), random_subspace(n, db, rng)
-            lhs = span_of_parts([a, b]).d + intersect_stack(a.basis[None], b.basis[None]).shape[2]
-            assert lhs == a.d + b.d
+            lhs = span_of_parts([a, b]).shape[1] + intersect_stack(a[None], b[None]).shape[2]
+            assert lhs == a.shape[1] + b.shape[1]
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 2), (6, 4), (5, 3)])
     def test_generic_intersection_law(self, n, d):
         rng = np.random.default_rng(100 + n + d)
         expected = max(0, 2 * d - n)
         hits = sum(
-            intersect_stack(random_subspace(n, d, rng).basis[None], random_subspace(n, d, rng).basis[None]).shape[2]
+            intersect_stack(random_subspace(n, d, rng)[None], random_subspace(n, d, rng)[None]).shape[2]
             == expected
             for _ in range(100)
         )
@@ -211,10 +216,24 @@ class TestGrassmannIdentities:
 
 
 class TestSubspaceInvariants:
+    """An orthonormal N x d array is the one subspace type; verify_strategy checks it at the door."""
+
     def test_basis_orthonormality_enforced(self):
         with pytest.raises(InvalidInput):
-            Subspace(3, np.column_stack([E3[:, 0], 2 * E3[:, 1]]))
+            verify_strategy([np.column_stack([E3[:, 0], 2 * E3[:, 1]]), E3[:, [2]]], 3)
 
     def test_dim_bounds(self):
         with pytest.raises(InvalidInput):
-            Subspace(2, np.eye(3, dtype=complex))  # 3 columns in ambient dim 2
+            verify_strategy([np.eye(2, 3, dtype=complex), np.eye(2, dtype=complex)], 2)  # 3 columns in ambient dim 2
+
+    def test_nonfinite_rejected(self):
+        with pytest.raises(InvalidInput):
+            verify_strategy([np.array([[np.nan], [0.0]]), np.eye(2, dtype=complex)], 2)
+
+    def test_one_dimensional_entry(self):
+        with pytest.raises(DimensionMismatch):
+            verify_strategy([E3[:, 0], E3], 3)
+
+    def test_wrong_row_count(self):
+        with pytest.raises(DimensionMismatch):
+            verify_strategy([np.eye(3, dtype=complex), np.eye(2, dtype=complex)], 2)  # eye(3) in ambient dim 2

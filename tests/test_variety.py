@@ -6,8 +6,8 @@ import pytest
 
 from relay_align import variety
 from relay_align.errors import InvalidInput
-from relay_align.feasibility import haar_stack, haar_subspace
-from relay_align.subspace import RaggedRank, Subspace, _triple_dim, orthonormal_basis
+from relay_align.feasibility import haar_stack
+from relay_align.subspace import RaggedRank, _triple_dim, orthonormal_stack
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     _determinant_block,
@@ -28,18 +28,18 @@ E3 = np.eye(3, dtype=complex)
 
 
 def plane(cols):
-    return orthonormal_basis(E3[:, cols])
+    return orthonormal_stack(E3[:, cols][None])[0]
 
 
 class TestPlucker:
     def test_coordinate_plane(self):
-        coords = plucker_coords(plane([0, 1]).basis[None])[0]
+        coords = plucker_coords(plane([0, 1])[None])[0]
         assert np.allclose(coords, [1, 0, 0])
 
     def test_hand_computed_minors(self):
         # span{e1+e2, e3}: the three 2x2 minors are (0, a, a) for a common scale a
-        s = orthonormal_basis(np.array([[1, 0], [1, 0], [0, 1]], dtype=complex))
-        coords = plucker_coords(s.basis[None])[0]
+        s = orthonormal_stack(np.array([[[1, 0], [1, 0], [0, 1]]], dtype=complex))[0]
+        coords = plucker_coords(s[None])[0]
         assert np.allclose(coords, np.array([0, 1, 1]) / np.sqrt(2))
 
     def test_basis_change_invariance(self):
@@ -47,16 +47,16 @@ class TestPlucker:
         for _ in range(100):
             n = int(rng.integers(3, 6))
             d = int(rng.integers(2, n))
-            s = haar_subspace(n, d, rng)
+            s = haar_stack(n, d, 1, rng)[0]
             # re-span through a random invertible mix; minors scale by one determinant
             mix = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            remixed = orthonormal_basis(s.basis @ mix)
-            coords = plucker_coords(np.stack([s.basis, remixed.basis]))
+            remixed = orthonormal_stack((s @ mix)[None])[0]
+            coords = plucker_coords(np.stack([s, remixed]))
             assert np.linalg.norm(coords[0] - coords[1]) < 1e-9
 
     def test_zero_dimensional_rejected(self):
         with pytest.raises(InvalidInput):
-            plucker_coords(Subspace.zero(3).basis[None])
+            plucker_coords(np.zeros((3, 0), complex)[None])
 
 
 class TestPluckerRelations:
@@ -82,10 +82,10 @@ class TestPluckerRelations:
 class TestTripleIntersection:
     def test_three_plane_example(self):
         planes = (plane([0, 1]), plane([1, 2]), plane([0, 2]))
-        assert _triple_dim(*(v.basis[None] for v in planes)) == 0
+        assert _triple_dim(*(v[None] for v in planes)) == 0
 
     def test_equal_triple(self):
-        s = plane([0, 1]).basis[None]
+        s = plane([0, 1])[None]
         assert _triple_dim(s, s, s) == 2
 
     @pytest.mark.parametrize("n", [3, 6, 9])
@@ -98,12 +98,12 @@ class TestTripleIntersection:
 
 class TestDeterminantalTest:
     def test_coordinate_planes(self):
-        planes = np.stack([plane([0, 1]).basis, plane([1, 2]).basis, plane([0, 2]).basis])
+        planes = np.stack([plane([0, 1]), plane([1, 2]), plane([0, 2])])
         det = _perp_det(planes[None])[0]
         assert abs(abs(det) - 1) < 1e-12  # perp lines are e3, e1, e2
 
     def test_degenerate_equal_planes(self):
-        s = plane([0, 1]).basis
+        s = plane([0, 1])
         dets, dims = _determinant_block(np.stack([s, s, s])[None])
         assert dets[0] < DET_ZERO_THRESHOLD
         assert dims[0] == 2
@@ -113,7 +113,7 @@ class TestDeterminantalTest:
         assert np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)) == 100
 
     def test_perp_line_of_coordinate_plane(self):
-        w = _perp_lines(plane([0, 1]).basis[None])[0]
+        w = _perp_lines(plane([0, 1])[None])[0]
         assert np.allclose(np.abs(w), [0, 0, 1])
 
 
@@ -181,7 +181,7 @@ def reference_residual(n, d, coords):
 
 def reference_haar(n, d, rng):
     g = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return orthonormal_basis(g).basis
+    return orthonormal_stack(g[None])[0]
 
 
 def reference_line_determinant(anchors, directions):
@@ -217,17 +217,17 @@ class TestStackedEquivalence:
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_wedge_coordinates_match_per_minor(self, n, d):
         rng = np.random.default_rng(2000 + 10 * n + d)
-        s = haar_subspace(n, d, rng)
-        minors = [np.linalg.det(s.basis[list(r), :]) for r in itertools.combinations(range(n), d)]
-        assert same_bits(plucker_coords(s.basis[None])[0], reference_normalize(np.array(minors)))
-        stack = np.stack([haar_subspace(n, d, rng).basis for _ in range(5)])
+        s = haar_stack(n, d, 1, rng)[0]
+        minors = [np.linalg.det(s[list(r), :]) for r in itertools.combinations(range(n), d)]
+        assert same_bits(plucker_coords(s[None])[0], reference_normalize(np.array(minors)))
+        stack = np.stack([haar_stack(n, d, 1, rng)[0] for _ in range(5)])
         assert same_bits(plucker_coords(stack), np.stack([plucker_coords(b[None])[0] for b in stack]))
 
     @pytest.mark.parametrize("n, d", [(1, 1), (3, 0), (3, 2), (6, 3), (7, 7)])
     def test_haar_stack_matches_successive_draws(self, n, d):
         stacked_rng, single_rng, reference_rng = (np.random.default_rng(7) for _ in range(3))
         stack = haar_stack(n, d, 6, stacked_rng)
-        singles = np.stack([haar_subspace(n, d, single_rng).basis for _ in range(6)])
+        singles = np.stack([haar_stack(n, d, 1, single_rng)[0] for _ in range(6)])
         assert same_bits(stack, singles)
         if d:
             assert same_bits(stack, np.stack([reference_haar(n, d, reference_rng) for _ in range(6)]))
@@ -262,12 +262,12 @@ class TestStackedEquivalence:
         dets, dims = determinant_probe(30, np.random.default_rng(6))
         rng = np.random.default_rng(6)
         for t in range(30):
-            planes = [haar_subspace(3, 2, rng) for _ in range(3)]
-            lines = [reference_normalize(np.linalg.svd(v.basis.conj().T)[2][-1].conj()) for v in planes]
+            planes = [haar_stack(3, 2, 1, rng)[0] for _ in range(3)]
+            lines = [reference_normalize(np.linalg.svd(v.conj().T)[2][-1].conj()) for v in planes]
             det = complex(np.linalg.det(np.column_stack(lines)))
-            assert same_bits(_perp_det(np.stack([v.basis for v in planes])[None])[0], det)
+            assert same_bits(_perp_det(np.stack(planes)[None])[0], det)
             assert same_bits(dets[t], abs(det))
-            assert dims[t] == _triple_dim(*(v.basis[None] for v in planes))
+            assert dims[t] == _triple_dim(*(v[None] for v in planes))
 
     def test_ragged_block_falls_back_per_sample(self):
         rng = np.random.default_rng(8)
