@@ -239,7 +239,7 @@ def _parse_constellation(name: str) -> relaysim.Constellation:
     if name.startswith("["):  # explicit point list, e.g. "[[1,0],[-1,0]]"
         try:
             pts = [complex(re, im) for re, im in json.loads(name)]
-        except (TypeError, ValueError):  # ValueError covers malformed JSON and points that are not pairs
+        except (TypeError, ValueError, OverflowError):  # bad JSON, a point not a pair, an int past float range
             raise UsageError(f"--constellation expects a JSON list of [re, im] pairs, got {name!r}")
         return relaysim.Constellation(np.array(pts))
     try:

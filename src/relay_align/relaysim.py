@@ -1,9 +1,11 @@
 """End-to-end relay pipeline: channels, encoders, relay broadcast, decoding.
 
 Encoders are designed so that the two symbols of every pair land on the same
-relay-side basis vector, so the relay only ever observes pairwise sums.  Each
-receiver subtracts its own contribution, projects away the interference
-space, and decodes by nearest constellation point per coordinate.
+relay-side basis vector, so the relay only ever observes pairwise sums.  The
+pair blocks of a verified strategy form a basis of C^N, so a receiver reads
+the coordinates of its own pairs in that basis, seen through its channel,
+subtracts its own symbols, and decides by nearest constellation point per
+coordinate.
 
 A Link binds a verified strategy to one channel draw and encoder set and
 computes once what observation, decoding and SNR reuse, for one trial or a
@@ -285,20 +287,24 @@ def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: St
 class Link:
     """A strategy over one channel draw and set of encoders, precomputed once.
 
-    Per user i: the effective H_i U_i.  Per receiver k: the image G_k I_k of
-    its interference space (P_k projects onto the complement), the
-    pseudo-inverse of the decode matrix P_k G_k B_k (B_k = user_bases[k] of
-    the strategy) and the SNR terms ||P_k G_k V_k||^2 (V_k orthonormal),
-    ||P_k G_k||^2 and rank P_k.  Building a Link verifies the strategy and
-    raises StrategyInvalid if it fails.
+    Per user i: the effective H_i U_i.  Per receiver k, with B_k =
+    user_bases[k] and J_k the pair blocks not involving k: the receive map
+    F_k, the first d_k rows of (G_k [B_k | J_k])^-1, which sends
+    G_k (B_k s + J_k u) to s; own[k] = F_k G_k H_k U_k, the part of F_k y
+    carried by k's own symbols; and the SNR terms ||P_k G_k V_k||^2 (V_k
+    orthonormal), ||P_k G_k||^2 and rank P_k, where P_k projects off the
+    image G_k I_k of k's interference space.  All K inverses are one stacked
+    call.  Building a Link verifies the strategy (raising StrategyInvalid), so
+    that every [B_k | J_k] is a basis, and a G_k that LAPACK finds singular
+    raises SingularChannel.
     """
 
     strategy: Strategy
     channels: ChannelSet
     encoders: list[np.ndarray]
     effective: list[np.ndarray] = field(init=False, repr=False)
-    interference: list[np.ndarray] = field(init=False, repr=False)
-    decoders: list[np.ndarray] = field(init=False, repr=False)
+    receive: list[np.ndarray] = field(init=False, repr=False)
+    own: list[np.ndarray] = field(init=False, repr=False)
     snr_terms: list[tuple[float, float, int]] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -310,17 +316,25 @@ class Link:
         report = verify_strategy(strategy.subspaces, strategy.spec.N)
         if not report.ok:
             raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
-        interference, decoders, snr_terms = [], [], []
+        effective = [h @ u for h, u in zip(channels.H, self.encoders)]
+        snr_terms, frames = [], []
         for k, g in enumerate(channels.G):
+            others = [b for p, b in strategy.pair_bases.items() if k not in p]
+            frames.append(g @ np.hstack([strategy.user_bases[k], *others]))
             gik = orthonormal_stack((g @ strategy.interference_space(k))[None])[0]
-            interference.append(gik)
-            decoders.append(np.linalg.pinv(project_onto_perp(g @ strategy.user_bases[k], gik)))
             signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k], gik)) ** 2
             relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
             snr_terms.append((signal, relay_gain, strategy.spec.N - gik.shape[1]))
-        object.__setattr__(self, "effective", [h @ u for h, u in zip(channels.H, self.encoders)])
-        object.__setattr__(self, "interference", interference)
-        object.__setattr__(self, "decoders", decoders)
+        frames = np.stack(frames)
+        try:
+            inverses = np.linalg.inv(frames)
+        except np.linalg.LinAlgError:  # [B_k | J_k] is a basis once verified, so G_k is the singular factor
+            ranks = numeric_rank(np.linalg.svd(frames, compute_uv=False), frames.shape[1:])
+            raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular") from None
+        receive = [inverses[k, : b.shape[1]].copy() for k, b in enumerate(strategy.user_bases)]
+        object.__setattr__(self, "effective", effective)
+        object.__setattr__(self, "receive", receive)
+        object.__setattr__(self, "own", [f @ (g @ e) for f, g, e in zip(receive, channels.G, effective)])
         object.__setattr__(self, "snr_terms", snr_terms)
 
     def observe(self, symbols: list[np.ndarray], z: np.ndarray | None = None) -> np.ndarray:
@@ -340,14 +354,14 @@ class Link:
         return r if z is None else r + z
 
     def decode(self, k: int, y_tilde: np.ndarray, x_k: np.ndarray) -> np.ndarray:
-        """Soft estimates of the symbols k's partners sent it, rows ordered as B_k.
+        """Soft estimates F_k y_tilde - own[k] x_k of the symbols k's partners sent it, rows ordered as B_k.
 
         y_tilde and x_k are vectors, or (N, T) and (d_k, T) blocks of T trials.
         """
         self._check_receiver(k)
-        x_k = np.asarray(x_k, dtype=np.complex128)
-        y = np.asarray(y_tilde, dtype=np.complex128) - self.channels.G[k] @ (self.effective[k] @ x_k)
-        return self.decoders[k] @ project_onto_perp(y, self.interference[k])
+        est = self.receive[k] @ np.asarray(y_tilde, dtype=np.complex128)
+        est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)  # in place: one d_k x T temporary fewer
+        return est
 
     def snr(self, k: int, noise: NoiseModel) -> float:
         """Analytic-expectation SNR of receiver k after interference projection.
@@ -357,9 +371,9 @@ class Link:
         power: sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf
         when both variances are zero.
 
-        The SNR is taken before the decoder: it leaves out the noise gain
-        ||D_k||_F^2 of the pseudo-inverse D_k of P_k G_k B_k, so it cannot
-        explain the SER of a receiver whose decode matrix is badly conditioned.
+        The SNR is taken before the receive map: it leaves out the noise gain
+        ||F_k||_F^2 of F_k, so it cannot explain the SER of a receiver whose
+        frame G_k [B_k | J_k] is badly conditioned.
         """
         self._check_receiver(k)
         signal, relay_gain, rank = self.snr_terms[k]
@@ -369,7 +383,7 @@ class Link:
         return float(signal / denom)
 
     def _check_receiver(self, k: int) -> None:
-        if not 0 <= k < len(self.decoders):
+        if not 0 <= k < len(self.receive):
             raise InvalidInput(f"user index {k} out of range")
 
 

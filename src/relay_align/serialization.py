@@ -31,7 +31,7 @@ def _encode_matrix(m: np.ndarray) -> list:
 def _decode_matrix(rows, n_expected: int) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
         raise InvalidInput(f"malformed complex matrix: {exc}") from exc
     if m.ndim != 2 and m.size:
         raise InvalidInput(f"expected a 2-d matrix, got shape {m.shape}")
@@ -117,7 +117,7 @@ def read_json_object(path: str) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, or an integer past the digit limit of int()
         raise InvalidInput(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidInput(f"{path} does not hold a JSON object")

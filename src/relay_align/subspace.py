@@ -95,6 +95,8 @@ def split_by_rank(run, stacks: list[np.ndarray]):
 
 def _check_orthonormal(b: np.ndarray) -> None:
     """Raise unless every basis of the (..., N, d) stack b is finite with orthonormal columns."""
+    if b.shape[-1] == 0:  # an N x 0 basis is empty, so finite and orthonormal
+        return
     if not np.isfinite(b).all():
         raise InvalidInput("basis contains non-finite entries")
     gram = b.conj().swapaxes(-1, -2) @ b

@@ -135,6 +135,17 @@ class TestConstructAndVerify:
         path.write_text('{"schema_version": 1, "K": 3')
         assert run("verify", str(path)) == 1
 
+    @pytest.mark.parametrize("digits", [400, 5000], ids=["past-float-range", "past-int-digit-limit"])
+    def test_verify_integer_too_large_exits_1(self, tmp_path, capsys, digits):
+        # a JSON integer no float can hold: an error naming the input, never a traceback
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["1-2"][0][0] = ["HUGE", 0]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * digits))
+        assert run("verify", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
     @pytest.mark.parametrize("scale, rc", [(2.0, 1), (1 + 1e-9, 1), (1 + 1e-12, 0)])
     def test_verify_pair_basis_orthonormality(self, tmp_path, scale, rc):
         # pair bases must pass the subspace rule: finite, Gram matrix within 1e-10 of the identity
@@ -401,6 +412,13 @@ class TestSimulate:
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", *extra) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "overflow" in err
+
+    def test_integer_constellation_past_float_range_usage_error(self, capsys):
+        huge = "1" + "0" * 400
+        argv = ("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5")
+        assert run(*argv, "--constellation", f"[[{huge},0],[-{huge},0]]") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: --constellation")
 
     def test_subnormal_constellation_still_runs(self, capsys):
         args = ("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", "--noise-grid", "0.1")

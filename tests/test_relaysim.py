@@ -31,7 +31,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import orthonormal_stack, rank_threshold
+from relay_align.subspace import orthonormal_stack, project_onto_perp, rank_threshold
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -276,6 +276,68 @@ class TestReceiverDecode:
             link.decode(k, np.zeros(3), np.zeros(2))
         with pytest.raises(InvalidInput, match="out of range"):
             link.snr(k, NoiseModel(1, 1))
+
+
+def reference_decode(link, k, y_tilde, x_k):
+    """Receiver k's decoder before the receive map, kept as its reference.
+
+    Subtract k's own signal G_k H_k U_k x_k, project off the image G_k I_k of
+    k's interference space, then apply the pseudo-inverse of P_k G_k B_k.
+    """
+    g, strategy = link.channels.G[k], link.strategy
+    gik = orthonormal_stack((g @ strategy.interference_space(k))[None])[0]
+    decoder = np.linalg.pinv(project_onto_perp(g @ strategy.user_bases[k], gik))
+    y = np.asarray(y_tilde, dtype=complex) - g @ (link.effective[k] @ np.asarray(x_k, dtype=complex))
+    return decoder @ project_onto_perp(y, gik)
+
+
+def random_pairwise_spec(rng):
+    """A random consistent pairwise table: K in 3..6 users, N in 3..8 split among the pairs."""
+    k, n = int(rng.integers(3, 7)), int(rng.integers(3, 9))
+    pairs = list(itertools.combinations(range(k), 2))
+    table = dict(zip(pairs, map(int, rng.multinomial(n, np.full(len(pairs), 1 / len(pairs))))))
+    d = tuple(sum(v for p, v in table.items() if i in p) for i in range(k))
+    return StrategySpec(k, n, d, pairwise=table)
+
+
+class TestReceiveMap:
+    @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
+    def test_matches_reference_decode(self, encoders):
+        rng = np.random.default_rng(31 if encoders == "designed" else 32)
+        for _ in range(40):
+            spec = random_pairwise_spec(rng)
+            strategy = strategy_from_pairwise(spec, rng)
+            ch = draw_channels(spec.K, spec.N, rng)
+            if encoders == "designed":
+                enc = design_encoders(strategy, ch)
+            else:  # any N x d_i matrices: decode subtracts whatever k's own signal is
+                enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
+            link = Link(strategy, ch, enc)
+            for k in range(spec.K):
+                y = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
+                x_k = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
+                got, want = link.decode(k, y, x_k), reference_decode(link, k, y, x_k)
+                assert got.shape == want.shape == (spec.d[k], 6)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+
+    def test_maps_are_d_k_by_n_and_own_their_memory(self):
+        rng = np.random.default_rng(4)
+        spec = StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1})
+        strategy = strategy_from_pairwise(spec, rng)
+        link = link_of(strategy, draw_channels(4, 5, rng))
+        for d, f, own in zip(spec.d, link.receive, link.own):
+            assert f.shape == (d, 5) and own.shape == (d, d)
+            assert f.base is None  # a copy, not a view keeping the stacked inverse alive
+            assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
+
+    @pytest.mark.parametrize(
+        "g", [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0])], ids=["zero", "rank-1", "rank-2"]
+    )
+    def test_singular_relay_channel_named(self, g):
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = ChannelSet(K=3, N=3, H=[E3] * 3, G=[E3, g.astype(complex), E3])
+        with pytest.raises(SingularChannel, match="G_1 is singular"):
+            link_of(strategy, ch)
 
 
 class TestSnr:
