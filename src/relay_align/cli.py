@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .feasibility import StrategySpec
 from .serialization import (
-    atomic_write, dump_strategy, load_strategy, parse_pair_key, read_json_object, strategy_to_dict
+    atomic_write, load_strategy, parse_pair_key, read_json_object, strategy_to_dict
 )
 
 SEED_ENV_VAR = "RELAY_ALIGN_SEED"
@@ -116,10 +117,7 @@ def cmd_construct(args) -> int:
         strategy = feasibility.strategy_from_pairwise(spec, rng)
     else:
         strategy = feasibility.construct_strategy(spec)
-    if args.output:
-        dump_strategy(strategy, args.output)
-    else:
-        sys.stdout.write(_json_text(strategy_to_dict(strategy)))
+    _emit(_json_text(strategy_to_dict(strategy)), args.output)
     return 0
 
 
@@ -299,7 +297,9 @@ def cmd_variety(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process; it keeps no state between parse_args calls."""
     parser = _Parser(prog="relay-align", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -295,8 +295,8 @@ class Link:
     orthonormal), ||P_k G_k||^2 and rank P_k, where P_k projects off the
     image G_k I_k of k's interference space.  All K inverses are one stacked
     call.  Building a Link verifies the strategy (raising StrategyInvalid), so
-    that every [B_k | J_k] is a basis, and a G_k that LAPACK finds singular
-    raises SingularChannel.
+    that every [B_k | J_k] is a basis, and a G_k whose frame is short of full
+    numeric rank (the subspace rank rule) raises SingularChannel.
     """
 
     strategy: Strategy
@@ -326,11 +326,11 @@ class Link:
             relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
             snr_terms.append((signal, relay_gain, strategy.spec.N - gik.shape[1]))
         frames = np.stack(frames)
-        try:
-            inverses = np.linalg.inv(frames)
-        except np.linalg.LinAlgError:  # [B_k | J_k] is a basis once verified, so G_k is the singular factor
-            ranks = numeric_rank(np.linalg.svd(frames, compute_uv=False), frames.shape[1:])
-            raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular") from None
+        # [B_k | J_k] is a basis once verified, so a frame short of full rank has a singular G_k
+        ranks = numeric_rank(np.linalg.svd(frames, compute_uv=False), frames.shape[1:])
+        if (ranks < strategy.spec.N).any():
+            raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular")
+        inverses = np.linalg.inv(frames)
         receive = [inverses[k, : b.shape[1]].copy() for k, b in enumerate(strategy.user_bases)]
         object.__setattr__(self, "effective", effective)
         object.__setattr__(self, "receive", receive)
@@ -432,6 +432,8 @@ def run_monte_carlo(
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
+    if 16 * spec.N * trials > np.iinfo(np.intp).max:  # the (N, trials) complex buffers, in bytes
+        raise InvalidInput(f"trials={trials} needs a buffer past numpy's largest array")
     noises = [NoiseModel(sigma_relay_sq=var, sigma_user_sq=var) for var in noise_grid]
     strategy = construct_strategy(spec)
     succ_table = constellation.map_success_table()

@@ -19,13 +19,14 @@ from .feasibility import Strategy, StrategySpec
 SCHEMA_VERSION = 1
 
 __all__ = [
-    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "dump_strategy", "load_strategy", "atomic_write",
-    "read_json_object",
+    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "load_strategy", "atomic_write", "read_json_object",
 ]
 
 
 def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+    """Rows of [re, im] Python floats; an N x 0 block gives N empty rows."""
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
 def _decode_matrix(rows, n_expected: int) -> np.ndarray:
@@ -94,10 +95,6 @@ def atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def dump_strategy(strategy: Strategy, path: str) -> None:
-    atomic_write(path, json.dumps(strategy_to_dict(strategy), indent=2, sort_keys=True) + "\n")
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

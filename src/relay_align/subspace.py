@@ -136,7 +136,8 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if da == 0 or b.shape[2] == 0:
         return np.zeros((t, n, 0), dtype=np.complex128)
     stacked = np.concatenate([a, -b], axis=2)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    # vh must be square to hold the null space; with N >= dA + dB it is square either way, and U stays N x (dA + dB)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=n < stacked.shape[2])
     r = _common_rank(numeric_rank(s, stacked.shape[1:]))
     null = vh[:, r:].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)
     return orthonormal_stack(a @ null[:, :da])

@@ -1,15 +1,24 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relay_align
 from relay_align.cli import main
 from relay_align.errors import InvalidInput
-from relay_align.feasibility import construct_strategy, StrategySpec, verify_strategy
+from relay_align.feasibility import (
+    construct_strategy,
+    Strategy,
+    StrategySpec,
+    strategy_from_pairwise,
+    symmetric_pairwise_table,
+    verify_strategy,
+)
 from relay_align.serialization import (
-    dump_strategy,
     load_strategy,
     strategy_from_dict,
     strategy_to_dict,
@@ -21,6 +30,21 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def run(*argv):
     return main(list(argv))
+
+
+def reference_encode(m) -> list:
+    """A pair basis as strategy files hold it, element by element: rows of [float(re), float(im)]."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def lone_call(argv, seed_env=None) -> tuple[int, str]:
+    """Exit code and stdout of `python -m relay_align.cli argv`, a fresh process running one command."""
+    env = {k: v for k, v in os.environ.items() if k != "RELAY_ALIGN_SEED"}
+    env["PYTHONPATH"] = str(Path(relay_align.__file__).resolve().parent.parent)
+    if seed_env is not None:
+        env["RELAY_ALIGN_SEED"] = seed_env
+    proc = subprocess.run([sys.executable, "-m", "relay_align.cli", *argv], env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
 
 
 class TestFeasibleCommand:
@@ -176,10 +200,42 @@ class TestSerialization:
     def test_file_round_trip_exact(self, tmp_path):
         s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         path = tmp_path / "s.json"
-        dump_strategy(s, str(path))
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "-o", str(path)) == 0
         back = load_strategy(str(path))
         for p, b in s.pair_bases.items():
             assert np.array_equal(back.pair_bases[p], b)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_strategy(StrategySpec(16, 32, (4,) * 16)),
+            lambda: construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1))),  # three N x 0 blocks
+            lambda: strategy_from_pairwise(symmetric_pairwise_table(3, 3), np.random.default_rng(3)),
+            lambda: strategy_from_pairwise(
+                StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 1}),
+                np.random.default_rng(0),
+            ),  # with N x 0 blocks
+            lambda: Strategy(  # negated coordinate blocks hold -0.0 in both parts
+                StrategySpec(3, 3, (2, 2, 2)),
+                {p: -b for p, b in construct_strategy(StrategySpec(3, 3, (2, 2, 2))).pair_bases.items()},
+            ),
+        ],
+        ids=["coordinate-K16", "coordinate-zero-pairs", "pairwise", "pairwise-zero-pairs", "negative-zero"],
+    )
+    def test_encoding_equals_reference(self, make):
+        s = make()
+        pair_bases = strategy_to_dict(s)["pair_bases"]
+        for (i, j), b in s.pair_bases.items():
+            got, expected = pair_bases[f"{i + 1}-{j + 1}"], reference_encode(b)
+            assert got == expected
+            assert json.dumps(got) == json.dumps(expected)  # the text tells -0.0 from 0.0
+
+    def test_reference_cases_hold_negative_zero_and_empty_blocks(self):
+        negated = {p: -b for p, b in construct_strategy(StrategySpec(3, 3, (2, 2, 2))).pair_bases.items()}
+        assert "-0.0" in json.dumps(reference_encode(negated[0, 1]))
+        zero_pairs = construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1)))
+        empty = [reference_encode(b) for b in zero_pairs.pair_bases.values() if b.shape[1] == 0]
+        assert empty and all(rows == [[]] * 5 for rows in empty)
 
     def test_loaded_table_keeps_zero_pairs(self):
         loaded = load_strategy(str(GOLDEN / "construct.out"))
@@ -319,6 +375,11 @@ class TestSimulate:
 
     def test_infeasible_exits_2(self):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10") == 2
+
+    def test_trial_count_past_numpy_array_size_exits_1(self, capsys):
+        # rejected before any buffer is made; never test a huge count numpy can size, it would allocate it
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "1" + "0" * 30) == 1
+        assert capsys.readouterr().err.startswith("error: trials=")
 
     def test_usage_error_beats_infeasible(self):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10", "--noise-grid", "nan") == 1
@@ -491,3 +552,32 @@ class TestSeedHandling:
     def test_bad_env_var(self, monkeypatch):
         monkeypatch.setenv("RELAY_ALIGN_SEED", "abc")
         assert run("feasible", "-K", "3", "-N", "3", "-d", "2,2,2") == 1
+
+
+class TestManyCallsInOneProcess:
+    """main builds its parser once per process; every call still gives the stdout and exit code of a lone call."""
+
+    FEASIBLE = ["feasible", "-K", "3", "-N", "3", "-d", "2,2,2"]
+
+    def test_usage_error_then_valid_command(self, capsys):
+        assert run("feasible", "-K", "3", "-N", "3") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage error" in err
+        assert run(*self.FEASIBLE, "--seed", "0") == 0
+        assert capsys.readouterr().out == (GOLDEN / "feasible-ok.out").read_text()
+
+    def test_subcommands_in_turn(self, capsys):
+        construct = ["construct", "-K", "4", "-N", "5", "-d", "5,3,1,1", "--seed", "0"]
+        verify = ["verify", str(GOLDEN / "construct.out"), "--seed", "0"]
+        for argv, name, rc in [(construct, "construct", 0), (verify, "verify", 0),
+                               (["feasible", "-K", "3", "-N", "3", "-d", "2,2,1", "--seed", "0"], "feasible-sum", 2),
+                               (construct, "construct", 0)]:
+            assert run(*argv) == rc
+            assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+
+    def test_changed_seed_env_var(self, capsys, monkeypatch):
+        for seed in ("3", "7"):
+            monkeypatch.setenv("RELAY_ALIGN_SEED", seed)
+            rc, out = run(*self.FEASIBLE), capsys.readouterr().out
+            assert rc == 0 and json.loads(out)["seed"] == int(seed)
+            assert (rc, out) == lone_call(self.FEASIBLE, seed_env=seed)

@@ -331,7 +331,9 @@ class TestReceiveMap:
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
 
     @pytest.mark.parametrize(
-        "g", [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0])], ids=["zero", "rank-1", "rank-2"]
+        "g",
+        [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), np.outer([1.5, 0.5, 2.5], [0.2, 0.6, 1.4])],
+        ids=["zero", "rank-1", "rank-2", "float-rank-1"],  # float-rank-1: LAPACK inverts it, to entries near 2e16
     )
     def test_singular_relay_channel_named(self, g):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))

@@ -6,6 +6,7 @@ from relay_align.feasibility import verify_strategy
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
     intersect_stack,
+    numeric_rank,
     orthonormal_stack,
     project_onto_perp,
     rank_threshold,
@@ -40,6 +41,26 @@ def span_of_parts(parts):
 
 def random_subspace(n, d, rng):
     return orthonormal(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+
+
+def full_svd_intersect(a, b):
+    """intersect_stack with the full SVD of [A | -B] whatever its shape; the trials share one rank."""
+    stacked = np.concatenate([a, -b], axis=2)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=True)
+    r = int(numeric_rank(s, stacked.shape[1:])[0])
+    null = vh[:, r:].conj().swapaxes(1, 2)
+    return orthonormal_stack(a @ null[:, : a.shape[2]])
+
+
+def sharing_stack(t, n, da, db, shared, rng):
+    """T pairs of random bases of C^n, dims da and db, whose spans share a random `shared`-dim subspace."""
+    pairs = []
+    for _ in range(t):
+        common = rng.standard_normal((n, shared)) + 1j * rng.standard_normal((n, shared))
+        own_a = rng.standard_normal((n, da - shared)) + 1j * rng.standard_normal((n, da - shared))
+        own_b = rng.standard_normal((n, db - shared)) + 1j * rng.standard_normal((n, db - shared))
+        pairs.append((orthonormal(np.hstack([common, own_a])), orthonormal(np.hstack([common, own_b]))))
+    return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
 
 
 class TestOrthonormalBasis:
@@ -128,6 +149,17 @@ class TestIntersect:
 
     def test_zero_dimensional_operand(self):
         assert intersect_stack(np.zeros((3, 0), complex)[None], span(E3[:, 0])[None]).shape[2] == 0
+
+    # (N, dA, dB, shared dim): N >= dA + dB computes the thin SVD, N < dA + dB the full one
+    @pytest.mark.parametrize(
+        "n, da, db, shared",
+        [(32, 8, 8, 0), (32, 8, 8, 2), (8, 4, 4, 1), (5, 2, 3, 1), (3, 2, 2, 1), (5, 4, 3, 2), (6, 5, 5, 4)],
+    )
+    def test_matches_full_svd_reference(self, n, da, db, shared):
+        a, b = sharing_stack(6, n, da, db, shared, np.random.default_rng(n * 100 + da * 10 + db))
+        got = intersect_stack(a, b)
+        assert got.shape == (6, n, max(shared, da + db - n))
+        assert np.array_equal(got, full_svd_intersect(a, b))
 
 
 class TestSumAndDirectSum:
