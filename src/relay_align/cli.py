@@ -82,6 +82,14 @@ def _load_pairwise(spec: StrategySpec, path: str) -> StrategySpec:
         raise UsageError(f"--dij: {exc}")
 
 
+def _check_count(flag: str, value: int) -> None:
+    """A count flag must be >= 1, and no larger than numpy's largest array size, which would never finish."""
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1")
+    if value > np.iinfo(np.intp).max:
+        raise InvalidInput(f"{flag}={value} is past numpy's largest array size")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         atomic_write(out, text)
@@ -144,8 +152,7 @@ def cmd_verify(args) -> int:
 def cmd_genericity(args) -> int:
     spec = _spec_from_args(args)
     seed = _resolve_seed(args)
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    _check_count("--trials", args.trials)
     rng = np.random.default_rng(seed)
     rate = feasibility.generic_feasibility_rate(spec, args.trials, rng)
     buf = io.StringIO()
@@ -263,10 +270,8 @@ def cmd_variety(args) -> int:
         raise UsageError("-N must be >= 1")
     if not 1 <= d <= n:
         raise UsageError(f"-d must be between 1 and N={n}, got {d}")
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
-    if args.lines < 1:
-        raise UsageError("--lines must be >= 1")
+    _check_count("--samples", args.samples)
+    _check_count("--lines", args.lines)
     rng = np.random.default_rng(seed)
     want_det = args.det_probe or (n == 3 and d == 2)
     if args.det_probe and (n, d) != (3, 2):

@@ -23,9 +23,10 @@ from .errors import (
 )
 from .subspace import (
     _check_orthonormal,
+    _intersect_each,
+    _orthonormal_each,
     _triple_dim,
     contains_stack,
-    intersect_stack,
     orthonormal_stack,
     split_by_rank,
 )
@@ -163,7 +164,7 @@ class Strategy:
         object.__setattr__(self, "pair_bases", pb)
         object.__setattr__(self, "user_bases", user_bases)
         object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "subspaces", [orthonormal_stack(b[None])[0] for b in user_bases])
+        object.__setattr__(self, "subspaces", [b[0] for b in _orthonormal_each([b[None] for b in user_bases])])
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
@@ -213,19 +214,22 @@ def _verify_stack(bases: list[np.ndarray], n: int) -> _Verdicts:
     """The direct-sum conditions on T candidates at once.
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
-    Every step is one stacked LAPACK call over the trials; raises RaggedRank
-    when they disagree on a rank.
+    Row i of the pair table, V_i against every later V_j of one width, is one
+    stacked SVD, and so is the rank check of the users whose pairs sum to one
+    width; raises RaggedRank when the trials disagree on a rank.
     """
     k, t = len(bases), bases[0].shape[0]
-    inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
+    inter = {}  # filled row by row, so in _pairs order
+    for i in range(k - 1):
+        inter.update(zip(((i, j) for j in range(i + 1, k)), _intersect_each(bases[i], bases[i + 1 :])))
     pair_dims = [b.shape[2] for b in inter.values()]
 
+    parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
+    totals = _orthonormal_each(parts)
     per_user = np.zeros((t, k), dtype=bool)
     for i in range(k):
-        parts = [inter[min(i, j), max(i, j)] for j in range(k) if j != i]
-        total = orthonormal_stack(np.concatenate(parts, axis=2))
-        if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
-            per_user[:, i] = contains_stack(bases[i], total)
+        if totals[i].shape[2] == parts[i].shape[2] == bases[i].shape[2]:
+            per_user[:, i] = contains_stack(bases[i], totals[i])
 
     global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
@@ -413,7 +417,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
         raise InvalidInput("per-user dimension exceeds ambient dimension")
 
     def run(draws: list[np.ndarray]) -> _Verdicts:
-        return _verify_stack([orthonormal_stack(g) for g in draws], spec.N)
+        return _verify_stack(_orthonormal_each(draws), spec.N)
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):

@@ -290,8 +290,9 @@ class Link:
     Per user i: the effective H_i U_i.  Per receiver k, with B_k =
     user_bases[k] and J_k the pair blocks not involving k: the receive map
     F_k, the first d_k rows of (G_k [B_k | J_k])^-1, which sends
-    G_k (B_k s + J_k u) to s; own[k] = F_k G_k H_k U_k, the part of F_k y
-    carried by k's own symbols; and the SNR terms ||P_k G_k V_k||^2 (V_k
+    G_k (B_k s + J_k u) to s; folded[k] = F_k G_k, which decode applies to
+    the relay's r; own[k] = F_k G_k H_k U_k, the part of F_k G_k r carried
+    by k's own symbols; and the SNR terms ||P_k G_k V_k||^2 (V_k
     orthonormal), ||P_k G_k||^2 and rank P_k, where P_k projects off the
     image G_k I_k of k's interference space.  All K inverses are one stacked
     call.  Building a Link verifies the strategy (raising StrategyInvalid), so
@@ -304,6 +305,7 @@ class Link:
     encoders: list[np.ndarray]
     effective: list[np.ndarray] = field(init=False, repr=False)
     receive: list[np.ndarray] = field(init=False, repr=False)
+    folded: list[np.ndarray] = field(init=False, repr=False)
     own: list[np.ndarray] = field(init=False, repr=False)
     snr_terms: list[tuple[float, float, int]] = field(init=False, repr=False)
 
@@ -334,6 +336,7 @@ class Link:
         receive = [inverses[k, : b.shape[1]].copy() for k, b in enumerate(strategy.user_bases)]
         object.__setattr__(self, "effective", effective)
         object.__setattr__(self, "receive", receive)
+        object.__setattr__(self, "folded", [f @ g for f, g in zip(receive, channels.G)])
         object.__setattr__(self, "own", [f @ (g @ e) for f, g, e in zip(receive, channels.G, effective)])
         object.__setattr__(self, "snr_terms", snr_terms)
 
@@ -353,14 +356,22 @@ class Link:
             raise DimensionMismatch(f"noise shape {np.shape(z)} does not match the observation {r.shape}")
         return r if z is None else r + z
 
-    def decode(self, k: int, y_tilde: np.ndarray, x_k: np.ndarray) -> np.ndarray:
-        """Soft estimates F_k y_tilde - own[k] x_k of the symbols k's partners sent it, rows ordered as B_k.
+    def decode(self, k: int, r: np.ndarray, x_k: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """Soft estimates F_k (G_k r + w) - own[k] x_k of the symbols k's partners sent it, rows ordered as B_k.
 
-        y_tilde and x_k are vectors, or (N, T) and (d_k, T) blocks of T trials.
+        Computed as folded[k] r + F_k w - own[k] x_k, so receiver k's
+        observation G_k r + w is never formed.  r, x_k and w are vectors, or
+        (N, T), (d_k, T) and (N, T) blocks of T trials; w, receiver k's noise,
+        when given, has the shape of r.
         """
         self._check_receiver(k)
-        est = self.receive[k] @ np.asarray(y_tilde, dtype=np.complex128)
-        est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)  # in place: one d_k x T temporary fewer
+        r = np.asarray(r, dtype=np.complex128)
+        if w is not None and np.shape(w) != r.shape:
+            raise DimensionMismatch(f"noise shape {np.shape(w)} does not match the observation {r.shape}")
+        est = self.folded[k] @ r
+        if w is not None:  # in place, as below: one d_k x T temporary fewer
+            est += self.receive[k] @ np.asarray(w, dtype=np.complex128)
+        est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)
         return est
 
     def snr(self, k: int, noise: NoiseModel) -> float:
@@ -428,7 +439,9 @@ def run_monte_carlo(
     counting argument, and is therefore a Monte Carlo estimate of
     relay_map_success.  Each noise draw is whole, into two buffers reused by
     every draw of the sweep; each user then decodes in column blocks of
-    DECODE_BLOCK trials, with the output of decoding all trials at once.
+    DECODE_BLOCK trials, with the output of decoding all trials at once.  The
+    symbol tallies visit only the pairs of nonzero width, found once per
+    sweep.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -451,6 +464,8 @@ def run_monte_carlo(
     rng = np.random.default_rng(seed)
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
+    shared = [p for p, b in strategy.pair_bases.items() if b.shape[1]]
+    partners = [[j for p in shared if k in p for j in p if j != k] for k in range(k_users)]
     noise_out = np.empty((n, trials), dtype=np.complex128)
     normals = np.empty((2, n, trials))
     reports = []
@@ -463,20 +478,20 @@ def run_monte_carlo(
         snrs = []
         for k in range(k_users):
             w = _complex_gaussian(rng, (n, trials), noise.sigma_user_sq, noise_out, normals)
-            sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             errors = 0
-            for start in range(0, trials, DECODE_BLOCK):
-                cols = slice(start, start + DECODE_BLOCK)
-                y_tilde = channels.G[k] @ r[:, cols] + w[:, cols]
-                hard_idx = constellation.nearest_index(link.decode(k, y_tilde, x[k][:, cols]))
-                errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
+            if partners[k]:  # d_k > 0
+                sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in partners[k]])
+                for start in range(0, trials, DECODE_BLOCK):
+                    cols = slice(start, start + DECODE_BLOCK)
+                    hard_idx = constellation.nearest_index(link.decode(k, r[:, cols], x[k][:, cols], w[:, cols]))
+                    errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
             d_k = spec.d[k]
             ser.append(errors / (d_k * trials) if d_k else 0.0)
             snrs.append(link.snr(k, noise))
 
         relay_hits = 0
         relay_slots = 0
-        for i, j in strategy.pair_bases:
+        for i, j in shared:
             ai = idx[i][strategy.slices[i, j]]
             aj = idx[j][strategy.slices[j, i]]
             relay_hits += succ_table[ai, aj].sum()

@@ -368,6 +368,11 @@ class TestGenericity:
         assert run("genericity", "-K", "2", "-N", "5", "-d", "5,5", "--trials", "10", "--seed", "0") == 0
         assert capsys.readouterr().out.strip().endswith("1.0000")
 
+    def test_trial_count_past_numpy_array_size_exits_1(self, capsys):
+        # rejected before any draw; never test a huge count numpy can represent, it would run it
+        assert run("genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "1" + "0" * 30) == 1
+        assert capsys.readouterr().err.startswith("error: --trials=1" + "0" * 30)
+
 
 class TestSimulate:
     def test_zero_trials_usage_error(self):
@@ -514,6 +519,12 @@ class TestVariety:
     def test_nonpositive_lines_usage_error(self, lines, capsys):
         assert run("variety", "--lines", lines, "--seed", "0") == 1
         assert "usage error: --lines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--samples", "--lines"])
+    def test_count_past_numpy_array_size_exits_1(self, flag, capsys):
+        # rejected before any draw; never test a huge count numpy can represent, it would run it
+        assert run("variety", flag, "1" + "0" * 30, "--seed", "0") == 1
+        assert capsys.readouterr().err.startswith(f"error: {flag}=1" + "0" * 30)
 
     def test_oversized_relation_table_exits_1(self, capsys):
         assert run("variety", "-N", "13", "-d", "4", "--samples", "1", "--seed", "0") == 1

@@ -13,6 +13,7 @@ from relay_align.feasibility import (
     StrategySpec,
     _gaussian_stacks,
     _pairs,
+    _Verdicts,
     _verify_stack,
     construct_strategy,
     feasible_variety_dim,
@@ -24,7 +25,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
-from relay_align.subspace import RaggedRank, orthonormal_stack, split_by_rank
+from relay_align.subspace import RaggedRank, contains_stack, intersect_stack, orthonormal_stack, split_by_rank
 
 E3 = np.eye(3, dtype=complex)
 
@@ -35,6 +36,28 @@ def span(n, cols):
 
 def same_span(a, b):
     return np.linalg.norm(a @ a.conj().T - b @ b.conj().T) < 1e-9
+
+
+def reference_verify_stack(bases, n):
+    """_verify_stack as one intersect_stack call per pair and one orthonormal_stack call per user."""
+    k, t = len(bases), bases[0].shape[0]
+    inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
+    pair_dims = [b.shape[2] for b in inter.values()]
+    per_user = np.zeros((t, k), dtype=bool)
+    for i in range(k):
+        parts = [inter[min(i, j), max(i, j)] for j in range(k) if j != i]
+        total = orthonormal_stack(np.concatenate(parts, axis=2))
+        if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
+            per_user[:, i] = contains_stack(bases[i], total)
+    global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
+    global_ok = global_total.shape[2] == sum(pair_dims) == n
+    return _Verdicts(np.tile(pair_dims, (t, 1)), per_user, np.full(t, global_ok))
+
+
+def assert_same_verdicts(bases, n):
+    got, want = _verify_stack(bases, n), reference_verify_stack(bases, n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 class TestFeasibleTuple:
@@ -266,6 +289,45 @@ class TestBatchedGenericity:
             assert tuple(v.per_user_ok[t].tolist()) == ref.per_user_ok
             assert v.global_ok[t] == ref.global_ok
         assert v.ok.tolist() == [True, True, False, True]
+        want = split_by_rank(partial(reference_verify_stack, n=3), bases)
+        assert all(np.array_equal(g, w) for g, w in zip(v, want))
+
+
+class TestStackedVerifier:
+    """The row-stacked verifier against one intersect_stack call per pair."""
+
+    @pytest.mark.parametrize("d", [(5, 3, 1, 1), (1, 5, 3, 1), (3, 1, 5, 1)])
+    def test_ragged_widths(self, d):
+        spec = StrategySpec(4, 5, d)
+        assert_same_verdicts([b[None] for b in construct_strategy(spec).subspaces], 5)
+        stacks = _gaussian_stacks(5, d, np.random.default_rng(sum(d) * d[0]).spawn(8))
+        assert_same_verdicts([orthonormal_stack(g) for g in stacks], 5)
+
+    def test_ragged_widths_from_a_pairwise_table(self):
+        table = {(0, 1): 3, (0, 2): 1, (0, 3): 1, (1, 2): 0, (1, 3): 0, (2, 3): 0}
+        s = strategy_from_pairwise(StrategySpec(4, 5, (5, 3, 1, 1), pairwise=table), np.random.default_rng(6))
+        assert_same_verdicts([b[None] for b in s.subspaces], 5)
+
+    @pytest.mark.parametrize(
+        "k,n,d", [(4, 2, (1, 1, 1, 1)), (4, 4, (2, 2, 2, 2)), (5, 5, (2,) * 5), (3, 4, (3, 3, 3)), (6, 6, (3, 2, 2, 2, 2, 1))]
+    )
+    def test_failing_haar_candidates(self, k, n, d):
+        rng = np.random.default_rng(k * 10 + n)
+        for _ in range(5):
+            cand = sample_generic_strategy(StrategySpec(k, n, d), rng)
+            assert not verify_strategy(cand, n).ok
+            assert_same_verdicts([b[None] for b in cand], n)
+        assert_same_verdicts([orthonormal_stack(g) for g in _gaussian_stacks(n, d, rng.spawn(16))], n)
+
+    def test_coordinate_strategy_wide(self):
+        s = construct_strategy(StrategySpec(16, 32, (4,) * 16))
+        assert_same_verdicts([b[None] for b in s.subspaces], 32)
+
+    def test_subspaces_bits_equal_one_call_per_user(self):
+        table = {(0, 1): 3, (0, 2): 1, (0, 3): 1, (1, 2): 0, (1, 3): 0, (2, 3): 0}
+        s = strategy_from_pairwise(StrategySpec(4, 5, (5, 3, 1, 1), pairwise=table), np.random.default_rng(9))
+        for got, b in zip(s.subspaces, s.user_bases):
+            assert np.array_equal(got, orthonormal_stack(b[None])[0])
 
 
 class TestPairwise:
@@ -389,6 +451,7 @@ class TestEveryPairwiseTable:
                 s = strategy_from_pairwise(StrategySpec(k, n, d, pairwise=table), rng)
                 report = verify_strategy(s.subspaces, n)
                 assert report.ok and report.pair_dims == table, (k, n, table)
+                assert_same_verdicts([b[None] for b in s.subspaces], n)
                 count += 1
         assert count == 532
 

@@ -46,9 +46,9 @@ def link_of(strategy, channels):
     return Link(strategy, channels, design_encoders(strategy, channels))
 
 
-def decode_by_partner(link, k, y_tilde, x_k):
-    """Hard QPSK decisions of receiver k, split into the blocks its partners sent."""
-    hard = QPSK.points[QPSK.nearest_index(link.decode(k, y_tilde, x_k))]
+def decode_by_partner(link, k, r, x_k):
+    """Hard QPSK decisions of receiver k from the relay's noiseless r, split into the blocks its partners sent."""
+    hard = QPSK.points[QPSK.nearest_index(link.decode(k, r, x_k))]
     return {j: hard[rows] for (i, j), rows in link.strategy.slices.items() if i == k}
 
 
@@ -218,15 +218,15 @@ class TestReceiverDecode:
         x = [np.array([1, 1j]), np.array([-1, -1j]), np.array([1j, -1])]
         r = link.observe(x)
         # user 1 recovers x2^1 (on v2) and x3^2 (on v1)
-        res0 = decode_by_partner(link, 0, ch.G[0] @ r, x[0])
+        res0 = decode_by_partner(link, 0, r, x[0])
         assert res0[1][0] == x[1][0]
         assert res0[2][0] == x[2][1]
         # user 2 recovers x1^2 (on v2) and x3^1 (on v3)
-        res1 = decode_by_partner(link, 1, ch.G[1] @ r, x[1])
+        res1 = decode_by_partner(link, 1, r, x[1])
         assert res1[0][0] == x[0][1]
         assert res1[2][0] == x[2][0]
         # user 3 recovers x1^1 (on v1) and x2^2 (on v3)
-        res2 = decode_by_partner(link, 2, ch.G[2] @ r, x[2])
+        res2 = decode_by_partner(link, 2, r, x[2])
         assert res2[0][0] == x[0][0]
         assert res2[1][0] == x[1][1]
 
@@ -239,7 +239,7 @@ class TestReceiverDecode:
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
             r = link.observe(x)
             for k in range(3):
-                for j, got in decode_by_partner(link, k, ch.G[k] @ r, x[k]).items():
+                for j, got in decode_by_partner(link, k, r, x[k]).items():
                     sent = x[j][strategy.slices[j, k]]
                     assert np.allclose(got, sent)
 
@@ -252,12 +252,17 @@ class TestReceiverDecode:
         z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
         r = link.observe(x, z)
         for k in range(3):
-            y_tilde = ch.G[k] @ r
-            block = link.decode(k, y_tilde, x[k])
+            w = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+            block = link.decode(k, r, x[k], w)
             assert block.shape == (4, 5)
             for t in range(5):
-                single = link.decode(k, y_tilde[:, t], x[k][:, t])
+                single = link.decode(k, r[:, t], x[k][:, t], w[:, t])
                 assert np.linalg.norm(single - block[:, t]) < 1e-12
+
+    def test_noise_shape_must_match_the_observation(self):
+        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
+        with pytest.raises(DimensionMismatch, match="noise shape"):
+            link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 5)))
 
     def test_unverified_strategy_rejected(self):
         plane = E3[:, [0, 1]]
@@ -314,9 +319,9 @@ class TestReceiveMap:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
             for k in range(spec.K):
-                y = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
+                r, w = (rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6)) for _ in range(2))
                 x_k = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
-                got, want = link.decode(k, y, x_k), reference_decode(link, k, y, x_k)
+                got, want = link.decode(k, r, x_k, w), reference_decode(link, k, ch.G[k] @ r + w, x_k)
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
@@ -325,8 +330,8 @@ class TestReceiveMap:
         spec = StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1})
         strategy = strategy_from_pairwise(spec, rng)
         link = link_of(strategy, draw_channels(4, 5, rng))
-        for d, f, own in zip(spec.d, link.receive, link.own):
-            assert f.shape == (d, 5) and own.shape == (d, d)
+        for d, f, folded, own in zip(spec.d, link.receive, link.folded, link.own):
+            assert f.shape == folded.shape == (d, 5) and own.shape == (d, d)
             assert f.base is None  # a copy, not a view keeping the stacked inverse alive
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
 
@@ -414,7 +419,7 @@ class TestTwoUserBaseline:
         x = [QPSK.points[i] for i in idx]
         r = link.observe(x)
         ser = tuple(
-            float(np.mean(QPSK.nearest_index(link.decode(k, link.channels.G[k] @ r, x[k])) != idx[1 - k]))
+            float(np.mean(QPSK.nearest_index(link.decode(k, r, x[k])) != idx[1 - k]))
             for k in (0, 1)
         )
         assert ser == (0.0, 0.0)
@@ -483,7 +488,9 @@ class TestRunMonteCarlo:
 
 # The sweep and its two kernels as they were before decoding ran in trial blocks,
 # kept as the reference for the blocked form: noise as one complex expression,
-# nearest point by argmin, and every level decoded over all trials at once.
+# nearest point by argmin, every level decoded over all trials at once, each
+# receiver's observation y_tilde = G_k r + w formed and mapped by F_k, and the
+# tallies over every pair and partner.
 
 
 def reference_complex_gaussian(rng, shape, variance):
@@ -525,7 +532,8 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         snrs = []
         for k in range(k_users):
             y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
-            hard_idx = reference_nearest_index(constellation, link.decode(k, y_tilde, x[k]))
+            est = link.receive[k] @ y_tilde - link.own[k] @ x[k]
+            hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))

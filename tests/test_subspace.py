@@ -5,6 +5,8 @@ from relay_align.errors import DimensionMismatch, InvalidInput
 from relay_align.feasibility import verify_strategy
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
+    RaggedRank,
+    _intersect_each,
     intersect_stack,
     numeric_rank,
     orthonormal_stack,
@@ -61,6 +63,37 @@ def sharing_stack(t, n, da, db, shared, rng):
         own_b = rng.standard_normal((n, db - shared)) + 1j * rng.standard_normal((n, db - shared))
         pairs.append((orthonormal(np.hstack([common, own_a])), orthonormal(np.hstack([common, own_b]))))
     return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
+
+
+def reference_orthonormal_stack(a):
+    """orthonormal_stack as one SVD per (T, N, m) stack, before stacks of one width shared a call."""
+    if a.shape[2] == 0:
+        return a
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    ranks = numeric_rank(s, a.shape[1:])
+    assert (ranks == ranks[0]).all()
+    return u[..., : ranks[0]]
+
+
+def reference_intersect_stack(a, b):
+    """intersect_stack as one pair per call, before the partners of a row shared one SVD."""
+    t, n, da = a.shape
+    if da == 0 or b.shape[2] == 0:
+        return np.zeros((t, n, 0), dtype=np.complex128)
+    stacked = np.concatenate([a, -b], axis=2)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=n < stacked.shape[2])
+    ranks = numeric_rank(s, stacked.shape[1:])
+    assert (ranks == ranks[0]).all()
+    null = vh[:, ranks[0] :].conj().swapaxes(1, 2)
+    return reference_orthonormal_stack(a @ null[:, :da])
+
+
+def meeting(a, db, shared, rng):
+    """A (T, N, db) stack of random orthonormal bases, each sharing a random `shared`-dim subspace with a[t]."""
+    t, n, da = a.shape
+    mix = rng.standard_normal((t, da, shared)) + 1j * rng.standard_normal((t, da, shared))
+    own = rng.standard_normal((t, n, db - shared)) + 1j * rng.standard_normal((t, n, db - shared))
+    return orthonormal_stack(np.concatenate([a @ mix, own], axis=2))
 
 
 class TestOrthonormalBasis:
@@ -160,6 +193,43 @@ class TestIntersect:
         got = intersect_stack(a, b)
         assert got.shape == (6, n, max(shared, da + db - n))
         assert np.array_equal(got, full_svd_intersect(a, b))
+
+
+    # the shapes of the tests above: (N, dA, dB, shared dim) of one pair
+    @pytest.mark.parametrize(
+        "n, da, db, shared",
+        [(3, 2, 2, 2), (3, 2, 2, 1), (4, 2, 2, 0), (4, 2, 3, 1), (3, 0, 1, 0), (3, 1, 0, 0),
+         (32, 8, 8, 0), (32, 8, 8, 2), (8, 4, 4, 1), (5, 2, 3, 1), (5, 4, 3, 2), (6, 5, 5, 4)],
+    )
+    @pytest.mark.parametrize("t", [1, 6])
+    def test_bits_equal_one_pair_per_call(self, n, da, db, shared, t):
+        rng = np.random.default_rng(n * 1000 + da * 100 + db * 10 + shared)
+        a = orthonormal_stack(rng.standard_normal((t, n, da)) + 1j * rng.standard_normal((t, n, da)))
+        b = meeting(a, db, shared, rng)
+        got = intersect_stack(a, b)
+        assert got.shape == (t, n, max(shared, da + db - n))
+        assert np.array_equal(got, reference_intersect_stack(a, b))
+
+    def test_row_of_mixed_widths_and_ranks_bits_equal_per_pair(self):
+        # partners of widths 0, 2 and 3, and within each width intersections of different dims
+        rng = np.random.default_rng(17)
+        a = orthonormal_stack(rng.standard_normal((4, 7, 3)) + 1j * rng.standard_normal((4, 7, 3)))
+        widths_shared = [(2, 0), (3, 1), (2, 2), (0, 0), (2, 1), (3, 3), (3, 0), (2, 0)]
+        bs = [meeting(a, db, shared, rng) for db, shared in widths_shared]
+        got = _intersect_each(a, bs)
+        for b, g, (db, shared) in zip(bs, got, widths_shared):
+            assert g.shape == (4, 7, shared)
+            assert np.array_equal(g, reference_intersect_stack(a, b))
+
+    def test_ragged_pair_of_a_row_raises_its_trial_ranks(self):
+        rng = np.random.default_rng(18)
+        a = orthonormal_stack(rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2)))
+        steady = meeting(a, 2, 1, rng)
+        ragged = meeting(a, 2, 0, rng)
+        ragged[1] = meeting(a[1:2], 2, 1, rng)[0]  # trial 1 alone meets a in a line
+        with pytest.raises(RaggedRank) as exc:
+            _intersect_each(a, [steady, ragged])
+        assert exc.value.ranks.tolist() == [4, 3, 4]  # rank of [A | -B] per trial
 
 
 class TestSumAndDirectSum:
