@@ -38,7 +38,6 @@ from .relaysim import (
     ChannelSet,
     Constellation,
     Link,
-    NoiseModel,
     SimReport,
     design_encoders,
     draw_channels,
@@ -46,7 +45,6 @@ from .relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from .subspace import project_onto_perp
 from .variety import codim_line_probe
 
 __version__ = "0.1.0"

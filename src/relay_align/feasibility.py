@@ -169,12 +169,6 @@ class Strategy:
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
 
-    def interference_space(self, k: int) -> np.ndarray:
-        """Orthonormal basis of the direct sum of all pair intersections not involving user k."""
-        blocks = [b for p, b in self.pair_bases.items() if k not in p]
-        cols = np.hstack(blocks) if blocks else np.zeros((self.spec.N, 0), dtype=np.complex128)
-        return orthonormal_stack(cols[None])[0]
-
 
 @dataclass(frozen=True)
 class VerificationReport:

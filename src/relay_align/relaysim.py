@@ -9,8 +9,10 @@ coordinate.
 
 A Link binds a verified strategy to one channel draw and encoder set and
 computes once what observation, decoding and SNR reuse, for one trial or a
-block of T trials.  run_monte_carlo builds one Link per sweep, so every noise
-level of a sweep runs over the same system.
+block of T trials.  Receiver k's receive map F_k is its only model: decoding
+applies it, and the SNR reads each stream's noise variance off it.
+run_monte_carlo builds one Link per sweep, so every noise level of a sweep
+runs over the same system.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from .feasibility import (
     construct_strategy,
     verify_strategy,
 )
-from .subspace import numeric_rank, orthonormal_stack, project_onto_perp
+from .subspace import numeric_rank
 
 __all__ = [
     "Constellation",
-    "NoiseModel",
     "ChannelSet",
     "SimReport",
     "SecrecyAuditReport",
@@ -126,18 +127,6 @@ class Constellation:
         tol = SUM_MATCH_TOL * gaps[gaps > 0].min(initial=np.inf)
         first = [not np.any(np.abs(sums[:t] - s) <= tol) for t, s in enumerate(sums)]
         return np.reshape(first, (self.size, self.size)).astype(float)
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Variances of the relay noise z and the per-user noise w_k."""
-
-    sigma_relay_sq: float
-    sigma_user_sq: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) and v >= 0 for v in (self.sigma_relay_sq, self.sigma_user_sq)):
-            raise InvalidInput("noise variances must be finite and >= 0")
 
 
 def _complex_gaussian(
@@ -292,12 +281,14 @@ class Link:
     F_k, the first d_k rows of (G_k [B_k | J_k])^-1, which sends
     G_k (B_k s + J_k u) to s; folded[k] = F_k G_k, which decode applies to
     the relay's r; own[k] = F_k G_k H_k U_k, the part of F_k G_k r carried
-    by k's own symbols; and the SNR terms ||P_k G_k V_k||^2 (V_k
-    orthonormal), ||P_k G_k||^2 and rank P_k, where P_k projects off the
-    image G_k I_k of k's interference space.  All K inverses are one stacked
-    call.  Building a Link verifies the strategy (raising StrategyInvalid), so
-    that every [B_k | J_k] is a basis, and a G_k whose frame is short of full
-    numeric rank (the subspace rank rule) raises SingularChannel.
+    by k's own symbols; and noise_gain[k], the squared row norms of F_k G_k
+    plus those of F_k, so that with relay and receiver noise of variance var
+    stream s of k has post-decoder noise variance var * noise_gain[k][s]
+    (the diagonal of var * F_k (G_k G_k^H + I) F_k^H).  All K inverses are
+    one stacked call.  Building a Link verifies the strategy (raising
+    StrategyInvalid), so that every [B_k | J_k] is a basis, and a G_k whose
+    frame is short of full numeric rank (the subspace rank rule) raises
+    SingularChannel.
     """
 
     strategy: Strategy
@@ -307,7 +298,7 @@ class Link:
     receive: list[np.ndarray] = field(init=False, repr=False)
     folded: list[np.ndarray] = field(init=False, repr=False)
     own: list[np.ndarray] = field(init=False, repr=False)
-    snr_terms: list[tuple[float, float, int]] = field(init=False, repr=False)
+    noise_gain: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         strategy, channels = self.strategy, self.channels
@@ -319,14 +310,10 @@ class Link:
         if not report.ok:
             raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
         effective = [h @ u for h, u in zip(channels.H, self.encoders)]
-        snr_terms, frames = [], []
+        frames = []
         for k, g in enumerate(channels.G):
             others = [b for p, b in strategy.pair_bases.items() if k not in p]
             frames.append(g @ np.hstack([strategy.user_bases[k], *others]))
-            gik = orthonormal_stack((g @ strategy.interference_space(k))[None])[0]
-            signal = np.linalg.norm(project_onto_perp(g @ strategy.subspaces[k], gik)) ** 2
-            relay_gain = np.linalg.norm(project_onto_perp(g, gik)) ** 2
-            snr_terms.append((signal, relay_gain, strategy.spec.N - gik.shape[1]))
         frames = np.stack(frames)
         # [B_k | J_k] is a basis once verified, so a frame short of full rank has a singular G_k
         ranks = numeric_rank(np.linalg.svd(frames, compute_uv=False), frames.shape[1:])
@@ -334,11 +321,13 @@ class Link:
             raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular")
         inverses = np.linalg.inv(frames)
         receive = [inverses[k, : b.shape[1]].copy() for k, b in enumerate(strategy.user_bases)]
+        folded = [f @ g for f, g in zip(receive, channels.G)]
         object.__setattr__(self, "effective", effective)
         object.__setattr__(self, "receive", receive)
-        object.__setattr__(self, "folded", [f @ g for f, g in zip(receive, channels.G)])
+        object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "own", [f @ (g @ e) for f, g, e in zip(receive, channels.G, effective)])
-        object.__setattr__(self, "snr_terms", snr_terms)
+        gains = [np.linalg.norm(fg, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2 for fg, f in zip(folded, receive)]
+        object.__setattr__(self, "noise_gain", gains)
 
     def observe(self, symbols: list[np.ndarray], z: np.ndarray | None = None) -> np.ndarray:
         """Relay observation r = sum_i H_i U_i x_i + z.
@@ -374,24 +363,22 @@ class Link:
         est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)
         return est
 
-    def snr(self, k: int, noise: NoiseModel) -> float:
-        """Analytic-expectation SNR of receiver k after interference projection.
+    def snr(self, k: int, var: float) -> float:
+        """SNR of receiver k's worst stream after the decoder, per unit symbol energy.
 
-        Numerator ||P_k G_k V_k||_F^2 with V_k an orthonormal basis of user k's
-        subspace; the denominator replaces the noise by its expected projected
-        power: sigma_z^2 ||P_k G_k||_F^2 + sigma_w^2 rank(P_k).  Returns +inf
-        when both variances are zero.
-
-        The SNR is taken before the receive map: it leaves out the noise gain
-        ||F_k||_F^2 of F_k, so it cannot explain the SER of a receiver whose
-        frame G_k [B_k | J_k] is badly conditioned.
+        With relay and receiver noise of variance var >= 0, decode returns each
+        symbol plus noise of variance var * noise_gain[k][s] on stream s, so
+        the SNR is 1 / (var * max noise_gain[k]).  Returns +inf at var = 0,
+        and 0 for a receiver with no streams at var > 0; a var that is not
+        finite and >= 0 raises InvalidInput.
         """
         self._check_receiver(k)
-        signal, relay_gain, rank = self.snr_terms[k]
-        denom = noise.sigma_relay_sq * relay_gain + noise.sigma_user_sq * rank
-        if denom == 0:
+        if not (math.isfinite(var) and var >= 0):
+            raise InvalidInput("noise variance must be finite and >= 0")
+        if var == 0:
             return float("inf")
-        return float(signal / denom)
+        gain = self.noise_gain[k]  # each >= 1, as F_k G_k B_k = I with B_k orthonormal
+        return float(1 / (var * gain.max())) if gain.size else 0.0  # no streams: no signal
 
     def _check_receiver(self, k: int) -> None:
         if not 0 <= k < len(self.receive):
@@ -447,7 +434,8 @@ def run_monte_carlo(
         raise InvalidInput("trials must be >= 1")
     if 16 * spec.N * trials > np.iinfo(np.intp).max:  # the (N, trials) complex buffers, in bytes
         raise InvalidInput(f"trials={trials} needs a buffer past numpy's largest array")
-    noises = [NoiseModel(sigma_relay_sq=var, sigma_user_sq=var) for var in noise_grid]
+    if not all(math.isfinite(v) and v >= 0 for v in noise_grid):
+        raise InvalidInput("noise variances must be finite and >= 0")
     strategy = construct_strategy(spec)
     succ_table = constellation.map_success_table()
     pts = constellation.points
@@ -469,15 +457,15 @@ def run_monte_carlo(
     noise_out = np.empty((n, trials), dtype=np.complex128)
     normals = np.empty((2, n, trials))
     reports = []
-    for var, noise in zip(noise_grid, noises):
+    for var in noise_grid:
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(x, _complex_gaussian(rng, (n, trials), noise.sigma_relay_sq, noise_out, normals))
+        r = link.observe(x, _complex_gaussian(rng, (n, trials), var, noise_out, normals))
 
         ser = []
         snrs = []
         for k in range(k_users):
-            w = _complex_gaussian(rng, (n, trials), noise.sigma_user_sq, noise_out, normals)
+            w = _complex_gaussian(rng, (n, trials), var, noise_out, normals)
             errors = 0
             if partners[k]:  # d_k > 0
                 sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in partners[k]])
@@ -487,7 +475,7 @@ def run_monte_carlo(
                     errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
             d_k = spec.d[k]
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr(k, noise))
+            snrs.append(link.snr(k, var))
 
         relay_hits = 0
         relay_slots = 0

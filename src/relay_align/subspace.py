@@ -31,7 +31,6 @@ __all__ = [
     "orthonormal_stack",
     "intersect_stack",
     "contains_stack",
-    "project_onto_perp",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -222,13 +221,3 @@ def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.ones(b.shape[0], dtype=bool)
     resid = b - (a @ a.conj().swapaxes(1, 2)) @ b
     return np.linalg.norm(resid, axis=(1, 2)) < 1e-9
-
-
-def project_onto_perp(x, basis: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of the columns of x onto the complement of span(basis), basis orthonormal N x d."""
-    x = np.asarray(x, dtype=np.complex128)
-    if x.shape[0] != basis.shape[0]:
-        raise DimensionMismatch(f"x has {x.shape[0]} rows, ambient dim is {basis.shape[0]}")
-    if basis.shape[1] == 0:
-        return x.copy()
-    return x - basis @ (basis.conj().T @ x)

@@ -143,7 +143,7 @@ class TestConstructStrategy:
 class TestStrategyLayout:
     @pytest.mark.parametrize("key", [(0, 7), (1, 1), (1, 0), (0, 3), (-1, 2), "0-1"])
     def test_bad_pair_key_rejected(self, key):
-        # (0, 7) and (1, 1) once verified and then widened interference_space(2); (1, 0) merged with (0, 1)
+        # (0, 7) and (1, 1) once verified and then widened user 2's interference space; (1, 0) merged with (0, 1)
         s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         with pytest.raises(InvalidInput, match=re.escape(repr(key))):
             Strategy(spec=s.spec, pair_bases={**s.pair_bases, key: np.eye(3, dtype=complex)[:, [0]]})

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from relay_align.relaysim import (
     ChannelSet,
     Constellation,
     Link,
-    NoiseModel,
     SimReport,
     design_encoders,
     draw_channels,
@@ -31,7 +31,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import orthonormal_stack, project_onto_perp, rank_threshold
+from relay_align.subspace import orthonormal_stack, rank_threshold
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -280,20 +280,29 @@ class TestReceiverDecode:
         with pytest.raises(InvalidInput, match="out of range"):
             link.decode(k, np.zeros(3), np.zeros(2))
         with pytest.raises(InvalidInput, match="out of range"):
-            link.snr(k, NoiseModel(1, 1))
+            link.snr(k, 1.0)
+
+
+def interference_blocks(strategy, k):
+    """The pair blocks not involving user k, side by side: a basis of k's interference space I_k."""
+    return np.hstack([b for p, b in strategy.pair_bases.items() if k not in p])
 
 
 def reference_decode(link, k, y_tilde, x_k):
     """Receiver k's decoder before the receive map, kept as its reference.
 
     Subtract k's own signal G_k H_k U_k x_k, project off the image G_k I_k of
-    k's interference space, then apply the pseudo-inverse of P_k G_k B_k.
+    k's interference space (P_k), then apply the pseudo-inverse of P_k G_k B_k.
     """
     g, strategy = link.channels.G[k], link.strategy
-    gik = orthonormal_stack((g @ strategy.interference_space(k))[None])[0]
-    decoder = np.linalg.pinv(project_onto_perp(g @ strategy.user_bases[k], gik))
+    gik = orthonormal_stack((g @ interference_blocks(strategy, k))[None])[0]
+
+    def project_off(x):
+        return x - gik @ (gik.conj().T @ x)
+
+    decoder = np.linalg.pinv(project_off(g @ strategy.user_bases[k]))
     y = np.asarray(y_tilde, dtype=complex) - g @ (link.effective[k] @ np.asarray(x_k, dtype=complex))
-    return decoder @ project_onto_perp(y, gik)
+    return decoder @ project_off(y)
 
 
 def random_pairwise_spec(rng):
@@ -325,6 +334,19 @@ class TestReceiveMap:
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
+    def test_noise_gain_is_the_post_decoder_noise_diagonal(self):
+        # F_k (G_k z + w) with z, w of unit variance has covariance F_k (G_k G_k^H + I) F_k^H
+        rng = np.random.default_rng(33)
+        for _ in range(40):
+            spec = random_pairwise_spec(rng)
+            strategy = strategy_from_pairwise(spec, rng)
+            ch = draw_channels(spec.K, spec.N, rng)
+            link = link_of(strategy, ch)
+            for k, (f, g) in enumerate(zip(link.receive, ch.G)):
+                want = np.diag(f @ (g @ g.conj().T + np.eye(spec.N)) @ f.conj().T).real
+                assert link.noise_gain[k].shape == (spec.d[k],)
+                assert np.linalg.norm(link.noise_gain[k] - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+
     def test_maps_are_d_k_by_n_and_own_their_memory(self):
         rng = np.random.default_rng(4)
         spec = StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1})
@@ -351,27 +373,41 @@ class TestSnr:
     def test_noiseless_is_infinite(self):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
-        assert link_of(strategy, ch).snr(0, NoiseModel(0, 0)) == float("inf")
+        assert link_of(strategy, ch).snr(0, 0.0) == float("inf")
 
     def test_worked_example_value(self):
-        # identity channels: P_1 projects off span{e3}; numerator 2, denominator 2 + 2
+        # G_1 = 2I, other channels identity.  User 1's frame G_1 [B_1 | J_1] is
+        # 2 [e2, e1, e3], so F_1 is the rows e2/2 and e1/2 and F_1 G_1 the rows
+        # e2 and e1: each stream's noise gain is 1 + 1/4, and at variance 0.1
+        # the SNR is 1 / (0.1 * 1.25) = 8
         strategy = worked_example_strategy()
         ch = identity_channels(3, 3)
-        val = link_of(strategy, ch).snr(0, NoiseModel(1, 1))
-        assert abs(val - 0.5) < 1e-12
+        ch.G[0][:] = 2 * E3
+        link = Link(strategy, ch, worked_example_encoders())
+        assert np.allclose(link.noise_gain[0], [1.25, 1.25], rtol=0, atol=1e-15)
+        assert abs(link.snr(0, 0.1) - 8) < 1e-12
 
     def test_noise_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
         link = link_of(strategy, draw_channels(3, 3, rng))
-        base = link.snr(1, NoiseModel(0.3, 0.7))
-        scaled = link.snr(1, NoiseModel(3.0, 7.0))
+        base = link.snr(1, 0.3)
+        scaled = link.snr(1, 3.0)
         assert abs(base - 10 * scaled) < 1e-9 * base
 
-    @pytest.mark.parametrize("variances", [(float("nan"), 0), (0, float("inf")), (-1, 0), (0, -1e-3)])
-    def test_noise_model_rejects_nonfinite_and_negative(self, variances):
+    def test_receiver_with_no_streams(self):
+        # user 3 of d = (2, 2, 0) receives nothing: no signal, SNR 0 (printed
+        # -inf dB), except at variance 0, where every receiver's SNR is inf
+        link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
+        assert link.noise_gain[2].shape == (0,)
+        assert link.snr(2, 1.0) == 0.0
+        assert link.snr(2, 0.0) == float("inf")
+
+    @pytest.mark.parametrize("var", [float("nan"), float("inf"), -1e-3])
+    def test_rejects_nonfinite_and_negative_variance(self, var):
+        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
         with pytest.raises(InvalidInput, match="finite and >= 0"):
-            NoiseModel(*variances)
+            link.snr(0, var)
 
 
 class TestRelayMapSuccess:
@@ -460,15 +496,15 @@ class TestRunMonteCarlo:
         ch = draw_channels(4, 2, rng)
         for k in range(4):
             gv = orthonormal_stack((ch.G[k] @ strategy.subspaces[k])[None])[0]
-            gi = strategy.interference_space(k)
+            gi = orthonormal_stack(interference_blocks(strategy, k)[None])[0]
             gi_img = ch.G[k] @ gi
             stacked = np.hstack([gv, gi_img])
             assert gv.shape[1] == strategy.spec.d[k]
             assert np.linalg.matrix_rank(stacked) == gv.shape[1] + gi.shape[1]
 
     def test_one_system_per_sweep(self):
-        # SNR = signal / (var * (relay gain + rank)) on a fixed Link, so SNR * var
-        # is the same at every level exactly when the sweep keeps one channel draw
+        # SNR = 1 / (var * max noise gain) on a fixed Link, so SNR * var is the
+        # same at every level exactly when the sweep keeps one channel draw
         grid = [1.0, 0.1, 0.01, 0.001, 1e-4]
         for spec in (StrategySpec(3, 3, (2, 2, 2)), StrategySpec(4, 4, (2, 2, 2, 2))):
             reports = run_monte_carlo(spec, QPSK, grid, 20, seed=34)
@@ -506,7 +542,6 @@ def reference_nearest_index(constellation, values):
 
 
 def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
-    noises = [NoiseModel(sigma_relay_sq=var, sigma_user_sq=var) for var in noise_grid]
     strategy = construct_strategy(spec)
     succ_table = constellation.map_success_table()
     pts = constellation.points
@@ -524,21 +559,21 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
     reports = []
-    for var, noise in zip(noise_grid, noises):
+    for var in noise_grid:
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(x, reference_complex_gaussian(rng, (n, trials), noise.sigma_relay_sq))
+        r = link.observe(x, reference_complex_gaussian(rng, (n, trials), var))
         ser = []
         snrs = []
         for k in range(k_users):
-            y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), noise.sigma_user_sq)
+            y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), var)
             est = link.receive[k] @ y_tilde - link.own[k] @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr(k, noise))
+            snrs.append(link.snr(k, var))
         relay_hits = 0
         relay_slots = 0
         for (i, j), dij in strategy.pair_dims().items():
@@ -594,6 +629,42 @@ class TestBlockedSweep:
         spec = StrategySpec(3, 3, (2, 2, 2))
         got = run_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
         assert got == reference_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
+
+
+def q_function(x):
+    return math.erfc(x / math.sqrt(2)) / 2
+
+
+def exact_stream_ser(constellation, v):
+    """SER of one stream whose post-decoder noise is circular Gaussian of variance v."""
+    if constellation.name == "qpsk":  # points 1, -1, j, -j: two quadrature decisions at distance 1/sqrt(2)
+        return 1 - (1 - q_function(1 / math.sqrt(v))) ** 2
+    return q_function(math.sqrt(2 / v))  # bpsk
+
+
+class TestSnrExplainsSer:
+    # Each cell's bound was fixed before looking at the results: 5 binomial
+    # standard deviations of the exact SER over the trials, plus one trial.
+    @pytest.mark.parametrize(
+        "spec, constellation, seed, trials",
+        [
+            *[(StrategySpec(3, 3, (2, 2, 2)), QPSK, seed, 20_000) for seed in (0, 1, 2, 57)],
+            (StrategySpec(3, 3, (2, 2, 2)), Constellation.bpsk(), 2, 20_000),
+            (StrategySpec(4, 4, (2, 2, 2, 2)), QPSK, 5, 10_000),
+            (StrategySpec(16, 32, (4,) * 16), QPSK, 5, 2000),
+        ],
+    )
+    def test_monte_carlo_ser_matches_exact_from_noise_gain(self, spec, constellation, seed, trials):
+        # seed 57's user 3 decodes through a badly conditioned frame: SER about
+        # 0.60 at noise 0.01, which its worst stream's SNR (-12.2 dB) explains
+        reports = run_monte_carlo(spec, constellation, GRID, trials, seed)
+        link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, np.random.default_rng(seed)))
+        for rep in reports:
+            for k in range(spec.K):
+                assert rep.per_user_snr[k] == link.snr(k, rep.noise_var)  # the sweep's own Link
+                p = float(np.mean([exact_stream_ser(constellation, rep.noise_var * g) for g in link.noise_gain[k]]))
+                bound = 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
+                assert abs(rep.per_user_ser[k] - p) <= bound, (seed, rep.noise_var, k, p)
 
 
 class TestNearestIndex:

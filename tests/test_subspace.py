@@ -10,7 +10,6 @@ from relay_align.subspace import (
     intersect_stack,
     numeric_rank,
     orthonormal_stack,
-    project_onto_perp,
     rank_threshold,
 )
 
@@ -255,43 +254,6 @@ class TestSumAndDirectSum:
         # no parts stack to a matrix with no rows, which has no ambient space
         with pytest.raises(InvalidInput):
             orthonormal(np.zeros((0, 0)))
-
-
-class TestProjectOntoPerp:
-    def test_annihilates_own_span(self):
-        out = project_onto_perp(E3[:, [0]], span(E3[:, 0]))
-        assert np.linalg.norm(out) < 1e-12
-
-    def test_removes_one_component(self):
-        x = (E3[:, 0] + E3[:, 1]).reshape(-1, 1)
-        out = project_onto_perp(x, span(E3[:, 1]))
-        assert np.allclose(out.ravel(), E3[:, 0])
-
-    def test_pythagoras(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            s = random_subspace(5, 2, rng)
-            x = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
-            perp = project_onto_perp(x, s)
-            proj = x - perp
-            lhs = np.linalg.norm(x) ** 2
-            rhs = np.linalg.norm(proj) ** 2 + np.linalg.norm(perp) ** 2
-            assert abs(lhs - rhs) < 1e-9
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(12)
-        s = random_subspace(4, 2, rng)
-        x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-        once = project_onto_perp(x, s)
-        twice = project_onto_perp(once, s)
-        assert np.linalg.norm(once - twice) < 1e-9
-
-    def test_result_orthogonal_to_subspace(self):
-        rng = np.random.default_rng(13)
-        s = random_subspace(4, 2, rng)
-        x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        out = project_onto_perp(x, s)
-        assert np.linalg.norm(s.conj().T @ out) < 1e-10
 
 
 class TestGrassmannIdentities:
