@@ -183,16 +183,15 @@ def cmd_simulate(args) -> int:
         for key in _CFG_TYPES:
             if key in cfg and getattr(args, key) is None:
                 setattr(args, key, _cfg_value(key, cfg[key]))
-    if args.K is None or args.N is None or args.d is None:
-        raise UsageError("simulate requires -K, -N and -d (flags or --config)")
+    if args.K is None or args.N is None or args.d is None or args.trials is None:
+        raise UsageError("simulate requires -K, -N, -d and --trials (flags or --config)")
     if args.constellation is None:
         args.constellation = "qpsk"
     if args.noise_grid is None:
         args.noise_grid = "1,0.1,0.01,0.001,0.0001"
     spec = _spec_from_args(args)
     seed = _resolve_seed(args)
-    if args.trials is None or args.trials < 1:
-        raise UsageError("--trials must be >= 1")
+    _check_count("--trials", args.trials)
     constellation = _parse_constellation(args.constellation)
     grid = _parse_grid(args.noise_grid)
     reports = relaysim.run_monte_carlo(spec, constellation, grid, args.trials, seed)

@@ -3,7 +3,9 @@
 A strategy assigns each user i a subspace V_i of the relay space C^N such
 that every V_i splits into its pairwise intersections and the whole relay
 space splits into all pairwise intersections.  The relay then only ever sees
-pairwise sums of symbols.
+pairwise sums of symbols.  A Strategy holds those intersections as
+orthonormal blocks B_ij, so it is valid iff its pair frame [B_01 | B_02 | ...]
+is a basis of C^N (Strategy.relay_map).
 """
 
 from __future__ import annotations
@@ -20,13 +22,14 @@ from .errors import (
     InfeasibleTuple,
     InvalidInput,
     ResampleExhausted,
+    StrategyInvalid,
 )
 from .subspace import (
     _check_orthonormal,
     _intersect_each,
     _orthonormal_each,
     _triple_dim,
-    contains_stack,
+    numeric_rank,
     orthonormal_stack,
     split_by_rank,
 )
@@ -137,7 +140,6 @@ class Strategy:
     pair_bases: dict[Pair, np.ndarray]
     user_bases: list[np.ndarray] = field(init=False, repr=False)
     slices: dict[Pair, slice] = field(init=False, repr=False)
-    subspaces: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k = self.spec.N, self.spec.K
@@ -164,10 +166,27 @@ class Strategy:
         object.__setattr__(self, "pair_bases", pb)
         object.__setattr__(self, "user_bases", user_bases)
         object.__setattr__(self, "slices", slices)
-        object.__setattr__(self, "subspaces", [b[0] for b in _orthonormal_each([b[None] for b in user_bases])])
+
+    @property
+    def subspaces(self) -> list[np.ndarray]:
+        """Orthonormal bases of V_i = span user_bases[i], the input verify_strategy checks."""
+        return [b[0] for b in _orthonormal_each([b[None] for b in self.user_bases])]
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
+
+    def relay_map(self) -> np.ndarray:
+        """P = S^-1 for the pair frame S = [B_01 | B_02 | ...], pairs in _pairs order.
+
+        The one validity test: the strategy is valid iff S is a basis of C^N.
+        Raises StrategyInvalid unless S has N columns of full numeric rank (the
+        subspace rank rule).
+        """
+        n = self.spec.N
+        frame = np.hstack(list(self.pair_bases.values()))
+        if frame.shape[1] != n or numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape) < n:
+            raise StrategyInvalid(f"the pair frame ({frame.shape[1]} columns) is not a basis of C^{n}")
+        return np.linalg.inv(frame)
 
 
 @dataclass(frozen=True)
@@ -218,19 +237,17 @@ def _verify_stack(bases: list[np.ndarray], n: int) -> _Verdicts:
         inter.update(zip(((i, j) for j in range(i + 1, k)), _intersect_each(bases[i], bases[i + 1 :])))
     pair_dims = [b.shape[2] for b in inter.values()]
 
+    # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
     parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
     totals = _orthonormal_each(parts)
-    per_user = np.zeros((t, k), dtype=bool)
-    for i in range(k):
-        if totals[i].shape[2] == parts[i].shape[2] == bases[i].shape[2]:
-            per_user[:, i] = contains_stack(bases[i], totals[i])
+    per_user = [tot.shape[2] == part.shape[2] == b.shape[2] for tot, part, b in zip(totals, parts, bases)]
 
     global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
 
     return _Verdicts(
         pair_dims=np.tile(pair_dims, (t, 1)),
-        per_user_ok=per_user,
+        per_user_ok=np.tile(per_user, (t, 1)),
         global_ok=np.full(t, global_ok),
     )
 
@@ -316,8 +333,10 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
     """Random strategy realizing a prescribed pairwise dimension table.
 
     Samples each pair subspace Haar-uniformly and takes V_i as the span of
-    user i's pair blocks; generically this verifies, so failures are treated
-    as degenerate draws and resampled, up to MAX_ATTEMPTS draws in all.
+    user i's pair blocks.  The draw is valid, with V_i & V_j = span B_ij of
+    the prescribed width, iff its pair frame is a basis of C^N
+    (Strategy.relay_map); generically it is, so a draw that is not is treated
+    as degenerate and resampled, up to MAX_ATTEMPTS draws in all.
     """
     pw = spec.pairwise_or_raise()
     if not is_feasible_tuple(spec):
@@ -325,10 +344,11 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
     for _ in range(MAX_ATTEMPTS):
         pair_bases = {p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items()}
         cand = Strategy(spec=spec, pair_bases=pair_bases)
-        report = verify_strategy(cand.subspaces, spec.N)
-        dims_match = all(report.pair_dims[p] == pw.get(p, 0) for p in report.pair_dims)
-        if report.ok and dims_match:
-            return cand
+        try:
+            cand.relay_map()
+        except StrategyInvalid:
+            continue
+        return cand
     raise ResampleExhausted(f"no verifying draw in {MAX_ATTEMPTS} attempts for {spec}")
 
 

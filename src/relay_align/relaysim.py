@@ -1,13 +1,15 @@
 """End-to-end relay pipeline: channels, encoders, relay broadcast, decoding.
 
 Encoders are designed so that the two symbols of every pair land on the same
-relay-side basis vector, so the relay only ever observes pairwise sums.  The
-pair blocks of a verified strategy form a basis of C^N, so a receiver reads
-the coordinates of its own pairs in that basis, seen through its channel,
-subtracts its own symbols, and decides by nearest constellation point per
-coordinate.
+relay-side basis vector, so the relay only ever observes pairwise sums.  A
+strategy is valid iff its pair frame S = [B_01 | B_02 | ...] is a basis of
+C^N: each B_ij lies in V_i & V_j, and a direct sum forces span B_ij =
+V_i & V_j in both directions.  Its inverse P = S^-1 (Strategy.relay_map)
+reads the coordinates of every pair sum, so receiver k undoes its channel,
+takes the rows of P at its own pairs, F_k = P[slots_k] G_k^-1, subtracts its
+own symbols, and decides by nearest constellation point per coordinate.
 
-A Link binds a verified strategy to one channel draw and encoder set and
+A Link binds a valid strategy to one channel draw and encoder set and
 computes once what observation, decoding and SNR reuse, for one trial or a
 block of T trials.  Receiver k's receive map F_k is its only model: decoding
 applies it, and the SNR reads each stream's noise variance off it.
@@ -30,12 +32,7 @@ from .errors import (
     SingularChannel,
     StrategyInvalid,
 )
-from .feasibility import (
-    Strategy,
-    StrategySpec,
-    construct_strategy,
-    verify_strategy,
-)
+from .feasibility import Strategy, StrategySpec, construct_strategy
 from .subspace import numeric_rank
 
 __all__ = [
@@ -236,8 +233,8 @@ def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: St
     Every pair-basis column must appear (to within 1e-9, absolute) among the
     relay-side columns of both users of the pair, each relay-side column must
     be claimed exactly once, and the map from per-pair sums to the observation
-    must be injective (stacked pair bases of full rank N, by the subspace rank
-    rule).  Raises SecrecyViolation otherwise.
+    must be injective (the pair frame a basis, Strategy.relay_map).  Raises
+    SecrecyViolation otherwise.
     """
     n = strategy.spec.N
     effective = [channels.H[i] @ encoders[i] for i in range(strategy.spec.K)]
@@ -261,34 +258,32 @@ def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: St
                 claimed[user][best] = True
     if not all(c.all() for c in claimed):
         raise SecrecyViolation("some relay-side column serves no pair (unmasked symbol)")
-    stacked = np.hstack(list(strategy.pair_bases.values()))
-    sigma = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.zeros(0)
-    rank = numeric_rank(sigma, stacked.shape)
-    injective = rank == stacked.shape[1] == n
-    if not injective:
-        raise SecrecyViolation("map from pair sums to the relay observation is not injective")
-    return SecrecyAuditReport(
-        ok=True, worst_column_mismatch=worst, stacked_rank=int(rank), pair_sum_injective=injective
-    )
+    try:
+        strategy.relay_map()
+    except StrategyInvalid:
+        raise SecrecyViolation("map from pair sums to the relay observation is not injective") from None
+    return SecrecyAuditReport(ok=True, worst_column_mismatch=worst, stacked_rank=n, pair_sum_injective=True)
 
 
 @dataclass(frozen=True)
 class Link:
     """A strategy over one channel draw and set of encoders, precomputed once.
 
-    Per user i: the effective H_i U_i.  Per receiver k, with B_k =
-    user_bases[k] and J_k the pair blocks not involving k: the receive map
-    F_k, the first d_k rows of (G_k [B_k | J_k])^-1, which sends
-    G_k (B_k s + J_k u) to s; folded[k] = F_k G_k, which decode applies to
-    the relay's r; own[k] = F_k G_k H_k U_k, the part of F_k G_k r carried
-    by k's own symbols; and noise_gain[k], the squared row norms of F_k G_k
-    plus those of F_k, so that with relay and receiver noise of variance var
-    stream s of k has post-decoder noise variance var * noise_gain[k][s]
-    (the diagonal of var * F_k (G_k G_k^H + I) F_k^H).  All K inverses are
-    one stacked call.  Building a Link verifies the strategy (raising
-    StrategyInvalid), so that every [B_k | J_k] is a basis, and a G_k whose
-    frame is short of full numeric rank (the subspace rank rule) raises
-    SingularChannel.
+    A strategy is valid iff its pair frame S is a basis of C^N: each B_ij
+    lies in V_i & V_j, and a direct sum forces span B_ij = V_i & V_j in both
+    directions.  Building a Link takes P = S^-1 from Strategy.relay_map
+    (StrategyInvalid otherwise).  Per user i: the effective H_i U_i.  Per
+    receiver k, slots_k the columns of S holding k's blocks B_k =
+    user_bases[k], in order: folded[k] = P[slots_k], which decode applies to
+    the relay's r; the receive map F_k = P[slots_k] G_k^-1, which sends
+    G_k (B_k s + J_k u) to s, J_k the pair blocks not involving k;
+    own[k] = folded[k] H_k U_k, the part of folded[k] r carried by k's own
+    symbols; and noise_gain[k], the squared row norms of folded[k] plus those
+    of F_k, so that with relay and receiver noise of variance var stream s of
+    k has post-decoder noise variance var * noise_gain[k][s] (the diagonal of
+    var * F_k (G_k G_k^H + I) F_k^H).  The G_k are rank-checked and inverted
+    in one stacked call each; one short of full numeric rank (the subspace
+    rank rule) raises SingularChannel.
     """
 
     strategy: Strategy
@@ -306,26 +301,21 @@ class Link:
             raise DimensionMismatch("channel set does not match strategy shape")
         if len(self.encoders) != strategy.spec.K:
             raise DimensionMismatch("need one encoder per user")
-        report = verify_strategy(strategy.subspaces, strategy.spec.N)
-        if not report.ok:
-            raise StrategyInvalid(f"strategy fails verification: {report.failed_conditions()}")
-        effective = [h @ u for h, u in zip(channels.H, self.encoders)]
-        frames = []
-        for k, g in enumerate(channels.G):
-            others = [b for p, b in strategy.pair_bases.items() if k not in p]
-            frames.append(g @ np.hstack([strategy.user_bases[k], *others]))
-        frames = np.stack(frames)
-        # [B_k | J_k] is a basis once verified, so a frame short of full rank has a singular G_k
-        ranks = numeric_rank(np.linalg.svd(frames, compute_uv=False), frames.shape[1:])
+        relay_map = strategy.relay_map()
+        g = np.stack(channels.G)
+        ranks = numeric_rank(np.linalg.svd(g, compute_uv=False), g.shape[1:])
         if (ranks < strategy.spec.N).any():
             raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular")
-        inverses = np.linalg.inv(frames)
-        receive = [inverses[k, : b.shape[1]].copy() for k, b in enumerate(strategy.user_bases)]
-        folded = [f @ g for f, g in zip(receive, channels.G)]
+        g_inv = np.linalg.inv(g)
+        # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
+        column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
+        folded = [relay_map[(column_pairs == k).any(axis=1)] for k in range(strategy.spec.K)]
+        effective = [h @ u for h, u in zip(channels.H, self.encoders)]
+        receive = [f @ gk_inv for f, gk_inv in zip(folded, g_inv)]
         object.__setattr__(self, "effective", effective)
         object.__setattr__(self, "receive", receive)
         object.__setattr__(self, "folded", folded)
-        object.__setattr__(self, "own", [f @ (g @ e) for f, g, e in zip(receive, channels.G, effective)])
+        object.__setattr__(self, "own", [f @ e for f, e in zip(folded, effective)])
         gains = [np.linalg.norm(fg, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2 for fg, f in zip(folded, receive)]
         object.__setattr__(self, "noise_gain", gains)
 

@@ -30,7 +30,6 @@ __all__ = [
     "split_by_rank",
     "orthonormal_stack",
     "intersect_stack",
-    "contains_stack",
 ]
 
 _EPS = np.finfo(np.float64).eps
@@ -209,15 +208,3 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:
     """dim of span(A_t) & span(B_t) & span(C_t), shared by three (T, N, d) stacks; raises RaggedRank."""
     return intersect_stack(intersect_stack(a, b), c).shape[2]
-
-
-def contains_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per trial, whether span(B_t) lies in span(A_t), for stacks of orthonormal bases.
-
-    B_t counts as contained when its residual off span(A_t) has Frobenius norm
-    below the absolute 1e-9, a threshold outside the rank rule.
-    """
-    if b.shape[2] == 0:
-        return np.ones(b.shape[0], dtype=bool)
-    resid = b - (a @ a.conj().swapaxes(1, 2)) @ b
-    return np.linalg.norm(resid, axis=(1, 2)) < 1e-9

@@ -384,7 +384,7 @@ class TestSimulate:
     def test_trial_count_past_numpy_array_size_exits_1(self, capsys):
         # rejected before any buffer is made; never test a huge count numpy can size, it would allocate it
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "1" + "0" * 30) == 1
-        assert capsys.readouterr().err.startswith("error: trials=")
+        assert capsys.readouterr().err.startswith("error: --trials=1" + "0" * 30)
 
     def test_usage_error_beats_infeasible(self):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,1", "--trials", "10", "--noise-grid", "nan") == 1

@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from relay_align.errors import DimensionMismatch, InconsistentPairwise, InfeasibleTuple, InvalidInput
+from relay_align.errors import DimensionMismatch, InconsistentPairwise, InfeasibleTuple, InvalidInput, StrategyInvalid
 from relay_align import feasibility
 from relay_align.feasibility import (
     VERIFY_BLOCK,
@@ -25,7 +25,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
-from relay_align.subspace import RaggedRank, contains_stack, intersect_stack, orthonormal_stack, split_by_rank
+from relay_align.subspace import RaggedRank, intersect_stack, orthonormal_stack, split_by_rank
 
 E3 = np.eye(3, dtype=complex)
 
@@ -39,7 +39,11 @@ def same_span(a, b):
 
 
 def reference_verify_stack(bases, n):
-    """_verify_stack as one intersect_stack call per pair and one orthonormal_stack call per user."""
+    """_verify_stack as one intersect_stack call per pair and one orthonormal_stack call per user.
+
+    Stricter than _verify_stack's rank test: a user whose intersections add
+    up to its rank must also hold their span, to a residual norm below 1e-9.
+    """
     k, t = len(bases), bases[0].shape[0]
     inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
     pair_dims = [b.shape[2] for b in inter.values()]
@@ -48,10 +52,22 @@ def reference_verify_stack(bases, n):
         parts = [inter[min(i, j), max(i, j)] for j in range(k) if j != i]
         total = orthonormal_stack(np.concatenate(parts, axis=2))
         if total.shape[2] == sum(p.shape[2] for p in parts) == bases[i].shape[2]:
-            per_user[:, i] = contains_stack(bases[i], total)
+            resid = total - bases[i] @ (bases[i].conj().swapaxes(1, 2) @ total)
+            per_user[:, i] = np.linalg.norm(resid, axis=(1, 2)) < 1e-9
     global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
     return _Verdicts(np.tile(pair_dims, (t, 1)), per_user, np.full(t, global_ok))
+
+
+def relay_map_ok(s):
+    """Whether the basis test Strategy.relay_map passes; its inverse must then undo the pair frame."""
+    try:
+        p = s.relay_map()
+    except StrategyInvalid:
+        return False
+    frame = np.hstack(list(s.pair_bases.values()))
+    assert np.linalg.norm(p @ frame - np.eye(s.spec.N)) < 1e-9
+    return True
 
 
 def assert_same_verdicts(bases, n):
@@ -161,6 +177,30 @@ class TestStrategyLayout:
         assert t.slices == s.slices
         for a, b in zip(t.user_bases, s.user_bases):
             assert np.array_equal(a, b)
+
+
+class TestRelayMap:
+    """The basis test of Strategy.relay_map decides what verify_strategy decides."""
+
+    @pytest.mark.parametrize(
+        "spec, pair_bases",
+        [
+            (StrategySpec(3, 3, (2, 2, 2)), {(0, 1): E3[:, [0]], (0, 2): E3[:, [1]], (1, 2): E3[:, [0]]}),
+            (StrategySpec(4, 3, (2, 2, 1, 1)), {(0, 1): E3[:, [0, 1]], (2, 3): (E3[:, [0]] + E3[:, [1]]) / np.sqrt(2)}),
+            (StrategySpec(3, 3, (2, 2, 2)), {(0, 1): E3[:, [0]], (0, 2): E3[:, [1]], (1, 2): E3[:, [2, 0]]}),
+            (StrategySpec(3, 3, (2, 2, 2)), {(0, 1): E3[:, [0]], (0, 2): E3[:, [1]]}),
+        ],
+        ids=["repeated-block", "inside-another-pair-span", "widths-past-n", "widths-short-of-n"],
+    )
+    def test_failing_strategies(self, spec, pair_bases):
+        s = Strategy(spec=spec, pair_bases=pair_bases)
+        assert not verify_strategy(s.subspaces, spec.N).ok
+        assert not relay_map_ok(s)
+
+    @pytest.mark.parametrize("d", [(2, 2, 2), (5, 3, 1, 1), (4,) * 16])
+    def test_constructed_strategies(self, d):
+        s = construct_strategy(StrategySpec(len(d), sum(d) // 2, d))
+        assert verify_strategy(s.subspaces, s.spec.N).ok and relay_map_ok(s)
 
 
 class TestVerifyStrategy:
@@ -451,6 +491,7 @@ class TestEveryPairwiseTable:
                 s = strategy_from_pairwise(StrategySpec(k, n, d, pairwise=table), rng)
                 report = verify_strategy(s.subspaces, n)
                 assert report.ok and report.pair_dims == table, (k, n, table)
+                assert relay_map_ok(s), (k, n, table)
                 assert_same_verdicts([b[None] for b in s.subspaces], n)
                 count += 1
         assert count == 532

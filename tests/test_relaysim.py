@@ -305,6 +305,16 @@ def reference_decode(link, k, y_tilde, x_k):
     return decoder @ project_off(y)
 
 
+def reference_receive_map(link, k):
+    """Receiver k's receive map before the pair frame's inverse, kept as its reference.
+
+    The first d_k rows of (G_k [B_k | J_k])^-1, J_k the pair blocks not involving k.
+    """
+    strategy = link.strategy
+    frame = link.channels.G[k] @ np.hstack([strategy.user_bases[k], interference_blocks(strategy, k)])
+    return np.linalg.inv(frame)[: strategy.user_bases[k].shape[1]]
+
+
 def random_pairwise_spec(rng):
     """A random consistent pairwise table: K in 3..6 users, N in 3..8 split among the pairs."""
     k, n = int(rng.integers(3, 7)), int(rng.integers(3, 9))
@@ -333,6 +343,32 @@ class TestReceiveMap:
                 got, want = link.decode(k, r, x_k, w), reference_decode(link, k, ch.G[k] @ r + w, x_k)
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+
+    @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
+    def test_maps_match_the_reference_frame_inverse(self, encoders):
+        rng = np.random.default_rng(41 if encoders == "designed" else 42)
+        for _ in range(40):
+            spec = random_pairwise_spec(rng)
+            strategy = strategy_from_pairwise(spec, rng)
+            ch = draw_channels(spec.K, spec.N, rng)
+            if encoders == "designed":
+                enc = design_encoders(strategy, ch)
+            else:
+                enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
+            link = Link(strategy, ch, enc)
+            for k, g in enumerate(ch.G):
+                f = reference_receive_map(link, k)
+                folded = f @ g
+                want = {
+                    "receive": f,
+                    "folded": folded,
+                    "own": folded @ (ch.H[k] @ enc[k]),
+                    "noise_gain": np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2,
+                }
+                for name, w in want.items():
+                    got = getattr(link, name)[k]
+                    assert got.shape == w.shape, (name, spec, k)
+                    assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w), (name, spec, k)
 
     def test_noise_gain_is_the_post_decoder_noise_diagonal(self):
         # F_k (G_k z + w) with z, w of unit variance has covariance F_k (G_k G_k^H + I) F_k^H
