@@ -179,10 +179,14 @@ class Strategy:
         """P = S^-1 for the pair frame S = [B_01 | B_02 | ...], pairs in _pairs order.
 
         The one validity test: the strategy is valid iff S is a basis of C^N.
-        Raises StrategyInvalid unless S has N columns of full numeric rank (the
-        subspace rank rule).
+        Raises StrategyInvalid unless each user's blocks have its declared
+        width d_i and S has N columns of full numeric rank (the subspace rank
+        rule).
         """
         n = self.spec.N
+        widths = tuple(b.shape[1] for b in self.user_bases)
+        if widths != self.spec.d:
+            raise StrategyInvalid(f"user widths {widths} differ from the declared d={self.spec.d}")
         frame = np.hstack(list(self.pair_bases.values()))
         if frame.shape[1] != n or numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape) < n:
             raise StrategyInvalid(f"the pair frame ({frame.shape[1]} columns) is not a basis of C^{n}")

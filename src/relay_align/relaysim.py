@@ -12,9 +12,12 @@ own symbols, and decides by nearest constellation point per coordinate.
 A Link binds a valid strategy to one channel draw and encoder set and
 computes once what observation, decoding and SNR reuse, for one trial or a
 block of T trials.  Receiver k's receive map F_k is its only model: decoding
-applies it, and the SNR reads each stream's noise variance off it.
-run_monte_carlo builds one Link per sweep, so every noise level of a sweep
-runs over the same system.
+applies it, and the SNR reads each stream's noise variance off it.  The
+relay's model is P: secrecy_audit reads user i's relay-side columns
+P H_i U_i, which must be the 0/1 selection of i's pair slots to the rank
+rule.  That rule also decides both channel directions invertible, the H_i
+in design_encoders and the G_k in Link.  run_monte_carlo builds one Link
+per sweep, so every noise level of a sweep runs over the same system.
 """
 
 from __future__ import annotations
@@ -30,16 +33,14 @@ from .errors import (
     InvalidInput,
     SecrecyViolation,
     SingularChannel,
-    StrategyInvalid,
 )
 from .feasibility import Strategy, StrategySpec, construct_strategy
-from .subspace import numeric_rank
+from .subspace import numeric_rank, rank_threshold
 
 __all__ = [
     "Constellation",
     "ChannelSet",
     "SimReport",
-    "SecrecyAuditReport",
     "Link",
     "draw_channels",
     "design_encoders",
@@ -202,67 +203,26 @@ def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
     return ChannelSet(K=k, N=n, H=h, G=g, redraws=redraws)
 
 
+def _invertible_stack(mats: list[np.ndarray], name: str) -> np.ndarray:
+    """The channel matrices stacked; one SVD decides each invertible by the rank rule, else SingularChannel."""
+    stack = np.stack(mats)
+    ranks = numeric_rank(np.linalg.svd(stack, compute_uv=False), stack.shape[1:])
+    if (ranks < stack.shape[1]).any():
+        raise SingularChannel(f"{name}_{int(np.argmin(ranks))} is singular")
+    return stack
+
+
 def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray]:
     """Encoding matrices U_i = H_i^{-1} [B_ij blocks, partners ascending].
 
     Column c of H_i U_i then equals the shared basis vector of the pair that
-    column serves, for both members of the pair.
+    column serves, for both members of the pair.  An H_i short of full
+    numeric rank raises SingularChannel.
     """
     if channels.N != strategy.spec.N or channels.K != strategy.spec.K:
         raise DimensionMismatch("channel set does not match strategy shape")
-    encoders = []
-    for i in range(strategy.spec.K):
-        h = channels.H[i]
-        if np.linalg.cond(h) > 1 / np.finfo(float).eps:
-            raise SingularChannel(f"H_{i} is numerically singular")
-        encoders.append(np.linalg.solve(h, strategy.user_bases[i]))
-    return encoders
-
-
-@dataclass(frozen=True)
-class SecrecyAuditReport:
-    ok: bool
-    worst_column_mismatch: float
-    stacked_rank: int
-    pair_sum_injective: bool
-
-
-def secrecy_audit(encoders: list[np.ndarray], channels: ChannelSet, strategy: Strategy) -> SecrecyAuditReport:
-    """Check that the relay's noiseless view is a sum of masked pair blocks.
-
-    Every pair-basis column must appear (to within 1e-9, absolute) among the
-    relay-side columns of both users of the pair, each relay-side column must
-    be claimed exactly once, and the map from per-pair sums to the observation
-    must be injective (the pair frame a basis, Strategy.relay_map).  Raises
-    SecrecyViolation otherwise.
-    """
-    n = strategy.spec.N
-    effective = [channels.H[i] @ encoders[i] for i in range(strategy.spec.K)]
-    claimed = [np.zeros(m.shape[1], dtype=bool) for m in effective]
-    worst = 0.0
-    for (i, j), b in strategy.pair_bases.items():
-        for col in b.T:
-            for user in (i, j):
-                m = effective[user]
-                if m.shape[1] == 0:
-                    raise SecrecyViolation(f"user {user} has no columns to serve pair {(i, j)}")
-                dist = np.linalg.norm(m - col[:, None], axis=0)
-                dist = np.where(claimed[user], np.inf, dist)
-                best = int(dist.argmin())
-                worst = max(worst, float(dist[best]))
-                if dist[best] > 1e-9:
-                    raise SecrecyViolation(
-                        f"pair {(i, j)}: no unclaimed column of user {user} matches "
-                        f"the shared basis vector (best residual {dist[best]:.3e})"
-                    )
-                claimed[user][best] = True
-    if not all(c.all() for c in claimed):
-        raise SecrecyViolation("some relay-side column serves no pair (unmasked symbol)")
-    try:
-        strategy.relay_map()
-    except StrategyInvalid:
-        raise SecrecyViolation("map from pair sums to the relay observation is not injective") from None
-    return SecrecyAuditReport(ok=True, worst_column_mismatch=worst, stacked_rank=n, pair_sum_injective=True)
+    _invertible_stack(channels.H, "H")
+    return [np.linalg.solve(h, b) for h, b in zip(channels.H, strategy.user_bases)]
 
 
 @dataclass(frozen=True)
@@ -272,15 +232,16 @@ class Link:
     A strategy is valid iff its pair frame S is a basis of C^N: each B_ij
     lies in V_i & V_j, and a direct sum forces span B_ij = V_i & V_j in both
     directions.  Building a Link takes P = S^-1 from Strategy.relay_map
-    (StrategyInvalid otherwise).  Per user i: the effective H_i U_i.  Per
-    receiver k, slots_k the columns of S holding k's blocks B_k =
-    user_bases[k], in order: folded[k] = P[slots_k], which decode applies to
-    the relay's r; the receive map F_k = P[slots_k] G_k^-1, which sends
-    G_k (B_k s + J_k u) to s, J_k the pair blocks not involving k;
-    own[k] = folded[k] H_k U_k, the part of folded[k] r carried by k's own
-    symbols; and noise_gain[k], the squared row norms of folded[k] plus those
-    of F_k, so that with relay and receiver noise of variance var stream s of
-    k has post-decoder noise variance var * noise_gain[k][s] (the diagonal of
+    (StrategyInvalid otherwise) and keeps it as relay_map.  Per user i: the
+    effective H_i U_i, and slots[i], the columns of S holding i's blocks
+    B_i = user_bases[i], in order.  Per receiver k: folded[k] = P[slots_k],
+    which decode applies to the relay's r; the receive map
+    F_k = P[slots_k] G_k^-1, which sends G_k (B_k s + J_k u) to s, J_k the
+    pair blocks not involving k; own[k] = folded[k] H_k U_k, the part of
+    folded[k] r carried by k's own symbols; and noise_gain[k], the squared
+    row norms of folded[k] plus those of F_k, so that with relay and
+    receiver noise of variance var stream s of k has post-decoder noise
+    variance var * noise_gain[k][s] (the diagonal of
     var * F_k (G_k G_k^H + I) F_k^H).  The G_k are rank-checked and inverted
     in one stacked call each; one short of full numeric rank (the subspace
     rank rule) raises SingularChannel.
@@ -289,6 +250,8 @@ class Link:
     strategy: Strategy
     channels: ChannelSet
     encoders: list[np.ndarray]
+    relay_map: np.ndarray = field(init=False, repr=False)
+    slots: list[np.ndarray] = field(init=False, repr=False)
     effective: list[np.ndarray] = field(init=False, repr=False)
     receive: list[np.ndarray] = field(init=False, repr=False)
     folded: list[np.ndarray] = field(init=False, repr=False)
@@ -302,16 +265,15 @@ class Link:
         if len(self.encoders) != strategy.spec.K:
             raise DimensionMismatch("need one encoder per user")
         relay_map = strategy.relay_map()
-        g = np.stack(channels.G)
-        ranks = numeric_rank(np.linalg.svd(g, compute_uv=False), g.shape[1:])
-        if (ranks < strategy.spec.N).any():
-            raise SingularChannel(f"G_{int(np.argmin(ranks))} is singular")
-        g_inv = np.linalg.inv(g)
+        g_inv = np.linalg.inv(_invertible_stack(channels.G, "G"))
         # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
         column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
-        folded = [relay_map[(column_pairs == k).any(axis=1)] for k in range(strategy.spec.K)]
+        slots = [np.flatnonzero((column_pairs == k).any(axis=1)) for k in range(strategy.spec.K)]
+        folded = [relay_map[s] for s in slots]
         effective = [h @ u for h, u in zip(channels.H, self.encoders)]
         receive = [f @ gk_inv for f, gk_inv in zip(folded, g_inv)]
+        object.__setattr__(self, "relay_map", relay_map)
+        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "effective", effective)
         object.__setattr__(self, "receive", receive)
         object.__setattr__(self, "folded", folded)
@@ -373,6 +335,37 @@ class Link:
     def _check_receiver(self, k: int) -> None:
         if not 0 <= k < len(self.receive):
             raise InvalidInput(f"user index {k} out of range")
+
+
+def secrecy_audit(link: Link) -> float:
+    """Check that the relay's noiseless view is a sum of masked pair blocks; return the worst residual.
+
+    Read through the relay map P, user i's relay-side columns M_i =
+    P H_i U_i must be the 0/1 selection of i's pair slots: each column's
+    largest entry lies in a distinct slot of i, the columns cover all of
+    them, in any order, and the residual R_i = M_i minus that selection has
+    sigma_max(R_i) within the rank threshold of M_i.  Then every symbol
+    reaches the relay only as one coordinate of a pair sum.  Returns the
+    largest sigma_max(R_i) and raises SecrecyViolation naming the first user
+    that fails; P itself is the Link's (StrategyInvalid when the pair sums
+    do not determine the observation).
+    """
+    n = link.strategy.spec.N
+    worst = 0.0
+    for i, (e, slots) in enumerate(zip(link.effective, link.slots)):
+        m = link.relay_map @ e
+        rows = np.abs(m).argmax(axis=0)
+        if not np.array_equal(np.sort(rows), slots):
+            raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
+        if not rows.size:  # no streams, nothing to leak
+            continue
+        r = m.copy()
+        r[rows, np.arange(rows.size)] -= 1
+        top, resid = np.linalg.svd(np.stack([m, r]), compute_uv=False)[:, 0]
+        if resid > rank_threshold((n, rows.size), top):
+            raise SecrecyViolation(f"user {i}: residual {resid:.3e} off its pair slots exceeds the rank threshold")
+        worst = max(worst, float(resid))
+    return worst
 
 
 def relay_map_success(constellation: Constellation) -> Fraction:

@@ -25,6 +25,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
+from relay_align.relaysim import ChannelSet, Link
 from relay_align.subspace import RaggedRank, intersect_stack, orthonormal_stack, split_by_rank
 
 E3 = np.eye(3, dtype=complex)
@@ -196,6 +197,14 @@ class TestRelayMap:
         s = Strategy(spec=spec, pair_bases=pair_bases)
         assert not verify_strategy(s.subspaces, spec.N).ok
         assert not relay_map_ok(s)
+
+    def test_widths_must_match_the_declared_d(self):
+        # the frame [e1 e2 | e3] is a basis of C^3, but users 0, 1 and 2 get 3, 2 and 1 streams, not d = (2, 2, 2)
+        s = Strategy(spec=StrategySpec(3, 3, (2, 2, 2)), pair_bases={(0, 1): E3[:, [0, 1]], (0, 2): E3[:, [2]]})
+        with pytest.raises(StrategyInvalid, match=r"widths \(3, 2, 1\) differ from the declared d=\(2, 2, 2\)"):
+            s.relay_map()
+        with pytest.raises(StrategyInvalid, match="declared"):
+            Link(s, ChannelSet(K=3, N=3, H=[E3] * 3, G=[E3] * 3), s.user_bases)
 
     @pytest.mark.parametrize("d", [(2, 2, 2), (5, 3, 1, 1), (4,) * 16])
     def test_constructed_strategies(self, d):

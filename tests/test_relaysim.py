@@ -161,15 +161,86 @@ class TestRelayObserve:
             link.observe([np.zeros(3)] * 3)
 
 
+def reference_secrecy_audit(encoders, channels, strategy):
+    """The greedy column match secrecy_audit replaced: True iff the relay sees only masked pair sums.
+
+    Every pair-basis column must match (to within 1e-9, absolute) an unclaimed
+    relay-side column H_i U_i of both users of the pair, every relay-side
+    column must be claimed, and the pair frame must be a basis.
+    """
+    effective = [h @ u for h, u in zip(channels.H, encoders)]
+    claimed = [np.zeros(m.shape[1], dtype=bool) for m in effective]
+    for (i, j), b in strategy.pair_bases.items():
+        for col in b.T:
+            for user in (i, j):
+                dist = np.where(claimed[user], np.inf, np.linalg.norm(effective[user] - col[:, None], axis=0))
+                if not dist.size or dist.min() > 1e-9:
+                    return False
+                claimed[user][dist.argmin()] = True
+    try:
+        strategy.relay_map()
+    except StrategyInvalid:
+        return False
+    return all(c.all() for c in claimed)
+
+
+def audit_passes(strategy, channels, encoders):
+    try:
+        secrecy_audit(Link(strategy, channels, encoders))
+    except SecrecyViolation:
+        return False
+    return True
+
+
+def secrecy_cases():
+    """(name, strategy, channels, encoders): the clean and perturbed systems both audits are asked about.
+
+    The clean cases of TestSecrecyAudit and acceptance criterion 5 (same
+    seeds, same draws), the worked example, K=16 N=32 over random channels,
+    and one-entry encoder perturbations of 1e-2, 1e-3 and 1e-6 of each.
+    """
+    clean = []
+    for seed in (4, 5):
+        rng = np.random.default_rng(seed)
+        strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
+        ch = draw_channels(3, 3, rng)
+        clean.append((f"symmetric-seed{seed}", strategy, ch, design_encoders(strategy, ch)))
+    shapes = [
+        symmetric_pairwise_table(3, 3),
+        symmetric_pairwise_table(3, 6),
+        paired_pairwise_table(4, 2),
+        paired_pairwise_table(6, 3),
+    ]
+    rng = np.random.default_rng(5005)
+    for round_idx in range(50):
+        spec = shapes[round_idx % len(shapes)]
+        strategy = strategy_from_pairwise(spec, rng)
+        ch = draw_channels(spec.K, spec.N, rng)
+        clean.append((f"criterion5-{round_idx}", strategy, ch, design_encoders(strategy, ch)))
+    clean.append(("worked-example", worked_example_strategy(), identity_channels(3, 3), worked_example_encoders()))
+    wide = construct_strategy(StrategySpec(16, 32, (4,) * 16))
+    for seed in range(10):
+        ch = draw_channels(16, 32, np.random.default_rng(seed))
+        clean.append((f"wide-seed{seed}", wide, ch, design_encoders(wide, ch)))
+    cases = list(clean)
+    rng = np.random.default_rng(17)
+    for name, strategy, ch, enc in clean:
+        for delta in (1e-2, 1e-3, 1e-6):
+            bad = [u.copy() for u in enc]
+            user = int(rng.integers(strategy.spec.K))
+            row, col = rng.integers(bad[user].shape[0]), rng.integers(bad[user].shape[1])
+            bad[user][row, col] += delta
+            cases.append((f"{name}-{delta:g}", strategy, ch, bad))
+    return cases
+
+
 class TestSecrecyAudit:
     def test_verified_strategy_passes(self):
         rng = np.random.default_rng(4)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
         ch = draw_channels(3, 3, rng)
-        enc = design_encoders(strategy, ch)
-        report = secrecy_audit(enc, ch, strategy)
-        assert report.ok and report.pair_sum_injective
-        assert report.worst_column_mismatch < 1e-9
+        worst = secrecy_audit(link_of(strategy, ch))
+        assert 0 <= worst <= rank_threshold((3, 2), 1.0)
 
     def test_perturbed_encoder_fails(self):
         rng = np.random.default_rng(5)
@@ -177,17 +248,52 @@ class TestSecrecyAudit:
         ch = draw_channels(3, 3, rng)
         enc = design_encoders(strategy, ch)
         enc[0][:, 0] += 1e-2
-        with pytest.raises(SecrecyViolation):
-            secrecy_audit(enc, ch, strategy)
+        with pytest.raises(SecrecyViolation, match="user 0"):
+            secrecy_audit(Link(strategy, ch, enc))
 
     def test_worked_example_passes_with_permuted_columns(self):
-        # the cyclic column order differs from the ascending-partner layout; the
-        # audit matches columns by value, not position
-        report = secrecy_audit(worked_example_encoders(), identity_channels(3, 3), worked_example_strategy())
-        assert report.ok
+        # the cyclic column order differs from the ascending-partner layout;
+        # each column only has to select a distinct slot of its user
+        assert secrecy_audit(Link(worked_example_strategy(), identity_channels(3, 3), worked_example_encoders())) == 0
 
-    @pytest.mark.parametrize("factor, injective", [(0.9, False), (1.1, True)])
-    def test_stacked_rank_follows_tolerance(self, factor, injective):
+    def test_unmasked_symbol_fails(self):
+        # user 0 sends both streams on its first pair's slot: one symbol reaches the relay outside any pair sum
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        enc = [b.copy() for b in strategy.user_bases]
+        enc[0] = E3[:, [0, 0]]
+        with pytest.raises(SecrecyViolation, match="user 0: relay-side columns do not select"):
+            secrecy_audit(Link(strategy, identity_channels(3, 3), enc))
+
+    @pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
+    def test_off_slot_entry_follows_the_rank_threshold(self, factor, passes):
+        # P = I and identity channels, so M_0 = U_0 = [e1, e2] plus eps at the
+        # off-slot row 3: sigma_max(R_0) = eps, against the threshold of
+        # sigma_max(M_0) ~ 1, where the absolute floor rules; the greedy
+        # reference, with its absolute 1e-9, passes both
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = identity_channels(3, 3)
+        enc = design_encoders(strategy, ch)
+        eps = factor * rank_threshold((3, 2), 1.0)
+        enc[0][2, 0] = eps
+        assert reference_secrecy_audit(enc, ch, strategy)
+        link = Link(strategy, ch, enc)
+        assert np.array_equal(link.relay_map, np.eye(3))
+        if passes:
+            assert secrecy_audit(link) == pytest.approx(eps, rel=1e-12)
+        else:
+            with pytest.raises(SecrecyViolation, match="user 0: residual"):
+                secrecy_audit(link)
+
+    def test_verdicts_match_the_reference(self):
+        cases = secrecy_cases()
+        verdicts = {name: audit_passes(s, ch, enc) for name, s, ch, enc in cases}
+        assert verdicts == {name: reference_secrecy_audit(enc, ch, s) for name, s, ch, enc in cases}
+        clean = [name for name in verdicts if not name.endswith(("-0.01", "-0.001", "-1e-06"))]
+        assert len(clean) == 63 and all(verdicts[name] for name in clean)
+        assert not any(verdicts[name] for name in verdicts if name not in clean)
+
+    @pytest.mark.parametrize("factor, valid", [(0.9, False), (1.1, True)])
+    def test_stacked_rank_follows_tolerance(self, factor, valid):
         # stacked pair bases [e1, e2, (e1 + s e3)/|.|] have singular values
         # about sqrt(2), 1 and s/sqrt(2); put the last at factor times the
         # rank_threshold, whose absolute floor rules at this scale
@@ -202,12 +308,11 @@ class TestSecrecyAudit:
         assert np.linalg.matrix_rank(stacked) == 3  # numpy's default rule calls both full rank
         ch = identity_channels(3, 3)
         enc = design_encoders(strategy, ch)
-        if injective:
-            report = secrecy_audit(enc, ch, strategy)
-            assert report.pair_sum_injective and report.stacked_rank == 3
+        if valid:
+            assert secrecy_audit(Link(strategy, ch, enc)) <= rank_threshold((3, 2), 1.0)
         else:
-            with pytest.raises(SecrecyViolation, match="not injective"):
-                secrecy_audit(enc, ch, strategy)
+            with pytest.raises(StrategyInvalid, match="not a basis"):
+                Link(strategy, ch, enc)
 
 
 class TestReceiverDecode:
@@ -324,6 +429,13 @@ def random_pairwise_spec(rng):
     return StrategySpec(k, n, d, pairwise=table)
 
 
+SINGULAR_3X3 = pytest.mark.parametrize(
+    "m",
+    [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), np.outer([1.5, 0.5, 2.5], [0.2, 0.6, 1.4])],
+    ids=["zero", "rank-1", "rank-2", "float-rank-1"],  # float-rank-1: LAPACK inverts it, to entries near 2e16
+)
+
+
 class TestReceiveMap:
     @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
     def test_matches_reference_decode(self, encoders):
@@ -393,16 +505,34 @@ class TestReceiveMap:
             assert f.base is None  # a copy, not a view keeping the stacked inverse alive
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
 
-    @pytest.mark.parametrize(
-        "g",
-        [np.zeros((3, 3)), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0]), np.outer([1.5, 0.5, 2.5], [0.2, 0.6, 1.4])],
-        ids=["zero", "rank-1", "rank-2", "float-rank-1"],  # float-rank-1: LAPACK inverts it, to entries near 2e16
-    )
-    def test_singular_relay_channel_named(self, g):
+    @SINGULAR_3X3
+    def test_singular_relay_channel_named(self, m):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
-        ch = ChannelSet(K=3, N=3, H=[E3] * 3, G=[E3, g.astype(complex), E3])
+        ch = ChannelSet(K=3, N=3, H=[E3] * 3, G=[E3, m.astype(complex), E3])
         with pytest.raises(SingularChannel, match="G_1 is singular"):
             link_of(strategy, ch)
+
+    @SINGULAR_3X3
+    def test_singular_user_channel_named(self, m):
+        # design_encoders decides the H_i by the rule Link applies to the G_k
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = ChannelSet(K=3, N=3, H=[E3, m.astype(complex), E3], G=[E3] * 3)
+        with pytest.raises(SingularChannel, match="H_1 is singular"):
+            design_encoders(strategy, ch)
+
+    @pytest.mark.parametrize("direction", ["H", "G"])
+    @pytest.mark.parametrize("factor, singular", [(0.9, True), (1.1, False)])
+    def test_invertibility_follows_the_rank_threshold(self, factor, singular, direction):
+        # diag(1, 1, sigma) has sigma_max 1, whose rank threshold is the absolute floor
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        m = np.diag([1, 1, factor * rank_threshold((3, 3), 1.0)]).astype(complex)
+        mats = {"H": [E3] * 3, "G": [E3] * 3, direction: [E3, m, E3]}
+        ch = ChannelSet(K=3, N=3, H=mats["H"], G=mats["G"])
+        if singular:
+            with pytest.raises(SingularChannel, match=f"{direction}_1 is singular"):
+                link_of(strategy, ch)
+        else:
+            assert np.allclose(link_of(strategy, ch).own[1], np.eye(2))
 
 
 class TestSnr:
