@@ -164,11 +164,7 @@ def cmd_genericity(args) -> int:
 
 
 def _snr_db(value: float) -> str:
-    if math.isinf(value):
-        return "inf"
-    if value <= 0:
-        return "-inf"
-    return f"{10 * math.log10(value):.4f}"
+    return f"{value:.4f}"  # +-inf print as "inf" and "-inf"
 
 
 _CFG_TYPES = {"K": int, "N": int, "d": str, "constellation": str, "noise_grid": str, "trials": int, "seed": int}
@@ -205,7 +201,7 @@ def cmd_simulate(args) -> int:
             {
                 "noise_var": r.noise_var,
                 "per_user_ser": r.per_user_ser,
-                "per_user_snr_db": [_snr_db(s) for s in r.per_user_snr],
+                "per_user_snr_db": [_snr_db(s) for s in r.per_user_snr_db],
                 "relay_map_success_rate": r.relay_map_success_rate,
                 "trials": r.trials,
             }
@@ -216,7 +212,7 @@ def cmd_simulate(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["noise_var", "user", "ser", "snr_db", "relay_map_success"])
     for r in reports:
-        for k, (ser, s) in enumerate(zip(r.per_user_ser, r.per_user_snr)):
+        for k, (ser, s) in enumerate(zip(r.per_user_ser, r.per_user_snr_db)):
             writer.writerow([repr(r.noise_var), k + 1, repr(ser), _snr_db(s), repr(r.relay_map_success_rate)])
     if args.output:
         atomic_write(args.output + ".json", _json_text(doc))

@@ -182,25 +182,30 @@ class ChannelSet:
 
 
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
-    """i.i.d. standard complex Gaussian channels, each redrawn while its condition number exceeds COND_LIMIT."""
+    """i.i.d. standard complex Gaussian channels, each redrawn while its condition number exceeds COND_LIMIT.
+
+    The 2K matrices H_0..H_{K-1}, G_0..G_{K-1} are the first 2K candidates of
+    the stream that pass; a candidate is one matrix's real then imaginary
+    normals, as _complex_gaussian(rng, (n, n), 1.0) draws them.  Each round
+    draws and condition-tests all missing matrices in one stacked call, so it
+    never draws past the last one kept.  MAX_REDRAWS misses raise
+    SingularChannel.
+    """
     if k < 2 or n < 1:
         raise InvalidInput("need K >= 2 users and N >= 1 antennas")
-
+    kept: list[np.ndarray] = []
     redraws = 0
-
-    def one() -> np.ndarray:
-        nonlocal redraws
-        while True:
-            m = _complex_gaussian(rng, (n, n), 1.0)
-            if np.linalg.cond(m) <= COND_LIMIT:
-                return m
-            redraws += 1
-            if redraws >= MAX_REDRAWS:
-                raise SingularChannel(f"{redraws} channel draws missed cond <= {COND_LIMIT:g}")
-
-    h = [one() for _ in range(k)]
-    g = [one() for _ in range(k)]
-    return ChannelSet(K=k, N=n, H=h, G=g, redraws=redraws)
+    while len(kept) < 2 * k:
+        parts = rng.standard_normal((2 * k - len(kept), 2, n, n))
+        candidates = np.empty((len(parts), n, n), dtype=np.complex128)  # filled in place: no complex temporaries
+        np.multiply(parts[:, 0], np.sqrt(0.5), out=candidates.real)
+        np.multiply(parts[:, 1], np.sqrt(0.5), out=candidates.imag)
+        passed = np.linalg.cond(candidates) <= COND_LIMIT
+        redraws += int(np.count_nonzero(~passed))
+        if redraws >= MAX_REDRAWS:
+            raise SingularChannel(f"{MAX_REDRAWS} channel draws missed cond <= {COND_LIMIT:g}")
+        kept.extend(candidates[passed])
+    return ChannelSet(K=k, N=n, H=kept[:k], G=kept[k:], redraws=redraws)
 
 
 def _invertible_stack(mats: list[np.ndarray], name: str) -> np.ndarray:
@@ -238,13 +243,17 @@ class Link:
     which decode applies to the relay's r; the receive map
     F_k = P[slots_k] G_k^-1, which sends G_k (B_k s + J_k u) to s, J_k the
     pair blocks not involving k; own[k] = folded[k] H_k U_k, the part of
-    folded[k] r carried by k's own symbols; and noise_gain[k], the squared
-    row norms of folded[k] plus those of F_k, so that with relay and
-    receiver noise of variance var stream s of k has post-decoder noise
-    variance var * noise_gain[k][s] (the diagonal of
+    folded[k] r carried by k's own symbols; noise_factor[k] = R_k^H
+    (d_k x d_k), from the thin QR F_k^H = Q_k R_k, so that receiver noise
+    w ~ CN(0, var I_N) reaches the decoder as F_k w, which has the law of
+    R_k^H w' with w' ~ CN(0, var I_{d_k}); and noise_gain[k], the squared
+    row norms of folded[k] plus those of F_k (equal to those of R_k^H), so
+    that with relay and receiver noise of variance var stream s of k has
+    post-decoder noise variance var * noise_gain[k][s] (the diagonal of
     var * F_k (G_k G_k^H + I) F_k^H).  The G_k are rank-checked and inverted
     in one stacked call each; one short of full numeric rank (the subspace
-    rank rule) raises SingularChannel.
+    rank rule) raises SingularChannel.  An encoder with a non-finite entry
+    raises InvalidInput.
     """
 
     strategy: Strategy
@@ -256,6 +265,7 @@ class Link:
     receive: list[np.ndarray] = field(init=False, repr=False)
     folded: list[np.ndarray] = field(init=False, repr=False)
     own: list[np.ndarray] = field(init=False, repr=False)
+    noise_factor: list[np.ndarray] = field(init=False, repr=False)
     noise_gain: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -264,6 +274,8 @@ class Link:
             raise DimensionMismatch("channel set does not match strategy shape")
         if len(self.encoders) != strategy.spec.K:
             raise DimensionMismatch("need one encoder per user")
+        if not all(np.isfinite(u).all() for u in self.encoders):
+            raise InvalidInput("encoder has non-finite entries")
         relay_map = strategy.relay_map()
         g_inv = np.linalg.inv(_invertible_stack(channels.G, "G"))
         # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
@@ -278,6 +290,7 @@ class Link:
         object.__setattr__(self, "receive", receive)
         object.__setattr__(self, "folded", folded)
         object.__setattr__(self, "own", [f @ e for f, e in zip(folded, effective)])
+        object.__setattr__(self, "noise_factor", [np.linalg.qr(f.conj().T, mode="r").conj().T for f in receive])
         gains = [np.linalg.norm(fg, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2 for fg, f in zip(folded, receive)]
         object.__setattr__(self, "noise_gain", gains)
 
@@ -298,39 +311,45 @@ class Link:
         return r if z is None else r + z
 
     def decode(self, k: int, r: np.ndarray, x_k: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """Soft estimates F_k (G_k r + w) - own[k] x_k of the symbols k's partners sent it, rows ordered as B_k.
+        """Soft estimates folded[k] r + noise_factor[k] w - own[k] x_k of the symbols k's partners sent it.
 
-        Computed as folded[k] r + F_k w - own[k] x_k, so receiver k's
-        observation G_k r + w is never formed.  r, x_k and w are vectors, or
-        (N, T), (d_k, T) and (N, T) blocks of T trials; w, receiver k's noise,
-        when given, has the shape of r.
+        Rows are ordered as B_k.  Without w this is F_k G_k r - own[k] x_k,
+        and receiver k's observation G_k r is never formed.  w is receiver
+        k's noise where the decoder sees it: d_k entries per trial, which
+        noise_factor[k] maps to noise of the law of F_k times N-entry receiver
+        noise of the same variance.  r, x_k and w are vectors, or (N, T),
+        (d_k, T) and (d_k, T) blocks of T trials; w, when given, has the shape
+        of the estimate.
         """
         self._check_receiver(k)
-        r = np.asarray(r, dtype=np.complex128)
-        if w is not None and np.shape(w) != r.shape:
-            raise DimensionMismatch(f"noise shape {np.shape(w)} does not match the observation {r.shape}")
-        est = self.folded[k] @ r
-        if w is not None:  # in place, as below: one d_k x T temporary fewer
-            est += self.receive[k] @ np.asarray(w, dtype=np.complex128)
+        est = self.folded[k] @ np.asarray(r, dtype=np.complex128)
+        if w is not None:
+            if np.shape(w) != est.shape:
+                raise DimensionMismatch(f"noise shape {np.shape(w)} does not match the estimate {est.shape}")
+            est += self.noise_factor[k] @ np.asarray(w, dtype=np.complex128)  # in place, as below: one temporary fewer
         est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)
         return est
 
-    def snr(self, k: int, var: float) -> float:
-        """SNR of receiver k's worst stream after the decoder, per unit symbol energy.
+    def snr_db(self, k: int, var: float) -> float:
+        """SNR of receiver k's worst stream after the decoder, per unit symbol energy, in dB.
 
         With relay and receiver noise of variance var >= 0, decode returns each
         symbol plus noise of variance var * noise_gain[k][s] on stream s, so
-        the SNR is 1 / (var * max noise_gain[k]).  Returns +inf at var = 0,
-        and 0 for a receiver with no streams at var > 0; a var that is not
-        finite and >= 0 raises InvalidInput.
+        the SNR is 1 / (var * max noise_gain[k]).  It is computed as
+        -10 log10(var) - 10 log10(max noise_gain[k]), so a var near the
+        smallest float gives its dB figure and no overflow.  Returns +inf at
+        var = 0, and -inf for a receiver with no streams at var > 0; a var
+        that is not finite and >= 0 raises InvalidInput.
         """
         self._check_receiver(k)
         if not (math.isfinite(var) and var >= 0):
             raise InvalidInput("noise variance must be finite and >= 0")
         if var == 0:
-            return float("inf")
+            return math.inf
         gain = self.noise_gain[k]  # each >= 1, as F_k G_k B_k = I with B_k orthonormal
-        return float(1 / (var * gain.max())) if gain.size else 0.0  # no streams: no signal
+        if not gain.size:  # no streams: no signal
+            return -math.inf
+        return -10 * math.log10(var) - 10 * math.log10(float(gain.max()))
 
     def _check_receiver(self, k: int) -> None:
         if not 0 <= k < len(self.receive):
@@ -378,10 +397,10 @@ def relay_map_success(constellation: Constellation) -> Fraction:
 
 @dataclass(frozen=True)
 class SimReport:
-    """One noise level's outcome: SNR, symbol-error and equivocation rates."""
+    """One noise level's outcome: SNR in dB, symbol-error and equivocation rates."""
 
     noise_var: float
-    per_user_snr: list[float]
+    per_user_snr_db: list[float]
     per_user_ser: list[float]
     relay_map_success_rate: float
     trials: int
@@ -404,11 +423,14 @@ def run_monte_carlo(
 
     One system per sweep: a single generator seeded with seed draws the
     channels and so fixes the Link once, then every noise level draws its
-    symbols, relay noise and per-user noise from it in turn.  The
+    symbols, relay noise and per-user noise from it in turn.  The relay
+    noise has N entries per trial; receiver k's has d_k, drawn where its
+    decoder sees it (Link.decode), which is exact in distribution.  The
     relay-equivocation tally uses the noiseless sums, matching the exact
     counting argument, and is therefore a Monte Carlo estimate of
-    relay_map_success.  Each noise draw is whole, into two buffers reused by
-    every draw of the sweep; each user then decodes in column blocks of
+    relay_map_success.  Each noise draw is one call for all trials, into
+    two (N, trials) buffers reused by every draw of the sweep, a receiver's
+    into their leading d_k rows; each user then decodes in column blocks of
     DECODE_BLOCK trials, with the output of decoding all trials at once.  The
     symbol tallies visit only the pairs of nonzero width, found once per
     sweep.
@@ -448,17 +470,19 @@ def run_monte_carlo(
         ser = []
         snrs = []
         for k in range(k_users):
-            w = _complex_gaussian(rng, (n, trials), var, noise_out, normals)
+            d_k = spec.d[k]
             errors = 0
             if partners[k]:  # d_k > 0
+                # contiguous views of the buffers' first d_k rows: (d_k, trials) and (2, d_k, trials)
+                normals_k = normals.reshape(-1)[: 2 * d_k * trials].reshape(2, d_k, trials)
+                w = _complex_gaussian(rng, (d_k, trials), var, noise_out[:d_k], normals_k)
                 sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in partners[k]])
                 for start in range(0, trials, DECODE_BLOCK):
                     cols = slice(start, start + DECODE_BLOCK)
                     hard_idx = constellation.nearest_index(link.decode(k, r[:, cols], x[k][:, cols], w[:, cols]))
                     errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
-            d_k = spec.d[k]
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr(k, var))
+            snrs.append(link.snr_db(k, var))
 
         relay_hits = 0
         relay_slots = 0
@@ -472,7 +496,7 @@ def run_monte_carlo(
         reports.append(
             SimReport(
                 noise_var=float(var),
-                per_user_snr=snrs,
+                per_user_snr_db=snrs,
                 per_user_ser=ser,
                 relay_map_success_rate=float(relay_rate),
                 trials=trials,

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -470,14 +471,32 @@ class TestSimulate:
 
     @pytest.mark.parametrize(
         "extra",
-        [("--noise-grid", "0.1", "--constellation", "[[1e308,0],[-1e308,0]]"), ("--noise-grid", "1e308")],
-        ids=["constellation", "noise"],
+        [("--noise-grid", "0.1", "--constellation", "[[1e308,0],[-1e308,0]]")],
+        ids=["constellation"],
     )
     def test_float_overflow_exits_1(self, extra, capsys):
         # finite inputs whose sums or powers overflow: an error, never inf or NaN figures
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", *extra) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "overflow" in err
+
+    @pytest.mark.parametrize("var", ["1e-310", "1e308"], ids=["tiny", "huge"])
+    def test_extreme_noise_variance_prints_its_db_figure(self, var, capsys):
+        # the SNR in dB is -10 log10(var) - 10 log10(max noise gain), finite at
+        # both ends of the float range, where 1 / (var * gain) or var * gain
+        # overflows; every noise gain is >= 1, so each figure lies below
+        # -10 log10(var)
+        argv = ("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "2000", "--seed", "0", "--noise-grid", var)
+        assert run(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        (level,) = json.loads(out.split("\nnoise_var,")[0])["levels"]
+        top = -10 * math.log10(float(var))
+        assert all(top - 40 < float(s) <= top for s in level["per_user_snr_db"]), level["per_user_snr_db"]
+        if var == "1e308":  # noise swamps the signal: every decision is a guess among the 4 points
+            assert all(abs(ser - 0.75) < 0.05 for ser in level["per_user_ser"])
+        else:
+            assert level["per_user_ser"] == [0.0, 0.0, 0.0]
 
     def test_integer_constellation_past_float_range_usage_error(self, capsys):
         huge = "1" + "0" * 400

@@ -97,6 +97,72 @@ class TestDrawChannels:
         monkeypatch.setattr(relaysim, "COND_LIMIT", 1.0)
         with pytest.raises(SingularChannel):
             draw_channels(2, 2, np.random.default_rng(0))
+        with pytest.raises(SingularChannel):
+            reference_draw_channels(2, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k, n", [(2, 2), (3, 3), (4, 2), (16, 32)])
+    def test_stacked_draw_equals_the_loop(self, monkeypatch, k, n):
+        # COND_LIMIT at the median cond of n x n draws, so about half the
+        # candidates miss and most calls redraw several matrices
+        monkeypatch.setattr(relaysim, "COND_LIMIT", median_cond(n))
+        total = 0
+        for seed in range(8):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = draw_channels(k, n, got_rng), reference_draw_channels(k, n, want_rng)
+            assert got.redraws == want.redraws
+            assert all(np.array_equal(bits(a), bits(b)) for a, b in zip([*got.H, *got.G], [*want.H, *want.G]))
+            assert got_rng.standard_normal() == want_rng.standard_normal()  # no candidate drawn past the last kept
+            total += got.redraws
+        assert total >= 8 * k  # about 2k per call
+
+    @pytest.mark.parametrize("max_redraws", [4, 6, 9])
+    def test_exhaustion_matches_the_loop(self, monkeypatch, max_redraws):
+        # about half the candidates miss, so a call needs about 6 redraws for
+        # its 6 matrices: with MAX_REDRAWS near that, some seeds run out and
+        # some do not, and the two draws agree on which
+        monkeypatch.setattr(relaysim, "COND_LIMIT", median_cond(3))
+        monkeypatch.setattr(relaysim, "MAX_REDRAWS", max_redraws)
+        outcomes = set()
+        for seed in range(20):
+            results = []
+            for draw in (draw_channels, reference_draw_channels):
+                try:
+                    ch = draw(3, 3, np.random.default_rng(seed))
+                except SingularChannel as exc:
+                    results.append(str(exc))
+                else:
+                    results.append((ch.redraws, [m.tolist() for m in [*ch.H, *ch.G]]))
+            assert results[0] == results[1], seed
+            outcomes.add(isinstance(results[0], str))
+        assert outcomes == {True, False}
+
+    def test_stacked_cond_equals_each_matrix(self):
+        stack = relaysim._complex_gaussian(np.random.default_rng(3), (32, 32, 32), 1.0)
+        assert np.array_equal(np.linalg.cond(stack), [np.linalg.cond(m) for m in stack])
+
+
+def median_cond(n):
+    """The median condition number of 400 n x n standard complex Gaussian matrices (its own seed)."""
+    return float(np.median(np.linalg.cond(relaysim._complex_gaussian(np.random.default_rng(99), (400, n, n), 1.0))))
+
+
+def reference_draw_channels(k, n, rng):
+    """draw_channels before its stacked form: one matrix at a time, each redrawn until it passes."""
+    redraws = 0
+
+    def one():
+        nonlocal redraws
+        while True:
+            m = relaysim._complex_gaussian(rng, (n, n), 1.0)
+            if np.linalg.cond(m) <= relaysim.COND_LIMIT:
+                return m
+            redraws += 1
+            if redraws >= relaysim.MAX_REDRAWS:
+                raise SingularChannel(f"{redraws} channel draws missed cond <= {relaysim.COND_LIMIT:g}")
+
+    h = [one() for _ in range(k)]
+    g = [one() for _ in range(k)]
+    return ChannelSet(K=k, N=n, H=h, G=g, redraws=redraws)
 
 
 class TestDesignEncoders:
@@ -292,6 +358,19 @@ class TestSecrecyAudit:
         assert len(clean) == 63 and all(verdicts[name] for name in clean)
         assert not any(verdicts[name] for name in verdicts if name not in clean)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("row, col", [(2, 0), (0, 1)])
+    def test_nonfinite_encoder_rejected_by_link(self, row, col, value):
+        # a NaN at (2, 0) made the audit's SVD fail to converge, one at (0, 1)
+        # raised SecrecyViolation by accident; Link now refuses both, as
+        # ChannelSet refuses non-finite channels
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = identity_channels(3, 3)
+        enc = design_encoders(strategy, ch)
+        enc[0][row, col] = value
+        with pytest.raises(InvalidInput, match="encoder has non-finite entries"):
+            Link(strategy, ch, enc)
+
     @pytest.mark.parametrize("factor, valid", [(0.9, False), (1.1, True)])
     def test_stacked_rank_follows_tolerance(self, factor, valid):
         # stacked pair bases [e1, e2, (e1 + s e3)/|.|] have singular values
@@ -357,7 +436,7 @@ class TestReceiverDecode:
         z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
         r = link.observe(x, z)
         for k in range(3):
-            w = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
+            w = 0.1 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))  # d_k entries per trial
             block = link.decode(k, r, x[k], w)
             assert block.shape == (4, 5)
             for t in range(5):
@@ -365,9 +444,12 @@ class TestReceiverDecode:
                 assert np.linalg.norm(single - block[:, t]) < 1e-12
 
     def test_noise_shape_must_match_the_observation(self):
+        # w is the noise the decoder sees, shaped as the (d_k, T) estimate; N-row receiver noise is refused
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
-        with pytest.raises(DimensionMismatch, match="noise shape"):
-            link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((3, 5)))
+        for shape in [(3, 5), (3, 4), (2, 5)]:
+            with pytest.raises(DimensionMismatch, match="noise shape"):
+                link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros(shape))
+        assert link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((2, 4))).shape == (2, 4)
 
     def test_unverified_strategy_rejected(self):
         plane = E3[:, [0, 1]]
@@ -385,7 +467,7 @@ class TestReceiverDecode:
         with pytest.raises(InvalidInput, match="out of range"):
             link.decode(k, np.zeros(3), np.zeros(2))
         with pytest.raises(InvalidInput, match="out of range"):
-            link.snr(k, 1.0)
+            link.snr_db(k, 1.0)
 
 
 def interference_blocks(strategy, k):
@@ -450,9 +532,13 @@ class TestReceiveMap:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
             for k in range(spec.K):
-                r, w = (rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6)) for _ in range(2))
+                r = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
+                w = rng.standard_normal((spec.d[k], 6)) + 1j * rng.standard_normal((spec.d[k], 6))
                 x_k = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
-                got, want = link.decode(k, r, x_k, w), reference_decode(link, k, ch.G[k] @ r + w, x_k)
+                # F_k^H = Q_k R_k, so the N-entry receiver noise Q_k w reaches the decoder as F_k Q_k w = R_k^H w
+                f = reference_receive_map(link, k)
+                noise = f @ (np.linalg.qr(f.conj().T)[0] @ w)
+                got, want = link.decode(k, r, x_k, w), reference_decode(link, k, ch.G[k] @ r, x_k) + noise
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
@@ -494,6 +580,29 @@ class TestReceiveMap:
                 want = np.diag(f @ (g @ g.conj().T + np.eye(spec.N)) @ f.conj().T).real
                 assert link.noise_gain[k].shape == (spec.d[k],)
                 assert np.linalg.norm(link.noise_gain[k] - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+
+    @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
+    def test_noise_factor_has_the_receive_map_covariance(self, encoders):
+        # F_k w with w ~ CN(0, I_N) has covariance F_k F_k^H; so must noise_factor[k] w' with w' ~ CN(0, I_{d_k})
+        rng = np.random.default_rng(43 if encoders == "designed" else 44)
+        for _ in range(40):
+            spec = random_pairwise_spec(rng)
+            strategy = strategy_from_pairwise(spec, rng)
+            ch = draw_channels(spec.K, spec.N, rng)
+            if encoders == "designed":
+                enc = design_encoders(strategy, ch)
+            else:
+                enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
+            link = Link(strategy, ch, enc)
+            for k, (factor, f) in enumerate(zip(link.noise_factor, link.receive)):
+                want = f @ f.conj().T
+                assert factor.shape == (spec.d[k], spec.d[k]), (spec, k)
+                assert np.linalg.norm(factor @ factor.conj().T - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+
+    def test_receiver_with_no_streams_has_an_empty_noise_factor(self):
+        link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
+        assert link.noise_factor[2].shape == (0, 0)
+        assert link.decode(2, np.zeros((2, 5)), np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
 
     def test_maps_are_d_k_by_n_and_own_their_memory(self):
         rng = np.random.default_rng(4)
@@ -539,41 +648,49 @@ class TestSnr:
     def test_noiseless_is_infinite(self):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
-        assert link_of(strategy, ch).snr(0, 0.0) == float("inf")
+        assert link_of(strategy, ch).snr_db(0, 0.0) == float("inf")
 
     def test_worked_example_value(self):
         # G_1 = 2I, other channels identity.  User 1's frame G_1 [B_1 | J_1] is
         # 2 [e2, e1, e3], so F_1 is the rows e2/2 and e1/2 and F_1 G_1 the rows
         # e2 and e1: each stream's noise gain is 1 + 1/4, and at variance 0.1
-        # the SNR is 1 / (0.1 * 1.25) = 8
+        # the SNR is 1 / (0.1 * 1.25) = 8, 9.03 dB
         strategy = worked_example_strategy()
         ch = identity_channels(3, 3)
         ch.G[0][:] = 2 * E3
         link = Link(strategy, ch, worked_example_encoders())
         assert np.allclose(link.noise_gain[0], [1.25, 1.25], rtol=0, atol=1e-15)
-        assert abs(link.snr(0, 0.1) - 8) < 1e-12
+        assert abs(link.snr_db(0, 0.1) - 10 * math.log10(8)) < 1e-12
 
     def test_noise_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
         link = link_of(strategy, draw_channels(3, 3, rng))
-        base = link.snr(1, 0.3)
-        scaled = link.snr(1, 3.0)
-        assert abs(base - 10 * scaled) < 1e-9 * base
+        base = link.snr_db(1, 0.3)
+        scaled = link.snr_db(1, 3.0)
+        assert abs(base - scaled - 10) < 1e-12
 
     def test_receiver_with_no_streams(self):
-        # user 3 of d = (2, 2, 0) receives nothing: no signal, SNR 0 (printed
-        # -inf dB), except at variance 0, where every receiver's SNR is inf
+        # user 3 of d = (2, 2, 0) receives nothing: no signal, SNR 0 (-inf
+        # dB), except at variance 0, where every receiver's SNR is inf
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
         assert link.noise_gain[2].shape == (0,)
-        assert link.snr(2, 1.0) == 0.0
-        assert link.snr(2, 0.0) == float("inf")
+        assert link.snr_db(2, 1.0) == float("-inf")
+        assert link.snr_db(2, 0.0) == float("inf")
+
+    @pytest.mark.parametrize("var", [1e-310, 5e-324, 1e308])
+    def test_variance_at_the_ends_of_the_float_range(self, var):
+        # 1 / (var * gain) overflows at the low end and var * gain at the high
+        # end; a difference of logs is finite at both
+        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
+        assert np.array_equal(link.noise_gain[0], [2.0, 2.0])
+        assert link.snr_db(0, var) == pytest.approx(-10 * math.log10(var) - 10 * math.log10(2), abs=1e-9)
 
     @pytest.mark.parametrize("var", [float("nan"), float("inf"), -1e-3])
     def test_rejects_nonfinite_and_negative_variance(self, var):
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
         with pytest.raises(InvalidInput, match="finite and >= 0"):
-            link.snr(0, var)
+            link.snr_db(0, var)
 
 
 class TestRelayMapSuccess:
@@ -675,8 +792,8 @@ class TestRunMonteCarlo:
         for spec in (StrategySpec(3, 3, (2, 2, 2)), StrategySpec(4, 4, (2, 2, 2, 2))):
             reports = run_monte_carlo(spec, QPSK, grid, 20, seed=34)
             for k in range(spec.K):
-                scaled = [rep.per_user_snr[k] * rep.noise_var for rep in reports]
-                assert all(abs(v - scaled[0]) <= 1e-12 * scaled[0] for v in scaled)
+                scaled = [rep.per_user_snr_db[k] + 10 * math.log10(rep.noise_var) for rep in reports]
+                assert all(abs(v - scaled[0]) <= 1e-12 for v in scaled)
 
     @pytest.mark.parametrize("grid", [[float("nan")], [float("inf")], [-1.0], [0.1, float("nan")]])
     def test_invalid_noise_grid(self, grid):
@@ -691,8 +808,9 @@ class TestRunMonteCarlo:
 # The sweep and its two kernels as they were before decoding ran in trial blocks,
 # kept as the reference for the blocked form: noise as one complex expression,
 # nearest point by argmin, every level decoded over all trials at once, each
-# receiver's observation y_tilde = G_k r + w formed and mapped by F_k, and the
-# tallies over every pair and partner.
+# receiver's noiseless observation G_k r formed and mapped by F_k, and the
+# tallies over every pair and partner.  Receiver k's noise follows the sweep's
+# draw: d_k entries per trial (none for d_k = 0), through noise_factor[k].
 
 
 def reference_complex_gaussian(rng, shape, variance):
@@ -732,14 +850,14 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         ser = []
         snrs = []
         for k in range(k_users):
-            y_tilde = channels.G[k] @ r + reference_complex_gaussian(rng, (n, trials), var)
-            est = link.receive[k] @ y_tilde - link.own[k] @ x[k]
+            w = reference_complex_gaussian(rng, (spec.d[k], trials), var)
+            est = link.receive[k] @ (channels.G[k] @ r) + link.noise_factor[k] @ w - link.own[k] @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr(k, var))
+            snrs.append(link.snr_db(k, var))
         relay_hits = 0
         relay_slots = 0
         for (i, j), dij in strategy.pair_dims().items():
@@ -753,7 +871,7 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         reports.append(
             SimReport(
                 noise_var=float(var),
-                per_user_snr=snrs,
+                per_user_snr_db=snrs,
                 per_user_ser=ser,
                 relay_map_success_rate=float(relay_rate),
                 trials=trials,
@@ -827,7 +945,7 @@ class TestSnrExplainsSer:
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, np.random.default_rng(seed)))
         for rep in reports:
             for k in range(spec.K):
-                assert rep.per_user_snr[k] == link.snr(k, rep.noise_var)  # the sweep's own Link
+                assert rep.per_user_snr_db[k] == link.snr_db(k, rep.noise_var)  # the sweep's own Link
                 p = float(np.mean([exact_stream_ser(constellation, rep.noise_var * g) for g in link.noise_gain[k]]))
                 bound = 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
                 assert abs(rep.per_user_ser[k] - p) <= bound, (seed, rep.noise_var, k, p)
