@@ -399,21 +399,19 @@ def paired_pairwise_table(k: int, n: int) -> StrategySpec:
     return StrategySpec(K=k, N=n, d=(d,) * k, pairwise=pw)
 
 
-def _gaussian_stacks(n: int, dims: tuple[int, ...], rngs: list[np.random.Generator]) -> list[np.ndarray]:
-    """Complex Gaussian (T, n, d) stacks, one per d in dims, T = len(rngs).
+def _gaussian_stacks(n: int, dims: tuple[int, ...], t: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Complex Gaussian (t, n, d) stacks, one per d in dims, from one standard_normal call.
 
-    Each generator makes one standard_normal call, whose values are, per d in
-    order, the n x d real parts and then the n x d imaginary parts: the values
-    sample_generic_strategy draws from that generator.
+    Row r of the draw holds, per d in order, the n x d real parts and then
+    the n x d imaginary parts: the values the r-th of t successive
+    sample_generic_strategy(spec, rng) calls would draw.
     """
     sizes = [n * d for d in dims]
-    raw = np.empty((len(rngs), 2 * sum(sizes)))
-    for row, rng in zip(raw, rngs):
-        rng.standard_normal(out=row)
+    raw = rng.standard_normal((t, 2 * sum(sizes)))
     stacks, off = [], 0
     for d, size in zip(dims, sizes):
-        re = raw[:, off : off + size].reshape(len(rngs), n, d)
-        im = raw[:, off + size : off + 2 * size].reshape(len(rngs), n, d)
+        re = raw[:, off : off + size].reshape(t, n, d)
+        im = raw[:, off + size : off + 2 * size].reshape(t, n, d)
         stacks.append(re + 1j * im)
         off += 2 * size
     return stacks
@@ -422,12 +420,12 @@ def _gaussian_stacks(n: int, dims: tuple[int, ...], rngs: list[np.random.Generat
 def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Generator) -> float:
     """Fraction of Haar-random strategies that verify.
 
-    Each trial draws its subspaces from its own child generator, so the result
-    does not depend on evaluation order, and equals the fraction of the
-    children rng.spawn(trials) for which
-    verify_strategy(sample_generic_strategy(spec, child)).ok holds.  Trials
-    are spawned, drawn and verified in blocks of VERIFY_BLOCK with the stacked
-    verifier.
+    Trial t draws the subspaces of the t-th of trials successive
+    sample_generic_strategy(spec, rng) calls, and the result is the fraction
+    of those draws for which verify_strategy(draw, spec.N).ok holds, so it
+    does not depend on evaluation order and a run's trials are a prefix of a
+    longer run's.  Trials are drawn and verified in blocks of VERIFY_BLOCK
+    with the stacked verifier.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -439,7 +437,6 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):
-        # successive spawn calls continue the numbering of the children
-        children = rng.spawn(min(VERIFY_BLOCK, trials - start))
-        hits += int(np.count_nonzero(split_by_rank(run, _gaussian_stacks(spec.N, spec.d, children)).ok))
+        draws = _gaussian_stacks(spec.N, spec.d, min(VERIFY_BLOCK, trials - start), rng)
+        hits += int(np.count_nonzero(split_by_rank(run, draws).ok))
     return hits / trials

@@ -15,9 +15,10 @@ block of T trials.  Receiver k's receive map F_k is its only model: decoding
 applies it, and the SNR reads each stream's noise variance off it.  The
 relay's model is P: secrecy_audit reads user i's relay-side columns
 P H_i U_i, which must be the 0/1 selection of i's pair slots to the rank
-rule.  That rule also decides both channel directions invertible, the H_i
-in design_encoders and the G_k in Link.  run_monte_carlo builds one Link
-per sweep, so every noise level of a sweep runs over the same system.
+rule.  ChannelSet decides all 2K channels invertible by that rule once, at
+construction, so design_encoders only solves and Link only inverts.
+run_monte_carlo builds one Link per sweep, so every noise level of a sweep
+runs over the same system.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-COND_LIMIT = 1e8  # draw_channels redraws a matrix whose condition number exceeds this
-MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many misses in one call
+MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many singular draws in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
 # Trials per column block of run_monte_carlo's per-user decode.  A power of two,
 # so every block starts on a column where BLAS's column tiling of the whole
@@ -162,71 +162,73 @@ def _complex_gaussian(
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """User-to-relay matrices H_i and relay-to-user matrices G_k."""
+    """User-to-relay matrices H_i and relay-to-user matrices G_k, decided valid at construction.
+
+    K >= 2 and N >= 1 (else InvalidInput); one N x N matrix per user and
+    direction (else DimensionMismatch), with finite entries (else
+    InvalidInput); each of full numeric rank by the rank rule, in one SVD of
+    all 2K (else SingularChannel naming the first short H_i, then G_k).  H
+    and G are kept as read-only (K, N, N) complex copies, so no later write
+    can undo the check.
+    """
 
     K: int
     N: int
-    H: list[np.ndarray]
-    G: list[np.ndarray]
+    H: np.ndarray
+    G: np.ndarray
     redraws: int = 0
 
     def __post_init__(self):
-        if len(self.H) != self.K or len(self.G) != self.K:
+        k, n = self.K, self.N
+        if k < 2 or n < 1:
+            raise InvalidInput("need K >= 2 users and N >= 1 antennas")
+        if len(self.H) != k or len(self.G) != k:
             raise DimensionMismatch("need one H and one G per user")
         for m in [*self.H, *self.G]:
-            m = np.asarray(m)
-            if m.shape != (self.N, self.N):
-                raise DimensionMismatch(f"channel matrix shape {m.shape}, expected {(self.N, self.N)}")
-            if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-                raise InvalidInput("channel matrix has non-finite entries")
+            if np.shape(m) != (n, n):
+                raise DimensionMismatch(f"channel matrix shape {np.shape(m)}, expected {(n, n)}")
+        stack = np.array([*self.H, *self.G], dtype=np.complex128)
+        if not np.isfinite(stack).all():
+            raise InvalidInput("channel matrix has non-finite entries")
+        short = numeric_rank(np.linalg.svd(stack, compute_uv=False), (n, n)) < n
+        if short.any():
+            first = int(np.argmax(short))
+            raise SingularChannel(f"H_{first} is singular" if first < k else f"G_{first - k} is singular")
+        stack.flags.writeable = False
+        object.__setattr__(self, "H", stack[:k])
+        object.__setattr__(self, "G", stack[k:])
 
 
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
-    """i.i.d. standard complex Gaussian channels, each redrawn while its condition number exceeds COND_LIMIT.
+    """i.i.d. standard complex Gaussian channels H_0..H_{K-1}, G_0..G_{K-1}.
 
-    The 2K matrices H_0..H_{K-1}, G_0..G_{K-1} are the first 2K candidates of
-    the stream that pass; a candidate is one matrix's real then imaginary
-    normals, as _complex_gaussian(rng, (n, n), 1.0) draws them.  Each round
-    draws and condition-tests all missing matrices in one stacked call, so it
-    never draws past the last one kept.  MAX_REDRAWS misses raise
-    SingularChannel.
+    A draw is one standard_normal call holding each matrix's real then
+    imaginary normals in turn, so its 2K matrices equal 2K successive
+    _complex_gaussian(rng, (n, n), 1.0) draws.  A draw that ChannelSet finds
+    singular (almost never) is discarded whole and counted in redraws;
+    MAX_REDRAWS such draws raise SingularChannel.
     """
-    if k < 2 or n < 1:
-        raise InvalidInput("need K >= 2 users and N >= 1 antennas")
-    kept: list[np.ndarray] = []
-    redraws = 0
-    while len(kept) < 2 * k:
-        parts = rng.standard_normal((2 * k - len(kept), 2, n, n))
-        candidates = np.empty((len(parts), n, n), dtype=np.complex128)  # filled in place: no complex temporaries
-        np.multiply(parts[:, 0], np.sqrt(0.5), out=candidates.real)
-        np.multiply(parts[:, 1], np.sqrt(0.5), out=candidates.imag)
-        passed = np.linalg.cond(candidates) <= COND_LIMIT
-        redraws += int(np.count_nonzero(~passed))
-        if redraws >= MAX_REDRAWS:
-            raise SingularChannel(f"{MAX_REDRAWS} channel draws missed cond <= {COND_LIMIT:g}")
-        kept.extend(candidates[passed])
-    return ChannelSet(K=k, N=n, H=kept[:k], G=kept[k:], redraws=redraws)
-
-
-def _invertible_stack(mats: list[np.ndarray], name: str) -> np.ndarray:
-    """The channel matrices stacked; one SVD decides each invertible by the rank rule, else SingularChannel."""
-    stack = np.stack(mats)
-    ranks = numeric_rank(np.linalg.svd(stack, compute_uv=False), stack.shape[1:])
-    if (ranks < stack.shape[1]).any():
-        raise SingularChannel(f"{name}_{int(np.argmin(ranks))} is singular")
-    return stack
+    for redraws in range(MAX_REDRAWS):
+        parts = rng.standard_normal((2 * k, 2, n, n))
+        mats = np.empty((2 * k, n, n), dtype=np.complex128)  # filled in place: no complex temporaries
+        np.multiply(parts[:, 0], np.sqrt(0.5), out=mats.real)
+        np.multiply(parts[:, 1], np.sqrt(0.5), out=mats.imag)
+        try:
+            return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:], redraws=redraws)
+        except SingularChannel:
+            continue
+    raise SingularChannel(f"{MAX_REDRAWS} channel draws were singular")
 
 
 def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray]:
     """Encoding matrices U_i = H_i^{-1} [B_ij blocks, partners ascending].
 
     Column c of H_i U_i then equals the shared basis vector of the pair that
-    column serves, for both members of the pair.  An H_i short of full
-    numeric rank raises SingularChannel.
+    column serves, for both members of the pair; ChannelSet has decided
+    every H_i invertible.
     """
     if channels.N != strategy.spec.N or channels.K != strategy.spec.K:
         raise DimensionMismatch("channel set does not match strategy shape")
-    _invertible_stack(channels.H, "H")
     return [np.linalg.solve(h, b) for h, b in zip(channels.H, strategy.user_bases)]
 
 
@@ -250,10 +252,9 @@ class Link:
     row norms of folded[k] plus those of F_k (equal to those of R_k^H), so
     that with relay and receiver noise of variance var stream s of k has
     post-decoder noise variance var * noise_gain[k][s] (the diagonal of
-    var * F_k (G_k G_k^H + I) F_k^H).  The G_k are rank-checked and inverted
-    in one stacked call each; one short of full numeric rank (the subspace
-    rank rule) raises SingularChannel.  An encoder with a non-finite entry
-    raises InvalidInput.
+    var * F_k (G_k G_k^H + I) F_k^H).  The G_k, which ChannelSet has
+    decided invertible, are inverted in one stacked call.  An encoder with a
+    non-finite entry raises InvalidInput.
     """
 
     strategy: Strategy
@@ -277,7 +278,7 @@ class Link:
         if not all(np.isfinite(u).all() for u in self.encoders):
             raise InvalidInput("encoder has non-finite entries")
         relay_map = strategy.relay_map()
-        g_inv = np.linalg.inv(_invertible_stack(channels.G, "G"))
+        g_inv = np.linalg.inv(channels.G)
         # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
         column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
         slots = [np.flatnonzero((column_pairs == k).any(axis=1)) for k in range(strategy.spec.K)]

@@ -287,8 +287,8 @@ class TestGenericSampling:
 
 
 def per_trial_rate(spec, trials, rng):
-    """Reference for generic_feasibility_rate: one verify_strategy call per child generator."""
-    return sum(verify_strategy(sample_generic_strategy(spec, c), spec.N).ok for c in rng.spawn(trials)) / trials
+    """Reference for generic_feasibility_rate: one verify_strategy call per successive draw from rng."""
+    return sum(verify_strategy(sample_generic_strategy(spec, rng), spec.N).ok for _ in range(trials)) / trials
 
 
 class TestBatchedGenericity:
@@ -306,15 +306,18 @@ class TestBatchedGenericity:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_trial_reference(self, k, n, d, seed):
         spec = StrategySpec(k, n, d)
-        rate = generic_feasibility_rate(spec, 20, np.random.default_rng(seed))
-        assert rate == per_trial_rate(spec, 20, np.random.default_rng(seed))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert generic_feasibility_rate(spec, 20, got_rng) == per_trial_rate(spec, 20, want_rng)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_draws_equal_per_trial_bases(self):
         spec = StrategySpec(4, 3, (2, 0, 3, 1))
-        stacks = _gaussian_stacks(spec.N, spec.d, np.random.default_rng(4).spawn(5))
-        for t, child in enumerate(np.random.default_rng(4).spawn(5)):
-            for stack, sub in zip(stacks, sample_generic_strategy(spec, child)):
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        stacks = _gaussian_stacks(spec.N, spec.d, 5, got_rng)
+        for t in range(5):
+            for stack, sub in zip(stacks, sample_generic_strategy(spec, want_rng)):
                 assert np.array_equal(orthonormal_stack(stack)[t], sub)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state  # the block draws no more than the loop
 
     def test_several_blocks(self):
         spec = StrategySpec(3, 3, (2, 2, 2))
@@ -349,7 +352,7 @@ class TestStackedVerifier:
     def test_ragged_widths(self, d):
         spec = StrategySpec(4, 5, d)
         assert_same_verdicts([b[None] for b in construct_strategy(spec).subspaces], 5)
-        stacks = _gaussian_stacks(5, d, np.random.default_rng(sum(d) * d[0]).spawn(8))
+        stacks = _gaussian_stacks(5, d, 8, np.random.default_rng(sum(d) * d[0]))
         assert_same_verdicts([orthonormal_stack(g) for g in stacks], 5)
 
     def test_ragged_widths_from_a_pairwise_table(self):
@@ -366,7 +369,7 @@ class TestStackedVerifier:
             cand = sample_generic_strategy(StrategySpec(k, n, d), rng)
             assert not verify_strategy(cand, n).ok
             assert_same_verdicts([b[None] for b in cand], n)
-        assert_same_verdicts([orthonormal_stack(g) for g in _gaussian_stacks(n, d, rng.spawn(16))], n)
+        assert_same_verdicts([orthonormal_stack(g) for g in _gaussian_stacks(n, d, 16, rng)], n)
 
     def test_coordinate_strategy_wide(self):
         s = construct_strategy(StrategySpec(16, 32, (4,) * 16))
