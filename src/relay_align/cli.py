@@ -29,7 +29,7 @@ from .errors import (
 )
 from .feasibility import StrategySpec
 from .serialization import (
-    atomic_write, load_strategy, parse_pair_key, read_json_object, strategy_to_dict
+    atomic_write, complex_array, dump_strategy, load_strategy, parse_pair_key, read_json_object
 )
 
 SEED_ENV_VAR = "RELAY_ALIGN_SEED"
@@ -125,7 +125,7 @@ def cmd_construct(args) -> int:
         strategy = feasibility.strategy_from_pairwise(spec, rng)
     else:
         strategy = feasibility.construct_strategy(spec)
-    _emit(_json_text(strategy_to_dict(strategy)), args.output)
+    _emit(dump_strategy(strategy), args.output)
     return 0
 
 
@@ -238,10 +238,10 @@ def _cfg_value(key: str, value):
 def _parse_constellation(name: str) -> relaysim.Constellation:
     if name.startswith("["):  # explicit point list, e.g. "[[1,0],[-1,0]]"
         try:
-            pts = [complex(re, im) for re, im in json.loads(name)]
-        except (TypeError, ValueError, OverflowError):  # bad JSON, a point not a pair, an int past float range
+            pts = complex_array(json.loads(name), 1)
+        except ValueError:  # bad JSON, a point not a pair of numbers, an int past float range
             raise UsageError(f"--constellation expects a JSON list of [re, im] pairs, got {name!r}")
-        return relaysim.Constellation(np.array(pts))
+        return relaysim.Constellation(pts)
     try:
         return relaysim.Constellation.from_name(name)
     except InvalidInput as exc:

@@ -1,12 +1,17 @@
 """JSON wire format for strategies.
 
-Complex numbers are [re, im] pairs; matrices are row-major nested arrays;
-pair bases are keyed "i-j" with 1-based user indices, i < j, and no other
-spelling (parse_pair_key).  A schema_version field guards future changes.
+Complex numbers are [re, im] pairs of JSON numbers; matrices are row-major
+nested arrays; pair bases are keyed "i-j" with 1-based user indices, i < j,
+and no other spelling (parse_pair_key).  A schema_version field guards future
+changes.  dump_strategy writes the one strategy file layout: json's indent=2
+layout with sorted keys, except that each pair basis sits on one line, so
+json's C encoder writes nearly all of the file.  The reader takes any JSON
+layout and converts each basis in one numpy call (complex_array).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -19,7 +24,8 @@ from .feasibility import Strategy, StrategySpec
 SCHEMA_VERSION = 1
 
 __all__ = [
-    "parse_pair_key", "strategy_to_dict", "strategy_from_dict", "load_strategy", "atomic_write", "read_json_object",
+    "complex_array", "parse_pair_key", "strategy_to_dict", "dump_strategy", "strategy_from_dict", "load_strategy",
+    "atomic_write", "read_json_object",
 ]
 
 
@@ -29,13 +35,36 @@ def _encode_matrix(m: np.ndarray) -> list:
     return m.view(np.float64).reshape(*m.shape, 2).tolist()
 
 
+def complex_array(data, ndim: int) -> np.ndarray:
+    """The ndim-axis complex128 array of nested [re, im] pairs, from one float64 conversion.
+
+    Every number must be a JSON int or float: a bool, string or null raises
+    ValueError, as do ragged nesting, a pair of other than two numbers and an
+    integer past float range.  An array with no entries may leave out the pair
+    axis, so N empty rows give an N x 0 matrix.
+    """
+    leaves = data
+    for _ in range(ndim):
+        leaves = itertools.chain.from_iterable(leaves)
+    try:
+        kinds = set(map(type, leaves))  # a bare number in place of a pair is not iterable: TypeError
+        a = np.array(data, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
+        raise ValueError(str(exc)) from exc
+    if not kinds <= {int, float}:
+        raise ValueError(f"entries must be numbers, got {sorted(k.__name__ for k in kinds - {int, float})}")
+    if a.size == 0 and a.ndim == ndim:
+        return a.astype(np.complex128)
+    if a.ndim != ndim + 1 or a.shape[-1] != 2:
+        raise ValueError(f"expected {ndim}-d nested [re, im] pairs, got shape {a.shape}")
+    return a.view(np.complex128)[..., 0]
+
+
 def _decode_matrix(rows, n_expected: int) -> np.ndarray:
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past float range
+        m = complex_array(rows, 2)
+    except ValueError as exc:
         raise InvalidInput(f"malformed complex matrix: {exc}") from exc
-    if m.ndim != 2 and m.size:
-        raise InvalidInput(f"expected a 2-d matrix, got shape {m.shape}")
     if m.shape[0] != n_expected:
         raise InvalidInput(f"matrix has {m.shape[0]} rows, expected {n_expected}")
     return m
@@ -53,6 +82,22 @@ def strategy_to_dict(strategy: Strategy) -> dict:
             for (i, j), b in strategy.pair_bases.items()
         },
     }
+
+
+def dump_strategy(strategy: Strategy) -> str:
+    """The strategy file text: json.dumps(indent=2, sort_keys=True) of strategy_to_dict, each pair basis on one line.
+
+    json's indenting encoder is pure Python; each basis is written by its C
+    encoder instead, so only the few lines around the bases go through it.
+    The text parses to the same JSON value as the fully indented one.
+    """
+    doc = strategy_to_dict(strategy)
+    bases = doc["pair_bases"]
+    text = json.dumps({**doc, "pair_bases": {}}, indent=2, sort_keys=True)
+    if bases:
+        lines = ",\n".join(f"    {json.dumps(key)}: {json.dumps(bases[key])}" for key in sorted(bases))
+        text = text.replace('"pair_bases": {}', f'"pair_bases": {{\n{lines}\n  }}', 1)
+    return text + "\n"
 
 
 def parse_pair_key(key: str, k: int) -> tuple[int, int]:

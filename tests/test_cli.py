@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import relay_align
-from relay_align.cli import main
+from relay_align.cli import _parse_constellation, main
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import (
     construct_strategy,
@@ -20,7 +20,9 @@ from relay_align.feasibility import (
     verify_strategy,
 )
 from relay_align.serialization import (
+    dump_strategy,
     load_strategy,
+    parse_pair_key,
     strategy_from_dict,
     strategy_to_dict,
 )
@@ -188,6 +190,26 @@ class TestConstructAndVerify:
         assert run("verify", str(out)) == 0
 
 
+# the strategies of the writer tests: the widest coordinate case, N x 0 blocks, random bases and -0.0
+with_reference_strategies = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: construct_strategy(StrategySpec(16, 32, (4,) * 16)),
+        lambda: construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1))),  # three N x 0 blocks
+        lambda: strategy_from_pairwise(symmetric_pairwise_table(3, 3), np.random.default_rng(3)),
+        lambda: strategy_from_pairwise(
+            StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 1}),
+            np.random.default_rng(0),
+        ),  # with N x 0 blocks
+        lambda: Strategy(  # negated coordinate blocks hold -0.0 in both parts
+            StrategySpec(3, 3, (2, 2, 2)),
+            {p: -b for p, b in construct_strategy(StrategySpec(3, 3, (2, 2, 2))).pair_bases.items()},
+        ),
+    ],
+    ids=["coordinate-K16", "coordinate-zero-pairs", "pairwise", "pairwise-zero-pairs", "negative-zero"],
+)
+
+
 class TestSerialization:
     def test_dict_round_trip_verifies_identically(self):
         s = construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1)))
@@ -206,23 +228,7 @@ class TestSerialization:
         for p, b in s.pair_bases.items():
             assert np.array_equal(back.pair_bases[p], b)
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: construct_strategy(StrategySpec(16, 32, (4,) * 16)),
-            lambda: construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1))),  # three N x 0 blocks
-            lambda: strategy_from_pairwise(symmetric_pairwise_table(3, 3), np.random.default_rng(3)),
-            lambda: strategy_from_pairwise(
-                StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 1}),
-                np.random.default_rng(0),
-            ),  # with N x 0 blocks
-            lambda: Strategy(  # negated coordinate blocks hold -0.0 in both parts
-                StrategySpec(3, 3, (2, 2, 2)),
-                {p: -b for p, b in construct_strategy(StrategySpec(3, 3, (2, 2, 2))).pair_bases.items()},
-            ),
-        ],
-        ids=["coordinate-K16", "coordinate-zero-pairs", "pairwise", "pairwise-zero-pairs", "negative-zero"],
-    )
+    @with_reference_strategies
     def test_encoding_equals_reference(self, make):
         s = make()
         pair_bases = strategy_to_dict(s)["pair_bases"]
@@ -230,6 +236,23 @@ class TestSerialization:
             got, expected = pair_bases[f"{i + 1}-{j + 1}"], reference_encode(b)
             assert got == expected
             assert json.dumps(got) == json.dumps(expected)  # the text tells -0.0 from 0.0
+
+    @with_reference_strategies
+    def test_dump_strategy(self, make, tmp_path):
+        s = make()
+        text = dump_strategy(s)
+        assert json.loads(text) == json.loads(json.dumps(strategy_to_dict(s), indent=2, sort_keys=True))
+        basis_lines = [line.rstrip(",") for line in text.splitlines() if line.startswith('    "')]
+        assert len(basis_lines) == len(s.pair_bases)  # each line one whole "i-j": basis member
+        assert [json.loads(f"{{{line}}}") for line in basis_lines] == [
+            {key: rows} for key, rows in sorted(strategy_to_dict(s)["pair_bases"].items())
+        ]
+        path = tmp_path / "s.json"
+        path.write_text(text)
+        back = load_strategy(str(path))
+        assert back.pair_bases.keys() == s.pair_bases.keys()
+        for p, b in s.pair_bases.items():
+            assert back.pair_bases[p].shape == b.shape and back.pair_bases[p].tobytes() == b.tobytes()
 
     def test_reference_cases_hold_negative_zero_and_empty_blocks(self):
         negated = {p: -b for p, b in construct_strategy(StrategySpec(3, 3, (2, 2, 2))).pair_bases.items()}
@@ -281,6 +304,97 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         assert run("verify", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+# JSON texts that stand where one [re, im] pair belongs: in a strategy file or a --constellation point list
+BAD_COMPLEX = {
+    "string": '["1", 0]',
+    "null": "[null, 0]",
+    "dict": '{"re": 1, "im": 0}',
+    "three-numbers": "[1, 0, 0]",
+    "bare-number": "1",
+    "past-float-range": "[1" + "0" * 400 + ", 0]",
+    "inf": "[1e999, 0]",
+    "nan": "[NaN, 0]",
+    "true": "[true, 0]",  # would read as 1 + 0j, the entry it replaces, and pass
+    "false": "[1, false]",
+}
+
+
+class TestComplexEntries:
+    """Every JSON entry that is not a pair of numbers is rejected, the same way in strategy files and point lists."""
+
+    @staticmethod
+    def strategy_text(level: str, text: str) -> str:
+        """The K=3 N=3 coordinate strategy file with the first row or entry of pair 1-2 swapped for a JSON text."""
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        rows = doc["pair_bases"]["1-2"]
+        if level == "row":
+            rows[0] = "SWAP"
+        else:
+            rows[0][0] = "SWAP"
+        return json.dumps(doc).replace('"SWAP"', text)
+
+    @pytest.mark.parametrize(
+        "level, text",
+        [("entry", text) for text in BAD_COMPLEX.values()] + [("row", "[[1, 0], [0, 0]]")],
+        ids=list(BAD_COMPLEX) + ["ragged-row"],
+    )
+    def test_strategy_file_rejects(self, tmp_path, capsys, level, text):
+        doc_text = self.strategy_text(level, text)
+        with pytest.raises(InvalidInput, match="malformed complex matrix|non-finite"):
+            strategy_from_dict(json.loads(doc_text))
+        path = tmp_path / "s.json"
+        path.write_text(doc_text)
+        assert run("verify", str(path)) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_omitted_pair_and_empty_rows_read_as_n_by_0(self, tmp_path, capsys):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1))))
+        empty = [key for key, rows in doc["pair_bases"].items() if rows == [[]] * 5]
+        assert len(empty) == 3
+        del doc["pair_bases"][empty[0]]
+        s = strategy_from_dict(doc)
+        for key in empty:
+            assert s.pair_bases[parse_pair_key(key, 4)].shape == (5, 0)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
+    def test_integer_entries(self, tmp_path):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        as_ints = {
+            key: [[[int(re), int(im)] for re, im in row] for row in rows] for key, rows in doc["pair_bases"].items()
+        }
+        back = strategy_from_dict({**doc, "pair_bases": as_ints})
+        for p, b in strategy_from_dict(doc).pair_bases.items():
+            assert back.pair_bases[p].dtype == np.complex128 and np.array_equal(back.pair_bases[p], b)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({**doc, "pair_bases": as_ints}))
+        assert run("verify", str(path)) == 0
+
+    def test_negative_zero_keeps_its_sign_bit(self):
+        s = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        negated = {p: -b for p, b in s.pair_bases.items()}
+        back = strategy_from_dict(strategy_to_dict(Strategy(s.spec, negated)))
+        for p, b in negated.items():
+            assert np.signbit(b.imag).all()
+            assert back.pair_bases[p].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("text", list(BAD_COMPLEX.values()), ids=list(BAD_COMPLEX))
+    def test_constellation_rejects(self, capsys, text):
+        points = f"[{text}, [-1, 0]]"
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--constellation", points) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage error: --constellation") or (err.startswith("error: ") and "finite" in err)
+
+    def test_constellation_integer_and_negative_zero_points(self):
+        points = _parse_constellation("[[1, -0.0], [-1, 0]]").points
+        assert points.tolist() == [1, -1]
+        assert np.signbit(points.imag).tolist() == [True, False]
 
 
 BAD_PAIR_KEYS = ["01-2", "2-1", "1-1", "1-4", "a-b"]  # at K = 3
