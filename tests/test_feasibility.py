@@ -1,6 +1,7 @@
 import itertools
 import re
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from relay_align.feasibility import (
     StrategySpec,
     _gaussian_stacks,
     _pairs,
-    _Verdicts,
     _verify_stack,
     construct_strategy,
     feasible_variety_dim,
     generic_feasibility_rate,
+    haar_stack,
     is_feasible_tuple,
     paired_pairwise_table,
     sample_generic_strategy,
@@ -39,11 +40,24 @@ def same_span(a, b):
     return np.linalg.norm(a @ a.conj().T - b @ b.conj().T) < 1e-9
 
 
-def reference_verify_stack(bases, n):
-    """_verify_stack as one intersect_stack call per pair and one orthonormal_stack call per user.
+class Verdicts(NamedTuple):
+    """The three direct-sum verdicts of T candidates, one row per trial."""
 
-    Stricter than _verify_stack's rank test: a user whose intersections add
-    up to its rank must also hold their span, to a residual norm below 1e-9.
+    pair_dims: np.ndarray  # (T, pairs), pairs in _pairs order
+    per_user_ok: np.ndarray  # (T, K), condition (ii)
+    global_ok: np.ndarray  # (T,), condition (iii)
+
+    @property
+    def ok(self) -> np.ndarray:
+        return self.per_user_ok.all(axis=1) & self.global_ok
+
+
+def reference_verify_stack(bases, n):
+    """All three checks, (ii) included: one intersect_stack call per pair and one orthonormal_stack call per user.
+
+    Stricter than a rank test of (ii): a user whose intersections add up to
+    its rank must also hold their span, to a residual norm below 1e-9.
+    _verify_stack leaves (ii) out, since sum(d_i) = 2N and (iii) imply it.
     """
     k, t = len(bases), bases[0].shape[0]
     inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(k)}
@@ -57,7 +71,7 @@ def reference_verify_stack(bases, n):
             per_user[:, i] = np.linalg.norm(resid, axis=(1, 2)) < 1e-9
     global_total = orthonormal_stack(np.concatenate(list(inter.values()), axis=2))
     global_ok = global_total.shape[2] == sum(pair_dims) == n
-    return _Verdicts(np.tile(pair_dims, (t, 1)), per_user, np.full(t, global_ok))
+    return Verdicts(np.tile(pair_dims, (t, 1)), per_user, np.full(t, global_ok))
 
 
 def relay_map_ok(s):
@@ -71,10 +85,18 @@ def relay_map_ok(s):
     return True
 
 
+def stacked_verdicts(bases, n):
+    """_verify_stack's pair dims (T, pairs) and global verdict (T,), as split_by_rank merges them."""
+    inter, basis = _verify_stack(bases, n)
+    return np.tile([b.shape[2] for b in inter.values()], (len(basis), 1)), basis
+
+
 def assert_same_verdicts(bases, n):
-    got, want = _verify_stack(bases, n), reference_verify_stack(bases, n)
-    for g, w in zip(got, want):
+    """_verify_stack's pair dims and global verdict are the reference's, and with sum(d_i) = 2N they make its ok."""
+    got, want = stacked_verdicts(bases, n), reference_verify_stack(bases, n)
+    for g, w in zip(got, (want.pair_dims, want.global_ok)):
         assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.array_equal((sum(b.shape[2] for b in bases) == 2 * n) & got[1], want.ok)
 
 
 class TestFeasibleTuple:
@@ -333,16 +355,14 @@ class TestBatchedGenericity:
         bases = [np.stack([c[i] for c in cands]) for i in range(3)]
         with pytest.raises(RaggedRank):
             _verify_stack(bases, 3)
-        v = split_by_rank(partial(_verify_stack, n=3), bases)
+        pair_dims, basis = split_by_rank(partial(stacked_verdicts, n=3), bases)
         for t, cand in enumerate(cands):
             ref = verify_strategy(cand, 3)
-            assert v.ok[t] == ref.ok
-            assert dict(zip(_pairs(3), v.pair_dims[t].tolist())) == ref.pair_dims
-            assert tuple(v.per_user_ok[t].tolist()) == ref.per_user_ok
-            assert v.global_ok[t] == ref.global_ok
-        assert v.ok.tolist() == [True, True, False, True]
+            assert basis[t] == ref.ok == ref.global_ok
+            assert dict(zip(_pairs(3), pair_dims[t].tolist())) == ref.pair_dims
+        assert basis.tolist() == [True, True, False, True]
         want = split_by_rank(partial(reference_verify_stack, n=3), bases)
-        assert all(np.array_equal(g, w) for g, w in zip(v, want))
+        assert np.array_equal(pair_dims, want.pair_dims) and np.array_equal(basis, want.ok)
 
 
 class TestStackedVerifier:
@@ -380,6 +400,67 @@ class TestStackedVerifier:
         s = strategy_from_pairwise(StrategySpec(4, 5, (5, 3, 1, 1), pairwise=table), np.random.default_rng(9))
         for got, b in zip(s.subspaces, s.user_bases):
             assert np.array_equal(got, orthonormal_stack(b[None])[0])
+
+
+class TestOneVerdict:
+    """sum(d_i) = 2N and the global verdict (iii) decide what the reference's three checks decide."""
+
+    @pytest.mark.parametrize(
+        "k,n,d",
+        [
+            (3, 3, (2, 2, 2)), (3, 4, (3, 3, 2)), (4, 3, (2, 0, 3, 1)),  # rate 1
+            (4, 2, (1, 1, 1, 1)), (4, 4, (2, 2, 2, 2)), (5, 5, (2,) * 5),  # rate 0
+            (3, 3, (2, 2, 1)), (3, 4, (3, 3, 3)), (4, 3, (3, 3, 3, 0)), (2, 3, (3, 1)),  # sum(d_i) != 2N
+        ],
+    )
+    def test_haar_draws(self, k, n, d):
+        rng = np.random.default_rng(100 * k + n)
+        bases = [orthonormal_stack(g) for g in _gaussian_stacks(n, d, 24, rng)]
+        assert_same_verdicts(bases, n)
+        want = reference_verify_stack(bases, n)
+        for t in range(3):  # verify_strategy's T = 1 path, and the per-user verdicts a failing report prints
+            rep = verify_strategy([b[t] for b in bases], n)
+            assert rep.ok == want.ok[t] and rep.per_user_ok == tuple(want.per_user_ok[t].tolist())
+        rate = generic_feasibility_rate(StrategySpec(k, n, d), 24, np.random.default_rng(100 * k + n))
+        assert rate == want.ok.mean()
+
+    @pytest.mark.parametrize("d", [(2, 2, 2), (5, 3, 1, 1), (3, 2, 2, 2, 2, 1), (8,) * 8, (4,) * 16])
+    def test_constructed_strategies(self, d):
+        n = sum(d) // 2
+        subspaces = construct_strategy(StrategySpec(len(d), n, d)).subspaces
+        assert_same_verdicts([b[None] for b in subspaces], n)
+        subspaces[-1] = haar_stack(n, d[-1], 1, np.random.default_rng(n))[0]  # one user leaves the strategy
+        assert_same_verdicts([b[None] for b in subspaces], n)
+
+    def test_pairwise_draws_half_dependent(self):
+        rng = np.random.default_rng(7)
+        tables = list(consistent_tables(4, 4))
+        for draw in range(24):
+            table = tables[int(rng.integers(len(tables)))]
+            d = tuple(sum(v for p, v in table.items() if i in p) for i in range(4))
+            s = strategy_from_pairwise(StrategySpec(4, 4, d, pairwise=table), rng)
+            dependent = draw % 2 == 1
+            if dependent:  # one column of a block moves into the span of the other blocks
+                pair = max(s.pair_bases, key=lambda p: (s.pair_bases[p].shape[1], p))
+                block = s.pair_bases[pair]
+                others = np.hstack([b for p, b in s.pair_bases.items() if p != pair])
+                col = others @ (rng.standard_normal(others.shape[1]) + 1j * rng.standard_normal(others.shape[1]))
+                moved = orthonormal_stack(np.hstack([col[:, None], block[:, 1:]])[None])[0]
+                s = Strategy(s.spec, {**s.pair_bases, pair: moved})
+            bases = [b[None] for b in s.subspaces]
+            assert_same_verdicts(bases, 4)
+            assert bool(reference_verify_stack(bases, 4).ok[0]) == relay_map_ok(s) == (not dependent)
+
+    def test_basis_of_intersections_is_not_enough(self):
+        # users 1-2, 3-4 and 5-6 share the lines e1, e2 and e3, a basis of C^3, but V_1 also holds
+        # (e2 + e3)/sqrt(2), which no other V_j meets: (iii) holds, (ii) fails for user 1, sum(d_i) = 7
+        e = np.eye(3, dtype=complex)
+        cand = [span(3, [0]), span(3, [0]), span(3, [1]), span(3, [1]), span(3, [2]), span(3, [2])]
+        cand[0] = orthonormal_stack(np.hstack([e[:, [0]], (e[:, [1]] + e[:, [2]]) / np.sqrt(2)])[None])[0]
+        rep = verify_strategy(cand, 3)
+        assert rep.global_ok and rep.per_user_ok == (False,) + (True,) * 5 and not rep.ok
+        assert rep.failed_conditions() == ["per-user direct-sum decomposition (ii)"]
+        assert_same_verdicts([b[None] for b in cand], 3)
 
 
 class TestPairwise:

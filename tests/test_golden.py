@@ -43,6 +43,11 @@ CASES = {
         ["construct", "-K", "4", "-N", "5", "-d", "2,3,3,2", "--dij", str(GOLDEN / "construct-dij.json"), "--seed", "0"],
     ),
     "verify-dij": (0, ["verify", str(GOLDEN / "construct-dij.out"), "--seed", "0"]),
+    # declares d = 2,2,2 while its pair bases give users 3, 2 and 1 streams
+    "verify-mismatch": (2, ["verify", str(GOLDEN / "verify-mismatch.json"), "--seed", "0"]),
+    # three pairs of users share the lines e1, e2 and (e1 + e2)/sqrt(2) of C^3: each V_i splits
+    # into its pair intersections (ii), but those three lines are no basis (iii)
+    "verify-global": (2, ["verify", str(GOLDEN / "verify-global.json"), "--seed", "0"]),
     "genericity": (0, ["genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "50", "--seed", "1"]),
     "variety": (0, ["variety", "--samples", "20", "--lines", "10", "--seed", "4"]),
     "variety-n6d3": (0, ["variety", "-N", "6", "-d", "3", "--samples", "20", "--lines", "5", "--seed", "4"]),
