@@ -25,9 +25,8 @@ from .errors import (
 )
 from .subspace import (
     _check_orthonormal,
-    _intersect_each,
-    _orthonormal_each,
     _triple_dim,
+    intersect_stack,
     numeric_rank,
     orthonormal_stack,
     split_by_rank,
@@ -169,7 +168,7 @@ class Strategy:
     @property
     def subspaces(self) -> list[np.ndarray]:
         """Orthonormal bases of V_i = span user_bases[i]: verify_strategy's input for a failing file and tests."""
-        return [b[0] for b in _orthonormal_each([b[None] for b in self.user_bases])]
+        return [orthonormal_stack(b[None])[0] for b in self.user_bases]
 
     def pair_dims(self) -> dict[Pair, int]:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
@@ -218,19 +217,16 @@ def _verify_stack(bases: list[np.ndarray], n: int) -> tuple[dict[Pair, np.ndarra
     """The pair intersections of T candidates, in _pairs order, and whether they form a basis of C^n (iii).
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
-    Row i of the pair table, V_i against every later V_j of one width, is one
-    stacked SVD; raises RaggedRank when the trials disagree on a rank.  With
-    sum(d_i) = 2N the basis verdict (T bools) is the whole verdict: the
-    V_i & V_j, j != i, are then independent inside V_i, so each row adds up to
-    at most d_i, and the rows summing to 2N forces each to d_i, which is (ii).
+    Each pair is one intersect_stack call; raises RaggedRank when the trials
+    disagree on a rank.  With sum(d_i) = 2N the basis verdict (T bools) is the
+    whole verdict: the V_i & V_j, j != i, are then independent inside V_i, so
+    each row adds up to at most d_i, and the rows summing to 2N forces each to
+    d_i, which is (ii).
     """
-    k, t = len(bases), bases[0].shape[0]
-    inter = {}  # filled row by row, so in _pairs order
-    for i in range(k - 1):
-        inter.update(zip(((i, j) for j in range(i + 1, k)), _intersect_each(bases[i], bases[i + 1 :])))
+    inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(len(bases))}
     frame = np.concatenate(list(inter.values()), axis=2)
     if frame.shape[2] != n:  # too few or too many columns for a basis, whatever their rank
-        return inter, np.zeros(t, dtype=bool)
+        return inter, np.zeros(bases[0].shape[0], dtype=bool)
     return inter, numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape[1:]) == n
 
 
@@ -261,7 +257,7 @@ def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
     if not ok:
         # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
         parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
-        per_user = tuple(t.shape[2] == p.shape[2] == d for t, p, d in zip(_orthonormal_each(parts), parts, dims))
+        per_user = tuple(orthonormal_stack(p).shape[2] == p.shape[2] == d for p, d in zip(parts, dims))
         worst_triple = max((_triple_dim(*abc) for abc in itertools.combinations(bases, 3)), default=0)
     return VerificationReport(
         ok=ok,
@@ -409,8 +405,8 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     of those draws for which verify_strategy(draw, spec.N).ok holds, so it
     does not depend on evaluation order and a run's trials are a prefix of a
     longer run's.  Trials are drawn and verified in blocks of VERIFY_BLOCK
-    with the stacked verifier.  With sum(d_i) != 2N no draw can pass, so none
-    is made and the rate is 0.
+    with _verify_stack.  With sum(d_i) != 2N no draw can pass, so none is
+    made and the rate is 0.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -420,7 +416,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
         return 0.0
 
     def run(draws: list[np.ndarray]) -> tuple[np.ndarray]:
-        return (_verify_stack(_orthonormal_each(draws), spec.N)[1],)
+        return (_verify_stack([orthonormal_stack(g) for g in draws], spec.N)[1],)
 
     hits = 0
     for start in range(0, trials, VERIFY_BLOCK):

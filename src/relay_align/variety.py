@@ -174,7 +174,7 @@ def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|_perp_det| and the triple-intersection dim (_triple_dim) of each triple of a (T, 3, 3, 2) stack.
 
     A block whose triples disagree on a rank of the iterated intersection
-    splits by that rank (split_by_rank).
+    runs again one triple at a time (split_by_rank).
     """
     det = _perp_det(planes)
     (dims,) = split_by_rank(

@@ -86,7 +86,7 @@ def relay_map_ok(s):
 
 
 def stacked_verdicts(bases, n):
-    """_verify_stack's pair dims (T, pairs) and global verdict (T,), as split_by_rank merges them."""
+    """_verify_stack's pair dims (T, pairs) and global verdict (T,), as split_by_rank concatenates them."""
     inter, basis = _verify_stack(bases, n)
     return np.tile([b.shape[2] for b in inter.values()], (len(basis), 1)), basis
 
@@ -308,9 +308,9 @@ class TestGenericSampling:
         assert generic_feasibility_rate(spec, 10, rng) == 1.0
 
 
-def per_trial_rate(spec, trials, rng):
-    """Reference for generic_feasibility_rate: one verify_strategy call per successive draw from rng."""
-    return sum(verify_strategy(sample_generic_strategy(spec, rng), spec.N).ok for _ in range(trials)) / trials
+def per_trial_rate(spec, trials, rng, draw=sample_generic_strategy):
+    """Reference for generic_feasibility_rate: one verify_strategy call per successive draw(spec, rng)."""
+    return sum(verify_strategy(draw(spec, rng), spec.N).ok for _ in range(trials)) / trials
 
 
 class TestBatchedGenericity:
@@ -364,9 +364,34 @@ class TestBatchedGenericity:
         want = split_by_rank(partial(reference_verify_stack, n=3), bases)
         assert np.array_equal(pair_dims, want.pair_dims) and np.array_equal(basis, want.ok)
 
+    def test_ragged_block_through_the_rate(self, monkeypatch):
+        # trial 2 draws users 0 and 1 from one Gaussian sample, so V_0 = V_1 in that trial only
+        spec, trials, equal = StrategySpec(3, 3, (2, 2, 2)), 5, 2
+        blocks = []
+
+        def equal_users(n, dims, t, rng):
+            stacks = _gaussian_stacks(n, dims, t, rng)
+            stacks[1][equal] = stacks[0][equal]
+            blocks.append(stacks)
+            return stacks
+
+        monkeypatch.setattr(feasibility, "_gaussian_stacks", equal_users)
+        rate = generic_feasibility_rate(spec, trials, np.random.default_rng(5))
+        with pytest.raises(RaggedRank):
+            _verify_stack([orthonormal_stack(g) for g in blocks[0]], spec.N)
+        trial = iter(range(trials))
+
+        def draw(spec, rng):
+            cand = sample_generic_strategy(spec, rng)
+            if next(trial) == equal:
+                cand[1] = cand[0]
+            return cand
+
+        assert rate == per_trial_rate(spec, trials, np.random.default_rng(5), draw) == (trials - 1) / trials
+
 
 class TestStackedVerifier:
-    """The row-stacked verifier against one intersect_stack call per pair."""
+    """_verify_stack's pair dims and basis verdict on stacks of T candidates against the reference's three checks."""
 
     @pytest.mark.parametrize("d", [(5, 3, 1, 1), (1, 5, 3, 1), (3, 1, 5, 1)])
     def test_ragged_widths(self, d):

@@ -49,6 +49,10 @@ CASES = {
     # into its pair intersections (ii), but those three lines are no basis (iii)
     "verify-global": (2, ["verify", str(GOLDEN / "verify-global.json"), "--seed", "0"]),
     "genericity": (0, ["genericity", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "50", "--seed", "1"]),
+    # the benchmark's rate-0 shape: every draw reaches the basis test and fails it
+    "genericity-rate0": (0, ["genericity", "-K", "4", "-N", "4", "-d", "2,2,2,2", "--trials", "50", "--seed", "1"]),
+    # pairs of widths 2 and 1: V_0 & V_1 is a plane, the other two intersections are lines
+    "genericity-mixed": (0, ["genericity", "-K", "3", "-N", "4", "-d", "3,3,2", "--trials", "50", "--seed", "1"]),
     "variety": (0, ["variety", "--samples", "20", "--lines", "10", "--seed", "4"]),
     "variety-n6d3": (0, ["variety", "-N", "6", "-d", "3", "--samples", "20", "--lines", "5", "--seed", "4"]),
 }

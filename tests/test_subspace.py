@@ -6,7 +6,6 @@ from relay_align.feasibility import verify_strategy
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
     RaggedRank,
-    _intersect_each,
     intersect_stack,
     numeric_rank,
     orthonormal_stack,
@@ -65,7 +64,7 @@ def sharing_stack(t, n, da, db, shared, rng):
 
 
 def reference_orthonormal_stack(a):
-    """orthonormal_stack as one SVD per (T, N, m) stack, before stacks of one width shared a call."""
+    """orthonormal_stack written out: one SVD of the (T, N, m) stack, truncated to the rank its trials share."""
     if a.shape[2] == 0:
         return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
@@ -75,7 +74,7 @@ def reference_orthonormal_stack(a):
 
 
 def reference_intersect_stack(a, b):
-    """intersect_stack as one pair per call, before the partners of a row shared one SVD."""
+    """intersect_stack written out: the null space of [A | -B], mapped through A and orthonormalised."""
     t, n, da = a.shape
     if da == 0 or b.shape[2] == 0:
         return np.zeros((t, n, 0), dtype=np.complex128)
@@ -214,11 +213,11 @@ class TestIntersect:
         rng = np.random.default_rng(17)
         a = orthonormal_stack(rng.standard_normal((4, 7, 3)) + 1j * rng.standard_normal((4, 7, 3)))
         widths_shared = [(2, 0), (3, 1), (2, 2), (0, 0), (2, 1), (3, 3), (3, 0), (2, 0)]
-        bs = [meeting(a, db, shared, rng) for db, shared in widths_shared]
-        got = _intersect_each(a, bs)
-        for b, g, (db, shared) in zip(bs, got, widths_shared):
-            assert g.shape == (4, 7, shared)
-            assert np.array_equal(g, reference_intersect_stack(a, b))
+        for db, shared in widths_shared:
+            b = meeting(a, db, shared, rng)
+            got = intersect_stack(a, b)
+            assert got.shape == (4, 7, shared)
+            assert np.array_equal(got, reference_intersect_stack(a, b))
 
     def test_ragged_pair_of_a_row_raises_its_trial_ranks(self):
         rng = np.random.default_rng(18)
@@ -226,8 +225,9 @@ class TestIntersect:
         steady = meeting(a, 2, 1, rng)
         ragged = meeting(a, 2, 0, rng)
         ragged[1] = meeting(a[1:2], 2, 1, rng)[0]  # trial 1 alone meets a in a line
+        assert intersect_stack(a, steady).shape == (3, 5, 1)
         with pytest.raises(RaggedRank) as exc:
-            _intersect_each(a, [steady, ragged])
+            intersect_stack(a, ragged)
         assert exc.value.ranks.tolist() == [4, 3, 4]  # rank of [A | -B] per trial
 
 
