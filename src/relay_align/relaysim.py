@@ -11,18 +11,21 @@ own symbols, and decides by nearest constellation point per coordinate.
 
 A Link binds a valid strategy to one channel draw and encoder set and
 computes once what observation, decoding and SNR reuse, for one trial or a
-block of T trials.  Receiver k's receive map F_k is its only model: decoding
-applies it, and the SNR reads each stream's noise variance off it.  The
-relay's model is P: secrecy_audit reads user i's relay-side columns
-P H_i U_i, which must be the 0/1 selection of i's pair slots to the rank
-rule.  ChannelSet decides all 2K channels invertible by that rule once, at
-construction, so design_encoders only solves and Link only inverts.
-run_monte_carlo builds one Link per sweep, so every noise level of a sweep
-runs over the same system.
+block of T trials, as one operator with the K receivers stacked in user
+order; receiver k reads its row block.  Receiver k's receive map F_k is its
+only model: decoding applies it, and the SNR reads each stream's noise
+variance off it.  The relay's model is P: secrecy_audit reads user i's
+relay-side columns P H_i U_i, which must be the 0/1 selection of i's pair
+slots to the rank rule.  ChannelSet decides all 2K channels invertible by
+that rule once, at construction, so design_encoders only solves and Link
+only inverts.  run_monte_carlo builds one Link per sweep, so every noise
+level of a sweep runs over the same system, and decodes all K receivers of
+a level together.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,10 +55,10 @@ __all__ = [
 
 MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many singular draws in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
-# Trials per column block of run_monte_carlo's per-user decode.  A power of two,
-# so every block starts on a column where BLAS's column tiling of the whole
-# array starts a tile too, and each block's products keep the whole-array bits.
-DECODE_BLOCK = 4096
+# Entries (Σd rows times trials) per column block of run_monte_carlo's stacked
+# decode: each temporary of a block holds about 8192 entries (128 kB complex),
+# whatever K, d and the trial count.
+DECODE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,7 @@ def _complex_gaussian(
 
     One standard_normal call fills normals, a (2, *shape) float64 array, with a
     then b.  out (complex128, shape) and normals are allocated when not given,
-    so a caller can reuse them between draws.  The values equal the complex
-    expression bit for bit; a zero scale or normal makes it evaluate that
-    expression, the only thing that gives its zeros' signs.
+    so a caller can reuse them between draws.
     """
     if out is None:
         out = np.empty(shape, dtype=np.complex128)
@@ -150,13 +151,57 @@ def _complex_gaussian(
     if normals is None:
         normals = np.empty((2, *shape))
     rng.standard_normal(out=normals)
-    scale = np.sqrt(variance / 2)
+    return _scaled_complex(normals, np.sqrt(variance / 2), out)
+
+
+def _scaled_complex(normals: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """out = scale * (normals[0] + 1j * normals[1]), written in place.
+
+    The values equal the complex expression bit for bit; a zero scale or
+    normal makes it evaluate that expression, the only thing that gives its
+    zeros' signs.  out must be contiguous along its last axis.
+    """
     if scale == 0 or not normals.all():
         out[...] = scale * (normals[0] + 1j * normals[1])
         return out
     parts = out.view(np.float64)
     np.multiply(normals[0], scale, out=parts[..., 0::2])
     np.multiply(normals[1], scale, out=parts[..., 1::2])
+    return out
+
+
+def _receiver_noise(
+    rng: np.random.Generator,
+    d,
+    trials: int,
+    variance: float,
+    out: np.ndarray | None = None,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
+    """The K receivers' noise of one level: K successive _complex_gaussian(rng, (d_k, trials), variance) draws.
+
+    One standard_normal call fills normals (2 Σd trials float64 entries) with
+    user 0's (2, d_0, trials) normals, then user 1's, and so on, the stream
+    of the K draws; out (complex128, (Σd, trials)) holds receiver k's draw in
+    its d_k rows, in user order.  Both are allocated when not given.
+    """
+    rows = sum(d)
+    if out is None:
+        out = np.empty((rows, trials), dtype=np.complex128)
+    if variance == 0:
+        out.fill(0)
+        return out
+    if normals is None:
+        normals = np.empty(2 * rows * trials)
+    rng.standard_normal(out=normals)
+    scale = np.sqrt(variance / 2)
+    start = 0
+    for d_k, run in itertools.groupby(d):  # one pass per run of users of equal d_k
+        g = len(list(run))
+        stop = start + g * d_k
+        block = normals[2 * start * trials : 2 * stop * trials].reshape(g, 2, d_k, trials).swapaxes(0, 1)
+        _scaled_complex(block, scale, out[start:stop].reshape(g, d_k, trials))
+        start = stop
     return out
 
 
@@ -234,27 +279,36 @@ def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray
 
 @dataclass(frozen=True)
 class Link:
-    """A strategy over one channel draw and set of encoders, precomputed once.
+    """A strategy over one channel draw and set of encoders, precomputed once as one stacked operator.
 
     A strategy is valid iff its pair frame S is a basis of C^N: each B_ij
     lies in V_i & V_j, and a direct sum forces span B_ij = V_i & V_j in both
     directions.  Building a Link takes P = S^-1 from Strategy.relay_map
-    (StrategyInvalid otherwise) and keeps it as relay_map.  Per user i: the
-    effective H_i U_i, and slots[i], the columns of S holding i's blocks
-    B_i = user_bases[i], in order.  Per receiver k: folded[k] = P[slots_k],
-    which decode applies to the relay's r; the receive map
+    (StrategyInvalid otherwise) and keeps it as relay_map; slots[i] are the
+    columns of S holding user i's blocks B_i = user_bases[i], in order.
+
+    Users and receivers are stacked in user order: rows[k] is receiver k's
+    block of d_k rows, and user k's block of columns, of the Σd-wide arrays.
+    effective_all = [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe
+    applies.  folded_all (Σd x N) holds P[slots_k] in row block k, which
+    decode applies to the relay's r; receive_all holds the receive map
     F_k = P[slots_k] G_k^-1, which sends G_k (B_k s + J_k u) to s, J_k the
-    pair blocks not involving k; own[k] = folded[k] H_k U_k, the part of
-    folded[k] r carried by k's own symbols; noise_factor[k] = R_k^H
-    (d_k x d_k), from the thin QR F_k^H = Q_k R_k, so that receiver noise
-    w ~ CN(0, var I_N) reaches the decoder as F_k w, which has the law of
-    R_k^H w' with w' ~ CN(0, var I_{d_k}); and noise_gain[k], the squared
-    row norms of folded[k] plus those of F_k (equal to those of R_k^H), so
-    that with relay and receiver noise of variance var stream s of k has
-    post-decoder noise variance var * noise_gain[k][s] (the diagonal of
-    var * F_k (G_k G_k^H + I) F_k^H).  The G_k, which ChannelSet has
-    decided invertible, are inverted in one stacked call.  An encoder with a
-    non-finite entry raises InvalidInput.
+    pair blocks not involving k.  own_all and noise_factor_all are Σd x Σd
+    and block diagonal: block k of own_all is folded[k] H_k U_k, the part of
+    folded[k] r carried by k's own symbols; block k of noise_factor_all is
+    R_k^H (d_k x d_k), from the thin QR F_k^H = Q_k R_k, so that receiver
+    noise w ~ CN(0, var I_N) reaches the decoder as F_k w, which has the law
+    of R_k^H w' with w' ~ CN(0, var I_{d_k}).  noise_gain_all holds the
+    squared row norms of folded_all plus those of receive_all (equal to
+    those of R_k^H), so that with relay and receiver noise of variance var
+    stream s of k has post-decoder noise variance var * noise_gain[k][s]
+    (the diagonal of var * F_k (G_k G_k^H + I) F_k^H); worst_gain_db[k] is
+    10 log10 of k's largest, +inf for a receiver with no streams.  The
+    per-user attributes effective, receive, folded, own, noise_factor and
+    noise_gain are views of block k of these arrays, not copies.  The G_k,
+    which ChannelSet has decided invertible, are inverted in one stacked
+    call.  An encoder that is not N x d_i raises DimensionMismatch, one with a
+    non-finite entry InvalidInput.
     """
 
     strategy: Strategy
@@ -262,12 +316,14 @@ class Link:
     encoders: list[np.ndarray]
     relay_map: np.ndarray = field(init=False, repr=False)
     slots: list[np.ndarray] = field(init=False, repr=False)
-    effective: list[np.ndarray] = field(init=False, repr=False)
-    receive: list[np.ndarray] = field(init=False, repr=False)
-    folded: list[np.ndarray] = field(init=False, repr=False)
-    own: list[np.ndarray] = field(init=False, repr=False)
-    noise_factor: list[np.ndarray] = field(init=False, repr=False)
-    noise_gain: list[np.ndarray] = field(init=False, repr=False)
+    rows: list[slice] = field(init=False, repr=False)
+    effective_all: np.ndarray = field(init=False, repr=False)
+    folded_all: np.ndarray = field(init=False, repr=False)
+    receive_all: np.ndarray = field(init=False, repr=False)
+    own_all: np.ndarray = field(init=False, repr=False)
+    noise_factor_all: np.ndarray = field(init=False, repr=False)
+    noise_gain_all: np.ndarray = field(init=False, repr=False)
+    worst_gain_db: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         strategy, channels = self.strategy, self.channels
@@ -278,40 +334,87 @@ class Link:
         if not all(np.isfinite(u).all() for u in self.encoders):
             raise InvalidInput("encoder has non-finite entries")
         relay_map = strategy.relay_map()
+        for i, (u, d) in enumerate(zip(self.encoders, strategy.spec.d)):
+            if np.shape(u) != (strategy.spec.N, d):  # user i's columns of effective_all are its d_i streams
+                raise DimensionMismatch(f"encoder {i} has shape {np.shape(u)}, expected {(strategy.spec.N, d)}")
         g_inv = np.linalg.inv(channels.G)
         # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
         column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
         slots = [np.flatnonzero((column_pairs == k).any(axis=1)) for k in range(strategy.spec.K)]
-        folded = [relay_map[s] for s in slots]
-        effective = [h @ u for h, u in zip(channels.H, self.encoders)]
-        receive = [f @ gk_inv for f, gk_inv in zip(folded, g_inv)]
+        ends = np.cumsum(strategy.spec.d).tolist()
+        rows = [slice(e - d, e) for d, e in zip(strategy.spec.d, ends)]
+        folded = relay_map[np.concatenate(slots)]
+        effective = np.hstack([h @ u for h, u in zip(channels.H, self.encoders)])
+        receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, g_inv)])
+        gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
+        own = np.zeros((len(folded), len(folded)), dtype=np.complex128)
+        noise_factor = np.zeros_like(own)
+        for r in rows:  # the diagonal blocks; nothing couples two receivers
+            own[r, r] = folded[r] @ effective[:, r]
+            noise_factor[r, r] = np.linalg.qr(receive[r].conj().T, mode="r").conj().T
         object.__setattr__(self, "relay_map", relay_map)
         object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "effective", effective)
-        object.__setattr__(self, "receive", receive)
-        object.__setattr__(self, "folded", folded)
-        object.__setattr__(self, "own", [f @ e for f, e in zip(folded, effective)])
-        object.__setattr__(self, "noise_factor", [np.linalg.qr(f.conj().T, mode="r").conj().T for f in receive])
-        gains = [np.linalg.norm(fg, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2 for fg, f in zip(folded, receive)]
-        object.__setattr__(self, "noise_gain", gains)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "effective_all", effective)
+        object.__setattr__(self, "folded_all", folded)
+        object.__setattr__(self, "receive_all", receive)
+        object.__setattr__(self, "own_all", own)
+        object.__setattr__(self, "noise_factor_all", noise_factor)
+        object.__setattr__(self, "noise_gain_all", gains)
+        # each gain >= 1, as F_k G_k B_k = I with B_k orthonormal; no streams: no signal
+        worst = [10 * math.log10(float(gains[r].max())) if r.start < r.stop else math.inf for r in rows]
+        object.__setattr__(self, "worst_gain_db", worst)
 
-    def observe(self, symbols: list[np.ndarray], z: np.ndarray | None = None) -> np.ndarray:
-        """Relay observation r = sum_i H_i U_i x_i + z.
+    @property
+    def effective(self) -> list[np.ndarray]:
+        return [self.effective_all[:, r] for r in self.rows]
 
-        Each x_i is a length-d_i vector or a (d_i, T) block of T trials; z, when
-        given, has the shape of r.
+    @property
+    def folded(self) -> list[np.ndarray]:
+        return [self.folded_all[r] for r in self.rows]
+
+    @property
+    def receive(self) -> list[np.ndarray]:
+        return [self.receive_all[r] for r in self.rows]
+
+    @property
+    def own(self) -> list[np.ndarray]:
+        return [self.own_all[r, r] for r in self.rows]
+
+    @property
+    def noise_factor(self) -> list[np.ndarray]:
+        return [self.noise_factor_all[r, r] for r in self.rows]
+
+    @property
+    def noise_gain(self) -> list[np.ndarray]:
+        return [self.noise_gain_all[r] for r in self.rows]
+
+    def observe(self, symbols, z: np.ndarray | None = None) -> np.ndarray:
+        """Relay observation r = sum_i H_i U_i x_i + z = effective_all x + z.
+
+        symbols is one x_i per user, each a length-d_i vector or a (d_i, T)
+        block of T trials, or all of them stacked in user order as one array
+        x of Σd rows; z, when given, has the shape of r.
         """
-        if len(symbols) != len(self.effective):
-            raise DimensionMismatch("need one symbol block per user")
-        xs = [np.asarray(x, dtype=np.complex128) for x in symbols]
-        if any(x.shape[0] != e.shape[1] for e, x in zip(self.effective, xs)):
-            raise DimensionMismatch("symbol block width does not match encoder")
-        r = sum(e @ x for e, x in zip(self.effective, xs))
-        if z is not None and np.shape(z) != r.shape:
-            raise DimensionMismatch(f"noise shape {np.shape(z)} does not match the observation {r.shape}")
-        return r if z is None else r + z
+        if isinstance(symbols, np.ndarray):
+            x = symbols.astype(np.complex128, copy=False)
+            if x.shape[:1] != self.effective_all.shape[1:]:
+                raise DimensionMismatch("stacked symbol rows do not match the encoders")
+        else:
+            if len(symbols) != len(self.rows):
+                raise DimensionMismatch("need one symbol block per user")
+            xs = [np.asarray(x, dtype=np.complex128) for x in symbols]
+            if any(x.shape[0] != r.stop - r.start for r, x in zip(self.rows, xs)):
+                raise DimensionMismatch("symbol block width does not match encoder")
+            x = np.concatenate(xs)
+        r = self.effective_all @ x
+        if z is not None:
+            if np.shape(z) != r.shape:
+                raise DimensionMismatch(f"noise shape {np.shape(z)} does not match the observation {r.shape}")
+            r += z
+        return r
 
-    def decode(self, k: int, r: np.ndarray, x_k: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    def decode(self, k: int | None, r: np.ndarray, x_k: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         """Soft estimates folded[k] r + noise_factor[k] w - own[k] x_k of the symbols k's partners sent it.
 
         Rows are ordered as B_k.  Without w this is F_k G_k r - own[k] x_k,
@@ -320,15 +423,21 @@ class Link:
         noise_factor[k] maps to noise of the law of F_k times N-entry receiver
         noise of the same variance.  r, x_k and w are vectors, or (N, T),
         (d_k, T) and (d_k, T) blocks of T trials; w, when given, has the shape
-        of the estimate.
+        of the estimate.  k = None decodes every receiver at once with the
+        whole stacked arrays: x_k and w then have Σd rows, user k's in rows[k],
+        and so does the estimate.
         """
-        self._check_receiver(k)
-        est = self.folded[k] @ np.asarray(r, dtype=np.complex128)
+        if k is None:
+            rows = slice(None)
+        else:
+            self._check_receiver(k)
+            rows = self.rows[k]
+        est = self.folded_all[rows] @ np.asarray(r, dtype=np.complex128)
         if w is not None:
             if np.shape(w) != est.shape:
                 raise DimensionMismatch(f"noise shape {np.shape(w)} does not match the estimate {est.shape}")
-            est += self.noise_factor[k] @ np.asarray(w, dtype=np.complex128)  # in place, as below: one temporary fewer
-        est -= self.own[k] @ np.asarray(x_k, dtype=np.complex128)
+            est += self.noise_factor_all[rows, rows] @ np.asarray(w, dtype=np.complex128)  # in place: one temporary fewer
+        est -= self.own_all[rows, rows] @ np.asarray(x_k, dtype=np.complex128)
         return est
 
     def snr_db(self, k: int, var: float) -> float:
@@ -337,23 +446,20 @@ class Link:
         With relay and receiver noise of variance var >= 0, decode returns each
         symbol plus noise of variance var * noise_gain[k][s] on stream s, so
         the SNR is 1 / (var * max noise_gain[k]).  It is computed as
-        -10 log10(var) - 10 log10(max noise_gain[k]), so a var near the
-        smallest float gives its dB figure and no overflow.  Returns +inf at
-        var = 0, and -inf for a receiver with no streams at var > 0; a var
-        that is not finite and >= 0 raises InvalidInput.
+        -10 log10(var) - worst_gain_db[k], so a var near the smallest float
+        gives its dB figure and no overflow.  Returns +inf at var = 0, and
+        -inf for a receiver with no streams at var > 0; a var that is not
+        finite and >= 0 raises InvalidInput.
         """
         self._check_receiver(k)
         if not (math.isfinite(var) and var >= 0):
             raise InvalidInput("noise variance must be finite and >= 0")
         if var == 0:
             return math.inf
-        gain = self.noise_gain[k]  # each >= 1, as F_k G_k B_k = I with B_k orthonormal
-        if not gain.size:  # no streams: no signal
-            return -math.inf
-        return -10 * math.log10(var) - 10 * math.log10(float(gain.max()))
+        return -10 * math.log10(var) - self.worst_gain_db[k]
 
     def _check_receiver(self, k: int) -> None:
-        if not 0 <= k < len(self.receive):
+        if not 0 <= k < len(self.rows):
             raise InvalidInput(f"user index {k} out of range")
 
 
@@ -423,22 +529,26 @@ def run_monte_carlo(
     """Full pipeline SER / equivocation sweep over a grid of noise variances.
 
     One system per sweep: a single generator seeded with seed draws the
-    channels and so fixes the Link once, then every noise level draws its
-    symbols, relay noise and per-user noise from it in turn.  The relay
-    noise has N entries per trial; receiver k's has d_k, drawn where its
-    decoder sees it (Link.decode), which is exact in distribution.  The
-    relay-equivocation tally uses the noiseless sums, matching the exact
-    counting argument, and is therefore a Monte Carlo estimate of
-    relay_map_success.  Each noise draw is one call for all trials, into
-    two (N, trials) buffers reused by every draw of the sweep, a receiver's
-    into their leading d_k rows; each user then decodes in column blocks of
-    DECODE_BLOCK trials, with the output of decoding all trials at once.  The
-    symbol tallies visit only the pairs of nonzero width, found once per
-    sweep.
+    channels and so fixes the Link once, then every noise level draws from
+    it, in turn, all users' symbols (one call), the relay noise (N entries
+    per trial, one call) and the K receivers' noise (d_k entries per trial,
+    drawn where the decoder sees it, which is exact in distribution: one
+    call of Σd rows, _receiver_noise); the symbols and the receivers' noise
+    are each the stream of K per-user draws.  The noise goes into buffers
+    reused by every level.  All receivers are then decoded together, one
+    pass per column block of about DECODE_BLOCK entries (Σd rows times the
+    block's trials): the block's symbols, the relay's r through
+    Link.observe, every receiver's estimate through Link.decode(None, ...),
+    one nearest point decision over all Σd rows, and the error and
+    relay-equivocation tallies against row indices found once per sweep.
+    The relay-equivocation tally uses the noiseless sums, matching the
+    exact counting argument, and is therefore a Monte Carlo estimate of
+    relay_map_success.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    if 16 * spec.N * trials > np.iinfo(np.intp).max:  # the (N, trials) complex buffers, in bytes
+    rows_total = sum(spec.d)
+    if 16 * max(rows_total, spec.N) * trials > np.iinfo(np.intp).max:  # the largest noise buffer, in bytes
         raise InvalidInput(f"trials={trials} needs a buffer past numpy's largest array")
     if not all(math.isfinite(v) and v >= 0 for v in noise_grid):
         raise InvalidInput("noise variances must be finite and >= 0")
@@ -458,48 +568,52 @@ def run_monte_carlo(
     rng = np.random.default_rng(seed)
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
-    shared = [p for p, b in strategy.pair_bases.items() if b.shape[1]]
-    partners = [[j for p in shared if k in p for j in p if j != k] for k in range(k_users)]
-    noise_out = np.empty((n, trials), dtype=np.complex128)
-    normals = np.empty((2, n, trials))
+
+    def stacked(i, j):  # the stacked rows of user i's symbols that serve the pair {i, j}
+        return np.arange(link.rows[i].start, link.rows[i].stop)[strategy.slices[i, j]]
+
+    # sent[row] is the stacked row of the symbol that estimate row decides;
+    # lower holds each pair's rows on its lower-numbered user, one per
+    # relay-side sum, and upper the rows of the other user's symbols in them
+    sent = np.empty(rows_total, dtype=np.intp)
+    for i, j in strategy.slices:
+        sent[stacked(i, j)] = stacked(j, i)
+    lower = np.concatenate([stacked(i, j) for i, j in strategy.pair_bases])
+    upper = sent[lower]
+    width = max(1, DECODE_BLOCK // rows_total)
+    relay_noise = np.empty((n, trials), dtype=np.complex128)
+    relay_normals = np.empty((2, n, trials))
+    receiver_noise = np.empty((rows_total, trials), dtype=np.complex128)
+    receiver_normals = np.empty(2 * rows_total * trials)
+
+    def level(var):
+        """Errors per stacked row and relay MAP hits of one level; its symbols are freed on return."""
+        # the stream of K per-user (d_i, trials) draws: the generator keeps the
+        # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
+        idx = rng.integers(0, pts.size, size=(rows_total, trials))
+        z = _complex_gaussian(rng, (n, trials), var, relay_noise, relay_normals)
+        w = _receiver_noise(rng, spec.d, trials, var, receiver_noise, receiver_normals)
+        row_errors = np.zeros(rows_total, dtype=np.intp)
+        relay_hits = 0.0
+        for start in range(0, trials, width):
+            cols = slice(start, start + width)
+            ix = idx[:, cols]
+            x = pts[ix]
+            hard_idx = constellation.nearest_index(link.decode(None, link.observe(x, z[:, cols]), x, w[:, cols]))
+            row_errors += np.count_nonzero(hard_idx != ix[sent], axis=1)
+            relay_hits += succ_table[ix[lower], ix[upper]].sum()
+        return row_errors, relay_hits
+
     reports = []
     for var in noise_grid:
-        idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
-        x = [pts[ix] for ix in idx]
-        r = link.observe(x, _complex_gaussian(rng, (n, trials), var, noise_out, normals))
-
-        ser = []
-        snrs = []
-        for k in range(k_users):
-            d_k = spec.d[k]
-            errors = 0
-            if partners[k]:  # d_k > 0
-                # contiguous views of the buffers' first d_k rows: (d_k, trials) and (2, d_k, trials)
-                normals_k = normals.reshape(-1)[: 2 * d_k * trials].reshape(2, d_k, trials)
-                w = _complex_gaussian(rng, (d_k, trials), var, noise_out[:d_k], normals_k)
-                sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in partners[k]])
-                for start in range(0, trials, DECODE_BLOCK):
-                    cols = slice(start, start + DECODE_BLOCK)
-                    hard_idx = constellation.nearest_index(link.decode(k, r[:, cols], x[k][:, cols], w[:, cols]))
-                    errors += int(np.count_nonzero(hard_idx != sent_idx[:, cols]))
-            ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr_db(k, var))
-
-        relay_hits = 0
-        relay_slots = 0
-        for i, j in shared:
-            ai = idx[i][strategy.slices[i, j]]
-            aj = idx[j][strategy.slices[j, i]]
-            relay_hits += succ_table[ai, aj].sum()
-            relay_slots += ai.size
-        relay_rate = relay_hits / relay_slots if relay_slots else 0.0
-
+        row_errors, relay_hits = level(var)
+        ser = [int(row_errors[r].sum()) / (d_k * trials) if d_k else 0.0 for r, d_k in zip(link.rows, spec.d)]
         reports.append(
             SimReport(
                 noise_var=float(var),
-                per_user_snr_db=snrs,
+                per_user_snr_db=[link.snr_db(k, var) for k in range(k_users)],
                 per_user_ser=ser,
-                relay_map_success_rate=float(relay_rate),
+                relay_map_success_rate=float(relay_hits / (lower.size * trials)),
                 trials=trials,
                 seed=seed,
                 config=config,

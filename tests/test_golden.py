@@ -28,6 +28,8 @@ CASES = {
     # which explains its SER of 0.60 there, where users 1 and 2 (13.7 and 15.8 dB) make no errors
     "simulate-qpsk-seed57": (0, ["simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "20000", "--seed", "57"]),
     "simulate-wide-seed0": (0, ["simulate", "-K", "16", "-N", "32", "-d", WIDE_D, "--trials", "50", "--seed", "0"]),
+    # unequal d_k: receivers of 3 and 2 streams share the stacked decode
+    "simulate-ragged-seed7": (0, ["simulate", "-K", "4", "-N", "5", "-d", "3,3,2,2", "--trials", "5000", "--seed", "7"]),
     "simulate-bpsk-seed2": (
         0,
         ["simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--constellation", "bpsk", "--trials", "2000", "--seed", "2"],

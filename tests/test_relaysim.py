@@ -227,6 +227,17 @@ class TestRelayObserve:
         link = Link(strategy, ch, design_encoders(strategy, ch))
         with pytest.raises(DimensionMismatch):
             link.observe([np.zeros(3)] * 3)
+        with pytest.raises(DimensionMismatch, match="stacked symbol rows"):
+            link.observe(np.zeros((5, 4)))  # stacked symbols need Σd = 6 rows
+
+    def test_stacked_symbols_equal_per_user_blocks(self):
+        rng = np.random.default_rng(13)
+        spec = StrategySpec(4, 5, (3, 3, 2, 2))
+        strategy = construct_strategy(spec)
+        link = link_of(strategy, draw_channels(4, 5, rng))
+        x = [QPSK.points[rng.integers(0, 4, (d, 6))] for d in spec.d]
+        z = rng.standard_normal((5, 6)) + 0j
+        assert np.array_equal(link.observe(np.vstack(x), z), link.observe(x, z))
 
 
 def reference_secrecy_audit(encoders, channels, strategy):
@@ -373,6 +384,17 @@ class TestSecrecyAudit:
         with pytest.raises(InvalidInput, match="encoder has non-finite entries"):
             Link(strategy, ch, enc)
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2, 2)])
+    def test_encoder_of_the_wrong_shape_rejected_by_link(self, shape):
+        # user 1's encoder fills its d_1 = 2 columns of the stacked encoder map;
+        # any other width would shift every later user's columns
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = identity_channels(3, 3)
+        enc = design_encoders(strategy, ch)
+        enc[1] = np.ones(shape, dtype=complex)
+        with pytest.raises(DimensionMismatch, match="encoder 1 has shape"):
+            Link(strategy, ch, enc)
+
     @pytest.mark.parametrize("factor, valid", [(0.9, False), (1.1, True)])
     def test_stacked_rank_follows_tolerance(self, factor, valid):
         # stacked pair bases [e1, e2, (e1 + s e3)/|.|] have singular values
@@ -444,6 +466,21 @@ class TestReceiverDecode:
             for t in range(5):
                 single = link.decode(k, r[:, t], x[k][:, t], w[:, t])
                 assert np.linalg.norm(single - block[:, t]) < 1e-12
+
+    @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1)])
+    def test_all_receivers_at_once_equal_each_receiver(self, d):
+        # decode(None, ...) applies the whole stacked arrays; row block k is decode(k, ...)
+        rng = np.random.default_rng(14)
+        spec = StrategySpec(len(d), sum(d) // 2, d)
+        link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng))
+        x = [QPSK.points[rng.integers(0, 4, (d_k, 9))] for d_k in d]
+        w = [rng.standard_normal((d_k, 9)) + 1j * rng.standard_normal((d_k, 9)) for d_k in d]
+        r = link.observe(x, rng.standard_normal((spec.N, 9)) + 0j)
+        every = link.decode(None, r, np.vstack(x), np.vstack(w))
+        assert every.shape == (sum(d), 9)
+        for k, rows in enumerate(link.rows):
+            want = link.decode(k, r, x[k], w[k])
+            assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
 
     def test_noise_shape_must_match_the_observation(self):
         # w is the noise the decoder sees, shaped as the (d_k, T) estimate; N-row receiver noise is refused
@@ -606,15 +643,23 @@ class TestReceiveMap:
         assert link.noise_factor[2].shape == (0, 0)
         assert link.decode(2, np.zeros((2, 5)), np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
 
-    def test_maps_are_d_k_by_n_and_own_their_memory(self):
+    def test_maps_are_d_k_by_n_views_of_the_stacked_maps(self):
         rng = np.random.default_rng(4)
         spec = StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1})
         strategy = strategy_from_pairwise(spec, rng)
         link = link_of(strategy, draw_channels(4, 5, rng))
+        assert link.folded_all.shape == link.receive_all.shape == (10, 5) and link.effective_all.shape == (5, 10)
         for d, f, folded, own in zip(spec.d, link.receive, link.folded, link.own):
             assert f.shape == folded.shape == (d, 5) and own.shape == (d, d)
-            assert f.base is None  # a copy, not a view keeping the stacked inverse alive
+            # views of the stacked maps, not per-receiver copies beside them
+            assert np.shares_memory(f, link.receive_all) and np.shares_memory(folded, link.folded_all)
+            assert np.shares_memory(own, link.own_all)
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
+        # own_all and noise_factor_all are block diagonal: no receiver's block reaches another's rows
+        blocks = np.zeros((10, 10), dtype=bool)
+        for r in link.rows:
+            blocks[r, r] = True
+        assert not link.own_all[~blocks].any() and not link.noise_factor_all[~blocks].any()
 
     # ChannelSet decides both channel directions by one rank rule, at construction
     @SINGULAR_3X3
@@ -800,6 +845,30 @@ class TestRunMonteCarlo:
         with pytest.raises(InvalidInput):
             run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1], 0, seed=0)
 
+    @pytest.mark.parametrize("size", [2, 3, 4, 8])
+    def test_one_symbol_draw_is_the_per_user_stream(self, size):
+        # the sweep draws all users' symbols in one call; the reference draws them
+        # user by user, with d_i * trials odd in some of these shapes
+        for d, trials in [((3, 3, 2, 2), 101), ((4, 2, 1, 1), 1), ((2, 2, 0), 7), ((1, 1), 5)]:
+            one, each = np.random.default_rng(6), np.random.default_rng(6)
+            got = one.integers(0, size, size=(sum(d), trials))
+            want = np.concatenate([each.integers(0, size, size=(d_i, trials)) for d_i in d])
+            assert np.array_equal(got, want), (d, trials)
+            assert np.array_equal(one.integers(0, 3, 5), each.integers(0, 3, 5))  # the same stream left behind
+
+    def test_trials_past_the_largest_buffer_rejected_before_any_allocation(self, monkeypatch):
+        # the stacked receiver noise holds 16 Σd trials bytes, Σd = 2N: 10**17
+        # trials fit 16 N trials bytes at K=3 N=3, but not 16 Σd trials
+        trials = 10**17
+        assert 16 * 3 * trials <= np.iinfo(np.intp).max < 16 * 6 * trials
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep got past its buffer check")
+
+        monkeypatch.setattr(relaysim, "construct_strategy", refuse)
+        with pytest.raises(InvalidInput, match="largest array"):
+            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1], trials, seed=0)
+
 
 # The sweep and its two kernels as they were before decoding ran in trial blocks,
 # kept as the reference for the blocked form: noise as one complex expression,
@@ -899,8 +968,9 @@ class TestBlockedSweep:
         ],
     )
     def test_ragged_blocks_equal_whole_array_reference(self, monkeypatch, spec, constellation, grid, seed):
-        # 100 trials in blocks of 7: fourteen full blocks and a last one of 2
-        monkeypatch.setattr(relaysim, "DECODE_BLOCK", 7)
+        # DECODE_BLOCK counts entries of all Σd rows: 100 trials in blocks of 7,
+        # fourteen full blocks and a last one of 2
+        monkeypatch.setattr(relaysim, "DECODE_BLOCK", 7 * sum(spec.d))
         got = run_monte_carlo(spec, constellation, grid, 100, seed)
         assert got == reference_monte_carlo(spec, constellation, grid, 100, seed)
 
@@ -909,6 +979,24 @@ class TestBlockedSweep:
         spec = StrategySpec(3, 3, (2, 2, 2))
         got = run_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
         assert got == reference_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
+
+    # unequal d_k, and a user with no streams: the stacked rows of one receiver
+    # differ in number from the next one's
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            (StrategySpec(4, 5, (3, 3, 2, 2)), 7),
+            (StrategySpec(3, 2, (2, 2, 0)), 11),
+            (StrategySpec(4, 4, (4, 2, 1, 1)), 12),
+        ],
+        ids=["3-3-2-2", "2-2-0", "4-2-1-1"],
+    )
+    @pytest.mark.parametrize("trials", [1, 101, "2 blocks + 1"])
+    def test_unequal_streams_equal_whole_array_reference(self, spec, seed, trials):
+        if trials == "2 blocks + 1":
+            trials = 2 * relaysim.DECODE_BLOCK + 1
+        got = run_monte_carlo(spec, QPSK, GRID, trials, seed)
+        assert got == reference_monte_carlo(spec, QPSK, GRID, trials, seed)
 
 
 def q_function(x):
@@ -1010,6 +1098,50 @@ class TestComplexGaussian:
         got = relaysim._complex_gaussian(rng, (3, 5), 0.0, out, np.empty((2, 3, 5)))
         assert np.array_equal(bits(got), bits(np.zeros((3, 5), dtype=np.complex128)))
         assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
+
+    @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
+    @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1), (0, 1)])
+    def test_receiver_noise_equals_successive_draws(self, variance, d):
+        # 5e-324 / 2 rounds to 0: a zero scale; 0.0 draws nothing
+        trials = 7
+        rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
+        got = relaysim._receiver_noise(rng, d, trials, variance)
+        want = np.concatenate([relaysim._complex_gaussian(want_rng, (d_k, trials), variance) for d_k in d])
+        assert got.shape == (sum(d), trials)
+        assert np.array_equal(bits(got), bits(want))
+        assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
+
+    def test_receiver_noise_keeps_the_signs_of_zero_normals(self):
+        class Stub:
+            """Hands out the stream -1, 2, -3, 4, ... with exact zeros, -0.0 at place 0 and +0.0 at place 51."""
+
+            def __init__(self):
+                self.next = 0
+
+            def standard_normal(self, out):
+                place = np.arange(self.next, self.next + out.size)
+                v = np.where(place % 51 == 0, 0.0, place + 1.0) * np.where(place % 2 == 0, -1, 1)
+                self.next += out.size
+                out[...] = v.reshape(out.shape)
+                return out
+
+        # users 0 and 2 draw a zero, user 1, between them with as many streams, does not
+        d, trials = (2, 2, 2, 3, 0, 1), 5
+        got = relaysim._receiver_noise(Stub(), d, trials, 0.5)
+        stub = Stub()
+        want = np.concatenate([relaysim._complex_gaussian(stub, (d_k, trials), 0.5) for d_k in d])
+        assert np.array_equal(bits(got), bits(want))
+        parts = got.view(np.float64)
+        assert (parts == 0).sum() >= 2  # the zeros reached the output, where their signs are compared
+
+    def test_receiver_noise_fills_given_buffers(self):
+        d, trials = (3, 3, 2, 2), 9
+        out = np.full((10, trials), np.nan + 0j)
+        normals = np.full(2 * 10 * trials, np.nan)
+        got = relaysim._receiver_noise(np.random.default_rng(3), d, trials, 0.2, out, normals)
+        assert got is out
+        want = relaysim._receiver_noise(np.random.default_rng(3), d, trials, 0.2)
+        assert np.array_equal(bits(got), bits(want))
 
     def test_one_filled_buffer_equals_two_draws(self):
         a_rng, b_rng = np.random.default_rng(9), np.random.default_rng(9)
