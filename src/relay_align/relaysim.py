@@ -10,17 +10,18 @@ takes the rows of P at its own pairs, F_k = P[slots_k] G_k^-1, subtracts its
 own symbols, and decides by nearest constellation point per coordinate.
 
 A Link binds a valid strategy to one channel draw and encoder set and
-computes once what observation, decoding and SNR reuse, for one trial or a
-block of T trials, as one operator with the K receivers stacked in user
-order; receiver k reads its row block.  Receiver k's receive map F_k is its
-only model: decoding applies it, and the SNR reads each stream's noise
-variance off it.  The relay's model is P: secrecy_audit reads user i's
+computes once, as one operator over all K users stacked in user order, what
+observation, decoding and SNR reuse: observe, decode and snr_db each take
+or give all K at once, for one trial or a block of T trials, and user k's
+part is row block rows[k] of each.  The receive maps F_k are the receivers'
+only model: decoding applies them, and the SNR reads each stream's noise
+variance off them.  The relay's model is P: secrecy_audit reads user i's
 relay-side columns P H_i U_i, which must be the 0/1 selection of i's pair
 slots to the rank rule.  ChannelSet decides all 2K channels invertible by
 that rule once, at construction, so design_encoders only solves and Link
 only inverts.  run_monte_carlo builds one Link per sweep, so every noise
-level of a sweep runs over the same system, and decodes all K receivers of
-a level together.
+level of a sweep runs over the same system.  One drawer, _complex_gaussian,
+draws the channels and all noise.
 """
 
 from __future__ import annotations
@@ -130,30 +131,6 @@ class Constellation:
         return np.reshape(first, (self.size, self.size)).astype(float)
 
 
-def _complex_gaussian(
-    rng: np.random.Generator,
-    shape,
-    variance: float,
-    out: np.ndarray | None = None,
-    normals: np.ndarray | None = None,
-) -> np.ndarray:
-    """scale * (a + 1j*b), a and b two consecutive standard_normal(shape) draws.
-
-    One standard_normal call fills normals, a (2, *shape) float64 array, with a
-    then b.  out (complex128, shape) and normals are allocated when not given,
-    so a caller can reuse them between draws.
-    """
-    if out is None:
-        out = np.empty(shape, dtype=np.complex128)
-    if variance == 0:
-        out.fill(0)
-        return out
-    if normals is None:
-        normals = np.empty((2, *shape))
-    rng.standard_normal(out=normals)
-    return _scaled_complex(normals, np.sqrt(variance / 2), out)
-
-
 def _scaled_complex(normals: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
     """out = scale * (normals[0] + 1j * normals[1]), written in place.
 
@@ -170,7 +147,7 @@ def _scaled_complex(normals: np.ndarray, scale: float, out: np.ndarray) -> np.nd
     return out
 
 
-def _receiver_noise(
+def _complex_gaussian(
     rng: np.random.Generator,
     d,
     trials: int,
@@ -178,12 +155,15 @@ def _receiver_noise(
     out: np.ndarray | None = None,
     normals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The K receivers' noise of one level: K successive _complex_gaussian(rng, (d_k, trials), variance) draws.
+    """len(d) successive complex Gaussian (d_k, trials) blocks of the given variance, stacked in order.
 
-    One standard_normal call fills normals (2 Σd trials float64 entries) with
-    user 0's (2, d_0, trials) normals, then user 1's, and so on, the stream
-    of the K draws; out (complex128, (Σd, trials)) holds receiver k's draw in
-    its d_k rows, in user order.  Both are allocated when not given.
+    Block k is scale * (a + 1j*b), a and b two consecutive standard_normal((d_k,
+    trials)) draws, scale = sqrt(variance / 2).  One standard_normal call
+    fills normals (2 Σd trials float64 entries) with block 0's a and b, then
+    block 1's, and so on, the stream of the len(d) draws; out (complex128,
+    (Σd, trials)) holds block k in its d_k rows.  Both are allocated when not
+    given, so a caller can reuse them between draws.  Variance 0 draws
+    nothing and gives zeros.
     """
     rows = sum(d)
     if out is None:
@@ -247,17 +227,13 @@ class ChannelSet:
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
     """i.i.d. standard complex Gaussian channels H_0..H_{K-1}, G_0..G_{K-1}.
 
-    A draw is one standard_normal call holding each matrix's real then
-    imaginary normals in turn, so its 2K matrices equal 2K successive
-    _complex_gaussian(rng, (n, n), 1.0) draws.  A draw that ChannelSet finds
-    singular (almost never) is discarded whole and counted in redraws;
-    MAX_REDRAWS such draws raise SingularChannel.
+    A draw is the 2K successive (n, n) blocks of one _complex_gaussian call
+    of unit variance.  A draw that ChannelSet finds singular (almost never)
+    is discarded whole and counted in redraws; MAX_REDRAWS such draws raise
+    SingularChannel.
     """
     for redraws in range(MAX_REDRAWS):
-        parts = rng.standard_normal((2 * k, 2, n, n))
-        mats = np.empty((2 * k, n, n), dtype=np.complex128)  # filled in place: no complex temporaries
-        np.multiply(parts[:, 0], np.sqrt(0.5), out=mats.real)
-        np.multiply(parts[:, 1], np.sqrt(0.5), out=mats.imag)
+        mats = _complex_gaussian(rng, (n,) * (2 * k), n, 1.0).reshape(2 * k, n, n)
         try:
             return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:], redraws=redraws)
         except SingularChannel:
@@ -287,28 +263,28 @@ class Link:
     (StrategyInvalid otherwise) and keeps it as relay_map; slots[i] are the
     columns of S holding user i's blocks B_i = user_bases[i], in order.
 
-    Users and receivers are stacked in user order: rows[k] is receiver k's
-    block of d_k rows, and user k's block of columns, of the Σd-wide arrays.
-    effective_all = [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe
-    applies.  folded_all (Σd x N) holds P[slots_k] in row block k, which
-    decode applies to the relay's r; receive_all holds the receive map
-    F_k = P[slots_k] G_k^-1, which sends G_k (B_k s + J_k u) to s, J_k the
-    pair blocks not involving k.  own_all and noise_factor_all are Σd x Σd
-    and block diagonal: block k of own_all is folded[k] H_k U_k, the part of
-    folded[k] r carried by k's own symbols; block k of noise_factor_all is
-    R_k^H (d_k x d_k), from the thin QR F_k^H = Q_k R_k, so that receiver
-    noise w ~ CN(0, var I_N) reaches the decoder as F_k w, which has the law
-    of R_k^H w' with w' ~ CN(0, var I_{d_k}).  noise_gain_all holds the
-    squared row norms of folded_all plus those of receive_all (equal to
-    those of R_k^H), so that with relay and receiver noise of variance var
-    stream s of k has post-decoder noise variance var * noise_gain[k][s]
-    (the diagonal of var * F_k (G_k G_k^H + I) F_k^H); worst_gain_db[k] is
-    10 log10 of k's largest, +inf for a receiver with no streams.  The
-    per-user attributes effective, receive, folded, own, noise_factor and
-    noise_gain are views of block k of these arrays, not copies.  The G_k,
+    Users and receivers are stacked in user order: rows[k] is k's block of
+    d_k rows, and of columns, of the Σd-wide arrays, and of every symbol,
+    noise and estimate array the Link takes or gives.  effective_all =
+    [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.  folded_all
+    (Σd x N) holds P[slots_k] in row block k, which decode applies to the
+    relay's r; receive_all holds the receive map F_k = P[slots_k] G_k^-1,
+    which sends G_k (B_k s + J_k u) to s, J_k the pair blocks not involving
+    k.  own_all and noise_factor_all are Σd x Σd and block diagonal, so no
+    receiver's block reaches another's rows: block k of own_all is
+    P[slots_k] H_k U_k, the part of receiver k's rows of folded_all r carried
+    by k's own symbols; block k of noise_factor_all is R_k^H (d_k x d_k),
+    from the thin QR F_k^H = Q_k R_k, so that receiver noise w ~ CN(0, var
+    I_N) reaches the decoder as F_k w, which has the law of R_k^H w' with
+    w' ~ CN(0, var I_{d_k}).  noise_gain_all holds the squared row norms of
+    folded_all plus those of receive_all (equal to those of R_k^H), so that
+    with relay and receiver noise of variance var each stream has
+    post-decoder noise variance var times its gain (the diagonal of var F_k
+    (G_k G_k^H + I) F_k^H in block k); worst_gain_db[k] is 10 log10 of the
+    largest gain in block k, +inf for a receiver with no streams.  The G_k,
     which ChannelSet has decided invertible, are inverted in one stacked
-    call.  An encoder that is not N x d_i raises DimensionMismatch, one with a
-    non-finite entry InvalidInput.
+    call.  An encoder that is not N x d_i raises DimensionMismatch, one with
+    a non-finite entry InvalidInput.
     """
 
     strategy: Strategy
@@ -365,102 +341,65 @@ class Link:
         worst = [10 * math.log10(float(gains[r].max())) if r.start < r.stop else math.inf for r in rows]
         object.__setattr__(self, "worst_gain_db", worst)
 
-    @property
-    def effective(self) -> list[np.ndarray]:
-        return [self.effective_all[:, r] for r in self.rows]
+    def observe(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """Relay observation r = effective_all x + z = sum_i H_i U_i x[rows[i]] + z.
 
-    @property
-    def folded(self) -> list[np.ndarray]:
-        return [self.folded_all[r] for r in self.rows]
-
-    @property
-    def receive(self) -> list[np.ndarray]:
-        return [self.receive_all[r] for r in self.rows]
-
-    @property
-    def own(self) -> list[np.ndarray]:
-        return [self.own_all[r, r] for r in self.rows]
-
-    @property
-    def noise_factor(self) -> list[np.ndarray]:
-        return [self.noise_factor_all[r, r] for r in self.rows]
-
-    @property
-    def noise_gain(self) -> list[np.ndarray]:
-        return [self.noise_gain_all[r] for r in self.rows]
-
-    def observe(self, symbols, z: np.ndarray | None = None) -> np.ndarray:
-        """Relay observation r = sum_i H_i U_i x_i + z = effective_all x + z.
-
-        symbols is one x_i per user, each a length-d_i vector or a (d_i, T)
-        block of T trials, or all of them stacked in user order as one array
-        x of Σd rows; z, when given, has the shape of r.
+        x is the Σd-row symbol array, user i's in rows[i]: a vector, or a
+        (Σd, T) block of T trials; z, when given, has the shape of r.
         """
-        if isinstance(symbols, np.ndarray):
-            x = symbols.astype(np.complex128, copy=False)
-            if x.shape[:1] != self.effective_all.shape[1:]:
-                raise DimensionMismatch("stacked symbol rows do not match the encoders")
-        else:
-            if len(symbols) != len(self.rows):
-                raise DimensionMismatch("need one symbol block per user")
-            xs = [np.asarray(x, dtype=np.complex128) for x in symbols]
-            if any(x.shape[0] != r.stop - r.start for r, x in zip(self.rows, xs)):
-                raise DimensionMismatch("symbol block width does not match encoder")
-            x = np.concatenate(xs)
+        _check_array("symbol", x, len(self.folded_all))
         r = self.effective_all @ x
         if z is not None:
-            if np.shape(z) != r.shape:
-                raise DimensionMismatch(f"noise shape {np.shape(z)} does not match the observation {r.shape}")
+            _check_array("noise", z, len(r), r.shape)
             r += z
         return r
 
-    def decode(self, k: int | None, r: np.ndarray, x_k: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """Soft estimates folded[k] r + noise_factor[k] w - own[k] x_k of the symbols k's partners sent it.
+    def decode(self, r: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """Every receiver's soft estimates folded_all r + noise_factor_all w - own_all x.
 
-        Rows are ordered as B_k.  Without w this is F_k G_k r - own[k] x_k,
-        and receiver k's observation G_k r is never formed.  w is receiver
-        k's noise where the decoder sees it: d_k entries per trial, which
-        noise_factor[k] maps to noise of the law of F_k times N-entry receiver
-        noise of the same variance.  r, x_k and w are vectors, or (N, T),
-        (d_k, T) and (d_k, T) blocks of T trials; w, when given, has the shape
-        of the estimate.  k = None decodes every receiver at once with the
-        whole stacked arrays: x_k and w then have Σd rows, user k's in rows[k],
-        and so does the estimate.
+        Row block rows[k] of the estimate holds the symbols k's partners sent
+        it, ordered as B_k: F_k G_k r minus k's own part, so no receiver's
+        observation G_k r is formed.  r is the relay's observation, N rows;
+        x the Σd-row symbol array observe took, each receiver subtracting its
+        own block; w the receivers' noise where each decoder sees it, d_k
+        entries per trial in rows[k], which noise_factor_all maps to noise of
+        the law of F_k times N-entry receiver noise of the same variance.
+        They are vectors or blocks of T trials; x and w have the shape of the
+        estimate.
         """
-        if k is None:
-            rows = slice(None)
-        else:
-            self._check_receiver(k)
-            rows = self.rows[k]
-        est = self.folded_all[rows] @ np.asarray(r, dtype=np.complex128)
+        _check_array("observation", r, self.folded_all.shape[1])
+        est = self.folded_all @ r
+        _check_array("symbol", x, len(est), est.shape)
         if w is not None:
-            if np.shape(w) != est.shape:
-                raise DimensionMismatch(f"noise shape {np.shape(w)} does not match the estimate {est.shape}")
-            est += self.noise_factor_all[rows, rows] @ np.asarray(w, dtype=np.complex128)  # in place: one temporary fewer
-        est -= self.own_all[rows, rows] @ np.asarray(x_k, dtype=np.complex128)
+            _check_array("noise", w, len(est), est.shape)
+            est += self.noise_factor_all @ w  # in place: one temporary fewer
+        est -= self.own_all @ x
         return est
 
-    def snr_db(self, k: int, var: float) -> float:
-        """SNR of receiver k's worst stream after the decoder, per unit symbol energy, in dB.
+    def snr_db(self, var: float) -> list[float]:
+        """Each receiver's SNR of its worst stream after the decoder, per unit symbol energy, in dB.
 
         With relay and receiver noise of variance var >= 0, decode returns each
-        symbol plus noise of variance var * noise_gain[k][s] on stream s, so
-        the SNR is 1 / (var * max noise_gain[k]).  It is computed as
+        symbol plus noise of variance var times its stream's noise gain, so
+        receiver k's SNR is 1 / (var * max of its gains).  It is computed as
         -10 log10(var) - worst_gain_db[k], so a var near the smallest float
-        gives its dB figure and no overflow.  Returns +inf at var = 0, and
-        -inf for a receiver with no streams at var > 0; a var that is not
-        finite and >= 0 raises InvalidInput.
+        gives its dB figure and no overflow.  Gives +inf at var = 0, and -inf
+        for a receiver with no streams at var > 0; a var that is not finite
+        and >= 0 raises InvalidInput.
         """
-        self._check_receiver(k)
         if not (math.isfinite(var) and var >= 0):
             raise InvalidInput("noise variance must be finite and >= 0")
         if var == 0:
-            return math.inf
-        return -10 * math.log10(var) - self.worst_gain_db[k]
+            return [math.inf] * len(self.rows)
+        return [-10 * math.log10(var) - worst for worst in self.worst_gain_db]
 
-    def _check_receiver(self, k: int) -> None:
-        if not 0 <= k < len(self.rows):
-            raise InvalidInput(f"user index {k} out of range")
+
+def _check_array(name: str, a, rows: int, shape: tuple | None = None) -> None:
+    """Raise DimensionMismatch unless a is an array of the given rows (a vector or a block of T trials) and shape."""
+    if not isinstance(a, np.ndarray):
+        raise DimensionMismatch(f"{name} shape: need one array of {rows} rows, not a {type(a).__name__}")
+    if a.ndim not in (1, 2) or len(a) != rows or shape not in (None, a.shape):
+        raise DimensionMismatch(f"{name} shape {a.shape} does not match {shape or f'{rows} rows'}")
 
 
 def secrecy_audit(link: Link) -> float:
@@ -471,15 +410,17 @@ def secrecy_audit(link: Link) -> float:
     largest entry lies in a distinct slot of i, the columns cover all of
     them, in any order, and the residual R_i = M_i minus that selection has
     sigma_max(R_i) within the rank threshold of M_i.  Then every symbol
-    reaches the relay only as one coordinate of a pair sum.  Returns the
+    reaches the relay only as one coordinate of a pair sum.  M_i is block
+    rows[i] of the columns of P effective_all, formed once.  Returns the
     largest sigma_max(R_i) and raises SecrecyViolation naming the first user
     that fails; P itself is the Link's (StrategyInvalid when the pair sums
     do not determine the observation).
     """
     n = link.strategy.spec.N
+    m_all = link.relay_map @ link.effective_all
     worst = 0.0
-    for i, (e, slots) in enumerate(zip(link.effective, link.slots)):
-        m = link.relay_map @ e
+    for i, (cols, slots) in enumerate(zip(link.rows, link.slots)):
+        m = m_all[:, cols]
         rows = np.abs(m).argmax(axis=0)
         if not np.array_equal(np.sort(rows), slots):
             raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
@@ -531,15 +472,14 @@ def run_monte_carlo(
     One system per sweep: a single generator seeded with seed draws the
     channels and so fixes the Link once, then every noise level draws from
     it, in turn, all users' symbols (one call), the relay noise (N entries
-    per trial, one call) and the K receivers' noise (d_k entries per trial,
-    drawn where the decoder sees it, which is exact in distribution: one
-    call of Σd rows, _receiver_noise); the symbols and the receivers' noise
-    are each the stream of K per-user draws.  The noise goes into buffers
-    reused by every level.  All receivers are then decoded together, one
-    pass per column block of about DECODE_BLOCK entries (Σd rows times the
-    block's trials): the block's symbols, the relay's r through
-    Link.observe, every receiver's estimate through Link.decode(None, ...),
-    one nearest point decision over all Σd rows, and the error and
+    per trial) and the K receivers' noise (d_k entries per trial, drawn
+    where the decoder sees it, which is exact in distribution), each noise
+    one _complex_gaussian call into buffers reused by every level; the
+    symbols and the receivers' noise are each the stream of K per-user
+    draws.  Each level is then one pass of the Link per column block of
+    about DECODE_BLOCK entries (Σd rows times the block's trials): the
+    block's symbols, the relay's r through observe, all Σd estimates through
+    decode, one nearest point decision over them, and the error and
     relay-equivocation tallies against row indices found once per sweep.
     The relay-equivocation tally uses the noiseless sums, matching the
     exact counting argument, and is therefore a Monte Carlo estimate of
@@ -582,7 +522,7 @@ def run_monte_carlo(
     upper = sent[lower]
     width = max(1, DECODE_BLOCK // rows_total)
     relay_noise = np.empty((n, trials), dtype=np.complex128)
-    relay_normals = np.empty((2, n, trials))
+    relay_normals = np.empty(2 * n * trials)
     receiver_noise = np.empty((rows_total, trials), dtype=np.complex128)
     receiver_normals = np.empty(2 * rows_total * trials)
 
@@ -591,15 +531,15 @@ def run_monte_carlo(
         # the stream of K per-user (d_i, trials) draws: the generator keeps the
         # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
         idx = rng.integers(0, pts.size, size=(rows_total, trials))
-        z = _complex_gaussian(rng, (n, trials), var, relay_noise, relay_normals)
-        w = _receiver_noise(rng, spec.d, trials, var, receiver_noise, receiver_normals)
+        z = _complex_gaussian(rng, (n,), trials, var, relay_noise, relay_normals)
+        w = _complex_gaussian(rng, spec.d, trials, var, receiver_noise, receiver_normals)
         row_errors = np.zeros(rows_total, dtype=np.intp)
         relay_hits = 0.0
         for start in range(0, trials, width):
             cols = slice(start, start + width)
             ix = idx[:, cols]
             x = pts[ix]
-            hard_idx = constellation.nearest_index(link.decode(None, link.observe(x, z[:, cols]), x, w[:, cols]))
+            hard_idx = constellation.nearest_index(link.decode(link.observe(x, z[:, cols]), x, w[:, cols]))
             row_errors += np.count_nonzero(hard_idx != ix[sent], axis=1)
             relay_hits += succ_table[ix[lower], ix[upper]].sum()
         return row_errors, relay_hits
@@ -611,7 +551,7 @@ def run_monte_carlo(
         reports.append(
             SimReport(
                 noise_var=float(var),
-                per_user_snr_db=[link.snr_db(k, var) for k in range(k_users)],
+                per_user_snr_db=link.snr_db(var),
                 per_user_ser=ser,
                 relay_map_success_rate=float(relay_hits / (lower.size * trials)),
                 trials=trials,

@@ -173,7 +173,7 @@ def test_criterion_4_three_user_golden_example():
 
     rng = np.random.default_rng(44)
     x = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-    r = link.observe(x)
+    r = link.observe(np.concatenate(x))
     expected = np.array(
         [x[0][0] + x[2][1], x[0][1] + x[1][0], x[1][1] + x[2][0]]
     )
@@ -182,10 +182,11 @@ def test_criterion_4_three_user_golden_example():
     # user 1 recovers partner symbols x_2^1 and x_3^2 (0-based: x[1][0], x[2][1])
     qpsk = Constellation.qpsk()
     xs = [qpsk.points[rng.integers(0, 4, 2)] for _ in range(3)]
-    r = link.observe(xs)
+    stacked = np.concatenate(xs)
+    hard_all = qpsk.points[qpsk.nearest_index(link.decode(link.observe(stacked), stacked))]
     recovered = {}
     for k in range(3):
-        hard = qpsk.points[qpsk.nearest_index(link.decode(k, r, xs[k]))]
+        hard = hard_all[link.rows[k]]
         recovered[k] = {j: hard[rows] for (i, j), rows in strategy.slices.items() if i == k}
     rec_ok = (
         np.allclose(recovered[0][1], xs[1][:1])

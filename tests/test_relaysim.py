@@ -46,9 +46,9 @@ def link_of(strategy, channels):
     return Link(strategy, channels, design_encoders(strategy, channels))
 
 
-def decode_by_partner(link, k, r, x_k):
+def decode_by_partner(link, k, r, x):
     """Hard QPSK decisions of receiver k from the relay's noiseless r, split into the blocks its partners sent."""
-    hard = QPSK.points[QPSK.nearest_index(link.decode(k, r, x_k))]
+    hard = QPSK.points[QPSK.nearest_index(link.decode(r, x)[link.rows[k]])]
     return {j: hard[rows] for (i, j), rows in link.strategy.slices.items() if i == k}
 
 
@@ -98,7 +98,7 @@ class TestDrawChannels:
         for seed in range(4):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             ch = draw_channels(k, n, got_rng)
-            want = np.stack([relaysim._complex_gaussian(want_rng, (n, n), 1.0) for _ in range(2 * k)])
+            want = np.stack([reference_complex_gaussian(want_rng, (n, n), 1.0) for _ in range(2 * k)])
             assert ch.redraws == 0
             assert np.array_equal(bits(np.concatenate([ch.H, ch.G])), bits(want))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -108,7 +108,7 @@ class TestDrawChannels:
         ch = draw_channels(3, 3, rng)
         want_rng = np.random.default_rng(7)
         want_rng.standard_normal((6, 2, 3, 3))  # the discarded draw, whose H_0 was zero
-        want = np.stack([relaysim._complex_gaussian(want_rng, (3, 3), 1.0) for _ in range(6)])
+        want = np.stack([reference_complex_gaussian(want_rng, (3, 3), 1.0) for _ in range(6)])
         assert ch.redraws == 1 and rng.calls == 2
         assert np.array_equal(bits(np.concatenate([ch.H, ch.G])), bits(want))
 
@@ -121,17 +121,17 @@ class TestDrawChannels:
 
 
 class ZeroingGenerator:
-    """A generator whose first `zeroed` standard_normal draws come back with their first matrix zero."""
+    """A generator whose first `zeroed` standard_normal draws come back with their first 3 x 3 matrix zero."""
 
     def __init__(self, seed, zeroed):
         self.rng = np.random.default_rng(seed)
         self.zeroed = zeroed
         self.calls = 0
 
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
+    def standard_normal(self, out):
+        self.rng.standard_normal(out=out)
         if self.calls < self.zeroed:
-            out[0] = 0
+            out[: 2 * 3 * 3] = 0  # the real and imaginary normals of the first matrix
         self.calls += 1
         return out
 
@@ -199,14 +199,14 @@ class TestRelayObserve:
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
         enc = design_encoders(strategy, ch)
-        r = Link(strategy, ch, enc).observe([np.zeros(2)] * 3)
+        r = Link(strategy, ch, enc).observe(np.zeros(6))
         assert np.allclose(r, 0)
 
     def test_worked_example_pairwise_sums(self):
         ch = identity_channels(3, 3)
         link = Link(worked_example_strategy(), ch, worked_example_encoders())
         x = [np.array([1 + 0j, 1j]), np.array([-1 + 0j, -1j]), np.array([1j, -1 + 0j])]
-        r = link.observe(x)
+        r = link.observe(np.concatenate(x))
         expected = np.array([x[0][0] + x[2][1], x[0][1] + x[1][0], x[1][1] + x[2][0]])
         assert np.linalg.norm(r - expected) < 1e-12
 
@@ -215,9 +215,9 @@ class TestRelayObserve:
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = draw_channels(3, 3, rng)
         link = Link(strategy, ch, design_encoders(strategy, ch))
-        x = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        y = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)]
-        lhs = link.observe([a + b for a, b in zip(x, y)])
+        x = np.concatenate([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
+        y = np.concatenate([rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(3)])
+        lhs = link.observe(x + y)
         rhs = link.observe(x) + link.observe(y)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
@@ -225,19 +225,12 @@ class TestRelayObserve:
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
         link = Link(strategy, ch, design_encoders(strategy, ch))
-        with pytest.raises(DimensionMismatch):
-            link.observe([np.zeros(3)] * 3)
-        with pytest.raises(DimensionMismatch, match="stacked symbol rows"):
-            link.observe(np.zeros((5, 4)))  # stacked symbols need Σd = 6 rows
-
-    def test_stacked_symbols_equal_per_user_blocks(self):
-        rng = np.random.default_rng(13)
-        spec = StrategySpec(4, 5, (3, 3, 2, 2))
-        strategy = construct_strategy(spec)
-        link = link_of(strategy, draw_channels(4, 5, rng))
-        x = [QPSK.points[rng.integers(0, 4, (d, 6))] for d in spec.d]
-        z = rng.standard_normal((5, 6)) + 0j
-        assert np.array_equal(link.observe(np.vstack(x), z), link.observe(x, z))
+        with pytest.raises(DimensionMismatch, match="symbol shape"):
+            link.observe(np.zeros((5, 4)))  # the symbol array needs Σd = 6 rows
+        with pytest.raises(DimensionMismatch, match="symbol shape"):
+            link.observe(np.zeros((6, 4, 1)))
+        with pytest.raises(DimensionMismatch, match="noise shape"):
+            link.observe(np.zeros((6, 4)), np.zeros((3, 5)))
 
 
 def reference_secrecy_audit(encoders, channels, strategy):
@@ -424,17 +417,18 @@ class TestReceiverDecode:
         ch = identity_channels(3, 3)
         link = Link(strategy, ch, worked_example_encoders())
         x = [np.array([1, 1j]), np.array([-1, -1j]), np.array([1j, -1])]
-        r = link.observe(x)
+        xs = np.concatenate(x)
+        r = link.observe(xs)
         # user 1 recovers x2^1 (on v2) and x3^2 (on v1)
-        res0 = decode_by_partner(link, 0, r, x[0])
+        res0 = decode_by_partner(link, 0, r, xs)
         assert res0[1][0] == x[1][0]
         assert res0[2][0] == x[2][1]
         # user 2 recovers x1^2 (on v2) and x3^1 (on v3)
-        res1 = decode_by_partner(link, 1, r, x[1])
+        res1 = decode_by_partner(link, 1, r, xs)
         assert res1[0][0] == x[0][1]
         assert res1[2][0] == x[2][0]
         # user 3 recovers x1^1 (on v1) and x2^2 (on v3)
-        res2 = decode_by_partner(link, 2, r, x[2])
+        res2 = decode_by_partner(link, 2, r, xs)
         assert res2[0][0] == x[0][0]
         assert res2[1][0] == x[1][1]
 
@@ -445,9 +439,9 @@ class TestReceiverDecode:
             ch = draw_channels(3, 6, rng)
             link = link_of(strategy, ch)
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
-            r = link.observe(x)
+            r = link.observe(np.concatenate(x))
             for k in range(3):
-                for j, got in decode_by_partner(link, k, r, x[k]).items():
+                for j, got in decode_by_partner(link, k, r, np.concatenate(x)).items():
                     sent = x[j][strategy.slices[j, k]]
                     assert np.allclose(got, sent)
 
@@ -456,39 +450,60 @@ class TestReceiverDecode:
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 6), rng)
         ch = draw_channels(3, 6, rng)
         link = link_of(strategy, ch)
-        x = [QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)]
+        x = np.concatenate([QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)])
         z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
         r = link.observe(x, z)
-        for k in range(3):
-            w = 0.1 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5)))  # d_k entries per trial
-            block = link.decode(k, r, x[k], w)
-            assert block.shape == (4, 5)
-            for t in range(5):
-                single = link.decode(k, r[:, t], x[k][:, t], w[:, t])
-                assert np.linalg.norm(single - block[:, t]) < 1e-12
+        # d_k = 4 entries per trial for each receiver
+        w = np.concatenate([0.1 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))) for _ in range(3)])
+        block = link.decode(r, x, w)
+        assert block.shape == (12, 5)
+        for t in range(5):
+            single = link.decode(r[:, t], x[:, t], w[:, t])
+            assert np.linalg.norm(single - block[:, t]) < 1e-12
 
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1)])
     def test_all_receivers_at_once_equal_each_receiver(self, d):
-        # decode(None, ...) applies the whole stacked arrays; row block k is decode(k, ...)
+        # own_all and noise_factor_all are block diagonal: row block k of the
+        # stacked decode is receiver k's own rows applied to its symbols and noise
         rng = np.random.default_rng(14)
         spec = StrategySpec(len(d), sum(d) // 2, d)
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng))
         x = [QPSK.points[rng.integers(0, 4, (d_k, 9))] for d_k in d]
         w = [rng.standard_normal((d_k, 9)) + 1j * rng.standard_normal((d_k, 9)) for d_k in d]
-        r = link.observe(x, rng.standard_normal((spec.N, 9)) + 0j)
-        every = link.decode(None, r, np.vstack(x), np.vstack(w))
+        r = link.observe(np.vstack(x), rng.standard_normal((spec.N, 9)) + 0j)
+        every = link.decode(r, np.vstack(x), np.vstack(w))
         assert every.shape == (sum(d), 9)
         for k, rows in enumerate(link.rows):
-            want = link.decode(k, r, x[k], w[k])
+            want = link.folded_all[rows] @ r + link.noise_factor_all[rows, rows] @ w[k]
+            want -= link.own_all[rows, rows] @ x[k]
             assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
 
     def test_noise_shape_must_match_the_observation(self):
-        # w is the noise the decoder sees, shaped as the (d_k, T) estimate; N-row receiver noise is refused
+        # w is the noise the decoders see, shaped as the (Σd, T) estimate; N-row receiver noise is refused
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
-        for shape in [(3, 5), (3, 4), (2, 5)]:
+        for shape in [(3, 4), (6, 5), (2, 4)]:
             with pytest.raises(DimensionMismatch, match="noise shape"):
-                link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros(shape))
-        assert link.decode(0, np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((2, 4))).shape == (2, 4)
+                link.decode(np.zeros((3, 4)), np.zeros((6, 4)), np.zeros(shape))
+        assert link.decode(np.zeros((3, 4)), np.zeros((6, 4)), np.zeros((6, 4))).shape == (6, 4)
+
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            ("decode", (np.zeros(4), np.zeros(6))),  # r without N = 3 rows
+            ("decode", (np.zeros(3), np.zeros(5))),  # x without Σd = 6 rows
+            ("decode", (np.zeros((3, 4)), np.zeros((6, 5)))),  # x of other trials than r
+            ("decode", (np.zeros((3, 4, 1)), np.zeros((6, 4)))),
+            ("decode", ([0.0] * 3, np.zeros(6))),
+            ("observe", ([np.zeros(2)] * 3,)),  # one block per user: a list, not the stacked array
+            ("observe", ([np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 4))],)),  # ragged
+        ],
+        ids=["r-rows", "x-rows", "x-trials", "r-3d", "r-list", "list", "ragged-list"],
+    )
+    def test_input_not_matching_the_stacked_operator_rejected(self, call, args):
+        # a wrong row count, trial count or rank, or a list, is refused before any product is formed
+        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
+        with pytest.raises(DimensionMismatch, match="shape"):
+            getattr(link, call)(*args)
 
     def test_unverified_strategy_rejected(self):
         plane = E3[:, [0, 1]]
@@ -499,14 +514,6 @@ class TestReceiverDecode:
         ch = identity_channels(3, 3)
         with pytest.raises(StrategyInvalid):
             Link(bad, ch, [plane] * 3)
-
-    @pytest.mark.parametrize("k", [-1, 3])
-    def test_receiver_out_of_range(self, k):
-        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
-        with pytest.raises(InvalidInput, match="out of range"):
-            link.decode(k, np.zeros(3), np.zeros(2))
-        with pytest.raises(InvalidInput, match="out of range"):
-            link.snr_db(k, 1.0)
 
 
 def interference_blocks(strategy, k):
@@ -527,7 +534,8 @@ def reference_decode(link, k, y_tilde, x_k):
         return x - gik @ (gik.conj().T @ x)
 
     decoder = np.linalg.pinv(project_off(g @ strategy.user_bases[k]))
-    y = np.asarray(y_tilde, dtype=complex) - g @ (link.effective[k] @ np.asarray(x_k, dtype=complex))
+    own_signal = g @ (link.effective_all[:, link.rows[k]] @ np.asarray(x_k, dtype=complex))
+    y = np.asarray(y_tilde, dtype=complex) - own_signal
     return decoder @ project_off(y)
 
 
@@ -570,14 +578,16 @@ class TestReceiveMap:
             else:  # any N x d_i matrices: decode subtracts whatever k's own signal is
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
-            for k in range(spec.K):
+            for k, rows in enumerate(link.rows):
                 r = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
-                w = rng.standard_normal((spec.d[k], 6)) + 1j * rng.standard_normal((spec.d[k], 6))
-                x_k = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
+                w = np.zeros((sum(spec.d), 6), dtype=complex)  # receiver k's rows only: the others decode zeros
+                x = np.zeros_like(w)
+                w[rows] = rng.standard_normal((spec.d[k], 6)) + 1j * rng.standard_normal((spec.d[k], 6))
+                x[rows] = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
                 # F_k^H = Q_k R_k, so the N-entry receiver noise Q_k w reaches the decoder as F_k Q_k w = R_k^H w
                 f = reference_receive_map(link, k)
-                noise = f @ (np.linalg.qr(f.conj().T)[0] @ w)
-                got, want = link.decode(k, r, x_k, w), reference_decode(link, k, ch.G[k] @ r, x_k) + noise
+                noise = f @ (np.linalg.qr(f.conj().T)[0] @ w[rows])
+                got, want = link.decode(r, x, w)[rows], reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
@@ -593,17 +603,17 @@ class TestReceiveMap:
             else:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
-            for k, g in enumerate(ch.G):
+            for k, (g, rows) in enumerate(zip(ch.G, link.rows)):
                 f = reference_receive_map(link, k)
                 folded = f @ g
                 want = {
-                    "receive": f,
-                    "folded": folded,
-                    "own": folded @ (ch.H[k] @ enc[k]),
-                    "noise_gain": np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2,
+                    "receive_all": f,
+                    "folded_all": folded,
+                    "own_all": folded @ (ch.H[k] @ enc[k]),
+                    "noise_gain_all": np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2,
                 }
                 for name, w in want.items():
-                    got = getattr(link, name)[k]
+                    got = getattr(link, name)[(rows, rows) if name == "own_all" else rows]
                     assert got.shape == w.shape, (name, spec, k)
                     assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w), (name, spec, k)
 
@@ -615,14 +625,16 @@ class TestReceiveMap:
             strategy = strategy_from_pairwise(spec, rng)
             ch = draw_channels(spec.K, spec.N, rng)
             link = link_of(strategy, ch)
-            for k, (f, g) in enumerate(zip(link.receive, ch.G)):
+            for k, (rows, g) in enumerate(zip(link.rows, ch.G)):
+                f, gain = link.receive_all[rows], link.noise_gain_all[rows]
                 want = np.diag(f @ (g @ g.conj().T + np.eye(spec.N)) @ f.conj().T).real
-                assert link.noise_gain[k].shape == (spec.d[k],)
-                assert np.linalg.norm(link.noise_gain[k] - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+                assert gain.shape == (spec.d[k],)
+                assert np.linalg.norm(gain - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
     @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
     def test_noise_factor_has_the_receive_map_covariance(self, encoders):
-        # F_k w with w ~ CN(0, I_N) has covariance F_k F_k^H; so must noise_factor[k] w' with w' ~ CN(0, I_{d_k})
+        # F_k w with w ~ CN(0, I_N) has covariance F_k F_k^H; so must R_k^H w' with w' ~ CN(0, I_{d_k}),
+        # R_k^H block k of noise_factor_all
         rng = np.random.default_rng(43 if encoders == "designed" else 44)
         for _ in range(40):
             spec = random_pairwise_spec(rng)
@@ -633,15 +645,17 @@ class TestReceiveMap:
             else:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
-            for k, (factor, f) in enumerate(zip(link.noise_factor, link.receive)):
+            for k, rows in enumerate(link.rows):
+                factor, f = link.noise_factor_all[rows, rows], link.receive_all[rows]
                 want = f @ f.conj().T
                 assert factor.shape == (spec.d[k], spec.d[k]), (spec, k)
                 assert np.linalg.norm(factor @ factor.conj().T - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
     def test_receiver_with_no_streams_has_an_empty_noise_factor(self):
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
-        assert link.noise_factor[2].shape == (0, 0)
-        assert link.decode(2, np.zeros((2, 5)), np.zeros((0, 5)), np.zeros((0, 5))).shape == (0, 5)
+        rows = link.rows[2]
+        assert link.noise_factor_all[rows, rows].shape == (0, 0)
+        assert link.decode(np.zeros((2, 5)), np.zeros((4, 5)), np.zeros((4, 5)))[rows].shape == (0, 5)
 
     def test_maps_are_d_k_by_n_views_of_the_stacked_maps(self):
         rng = np.random.default_rng(4)
@@ -649,11 +663,11 @@ class TestReceiveMap:
         strategy = strategy_from_pairwise(spec, rng)
         link = link_of(strategy, draw_channels(4, 5, rng))
         assert link.folded_all.shape == link.receive_all.shape == (10, 5) and link.effective_all.shape == (5, 10)
-        for d, f, folded, own in zip(spec.d, link.receive, link.folded, link.own):
-            assert f.shape == folded.shape == (d, 5) and own.shape == (d, d)
-            # views of the stacked maps, not per-receiver copies beside them
-            assert np.shares_memory(f, link.receive_all) and np.shares_memory(folded, link.folded_all)
-            assert np.shares_memory(own, link.own_all)
+        assert [(r.start, r.stop) for r in link.rows] == [(0, 2), (2, 5), (5, 8), (8, 10)]
+        for d, rows in zip(spec.d, link.rows):
+            # receiver k's maps are its row block of the stacked maps
+            assert link.receive_all[rows].shape == link.folded_all[rows].shape == (d, 5)
+            own = link.own_all[rows, rows]
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
         # own_all and noise_factor_all are block diagonal: no receiver's block reaches another's rows
         blocks = np.zeros((10, 10), dtype=bool)
@@ -683,14 +697,15 @@ class TestReceiveMap:
                 ChannelSet(K=3, N=3, **mats)
         else:
             strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
-            assert np.allclose(link_of(strategy, ChannelSet(K=3, N=3, **mats)).own[1], np.eye(2))
+            link = link_of(strategy, ChannelSet(K=3, N=3, **mats))
+            assert np.allclose(link.own_all[link.rows[1], link.rows[1]], np.eye(2))
 
 
 class TestSnr:
     def test_noiseless_is_infinite(self):
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
-        assert link_of(strategy, ch).snr_db(0, 0.0) == float("inf")
+        assert link_of(strategy, ch).snr_db(0.0) == [float("inf")] * 3
 
     def test_worked_example_value(self):
         # G_1 = 2I, other channels identity.  User 1's frame G_1 [B_1 | J_1] is
@@ -700,38 +715,38 @@ class TestSnr:
         strategy = worked_example_strategy()
         ch = ChannelSet(K=3, N=3, H=[E3] * 3, G=[2 * E3, E3, E3])
         link = Link(strategy, ch, worked_example_encoders())
-        assert np.allclose(link.noise_gain[0], [1.25, 1.25], rtol=0, atol=1e-15)
-        assert abs(link.snr_db(0, 0.1) - 10 * math.log10(8)) < 1e-12
+        assert np.allclose(link.noise_gain_all[link.rows[0]], [1.25, 1.25], rtol=0, atol=1e-15)
+        assert abs(link.snr_db(0.1)[0] - 10 * math.log10(8)) < 1e-12
 
     def test_noise_scaling_homogeneity(self):
         rng = np.random.default_rng(6)
         strategy = strategy_from_pairwise(symmetric_pairwise_table(3, 3), rng)
         link = link_of(strategy, draw_channels(3, 3, rng))
-        base = link.snr_db(1, 0.3)
-        scaled = link.snr_db(1, 3.0)
-        assert abs(base - scaled - 10) < 1e-12
+        base = link.snr_db(0.3)
+        scaled = link.snr_db(3.0)
+        assert all(abs(b - s - 10) < 1e-12 for b, s in zip(base, scaled))
 
     def test_receiver_with_no_streams(self):
         # user 3 of d = (2, 2, 0) receives nothing: no signal, SNR 0 (-inf
         # dB), except at variance 0, where every receiver's SNR is inf
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
-        assert link.noise_gain[2].shape == (0,)
-        assert link.snr_db(2, 1.0) == float("-inf")
-        assert link.snr_db(2, 0.0) == float("inf")
+        assert link.noise_gain_all[link.rows[2]].shape == (0,)
+        assert link.snr_db(1.0)[2] == float("-inf")
+        assert link.snr_db(0.0)[2] == float("inf")
 
     @pytest.mark.parametrize("var", [1e-310, 5e-324, 1e308])
     def test_variance_at_the_ends_of_the_float_range(self, var):
         # 1 / (var * gain) overflows at the low end and var * gain at the high
         # end; a difference of logs is finite at both
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
-        assert np.array_equal(link.noise_gain[0], [2.0, 2.0])
-        assert link.snr_db(0, var) == pytest.approx(-10 * math.log10(var) - 10 * math.log10(2), abs=1e-9)
+        assert np.array_equal(link.noise_gain_all, [2.0] * 6)
+        assert link.snr_db(var) == pytest.approx([-10 * math.log10(var) - 10 * math.log10(2)] * 3, abs=1e-9)
 
     @pytest.mark.parametrize("var", [float("nan"), float("inf"), -1e-3])
     def test_rejects_nonfinite_and_negative_variance(self, var):
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
         with pytest.raises(InvalidInput, match="finite and >= 0"):
-            link.snr_db(0, var)
+            link.snr_db(var)
 
 
 class TestRelayMapSuccess:
@@ -775,13 +790,10 @@ class TestTwoUserBaseline:
     def test_noiseless_perfect(self):
         rng = np.random.default_rng(8)
         link = scalar_link(1 + 1j, 2 - 1j, 0.5j, 1.5)
-        idx = rng.integers(0, 4, (2, 1, 500))
-        x = [QPSK.points[i] for i in idx]
-        r = link.observe(x)
-        ser = tuple(
-            float(np.mean(QPSK.nearest_index(link.decode(k, r, x[k])) != idx[1 - k]))
-            for k in (0, 1)
-        )
+        idx = rng.integers(0, 4, (2, 500))  # one stream per user
+        x = QPSK.points[idx]
+        hard = QPSK.nearest_index(link.decode(link.observe(x), x))
+        ser = tuple(float(np.mean(hard[k] != idx[1 - k])) for k in (0, 1))
         assert ser == (0.0, 0.0)
 
     def test_premultipliers_align(self):
@@ -875,7 +887,8 @@ class TestRunMonteCarlo:
 # nearest point by argmin, every level decoded over all trials at once, each
 # receiver's noiseless observation G_k r formed and mapped by F_k, and the
 # tallies over every pair and partner.  Receiver k's noise follows the sweep's
-# draw: d_k entries per trial (none for d_k = 0), through noise_factor[k].
+# draw: d_k entries per trial (none for d_k = 0), through its block R_k^H of
+# noise_factor_all.
 
 
 def reference_complex_gaussian(rng, shape, variance):
@@ -911,18 +924,19 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     for var in noise_grid:
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(x, reference_complex_gaussian(rng, (n, trials), var))
+        r = link.observe(np.concatenate(x), reference_complex_gaussian(rng, (n, trials), var))
         ser = []
         snrs = []
-        for k in range(k_users):
+        for k, rows in enumerate(link.rows):
             w = reference_complex_gaussian(rng, (spec.d[k], trials), var)
-            est = link.receive[k] @ (channels.G[k] @ r) + link.noise_factor[k] @ w - link.own[k] @ x[k]
+            f, factor, own = link.receive_all[rows], link.noise_factor_all[rows, rows], link.own_all[rows, rows]
+            est = f @ (channels.G[k] @ r) + factor @ w - own @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr_db(k, var))
+            snrs.append(link.snr_db(var)[k])
         relay_hits = 0
         relay_slots = 0
         for (i, j), dij in strategy.pair_dims().items():
@@ -1029,8 +1043,9 @@ class TestSnrExplainsSer:
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, np.random.default_rng(seed)))
         for rep in reports:
             for k in range(spec.K):
-                assert rep.per_user_snr_db[k] == link.snr_db(k, rep.noise_var)  # the sweep's own Link
-                p = float(np.mean([exact_stream_ser(constellation, rep.noise_var * g) for g in link.noise_gain[k]]))
+                assert rep.per_user_snr_db[k] == link.snr_db(rep.noise_var)[k]  # the sweep's own Link
+                gains = link.noise_gain_all[link.rows[k]]
+                p = float(np.mean([exact_stream_ser(constellation, rep.noise_var * g) for g in gains]))
                 bound = 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
                 assert abs(rep.per_user_ser[k] - p) <= bound, (seed, rep.noise_var, k, p)
 
@@ -1072,41 +1087,46 @@ class TestComplexGaussian:
     @pytest.mark.parametrize("variance", [1.0, 0.1, 3.7, 1e-4, 1e-300, 5e-324])
     @pytest.mark.parametrize("shape", [(3, 1000), (32, 200), (2, 2), (1, 7)])
     def test_buffered_draw_equals_complex_expression(self, variance, shape):
-        # 5e-324 / 2 rounds to 0, so the scale is 0 and the signs of the zeros
-        # come from the complex expression
+        # one block, d = (N,): the relay noise of N entries per trial.  5e-324 / 2
+        # rounds to 0, so the scale is 0 and the signs of the zeros come from the
+        # complex expression
+        n, trials = shape
         expected = reference_complex_gaussian(np.random.default_rng(21), shape, variance)
         out = np.full(shape, np.nan + 0j)
-        normals = np.full((2, *shape), np.nan)
-        got = relaysim._complex_gaussian(np.random.default_rng(21), shape, variance, out, normals)
+        normals = np.full(2 * n * trials, np.nan)
+        got = relaysim._complex_gaussian(np.random.default_rng(21), (n,), trials, variance, out, normals)
         assert got is out
         assert np.array_equal(bits(got), bits(expected))
-        assert np.array_equal(bits(relaysim._complex_gaussian(np.random.default_rng(21), shape, variance)), bits(expected))
+        unbuffered = relaysim._complex_gaussian(np.random.default_rng(21), (n,), trials, variance)
+        assert np.array_equal(bits(unbuffered), bits(expected))
 
     def test_zero_normals_keep_the_expression_signs(self):
         class Stub:
             def standard_normal(self, out):
-                out[0] = [0.0, -0.0, 1.0, -0.0]
-                out[1] = [-0.0, 0.0, -0.0, 2.0]
+                out[:4] = [0.0, -0.0, 1.0, -0.0]
+                out[4:] = [-0.0, 0.0, -0.0, 2.0]
                 return out
 
         expected = 0.5 * (np.array([0.0, -0.0, 1.0, -0.0]) + 1j * np.array([-0.0, 0.0, -0.0, 2.0]))
-        assert np.array_equal(bits(relaysim._complex_gaussian(Stub(), (4,), 0.5)), bits(expected))
+        assert np.array_equal(bits(relaysim._complex_gaussian(Stub(), (1,), 4, 0.5)), bits(expected[None]))
 
     def test_variance_zero_gives_zeros_and_draws_nothing(self):
         rng = np.random.default_rng(4)
         out = np.full((3, 5), 1 + 1j)
-        got = relaysim._complex_gaussian(rng, (3, 5), 0.0, out, np.empty((2, 3, 5)))
+        got = relaysim._complex_gaussian(rng, (3,), 5, 0.0, out, np.empty(2 * 3 * 5))
+        assert got is out
         assert np.array_equal(bits(got), bits(np.zeros((3, 5), dtype=np.complex128)))
         assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
 
     @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
-    @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1), (0, 1)])
+    @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1), (0, 1), (3,)])
     def test_receiver_noise_equals_successive_draws(self, variance, d):
+        # the K receivers' noise of a level, and with d = (3,) the relay noise;
         # 5e-324 / 2 rounds to 0: a zero scale; 0.0 draws nothing
         trials = 7
         rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
-        got = relaysim._receiver_noise(rng, d, trials, variance)
-        want = np.concatenate([relaysim._complex_gaussian(want_rng, (d_k, trials), variance) for d_k in d])
+        got = relaysim._complex_gaussian(rng, d, trials, variance)
+        want = np.concatenate([reference_complex_gaussian(want_rng, (d_k, trials), variance) for d_k in d])
         assert got.shape == (sum(d), trials)
         assert np.array_equal(bits(got), bits(want))
         assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
@@ -1118,18 +1138,20 @@ class TestComplexGaussian:
             def __init__(self):
                 self.next = 0
 
-            def standard_normal(self, out):
-                place = np.arange(self.next, self.next + out.size)
+            def standard_normal(self, size=None, out=None):  # reference_complex_gaussian passes size, the drawer out
+                place = np.arange(self.next, self.next + (out.size if out is not None else math.prod(size)))
                 v = np.where(place % 51 == 0, 0.0, place + 1.0) * np.where(place % 2 == 0, -1, 1)
-                self.next += out.size
+                self.next += v.size
+                if out is None:
+                    return v.reshape(size)
                 out[...] = v.reshape(out.shape)
                 return out
 
         # users 0 and 2 draw a zero, user 1, between them with as many streams, does not
         d, trials = (2, 2, 2, 3, 0, 1), 5
-        got = relaysim._receiver_noise(Stub(), d, trials, 0.5)
+        got = relaysim._complex_gaussian(Stub(), d, trials, 0.5)
         stub = Stub()
-        want = np.concatenate([relaysim._complex_gaussian(stub, (d_k, trials), 0.5) for d_k in d])
+        want = np.concatenate([reference_complex_gaussian(stub, (d_k, trials), 0.5) for d_k in d])
         assert np.array_equal(bits(got), bits(want))
         parts = got.view(np.float64)
         assert (parts == 0).sum() >= 2  # the zeros reached the output, where their signs are compared
@@ -1138,9 +1160,10 @@ class TestComplexGaussian:
         d, trials = (3, 3, 2, 2), 9
         out = np.full((10, trials), np.nan + 0j)
         normals = np.full(2 * 10 * trials, np.nan)
-        got = relaysim._receiver_noise(np.random.default_rng(3), d, trials, 0.2, out, normals)
+        got = relaysim._complex_gaussian(np.random.default_rng(3), d, trials, 0.2, out, normals)
         assert got is out
-        want = relaysim._receiver_noise(np.random.default_rng(3), d, trials, 0.2)
+        want_rng = np.random.default_rng(3)
+        want = np.concatenate([reference_complex_gaussian(want_rng, (d_k, trials), 0.2) for d_k in d])
         assert np.array_equal(bits(got), bits(want))
 
     def test_one_filled_buffer_equals_two_draws(self):
