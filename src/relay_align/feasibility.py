@@ -25,9 +25,11 @@ from .errors import (
 )
 from .subspace import (
     _check_orthonormal,
+    _complex_gaussian,
     _triple_dim,
+    blocks,
     intersect_stack,
-    numeric_rank,
+    is_basis,
     orthonormal_stack,
     split_by_rank,
 )
@@ -51,7 +53,6 @@ __all__ = [
 
 Pair = tuple[int, int]
 
-VERIFY_BLOCK = 256  # genericity trials drawn and verified per stacked call
 MAX_ATTEMPTS = 10  # draws strategy_from_pairwise makes before it raises ResampleExhausted
 
 
@@ -178,15 +179,14 @@ class Strategy:
 
         The one validity test: the strategy is valid iff S is a basis of C^N.
         Raises StrategyInvalid unless each user's blocks have its declared
-        width d_i and S has N columns of full numeric rank (the subspace rank
-        rule).
+        width d_i and S has N columns of full numeric rank (subspace.is_basis).
         """
         n = self.spec.N
         widths = tuple(b.shape[1] for b in self.user_bases)
         if widths != self.spec.d:
             raise StrategyInvalid(f"user widths {widths} differ from the declared d={self.spec.d}")
         frame = np.hstack(list(self.pair_bases.values()))
-        if frame.shape[1] != n or numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape) < n:
+        if not is_basis(frame[None])[0]:
             raise StrategyInvalid(f"the pair frame ({frame.shape[1]} columns) is not a basis of C^{n}")
         return np.linalg.inv(frame)
 
@@ -213,21 +213,18 @@ class VerificationReport:
         return out
 
 
-def _verify_stack(bases: list[np.ndarray], n: int) -> tuple[dict[Pair, np.ndarray], np.ndarray]:
+def _verify_stack(bases: list[np.ndarray]) -> tuple[dict[Pair, np.ndarray], np.ndarray]:
     """The pair intersections of T candidates, in _pairs order, and whether they form a basis of C^n (iii).
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
-    Each pair is one intersect_stack call; raises RaggedRank when the trials
-    disagree on a rank.  With sum(d_i) = 2N the basis verdict (T bools) is the
-    whole verdict: the V_i & V_j, j != i, are then independent inside V_i, so
-    each row adds up to at most d_i, and the rows summing to 2N forces each to
-    d_i, which is (ii).
+    Each pair is one intersect_stack call, the verdict one is_basis call;
+    raises RaggedRank when the trials disagree on a rank.  With sum(d_i) = 2N
+    the basis verdict (T bools) is the whole verdict: the V_i & V_j, j != i,
+    are then independent inside V_i, so each row adds up to at most d_i, and
+    the rows summing to 2N forces each to d_i, which is (ii).
     """
     inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(len(bases))}
-    frame = np.concatenate(list(inter.values()), axis=2)
-    if frame.shape[2] != n:  # too few or too many columns for a basis, whatever their rank
-        return inter, np.zeros(bases[0].shape[0], dtype=bool)
-    return inter, numeric_rank(np.linalg.svd(frame, compute_uv=False), frame.shape[1:]) == n
+    return inter, is_basis(np.concatenate(list(inter.values()), axis=2))
 
 
 def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
@@ -251,7 +248,7 @@ def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
     for b in bases:
         _check_orthonormal(b)
     dims = tuple(b.shape[2] for b in bases)
-    inter, basis = _verify_stack(bases, n)  # one trial: no rank split
+    inter, basis = _verify_stack(bases)  # one trial: no rank split
     ok = sum(dims) == 2 * n and bool(basis[0])
     per_user, worst_triple = (True,) * k, 0
     if not ok:
@@ -295,15 +292,14 @@ def construct_strategy(spec: StrategySpec) -> Strategy:
 def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal bases of count uniformly random d-dimensional subspaces of C^n, as a (count, n, d) stack.
 
-    One standard_normal call draws, per subspace in order, the n x d real parts
-    and then the n x d imaginary parts: the values count successive
-    haar_stack(n, d, 1, rng) calls draw.  Raises RaggedRank in the
-    measure-zero event that the draws disagree on a numeric rank.
+    One drawer call (subspace._complex_gaussian) draws, per subspace in
+    order, the n x d real parts and then the n x d imaginary parts: the values
+    count successive haar_stack(n, d, 1, rng) calls draw.  Raises RaggedRank
+    in the measure-zero event that the draws disagree on a numeric rank.
     """
     if n < 1 or not 0 <= d <= n:
         raise InvalidInput(f"need n >= 1 and 0 <= d <= n, got n={n}, d={d}")
-    raw = rng.standard_normal((count, 2, n, d))
-    return orthonormal_stack(raw[:, 0] + 1j * raw[:, 1])
+    return orthonormal_stack(_complex_gaussian(rng, (n * d,), count, 2.0).reshape(count, n, d))
 
 
 def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> list[np.ndarray]:
@@ -379,24 +375,6 @@ def paired_pairwise_table(k: int, n: int) -> StrategySpec:
     return StrategySpec(K=k, N=n, d=(d,) * k, pairwise=pw)
 
 
-def _gaussian_stacks(n: int, dims: tuple[int, ...], t: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Complex Gaussian (t, n, d) stacks, one per d in dims, from one standard_normal call.
-
-    Row r of the draw holds, per d in order, the n x d real parts and then
-    the n x d imaginary parts: the values the r-th of t successive
-    sample_generic_strategy(spec, rng) calls would draw.
-    """
-    sizes = [n * d for d in dims]
-    raw = rng.standard_normal((t, 2 * sum(sizes)))
-    stacks, off = [], 0
-    for d, size in zip(dims, sizes):
-        re = raw[:, off : off + size].reshape(t, n, d)
-        im = raw[:, off + size : off + 2 * size].reshape(t, n, d)
-        stacks.append(re + 1j * im)
-        off += 2 * size
-    return stacks
-
-
 def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Generator) -> float:
     """Fraction of Haar-random strategies that verify.
 
@@ -404,9 +382,9 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     sample_generic_strategy(spec, rng) calls, and the result is the fraction
     of those draws for which verify_strategy(draw, spec.N).ok holds, so it
     does not depend on evaluation order and a run's trials are a prefix of a
-    longer run's.  Trials are drawn and verified in blocks of VERIFY_BLOCK
-    with _verify_stack.  With sum(d_i) != 2N no draw can pass, so none is
-    made and the rate is 0.
+    longer run's.  Each block of subspace.blocks, N sum(d_i) entries a trial,
+    is one drawer call and one _verify_stack.  With sum(d_i) != 2N no draw
+    can pass, so none is made and the rate is 0.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -416,10 +394,13 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
         return 0.0
 
     def run(draws: list[np.ndarray]) -> tuple[np.ndarray]:
-        return (_verify_stack([orthonormal_stack(g) for g in draws], spec.N)[1],)
+        return (_verify_stack([orthonormal_stack(g) for g in draws])[1],)
 
+    sizes = [spec.N * d for d in spec.d]  # block i of a trial's row: user i's N x d_i draw
     hits = 0
-    for start in range(0, trials, VERIFY_BLOCK):
-        draws = _gaussian_stacks(spec.N, spec.d, min(VERIFY_BLOCK, trials - start), rng)
+    for block in blocks(trials, sum(sizes)):
+        t = block.stop - block.start
+        raw = np.split(_complex_gaussian(rng, sizes, t, 2.0), np.cumsum(sizes)[:-1], axis=1)
+        draws = [g.reshape(t, spec.N, d) for g, d in zip(raw, spec.d)]
         hits += int(np.count_nonzero(split_by_rank(run, draws)[0]))
     return hits / trials

@@ -20,13 +20,13 @@ relay-side columns P H_i U_i, which must be the 0/1 selection of i's pair
 slots to the rank rule.  ChannelSet decides all 2K channels invertible by
 that rule once, at construction, so design_encoders only solves and Link
 only inverts.  run_monte_carlo builds one Link per sweep, so every noise
-level of a sweep runs over the same system.  One drawer, _complex_gaussian,
-draws the channels and all noise.
+level of a sweep runs over the same system.  The channels and all noise
+come from subspace._complex_gaussian, the drawer of every complex Gaussian
+in the package.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +40,7 @@ from .errors import (
     SingularChannel,
 )
 from .feasibility import Strategy, StrategySpec, construct_strategy
-from .subspace import numeric_rank, rank_threshold
+from .subspace import _complex_gaussian, blocks, is_basis, rank_threshold
 
 __all__ = [
     "Constellation",
@@ -56,10 +56,6 @@ __all__ = [
 
 MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many singular draws in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
-# Entries (Σd rows times trials) per column block of run_monte_carlo's stacked
-# decode: each temporary of a block holds about 8192 entries (128 kB complex),
-# whatever K, d and the trial count.
-DECODE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -131,60 +127,6 @@ class Constellation:
         return np.reshape(first, (self.size, self.size)).astype(float)
 
 
-def _scaled_complex(normals: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
-    """out = scale * (normals[0] + 1j * normals[1]), written in place.
-
-    The values equal the complex expression bit for bit; a zero scale or
-    normal makes it evaluate that expression, the only thing that gives its
-    zeros' signs.  out must be contiguous along its last axis.
-    """
-    if scale == 0 or not normals.all():
-        out[...] = scale * (normals[0] + 1j * normals[1])
-        return out
-    parts = out.view(np.float64)
-    np.multiply(normals[0], scale, out=parts[..., 0::2])
-    np.multiply(normals[1], scale, out=parts[..., 1::2])
-    return out
-
-
-def _complex_gaussian(
-    rng: np.random.Generator,
-    d,
-    trials: int,
-    variance: float,
-    out: np.ndarray | None = None,
-    normals: np.ndarray | None = None,
-) -> np.ndarray:
-    """len(d) successive complex Gaussian (d_k, trials) blocks of the given variance, stacked in order.
-
-    Block k is scale * (a + 1j*b), a and b two consecutive standard_normal((d_k,
-    trials)) draws, scale = sqrt(variance / 2).  One standard_normal call
-    fills normals (2 Σd trials float64 entries) with block 0's a and b, then
-    block 1's, and so on, the stream of the len(d) draws; out (complex128,
-    (Σd, trials)) holds block k in its d_k rows.  Both are allocated when not
-    given, so a caller can reuse them between draws.  Variance 0 draws
-    nothing and gives zeros.
-    """
-    rows = sum(d)
-    if out is None:
-        out = np.empty((rows, trials), dtype=np.complex128)
-    if variance == 0:
-        out.fill(0)
-        return out
-    if normals is None:
-        normals = np.empty(2 * rows * trials)
-    rng.standard_normal(out=normals)
-    scale = np.sqrt(variance / 2)
-    start = 0
-    for d_k, run in itertools.groupby(d):  # one pass per run of users of equal d_k
-        g = len(list(run))
-        stop = start + g * d_k
-        block = normals[2 * start * trials : 2 * stop * trials].reshape(g, 2, d_k, trials).swapaxes(0, 1)
-        _scaled_complex(block, scale, out[start:stop].reshape(g, d_k, trials))
-        start = stop
-    return out
-
-
 @dataclass(frozen=True)
 class ChannelSet:
     """User-to-relay matrices H_i and relay-to-user matrices G_k, decided valid at construction.
@@ -215,7 +157,7 @@ class ChannelSet:
         stack = np.array([*self.H, *self.G], dtype=np.complex128)
         if not np.isfinite(stack).all():
             raise InvalidInput("channel matrix has non-finite entries")
-        short = numeric_rank(np.linalg.svd(stack, compute_uv=False), (n, n)) < n
+        short = ~is_basis(stack)
         if short.any():
             first = int(np.argmax(short))
             raise SingularChannel(f"H_{first} is singular" if first < k else f"G_{first - k} is singular")
@@ -227,13 +169,13 @@ class ChannelSet:
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
     """i.i.d. standard complex Gaussian channels H_0..H_{K-1}, G_0..G_{K-1}.
 
-    A draw is the 2K successive (n, n) blocks of one _complex_gaussian call
-    of unit variance.  A draw that ChannelSet finds singular (almost never)
+    A draw is the 2K successive (n, n) blocks of one subspace._complex_gaussian
+    call of unit variance.  A draw that ChannelSet finds singular (almost never)
     is discarded whole and counted in redraws; MAX_REDRAWS such draws raise
     SingularChannel.
     """
     for redraws in range(MAX_REDRAWS):
-        mats = _complex_gaussian(rng, (n,) * (2 * k), n, 1.0).reshape(2 * k, n, n)
+        mats = _complex_gaussian(rng, (n * n,) * (2 * k), 1, 1.0).reshape(2 * k, n, n)
         try:
             return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:], redraws=redraws)
         except SingularChannel:
@@ -474,13 +416,13 @@ def run_monte_carlo(
     it, in turn, all users' symbols (one call), the relay noise (N entries
     per trial) and the K receivers' noise (d_k entries per trial, drawn
     where the decoder sees it, which is exact in distribution), each noise
-    one _complex_gaussian call into buffers reused by every level; the
-    symbols and the receivers' noise are each the stream of K per-user
+    one subspace._complex_gaussian call into buffers reused by every level;
+    the symbols and the receivers' noise are each the stream of K per-user
     draws.  Each level is then one pass of the Link per column block of
-    about DECODE_BLOCK entries (Σd rows times the block's trials): the
-    block's symbols, the relay's r through observe, all Σd estimates through
-    decode, one nearest point decision over them, and the error and
-    relay-equivocation tallies against row indices found once per sweep.
+    subspace.blocks, Σd entries per trial: the block's symbols, the relay's
+    r through observe, all Σd estimates through decode, one nearest point
+    decision over them, and the error and relay-equivocation tallies
+    against the row tables of the pair slots, found once per sweep.
     The relay-equivocation tally uses the noiseless sums, matching the
     exact counting argument, and is therefore a Monte Carlo estimate of
     relay_map_success.
@@ -509,34 +451,29 @@ def run_monte_carlo(
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
 
-    def stacked(i, j):  # the stacked rows of user i's symbols that serve the pair {i, j}
-        return np.arange(link.rows[i].start, link.rows[i].stop)[strategy.slices[i, j]]
-
-    # sent[row] is the stacked row of the symbol that estimate row decides;
-    # lower holds each pair's rows on its lower-numbered user, one per
-    # relay-side sum, and upper the rows of the other user's symbols in them
+    # lower and upper hold, per column of S, the stacked rows of the two symbols
+    # summed there, the lower-numbered user's first (one stable sort); sent[row]
+    # is the stacked row of the symbol that estimate row decides
+    lower, upper = np.argsort(np.concatenate(link.slots), kind="stable").reshape(-1, 2).T
     sent = np.empty(rows_total, dtype=np.intp)
-    for i, j in strategy.slices:
-        sent[stacked(i, j)] = stacked(j, i)
-    lower = np.concatenate([stacked(i, j) for i, j in strategy.pair_bases])
-    upper = sent[lower]
-    width = max(1, DECODE_BLOCK // rows_total)
-    relay_noise = np.empty((n, trials), dtype=np.complex128)
+    sent[lower], sent[upper] = upper, lower
+    relay_noise = np.empty((1, n * trials), dtype=np.complex128)
     relay_normals = np.empty(2 * n * trials)
-    receiver_noise = np.empty((rows_total, trials), dtype=np.complex128)
+    receiver_noise = np.empty((1, rows_total * trials), dtype=np.complex128)
     receiver_normals = np.empty(2 * rows_total * trials)
+    receiver_sizes = [d_k * trials for d_k in spec.d]
 
     def level(var):
         """Errors per stacked row and relay MAP hits of one level; its symbols are freed on return."""
         # the stream of K per-user (d_i, trials) draws: the generator keeps the
         # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
         idx = rng.integers(0, pts.size, size=(rows_total, trials))
-        z = _complex_gaussian(rng, (n,), trials, var, relay_noise, relay_normals)
-        w = _complex_gaussian(rng, spec.d, trials, var, receiver_noise, receiver_normals)
+        z = _complex_gaussian(rng, (n * trials,), 1, var, relay_noise, relay_normals).reshape(n, trials)
+        w = _complex_gaussian(rng, receiver_sizes, 1, var, receiver_noise, receiver_normals)
+        w = w.reshape(rows_total, trials)
         row_errors = np.zeros(rows_total, dtype=np.intp)
         relay_hits = 0.0
-        for start in range(0, trials, width):
-            cols = slice(start, start + width)
+        for cols in blocks(trials, rows_total):
             ix = idx[:, cols]
             x = pts[ix]
             hard_idx = constellation.nearest_index(link.decode(link.observe(x, z[:, cols]), x, w[:, cols]))

@@ -11,9 +11,14 @@ The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
 stack; one basis is a stack of one, orthonormal_stack(x[None])[0].  One
 array holds bases of one width, so a kernel whose trials disagree on a rank
 raises RaggedRank, and split_by_rank reruns such a block one trial at a time.
+Three shared policies live here too: is_basis, the one basis test; blocks,
+the one block rule of kernels over trials or samples; _complex_gaussian, the
+one drawer of complex Gaussian values.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -26,11 +31,15 @@ __all__ = [
     "split_by_rank",
     "orthonormal_stack",
     "intersect_stack",
+    "is_basis",
+    "BLOCK_ENTRIES",
+    "blocks",
 ]
 
 _EPS = np.finfo(np.float64).eps
 REL_RANK_TOL = 100.0  # multiples of max(m, n) * eps * sigma_max
 ABS_RANK_FLOOR = 1e-12  # no singular value at or below this counts, whatever the scale
+BLOCK_ENTRIES = 8192  # entries of a blocked kernel's largest temporary per block (128 kB complex)
 
 
 def rank_threshold(shape: tuple[int, int], sigma_max):
@@ -51,6 +60,70 @@ def numeric_rank(singular_values: np.ndarray, shape: tuple[int, int]):
     if s.shape[-1] == 0:
         return np.zeros(s.shape[:-1], dtype=np.intp)
     return (s > rank_threshold(shape, s[..., :1])).sum(axis=-1)
+
+
+def is_basis(stack: np.ndarray) -> np.ndarray:
+    """(T,) bools: whether each matrix of a (T, N, m) stack has m = N columns of full numeric rank, in one SVD."""
+    t, n, m = stack.shape
+    if m != n:  # too few or too many columns for a basis, whatever their rank: no SVD
+        return np.zeros(t, dtype=bool)
+    return numeric_rank(np.linalg.svd(stack, compute_uv=False), (n, m)) == n
+
+
+def blocks(total: int, per_item: int):
+    """Successive slices of range(total), BLOCK_ENTRIES // per_item items each and at least one.
+
+    per_item is the number of entries one item adds to the caller's largest
+    temporary.  A total below 1 raises InvalidInput.
+    """
+    if total < 1:
+        raise InvalidInput(f"need at least one trial or sample, got {total}")
+    step = max(1, BLOCK_ENTRIES // max(1, per_item))
+    return (slice(start, min(start + step, total)) for start in range(0, total, step))
+
+
+def _complex_gaussian(
+    rng: np.random.Generator,
+    sizes,
+    count: int,
+    variance: float,
+    out: np.ndarray | None = None,
+    normals: np.ndarray | None = None,
+) -> np.ndarray:
+    """count rows of len(sizes) complex Gaussian blocks of the given variance: a (count, sum(sizes)) array.
+
+    Block k of a row holds sizes[k] values scale * (a + 1j*b), scale =
+    sqrt(variance / 2), a and b its real and then its imaginary normals: row
+    by row, the stream of successive draws of one block each, all from one
+    standard_normal call into normals (2 count sum(sizes) float64).  out and
+    normals are allocated when not given.  Variance 2 gives unit normals,
+    variance 0 zeros and no draw.  Callers reshape a block to their own axes.
+    """
+    total = sum(sizes)
+    if out is None:
+        out = np.empty((count, total), dtype=np.complex128)
+    if variance == 0:
+        out.fill(0)
+        return out
+    if normals is None:
+        normals = np.empty(2 * count * total)
+    rng.standard_normal(out=normals)
+    rows = normals.reshape(count, 2 * total)
+    scale = np.sqrt(variance / 2)
+    start = 0
+    for size, run in itertools.groupby(sizes):  # one pass per run of blocks of equal size
+        g = len(list(run))
+        stop = start + g * size
+        re, im = np.moveaxis(rows[:, 2 * start : 2 * stop].reshape(count, g, 2, size), 2, 0)
+        dest = out[:, start:stop].reshape(count, g, size)
+        if scale == 0 or not (re.all() and im.all()):  # only the complex expression gives its zeros' signs
+            dest[...] = scale * (re + 1j * im)
+        else:  # the same values bit for bit, written in place
+            parts = dest.view(np.float64)
+            np.multiply(re, scale, out=parts[..., 0::2])
+            np.multiply(im, scale, out=parts[..., 1::2])
+        start = stop
+    return out
 
 
 class RaggedRank(Exception):

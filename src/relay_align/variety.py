@@ -9,6 +9,8 @@ Every probe works on stacks of samples: the Haar draws, the wedge minors, the
 three-term relations (gathered from one cached index table per (n, d)), the
 perp lines, the determinants and the line polynomials are each one stacked
 numpy or LAPACK call per block of samples; a single sample is a stack of one.
+The blocks are subspace.blocks, and each block's draw one _complex_gaussian
+call; a shape past MAX_RELATION_TERMS is refused before any draw.
 Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
 line-polynomial cut of _poly_roots (1e-10).  Complex products and magnitudes
 that reach the output are formed from real and imaginary parts (np.hypot),
@@ -22,13 +24,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInput
 from .feasibility import haar_stack
-from .subspace import _triple_dim, split_by_rank
+from .subspace import _complex_gaussian, _triple_dim, blocks, split_by_rank
 
 __all__ = [
     "plucker_coords",
@@ -39,8 +41,7 @@ __all__ = [
 ]
 
 DET_ZERO_THRESHOLD = 1e-8
-MAX_RELATION_TERMS = 1 << 20  # largest (relations x terms) table a wedge-relation residual builds
-PROBE_BLOCK_TERMS = 1 << 16  # array entries per sample block of a probe
+MAX_RELATION_TERMS = 1 << 20  # largest relation table (relations x terms), and minor stack of one sample
 
 
 def _normalize_projective(c: np.ndarray) -> np.ndarray:
@@ -133,24 +134,25 @@ def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
     return np.hypot(acc_re, acc_im).max(axis=1)
 
 
-def _block_counts(samples: int, per_sample: int) -> Iterator[int]:
-    """Sizes of the successive blocks of a probe whose samples take per_sample array entries each."""
-    if samples < 1:
-        raise InvalidInput("samples must be >= 1")
-    block = max(1, PROBE_BLOCK_TERMS // max(1, per_sample))
-    return (min(block, samples - start) for start in range(0, samples, block))
-
-
 def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Wedge-relation residual of each of `samples` Haar-random d-dimensional subspaces of C^n.
 
     Sample t is the largest relation residual (_residuals) of the wedge
     coordinates of the t-th successive haar_stack(n, d, 1, rng) draw; the
-    samples are drawn and checked in stacked blocks.
+    samples are drawn and checked in blocks of max(R, C(n, d) d^2) entries a
+    sample, as _residuals gathers (T, R) arrays of its R relations and _minors
+    a C(n, d) x d x d stack.  A minor stack or relation table past
+    MAX_RELATION_TERMS entries raises InvalidInput before any draw.
     """
-    table = _relation_table(n, d)  # an oversized shape fails here, before any draw
-    counts = _block_counts(samples, max(table.left.size, comb(n, d) * d * d))
-    return np.concatenate([_residuals(table, plucker_coords(haar_stack(n, d, t, rng))) for t in counts])
+    minors = comb(n, d) * d * d
+    if minors > MAX_RELATION_TERMS:
+        raise InvalidInput(f"Gr({d}, {n}) takes {minors} minor entries per sample, more than {MAX_RELATION_TERMS}")
+    table = _relation_table(n, d)
+    residuals = []
+    for block in blocks(samples, max(table.left.shape[1], minors)):
+        bases = haar_stack(n, d, block.stop - block.start, rng)
+        residuals.append(_residuals(table, plucker_coords(bases)))
+    return np.concatenate(residuals)
 
 
 def _perp_lines(planes: np.ndarray) -> np.ndarray:
@@ -189,10 +191,10 @@ def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarra
     Sample t uses the t-th three successive haar_stack(3, 2, 1, rng) draws;
     the triples are drawn and checked in stacked blocks.
     """
-    parts = [
-        _determinant_block(haar_stack(3, 2, 3 * t, rng).reshape(t, 3, 3, 2))
-        for t in _block_counts(samples, 3 * 3 * 2)
-    ]
+    parts = []
+    for block in blocks(samples, 3 * 3 * 2):
+        t = block.stop - block.start
+        parts.append(_determinant_block(haar_stack(3, 2, 3 * t, rng).reshape(t, 3, 3, 2)))
     dets, dims = map(np.concatenate, zip(*parts))
     return dets, dims
 
@@ -251,9 +253,10 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     locus has codimension one.
     """
     counts, zeros, residuals = [], [], []
-    for t in _block_counts(samples, 4 * 3 * 3):
-        raw = rng.standard_normal((t, 4, 3, 3))
-        for coeffs in _line_coeffs(raw[:, 0] + 1j * raw[:, 1], raw[:, 2] + 1j * raw[:, 3]):
+    for block in blocks(samples, 4 * 3 * 3):
+        t = block.stop - block.start
+        lines = _complex_gaussian(rng, (9, 9), t, 2.0).reshape(t, 2, 3, 3)  # anchor, then direction
+        for coeffs in _line_coeffs(lines[:, 0], lines[:, 1]):
             roots, zero = _poly_roots(coeffs)
             counts.append(len(roots))
             zeros.append(zero)

@@ -731,6 +731,11 @@ class TestVariety:
         assert run("variety", "-N", "13", "-d", "4", "--samples", "1", "--seed", "0") == 1
         assert "wedge-relation terms" in capsys.readouterr().err
 
+    def test_oversized_minor_stack_exits_1(self, capsys):
+        # d = N has no relations; its N^2 minor entries a sample are past 2^20, refused before any draw
+        assert run("variety", "-N", "2000", "-d", "2000", "--seed", "0") == 1
+        assert "minor entries per sample" in capsys.readouterr().err
+
     def test_det_probe_unsupported_shape(self):
         assert run("variety", "-N", "4", "-d", "2", "--det-probe") == 2
 

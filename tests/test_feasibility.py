@@ -9,10 +9,8 @@ import pytest
 from relay_align.errors import DimensionMismatch, InconsistentPairwise, InfeasibleTuple, InvalidInput, StrategyInvalid
 from relay_align import feasibility
 from relay_align.feasibility import (
-    VERIFY_BLOCK,
     Strategy,
     StrategySpec,
-    _gaussian_stacks,
     _pairs,
     _verify_stack,
     construct_strategy,
@@ -27,7 +25,14 @@ from relay_align.feasibility import (
     verify_strategy,
 )
 from relay_align.relaysim import ChannelSet, Link
-from relay_align.subspace import RaggedRank, intersect_stack, orthonormal_stack, split_by_rank
+from relay_align.subspace import (
+    BLOCK_ENTRIES,
+    RaggedRank,
+    _complex_gaussian,
+    intersect_stack,
+    orthonormal_stack,
+    split_by_rank,
+)
 
 E3 = np.eye(3, dtype=complex)
 
@@ -87,8 +92,32 @@ def relay_map_ok(s):
 
 def stacked_verdicts(bases, n):
     """_verify_stack's pair dims (T, pairs) and global verdict (T,), as split_by_rank concatenates them."""
-    inter, basis = _verify_stack(bases, n)
+    inter, basis = _verify_stack(bases)
     return np.tile([b.shape[2] for b in inter.values()], (len(basis), 1)), basis
+
+
+def reference_gaussian_stacks(n, dims, t, rng):
+    """Complex Gaussian (t, n, d) stacks, one per d in dims, in the per-trial genericity layout.
+
+    Row r of one standard_normal((t, 2 * sum(n * d))) draw holds, per d in
+    order, the n x d real parts and then the n x d imaginary parts: the values
+    the r-th of t successive sample_generic_strategy(spec, rng) calls draw.
+    """
+    sizes = [n * d for d in dims]
+    raw = rng.standard_normal((t, 2 * sum(sizes)))
+    stacks, off = [], 0
+    for d, size in zip(dims, sizes):
+        re = raw[:, off : off + size].reshape(t, n, d)
+        im = raw[:, off + size : off + 2 * size].reshape(t, n, d)
+        stacks.append(re + 1j * im)
+        off += 2 * size
+    return stacks
+
+
+def split_draw(raw, n, dims):
+    """The (t, n, d) stacks of a (t, sum(n * d)) drawer array whose block i holds user i's n x d_i matrix."""
+    ends = itertools.accumulate(n * d for d in dims)
+    return [raw[:, e - n * d : e].reshape(len(raw), n, d) for d, e in zip(dims, ends)]
 
 
 def assert_same_verdicts(bases, n):
@@ -333,9 +362,13 @@ class TestBatchedGenericity:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_draws_equal_per_trial_bases(self):
+        # one drawer call of sizes N d_i and count 5, as the rate makes it, against
+        # the per-trial layout and against five sample_generic_strategy calls
         spec = StrategySpec(4, 3, (2, 0, 3, 1))
-        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
-        stacks = _gaussian_stacks(spec.N, spec.d, 5, got_rng)
+        got_rng, layout_rng, want_rng = (np.random.default_rng(4) for _ in range(3))
+        stacks = split_draw(_complex_gaussian(got_rng, [spec.N * d for d in spec.d], 5, 2.0), spec.N, spec.d)
+        for stack, layout in zip(stacks, reference_gaussian_stacks(spec.N, spec.d, 5, layout_rng)):
+            assert np.asarray(stack).tobytes() == layout.tobytes()
         for t in range(5):
             for stack, sub in zip(stacks, sample_generic_strategy(spec, want_rng)):
                 assert np.array_equal(orthonormal_stack(stack)[t], sub)
@@ -343,7 +376,7 @@ class TestBatchedGenericity:
 
     def test_several_blocks(self):
         spec = StrategySpec(3, 3, (2, 2, 2))
-        trials = VERIFY_BLOCK + 7
+        trials = BLOCK_ENTRIES // (3 * 6) + 7  # a block holds BLOCK_ENTRIES // (N sum(d_i)) trials
         rate = generic_feasibility_rate(spec, trials, np.random.default_rng(8))
         assert rate == per_trial_rate(spec, trials, np.random.default_rng(8)) == 1.0
 
@@ -354,7 +387,7 @@ class TestBatchedGenericity:
         cands[2][1] = cands[2][0]  # users 1 and 2 share a plane in trial 2 only
         bases = [np.stack([c[i] for c in cands]) for i in range(3)]
         with pytest.raises(RaggedRank):
-            _verify_stack(bases, 3)
+            _verify_stack(bases)
         pair_dims, basis = split_by_rank(partial(stacked_verdicts, n=3), bases)
         for t, cand in enumerate(cands):
             ref = verify_strategy(cand, 3)
@@ -369,16 +402,17 @@ class TestBatchedGenericity:
         spec, trials, equal = StrategySpec(3, 3, (2, 2, 2)), 5, 2
         blocks = []
 
-        def equal_users(n, dims, t, rng):
-            stacks = _gaussian_stacks(n, dims, t, rng)
-            stacks[1][equal] = stacks[0][equal]
-            blocks.append(stacks)
-            return stacks
+        def equal_users(rng, sizes, count, variance):
+            raw = _complex_gaussian(rng, sizes, count, variance)
+            raw[equal, sizes[0] : 2 * sizes[0]] = raw[equal, : sizes[0]]
+            blocks.append(raw)
+            return raw
 
-        monkeypatch.setattr(feasibility, "_gaussian_stacks", equal_users)
-        rate = generic_feasibility_rate(spec, trials, np.random.default_rng(5))
+        with monkeypatch.context() as m:  # haar_stack, which the reference draws through, shares the drawer
+            m.setattr(feasibility, "_complex_gaussian", equal_users)
+            rate = generic_feasibility_rate(spec, trials, np.random.default_rng(5))
         with pytest.raises(RaggedRank):
-            _verify_stack([orthonormal_stack(g) for g in blocks[0]], spec.N)
+            _verify_stack([orthonormal_stack(g) for g in split_draw(blocks[0], spec.N, spec.d)])
         trial = iter(range(trials))
 
         def draw(spec, rng):
@@ -397,7 +431,7 @@ class TestStackedVerifier:
     def test_ragged_widths(self, d):
         spec = StrategySpec(4, 5, d)
         assert_same_verdicts([b[None] for b in construct_strategy(spec).subspaces], 5)
-        stacks = _gaussian_stacks(5, d, 8, np.random.default_rng(sum(d) * d[0]))
+        stacks = reference_gaussian_stacks(5, d, 8, np.random.default_rng(sum(d) * d[0]))
         assert_same_verdicts([orthonormal_stack(g) for g in stacks], 5)
 
     def test_ragged_widths_from_a_pairwise_table(self):
@@ -414,7 +448,7 @@ class TestStackedVerifier:
             cand = sample_generic_strategy(StrategySpec(k, n, d), rng)
             assert not verify_strategy(cand, n).ok
             assert_same_verdicts([b[None] for b in cand], n)
-        assert_same_verdicts([orthonormal_stack(g) for g in _gaussian_stacks(n, d, 16, rng)], n)
+        assert_same_verdicts([orthonormal_stack(g) for g in reference_gaussian_stacks(n, d, 16, rng)], n)
 
     def test_coordinate_strategy_wide(self):
         s = construct_strategy(StrategySpec(16, 32, (4,) * 16))
@@ -440,7 +474,7 @@ class TestOneVerdict:
     )
     def test_haar_draws(self, k, n, d):
         rng = np.random.default_rng(100 * k + n)
-        bases = [orthonormal_stack(g) for g in _gaussian_stacks(n, d, 24, rng)]
+        bases = [orthonormal_stack(g) for g in reference_gaussian_stacks(n, d, 24, rng)]
         assert_same_verdicts(bases, n)
         want = reference_verify_stack(bases, n)
         for t in range(3):  # verify_strategy's T = 1 path, and the per-user verdicts a failing report prints

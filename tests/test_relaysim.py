@@ -31,7 +31,7 @@ from relay_align.relaysim import (
     run_monte_carlo,
     secrecy_audit,
 )
-from relay_align.subspace import numeric_rank, orthonormal_stack, rank_threshold
+from relay_align.subspace import BLOCK_ENTRIES, _complex_gaussian, numeric_rank, orthonormal_stack, rank_threshold
 
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
@@ -981,15 +981,14 @@ class TestBlockedSweep:
             (StrategySpec(4, 4, (2, 2, 2, 2)), QPSK, [0.5, 0.0, 1e-3], 1234567),
         ],
     )
-    def test_ragged_blocks_equal_whole_array_reference(self, monkeypatch, spec, constellation, grid, seed):
-        # DECODE_BLOCK counts entries of all Σd rows: 100 trials in blocks of 7,
-        # fourteen full blocks and a last one of 2
-        monkeypatch.setattr(relaysim, "DECODE_BLOCK", 7 * sum(spec.d))
-        got = run_monte_carlo(spec, constellation, grid, 100, seed)
-        assert got == reference_monte_carlo(spec, constellation, grid, 100, seed)
+    def test_ragged_blocks_equal_whole_array_reference(self, spec, constellation, grid, seed):
+        # a block holds BLOCK_ENTRIES // Σd trials: two full blocks and a last one of 7
+        trials = 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7
+        got = run_monte_carlo(spec, constellation, grid, trials, seed)
+        assert got == reference_monte_carlo(spec, constellation, grid, trials, seed)
 
     def test_default_blocks_equal_whole_array_reference(self):
-        trials = 2 * relaysim.DECODE_BLOCK + 101
+        trials = 2 * BLOCK_ENTRIES + 101
         spec = StrategySpec(3, 3, (2, 2, 2))
         got = run_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
         assert got == reference_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
@@ -1008,7 +1007,7 @@ class TestBlockedSweep:
     @pytest.mark.parametrize("trials", [1, 101, "2 blocks + 1"])
     def test_unequal_streams_equal_whole_array_reference(self, spec, seed, trials):
         if trials == "2 blocks + 1":
-            trials = 2 * relaysim.DECODE_BLOCK + 1
+            trials = 2 * BLOCK_ENTRIES + 1
         got = run_monte_carlo(spec, QPSK, GRID, trials, seed)
         assert got == reference_monte_carlo(spec, QPSK, GRID, trials, seed)
 
@@ -1084,21 +1083,23 @@ class TestNearestIndex:
 
 
 class TestComplexGaussian:
+    """subspace._complex_gaussian as the sweep calls it: one row, a block of N trials or d_k trials per receiver."""
+
     @pytest.mark.parametrize("variance", [1.0, 0.1, 3.7, 1e-4, 1e-300, 5e-324])
     @pytest.mark.parametrize("shape", [(3, 1000), (32, 200), (2, 2), (1, 7)])
     def test_buffered_draw_equals_complex_expression(self, variance, shape):
-        # one block, d = (N,): the relay noise of N entries per trial.  5e-324 / 2
-        # rounds to 0, so the scale is 0 and the signs of the zeros come from the
-        # complex expression
+        # one block of N trials entries: the relay noise.  5e-324 / 2 rounds to
+        # 0, so the scale is 0 and the signs of the zeros come from the complex
+        # expression
         n, trials = shape
         expected = reference_complex_gaussian(np.random.default_rng(21), shape, variance)
-        out = np.full(shape, np.nan + 0j)
+        out = np.full((1, n * trials), np.nan + 0j)
         normals = np.full(2 * n * trials, np.nan)
-        got = relaysim._complex_gaussian(np.random.default_rng(21), (n,), trials, variance, out, normals)
+        got = _complex_gaussian(np.random.default_rng(21), (n * trials,), 1, variance, out, normals)
         assert got is out
-        assert np.array_equal(bits(got), bits(expected))
-        unbuffered = relaysim._complex_gaussian(np.random.default_rng(21), (n,), trials, variance)
-        assert np.array_equal(bits(unbuffered), bits(expected))
+        assert np.array_equal(bits(got.reshape(shape)), bits(expected))
+        unbuffered = _complex_gaussian(np.random.default_rng(21), (n * trials,), 1, variance)
+        assert np.array_equal(bits(unbuffered.reshape(shape)), bits(expected))
 
     def test_zero_normals_keep_the_expression_signs(self):
         class Stub:
@@ -1108,14 +1109,14 @@ class TestComplexGaussian:
                 return out
 
         expected = 0.5 * (np.array([0.0, -0.0, 1.0, -0.0]) + 1j * np.array([-0.0, 0.0, -0.0, 2.0]))
-        assert np.array_equal(bits(relaysim._complex_gaussian(Stub(), (1,), 4, 0.5)), bits(expected[None]))
+        assert np.array_equal(bits(_complex_gaussian(Stub(), (4,), 1, 0.5)), bits(expected[None]))
 
     def test_variance_zero_gives_zeros_and_draws_nothing(self):
         rng = np.random.default_rng(4)
-        out = np.full((3, 5), 1 + 1j)
-        got = relaysim._complex_gaussian(rng, (3,), 5, 0.0, out, np.empty(2 * 3 * 5))
+        out = np.full((1, 15), 1 + 1j)
+        got = _complex_gaussian(rng, (15,), 1, 0.0, out, np.empty(2 * 15))
         assert got is out
-        assert np.array_equal(bits(got), bits(np.zeros((3, 5), dtype=np.complex128)))
+        assert np.array_equal(bits(got), bits(np.zeros((1, 15), dtype=np.complex128)))
         assert rng.standard_normal() == np.random.default_rng(4).standard_normal()
 
     @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
@@ -1125,10 +1126,10 @@ class TestComplexGaussian:
         # 5e-324 / 2 rounds to 0: a zero scale; 0.0 draws nothing
         trials = 7
         rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
-        got = relaysim._complex_gaussian(rng, d, trials, variance)
+        got = _complex_gaussian(rng, [d_k * trials for d_k in d], 1, variance)
         want = np.concatenate([reference_complex_gaussian(want_rng, (d_k, trials), variance) for d_k in d])
-        assert got.shape == (sum(d), trials)
-        assert np.array_equal(bits(got), bits(want))
+        assert got.shape == (1, sum(d) * trials)
+        assert np.array_equal(bits(got.reshape(sum(d), trials)), bits(want))
         assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
 
     def test_receiver_noise_keeps_the_signs_of_zero_normals(self):
@@ -1149,22 +1150,22 @@ class TestComplexGaussian:
 
         # users 0 and 2 draw a zero, user 1, between them with as many streams, does not
         d, trials = (2, 2, 2, 3, 0, 1), 5
-        got = relaysim._complex_gaussian(Stub(), d, trials, 0.5)
+        got = _complex_gaussian(Stub(), [d_k * trials for d_k in d], 1, 0.5)
         stub = Stub()
         want = np.concatenate([reference_complex_gaussian(stub, (d_k, trials), 0.5) for d_k in d])
-        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got.reshape(sum(d), trials)), bits(want))
         parts = got.view(np.float64)
         assert (parts == 0).sum() >= 2  # the zeros reached the output, where their signs are compared
 
     def test_receiver_noise_fills_given_buffers(self):
         d, trials = (3, 3, 2, 2), 9
-        out = np.full((10, trials), np.nan + 0j)
+        out = np.full((1, 10 * trials), np.nan + 0j)
         normals = np.full(2 * 10 * trials, np.nan)
-        got = relaysim._complex_gaussian(np.random.default_rng(3), d, trials, 0.2, out, normals)
+        got = _complex_gaussian(np.random.default_rng(3), [d_k * trials for d_k in d], 1, 0.2, out, normals)
         assert got is out
         want_rng = np.random.default_rng(3)
         want = np.concatenate([reference_complex_gaussian(want_rng, (d_k, trials), 0.2) for d_k in d])
-        assert np.array_equal(bits(got), bits(want))
+        assert np.array_equal(bits(got.reshape(10, trials)), bits(want))
 
     def test_one_filled_buffer_equals_two_draws(self):
         a_rng, b_rng = np.random.default_rng(9), np.random.default_rng(9)

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from relay_align import relaysim, subspace
 from relay_align.errors import DimensionMismatch, InvalidInput
-from relay_align.feasibility import verify_strategy
+from relay_align.feasibility import StrategySpec, generic_feasibility_rate, verify_strategy
+from relay_align.relaysim import Constellation, run_monte_carlo
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
+    BLOCK_ENTRIES,
     RaggedRank,
+    blocks,
     intersect_stack,
+    is_basis,
     numeric_rank,
     orthonormal_stack,
     rank_threshold,
 )
+from relay_align.variety import codim_line_probe, determinant_probe, plucker_probe
 
 E3 = np.eye(3, dtype=complex)
 E4 = np.eye(4, dtype=complex)
@@ -301,3 +307,72 @@ class TestSubspaceInvariants:
     def test_wrong_row_count(self):
         with pytest.raises(DimensionMismatch):
             verify_strategy([np.eye(3, dtype=complex), np.eye(2, dtype=complex)], 2)  # eye(3) in ambient dim 2
+
+
+class TestIsBasis:
+    def test_one_verdict_per_matrix(self):
+        rng = np.random.default_rng(30)
+        stack = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        stack[2, :, 2] = stack[2, :, 0] - stack[2, :, 1]  # rank 2
+        got = is_basis(stack)
+        assert got.dtype == bool and got.tolist() == [True, True, False, True]
+        assert [bool(is_basis(m[None])[0]) for m in stack] == got.tolist()
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_other_column_counts_are_no_basis(self, m):
+        assert is_basis(np.ones((2, 3, m), dtype=complex)).tolist() == [False, False]
+
+    @pytest.mark.parametrize("factor, ok", [(0.9, False), (1.1, True)])
+    def test_rank_rule_decides(self, factor, ok):
+        rng = np.random.default_rng(31)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        v, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        sigma = factor * rank_threshold((3, 3), 1.0)
+        assert is_basis((u @ np.diag([1.0, 0.5, sigma]) @ v)[None]).tolist() == [ok]
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("total, per_item", [(1, 1), (10, 8192), (100, 7), (8192, 1), (5, 0), (20000, 3)])
+    def test_slices_tile_the_range(self, total, per_item):
+        got = list(blocks(total, per_item))
+        step = max(1, BLOCK_ENTRIES // max(1, per_item))
+        assert got[0].start == 0 and got[-1].stop == total
+        assert all(a.stop == b.start for a, b in zip(got, got[1:]))
+        assert all(b.stop - b.start == step for b in got[:-1])
+        assert 1 <= got[-1].stop - got[-1].start <= step
+
+    @pytest.mark.parametrize("total", [0, -3])
+    def test_no_items_rejected(self, total):
+        with pytest.raises(InvalidInput):
+            blocks(total, 5)
+
+
+def blocked_callers(monkeypatch):
+    """Output bits and final generator state of each of the five blocked callers, on small inputs."""
+    draw, seen = relaysim.draw_channels, []
+    with monkeypatch.context() as m:  # the sweep seeds its own generator: catch it where the channels are drawn
+        m.setattr(relaysim, "draw_channels", lambda k, n, rng: seen.append(rng) or draw(k, n, rng))
+        reports = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), Constellation.qpsk(), [0.1, 0.01], 50, 3)
+    got = {"run_monte_carlo": (reports, seen[0])}
+    rng = np.random.default_rng(4)
+    got["generic_feasibility_rate"] = (generic_feasibility_rate(StrategySpec(3, 4, (3, 3, 2)), 20, rng), rng)
+    rng = np.random.default_rng(5)
+    got["plucker_probe"] = (plucker_probe(4, 2, 9, rng).tobytes(), rng)
+    rng = np.random.default_rng(6)
+    got["determinant_probe"] = (b"".join(a.tobytes() for a in determinant_probe(9, rng)), rng)
+    rng = np.random.default_rng(7)
+    got["codim_line_probe"] = (codim_line_probe(rng, 9), rng)
+    return {name: (out, rng.bit_generator.state) for name, (out, rng) in got.items()}
+
+
+class TestBlockRule:
+    # per trial or sample: 6 entries (sweep), 32 (rate), 24 (Plucker), 18 (determinant)
+    # and 36 (line); each caller takes one block at the default rule and several at these
+    @pytest.mark.parametrize("entries", [1, 40, 150])
+    def test_every_blocked_caller_gives_the_same_bits(self, monkeypatch, entries):
+        want = blocked_callers(monkeypatch)
+        monkeypatch.setattr(subspace, "BLOCK_ENTRIES", entries)
+        assert len(list(blocks(9, 24))) > 1
+        got = blocked_callers(monkeypatch)
+        for name in want:
+            assert got[name] == want[name], name

@@ -7,7 +7,7 @@ import pytest
 from relay_align import variety
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import haar_stack
-from relay_align.subspace import RaggedRank, _triple_dim, orthonormal_stack
+from relay_align.subspace import BLOCK_ENTRIES, RaggedRank, _complex_gaussian, _triple_dim, orthonormal_stack
 from relay_align.variety import (
     DET_ZERO_THRESHOLD,
     _determinant_block,
@@ -234,21 +234,46 @@ class TestStackedEquivalence:
         # the generators are left at the same state
         assert stacked_rng.standard_normal() == single_rng.standard_normal()
 
-    @pytest.fixture(params=[variety.PROBE_BLOCK_TERMS, 40], ids=["one-block", "many-blocks"])
-    def block_terms(self, request, monkeypatch):
-        monkeypatch.setattr(variety, "PROBE_BLOCK_TERMS", request.param)
+    @pytest.mark.parametrize("n, d, count", [(1, 1, 1), (3, 0, 4), (3, 2, 6), (6, 3, 5), (7, 7, 3)])
+    def test_haar_stack_matches_one_draw_of_count_pairs(self, n, d, count):
+        # the draw haar_stack made before it went through the drawer: real, then imaginary parts, per subspace
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        raw = want_rng.standard_normal((count, 2, n, d))
+        assert same_bits(haar_stack(n, d, count, got_rng), orthonormal_stack(raw[:, 0] + 1j * raw[:, 1]))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_plucker_probe_matches_per_sample(self, block_terms):
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    def test_line_draw_matches_one_draw_of_four_matrices(self, t):
+        # codim_line_probe's anchors and directions: sizes (9, 9), as the (t, 4, 3, 3) draw it made before
+        got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
+        lines = _complex_gaussian(got_rng, (9, 9), t, 2.0).reshape(t, 2, 3, 3)
+        raw = want_rng.standard_normal((t, 4, 3, 3))
+        assert same_bits(lines[:, 0], raw[:, 0] + 1j * raw[:, 1])
+        assert same_bits(lines[:, 1], raw[:, 2] + 1j * raw[:, 3])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    # a block holds BLOCK_ENTRIES // (the entries one sample takes) samples;
+    # many-blocks takes two full blocks and part of a third at the default rule
+    @pytest.fixture(params=[False, True], ids=["one-block", "many-blocks"])
+    def many_blocks(self, request):
+        return request.param
+
+    def test_plucker_probe_matches_per_sample(self, many_blocks):
+        # a sample of Gr(3, 6) takes max(225 relations, C(6, 3) * 9 minor entries) = 225 entries
+        samples = 2 * (BLOCK_ENTRIES // 225) + 3 if many_blocks else 9
         probe_rng, single_rng = np.random.default_rng(3), np.random.default_rng(3)
-        residuals = plucker_probe(6, 3, 9, probe_rng)
-        expected = [reference_residual(6, 3, plucker_coords(haar_stack(6, 3, 1, single_rng))[0]) for _ in range(9)]
+        residuals = plucker_probe(6, 3, samples, probe_rng)
+        expected = [
+            reference_residual(6, 3, plucker_coords(haar_stack(6, 3, 1, single_rng))[0]) for _ in range(samples)
+        ]
         assert same_bits(residuals, np.array(expected))
         assert probe_rng.standard_normal() == single_rng.standard_normal()
 
-    def test_line_probe_matches_per_line(self, block_terms):
-        report = codim_line_probe(np.random.default_rng(5), 40)
+    def test_line_probe_matches_per_line(self, many_blocks):
+        lines = 2 * (BLOCK_ENTRIES // 36) + 3 if many_blocks else 40  # 36 entries a line
+        report = codim_line_probe(np.random.default_rng(5), lines)
         rng = np.random.default_rng(5)
-        for t in range(40):
+        for t in range(lines):
             anchors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             directions = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             coeffs = reference_line_determinant(anchors, directions)
@@ -258,10 +283,11 @@ class TestStackedEquivalence:
             assert report.identically_zero[t] == bool(np.max(np.abs(coeffs)) < 1e-10)
             assert report.residuals[t] == max((abs(np.polyval(coeffs, r)) for r in roots), default=0.0)
 
-    def test_determinant_probe_matches_per_sample(self, block_terms):
-        dets, dims = determinant_probe(30, np.random.default_rng(6))
+    def test_determinant_probe_matches_per_sample(self, many_blocks):
+        samples = 2 * (BLOCK_ENTRIES // 18) + 3 if many_blocks else 30  # 18 entries a plane triple
+        dets, dims = determinant_probe(samples, np.random.default_rng(6))
         rng = np.random.default_rng(6)
-        for t in range(30):
+        for t in range(samples):
             planes = [haar_stack(3, 2, 1, rng)[0] for _ in range(3)]
             lines = [reference_normalize(np.linalg.svd(v.conj().T)[2][-1].conj()) for v in planes]
             det = complex(np.linalg.det(np.column_stack(lines)))
@@ -283,4 +309,13 @@ class TestStackedEquivalence:
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidInput, match="wedge-relation terms"):
             plucker_probe(13, 4, 1, rng)
+        assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
+
+    @pytest.mark.parametrize("n, d", [(2000, 2000), (1 << 21, 1)])
+    def test_oversized_minor_stack_rejected_before_drawing(self, n, d):
+        # no relations at d = N or d = 1, but C(n, d) d^2 minor entries a sample past 2^20
+        assert comb(n, d) * d * d > variety.MAX_RELATION_TERMS
+        rng = np.random.default_rng(9)
+        with pytest.raises(InvalidInput, match="minor entries per sample"):
+            plucker_probe(n, d, 1, rng)
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
