@@ -382,9 +382,10 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     sample_generic_strategy(spec, rng) calls, and the result is the fraction
     of those draws for which verify_strategy(draw, spec.N).ok holds, so it
     does not depend on evaluation order and a run's trials are a prefix of a
-    longer run's.  Each block of subspace.blocks, N sum(d_i) entries a trial,
-    is one drawer call and one _verify_stack.  With sum(d_i) != 2N no draw
-    can pass, so none is made and the rate is 0.
+    longer run's.  Each block of subspace.blocks, N sum(d_i) entries a trial
+    and K(K + 1)/2 kernel calls (K orthonormalisations, K(K - 1)/2 pair
+    intersections), is one drawer call and one _verify_stack.  With
+    sum(d_i) != 2N no draw can pass, so none is made and the rate is 0.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -398,7 +399,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
 
     sizes = [spec.N * d for d in spec.d]  # block i of a trial's row: user i's N x d_i draw
     hits = 0
-    for block in blocks(trials, sum(sizes)):
+    for block in blocks(trials, sum(sizes), spec.K * (spec.K + 1) // 2):
         t = block.stop - block.start
         raw = np.split(_complex_gaussian(rng, sizes, t, 2.0), np.cumsum(sizes)[:-1], axis=1)
         draws = [g.reshape(t, spec.N, d) for g, d in zip(raw, spec.d)]

@@ -70,15 +70,18 @@ def is_basis(stack: np.ndarray) -> np.ndarray:
     return numeric_rank(np.linalg.svd(stack, compute_uv=False), (n, m)) == n
 
 
-def blocks(total: int, per_item: int):
-    """Successive slices of range(total), BLOCK_ENTRIES // per_item items each and at least one.
+def blocks(total: int, per_item: int, calls: int = 1):
+    """Successive slices of range(total), BLOCK_ENTRIES // per_item items each, and at least calls.
 
     per_item is the number of entries one item adds to the caller's largest
-    temporary.  A total below 1 raises InvalidInput.
+    temporary, and calls the number of stacked kernel calls a block makes.
+    A block holds at least one item per call, so no item pays more than one
+    call's fixed cost, and its largest temporary at most max(BLOCK_ENTRIES,
+    calls * per_item) entries.  A total below 1 raises InvalidInput.
     """
     if total < 1:
         raise InvalidInput(f"need at least one trial or sample, got {total}")
-    step = max(1, BLOCK_ENTRIES // max(1, per_item))
+    step = max(1, calls, BLOCK_ENTRIES // max(1, per_item))
     return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 

@@ -148,11 +148,8 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     if minors > MAX_RELATION_TERMS:
         raise InvalidInput(f"Gr({d}, {n}) takes {minors} minor entries per sample, more than {MAX_RELATION_TERMS}")
     table = _relation_table(n, d)
-    residuals = []
-    for block in blocks(samples, max(table.left.shape[1], minors)):
-        bases = haar_stack(n, d, block.stop - block.start, rng)
-        residuals.append(_residuals(table, plucker_coords(bases)))
-    return np.concatenate(residuals)
+    draws = (haar_stack(n, d, b.stop - b.start, rng) for b in blocks(samples, max(table.left.shape[1], minors)))
+    return np.concatenate([_residuals(table, plucker_coords(bases)) for bases in draws])
 
 
 def _perp_lines(planes: np.ndarray) -> np.ndarray:
@@ -191,11 +188,8 @@ def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarra
     Sample t uses the t-th three successive haar_stack(3, 2, 1, rng) draws;
     the triples are drawn and checked in stacked blocks.
     """
-    parts = []
-    for block in blocks(samples, 3 * 3 * 2):
-        t = block.stop - block.start
-        parts.append(_determinant_block(haar_stack(3, 2, 3 * t, rng).reshape(t, 3, 3, 2)))
-    dets, dims = map(np.concatenate, zip(*parts))
+    draws = (haar_stack(3, 2, 3 * (b.stop - b.start), rng) for b in blocks(samples, 3 * 3 * 2))
+    dets, dims = map(np.concatenate, zip(*[_determinant_block(g.reshape(-1, 3, 3, 2)) for g in draws]))
     return dets, dims
 
 

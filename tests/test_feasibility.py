@@ -380,6 +380,21 @@ class TestBatchedGenericity:
         rate = generic_feasibility_rate(spec, trials, np.random.default_rng(8))
         assert rate == per_trial_rate(spec, trials, np.random.default_rng(8)) == 1.0
 
+    def test_a_wide_block_holds_one_trial_per_kernel_call(self, monkeypatch):
+        # N sum(d_i) = 2048 entries a trial gives BLOCK_ENTRIES // 2048 = 4 trials, fewer than the
+        # K(K + 1)/2 = 10 stacked calls a block makes, so a block holds 10 trials
+        spec, counts = StrategySpec(4, 32, (16,) * 4), []
+
+        def counted(rng, sizes, count, variance):
+            counts.append(count)
+            return _complex_gaussian(rng, sizes, count, variance)
+
+        with monkeypatch.context() as m:
+            m.setattr(feasibility, "_complex_gaussian", counted)
+            rate = generic_feasibility_rate(spec, 25, np.random.default_rng(2))
+        assert BLOCK_ENTRIES // (32 * 64) < 10 and counts == [10, 10, 5]
+        assert rate == per_trial_rate(spec, 25, np.random.default_rng(2))
+
     def test_ragged_block_splits_by_rank(self):
         spec = StrategySpec(3, 3, (2, 2, 2))
         rng = np.random.default_rng(3)

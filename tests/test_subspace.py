@@ -341,6 +341,12 @@ class TestBlocks:
         assert all(b.stop - b.start == step for b in got[:-1])
         assert 1 <= got[-1].stop - got[-1].start <= step
 
+    @pytest.mark.parametrize("total, per_item, calls, step", [(100, 8192, 7, 7), (100, 2048, 10, 10), (100, 7, 10, 1170)])
+    def test_at_least_one_item_per_call(self, total, per_item, calls, step):
+        got = list(blocks(total, per_item, calls))
+        assert [b.stop - b.start for b in got] == [step] * (total // step) + [total % step] * (total % step > 0)
+        assert got[0].start == 0 and all(a.stop == b.start for a, b in zip(got, got[1:]))
+
     @pytest.mark.parametrize("total", [0, -3])
     def test_no_items_rejected(self, total):
         with pytest.raises(InvalidInput):

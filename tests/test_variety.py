@@ -311,9 +311,10 @@ class TestStackedEquivalence:
             plucker_probe(13, 4, 1, rng)
         assert rng.standard_normal() == np.random.default_rng(9).standard_normal()
 
-    @pytest.mark.parametrize("n, d", [(2000, 2000), (1 << 21, 1)])
+    @pytest.mark.parametrize("n, d", [(2000, 2000), (1 << 21, 1), (110, 109)])
     def test_oversized_minor_stack_rejected_before_drawing(self, n, d):
-        # no relations at d = N or d = 1, but C(n, d) d^2 minor entries a sample past 2^20
+        # C(n, d) d^2 minor entries a sample past 2^20: no relations at d = N or d = 1, and at
+        # d = N - 1 with 103 <= N <= 128 a relation table under 2^20 (Gr(109, 110): 659,450 terms)
         assert comb(n, d) * d * d > variety.MAX_RELATION_TERMS
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidInput, match="minor entries per sample"):
