@@ -369,7 +369,7 @@ def main(argv=None) -> int:
     except (InfeasibleTuple, InconsistentPairwise) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (OSError, InvalidInput, FloatingPointError) as exc:
+    except (OSError, InvalidInput, FloatingPointError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RelayAlignError as exc:

@@ -15,9 +15,11 @@ observation, decoding and SNR reuse: observe, decode and snr_db each take
 or give all K at once, for one trial or a block of T trials, and user k's
 part is row block rows[k] of each.  The receive maps F_k are the receivers'
 only model: decoding applies them, and the SNR reads each stream's noise
-variance off them.  The relay's model is P: secrecy_audit reads user i's
-relay-side columns P H_i U_i, which must be the 0/1 selection of i's pair
-slots to the rank rule.  ChannelSet decides all 2K channels invertible by
+variance off them.  The decoders see the relay noise only through P, so all
+the noise of a trial, relay and receivers', reaches them as one Gaussian of
+Σd entries: decode's w.  The relay's model is P: secrecy_audit reads user
+i's relay-side columns P H_i U_i, which must be the 0/1 selection of i's
+pair slots to the rank rule.  ChannelSet decides all 2K channels invertible by
 that rule once, at construction, so design_encoders only solves and Link
 only inverts.  run_monte_carlo builds one Link per sweep, so every noise
 level of a sweep runs over the same system.  The channels and all noise
@@ -212,17 +214,21 @@ class Link:
     (Σd x N) holds P[slots_k] in row block k, which decode applies to the
     relay's r; receive_all holds the receive map F_k = P[slots_k] G_k^-1,
     which sends G_k (B_k s + J_k u) to s, J_k the pair blocks not involving
-    k.  own_all and noise_factor_all are Σd x Σd and block diagonal, so no
-    receiver's block reaches another's rows: block k of own_all is
-    P[slots_k] H_k U_k, the part of receiver k's rows of folded_all r carried
-    by k's own symbols; block k of noise_factor_all is R_k^H (d_k x d_k),
-    from the thin QR F_k^H = Q_k R_k, so that receiver noise w ~ CN(0, var
-    I_N) reaches the decoder as F_k w, which has the law of R_k^H w' with
-    w' ~ CN(0, var I_{d_k}).  noise_gain_all holds the squared row norms of
-    folded_all plus those of receive_all (equal to those of R_k^H), so that
-    with relay and receiver noise of variance var each stream has
-    post-decoder noise variance var times its gain (the diagonal of var F_k
-    (G_k G_k^H + I) F_k^H in block k); worst_gain_db[k] is 10 log10 of the
+    k.  own_all is Σd x Σd and block diagonal, so no receiver's own symbols
+    reach another's rows: block k is P[slots_k] H_k U_k, the part of
+    receiver k's rows of folded_all r carried by k's own symbols.
+
+    Relay noise z ~ CN(0, var I_N) and receiver noise w_k ~ CN(0, var I_N)
+    reach the decoders only as folded_all z plus F_k w_k in row block k: one
+    Gaussian of Σd entries with covariance var C, C = folded_all
+    folded_all^H + (+)_k F_k F_k^H, which couples receivers through the
+    shared z.  noise_factor_all is a Σd x Σd factor L with L L^H = C, so L w
+    with w ~ CN(0, var I_Σd) has the law of all of it.  L is R^H from a thin
+    QR of [folded_all | (+)_k R_k^H]^H, with F_k^H = Q_k R_k, so every valid
+    Link factors; a Cholesky of C would square its condition number.
+    noise_gain_all is the diagonal of C, the squared row norms of folded_all
+    plus those of receive_all, so each stream has post-decoder noise
+    variance var times its gain; worst_gain_db[k] is 10 log10 of the
     largest gain in block k, +inf for a receiver with no streams.  The G_k,
     which ChannelSet has decided invertible, are inverted in one stacked
     call.  An encoder that is not N x d_i raises DimensionMismatch, one with
@@ -266,10 +272,12 @@ class Link:
         receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, g_inv)])
         gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
         own = np.zeros((len(folded), len(folded)), dtype=np.complex128)
-        noise_factor = np.zeros_like(own)
-        for r in rows:  # the diagonal blocks; nothing couples two receivers
+        receiver_factor = np.zeros_like(own)
+        for r in rows:  # the diagonal blocks: a receiver's own symbols and noise reach its rows alone
             own[r, r] = folded[r] @ effective[:, r]
-            noise_factor[r, r] = np.linalg.qr(receive[r].conj().T, mode="r").conj().T
+            receiver_factor[r, r] = np.linalg.qr(receive[r].conj().T, mode="r").conj().T  # R_k^H
+        # [folded_all | (+)_k R_k^H]^H = Q R, so L = R^H and L L^H = folded folded^H + (+)_k F_k F_k^H
+        noise_factor = np.linalg.qr(np.hstack([folded, receiver_factor]).conj().T, mode="r").conj().T
         object.__setattr__(self, "relay_map", relay_map)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "rows", rows)
@@ -283,31 +291,27 @@ class Link:
         worst = [10 * math.log10(float(gains[r].max())) if r.start < r.stop else math.inf for r in rows]
         object.__setattr__(self, "worst_gain_db", worst)
 
-    def observe(self, x: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
-        """Relay observation r = effective_all x + z = sum_i H_i U_i x[rows[i]] + z.
+    def observe(self, x: np.ndarray) -> np.ndarray:
+        """The relay's noiseless observation r = effective_all x = sum_i H_i U_i x[rows[i]].
 
         x is the Σd-row symbol array, user i's in rows[i]: a vector, or a
-        (Σd, T) block of T trials; z, when given, has the shape of r.
+        (Σd, T) block of T trials.  The relay's noise reaches the decoders
+        only through decode's w.
         """
         _check_array("symbol", x, len(self.folded_all))
-        r = self.effective_all @ x
-        if z is not None:
-            _check_array("noise", z, len(r), r.shape)
-            r += z
-        return r
+        return self.effective_all @ x
 
     def decode(self, r: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
         """Every receiver's soft estimates folded_all r + noise_factor_all w - own_all x.
 
         Row block rows[k] of the estimate holds the symbols k's partners sent
         it, ordered as B_k: F_k G_k r minus k's own part, so no receiver's
-        observation G_k r is formed.  r is the relay's observation, N rows;
-        x the Σd-row symbol array observe took, each receiver subtracting its
-        own block; w the receivers' noise where each decoder sees it, d_k
-        entries per trial in rows[k], which noise_factor_all maps to noise of
-        the law of F_k times N-entry receiver noise of the same variance.
-        They are vectors or blocks of T trials; x and w have the shape of the
-        estimate.
+        observation G_k r is formed.  r is the relay's noiseless observation,
+        N rows; x the Σd-row symbol array observe took, each receiver
+        subtracting its own block; w all the noise as the decoders see it,
+        Σd entries per trial, which noise_factor_all maps to the relay's and
+        the receivers' noise of the same variance, in law.  They are vectors
+        or blocks of T trials; x and w have the shape of the estimate.
         """
         _check_array("observation", r, self.folded_all.shape[1])
         est = self.folded_all @ r
@@ -413,25 +417,24 @@ def run_monte_carlo(
 
     One system per sweep: a single generator seeded with seed draws the
     channels and so fixes the Link once, then every noise level draws from
-    it, in turn, all users' symbols (one call), the relay noise (N entries
-    per trial) and the K receivers' noise (d_k entries per trial, drawn
-    where the decoder sees it, which is exact in distribution), each noise
-    one subspace._complex_gaussian call into buffers reused by every level;
-    the symbols and the receivers' noise are each the stream of K per-user
-    draws.  Each level is then one pass of the Link per column block of
-    subspace.blocks, Σd entries per trial: the block's symbols, the relay's
-    r through observe, all Σd estimates through decode, one nearest point
-    decision over them, and the error and relay-equivocation tallies
-    against the row tables of the pair slots, found once per sweep.
-    The relay-equivocation tally uses the noiseless sums, matching the
-    exact counting argument, and is therefore a Monte Carlo estimate of
-    relay_map_success.
+    it, in turn, all users' symbols (one call, the stream of K per-user
+    draws) and then, per column block of subspace.blocks, the block's noise:
+    all of it as the decoders see it, Σd entries per trial (Link.decode's
+    w), one subspace._complex_gaussian call of one row per trial into one
+    block-sized buffer that every block and level reuses.  The rows are
+    trial-major, so a run's numbers do not depend on the block size.  Each
+    block is one pass of the Link: the relay's noiseless r through observe,
+    all Σd estimates through decode, one nearest point decision over them,
+    and the error and relay-equivocation tallies against the row tables of
+    the pair slots, found once per sweep.  The relay-equivocation tally uses
+    the noiseless sums, matching the exact counting argument, and is
+    therefore a Monte Carlo estimate of relay_map_success.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     rows_total = sum(spec.d)
-    if 16 * max(rows_total, spec.N) * trials > np.iinfo(np.intp).max:  # the largest noise buffer, in bytes
-        raise InvalidInput(f"trials={trials} needs a buffer past numpy's largest array")
+    if 8 * rows_total * trials > np.iinfo(np.intp).max:  # a level's symbol indices, its largest array, in bytes
+        raise InvalidInput(f"trials={trials} needs symbol indices past numpy's largest array")
     if not all(math.isfinite(v) and v >= 0 for v in noise_grid):
         raise InvalidInput("noise variances must be finite and >= 0")
     strategy = construct_strategy(spec)
@@ -457,26 +460,22 @@ def run_monte_carlo(
     lower, upper = np.argsort(np.concatenate(link.slots), kind="stable").reshape(-1, 2).T
     sent = np.empty(rows_total, dtype=np.intp)
     sent[lower], sent[upper] = upper, lower
-    relay_noise = np.empty((1, n * trials), dtype=np.complex128)
-    relay_normals = np.empty(2 * n * trials)
-    receiver_noise = np.empty((1, rows_total * trials), dtype=np.complex128)
-    receiver_normals = np.empty(2 * rows_total * trials)
-    receiver_sizes = [d_k * trials for d_k in spec.d]
+    noise = np.empty((next(blocks(trials, rows_total)).stop, rows_total), dtype=np.complex128)
+    normals = np.empty(2 * noise.size)
 
     def level(var):
         """Errors per stacked row and relay MAP hits of one level; its symbols are freed on return."""
         # the stream of K per-user (d_i, trials) draws: the generator keeps the
         # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
         idx = rng.integers(0, pts.size, size=(rows_total, trials))
-        z = _complex_gaussian(rng, (n * trials,), 1, var, relay_noise, relay_normals).reshape(n, trials)
-        w = _complex_gaussian(rng, receiver_sizes, 1, var, receiver_noise, receiver_normals)
-        w = w.reshape(rows_total, trials)
         row_errors = np.zeros(rows_total, dtype=np.intp)
         relay_hits = 0.0
         for cols in blocks(trials, rows_total):
+            t = cols.stop - cols.start
+            w = _complex_gaussian(rng, (rows_total,), t, var, noise[:t], normals[: 2 * t * rows_total])
             ix = idx[:, cols]
             x = pts[ix]
-            hard_idx = constellation.nearest_index(link.decode(link.observe(x, z[:, cols]), x, w[:, cols]))
+            hard_idx = constellation.nearest_index(link.decode(link.observe(x), x, w.T))
             row_errors += np.count_nonzero(hard_idx != ix[sent], axis=1)
             relay_hits += succ_table[ix[lower], ix[upper]].sum()
         return row_errors, relay_hits

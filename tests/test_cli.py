@@ -798,3 +798,26 @@ class TestManyCallsInOneProcess:
             rc, out = run(*self.FEASIBLE), capsys.readouterr().out
             assert rc == 0 and json.loads(out)["seed"] == int(seed)
             assert (rc, out) == lone_call(self.FEASIBLE, seed_env=seed)
+
+
+class TestOutOfMemory:
+    # a shape too large for the machine ends in numpy's MemoryError subclass; it is
+    # raised here by a stand-in, so the test does not hang on the machine's overcommit policy
+    @pytest.mark.parametrize(
+        "module, name, argv",
+        [
+            (feasibility, "construct_strategy", ["construct", "-K", "2", "-N", "4", "-d", "4,4", "--seed", "0"]),
+            (relay_align.relaysim, "run_monte_carlo", ["simulate", "-K", "3", "-N", "3", "-d", "2,2,2",
+                                                       "--trials", "10", "--seed", "0"]),
+        ],
+        ids=["construct", "simulate"],
+    )
+    def test_memory_error_exits_1_with_one_error_line(self, module, name, argv, capsys, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr(module, name, exhaust)
+        assert run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: Unable to allocate 149. GiB for an array with shape (100000, 100000)\n"
+

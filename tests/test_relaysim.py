@@ -229,8 +229,6 @@ class TestRelayObserve:
             link.observe(np.zeros((5, 4)))  # the symbol array needs Σd = 6 rows
         with pytest.raises(DimensionMismatch, match="symbol shape"):
             link.observe(np.zeros((6, 4, 1)))
-        with pytest.raises(DimensionMismatch, match="noise shape"):
-            link.observe(np.zeros((6, 4)), np.zeros((3, 5)))
 
 
 def reference_secrecy_audit(encoders, channels, strategy):
@@ -451,10 +449,9 @@ class TestReceiverDecode:
         ch = draw_channels(3, 6, rng)
         link = link_of(strategy, ch)
         x = np.concatenate([QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)])
-        z = 0.1 * (rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)))
-        r = link.observe(x, z)
-        # d_k = 4 entries per trial for each receiver
-        w = np.concatenate([0.1 * (rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))) for _ in range(3)])
+        r = link.observe(x)
+        # all the noise as the decoders see it: Σd = 12 entries per trial
+        w = 0.1 * (rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)))
         block = link.decode(r, x, w)
         assert block.shape == (12, 5)
         for t in range(5):
@@ -463,18 +460,19 @@ class TestReceiverDecode:
 
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1)])
     def test_all_receivers_at_once_equal_each_receiver(self, d):
-        # own_all and noise_factor_all are block diagonal: row block k of the
-        # stacked decode is receiver k's own rows applied to its symbols and noise
+        # own_all is block diagonal: row block k of the stacked decode subtracts
+        # receiver k's own symbols alone; its noise is its rows of noise_factor_all
+        # applied to all of w, as the relay's noise reaches every receiver
         rng = np.random.default_rng(14)
         spec = StrategySpec(len(d), sum(d) // 2, d)
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng))
         x = [QPSK.points[rng.integers(0, 4, (d_k, 9))] for d_k in d]
-        w = [rng.standard_normal((d_k, 9)) + 1j * rng.standard_normal((d_k, 9)) for d_k in d]
-        r = link.observe(np.vstack(x), rng.standard_normal((spec.N, 9)) + 0j)
-        every = link.decode(r, np.vstack(x), np.vstack(w))
+        w = rng.standard_normal((sum(d), 9)) + 1j * rng.standard_normal((sum(d), 9))
+        r = link.observe(np.vstack(x))
+        every = link.decode(r, np.vstack(x), w)
         assert every.shape == (sum(d), 9)
         for k, rows in enumerate(link.rows):
-            want = link.folded_all[rows] @ r + link.noise_factor_all[rows, rows] @ w[k]
+            want = link.folded_all[rows] @ r + link.noise_factor_all[rows] @ w
             want -= link.own_all[rows, rows] @ x[k]
             assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
 
@@ -579,14 +577,14 @@ class TestReceiveMap:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
             for k, rows in enumerate(link.rows):
+                # r of any value: the relay's noise is part of it
                 r = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
-                w = np.zeros((sum(spec.d), 6), dtype=complex)  # receiver k's rows only: the others decode zeros
-                x = np.zeros_like(w)
-                w[rows] = rng.standard_normal((spec.d[k], 6)) + 1j * rng.standard_normal((spec.d[k], 6))
+                w = rng.standard_normal((sum(spec.d), 6)) + 1j * rng.standard_normal((sum(spec.d), 6))
+                x = np.zeros_like(w)  # receiver k's rows only: the others decode zeros
                 x[rows] = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
-                # F_k^H = Q_k R_k, so the N-entry receiver noise Q_k w reaches the decoder as F_k Q_k w = R_k^H w
-                f = reference_receive_map(link, k)
-                noise = f @ (np.linalg.qr(f.conj().T)[0] @ w[rows])
+                # w reaches receiver k's rows as its rows of noise_factor_all, whose law
+                # test_noise_factor_has_the_receive_map_covariance checks
+                noise = link.noise_factor_all[rows] @ w
                 got, want = link.decode(r, x, w)[rows], reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
@@ -633,8 +631,9 @@ class TestReceiveMap:
 
     @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
     def test_noise_factor_has_the_receive_map_covariance(self, encoders):
-        # F_k w with w ~ CN(0, I_N) has covariance F_k F_k^H; so must R_k^H w' with w' ~ CN(0, I_{d_k}),
-        # R_k^H block k of noise_factor_all
+        # relay noise z and receiver noise w_k ~ CN(0, I_N) reach the decoders as
+        # P[slots_k] z + F_k w_k in block k, of covariance C = Fz Fz^H + (+)_k F_k F_k^H,
+        # Fz the stacked F_k G_k; so must L w with w ~ CN(0, I_Σd), L = noise_factor_all
         rng = np.random.default_rng(43 if encoders == "designed" else 44)
         for _ in range(40):
             spec = random_pairwise_spec(rng)
@@ -645,11 +644,16 @@ class TestReceiveMap:
             else:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
-            for k, rows in enumerate(link.rows):
-                factor, f = link.noise_factor_all[rows, rows], link.receive_all[rows]
-                want = f @ f.conj().T
-                assert factor.shape == (spec.d[k], spec.d[k]), (spec, k)
-                assert np.linalg.norm(factor @ factor.conj().T - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
+            maps = [reference_receive_map(link, k) for k in range(spec.K)]
+            relay_path = np.vstack([f @ g for f, g in zip(maps, ch.G)])
+            want = relay_path @ relay_path.conj().T
+            for f, rows in zip(maps, link.rows):
+                want[rows, rows] += f @ f.conj().T
+            factor = link.noise_factor_all
+            assert factor.shape == (sum(spec.d), sum(spec.d)), spec
+            assert np.linalg.norm(factor @ factor.conj().T - want) <= 1e-12 * np.linalg.norm(want), spec
+            gains = link.noise_gain_all  # each stream's noise variance per unit var: the diagonal of C
+            assert np.linalg.norm(gains - np.diag(want).real) <= 1e-12 * np.linalg.norm(gains), spec
 
     def test_receiver_with_no_streams_has_an_empty_noise_factor(self):
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
@@ -669,11 +673,12 @@ class TestReceiveMap:
             assert link.receive_all[rows].shape == link.folded_all[rows].shape == (d, 5)
             own = link.own_all[rows, rows]
             assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
-        # own_all and noise_factor_all are block diagonal: no receiver's block reaches another's rows
+        # own_all is block diagonal: no receiver's own symbols reach another's rows;
+        # noise_factor_all is not, as the relay's noise reaches every receiver
         blocks = np.zeros((10, 10), dtype=bool)
         for r in link.rows:
             blocks[r, r] = True
-        assert not link.own_all[~blocks].any() and not link.noise_factor_all[~blocks].any()
+        assert not link.own_all[~blocks].any()
 
     # ChannelSet decides both channel directions by one rank rule, at construction
     @SINGULAR_3X3
@@ -869,10 +874,10 @@ class TestRunMonteCarlo:
             assert np.array_equal(one.integers(0, 3, 5), each.integers(0, 3, 5))  # the same stream left behind
 
     def test_trials_past_the_largest_buffer_rejected_before_any_allocation(self, monkeypatch):
-        # the stacked receiver noise holds 16 Σd trials bytes, Σd = 2N: 10**17
-        # trials fit 16 N trials bytes at K=3 N=3, but not 16 Σd trials
-        trials = 10**17
-        assert 16 * 3 * trials <= np.iinfo(np.intp).max < 16 * 6 * trials
+        # a level's symbol indices hold 8 Σd trials bytes, Σd = 6 at K=3 N=3:
+        # one trial past the largest count that fits
+        trials = np.iinfo(np.intp).max // (8 * 6) + 1
+        assert 8 * 6 * (trials - 1) <= np.iinfo(np.intp).max < 8 * 6 * trials
 
         def refuse(*args, **kwargs):
             raise AssertionError("the sweep got past its buffer check")
@@ -886,9 +891,10 @@ class TestRunMonteCarlo:
 # kept as the reference for the blocked form: noise as one complex expression,
 # nearest point by argmin, every level decoded over all trials at once, each
 # receiver's noiseless observation G_k r formed and mapped by F_k, and the
-# tallies over every pair and partner.  Receiver k's noise follows the sweep's
-# draw: d_k entries per trial (none for d_k = 0), through its block R_k^H of
-# noise_factor_all.
+# tallies over every pair and partner.  The noise follows the sweep's law: all
+# of it as the decoders see it, Σd entries per trial, trial by trial, drawn for
+# every trial of a level in one call and reaching receiver k through its rows
+# of noise_factor_all.
 
 
 def reference_complex_gaussian(rng, shape, variance):
@@ -896,6 +902,14 @@ def reference_complex_gaussian(rng, shape, variance):
         return np.zeros(shape, dtype=np.complex128)
     scale = np.sqrt(variance / 2)
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def reference_decoder_noise(rng, rows, trials, variance):
+    """(rows, trials) noise: per trial, rows real normals and then rows imaginary ones."""
+    if variance == 0:
+        return np.zeros((rows, trials), dtype=np.complex128)
+    a = rng.standard_normal((trials, 2, rows))
+    return (np.sqrt(variance / 2) * (a[:, 0] + 1j * a[:, 1])).T
 
 
 def reference_nearest_index(constellation, values):
@@ -924,12 +938,12 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     for var in noise_grid:
         idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
         x = [pts[ix] for ix in idx]
-        r = link.observe(np.concatenate(x), reference_complex_gaussian(rng, (n, trials), var))
+        r = link.observe(np.concatenate(x))
+        w = reference_decoder_noise(rng, sum(spec.d), trials, var)
         ser = []
         snrs = []
         for k, rows in enumerate(link.rows):
-            w = reference_complex_gaussian(rng, (spec.d[k], trials), var)
-            f, factor, own = link.receive_all[rows], link.noise_factor_all[rows, rows], link.own_all[rows, rows]
+            f, factor, own = link.receive_all[rows], link.noise_factor_all[rows], link.own_all[rows, rows]
             est = f @ (channels.G[k] @ r) + factor @ w - own @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
@@ -1083,12 +1097,19 @@ class TestNearestIndex:
 
 
 class TestComplexGaussian:
-    """subspace._complex_gaussian as the sweep calls it: one row, a block of N trials or d_k trials per receiver."""
+    """subspace._complex_gaussian: one row of one or more blocks, and the sweep's call.
+
+    A row of one block, or of successive blocks of several sizes (the channel
+    draw's 2K matrices), is the stream of successive one-block draws.  The
+    sweep draws t trial rows of Σd entries into the first t rows of its block
+    buffers, and a row count split in two draws the bits of one whole draw, so
+    the sweep's numbers do not depend on its block size.
+    """
 
     @pytest.mark.parametrize("variance", [1.0, 0.1, 3.7, 1e-4, 1e-300, 5e-324])
     @pytest.mark.parametrize("shape", [(3, 1000), (32, 200), (2, 2), (1, 7)])
     def test_buffered_draw_equals_complex_expression(self, variance, shape):
-        # one block of N trials entries: the relay noise.  5e-324 / 2 rounds to
+        # one block of N trials entries.  5e-324 / 2 rounds to
         # 0, so the scale is 0 and the signs of the zeros come from the complex
         # expression
         n, trials = shape
@@ -1122,7 +1143,7 @@ class TestComplexGaussian:
     @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1), (0, 1), (3,)])
     def test_receiver_noise_equals_successive_draws(self, variance, d):
-        # the K receivers' noise of a level, and with d = (3,) the relay noise;
+        # one block per user, d_k trials entries each, and with d = (3,) one block;
         # 5e-324 / 2 rounds to 0: a zero scale; 0.0 draws nothing
         trials = 7
         rng, want_rng = np.random.default_rng(22), np.random.default_rng(22)
@@ -1173,3 +1194,29 @@ class TestComplexGaussian:
         assert np.array_equal(filled[0], b_rng.standard_normal((3, 11)))
         assert np.array_equal(filled[1], b_rng.standard_normal((3, 11)))
         assert a_rng.standard_normal() == b_rng.standard_normal()
+
+    @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
+    @pytest.mark.parametrize("rows, t", [(6, BLOCK_ENTRIES // 6), (6, 7), (64, BLOCK_ENTRIES // 64), (10, 1)])
+    def test_trial_rows_into_slices_of_larger_buffers(self, variance, rows, t):
+        # the sweep's call: t rows of Σd entries into out[:t] and normals[:2 t Σd]
+        rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
+        out = np.full((t + 5, rows), np.nan + 0j)
+        normals = np.full(2 * out.size, np.nan)
+        got = _complex_gaussian(rng, (rows,), t, variance, out[:t], normals[: 2 * t * rows])
+        want = np.stack([reference_complex_gaussian(want_rng, (rows,), variance) for _ in range(t)])
+        assert got.shape == (t, rows) and np.shares_memory(got, out)
+        assert np.array_equal(bits(got), bits(want))
+        assert np.isnan(out[t:]).all()  # the rows past t are left as they were
+        assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
+
+    @pytest.mark.parametrize("variance", [0.3, 5e-324, 0.0])
+    @pytest.mark.parametrize("split", [(BLOCK_ENTRIES // 6, 7), (1, 1), (3, 250, 1)])
+    def test_row_counts_in_turn_equal_one_draw_of_their_sum(self, variance, split):
+        # successive blocks of a sweep level, through one reused buffer, against one whole draw
+        rng, whole_rng = np.random.default_rng(24), np.random.default_rng(24)
+        out = np.empty((max(split), 6), dtype=np.complex128)
+        normals = np.empty(2 * out.size)
+        parts = [_complex_gaussian(rng, (6,), t, variance, out[:t], normals[: 2 * t * 6]).copy() for t in split]
+        whole = _complex_gaussian(whole_rng, (6,), sum(split), variance)
+        assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
+        assert rng.standard_normal() == whole_rng.standard_normal()
