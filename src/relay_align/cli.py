@@ -350,8 +350,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lines", type=int, default=20)
     p.add_argument("--det-probe", action="store_true",
                    help="require the determinant probe; it runs by default for N=3, d=2 and other shapes exit 2")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("-o", "--output", type=str, default=None)
+    common(p, need_spec=False)
     p.set_defaults(func=cmd_variety)
 
     return parser

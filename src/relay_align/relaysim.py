@@ -14,10 +14,11 @@ computes once, as one operator over all K users stacked in user order, what
 observation, decoding and SNR reuse: observe, decode and snr_db each take
 or give all K at once, for one trial or a block of T trials, and user k's
 part is row block rows[k] of each.  The receive maps F_k are the receivers'
-only model: decoding applies them, and the SNR reads each stream's noise
-variance off them.  The decoders see the relay noise only through P, so all
-the noise of a trial, relay and receivers', reaches them as one Gaussian of
-Σd entries: decode's w.  The relay's model is P: secrecy_audit reads user
+only model: decode(x, w) = T x + L w applies them as one transfer map and
+one noise factor, and the SNR reads each stream's noise variance off them.
+The decoders see the relay noise only through P, so all the noise of a
+trial, relay and receivers', reaches them as one Gaussian of Σd entries:
+decode's w.  The relay's model is observe and P: secrecy_audit reads user
 i's relay-side columns P H_i U_i, which must be the 0/1 selection of i's
 pair slots to the rank rule.  ChannelSet decides all 2K channels invertible by
 that rule once, at construction, so design_encoders only solves and Link
@@ -210,29 +211,30 @@ class Link:
     Users and receivers are stacked in user order: rows[k] is k's block of
     d_k rows, and of columns, of the Σd-wide arrays, and of every symbol,
     noise and estimate array the Link takes or gives.  effective_all =
-    [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.  folded_all
-    (Σd x N) holds P[slots_k] in row block k, which decode applies to the
-    relay's r; receive_all holds the receive map F_k = P[slots_k] G_k^-1,
-    which sends G_k (B_k s + J_k u) to s, J_k the pair blocks not involving
-    k.  own_all is Σd x Σd and block diagonal, so no receiver's own symbols
-    reach another's rows: block k is P[slots_k] H_k U_k, the part of
-    receiver k's rows of folded_all r carried by k's own symbols.
+    [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.  Receiver
+    k's receive map F_k = P[slots_k] G_k^-1 sends G_k (B_k s + J_k u) to s,
+    J_k the pair blocks not involving k; the F_k G_k = P[slots_k], stacked,
+    are the Σd x N folded map Fz.  Both are locals of construction.
+    transfer_all T (Σd x Σd) is Fz effective_all with each receiver's own
+    block rows[k], rows[k] set to zero, as a receiver removes all that its
+    own symbols put in its rows: the 0/1 partner selection for designed
+    encoders.
 
     Relay noise z ~ CN(0, var I_N) and receiver noise w_k ~ CN(0, var I_N)
-    reach the decoders only as folded_all z plus F_k w_k in row block k: one
-    Gaussian of Σd entries with covariance var C, C = folded_all
-    folded_all^H + (+)_k F_k F_k^H, which couples receivers through the
-    shared z.  noise_factor_all is a Σd x Σd factor L with L L^H = C, so L w
-    with w ~ CN(0, var I_Σd) has the law of all of it.  L is R^H from a thin
-    QR of [folded_all | (+)_k R_k^H]^H, with F_k^H = Q_k R_k, so every valid
-    Link factors; a Cholesky of C would square its condition number.
-    noise_gain_all is the diagonal of C, the squared row norms of folded_all
-    plus those of receive_all, so each stream has post-decoder noise
-    variance var times its gain; worst_gain_db[k] is 10 log10 of the
-    largest gain in block k, +inf for a receiver with no streams.  The G_k,
-    which ChannelSet has decided invertible, are inverted in one stacked
-    call.  An encoder that is not N x d_i raises DimensionMismatch, one with
-    a non-finite entry InvalidInput.
+    reach the decoders only as Fz z plus F_k w_k in row block k: one
+    Gaussian of Σd entries with covariance var C, C = Fz Fz^H + (+)_k F_k
+    F_k^H, which couples receivers through the shared z.
+    noise_factor_all is a Σd x Σd factor L with L L^H = C, so L w with
+    w ~ CN(0, var I_Σd) has the law of all of it.  L is R^H from a thin QR
+    of [Fz | (+)_k R_k^H]^H, with F_k^H = Q_k R_k, so every valid Link
+    factors; a Cholesky of C would square its condition number.
+    noise_gain_all is the diagonal of C, the squared row norms of Fz plus
+    those of the F_k, so each stream has post-decoder noise variance var
+    times its gain; worst_gain_db[k] is 10 log10 of the largest gain in
+    block k, +inf for a receiver with no streams.  The G_k, which
+    ChannelSet has decided invertible, are inverted in one stacked call.
+    An encoder that is not N x d_i raises DimensionMismatch, one with a
+    non-finite entry InvalidInput.
     """
 
     strategy: Strategy
@@ -242,9 +244,7 @@ class Link:
     slots: list[np.ndarray] = field(init=False, repr=False)
     rows: list[slice] = field(init=False, repr=False)
     effective_all: np.ndarray = field(init=False, repr=False)
-    folded_all: np.ndarray = field(init=False, repr=False)
-    receive_all: np.ndarray = field(init=False, repr=False)
-    own_all: np.ndarray = field(init=False, repr=False)
+    transfer_all: np.ndarray = field(init=False, repr=False)
     noise_factor_all: np.ndarray = field(init=False, repr=False)
     noise_gain_all: np.ndarray = field(init=False, repr=False)
     worst_gain_db: list[float] = field(init=False, repr=False)
@@ -271,20 +271,18 @@ class Link:
         effective = np.hstack([h @ u for h, u in zip(channels.H, self.encoders)])
         receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, g_inv)])
         gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
-        own = np.zeros((len(folded), len(folded)), dtype=np.complex128)
-        receiver_factor = np.zeros_like(own)
-        for r in rows:  # the diagonal blocks: a receiver's own symbols and noise reach its rows alone
-            own[r, r] = folded[r] @ effective[:, r]
+        transfer = folded @ effective
+        receiver_factor = np.zeros_like(transfer)
+        for r in rows:  # the diagonal blocks: a receiver removes its own symbols, and its noise reaches its rows alone
+            transfer[r, r] = 0
             receiver_factor[r, r] = np.linalg.qr(receive[r].conj().T, mode="r").conj().T  # R_k^H
-        # [folded_all | (+)_k R_k^H]^H = Q R, so L = R^H and L L^H = folded folded^H + (+)_k F_k F_k^H
+        # [folded | (+)_k R_k^H]^H = Q R, so L = R^H and L L^H = folded folded^H + (+)_k F_k F_k^H
         noise_factor = np.linalg.qr(np.hstack([folded, receiver_factor]).conj().T, mode="r").conj().T
         object.__setattr__(self, "relay_map", relay_map)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "effective_all", effective)
-        object.__setattr__(self, "folded_all", folded)
-        object.__setattr__(self, "receive_all", receive)
-        object.__setattr__(self, "own_all", own)
+        object.__setattr__(self, "transfer_all", transfer)
         object.__setattr__(self, "noise_factor_all", noise_factor)
         object.__setattr__(self, "noise_gain_all", gains)
         # each gain >= 1, as F_k G_k B_k = I with B_k orthonormal; no streams: no signal
@@ -295,31 +293,28 @@ class Link:
         """The relay's noiseless observation r = effective_all x = sum_i H_i U_i x[rows[i]].
 
         x is the Σd-row symbol array, user i's in rows[i]: a vector, or a
-        (Σd, T) block of T trials.  The relay's noise reaches the decoders
-        only through decode's w.
+        (Σd, T) block of T trials.  The receivers never form r; the relay's
+        noise reaches them only through decode's w.
         """
-        _check_array("symbol", x, len(self.folded_all))
+        _check_array("symbol", x, self.effective_all.shape[1])
         return self.effective_all @ x
 
-    def decode(self, r: np.ndarray, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """Every receiver's soft estimates folded_all r + noise_factor_all w - own_all x.
+    def decode(self, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+        """Every receiver's soft estimates transfer_all x + noise_factor_all w.
 
         Row block rows[k] of the estimate holds the symbols k's partners sent
-        it, ordered as B_k: F_k G_k r minus k's own part, so no receiver's
-        observation G_k r is formed.  r is the relay's noiseless observation,
-        N rows; x the Σd-row symbol array observe took, each receiver
-        subtracting its own block; w all the noise as the decoders see it,
+        it, ordered as B_k: F_k G_k r with k's own part removed, so neither r
+        nor any receiver's observation G_k r is formed.  x is the Σd-row
+        symbol array observe takes; w all the noise as the decoders see it,
         Σd entries per trial, which noise_factor_all maps to the relay's and
         the receivers' noise of the same variance, in law.  They are vectors
-        or blocks of T trials; x and w have the shape of the estimate.
+        or blocks of T trials, w of the shape of x.
         """
-        _check_array("observation", r, self.folded_all.shape[1])
-        est = self.folded_all @ r
-        _check_array("symbol", x, len(est), est.shape)
+        _check_array("symbol", x, len(self.transfer_all))
+        est = self.transfer_all @ x
         if w is not None:
             _check_array("noise", w, len(est), est.shape)
             est += self.noise_factor_all @ w  # in place: one temporary fewer
-        est -= self.own_all @ x
         return est
 
     def snr_db(self, var: float) -> list[float]:
@@ -423,10 +418,10 @@ def run_monte_carlo(
     w), one subspace._complex_gaussian call of one row per trial into one
     block-sized buffer that every block and level reuses.  The rows are
     trial-major, so a run's numbers do not depend on the block size.  Each
-    block is one pass of the Link: the relay's noiseless r through observe,
-    all Σd estimates through decode, one nearest point decision over them,
-    and the error and relay-equivocation tallies against the row tables of
-    the pair slots, found once per sweep.  The relay-equivocation tally uses
+    block is one pass of the Link: all Σd estimates through decode, T x +
+    L w, one nearest point decision over them, and the error and
+    relay-equivocation tallies against the row tables of the pair slots,
+    found once per sweep.  The relay-equivocation tally uses
     the noiseless sums, matching the exact counting argument, and is
     therefore a Monte Carlo estimate of relay_map_success.
     """
@@ -475,7 +470,7 @@ def run_monte_carlo(
             w = _complex_gaussian(rng, (rows_total,), t, var, noise[:t], normals[: 2 * t * rows_total])
             ix = idx[:, cols]
             x = pts[ix]
-            hard_idx = constellation.nearest_index(link.decode(link.observe(x), x, w.T))
+            hard_idx = constellation.nearest_index(link.decode(x, w.T))
             row_errors += np.count_nonzero(hard_idx != ix[sent], axis=1)
             relay_hits += succ_table[ix[lower], ix[upper]].sum()
         return row_errors, relay_hits

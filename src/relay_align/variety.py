@@ -10,7 +10,8 @@ three-term relations (gathered from one cached index table per (n, d)), the
 perp lines, the determinants and the line polynomials are each one stacked
 numpy or LAPACK call per block of samples; a single sample is a stack of one.
 The blocks are subspace.blocks, and each block's draw one _complex_gaussian
-call; a shape past MAX_RELATION_TERMS is refused before any draw.
+call; a shape past MAX_RELATION_TERMS is refused, and one without
+relations answers, before any draw.
 Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
 line-polynomial cut of _poly_roots (1e-10).  Complex products and magnitudes
 that reach the output are formed from real and imaginary parts (np.hypot),
@@ -142,12 +143,15 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     samples are drawn and checked in blocks of max(R, C(n, d) d^2) entries a
     sample, as _residuals gathers (T, R) arrays of its R relations and _minors
     a C(n, d) x d x d stack.  A minor stack or relation table past
-    MAX_RELATION_TERMS entries raises InvalidInput before any draw.
+    MAX_RELATION_TERMS entries raises InvalidInput before any draw.  Gr(1, n)
+    and Gr(n, n) have no relations: their residuals are 0, drawn from nothing.
     """
     minors = comb(n, d) * d * d
     if minors > MAX_RELATION_TERMS:
         raise InvalidInput(f"Gr({d}, {n}) takes {minors} minor entries per sample, more than {MAX_RELATION_TERMS}")
     table = _relation_table(n, d)
+    if 1 <= d <= n and not table.left.size:
+        return np.zeros(samples)
     draws = (haar_stack(n, d, b.stop - b.start, rng) for b in blocks(samples, max(table.left.shape[1], minors)))
     return np.concatenate([_residuals(table, plucker_coords(bases)) for bases in draws])
 

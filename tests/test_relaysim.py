@@ -46,9 +46,9 @@ def link_of(strategy, channels):
     return Link(strategy, channels, design_encoders(strategy, channels))
 
 
-def decode_by_partner(link, k, r, x):
-    """Hard QPSK decisions of receiver k from the relay's noiseless r, split into the blocks its partners sent."""
-    hard = QPSK.points[QPSK.nearest_index(link.decode(r, x)[link.rows[k]])]
+def decode_by_partner(link, k, x):
+    """Hard QPSK decisions of receiver k from the noiseless symbols x, split into the blocks its partners sent."""
+    hard = QPSK.points[QPSK.nearest_index(link.decode(x)[link.rows[k]])]
     return {j: hard[rows] for (i, j), rows in link.strategy.slices.items() if i == k}
 
 
@@ -416,17 +416,16 @@ class TestReceiverDecode:
         link = Link(strategy, ch, worked_example_encoders())
         x = [np.array([1, 1j]), np.array([-1, -1j]), np.array([1j, -1])]
         xs = np.concatenate(x)
-        r = link.observe(xs)
         # user 1 recovers x2^1 (on v2) and x3^2 (on v1)
-        res0 = decode_by_partner(link, 0, r, xs)
+        res0 = decode_by_partner(link, 0, xs)
         assert res0[1][0] == x[1][0]
         assert res0[2][0] == x[2][1]
         # user 2 recovers x1^2 (on v2) and x3^1 (on v3)
-        res1 = decode_by_partner(link, 1, r, xs)
+        res1 = decode_by_partner(link, 1, xs)
         assert res1[0][0] == x[0][1]
         assert res1[2][0] == x[2][0]
         # user 3 recovers x1^1 (on v1) and x2^2 (on v3)
-        res2 = decode_by_partner(link, 2, r, xs)
+        res2 = decode_by_partner(link, 2, xs)
         assert res2[0][0] == x[0][0]
         assert res2[1][0] == x[1][1]
 
@@ -437,9 +436,8 @@ class TestReceiverDecode:
             ch = draw_channels(3, 6, rng)
             link = link_of(strategy, ch)
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
-            r = link.observe(np.concatenate(x))
             for k in range(3):
-                for j, got in decode_by_partner(link, k, r, np.concatenate(x)).items():
+                for j, got in decode_by_partner(link, k, np.concatenate(x)).items():
                     sent = x[j][strategy.slices[j, k]]
                     assert np.allclose(got, sent)
 
@@ -449,31 +447,31 @@ class TestReceiverDecode:
         ch = draw_channels(3, 6, rng)
         link = link_of(strategy, ch)
         x = np.concatenate([QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)])
-        r = link.observe(x)
         # all the noise as the decoders see it: Σd = 12 entries per trial
         w = 0.1 * (rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)))
-        block = link.decode(r, x, w)
+        block = link.decode(x, w)
         assert block.shape == (12, 5)
         for t in range(5):
-            single = link.decode(r[:, t], x[:, t], w[:, t])
+            single = link.decode(x[:, t], w[:, t])
             assert np.linalg.norm(single - block[:, t]) < 1e-12
 
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1)])
     def test_all_receivers_at_once_equal_each_receiver(self, d):
-        # own_all is block diagonal: row block k of the stacked decode subtracts
-        # receiver k's own symbols alone; its noise is its rows of noise_factor_all
-        # applied to all of w, as the relay's noise reaches every receiver
+        # row block k of the stacked decode is receiver k's rows of the relay map
+        # applied to r, less what k's own symbols put there; its noise is its rows
+        # of noise_factor_all applied to all of w, as the relay's noise reaches every receiver
         rng = np.random.default_rng(14)
         spec = StrategySpec(len(d), sum(d) // 2, d)
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng))
         x = [QPSK.points[rng.integers(0, 4, (d_k, 9))] for d_k in d]
         w = rng.standard_normal((sum(d), 9)) + 1j * rng.standard_normal((sum(d), 9))
         r = link.observe(np.vstack(x))
-        every = link.decode(r, np.vstack(x), w)
+        every = link.decode(np.vstack(x), w)
         assert every.shape == (sum(d), 9)
         for k, rows in enumerate(link.rows):
-            want = link.folded_all[rows] @ r + link.noise_factor_all[rows] @ w
-            want -= link.own_all[rows, rows] @ x[k]
+            folded = link.relay_map[link.slots[k]]  # F_k G_k
+            want = folded @ r + link.noise_factor_all[rows] @ w
+            want -= folded @ link.effective_all[:, rows] @ x[k]
             assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
 
     def test_noise_shape_must_match_the_observation(self):
@@ -481,21 +479,19 @@ class TestReceiverDecode:
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
         for shape in [(3, 4), (6, 5), (2, 4)]:
             with pytest.raises(DimensionMismatch, match="noise shape"):
-                link.decode(np.zeros((3, 4)), np.zeros((6, 4)), np.zeros(shape))
-        assert link.decode(np.zeros((3, 4)), np.zeros((6, 4)), np.zeros((6, 4))).shape == (6, 4)
+                link.decode(np.zeros((6, 4)), np.zeros(shape))
+        assert link.decode(np.zeros((6, 4)), np.zeros((6, 4))).shape == (6, 4)
 
     @pytest.mark.parametrize(
         "call, args",
         [
-            ("decode", (np.zeros(4), np.zeros(6))),  # r without N = 3 rows
-            ("decode", (np.zeros(3), np.zeros(5))),  # x without Σd = 6 rows
-            ("decode", (np.zeros((3, 4)), np.zeros((6, 5)))),  # x of other trials than r
-            ("decode", (np.zeros((3, 4, 1)), np.zeros((6, 4)))),
-            ("decode", ([0.0] * 3, np.zeros(6))),
+            ("decode", (np.zeros(5),)),  # x without Σd = 6 rows
+            ("decode", (np.zeros((6, 4, 1)),)),
+            ("decode", ([0.0] * 6,)),
             ("observe", ([np.zeros(2)] * 3,)),  # one block per user: a list, not the stacked array
             ("observe", ([np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 4))],)),  # ragged
         ],
-        ids=["r-rows", "x-rows", "x-trials", "r-3d", "r-list", "list", "ragged-list"],
+        ids=["x-rows", "x-3d", "x-list", "list", "ragged-list"],
     )
     def test_input_not_matching_the_stacked_operator_rejected(self, call, args):
         # a wrong row count, trial count or rank, or a list, is refused before any product is formed
@@ -547,6 +543,19 @@ def reference_receive_map(link, k):
     return np.linalg.inv(frame)[: strategy.user_bases[k].shape[1]]
 
 
+def partner_selection(link):
+    """The 0/1 Σd x Σd map from every user's symbols to every receiver's estimate rows.
+
+    Row block rows[k] at k's rows of pair {k, j} selects j's rows of the same
+    pair, in order: the symbols j sent k, as sent[row] of the sweep.
+    """
+    selection = np.zeros((sum(link.strategy.spec.d),) * 2)
+    for (k, j), rows in link.strategy.slices.items():
+        block = selection[link.rows[k], link.rows[j]]  # a view
+        block[rows, link.strategy.slices[j, k]] = np.eye(rows.stop - rows.start)
+    return selection
+
+
 def random_pairwise_spec(rng):
     """A random consistent pairwise table: K in 3..6 users, N in 3..8 split among the pairs."""
     k, n = int(rng.integers(3, 7)), int(rng.integers(3, 9))
@@ -573,19 +582,17 @@ class TestReceiveMap:
             ch = draw_channels(spec.K, spec.N, rng)
             if encoders == "designed":
                 enc = design_encoders(strategy, ch)
-            else:  # any N x d_i matrices: decode subtracts whatever k's own signal is
+            else:  # any N x d_i matrices: decode removes whatever k's own signal is
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
             for k, rows in enumerate(link.rows):
-                # r of any value: the relay's noise is part of it
-                r = rng.standard_normal((spec.N, 6)) + 1j * rng.standard_normal((spec.N, 6))
+                x = QPSK.points[rng.integers(0, 4, (sum(spec.d), 6))]  # every user's symbols
                 w = rng.standard_normal((sum(spec.d), 6)) + 1j * rng.standard_normal((sum(spec.d), 6))
-                x = np.zeros_like(w)  # receiver k's rows only: the others decode zeros
-                x[rows] = QPSK.points[rng.integers(0, 4, (spec.d[k], 6))]
                 # w reaches receiver k's rows as its rows of noise_factor_all, whose law
                 # test_noise_factor_has_the_receive_map_covariance checks
                 noise = link.noise_factor_all[rows] @ w
-                got, want = link.decode(r, x, w)[rows], reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
+                r = link.observe(x)
+                got, want = link.decode(x, w)[rows], reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
@@ -602,18 +609,12 @@ class TestReceiveMap:
                 enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
             link = Link(strategy, ch, enc)
             for k, (g, rows) in enumerate(zip(ch.G, link.rows)):
+                # transfer_all, the other map F_k enters, is test_transfer_map_is_the_partner_selection's
                 f = reference_receive_map(link, k)
-                folded = f @ g
-                want = {
-                    "receive_all": f,
-                    "folded_all": folded,
-                    "own_all": folded @ (ch.H[k] @ enc[k]),
-                    "noise_gain_all": np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2,
-                }
-                for name, w in want.items():
-                    got = getattr(link, name)[(rows, rows) if name == "own_all" else rows]
-                    assert got.shape == w.shape, (name, spec, k)
-                    assert np.linalg.norm(got - w) <= 1e-12 * np.linalg.norm(w), (name, spec, k)
+                want = np.linalg.norm(f @ g, axis=1) ** 2 + np.linalg.norm(f, axis=1) ** 2
+                got = link.noise_gain_all[rows]
+                assert got.shape == want.shape, (spec, k)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
     def test_noise_gain_is_the_post_decoder_noise_diagonal(self):
         # F_k (G_k z + w) with z, w of unit variance has covariance F_k (G_k G_k^H + I) F_k^H
@@ -624,7 +625,7 @@ class TestReceiveMap:
             ch = draw_channels(spec.K, spec.N, rng)
             link = link_of(strategy, ch)
             for k, (rows, g) in enumerate(zip(link.rows, ch.G)):
-                f, gain = link.receive_all[rows], link.noise_gain_all[rows]
+                f, gain = reference_receive_map(link, k), link.noise_gain_all[rows]
                 want = np.diag(f @ (g @ g.conj().T + np.eye(spec.N)) @ f.conj().T).real
                 assert gain.shape == (spec.d[k],)
                 assert np.linalg.norm(gain - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
@@ -655,30 +656,65 @@ class TestReceiveMap:
             gains = link.noise_gain_all  # each stream's noise variance per unit var: the diagonal of C
             assert np.linalg.norm(gains - np.diag(want).real) <= 1e-12 * np.linalg.norm(gains), spec
 
+    @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
+    def test_transfer_map_is_the_partner_selection(self, encoders):
+        # the receivers' counterpart of secrecy_audit, over the shapes of
+        # test_noise_factor_has_the_receive_map_covariance: each receiver's own
+        # block of T is exactly 0, block (k, i) is the cross-talk F_k G_k H_i U_i,
+        # and with designed encoders T is the 0/1 partner selection to the rank rule
+        rng = np.random.default_rng(43 if encoders == "designed" else 44)
+        zero_width = no_streams = 0
+        for _ in range(40):
+            spec = random_pairwise_spec(rng)
+            strategy = strategy_from_pairwise(spec, rng)
+            ch = draw_channels(spec.K, spec.N, rng)
+            if encoders == "designed":
+                enc = design_encoders(strategy, ch)
+            else:
+                enc = [rng.standard_normal((spec.N, d)) + 1j * rng.standard_normal((spec.N, d)) for d in spec.d]
+            link = Link(strategy, ch, enc)
+            zero_width += 0 in spec.pairwise.values()
+            no_streams += 0 in spec.d
+            transfer = link.transfer_all
+            assert transfer.shape == (sum(spec.d), sum(spec.d)), spec
+            for k, (g, rows) in enumerate(zip(ch.G, link.rows)):
+                assert not transfer[rows, rows].any(), (spec, k)
+                folded = reference_receive_map(link, k) @ g
+                for i, cols in enumerate(link.rows):
+                    if i != k:
+                        want = folded @ (ch.H[i] @ enc[i])
+                        got = transfer[rows, cols]
+                        assert np.linalg.norm(got - want) <= 1e-12 * max(np.linalg.norm(want), 1), (spec, k, i)
+            if encoders == "designed":
+                off = transfer - partner_selection(link)
+                top, resid = np.linalg.svd(np.stack([transfer, off]), compute_uv=False)[:, 0]
+                assert resid <= rank_threshold(transfer.shape, top), spec
+        assert zero_width and no_streams  # the shapes hold zero-width pairs and users with no streams
+
     def test_receiver_with_no_streams_has_an_empty_noise_factor(self):
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
         rows = link.rows[2]
         assert link.noise_factor_all[rows, rows].shape == (0, 0)
-        assert link.decode(np.zeros((2, 5)), np.zeros((4, 5)), np.zeros((4, 5)))[rows].shape == (0, 5)
+        assert link.decode(np.zeros((4, 5)), np.zeros((4, 5)))[rows].shape == (0, 5)
 
     def test_maps_are_d_k_by_n_views_of_the_stacked_maps(self):
         rng = np.random.default_rng(4)
         spec = StrategySpec(4, 5, (2, 3, 3, 2), pairwise={(0, 1): 1, (0, 2): 1, (1, 2): 1, (1, 3): 1, (2, 3): 1})
         strategy = strategy_from_pairwise(spec, rng)
         link = link_of(strategy, draw_channels(4, 5, rng))
-        assert link.folded_all.shape == link.receive_all.shape == (10, 5) and link.effective_all.shape == (5, 10)
+        assert link.transfer_all.shape == link.noise_factor_all.shape == (10, 10)
+        assert link.effective_all.shape == (5, 10)
         assert [(r.start, r.stop) for r in link.rows] == [(0, 2), (2, 5), (5, 8), (8, 10)]
+        blocks = np.zeros((10, 10), dtype=bool)
         for d, rows in zip(spec.d, link.rows):
             # receiver k's maps are its row block of the stacked maps
-            assert link.receive_all[rows].shape == link.folded_all[rows].shape == (d, 5)
-            own = link.own_all[rows, rows]
-            assert np.allclose(own, np.eye(d))  # designed encoders: H_k U_k = B_k, and F_k G_k B_k = I
-        # own_all is block diagonal: no receiver's own symbols reach another's rows;
-        # noise_factor_all is not, as the relay's noise reaches every receiver
-        blocks = np.zeros((10, 10), dtype=bool)
-        for r in link.rows:
-            blocks[r, r] = True
-        assert not link.own_all[~blocks].any()
+            assert link.transfer_all[rows].shape == link.noise_factor_all[rows].shape == (d, 10)
+            blocks[rows, rows] = True
+        # no receiver's own symbols reach its rows, and designed encoders send each
+        # partner's symbol to the row that decides it; noise_factor_all is not block
+        # diagonal, as the relay's noise reaches every receiver
+        assert not link.transfer_all[blocks].any()
+        assert np.allclose(link.transfer_all, partner_selection(link))
 
     # ChannelSet decides both channel directions by one rank rule, at construction
     @SINGULAR_3X3
@@ -703,7 +739,7 @@ class TestReceiveMap:
         else:
             strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
             link = link_of(strategy, ChannelSet(K=3, N=3, **mats))
-            assert np.allclose(link.own_all[link.rows[1], link.rows[1]], np.eye(2))
+            assert np.allclose(link.transfer_all, partner_selection(link))
 
 
 class TestSnr:
@@ -797,7 +833,7 @@ class TestTwoUserBaseline:
         link = scalar_link(1 + 1j, 2 - 1j, 0.5j, 1.5)
         idx = rng.integers(0, 4, (2, 500))  # one stream per user
         x = QPSK.points[idx]
-        hard = QPSK.nearest_index(link.decode(link.observe(x), x))
+        hard = QPSK.nearest_index(link.decode(x))
         ser = tuple(float(np.mean(hard[k] != idx[1 - k])) for k in (0, 1))
         assert ser == (0.0, 0.0)
 
@@ -943,8 +979,11 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         ser = []
         snrs = []
         for k, rows in enumerate(link.rows):
-            f, factor, own = link.receive_all[rows], link.noise_factor_all[rows], link.own_all[rows, rows]
-            est = f @ (channels.G[k] @ r) + factor @ w - own @ x[k]
+            # receiver k's receive map F_k = P[slots_k] G_k^-1, and its own signal from G_k, H_k and U_k
+            g = channels.G[k]
+            f = link.relay_map[link.slots[k]] @ np.linalg.inv(g)
+            own = f @ (g @ (channels.H[k] @ link.encoders[k]))
+            est = f @ (g @ r) + link.noise_factor_all[rows] @ w - own @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]

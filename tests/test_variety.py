@@ -305,6 +305,14 @@ class TestStackedEquivalence:
         assert dims.tolist() == [0, 0, 2, 0]
         assert dets[2] < DET_ZERO_THRESHOLD < dets.min(initial=1.0, where=dims == 0)
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (5, 5), (1000, 1000)])
+    def test_relation_free_shape_draws_nothing(self, n, d):
+        # Gr(1, n) and Gr(n, n) have no relations: every residual is 0 without a draw
+        rng = np.random.default_rng(9)
+        residuals = plucker_probe(n, d, 7, rng)
+        assert residuals.shape == (7,) and not residuals.any()
+        assert rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+
     def test_oversized_table_rejected_before_drawing(self):
         rng = np.random.default_rng(9)
         with pytest.raises(InvalidInput, match="wedge-relation terms"):
