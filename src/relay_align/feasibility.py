@@ -26,7 +26,6 @@ from .errors import (
 from .subspace import (
     _check_orthonormal,
     _complex_gaussian,
-    _triple_dim,
     blocks,
     intersect_stack,
     is_basis,
@@ -255,7 +254,9 @@ def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
         # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
         parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
         per_user = tuple(orthonormal_stack(p).shape[2] == p.shape[2] == d for p, d in zip(parts, dims))
-        worst_triple = max((_triple_dim(*abc) for abc in itertools.combinations(bases, 3)), default=0)
+        # V_i & V_j & V_l, i < j < l, from the pair intersection V_i & V_j already taken
+        triples = itertools.combinations(range(k), 3)
+        worst_triple = max((intersect_stack(inter[i, j], bases[l]).shape[2] for i, j, l in triples), default=0)
     return VerificationReport(
         ok=ok,
         dims=dims,

@@ -7,16 +7,16 @@ detect membership by rank computations on iterated intersections.
 
 Every probe works on stacks of samples: the Haar draws, the wedge minors, the
 three-term relations (gathered from one cached index table per (n, d)), the
-perp lines, the determinants and the line polynomials are each one stacked
-numpy or LAPACK call per block of samples; a single sample is a stack of one.
-The blocks are subspace.blocks, and each block's draw one _complex_gaussian
-call; a shape past MAX_RELATION_TERMS is refused, and one without
-relations answers, before any draw.
+perp lines, the determinants, the line polynomials and their root counts are
+each one stacked numpy or LAPACK call per block of samples; a single sample is
+a stack of one.  The blocks are subspace.blocks, and each block's draw one
+_complex_gaussian call; a shape past MAX_RELATION_TERMS is refused, and one
+without relations answers, before any draw.
 Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
-line-polynomial cut of _poly_roots (1e-10).  Complex products and magnitudes
-that reach the output are formed from real and imaginary parts (np.hypot),
-which round as numpy's scalar complex arithmetic does; numpy's vectorized
-complex multiply and np.abs may round differently in the last bit.
+line-polynomial coefficient cut of codim_line_probe (1e-10).  Complex products
+and magnitudes that reach the output are formed from real and imaginary parts
+(np.hypot), which round as numpy's scalar complex arithmetic does; numpy's
+vectorized complex multiply and np.abs may round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -156,30 +156,20 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     return np.concatenate([_residuals(table, plucker_coords(bases)) for bases in draws])
 
 
-def _perp_lines(planes: np.ndarray) -> np.ndarray:
-    """Unit, phase-normalized perp lines of a (T, 3, 2) stack of plane bases: (T, 3)."""
-    _, _, vh = np.linalg.svd(planes.conj().swapaxes(1, 2))
-    return _normalize_projective(vh[:, -1].conj())
+def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|det| of the perp-line matrix, and the triple-intersection dim, of each of a (T, 3, 3, 2) stack of plane triples.
 
-
-def _perp_det(planes: np.ndarray) -> np.ndarray:
-    """det of the perp-line columns of each sample of a (T, 3, 3, 2) stack of plane triples.
-
-    It is zero (below DET_ZERO_THRESHOLD) exactly when the three planes share
-    a common line, i.e. the triple intersection is nonzero.
+    Each plane's perp line is the last right singular vector of its conjugate
+    transpose, unit and phase-normalized (_normalize_projective); the
+    determinant is zero (below DET_ZERO_THRESHOLD) exactly when the three
+    planes share a common line, i.e. the triple intersection is nonzero.  The
+    dims are _triple_dim's; a block whose triples disagree on a rank of the
+    iterated intersection runs again one triple at a time (split_by_rank).
     """
     t = planes.shape[0]
-    lines = _perp_lines(planes.reshape(3 * t, 3, 2)).reshape(t, 3, 3)
-    return np.linalg.det(lines.swapaxes(1, 2))
-
-
-def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|_perp_det| and the triple-intersection dim (_triple_dim) of each triple of a (T, 3, 3, 2) stack.
-
-    A block whose triples disagree on a rank of the iterated intersection
-    runs again one triple at a time (split_by_rank).
-    """
-    det = _perp_det(planes)
+    _, _, vh = np.linalg.svd(planes.reshape(3 * t, 3, 2).conj().swapaxes(1, 2))
+    lines = _normalize_projective(vh[:, -1].conj()).reshape(t, 3, 3)
+    det = np.linalg.det(lines.swapaxes(1, 2))
     (dims,) = split_by_rank(
         lambda abc: (np.full(abc[0].shape[0], _triple_dim(*abc)),), [planes[:, 0], planes[:, 1], planes[:, 2]]
     )
@@ -210,27 +200,13 @@ def _line_coeffs(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_VANDER, vals[..., None])[..., 0]
 
 
-def _poly_roots(coeffs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Roots of coeffs, and whether it is identically zero: every coefficient below 1e-10.
-
-    A coefficient at most 1e-10 times the largest counts as zero; a constant
-    has no roots.
-    """
-    mags = np.abs(coeffs)
-    peak = mags.max()
-    if peak < 1e-10:
-        return np.array([]), True
-    return np.roots(np.trim_zeros(np.where(mags > 1e-10 * peak, coeffs, 0), "f")), False
-
-
 @dataclass(frozen=True)
 class LineProbeReport:
-    """Root statistics of the restriction of the determinant to random lines."""
+    """Root count, and whether the determinant vanishes identically, on each random line."""
 
     samples: int
     root_counts: list[int]
     identically_zero: list[bool]
-    residuals: list[float]
 
     @property
     def all_lines_hit(self) -> bool:
@@ -243,22 +219,25 @@ class LineProbeReport:
 def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     """Restrict the plane-triple determinant to random affine lines.
 
-    Each sample draws random anchors and directions for the three perp lines,
-    forms det(t), and finds its roots.  The lines are drawn, and their
-    determinants taken at the four nodes and solved for, in stacked blocks;
-    only the root finding runs per line.  A generic line yields a nonconstant
-    polynomial with at least one complex root, evidence that the degenerate
-    locus has codimension one.
+    Each sample draws random anchors and directions for the three perp lines
+    and forms the cubic det(t) (_line_coeffs).  The lines are drawn, and their
+    cubics formed and decided, in stacked blocks.  A cubic is identically zero
+    when every coefficient is below 1e-10; it then has no roots.  Otherwise a
+    coefficient at most 1e-10 times the largest counts as zero, and the root
+    count is the degree left: a degree-m polynomial over C has m roots with
+    multiplicity.  A generic line yields a nonconstant polynomial with at
+    least one complex root, evidence that the degenerate locus has
+    codimension one.
     """
-    counts, zeros, residuals = [], [], []
+    counts, zeros = [], []
     for block in blocks(samples, 4 * 3 * 3):
         t = block.stop - block.start
         lines = _complex_gaussian(rng, (9, 9), t, 2.0).reshape(t, 2, 3, 3)  # anchor, then direction
-        for coeffs in _line_coeffs(lines[:, 0], lines[:, 1]):
-            roots, zero = _poly_roots(coeffs)
-            counts.append(len(roots))
-            zeros.append(zero)
-            residuals.append(float(max(abs(np.polyval(coeffs, r)) for r in roots)) if len(roots) else 0.0)
+        mags = np.abs(_line_coeffs(lines[:, 0], lines[:, 1]))
+        peak = mags.max(axis=1)
+        zero = peak < 1e-10
+        zeros.append(zero)
+        counts.append(np.where(zero, 0, 3 - np.argmax(mags > 1e-10 * peak[:, None], axis=1)))
     return LineProbeReport(
-        samples=samples, root_counts=counts, identically_zero=zeros, residuals=residuals
+        samples=samples, root_counts=np.concatenate(counts).tolist(), identically_zero=np.concatenate(zeros).tolist()
     )

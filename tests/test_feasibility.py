@@ -29,6 +29,7 @@ from relay_align.subspace import (
     BLOCK_ENTRIES,
     RaggedRank,
     _complex_gaussian,
+    _triple_dim,
     intersect_stack,
     orthonormal_stack,
     split_by_rank,
@@ -272,12 +273,22 @@ class TestVerifyStrategy:
         assert all(v == 1 for v in rep.pair_dims.values())
 
     def test_ok_report_skips_triple_scan(self, monkeypatch):
-        def scan(*abc):
-            raise AssertionError("triple scan ran for an ok report")
-
-        monkeypatch.setattr(feasibility, "_triple_dim", scan)
+        calls, intersect = [], feasibility.intersect_stack
+        monkeypatch.setattr(feasibility, "intersect_stack", lambda a, b: calls.append((a, b)) or intersect(a, b))
         rep = verify_strategy(construct_strategy(StrategySpec(4, 4, (2, 2, 2, 2))).subspaces, 4)
         assert rep.ok and rep.worst_triple_dim == 0
+        assert len(calls) == 4 * 3 // 2  # the pair intersections, and no triple
+
+    @pytest.mark.parametrize("outside", range(4))
+    def test_triple_scan_reuses_the_right_pair(self, outside):
+        # in C^4, span{e1, e2, e3} and span{e3, e4} twice share only e3; span{e1, e2} meets the first in a
+        # plane and each triple through it in 0: the worst pair (2) is above the only nonzero triple (1)
+        inside = [span(4, [0, 1, 2]), span(4, [2, 3]), span(4, [2, 3])]
+        cand = inside[:outside] + [span(4, [0, 1])] + inside[outside:]
+        rep = verify_strategy(cand, 4)
+        triples = [_triple_dim(*(b[None] for b in abc)) for abc in itertools.combinations(cand, 3)]
+        assert sorted(triples) == [0, 0, 0, 1] and max(rep.pair_dims.values()) == 2
+        assert not rep.ok and rep.worst_triple_dim == max(triples) == 1
 
     def test_coincident_planes_fail(self):
         plane = span(3, [0, 1])

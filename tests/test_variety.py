@@ -13,9 +13,6 @@ from relay_align.variety import (
     _determinant_block,
     _line_coeffs,
     _normalize_projective,
-    _perp_det,
-    _perp_lines,
-    _poly_roots,
     _relation_table,
     _residuals,
     codim_line_probe,
@@ -99,8 +96,9 @@ class TestTripleIntersection:
 class TestDeterminantalTest:
     def test_coordinate_planes(self):
         planes = np.stack([plane([0, 1]), plane([1, 2]), plane([0, 2])])
-        det = _perp_det(planes[None])[0]
-        assert abs(abs(det) - 1) < 1e-12  # perp lines are e3, e1, e2
+        dets, dims = _determinant_block(planes[None])
+        assert abs(dets[0] - 1) < 1e-12  # perp lines are e3, e1, e2
+        assert dims[0] == 0
 
     def test_degenerate_equal_planes(self):
         s = plane([0, 1])
@@ -113,8 +111,38 @@ class TestDeterminantalTest:
         assert np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)) == 100
 
     def test_perp_line_of_coordinate_plane(self):
-        w = _perp_lines(plane([0, 1])[None])[0]
-        assert np.allclose(np.abs(w), [0, 0, 1])
+        # beside the coordinate planes with perp lines e_j, j != k, |det| is |w_k| for the perp line w of span{e1, e2}
+        def perp_to(j):
+            return plane([i for i in range(3) if i != j])
+
+        triples = np.stack([[plane([0, 1]), *(perp_to(j) for j in range(3) if j != k)] for k in range(3)])
+        dets, _ = _determinant_block(triples)
+        assert np.allclose(dets, [0, 0, 1])
+
+
+def reference_roots(coeffs):
+    """Roots of one cubic by np.roots after the 1e-10 cut, and whether it is identically zero, as found per line."""
+    mags = np.abs(coeffs)
+    peak = mags.max()
+    if peak < 1e-10:
+        return np.array([]), True
+    return np.roots(np.trim_zeros(np.where(mags > 1e-10 * peak, coeffs, 0), "f")), False
+
+
+def probe_lines(monkeypatch, anchors, directions):
+    """codim_line_probe on the given (T, 3, 3) anchors and directions in place of its draw, checked line by line."""
+    t = len(anchors)
+    rows = iter(np.concatenate([anchors.reshape(t, 9), directions.reshape(t, 9)], axis=1))
+
+    def draw(rng, sizes, count, variance):
+        return np.stack(list(itertools.islice(rows, count)))
+
+    monkeypatch.setattr(variety, "_complex_gaussian", draw)
+    report = codim_line_probe(np.random.default_rng(0), t)
+    for a, b, count, zero in zip(anchors, directions, report.root_counts, report.identically_zero):
+        roots, want_zero = reference_roots(_line_coeffs(a[None], b[None])[0])
+        assert (count, zero) == (len(roots), want_zero)
+    return report
 
 
 class TestLineProbe:
@@ -123,27 +151,41 @@ class TestLineProbe:
         report = codim_line_probe(rng, 20)
         assert report.all_lines_hit
         assert all(1 <= c <= 3 for c in report.root_counts)
-        assert all(r < 1e-6 for r in report.residuals)
 
-    def test_line_inside_the_locus(self):
+    def test_line_inside_the_locus(self, monkeypatch):
         # all three perp lines equal along the whole line: det vanishes identically
         rng = np.random.default_rng(18)
         a = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         b = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         anchors = np.column_stack([a, a, a])
         directions = np.column_stack([b, b, b])
-        coeffs = _line_coeffs(anchors[None], directions[None])[0]
-        assert np.max(np.abs(coeffs)) < 1e-10
-        roots, zero = _poly_roots(coeffs)
-        assert zero and len(roots) == 0
+        assert np.max(np.abs(_line_coeffs(anchors[None], directions[None])[0])) < 1e-10
+        report = probe_lines(monkeypatch, anchors[None], directions[None])
+        assert report.identically_zero == [True] and report.root_counts == [0]
 
-    def test_constant_line_with_feasible_triple(self):
-        anchors = np.eye(3, dtype=complex)  # perp lines e1, e2, e3: det = 1
-        directions = np.zeros((3, 3), dtype=complex)
-        coeffs = _line_coeffs(anchors[None], directions[None])[0]
-        assert np.allclose(coeffs, [0, 0, 0, 1])
-        roots, zero = _poly_roots(coeffs)
-        assert not zero and len(roots) == 0
+    def test_constant_line_with_feasible_triple(self, monkeypatch):
+        # perp lines s e1, s e2, s e3: det = s^3, and 1e-12 is below the absolute 1e-10 cut
+        scales = np.array([1, 1e-3, 1e-4])
+        anchors = scales[:, None, None] * np.eye(3, dtype=complex)
+        directions = np.zeros_like(anchors)
+        assert np.allclose(_line_coeffs(anchors, directions) / scales[:, None] ** 3, [0, 0, 0, 1])
+        report = probe_lines(monkeypatch, anchors, directions)
+        assert report.identically_zero == [False, False, True] and report.root_counts == [0, 0, 0]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_root_count_is_the_direction_rank(self, monkeypatch, scale):
+        # det(A + x B) has degree rank(B) for a generic anchor A: directions of rank 0 to 3 give degrees 0 to 3
+        rng = np.random.default_rng(19)
+        ranks = np.repeat(np.arange(4), 25)
+
+        def gauss(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        anchors = scale * gauss(len(ranks), 3, 3)
+        directions = scale * np.stack([gauss(3, r) @ gauss(r, 3) for r in ranks])
+        report = probe_lines(monkeypatch, anchors, directions)
+        assert report.root_counts == ranks.tolist()
+        assert not any(report.identically_zero)
 
 
 # Reference copies of the per-sample probes the stacked kernels replaced.  The
@@ -278,10 +320,9 @@ class TestStackedEquivalence:
             directions = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             coeffs = reference_line_determinant(anchors, directions)
             assert same_bits(_line_coeffs(anchors[None], directions[None])[0], coeffs)
-            roots, _ = _poly_roots(coeffs)
+            roots, zero = reference_roots(coeffs)
             assert report.root_counts[t] == len(roots)
-            assert report.identically_zero[t] == bool(np.max(np.abs(coeffs)) < 1e-10)
-            assert report.residuals[t] == max((abs(np.polyval(coeffs, r)) for r in roots), default=0.0)
+            assert report.identically_zero[t] == zero
 
     def test_determinant_probe_matches_per_sample(self, many_blocks):
         samples = 2 * (BLOCK_ENTRIES // 18) + 3 if many_blocks else 30  # 18 entries a plane triple
@@ -291,7 +332,6 @@ class TestStackedEquivalence:
             planes = [haar_stack(3, 2, 1, rng)[0] for _ in range(3)]
             lines = [reference_normalize(np.linalg.svd(v.conj().T)[2][-1].conj()) for v in planes]
             det = complex(np.linalg.det(np.column_stack(lines)))
-            assert same_bits(_perp_det(np.stack(planes)[None])[0], det)
             assert same_bits(dets[t], abs(det))
             assert dims[t] == _triple_dim(*(v[None] for v in planes))
 
