@@ -105,9 +105,12 @@ def _json_text(obj) -> str:
 def cmd_feasible(args) -> int:
     spec = _spec_from_args(args)
     reason = feasibility.feasibility_reason(spec)
+    pair_dims, generic = feasibility.generic_verdict(spec)
     verdict = {
         "feasible": reason == "ok",
         "reason": reason,
+        "generic": generic,
+        "generic_pair_dims": {f"{i + 1}-{j + 1}": e for (i, j), e in pair_dims.items()},
         "K": spec.K,
         "N": spec.N,
         "d": list(spec.d),

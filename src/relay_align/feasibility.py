@@ -26,6 +26,7 @@ from .errors import (
 from .subspace import (
     _check_orthonormal,
     _complex_gaussian,
+    _full_column_rank,
     blocks,
     intersect_stack,
     is_basis,
@@ -39,6 +40,7 @@ __all__ = [
     "VerificationReport",
     "feasibility_reason",
     "is_feasible_tuple",
+    "generic_verdict",
     "construct_strategy",
     "verify_strategy",
     "sample_generic_strategy",
@@ -121,6 +123,21 @@ def feasibility_reason(spec: StrategySpec) -> str:
 def is_feasible_tuple(spec: StrategySpec) -> bool:
     """True iff sum(d_i) = 2N and every d_i <= N."""
     return feasibility_reason(spec) == "ok"
+
+
+def generic_verdict(spec: StrategySpec) -> tuple[dict[Pair, int], bool]:
+    """The pair dimensions e_ij of Haar-random subspaces of this shape, and whether they generically make a strategy.
+
+    Generic subspaces of dimensions d_i and d_j meet in dimension
+    e_ij = max(0, d_i + d_j - N) almost surely.  A valid strategy splits
+    each V_i into its pair intersections, so a Haar-random draw can verify
+    only if every row sum_{j != i} e_ij equals d_i.  The tuple is generic iff
+    it is feasible and that holds; generic_feasibility_rate is then 1, and
+    otherwise 0 (tests check this on every feasible shape up to K=5, N=6).
+    """
+    e = {(i, j): max(0, spec.d[i] + spec.d[j] - spec.N) for i, j in _pairs(spec.K)}
+    rows = [sum(v for p, v in e.items() if i in p) for i in range(spec.K)]
+    return e, is_feasible_tuple(spec) and rows == list(spec.d)
 
 
 @dataclass(frozen=True)
@@ -216,11 +233,13 @@ def _verify_stack(bases: list[np.ndarray]) -> tuple[dict[Pair, np.ndarray], np.n
     """The pair intersections of T candidates, in _pairs order, and whether they form a basis of C^n (iii).
 
     bases[i] is a (T, n, d_i) stack of orthonormal bases of user i's subspace.
-    Each pair is one intersect_stack call, the verdict one is_basis call;
-    raises RaggedRank when the trials disagree on a rank.  With sum(d_i) = 2N
-    the basis verdict (T bools) is the whole verdict: the V_i & V_j, j != i,
-    are then independent inside V_i, so each row adds up to at most d_i, and
-    the rows summing to 2N forces each to d_i, which is (ii).
+    Each pair is one intersect_stack call, the verdict one is_basis call; a
+    pair with d_i + d_j <= n computes singular vectors only when one of its
+    trials meets.  Raises RaggedRank when the trials disagree on a rank.
+    With sum(d_i) = 2N the basis verdict (T bools) is the whole verdict: the
+    V_i & V_j, j != i, are then independent inside V_i, so each row adds up
+    to at most d_i, and the rows summing to 2N forces each to d_i, which is
+    (ii).
     """
     inter = {(i, j): intersect_stack(bases[i], bases[j]) for i, j in _pairs(len(bases))}
     return inter, is_basis(np.concatenate(list(inter.values()), axis=2))
@@ -251,9 +270,10 @@ def verify_strategy(cand: list[np.ndarray], n: int) -> VerificationReport:
     ok = sum(dims) == 2 * n and bool(basis[0])
     per_user, worst_triple = (True,) * k, 0
     if not ok:
-        # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank
+        # the intersections lie in V_i by construction, so V_i splits into them iff they add up to its rank:
+        # d_i columns of full rank, a verdict the singular values alone give
         parts = [np.concatenate([inter[min(i, j), max(i, j)] for j in range(k) if j != i], axis=2) for i in range(k)]
-        per_user = tuple(orthonormal_stack(p).shape[2] == p.shape[2] == d for p, d in zip(parts, dims))
+        per_user = tuple(p.shape[2] == d and bool(_full_column_rank(p)[0]) for p, d in zip(parts, dims))
         # V_i & V_j & V_l, i < j < l, from the pair intersection V_i & V_j already taken
         triples = itertools.combinations(range(k), 3)
         worst_triple = max((intersect_stack(inter[i, j], bases[l]).shape[2] for i, j, l in triples), default=0)
@@ -385,8 +405,11 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     does not depend on evaluation order and a run's trials are a prefix of a
     longer run's.  Each block of subspace.blocks, N sum(d_i) entries a trial
     and K(K + 1)/2 kernel calls (K orthonormalisations, K(K - 1)/2 pair
-    intersections), is one drawer call and one _verify_stack.  With
-    sum(d_i) != 2N no draw can pass, so none is made and the rate is 0.
+    intersections), is one drawer call and one _verify_stack; a pair with
+    d_i + d_j <= N generically does not meet and costs one values-only SVD.
+    With sum(d_i) != 2N no draw can pass, so none is made and the rate is 0.
+    Otherwise the rate is 1 or 0 as generic_verdict says, up to draws of
+    probability zero.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")

@@ -8,7 +8,10 @@ downstream -- intersections, direct-sum conditions, feasibility
 verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
-stack; one basis is a stack of one, orthonormal_stack(x[None])[0].  One
+step for the whole stack; one basis is a stack of one,
+orthonormal_stack(x[None])[0].  A rank decision that needs no vectors takes
+the singular values alone (_full_column_rank), so an intersection that its
+shape allows to be empty pays for singular vectors only when it is not.  One
 array holds bases of one width, so a kernel whose trials disagree on a rank
 raises RaggedRank, and split_by_rank reruns such a block one trial at a time.
 Three shared policies live here too: is_basis, the one basis test; blocks,
@@ -62,12 +65,17 @@ def numeric_rank(singular_values: np.ndarray, shape: tuple[int, int]):
     return (s > rank_threshold(shape, s[..., :1])).sum(axis=-1)
 
 
+def _full_column_rank(stack: np.ndarray) -> np.ndarray:
+    """(T,) bools: whether each matrix of a (T, N, m) stack has numeric rank m, from one values-only SVD."""
+    return numeric_rank(np.linalg.svd(stack, compute_uv=False), stack.shape[1:]) == stack.shape[2]
+
+
 def is_basis(stack: np.ndarray) -> np.ndarray:
     """(T,) bools: whether each matrix of a (T, N, m) stack has m = N columns of full numeric rank, in one SVD."""
     t, n, m = stack.shape
     if m != n:  # too few or too many columns for a basis, whatever their rank: no SVD
         return np.zeros(t, dtype=bool)
-    return numeric_rank(np.linalg.svd(stack, compute_uv=False), (n, m)) == n
+    return _full_column_rank(stack)
 
 
 def blocks(total: int, per_item: int, calls: int = 1):
@@ -197,7 +205,11 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Null vectors (x; y) of [A | -B] satisfy A x = B y; mapping the x-block
     through A yields a spanning set of the intersection, which
     orthonormal_stack turns into a basis: one SVD call each for the whole
-    stack.  Raises RaggedRank when the trials disagree on a rank.
+    stack.  When dA + dB <= N the intersection can be zero, as it is for
+    generic bases, so the singular values of [A | -B] come first: if every
+    trial has full column rank the result is (T, N, 0) with no vectors
+    computed, and otherwise the steps above run as when dA + dB > N.
+    Raises RaggedRank when the trials disagree on a rank.
     """
     if a.shape[:2] != b.shape[:2]:
         raise DimensionMismatch(f"stacks of shape {a.shape} and {b.shape} do not pair up")
@@ -206,6 +218,8 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if da == 0 or db == 0:
         return np.zeros((t, n, 0), dtype=np.complex128)
     stacked = np.concatenate([a, -b], axis=2, dtype=np.complex128)
+    if da + db <= n and _full_column_rank(stacked).all():
+        return np.zeros((t, n, 0), dtype=np.complex128)
     # vh must be square to hold the null space; with N >= dA + dB it is square either way, and U stays N x (dA + dB)
     _, s, vh = np.linalg.svd(stacked, full_matrices=n < da + db)
     null = vh[:, _common_rank(numeric_rank(s, (n, da + db))) :].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)

@@ -290,6 +290,14 @@ class TestVerifyStrategy:
         assert sorted(triples) == [0, 0, 0, 1] and max(rep.pair_dims.values()) == 2
         assert not rep.ok and rep.worst_triple_dim == max(triples) == 1
 
+    def test_per_user_verdict_fails_one_user(self):
+        # V_0 = span{e1, e2} meets V_1 = span{e1, e3} in e1 and V_2 = span{e3} in 0, so only V_0 does not split
+        # into its pair intersections; V_1 = e1 + e3 and V_2 = e3 do
+        rep = verify_strategy([span(3, [0, 1]), span(3, [0, 2]), span(3, [2])], 3)
+        assert not rep.ok
+        assert rep.per_user_ok == (False, True, True)
+        assert rep.pair_dims == {(0, 1): 1, (0, 2): 0, (1, 2): 1}
+
     def test_coincident_planes_fail(self):
         plane = span(3, [0, 1])
         rep = verify_strategy([plane, plane, plane], 3)
@@ -351,6 +359,44 @@ class TestGenericSampling:
 def per_trial_rate(spec, trials, rng, draw=sample_generic_strategy):
     """Reference for generic_feasibility_rate: one verify_strategy call per successive draw(spec, rng)."""
     return sum(verify_strategy(draw(spec, rng), spec.N).ok for _ in range(trials)) / trials
+
+
+def feasible_shapes(max_k, max_n):
+    """Every feasible (K, N, d), 2 <= K <= max_k, 1 <= N <= max_n, with d sorted descending and zero widths allowed."""
+    return [
+        (k, n, d)
+        for k in range(2, max_k + 1)
+        for n in range(1, max_n + 1)
+        for d in itertools.combinations_with_replacement(range(n, -1, -1), k)
+        if sum(d) == 2 * n
+    ]
+
+
+class TestGenericVerdict:
+    @pytest.mark.parametrize(
+        "k, n, d, dims, generic",
+        [
+            (3, 3, (2, 2, 2), [1, 1, 1], True),
+            (4, 4, (2, 2, 2, 2), [0] * 6, False),  # the benchmark's rate-0 shape
+            (3, 4, (3, 3, 2), [2, 1, 1], True),
+            (4, 5, (3, 3, 2, 2), [1, 0, 0, 0, 0, 0], False),
+            (3, 3, (2, 2, 1), [1, 0, 0], False),  # sum(d) != 2N
+            (2, 3, (4, 2), [3], False),  # d_0 > N: the count is formal, and the tuple is not feasible
+        ],
+    )
+    def test_examples(self, k, n, d, dims, generic):
+        e, verdict = feasibility.generic_verdict(StrategySpec(k, n, d))
+        assert e == dict(zip(_pairs(k), dims))
+        assert verdict is generic
+
+    def test_rate_is_the_verdict_on_every_small_shape(self):
+        # 143 shapes; a generic shape verifies on every draw and any other on none
+        shapes = feasible_shapes(5, 6)
+        assert len(shapes) == 143
+        for k, n, d in shapes:
+            spec = StrategySpec(k, n, d)
+            rate = generic_feasibility_rate(spec, 3, np.random.default_rng(k * 100 + n))
+            assert rate == float(feasibility.generic_verdict(spec)[1]), (k, n, d)
 
 
 class TestBatchedGenericity:

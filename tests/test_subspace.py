@@ -237,6 +237,45 @@ class TestIntersect:
         assert exc.value.ranks.tolist() == [4, 3, 4]  # rank of [A | -B] per trial
 
 
+class TestValuesFirst:
+    """dA + dB <= N: the singular values of [A | -B] decide an empty intersection before any vector is computed."""
+
+    @pytest.mark.parametrize("n, da, db", [(4, 2, 2), (8, 4, 4), (32, 4, 4), (7, 1, 3)])
+    def test_generic_stack_computes_no_vectors(self, monkeypatch, n, da, db):
+        rng = np.random.default_rng(n * 100 + da * 10 + db)
+        a = orthonormal_stack(rng.standard_normal((5, n, da)) + 1j * rng.standard_normal((5, n, da)))
+        b = orthonormal_stack(rng.standard_normal((5, n, db)) + 1j * rng.standard_normal((5, n, db)))
+        calls, svd = [], np.linalg.svd  # compute_uv of every SVD call
+
+        def counted(x, *args, **kw):
+            calls.append(kw.get("compute_uv", True))
+            return svd(x, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        got = intersect_stack(a, b)
+        assert got.shape == (5, n, 0) and got.dtype == np.complex128
+        assert calls == [False]
+
+    @pytest.mark.parametrize("n, floor_rules", [(4, True), (48, False)], ids=["floor", "relative"])
+    @pytest.mark.parametrize("factor, dim", [(0.9, 1), (1.1, 0)])
+    def test_rank_rule_boundary(self, n, floor_rules, factor, dim):
+        # a line of A and one of B at angle theta, the other columns orthogonal to everything, under random
+        # unitaries: [A | -B] has singular values sqrt(1 + cos theta), 1, ..., and sigma_min = sqrt(2) sin(theta / 2)
+        rng = np.random.default_rng(13)
+        da, db = 2, 2
+        sigma_max = np.sqrt(2.0)  # to within sigma_min^2, far below the threshold's resolution
+        threshold = rank_threshold((n, da + db), sigma_max)
+        assert (threshold == ABS_RANK_FLOOR) == floor_rules
+        theta = 2 * np.arcsin(factor * threshold / np.sqrt(2))
+        tilted = np.zeros((n, db), dtype=complex)
+        tilted[0, 0], tilted[da, 0], tilted[da + 1, 1] = np.cos(theta), np.sin(theta), 1
+        q, _ = np.linalg.qr(rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n)))
+        a, b = q[:, :, :da], q @ tilted
+        stacked = np.concatenate([a, -b], axis=2)
+        assert np.linalg.svd(stacked, compute_uv=False)[:, -1] == pytest.approx(factor * threshold, rel=1e-2)
+        assert intersect_stack(a, b).shape == (3, n, dim)
+
+
 class TestSumAndDirectSum:
     def test_coordinate_sum_full(self):
         parts = [span(E3[:, i]) for i in range(3)]
