@@ -145,16 +145,17 @@ class Strategy:
     """K subspaces plus explicit orthonormal bases B_ij of the intersections.
 
     __post_init__ fixes the layout once.  pair_bases holds every pair (i, j),
-    0 <= i < j < K, in _pairs order, an omitted pair as an N x 0 block, and
-    any other key raises InvalidInput.  user_bases[i] is user i's blocks B_ij,
-    partners ascending: the basis of V_i that encoders and decoders use.
-    slices[(i, j)] are the rows of user i's symbol vector that serve {i, j}.
+    0 <= i < j < K, in _pairs order, and any other key raises InvalidInput.
+    Only the blocks given are converted and checked; each omitted pair is one
+    shared read-only N x 0 block, so a strategy costs its nonempty blocks, at
+    most N of them when it is valid.  user_bases[i] is user i's nonempty
+    blocks B_ij, partners ascending: the basis of V_i that encoders and
+    decoders use.
     """
 
     spec: StrategySpec
     pair_bases: dict[Pair, np.ndarray]
     user_bases: list[np.ndarray] = field(init=False, repr=False)
-    slices: dict[Pair, slice] = field(init=False, repr=False)
 
     def __post_init__(self):
         n, k = self.spec.N, self.spec.K
@@ -162,25 +163,23 @@ class Strategy:
         bad = [p for p in self.pair_bases if p not in pairs]
         if bad:
             raise InvalidInput(f"pair basis key {bad[0]!r} is not (i, j) with 0 <= i < j < K={k}")
-        pb = {}
-        for p in pairs:
-            b = pb[p] = np.asarray(self.pair_bases.get(p, np.zeros((n, 0))), dtype=np.complex128)
+        empty = np.zeros((n, 0), dtype=np.complex128)
+        empty.flags.writeable = False
+        pb = dict.fromkeys(pairs, empty)
+        users = [[] for _ in range(k)]  # in _pairs order, user i's pairs come with partners ascending
+        for p in sorted(self.pair_bases):
+            b = pb[p] = np.asarray(self.pair_bases[p], dtype=np.complex128)
             if b.ndim != 2 or b.shape[0] != n:
                 raise DimensionMismatch(f"pair basis {p} has shape {b.shape}, expected N={n} rows")
             try:
                 _check_orthonormal(b)
             except InvalidInput as exc:
                 raise InvalidInput(f"pair basis {p}: {exc}") from None
-        slices, user_bases = {}, []
-        for i in range(k):
-            partners = [j for j in range(k) if j != i]
-            blocks = [pb[min(i, j), max(i, j)] for j in partners]
-            ends = itertools.accumulate(b.shape[1] for b in blocks)
-            slices.update({(i, j): slice(e - b.shape[1], e) for j, b, e in zip(partners, blocks, ends)})
-            user_bases.append(np.hstack(blocks))
+            if b.shape[1]:
+                users[p[0]].append(b)
+                users[p[1]].append(b)
         object.__setattr__(self, "pair_bases", pb)
-        object.__setattr__(self, "user_bases", user_bases)
-        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "user_bases", [np.hstack(u) if u else empty for u in users])
 
     @property
     def subspaces(self) -> list[np.ndarray]:
@@ -201,7 +200,8 @@ class Strategy:
         widths = tuple(b.shape[1] for b in self.user_bases)
         if widths != self.spec.d:
             raise StrategyInvalid(f"user widths {widths} differ from the declared d={self.spec.d}")
-        frame = np.hstack(list(self.pair_bases.values()))
+        nonempty = [b for b in self.pair_bases.values() if b.shape[1]]  # an N x 0 block adds no column
+        frame = np.hstack(nonempty) if nonempty else np.zeros((n, 0))
         if not is_basis(frame[None])[0]:
             raise StrategyInvalid(f"the pair frame ({frame.shape[1]} columns) is not a basis of C^{n}")
         return np.linalg.inv(frame)
@@ -297,17 +297,13 @@ def construct_strategy(spec: StrategySpec) -> Strategy:
     """
     if not is_feasible_tuple(spec):
         raise InfeasibleTuple(f"tuple (K={spec.K}, N={spec.N}, d={spec.d}) is not feasible")
-    n, k = spec.N, spec.K
-    offsets = np.concatenate([[0], np.cumsum(spec.d)])
-    windows = [
-        {m % n for m in range(offsets[i], offsets[i + 1])} for i in range(k)
-    ]
+    n = spec.N
+    owner = np.repeat(np.arange(spec.K), spec.d).tolist()  # the user whose window holds position m
+    shared: dict[Pair, list[int]] = {}
+    for c, pair in enumerate(zip(owner[:n], owner[n:])):  # coordinate c sits at positions c and c + N
+        shared.setdefault(pair, []).append(c)
     eye = np.eye(n, dtype=np.complex128)
-    pair_bases: dict[Pair, np.ndarray] = {}
-    for i, j in _pairs(k):
-        shared = sorted(windows[i] & windows[j])
-        pair_bases[(i, j)] = eye[:, shared]
-    return Strategy(spec=spec, pair_bases=pair_bases)
+    return Strategy(spec=spec, pair_bases={p: eye[:, cols] for p, cols in shared.items()})
 
 
 def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -343,7 +339,7 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
     if not is_feasible_tuple(spec):
         raise InfeasibleTuple(f"tuple (K={spec.K}, N={spec.N}, d={spec.d}) is not feasible")
     for _ in range(MAX_ATTEMPTS):
-        pair_bases = {p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items()}
+        pair_bases = {p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items() if dij}  # N x 0 draws nothing
         cand = Strategy(spec=spec, pair_bases=pair_bases)
         try:
             cand.relay_map()

@@ -77,9 +77,10 @@ def strategy_to_dict(strategy: Strategy) -> dict:
         "K": spec.K,
         "N": spec.N,
         "d": list(spec.d),
-        "pair_bases": {
+        "pair_bases": {  # a zero-width pair is left out: the reader takes an omitted pair as N x 0
             f"{i + 1}-{j + 1}": _encode_matrix(b)
             for (i, j), b in strategy.pair_bases.items()
+            if b.shape[1]
         },
     }
 

@@ -29,6 +29,8 @@ from relay_align.serialization import (
     strategy_to_dict,
 )
 
+from pair_slices import pair_slices
+
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -40,6 +42,11 @@ def run(*argv):
 def reference_encode(m) -> list:
     """A pair basis as strategy files hold it, element by element: rows of [float(re), float(im)]."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=np.complex128)]
+
+
+def reference_pair_bases(s) -> dict:
+    """The "pair_bases" value of a strategy file: each pair of nonzero width under its 1-based "i-j" key."""
+    return {f"{i + 1}-{j + 1}": reference_encode(b) for (i, j), b in s.pair_bases.items() if b.shape[1]}
 
 
 def lone_call(argv, seed_env=None) -> tuple[int, str]:
@@ -299,11 +306,9 @@ class TestSerialization:
     @with_reference_strategies
     def test_encoding_equals_reference(self, make):
         s = make()
-        pair_bases = strategy_to_dict(s)["pair_bases"]
-        for (i, j), b in s.pair_bases.items():
-            got, expected = pair_bases[f"{i + 1}-{j + 1}"], reference_encode(b)
-            assert got == expected
-            assert json.dumps(got) == json.dumps(expected)  # the text tells -0.0 from 0.0
+        got, expected = strategy_to_dict(s)["pair_bases"], reference_pair_bases(s)
+        assert got == expected
+        assert json.dumps(got) == json.dumps(expected)  # the text tells -0.0 from 0.0
 
     @with_reference_strategies
     def test_dump_strategy(self, make, tmp_path):
@@ -311,7 +316,7 @@ class TestSerialization:
         text = dump_strategy(s)
         assert json.loads(text) == json.loads(json.dumps(strategy_to_dict(s), indent=2, sort_keys=True))
         basis_lines = [line.rstrip(",") for line in text.splitlines() if line.startswith('    "')]
-        assert len(basis_lines) == len(s.pair_bases)  # each line one whole "i-j": basis member
+        assert len(basis_lines) == len(reference_pair_bases(s))  # each line one whole "i-j": basis member
         assert [json.loads(f"{{{line}}}") for line in basis_lines] == [
             {key: rows} for key, rows in sorted(strategy_to_dict(s)["pair_bases"].items())
         ]
@@ -335,13 +340,36 @@ class TestSerialization:
         assert loaded.pair_dims() == built.pair_dims()
         assert sorted(built.pair_dims().values()).count(0) == 3
 
+    def test_wide_file_and_layout_hold_only_nonempty_pairs(self, tmp_path, capsys, monkeypatch):
+        # the K=16 N=32 coordinate strategy shares 8 coordinates in pairs of width 4; the other 112 pairs are empty
+        checked = []
+        real_check = feasibility._check_orthonormal
+        monkeypatch.setattr(feasibility, "_check_orthonormal", lambda b: checked.append(b.shape) or real_check(b))
+        d = ",".join(["4"] * 16)
+        s = construct_strategy(StrategySpec(16, 32, (4,) * 16))
+        assert checked == [(32, 4)] * 8
+        checked.clear()
+        path = tmp_path / "wide.json"
+        assert run("construct", "-K", "16", "-N", "32", "-d", d, "--seed", "0", "-o", str(path)) == 0
+        assert len(checked) == 8 and len(json.loads(path.read_text())["pair_bases"]) == 8
+        checked.clear()
+        back = load_strategy(str(path))
+        assert len(checked) == 8 and back.pair_dims() == s.pair_dims()
+        checked.clear()
+        assert run("verify", str(path), "--seed", "0") == 0
+        assert len(checked) == 8
+        pair_dims = json.loads(capsys.readouterr().out)["pair_dims"]
+        assert len(pair_dims) == 120 and sum(pair_dims.values()) == 32
+        assert sorted(pair_dims.values()) == [0] * 112 + [4] * 8
+
     def test_user_bases_split_into_pair_blocks(self):
         s = load_strategy(str(GOLDEN / "construct-dij.out"))
+        slices = pair_slices(s)
         for i in range(s.spec.K):
             widths = 0
             for j in range(s.spec.K):
                 if j != i:
-                    block = s.user_bases[i][:, s.slices[i, j]]
+                    block = s.user_bases[i][:, slices[i, j]]
                     assert np.array_equal(block, s.pair_bases[min(i, j), max(i, j)])
                     widths += block.shape[1]
             assert widths == s.spec.d[i]
@@ -418,18 +446,31 @@ class TestComplexEntries:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
-    def test_omitted_pair_and_empty_rows_read_as_n_by_0(self, tmp_path, capsys):
-        doc = strategy_to_dict(construct_strategy(StrategySpec(4, 5, (5, 3, 1, 1))))
-        empty = [key for key, rows in doc["pair_bases"].items() if rows == [[]] * 5]
-        assert len(empty) == 3
-        del doc["pair_bases"][empty[0]]
-        s = strategy_from_dict(doc)
-        for key in empty:
-            assert s.pair_bases[parse_pair_key(key, 4)].shape == (5, 0)
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
-        assert run("verify", str(path)) == 0
-        assert json.loads(capsys.readouterr().out)["ok"] is True
+    @with_reference_strategies
+    def test_omitted_pair_and_empty_rows_read_as_n_by_0(self, tmp_path, capsys, make):
+        s = make()
+        n = s.spec.N
+        sparse = tmp_path / "sparse.json"
+        sparse.write_text(dump_strategy(s))
+        # the same strategy with every pair written, a zero-width one as N empty rows
+        doc = strategy_to_dict(s)
+        every_pair = {f"{i + 1}-{j + 1}": reference_encode(b) for (i, j), b in s.pair_bases.items()}
+        assert every_pair.keys() - doc["pair_bases"].keys() == {k for k, rows in every_pair.items() if rows == [[]] * n}
+        dense = tmp_path / "dense.json"
+        dense.write_text(json.dumps({**doc, "pair_bases": every_pair}, indent=2, sort_keys=True))
+        a, b = load_strategy(str(sparse)), load_strategy(str(dense))
+        assert list(a.pair_bases) == list(b.pair_bases) == list(s.pair_bases)
+        for p, want in s.pair_bases.items():
+            assert a.pair_bases[p].shape == b.pair_bases[p].shape == want.shape
+            assert a.pair_bases[p].tobytes() == b.pair_bases[p].tobytes()
+        for x, y in zip(a.user_bases, b.user_bases, strict=True):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        printed = []
+        for path in (sparse, dense):
+            assert run("verify", str(path), "--seed", "0") == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert json.loads(printed[0])["ok"] is True
 
     def test_integer_entries(self, tmp_path):
         doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))

@@ -35,6 +35,8 @@ from relay_align.subspace import (
     split_by_rank,
 )
 
+from pair_slices import pair_slices
+
 E3 = np.eye(3, dtype=complex)
 
 
@@ -227,9 +229,16 @@ class TestStrategyLayout:
         assert list(t.pair_bases) == _pairs(4)
         assert t.pair_dims() == s.pair_dims() and 0 in t.pair_dims().values()
         assert t.pair_bases[1, 2].shape == (5, 0)
-        assert t.slices == s.slices
+        assert pair_slices(t) == pair_slices(s)
         for a, b in zip(t.user_bases, s.user_bases):
             assert np.array_equal(a, b)
+        omitted = [b for p, b in t.pair_bases.items() if not b.shape[1]]
+        assert len(omitted) == 3 and all(b is omitted[0] and not b.flags.writeable for b in omitted)
+
+    def test_blocks_are_checked_in_pair_order(self):
+        bad = np.full((3, 1), np.nan, dtype=complex)
+        with pytest.raises(InvalidInput, match=re.escape("pair basis (0, 2): basis contains non-finite")):
+            Strategy(spec=StrategySpec(3, 3, (2, 2, 2)), pair_bases={(1, 2): bad, (0, 2): bad})
 
 
 class TestRelayMap:

@@ -33,6 +33,8 @@ from relay_align.relaysim import (
 )
 from relay_align.subspace import BLOCK_ENTRIES, _complex_gaussian, numeric_rank, orthonormal_stack, rank_threshold
 
+from pair_slices import pair_slices
+
 E3 = np.eye(3, dtype=complex)
 QPSK = Constellation.qpsk()
 
@@ -49,7 +51,7 @@ def link_of(strategy, channels):
 def decode_by_partner(link, k, x):
     """Hard QPSK decisions of receiver k from the noiseless symbols x, split into the blocks its partners sent."""
     hard = QPSK.points[QPSK.nearest_index(link.decode(x)[link.rows[k]])]
-    return {j: hard[rows] for (i, j), rows in link.strategy.slices.items() if i == k}
+    return {j: hard[rows] for (i, j), rows in pair_slices(link.strategy).items() if i == k}
 
 
 def scalar_link(h1, h2, g1, g2):
@@ -181,9 +183,10 @@ class TestDesignEncoders:
         ch = draw_channels(3, 6, rng)
         enc = design_encoders(strategy, ch)
         eff = [ch.H[i] @ enc[i] for i in range(3)]
+        slices = pair_slices(strategy)
         for (i, j), b in strategy.pair_bases.items():
-            ci = eff[i][:, strategy.slices[i, j]]
-            cj = eff[j][:, strategy.slices[j, i]]
+            ci = eff[i][:, slices[i, j]]
+            cj = eff[j][:, slices[j, i]]
             assert np.linalg.norm(ci - b) < 1e-9
             assert np.linalg.norm(cj - b) < 1e-9
 
@@ -436,9 +439,10 @@ class TestReceiverDecode:
             ch = draw_channels(3, 6, rng)
             link = link_of(strategy, ch)
             x = [QPSK.points[rng.integers(0, 4, 4)] for _ in range(3)]
+            slices = pair_slices(strategy)
             for k in range(3):
                 for j, got in decode_by_partner(link, k, np.concatenate(x)).items():
-                    sent = x[j][strategy.slices[j, k]]
+                    sent = x[j][slices[j, k]]
                     assert np.allclose(got, sent)
 
     def test_batched_decode_matches_single_trials(self):
@@ -550,9 +554,10 @@ def partner_selection(link):
     pair, in order: the symbols j sent k, as sent[row] of the sweep.
     """
     selection = np.zeros((sum(link.strategy.spec.d),) * 2)
-    for (k, j), rows in link.strategy.slices.items():
+    slices = pair_slices(link.strategy)
+    for (k, j), rows in slices.items():
         block = selection[link.rows[k], link.rows[j]]  # a view
-        block[rows, link.strategy.slices[j, k]] = np.eye(rows.stop - rows.start)
+        block[rows, slices[j, k]] = np.eye(rows.stop - rows.start)
     return selection
 
 
@@ -955,6 +960,7 @@ def reference_nearest_index(constellation, values):
 
 def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     strategy = construct_strategy(spec)
+    slices = pair_slices(strategy)
     succ_table = constellation.map_success_table()
     pts = constellation.points
     k_users, n = spec.K, spec.N
@@ -985,7 +991,7 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
             own = f @ (g @ (channels.H[k] @ link.encoders[k]))
             est = f @ (g @ r) + link.noise_factor_all[rows] @ w - own @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
-            sent_idx = np.vstack([idx[j][strategy.slices[j, k]] for j in range(k_users) if j != k])
+            sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
             errors = int(np.count_nonzero(hard_idx != sent_idx))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
@@ -995,8 +1001,8 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
         for (i, j), dij in strategy.pair_dims().items():
             if dij == 0:
                 continue
-            ai = idx[i][strategy.slices[i, j]]
-            aj = idx[j][strategy.slices[j, i]]
+            ai = idx[i][slices[i, j]]
+            aj = idx[j][slices[j, i]]
             relay_hits += succ_table[ai, aj].sum()
             relay_slots += ai.size
         relay_rate = relay_hits / relay_slots if relay_slots else 0.0
