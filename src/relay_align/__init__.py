@@ -4,7 +4,7 @@ Library layout:
   subspace     complex subspace arithmetic under one numeric rank rule
   feasibility  feasible tuples, strategy construction / sampling / verification
   variety      Plucker coordinates and probes of the degenerate locus
-  relaysim     channels, encoders, decoding, SER and equivocation experiments
+  relaysim     channels, aligned encoders, decoding, SER and equivocation experiments
   cli          reproducible command-line front end
 """
 
@@ -43,7 +43,6 @@ from .relaysim import (
     draw_channels,
     relay_map_success,
     run_monte_carlo,
-    secrecy_audit,
 )
 from .variety import codim_line_probe
 

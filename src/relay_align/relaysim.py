@@ -13,19 +13,22 @@ A Link binds a valid strategy to one channel draw and encoder set and
 computes once, as one operator over all K users stacked in user order, what
 observation, decoding and SNR reuse: observe, decode and snr_db each take
 or give all K at once, for one trial or a block of T trials, and user k's
-part is row block rows[k] of each.  The receive maps F_k are the receivers'
-only model: decode(x, w) = T x + L w applies them as one transfer map and
-one noise factor, and the SNR reads each stream's noise variance off them.
-The decoders see the relay noise only through P, so all the noise of a
-trial, relay and receivers', reaches them as one Gaussian of Σd entries:
-decode's w.  The relay's model is observe and P: secrecy_audit reads user
-i's relay-side columns P H_i U_i, which must be the 0/1 selection of i's
-pair slots to the rank rule.  ChannelSet decides all 2K channels invertible by
-that rule once, at construction, so design_encoders only solves and Link
-only inverts.  run_monte_carlo builds one Link per sweep, so every noise
-level of a sweep runs over the same system.  The channels and all noise
-come from subspace._complex_gaussian, the drawer of every complex Gaussian
-in the package.
+part is row block rows[k] of each.  Building a Link decides the alignment
+claim: every user i's relay-side columns P H_i U_i must be the 0/1
+selection of i's pair slots to the rank rule, so every symbol reaches the
+relay only inside a pair sum, and a Link refuses other encoders with
+SecrecyViolation.  The receive maps F_k are the receivers' only model; with
+aligned encoders they send each receiver its partners' symbols exactly, so
+decode(x, w) = x[sent] + L w is one gather and one noise factor, and the
+SNR reads each stream's noise variance off them.  The decoders see the
+relay noise only through P, so all the noise of a trial, relay and
+receivers', reaches them as one Gaussian of Σd entries: decode's w.
+ChannelSet decides all 2K channels invertible by the rank rule once, at
+construction, so design_encoders only solves and Link only inverts.
+run_monte_carlo builds one Link per sweep, so every noise level of a sweep
+runs over the same system.  The channels and all noise come from
+subspace._complex_gaussian, the drawer of every complex Gaussian in the
+package.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
     SingularChannel,
 )
 from .feasibility import Strategy, StrategySpec, construct_strategy
-from .subspace import _complex_gaussian, blocks, is_basis, rank_threshold
+from .subspace import _complex_gaussian, blocks, numeric_rank, rank_threshold
 
 __all__ = [
     "Constellation",
@@ -52,7 +55,6 @@ __all__ = [
     "Link",
     "draw_channels",
     "design_encoders",
-    "secrecy_audit",
     "relay_map_success",
     "run_monte_carlo",
 ]
@@ -139,7 +141,7 @@ class ChannelSet:
     InvalidInput); each of full numeric rank by the rank rule, in one SVD of
     all 2K (else SingularChannel naming the first short H_i, then G_k).  H
     and G are kept as read-only (K, N, N) complex copies, so no later write
-    can undo the check.
+    can undo the check; h_norm is that SVD's sigma_max(H_i), for Link's audit.
     """
 
     K: int
@@ -147,6 +149,7 @@ class ChannelSet:
     H: np.ndarray
     G: np.ndarray
     redraws: int = 0
+    h_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k, n = self.K, self.N
@@ -160,13 +163,15 @@ class ChannelSet:
         stack = np.array([*self.H, *self.G], dtype=np.complex128)
         if not np.isfinite(stack).all():
             raise InvalidInput("channel matrix has non-finite entries")
-        short = ~is_basis(stack)
+        sigma = np.linalg.svd(stack, compute_uv=False)
+        short = numeric_rank(sigma, (n, n)) < n
         if short.any():
             first = int(np.argmax(short))
             raise SingularChannel(f"H_{first} is singular" if first < k else f"G_{first - k} is singular")
         stack.flags.writeable = False
         object.__setattr__(self, "H", stack[:k])
         object.__setattr__(self, "G", stack[k:])
+        object.__setattr__(self, "h_norm", sigma[:k, 0])
 
 
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
@@ -200,25 +205,36 @@ def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray
 
 @dataclass(frozen=True)
 class Link:
-    """A strategy over one channel draw and set of encoders, precomputed once as one stacked operator.
+    """A strategy over one channel draw and set of aligned encoders, precomputed once as one stacked operator.
 
-    A strategy is valid iff its pair frame S is a basis of C^N: each B_ij
-    lies in V_i & V_j, and a direct sum forces span B_ij = V_i & V_j in both
-    directions.  Building a Link takes P = S^-1 from Strategy.relay_map
-    (StrategyInvalid otherwise) and keeps it as relay_map; slots[i] are the
-    columns of S holding user i's blocks B_i = user_bases[i], in order.
+    Building a Link takes P = S^-1 from Strategy.relay_map (StrategyInvalid
+    unless the pair frame S is a basis of C^N) and keeps it as relay_map;
+    slots[i] are the columns of S holding user i's blocks B_i =
+    user_bases[i], in order.
 
     Users and receivers are stacked in user order: rows[k] is k's block of
     d_k rows, and of columns, of the Σd-wide arrays, and of every symbol,
     noise and estimate array the Link takes or gives.  effective_all =
-    [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.  Receiver
-    k's receive map F_k = P[slots_k] G_k^-1 sends G_k (B_k s + J_k u) to s,
-    J_k the pair blocks not involving k; the F_k G_k = P[slots_k], stacked,
-    are the Σd x N folded map Fz.  Both are locals of construction.
-    transfer_all T (Σd x Σd) is Fz effective_all with each receiver's own
-    block rows[k], rows[k] set to zero, as a receiver removes all that its
-    own symbols put in its rows: the 0/1 partner selection for designed
-    encoders.
+    [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.
+
+    Alignment is decided here, once.  User i's relay-side columns M_i =
+    P H_i U_i (block rows[i] of the columns of M = P effective_all) must be
+    the 0/1 selection of i's pair slots: each column's largest entry lies in
+    a distinct slot of i, the columns cover all of them, in any order, and
+    the residual R_i = M_i minus that selection has sigma_max(R_i) within the
+    rank threshold of sigma_max(P) sigma_max(H_i) sigma_max(U_i), the scale
+    of the rounding in forming M_i.  Then every symbol reaches the relay
+    only as one coordinate of a pair sum.  Other encoders raise
+    SecrecyViolation naming the first user that fails; secrecy_residual is
+    the largest sigma_max(R_i).  summed[:, c] are the stacked rows of the two
+    symbols summed at column c of S, the lower-numbered user's first, by M's
+    column argmax, and sent[e] the one of them that estimate row e decides.
+
+    Receiver k's receive map F_k = P[slots_k] G_k^-1 sends G_k (B_k s + J_k
+    u) to s, J_k the pair blocks not involving k; the F_k G_k = P[slots_k],
+    stacked, are the Σd x N folded map Fz.  Both are locals of
+    construction, and Fz effective_all, less each receiver's own block, is
+    the selection sent gathers.
 
     Relay noise z ~ CN(0, var I_N) and receiver noise w_k ~ CN(0, var I_N)
     reach the decoders only as Fz z plus F_k w_k in row block k: one
@@ -244,7 +260,9 @@ class Link:
     slots: list[np.ndarray] = field(init=False, repr=False)
     rows: list[slice] = field(init=False, repr=False)
     effective_all: np.ndarray = field(init=False, repr=False)
-    transfer_all: np.ndarray = field(init=False, repr=False)
+    secrecy_residual: float = field(init=False, repr=False)
+    summed: np.ndarray = field(init=False, repr=False)
+    sent: np.ndarray = field(init=False, repr=False)
     noise_factor_all: np.ndarray = field(init=False, repr=False)
     noise_gain_all: np.ndarray = field(init=False, repr=False)
     worst_gain_db: list[float] = field(init=False, repr=False)
@@ -261,20 +279,38 @@ class Link:
         for i, (u, d) in enumerate(zip(self.encoders, strategy.spec.d)):
             if np.shape(u) != (strategy.spec.N, d):  # user i's columns of effective_all are its d_i streams
                 raise DimensionMismatch(f"encoder {i} has shape {np.shape(u)}, expected {(strategy.spec.N, d)}")
-        g_inv = np.linalg.inv(channels.G)
         # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
         column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
         slots = [np.flatnonzero((column_pairs == k).any(axis=1)) for k in range(strategy.spec.K)]
         ends = np.cumsum(strategy.spec.d).tolist()
         rows = [slice(e - d, e) for d, e in zip(strategy.spec.d, ends)]
-        folded = relay_map[np.concatenate(slots)]
         effective = np.hstack([h @ u for h, u in zip(channels.H, self.encoders)])
+        resid = relay_map @ effective  # M, less its 0/1 selection below
+        slot_of = np.abs(resid).argmax(axis=0)
+        resid[slot_of, np.arange(slot_of.size)] -= 1
+        p_norm = np.linalg.norm(relay_map, 2)
+        worst_resid = 0.0
+        for i, (r, s, u) in enumerate(zip(rows, slots, self.encoders)):
+            if not np.array_equal(np.sort(slot_of[r]), s):
+                raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
+            if r.start == r.stop:  # no streams, nothing to leak
+                continue
+            top, u_norm = np.linalg.svd(np.stack([resid[:, r], u]), compute_uv=False)[:, 0]
+            if top > rank_threshold(resid[:, r].shape, p_norm * channels.h_norm[i] * u_norm):
+                raise SecrecyViolation(f"user {i}: residual {top:.3e} off its pair slots exceeds the rank threshold")
+            worst_resid = max(worst_resid, float(top))
+        # per column of S, the estimate rows deciding its two symbols and the symbols summed there,
+        # the lower-numbered user's first (stable sorts); each row decides its partner's symbol
+        deciding = np.argsort(np.concatenate(slots), kind="stable").reshape(-1, 2).T
+        summed = np.argsort(slot_of, kind="stable").reshape(-1, 2).T
+        sent = np.empty_like(slot_of)
+        sent[deciding] = summed[::-1]
+        g_inv = np.linalg.inv(channels.G)
+        folded = relay_map[np.concatenate(slots)]
         receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, g_inv)])
         gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
-        transfer = folded @ effective
-        receiver_factor = np.zeros_like(transfer)
-        for r in rows:  # the diagonal blocks: a receiver removes its own symbols, and its noise reaches its rows alone
-            transfer[r, r] = 0
+        receiver_factor = np.zeros((sent.size, sent.size), dtype=np.complex128)
+        for r in rows:  # a receiver's noise reaches its rows alone
             receiver_factor[r, r] = np.linalg.qr(receive[r].conj().T, mode="r").conj().T  # R_k^H
         # [folded | (+)_k R_k^H]^H = Q R, so L = R^H and L L^H = folded folded^H + (+)_k F_k F_k^H
         noise_factor = np.linalg.qr(np.hstack([folded, receiver_factor]).conj().T, mode="r").conj().T
@@ -282,7 +318,9 @@ class Link:
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "effective_all", effective)
-        object.__setattr__(self, "transfer_all", transfer)
+        object.__setattr__(self, "secrecy_residual", worst_resid)
+        object.__setattr__(self, "summed", summed)
+        object.__setattr__(self, "sent", sent)
         object.__setattr__(self, "noise_factor_all", noise_factor)
         object.__setattr__(self, "noise_gain_all", gains)
         # each gain >= 1, as F_k G_k B_k = I with B_k orthonormal; no streams: no signal
@@ -300,18 +338,18 @@ class Link:
         return self.effective_all @ x
 
     def decode(self, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """Every receiver's soft estimates transfer_all x + noise_factor_all w.
+        """Every receiver's soft estimates x[sent] + noise_factor_all w, complex.
 
-        Row block rows[k] of the estimate holds the symbols k's partners sent
-        it, ordered as B_k: F_k G_k r with k's own part removed, so neither r
-        nor any receiver's observation G_k r is formed.  x is the Σd-row
+        Row block rows[k] holds the symbols k's partners sent it, ordered as
+        B_k: F_k G_k r less k's own part, for aligned encoders the gather
+        x[sent], so neither r nor any G_k r is formed.  x is the Σd-row
         symbol array observe takes; w all the noise as the decoders see it,
         Σd entries per trial, which noise_factor_all maps to the relay's and
         the receivers' noise of the same variance, in law.  They are vectors
         or blocks of T trials, w of the shape of x.
         """
-        _check_array("symbol", x, len(self.transfer_all))
-        est = self.transfer_all @ x
+        _check_array("symbol", x, len(self.sent))
+        est = x[self.sent].astype(np.complex128, copy=False)  # the gather copies, so est is x's own
         if w is not None:
             _check_array("noise", w, len(est), est.shape)
             est += self.noise_factor_all @ w  # in place: one temporary fewer
@@ -341,39 +379,6 @@ def _check_array(name: str, a, rows: int, shape: tuple | None = None) -> None:
         raise DimensionMismatch(f"{name} shape: need one array of {rows} rows, not a {type(a).__name__}")
     if a.ndim not in (1, 2) or len(a) != rows or shape not in (None, a.shape):
         raise DimensionMismatch(f"{name} shape {a.shape} does not match {shape or f'{rows} rows'}")
-
-
-def secrecy_audit(link: Link) -> float:
-    """Check that the relay's noiseless view is a sum of masked pair blocks; return the worst residual.
-
-    Read through the relay map P, user i's relay-side columns M_i =
-    P H_i U_i must be the 0/1 selection of i's pair slots: each column's
-    largest entry lies in a distinct slot of i, the columns cover all of
-    them, in any order, and the residual R_i = M_i minus that selection has
-    sigma_max(R_i) within the rank threshold of M_i.  Then every symbol
-    reaches the relay only as one coordinate of a pair sum.  M_i is block
-    rows[i] of the columns of P effective_all, formed once.  Returns the
-    largest sigma_max(R_i) and raises SecrecyViolation naming the first user
-    that fails; P itself is the Link's (StrategyInvalid when the pair sums
-    do not determine the observation).
-    """
-    n = link.strategy.spec.N
-    m_all = link.relay_map @ link.effective_all
-    worst = 0.0
-    for i, (cols, slots) in enumerate(zip(link.rows, link.slots)):
-        m = m_all[:, cols]
-        rows = np.abs(m).argmax(axis=0)
-        if not np.array_equal(np.sort(rows), slots):
-            raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
-        if not rows.size:  # no streams, nothing to leak
-            continue
-        r = m.copy()
-        r[rows, np.arange(rows.size)] -= 1
-        top, resid = np.linalg.svd(np.stack([m, r]), compute_uv=False)[:, 0]
-        if resid > rank_threshold((n, rows.size), top):
-            raise SecrecyViolation(f"user {i}: residual {resid:.3e} off its pair slots exceeds the rank threshold")
-        worst = max(worst, float(resid))
-    return worst
 
 
 def relay_map_success(constellation: Constellation) -> Fraction:
@@ -418,10 +423,10 @@ def run_monte_carlo(
     w), one subspace._complex_gaussian call of one row per trial into one
     block-sized buffer that every block and level reuses.  The rows are
     trial-major, so a run's numbers do not depend on the block size.  Each
-    block is one pass of the Link: all Σd estimates through decode, T x +
-    L w, one nearest point decision over them, and the error and
-    relay-equivocation tallies against the row tables of the pair slots,
-    found once per sweep.  The relay-equivocation tally uses
+    block is one pass of the Link: all Σd estimates through decode, x[sent]
+    + L w, one nearest point decision over them, and the error and
+    relay-equivocation tallies against the Link's tables sent and summed,
+    decided once per sweep.  The relay-equivocation tally uses
     the noiseless sums, matching the exact counting argument, and is
     therefore a Monte Carlo estimate of relay_map_success.
     """
@@ -449,12 +454,6 @@ def run_monte_carlo(
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
 
-    # lower and upper hold, per column of S, the stacked rows of the two symbols
-    # summed there, the lower-numbered user's first (one stable sort); sent[row]
-    # is the stacked row of the symbol that estimate row decides
-    lower, upper = np.argsort(np.concatenate(link.slots), kind="stable").reshape(-1, 2).T
-    sent = np.empty(rows_total, dtype=np.intp)
-    sent[lower], sent[upper] = upper, lower
     noise = np.empty((next(blocks(trials, rows_total)).stop, rows_total), dtype=np.complex128)
     normals = np.empty(2 * noise.size)
 
@@ -471,8 +470,8 @@ def run_monte_carlo(
             ix = idx[:, cols]
             x = pts[ix]
             hard_idx = constellation.nearest_index(link.decode(x, w.T))
-            row_errors += np.count_nonzero(hard_idx != ix[sent], axis=1)
-            relay_hits += succ_table[ix[lower], ix[upper]].sum()
+            row_errors += np.count_nonzero(hard_idx != ix[link.sent], axis=1)
+            relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
         return row_errors, relay_hits
 
     reports = []
@@ -484,7 +483,7 @@ def run_monte_carlo(
                 noise_var=float(var),
                 per_user_snr_db=link.snr_db(var),
                 per_user_ser=ser,
-                relay_map_success_rate=float(relay_hits / (lower.size * trials)),
+                relay_map_success_rate=float(relay_hits / (n * trials)),  # N columns of S, one pair sum each
                 trials=trials,
                 seed=seed,
                 config=config,

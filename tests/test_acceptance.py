@@ -34,7 +34,6 @@ from relay_align.relaysim import (
     draw_channels,
     relay_map_success,
     run_monte_carlo,
-    secrecy_audit,
 )
 from relay_align.subspace import orthonormal_stack
 from relay_align.variety import (
@@ -205,7 +204,7 @@ def test_criterion_4_three_user_golden_example():
 
 
 def test_criterion_5_secrecy_audit():
-    """Random verified strategies pass the audit; perturbed encoders do not."""
+    """Links of random verified strategies pass the alignment audit; perturbed encoders are refused."""
     shapes = [
         symmetric_pairwise_table(3, 3),
         symmetric_pairwise_table(3, 6),
@@ -224,12 +223,12 @@ def test_criterion_5_secrecy_audit():
         assert verify_strategy(strategy.subspaces, spec.N).ok
         channels = draw_channels(spec.K, spec.N, rng)
         encoders = design_encoders(strategy, channels)
-        worst = max(worst, secrecy_audit(Link(strategy, channels, encoders)))  # raises unless clean
+        worst = max(worst, Link(strategy, channels, encoders).secrecy_residual)  # raises unless clean
         passed += 1
         bad = [u.copy() for u in encoders]
         bad[0][0, 0] += 1e-3
         try:
-            secrecy_audit(Link(strategy, channels, bad))
+            Link(strategy, channels, bad)
         except SecrecyViolation:
             negatives += 1
     ok = passed == total == 50 and negatives == 50
