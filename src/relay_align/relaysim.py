@@ -25,8 +25,9 @@ relay noise only through P, so all the noise of a trial, relay and
 receivers', reaches them as one Gaussian of Σd entries: decode's w.
 ChannelSet decides all 2K channels invertible by the rank rule once, at
 construction, so design_encoders only solves and Link only inverts.
-run_monte_carlo builds one Link per sweep, so every noise level of a sweep
-runs over the same system.  The channels and all noise come from
+run_monte_carlo builds one Link and draws one set of trials per sweep, so
+every noise level of a sweep runs over the same system and trials, its noise
+one unit draw scaled.  The channels and all noise come from
 subspace._complex_gaussian, the drawer of every complex Gaussian in the
 package.
 """
@@ -289,25 +290,26 @@ class Link:
         slot_of = np.abs(resid).argmax(axis=0)
         resid[slot_of, np.arange(slot_of.size)] -= 1
         p_norm = np.linalg.norm(relay_map, 2)
-        worst_resid = 0.0
-        for i, (r, s, u) in enumerate(zip(rows, slots, self.encoders)):
+        # every sigma_max(R_i), then every sigma_max(U_i), of one SVD; zero columns pad each to max d_i
+        padded = np.zeros((2, len(rows), channels.N, max(strategy.spec.d)), dtype=np.complex128)
+        for i, (r, u) in enumerate(zip(rows, self.encoders)):
+            padded[:, i, :, : r.stop - r.start] = resid[:, r], u
+        tops, u_norms = np.linalg.svd(padded, compute_uv=False)[..., 0]
+        for i, (r, s, top, u_norm) in enumerate(zip(rows, slots, tops, u_norms)):
             if not np.array_equal(np.sort(slot_of[r]), s):
                 raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
             if r.start == r.stop:  # no streams, nothing to leak
                 continue
-            top, u_norm = np.linalg.svd(np.stack([resid[:, r], u]), compute_uv=False)[:, 0]
             if top > rank_threshold(resid[:, r].shape, p_norm * channels.h_norm[i] * u_norm):
                 raise SecrecyViolation(f"user {i}: residual {top:.3e} off its pair slots exceeds the rank threshold")
-            worst_resid = max(worst_resid, float(top))
         # per column of S, the estimate rows deciding its two symbols and the symbols summed there,
         # the lower-numbered user's first (stable sorts); each row decides its partner's symbol
         deciding = np.argsort(np.concatenate(slots), kind="stable").reshape(-1, 2).T
         summed = np.argsort(slot_of, kind="stable").reshape(-1, 2).T
         sent = np.empty_like(slot_of)
         sent[deciding] = summed[::-1]
-        g_inv = np.linalg.inv(channels.G)
         folded = relay_map[np.concatenate(slots)]
-        receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, g_inv)])
+        receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, np.linalg.inv(channels.G))])
         gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
         receiver_factor = np.zeros((sent.size, sent.size), dtype=np.complex128)
         for r in rows:  # a receiver's noise reaches its rows alone
@@ -318,7 +320,7 @@ class Link:
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "effective_all", effective)
-        object.__setattr__(self, "secrecy_residual", worst_resid)
+        object.__setattr__(self, "secrecy_residual", float(tops.max()))  # a user with no streams pads to 0
         object.__setattr__(self, "summed", summed)
         object.__setattr__(self, "sent", sent)
         object.__setattr__(self, "noise_factor_all", noise_factor)
@@ -415,25 +417,24 @@ def run_monte_carlo(
 ) -> list[SimReport]:
     """Full pipeline SER / equivocation sweep over a grid of noise variances.
 
-    One system per sweep: a single generator seeded with seed draws the
-    channels and so fixes the Link once, then every noise level draws from
-    it, in turn, all users' symbols (one call, the stream of K per-user
-    draws) and then, per column block of subspace.blocks, the block's noise:
-    all of it as the decoders see it, Σd entries per trial (Link.decode's
-    w), one subspace._complex_gaussian call of one row per trial into one
-    block-sized buffer that every block and level reuses.  The rows are
-    trial-major, so a run's numbers do not depend on the block size.  Each
-    block is one pass of the Link: all Σd estimates through decode, x[sent]
-    + L w, one nearest point decision over them, and the error and
-    relay-equivocation tallies against the Link's tables sent and summed,
-    decided once per sweep.  The relay-equivocation tally uses
-    the noiseless sums, matching the exact counting argument, and is
-    therefore a Monte Carlo estimate of relay_map_success.
+    One system and one set of trials per sweep: a generator seeded with seed
+    draws the channels, which fix the Link, then all users' symbols of every
+    trial (one call, the stream of K per-user draws), then per column block
+    of subspace.blocks the block's unit noise, Σd entries a trial as the
+    decoders see it (Link.decode's w), in one subspace._complex_gaussian call
+    of one row per trial: trial-major, so no figure depends on the block
+    size.  A block forms L w once; each level var decides x[sent] + sqrt(var)
+    L w, noise CN(0, var C), by nearest point over all Σd rows, in buffers
+    every block reuses.  So a level's figures do not depend on the rest of
+    the grid, and no user's SER rises as var falls: Voronoi cells are convex
+    and hold their point.  The relay tally reads only the symbols' noiseless
+    sums (Link.summed), as the exact counting argument does: one Monte Carlo
+    estimate of relay_map_success, reported at every level.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     rows_total = sum(spec.d)
-    if 8 * rows_total * trials > np.iinfo(np.intp).max:  # a level's symbol indices, its largest array, in bytes
+    if 8 * rows_total * trials > np.iinfo(np.intp).max:  # the sweep's symbol indices, its largest array, in bytes
         raise InvalidInput(f"trials={trials} needs symbol indices past numpy's largest array")
     if not all(math.isfinite(v) and v >= 0 for v in noise_grid):
         raise InvalidInput("noise variances must be finite and >= 0")
@@ -454,30 +455,29 @@ def run_monte_carlo(
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
 
-    noise = np.empty((next(blocks(trials, rows_total)).stop, rows_total), dtype=np.complex128)
-    normals = np.empty(2 * noise.size)
-
-    def level(var):
-        """Errors per stacked row and relay MAP hits of one level; its symbols are freed on return."""
-        # the stream of K per-user (d_i, trials) draws: the generator keeps the
-        # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
-        idx = rng.integers(0, pts.size, size=(rows_total, trials))
-        row_errors = np.zeros(rows_total, dtype=np.intp)
-        relay_hits = 0.0
-        for cols in blocks(trials, rows_total):
-            t = cols.stop - cols.start
-            w = _complex_gaussian(rng, (rows_total,), t, var, noise[:t], normals[: 2 * t * rows_total])
-            ix = idx[:, cols]
-            x = pts[ix]
-            hard_idx = constellation.nearest_index(link.decode(x, w.T))
-            row_errors += np.count_nonzero(hard_idx != ix[link.sent], axis=1)
-            relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
-        return row_errors, relay_hits
+    # the stream of K per-user (d_i, trials) draws: the generator keeps the
+    # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
+    idx = rng.integers(0, pts.size, size=(rows_total, trials))
+    row_errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)  # per level and stacked row
+    relay_hits = 0.0
+    unit = np.empty((next(blocks(trials, rows_total)).stop, rows_total), dtype=np.complex128)
+    normals, noise, est = np.empty(2 * unit.size), np.empty(unit.size, complex), np.empty(unit.size, complex)
+    for cols in blocks(trials, rows_total):
+        t = cols.stop - cols.start
+        w = _complex_gaussian(rng, (rows_total,), t, 1.0, unit[:t], normals[: 2 * t * rows_total])
+        lw = np.matmul(link.noise_factor_all, w.T, out=noise[: w.size].reshape(w.T.shape))  # BLAS needs contiguous out
+        ix = idx[:, cols]
+        sent_ix = ix[link.sent]
+        x_sent = pts[sent_ix]
+        relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
+        for errors, var in zip(row_errors, noise_grid):
+            level_est = np.multiply(lw, math.sqrt(var), out=est[: w.size].reshape(lw.shape))
+            level_est += x_sent
+            errors += np.count_nonzero(constellation.nearest_index(level_est) != sent_ix, axis=1)
 
     reports = []
-    for var in noise_grid:
-        row_errors, relay_hits = level(var)
-        ser = [int(row_errors[r].sum()) / (d_k * trials) if d_k else 0.0 for r, d_k in zip(link.rows, spec.d)]
+    for var, errors in zip(noise_grid, row_errors):
+        ser = [int(errors[r].sum()) / (d_k * trials) if d_k else 0.0 for r, d_k in zip(link.rows, spec.d)]
         reports.append(
             SimReport(
                 noise_var=float(var),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -923,7 +924,7 @@ class TestRunMonteCarlo:
             assert np.array_equal(one.integers(0, 3, 5), each.integers(0, 3, 5))  # the same stream left behind
 
     def test_trials_past_the_largest_buffer_rejected_before_any_allocation(self, monkeypatch):
-        # a level's symbol indices hold 8 Σd trials bytes, Σd = 6 at K=3 N=3:
+        # the sweep's symbol indices hold 8 Σd trials bytes, Σd = 6 at K=3 N=3:
         # one trial past the largest count that fits
         trials = np.iinfo(np.intp).max // (8 * 6) + 1
         assert 8 * 6 * (trials - 1) <= np.iinfo(np.intp).max < 8 * 6 * trials
@@ -941,9 +942,11 @@ class TestRunMonteCarlo:
 # nearest point by argmin, every level decoded over all trials at once, each
 # receiver's noiseless observation G_k r formed and mapped by F_k, and the
 # tallies over every pair and partner.  The noise follows the sweep's law: all
-# of it as the decoders see it, Σd entries per trial, trial by trial, drawn for
-# every trial of a level in one call and reaching receiver k through its rows
-# of noise_factor_all.
+# of it as the decoders see it, Σd entries per trial, trial by trial.  The
+# levels share their trials: the symbols of every trial are drawn once, user by
+# user, then the unit noise of every trial in one call, and level var's noise
+# reaches receiver k as sqrt(var) times its rows of noise_factor_all applied to
+# that one draw.
 
 
 def reference_complex_gaussian(rng, shape, variance):
@@ -953,12 +956,10 @@ def reference_complex_gaussian(rng, shape, variance):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def reference_decoder_noise(rng, rows, trials, variance):
-    """(rows, trials) noise: per trial, rows real normals and then rows imaginary ones."""
-    if variance == 0:
-        return np.zeros((rows, trials), dtype=np.complex128)
+def reference_decoder_noise(rng, rows, trials):
+    """(rows, trials) unit-variance noise: per trial, rows real normals and then rows imaginary ones."""
     a = rng.standard_normal((trials, 2, rows))
-    return (np.sqrt(variance / 2) * (a[:, 0] + 1j * a[:, 1])).T
+    return (np.sqrt(1 / 2) * (a[:, 0] + 1j * a[:, 1])).T
 
 
 def reference_nearest_index(constellation, values):
@@ -984,12 +985,12 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     rng = np.random.default_rng(seed)
     channels = draw_channels(k_users, n, rng)
     link = Link(strategy, channels, design_encoders(strategy, channels))
+    idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
+    x = [pts[ix] for ix in idx]
+    r = link.observe(np.concatenate(x))
+    w = reference_decoder_noise(rng, sum(spec.d), trials)
     reports = []
     for var in noise_grid:
-        idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
-        x = [pts[ix] for ix in idx]
-        r = link.observe(np.concatenate(x))
-        w = reference_decoder_noise(rng, sum(spec.d), trials, var)
         ser = []
         snrs = []
         for k, rows in enumerate(link.rows):
@@ -997,7 +998,7 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
             g = channels.G[k]
             f = link.relay_map[link.slots[k]] @ np.linalg.inv(g)
             own = f @ (g @ (channels.H[k] @ link.encoders[k]))
-            est = f @ (g @ r) + link.noise_factor_all[rows] @ w - own @ x[k]
+            est = f @ (g @ r) + math.sqrt(var) * (link.noise_factor_all[rows] @ w) - own @ x[k]
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
@@ -1077,6 +1078,46 @@ class TestBlockedSweep:
             trials = 2 * BLOCK_ENTRIES + 1
         got = run_monte_carlo(spec, QPSK, GRID, trials, seed)
         assert got == reference_monte_carlo(spec, QPSK, GRID, trials, seed)
+
+
+# every shape TestBlockedSweep checks against the reference, ragged d and K=16 included
+SWEEP_SHAPES = [
+    (StrategySpec(3, 3, (2, 2, 2)), QPSK, 3),
+    (StrategySpec(3, 3, (2, 2, 2)), Constellation.bpsk(), 57),
+    (StrategySpec(3, 3, (2, 2, 2)), PSK8, 0),
+    (StrategySpec(16, 32, (4,) * 16), QPSK, 1),
+    (StrategySpec(3, 3, (2, 2, 2)), QPSK, 2**31 - 1),
+    (StrategySpec(4, 4, (2, 2, 2, 2)), QPSK, 1234567),
+    (StrategySpec(4, 5, (3, 3, 2, 2)), QPSK, 7),
+    (StrategySpec(3, 2, (2, 2, 0)), QPSK, 11),
+    (StrategySpec(4, 4, (4, 2, 1, 1)), QPSK, 12),
+]
+SWEEP_IDS = ["qpsk-3", "bpsk-57", "8psk-0", "k16-1", "qpsk-2^31-1", "k4-1234567", "3-3-2-2", "2-2-0", "4-2-1-1"]
+
+
+@pytest.mark.parametrize("spec, constellation, seed", SWEEP_SHAPES, ids=SWEEP_IDS)
+class TestSharedTrials:
+    """The levels of a sweep share their trials: level var's noise is sqrt(var) times one unit draw."""
+
+    def sweep(self, spec, constellation, grid, seed):
+        return run_monte_carlo(spec, constellation, grid, 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7, seed)
+
+    def test_ser_does_not_rise_as_the_noise_falls(self, spec, constellation, seed):
+        # p + a n, once out of p's convex Voronoi cell, stays out as a grows; levels
+        # this close would often rise in SER if each drew trials of its own
+        grid = [*np.geomspace(4.0, 1e-4, 40).tolist(), 0.0]
+        ser = np.array([rep.per_user_ser for rep in self.sweep(spec, constellation, grid, seed)])
+        assert (np.diff(ser, axis=0) <= 0).all()
+        assert (ser[0] > 0).tolist() == [d_k > 0 for d_k in spec.d] and not ser[-1].any()
+
+    def test_a_level_does_not_depend_on_the_rest_of_the_grid(self, spec, constellation, seed):
+        (alone,) = self.sweep(spec, constellation, [0.1], seed)
+        within = self.sweep(spec, constellation, GRID, seed)[1]
+        assert alone == dataclasses.replace(within, config={**within.config, "noise_grid": [0.1]})
+
+    def test_relay_figure_is_equal_at_every_level(self, spec, constellation, seed):
+        reports = self.sweep(spec, constellation, [*GRID, 0.0], seed)
+        assert len({rep.relay_map_success_rate for rep in reports}) == 1
 
 
 def q_function(x):
