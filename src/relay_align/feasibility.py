@@ -309,21 +309,27 @@ def construct_strategy(spec: StrategySpec) -> Strategy:
 def haar_stack(n: int, d: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Orthonormal bases of count uniformly random d-dimensional subspaces of C^n, as a (count, n, d) stack.
 
-    One drawer call (subspace._complex_gaussian) draws, per subspace in
-    order, the n x d real parts and then the n x d imaginary parts: the values
-    count successive haar_stack(n, d, 1, rng) calls draw.  Raises RaggedRank
-    in the measure-zero event that the draws disagree on a numeric rank.
+    One drawer call (subspace._complex_gaussian) draws a row per subspace, its
+    n x d real parts and then its n x d imaginary parts: the values count
+    successive haar_stack(n, d, 1, rng) calls draw.  Raises RaggedRank in the
+    measure-zero event that the draws disagree on a numeric rank.
     """
     if n < 1 or not 0 <= d <= n:
         raise InvalidInput(f"need n >= 1 and 0 <= d <= n, got n={n}, d={d}")
-    return orthonormal_stack(_complex_gaussian(rng, (n * d,), count, 2.0).reshape(count, n, d))
+    return orthonormal_stack(_complex_gaussian(rng, count, n * d, 2.0).reshape(count, n, d))
+
+
+def _gaussian_tuples(spec: StrategySpec, count: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """(count, N, d_i) complex Gaussian stacks, user by user: one drawer call of a row of N sum(d_i) per trial."""
+    raw = np.split(_complex_gaussian(rng, count, spec.N * sum(spec.d), 2.0), np.cumsum(spec.d)[:-1] * spec.N, axis=1)
+    return [g.reshape(count, spec.N, d) for g, d in zip(raw, spec.d)]
 
 
 def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """Orthonormal bases of K independent Haar-random d_i-dimensional subspaces of C^N."""
+    """Orthonormal bases of K independent Haar-random d_i-dimensional subspaces of C^N: one trial of genericity."""
     if max(spec.d) > spec.N:
         raise InvalidInput("per-user dimension exceeds ambient dimension")
-    return [haar_stack(spec.N, di, 1, rng)[0] for di in spec.d]
+    return [orthonormal_stack(g)[0] for g in _gaussian_tuples(spec, 1, rng)]
 
 
 def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Strategy:
@@ -396,13 +402,14 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     """Fraction of Haar-random strategies that verify.
 
     Trial t draws the subspaces of the t-th of trials successive
-    sample_generic_strategy(spec, rng) calls, and the result is the fraction
-    of those draws for which verify_strategy(draw, spec.N).ok holds, so it
-    does not depend on evaluation order and a run's trials are a prefix of a
-    longer run's.  Each block of subspace.blocks, N sum(d_i) entries a trial
-    and K(K + 1)/2 kernel calls (K orthonormalisations, K(K - 1)/2 pair
-    intersections), is one drawer call and one _verify_stack; a pair with
-    d_i + d_j <= N generically does not meet and costs one values-only SVD.
+    sample_generic_strategy(spec, rng) calls, one drawer row each, and the
+    result is the fraction of those draws for which verify_strategy(draw,
+    spec.N).ok holds, so it does not depend on evaluation order and a run's
+    trials are a prefix of a longer run's.  Each block of subspace.blocks, N
+    sum(d_i) entries a trial and K(K + 1)/2 kernel calls (K
+    orthonormalisations, K(K - 1)/2 pair intersections), is one drawer call
+    and one _verify_stack; a pair with d_i + d_j <= N generically does not
+    meet and costs one values-only SVD.
     With sum(d_i) != 2N no draw can pass, so none is made and the rate is 0.
     Otherwise the rate is 1 or 0 as generic_verdict says, up to draws of
     probability zero.
@@ -417,11 +424,7 @@ def generic_feasibility_rate(spec: StrategySpec, trials: int, rng: np.random.Gen
     def run(draws: list[np.ndarray]) -> tuple[np.ndarray]:
         return (_verify_stack([orthonormal_stack(g) for g in draws])[1],)
 
-    sizes = [spec.N * d for d in spec.d]  # block i of a trial's row: user i's N x d_i draw
     hits = 0
-    for block in blocks(trials, sum(sizes), spec.K * (spec.K + 1) // 2):
-        t = block.stop - block.start
-        raw = np.split(_complex_gaussian(rng, sizes, t, 2.0), np.cumsum(sizes)[:-1], axis=1)
-        draws = [g.reshape(t, spec.N, d) for g, d in zip(raw, spec.d)]
-        hits += int(np.count_nonzero(split_by_rank(run, draws)[0]))
+    for block in blocks(trials, spec.N * sum(spec.d), spec.K * (spec.K + 1) // 2):
+        hits += int(np.count_nonzero(split_by_rank(run, _gaussian_tuples(spec, block.stop - block.start, rng))[0]))
     return hits / trials

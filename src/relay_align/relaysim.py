@@ -34,6 +34,7 @@ package.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,14 +124,31 @@ class Constellation:
         The MAP guess for each observable sum is its first preimage in row-major
         order; success probability per sum is 1 / (number of preimages).  Two
         sums are one when they differ by at most SUM_MATCH_TOL times the minimum
-        distance between points, so the table does not depend on scale.
+        distance between points, so the table does not depend on scale; built
+        once per constellation (_success_table), read-only.
         """
-        pts = self.points
-        sums = (pts[:, None] + pts[None, :]).ravel()
-        gaps = np.abs(pts[:, None] - pts[None, :])
+        return self._success_table
+
+    @functools.cached_property
+    def _success_table(self) -> np.ndarray:
+        """Sum t counts iff no earlier sum lies within tol: distinct sums at their first index, compared in groups
+        that any two within tol share, split at each step past tol in sorted real, then imaginary, parts."""
+        sums = np.add.outer(self.points, self.points).ravel()
+        gaps = np.abs(np.subtract.outer(self.points, self.points))
         tol = SUM_MATCH_TOL * gaps[gaps > 0].min(initial=np.inf)
-        first = [not np.any(np.abs(sums[:t] - s) <= tol) for t, s in enumerate(sums)]
-        return np.reshape(first, (self.size, self.size)).astype(float)
+        values, first = np.unique(sums, return_index=True)
+        group = np.zeros(values.size, dtype=np.intp)
+        for coord in (values.real, values.imag):
+            order = np.lexsort((coord, group))
+            group[order] = np.cumsum(np.r_[0, (np.diff(coord[order]) > tol) | (np.diff(group[order]) != 0)])
+        order = np.lexsort((first, group))
+        values, first, group = values[order], first[order], group[order]
+        beaten = np.zeros(values.size, dtype=bool)
+        for k in range(1, np.bincount(group).max()):  # each sum against the one k places before it in its group
+            beaten[k:] |= (group[k:] == group[:-k]) & (np.abs(values[k:] - values[:-k]) <= tol)
+        table = np.bincount(first[~beaten], minlength=sums.size).reshape(self.size, self.size).astype(float)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -178,13 +196,13 @@ class ChannelSet:
 def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
     """i.i.d. standard complex Gaussian channels H_0..H_{K-1}, G_0..G_{K-1}.
 
-    A draw is the 2K successive (n, n) blocks of one subspace._complex_gaussian
-    call of unit variance.  A draw that ChannelSet finds singular (almost never)
-    is discarded whole and counted in redraws; MAX_REDRAWS such draws raise
-    SingularChannel.
+    A draw is one subspace._complex_gaussian call of unit variance, 2K rows of
+    n^2 values, one per matrix.  A draw that ChannelSet finds singular (almost
+    never) is discarded whole and counted in redraws; MAX_REDRAWS such draws
+    raise SingularChannel.
     """
     for redraws in range(MAX_REDRAWS):
-        mats = _complex_gaussian(rng, (n * n,) * (2 * k), 1, 1.0).reshape(2 * k, n, n)
+        mats = _complex_gaussian(rng, 2 * k, n * n, 1.0).reshape(2 * k, n, n)
         try:
             return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:], redraws=redraws)
         except SingularChannel:
@@ -421,23 +439,24 @@ def run_monte_carlo(
     draws the channels, which fix the Link, then all users' symbols of every
     trial (one call, the stream of K per-user draws), then per column block
     of subspace.blocks the block's unit noise, Σd entries a trial as the
-    decoders see it (Link.decode's w), in one subspace._complex_gaussian call
-    of one row per trial: trial-major, so no figure depends on the block
-    size.  A block forms L w once; each level var decides x[sent] + sqrt(var)
-    L w, noise CN(0, var C), by nearest point over all Σd rows, in buffers
-    every block reuses.  So a level's figures do not depend on the rest of
-    the grid, and no user's SER rises as var falls: Voronoi cells are convex
-    and hold their point.  The relay tally reads only the symbols' noiseless
-    sums (Link.summed), as the exact counting argument does: one Monte Carlo
-    estimate of relay_map_success, reported at every level.
+    decoders see it (Link.decode's w): one subspace._complex_gaussian row per
+    trial, so no figure depends on the block size.  A block forms L w once;
+    each level var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by
+    nearest point over all Σd rows, in buffers every block reuses.  So a
+    level's figures do not depend on the rest of the grid, and no user's SER
+    rises as var falls: Voronoi cells are convex and hold their point.  The
+    relay tally reads only the symbols' noiseless sums (Link.summed), as the
+    exact counting argument does: one Monte Carlo estimate of
+    relay_map_success, reported at every level.  A grid that is empty, or
+    holds a variance not finite and >= 0, raises InvalidInput before any draw.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
     rows_total = sum(spec.d)
     if 8 * rows_total * trials > np.iinfo(np.intp).max:  # the sweep's symbol indices, its largest array, in bytes
         raise InvalidInput(f"trials={trials} needs symbol indices past numpy's largest array")
-    if not all(math.isfinite(v) and v >= 0 for v in noise_grid):
-        raise InvalidInput("noise variances must be finite and >= 0")
+    if not noise_grid or not all(math.isfinite(v) and v >= 0 for v in noise_grid):  # before any draw
+        raise InvalidInput("noise variances must be nonempty, finite and >= 0")
     strategy = construct_strategy(spec)
     succ_table = constellation.map_success_table()
     pts = constellation.points
@@ -464,7 +483,7 @@ def run_monte_carlo(
     normals, noise, est = np.empty(2 * unit.size), np.empty(unit.size, complex), np.empty(unit.size, complex)
     for cols in blocks(trials, rows_total):
         t = cols.stop - cols.start
-        w = _complex_gaussian(rng, (rows_total,), t, 1.0, unit[:t], normals[: 2 * t * rows_total])
+        w = _complex_gaussian(rng, t, rows_total, 1.0, unit[:t], normals[: 2 * t * rows_total])
         lw = np.matmul(link.noise_factor_all, w.T, out=noise[: w.size].reshape(w.T.shape))  # BLAS needs contiguous out
         ix = idx[:, cols]
         sent_ix = ix[link.sent]

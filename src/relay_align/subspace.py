@@ -16,12 +16,10 @@ array holds bases of one width, so a kernel whose trials disagree on a rank
 raises RaggedRank, and split_by_rank reruns such a block one trial at a time.
 Three shared policies live here too: is_basis, the one basis test; blocks,
 the one block rule of kernels over trials or samples; _complex_gaussian, the
-one drawer of complex Gaussian values.
+one drawer of complex Gaussian values, rows of one size in one layout.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -95,45 +93,24 @@ def blocks(total: int, per_item: int, calls: int = 1):
 
 def _complex_gaussian(
     rng: np.random.Generator,
-    sizes,
-    count: int,
+    rows: int,
+    size: int,
     variance: float,
     out: np.ndarray | None = None,
     normals: np.ndarray | None = None,
 ) -> np.ndarray:
-    """count rows of len(sizes) complex Gaussian blocks of the given variance: a (count, sum(sizes)) array.
+    """rows rows of size complex Gaussian values of the given variance: a (rows, size) array.
 
-    Block k of a row holds sizes[k] values scale * (a + 1j*b), scale =
-    sqrt(variance / 2), a and b its real and then its imaginary normals: row
-    by row, the stream of successive draws of one block each, all from one
-    standard_normal call into normals (2 count sum(sizes) float64).  out and
-    normals are allocated when not given.  Variance 2 gives unit normals,
-    variance 0 zeros and no draw.  Callers reshape a block to their own axes.
+    Row r holds sqrt(variance / 2) * (a + 1j*b), a its size real normals and
+    then b its size imaginary ones, from one standard_normal call into normals
+    (2 rows size float64), so rows drawn in turn are the rows of one draw.
+    out and normals are allocated when not given.  Callers reshape a row, or
+    split it, to their own axes.
     """
-    total = sum(sizes)
-    if out is None:
-        out = np.empty((count, total), dtype=np.complex128)
-    if variance == 0:
-        out.fill(0)
-        return out
-    if normals is None:
-        normals = np.empty(2 * count * total)
-    rng.standard_normal(out=normals)
-    rows = normals.reshape(count, 2 * total)
-    scale = np.sqrt(variance / 2)
-    start = 0
-    for size, run in itertools.groupby(sizes):  # one pass per run of blocks of equal size
-        g = len(list(run))
-        stop = start + g * size
-        re, im = np.moveaxis(rows[:, 2 * start : 2 * stop].reshape(count, g, 2, size), 2, 0)
-        dest = out[:, start:stop].reshape(count, g, size)
-        if scale == 0 or not (re.all() and im.all()):  # only the complex expression gives its zeros' signs
-            dest[...] = scale * (re + 1j * im)
-        else:  # the same values bit for bit, written in place
-            parts = dest.view(np.float64)
-            np.multiply(re, scale, out=parts[..., 0::2])
-            np.multiply(im, scale, out=parts[..., 1::2])
-        start = stop
+    normals = rng.standard_normal(out=np.empty(2 * rows * size) if normals is None else normals)
+    out = np.empty((rows, size), dtype=np.complex128) if out is None else out
+    halves = normals.reshape(rows, 2, size).swapaxes(1, 2)  # (rows, size, 2): each value's real and imaginary normal
+    np.multiply(halves, np.sqrt(variance / 2), out=out.view(np.float64).reshape(rows, size, 2))  # into out, in place
     return out
 
 

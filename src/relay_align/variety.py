@@ -10,8 +10,8 @@ three-term relations (gathered from one cached index table per (n, d)), the
 perp lines, the determinants, the line polynomials and their root counts are
 each one stacked numpy or LAPACK call per block of samples; a single sample is
 a stack of one.  The blocks are subspace.blocks, and each block's draw one
-_complex_gaussian call; a shape past MAX_RELATION_TERMS is refused, and one
-without relations answers, before any draw.
+_complex_gaussian call of a row per subspace, or two per line; a shape past
+MAX_RELATION_TERMS is refused, and one without relations answers, before any draw.
 Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
 line-polynomial coefficient cut of codim_line_probe (1e-10).  Complex products
 and magnitudes that reach the output are formed from real and imaginary parts
@@ -232,7 +232,7 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     counts, zeros = [], []
     for block in blocks(samples, 4 * 3 * 3):
         t = block.stop - block.start
-        lines = _complex_gaussian(rng, (9, 9), t, 2.0).reshape(t, 2, 3, 3)  # anchor, then direction
+        lines = _complex_gaussian(rng, 2 * t, 9, 2.0).reshape(t, 2, 3, 3)  # anchor, then direction
         mags = np.abs(_line_coeffs(lines[:, 0], lines[:, 1]))
         peak = mags.max(axis=1)
         zero = peak < 1e-10

@@ -100,21 +100,17 @@ def stacked_verdicts(bases, n):
 
 
 def reference_gaussian_stacks(n, dims, t, rng):
-    """Complex Gaussian (t, n, d) stacks, one per d in dims, in the per-trial genericity layout.
+    """Complex Gaussian (t, n, d) stacks, one per d in dims, in the genericity layout.
 
-    Row r of one standard_normal((t, 2 * sum(n * d))) draw holds, per d in
-    order, the n x d real parts and then the n x d imaginary parts: the values
-    the r-th of t successive sample_generic_strategy(spec, rng) calls draw.
+    Row r of one standard_normal((t, 2, n * sum(dims))) draw holds the trial's
+    n sum(dims) real parts and then its imaginary parts, each split by user in
+    order: the values the r-th of t successive sample_generic_strategy(spec,
+    rng) calls draw.
     """
-    sizes = [n * d for d in dims]
-    raw = rng.standard_normal((t, 2 * sum(sizes)))
-    stacks, off = [], 0
-    for d, size in zip(dims, sizes):
-        re = raw[:, off : off + size].reshape(t, n, d)
-        im = raw[:, off + size : off + 2 * size].reshape(t, n, d)
-        stacks.append(re + 1j * im)
-        off += 2 * size
-    return stacks
+    raw = rng.standard_normal((t, 2, n * sum(dims)))
+    values = np.empty((t, n * sum(dims)), dtype=np.complex128)
+    values.real, values.imag = raw[:, 0], raw[:, 1]
+    return split_draw(values, n, dims)
 
 
 def split_draw(raw, n, dims):
@@ -428,17 +424,18 @@ class TestBatchedGenericity:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_draws_equal_per_trial_bases(self):
-        # one drawer call of sizes N d_i and count 5, as the rate makes it, against
-        # the per-trial layout and against five sample_generic_strategy calls
+        # the rate's draw of 5 trials, one drawer row of N sum(d_i) each, against the
+        # genericity layout and against five sample_generic_strategy calls
         spec = StrategySpec(4, 3, (2, 0, 3, 1))
         got_rng, layout_rng, want_rng = (np.random.default_rng(4) for _ in range(3))
-        stacks = split_draw(_complex_gaussian(got_rng, [spec.N * d for d in spec.d], 5, 2.0), spec.N, spec.d)
+        stacks = feasibility._gaussian_tuples(spec, 5, got_rng)
         for stack, layout in zip(stacks, reference_gaussian_stacks(spec.N, spec.d, 5, layout_rng)):
             assert np.asarray(stack).tobytes() == layout.tobytes()
         for t in range(5):
             for stack, sub in zip(stacks, sample_generic_strategy(spec, want_rng)):
                 assert np.array_equal(orthonormal_stack(stack)[t], sub)
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state  # the block draws no more than the loop
+        # the block draws no more than the loop
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state == layout_rng.bit_generator.state
 
     def test_several_blocks(self):
         spec = StrategySpec(3, 3, (2, 2, 2))
@@ -451,9 +448,9 @@ class TestBatchedGenericity:
         # K(K + 1)/2 = 10 stacked calls a block makes, so a block holds 10 trials
         spec, counts = StrategySpec(4, 32, (16,) * 4), []
 
-        def counted(rng, sizes, count, variance):
-            counts.append(count)
-            return _complex_gaussian(rng, sizes, count, variance)
+        def counted(rng, rows, size, variance):
+            counts.append(rows)
+            return _complex_gaussian(rng, rows, size, variance)
 
         with monkeypatch.context() as m:
             m.setattr(feasibility, "_complex_gaussian", counted)
@@ -483,13 +480,13 @@ class TestBatchedGenericity:
         spec, trials, equal = StrategySpec(3, 3, (2, 2, 2)), 5, 2
         blocks = []
 
-        def equal_users(rng, sizes, count, variance):
-            raw = _complex_gaussian(rng, sizes, count, variance)
-            raw[equal, sizes[0] : 2 * sizes[0]] = raw[equal, : sizes[0]]
+        def equal_users(rng, rows, size, variance):
+            raw = _complex_gaussian(rng, rows, size, variance)
+            raw[equal, 6:12] = raw[equal, :6]  # user 1's 3 x 2 draw is user 0's
             blocks.append(raw)
             return raw
 
-        with monkeypatch.context() as m:  # haar_stack, which the reference draws through, shares the drawer
+        with monkeypatch.context() as m:  # the reference draws through the same drawer, so it runs unpatched
             m.setattr(feasibility, "_complex_gaussian", equal_users)
             rate = generic_feasibility_rate(spec, trials, np.random.default_rng(5))
         with pytest.raises(RaggedRank):

@@ -132,9 +132,9 @@ def reference_roots(coeffs):
 def probe_lines(monkeypatch, anchors, directions):
     """codim_line_probe on the given (T, 3, 3) anchors and directions in place of its draw, checked line by line."""
     t = len(anchors)
-    rows = iter(np.concatenate([anchors.reshape(t, 9), directions.reshape(t, 9)], axis=1))
+    rows = iter(np.stack([anchors.reshape(t, 9), directions.reshape(t, 9)], axis=1).reshape(2 * t, 9))
 
-    def draw(rng, sizes, count, variance):
+    def draw(rng, count, size, variance):  # a line's two rows: its anchor, then its direction
         return np.stack(list(itertools.islice(rows, count)))
 
     monkeypatch.setattr(variety, "_complex_gaussian", draw)
@@ -286,9 +286,9 @@ class TestStackedEquivalence:
 
     @pytest.mark.parametrize("t", [1, 2, 7])
     def test_line_draw_matches_one_draw_of_four_matrices(self, t):
-        # codim_line_probe's anchors and directions: sizes (9, 9), as the (t, 4, 3, 3) draw it made before
+        # codim_line_probe's anchors and directions: 2t rows of 9, as the (t, 4, 3, 3) draw it made before
         got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
-        lines = _complex_gaussian(got_rng, (9, 9), t, 2.0).reshape(t, 2, 3, 3)
+        lines = _complex_gaussian(got_rng, 2 * t, 9, 2.0).reshape(t, 2, 3, 3)
         raw = want_rng.standard_normal((t, 4, 3, 3))
         assert same_bits(lines[:, 0], raw[:, 0] + 1j * raw[:, 1])
         assert same_bits(lines[:, 1], raw[:, 2] + 1j * raw[:, 3])
