@@ -136,7 +136,10 @@ def generic_verdict(spec: StrategySpec) -> tuple[dict[Pair, int], bool]:
     otherwise 0 (tests check this on every feasible shape up to K=5, N=6).
     """
     e = {(i, j): max(0, spec.d[i] + spec.d[j] - spec.N) for i, j in _pairs(spec.K)}
-    rows = [sum(v for p, v in e.items() if i in p) for i in range(spec.K)]
+    rows = [0] * spec.K
+    for (i, j), v in e.items():  # one pass over the pairs: each adds e_ij to the rows of i and of j
+        rows[i] += v
+        rows[j] += v
     return e, is_feasible_tuple(spec) and rows == list(spec.d)
 
 

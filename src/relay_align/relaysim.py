@@ -11,18 +11,20 @@ own symbols, and decides by nearest constellation point per coordinate.
 
 A Link binds a valid strategy to one channel draw and encoder set and
 computes once, as one operator over all K users stacked in user order, what
-observation, decoding and SNR reuse: observe, decode and snr_db each take
-or give all K at once, for one trial or a block of T trials, and user k's
+observation, decoding and SNR reuse: observe and snr_db each take or give
+all K at once, observe for one trial or a block of T trials, and user k's
 part is row block rows[k] of each.  Building a Link decides the alignment
 claim: every user i's relay-side columns P H_i U_i must be the 0/1
 selection of i's pair slots to the rank rule, so every symbol reaches the
 relay only inside a pair sum, and a Link refuses other encoders with
 SecrecyViolation.  The receive maps F_k are the receivers' only model; with
 aligned encoders they send each receiver its partners' symbols exactly, so
-decode(x, w) = x[sent] + L w is one gather and one noise factor, and the
-SNR reads each stream's noise variance off them.  The decoders see the
-relay noise only through P, so all the noise of a trial, relay and
-receivers', reaches them as one Gaussian of Σd entries: decode's w.
+every receiver's estimates are x[sent] + L w, one gather and one noise
+factor, and the SNR reads each stream's noise variance off them.  The
+decoders see the relay noise only through P, so all the noise of a trial,
+relay and receivers', reaches them as one Gaussian of Σd entries, w.
+run_monte_carlo is the one decoder: it forms that expression for a block of
+trials, L w once for all noise levels.
 ChannelSet decides all 2K channels invertible by the rank rule once, at
 construction, so design_encoders only solves and Link only inverts.
 run_monte_carlo builds one Link and draws one set of trials per sweep, so
@@ -118,6 +120,7 @@ class Constellation:
             np.minimum(best, dist, out=best)
         return index
 
+    @functools.cached_property
     def map_success_table(self) -> np.ndarray:
         """succ[a, b] = 1 if the relay's MAP guess for sum a+b is the pair (a, b).
 
@@ -125,14 +128,12 @@ class Constellation:
         order; success probability per sum is 1 / (number of preimages).  Two
         sums are one when they differ by at most SUM_MATCH_TOL times the minimum
         distance between points, so the table does not depend on scale; built
-        once per constellation (_success_table), read-only.
-        """
-        return self._success_table
+        once per constellation, read-only.
 
-    @functools.cached_property
-    def _success_table(self) -> np.ndarray:
-        """Sum t counts iff no earlier sum lies within tol: distinct sums at their first index, compared in groups
-        that any two within tol share, split at each step past tol in sorted real, then imaginary, parts."""
+        Sum t counts iff no earlier sum lies within tol: distinct sums at their
+        first index, compared in groups that any two within tol share, split at
+        each step past tol in sorted real, then imaginary, parts.
+        """
         sums = np.add.outer(self.points, self.points).ravel()
         gaps = np.abs(np.subtract.outer(self.points, self.points))
         tol = SUM_MATCH_TOL * gaps[gaps > 0].min(initial=np.inf)
@@ -233,7 +234,7 @@ class Link:
 
     Users and receivers are stacked in user order: rows[k] is k's block of
     d_k rows, and of columns, of the Σd-wide arrays, and of every symbol,
-    noise and estimate array the Link takes or gives.  effective_all =
+    noise and estimate array over them.  effective_all =
     [H_0 U_0 | H_1 U_1 | ...] (N x Σd) is what observe applies.
 
     Alignment is decided here, once.  User i's relay-side columns M_i =
@@ -268,6 +269,8 @@ class Link:
     times its gain; worst_gain_db[k] is 10 log10 of the largest gain in
     block k, +inf for a receiver with no streams.  The G_k, which
     ChannelSet has decided invertible, are inverted in one stacked call.
+    Every receiver's estimates of the symbols x with noise w are then
+    x[sent] + noise_factor_all @ w, the expression run_monte_carlo decodes.
     An encoder that is not N x d_i raises DimensionMismatch, one with a
     non-finite entry InvalidInput.
     """
@@ -352,33 +355,15 @@ class Link:
 
         x is the Σd-row symbol array, user i's in rows[i]: a vector, or a
         (Σd, T) block of T trials.  The receivers never form r; the relay's
-        noise reaches them only through decode's w.
+        noise reaches them only through noise_factor_all.
         """
         _check_array("symbol", x, self.effective_all.shape[1])
         return self.effective_all @ x
 
-    def decode(self, x: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
-        """Every receiver's soft estimates x[sent] + noise_factor_all w, complex.
-
-        Row block rows[k] holds the symbols k's partners sent it, ordered as
-        B_k: F_k G_k r less k's own part, for aligned encoders the gather
-        x[sent], so neither r nor any G_k r is formed.  x is the Σd-row
-        symbol array observe takes; w all the noise as the decoders see it,
-        Σd entries per trial, which noise_factor_all maps to the relay's and
-        the receivers' noise of the same variance, in law.  They are vectors
-        or blocks of T trials, w of the shape of x.
-        """
-        _check_array("symbol", x, len(self.sent))
-        est = x[self.sent].astype(np.complex128, copy=False)  # the gather copies, so est is x's own
-        if w is not None:
-            _check_array("noise", w, len(est), est.shape)
-            est += self.noise_factor_all @ w  # in place: one temporary fewer
-        return est
-
     def snr_db(self, var: float) -> list[float]:
         """Each receiver's SNR of its worst stream after the decoder, per unit symbol energy, in dB.
 
-        With relay and receiver noise of variance var >= 0, decode returns each
+        With relay and receiver noise of variance var >= 0, each estimate is its
         symbol plus noise of variance var times its stream's noise gain, so
         receiver k's SNR is 1 / (var * max of its gains).  It is computed as
         -10 log10(var) - worst_gain_db[k], so a var near the smallest float
@@ -393,12 +378,12 @@ class Link:
         return [-10 * math.log10(var) - worst for worst in self.worst_gain_db]
 
 
-def _check_array(name: str, a, rows: int, shape: tuple | None = None) -> None:
-    """Raise DimensionMismatch unless a is an array of the given rows (a vector or a block of T trials) and shape."""
+def _check_array(name: str, a, rows: int) -> None:
+    """Raise DimensionMismatch unless a is an array of the given rows: a vector or a block of T trials."""
     if not isinstance(a, np.ndarray):
         raise DimensionMismatch(f"{name} shape: need one array of {rows} rows, not a {type(a).__name__}")
-    if a.ndim not in (1, 2) or len(a) != rows or shape not in (None, a.shape):
-        raise DimensionMismatch(f"{name} shape {a.shape} does not match {shape or f'{rows} rows'}")
+    if a.ndim not in (1, 2) or len(a) != rows:
+        raise DimensionMismatch(f"{name} shape {a.shape} does not match {rows} rows")
 
 
 def relay_map_success(constellation: Constellation) -> Fraction:
@@ -406,7 +391,7 @@ def relay_map_success(constellation: Constellation) -> Fraction:
 
     Equals (number of distinct pairwise sums, as map_success_table counts them) / |X|^2.
     """
-    return Fraction(int(constellation.map_success_table().sum()), constellation.size**2)
+    return Fraction(int(constellation.map_success_table.sum()), constellation.size**2)
 
 
 @dataclass(frozen=True)
@@ -433,22 +418,22 @@ def run_monte_carlo(
     trials: int,
     seed: int,
 ) -> list[SimReport]:
-    """Full pipeline SER / equivocation sweep over a grid of noise variances.
+    """Full pipeline SER / equivocation sweep over a grid of noise variances: the package's one decoder.
 
     One system and one set of trials per sweep: a generator seeded with seed
     draws the channels, which fix the Link, then all users' symbols of every
     trial (one call, the stream of K per-user draws), then per column block
-    of subspace.blocks the block's unit noise, Σd entries a trial as the
-    decoders see it (Link.decode's w): one subspace._complex_gaussian row per
-    trial, so no figure depends on the block size.  A block forms L w once;
-    each level var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by
-    nearest point over all Σd rows, in buffers every block reuses.  So a
-    level's figures do not depend on the rest of the grid, and no user's SER
-    rises as var falls: Voronoi cells are convex and hold their point.  The
-    relay tally reads only the symbols' noiseless sums (Link.summed), as the
-    exact counting argument does: one Monte Carlo estimate of
-    relay_map_success, reported at every level.  A grid that is empty, or
-    holds a variance not finite and >= 0, raises InvalidInput before any draw.
+    of subspace.blocks the block's unit noise w, Σd entries a trial as the
+    decoders see it: one subspace._complex_gaussian row per trial, so no
+    figure depends on the block size.  A block forms L w once; each level
+    var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by nearest
+    point over all Σd rows.  So a level's figures do not depend on the rest
+    of the grid, and no user's SER rises as var falls: Voronoi cells are
+    convex and hold their point.  The relay tally reads only the symbols'
+    noiseless sums (Link.summed), as the exact counting argument does: one
+    Monte Carlo estimate of relay_map_success, reported at every level.  A
+    grid that is empty, or holds a variance not finite and >= 0, raises
+    InvalidInput before any draw.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -458,7 +443,7 @@ def run_monte_carlo(
     if not noise_grid or not all(math.isfinite(v) and v >= 0 for v in noise_grid):  # before any draw
         raise InvalidInput("noise variances must be nonempty, finite and >= 0")
     strategy = construct_strategy(spec)
-    succ_table = constellation.map_success_table()
+    succ_table = constellation.map_success_table
     pts = constellation.points
     k_users, n = spec.K, spec.N
     config = {
@@ -479,20 +464,16 @@ def run_monte_carlo(
     idx = rng.integers(0, pts.size, size=(rows_total, trials))
     row_errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)  # per level and stacked row
     relay_hits = 0.0
-    unit = np.empty((next(blocks(trials, rows_total)).stop, rows_total), dtype=np.complex128)
-    normals, noise, est = np.empty(2 * unit.size), np.empty(unit.size, complex), np.empty(unit.size, complex)
     for cols in blocks(trials, rows_total):
-        t = cols.stop - cols.start
-        w = _complex_gaussian(rng, t, rows_total, 1.0, unit[:t], normals[: 2 * t * rows_total])
-        lw = np.matmul(link.noise_factor_all, w.T, out=noise[: w.size].reshape(w.T.shape))  # BLAS needs contiguous out
+        w = _complex_gaussian(rng, cols.stop - cols.start, rows_total, 1.0)  # a row per trial
+        lw = link.noise_factor_all @ w.T
         ix = idx[:, cols]
         sent_ix = ix[link.sent]
         x_sent = pts[sent_ix]
         relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
         for errors, var in zip(row_errors, noise_grid):
-            level_est = np.multiply(lw, math.sqrt(var), out=est[: w.size].reshape(lw.shape))
-            level_est += x_sent
-            errors += np.count_nonzero(constellation.nearest_index(level_est) != sent_ix, axis=1)
+            est = lw * math.sqrt(var) + x_sent
+            errors += np.count_nonzero(constellation.nearest_index(est) != sent_ix, axis=1)
 
     reports = []
     for var, errors in zip(noise_grid, row_errors):

@@ -91,26 +91,17 @@ def blocks(total: int, per_item: int, calls: int = 1):
     return (slice(start, min(start + step, total)) for start in range(0, total, step))
 
 
-def _complex_gaussian(
-    rng: np.random.Generator,
-    rows: int,
-    size: int,
-    variance: float,
-    out: np.ndarray | None = None,
-    normals: np.ndarray | None = None,
-) -> np.ndarray:
+def _complex_gaussian(rng: np.random.Generator, rows: int, size: int, variance: float) -> np.ndarray:
     """rows rows of size complex Gaussian values of the given variance: a (rows, size) array.
 
     Row r holds sqrt(variance / 2) * (a + 1j*b), a its size real normals and
-    then b its size imaginary ones, from one standard_normal call into normals
-    (2 rows size float64), so rows drawn in turn are the rows of one draw.
-    out and normals are allocated when not given.  Callers reshape a row, or
-    split it, to their own axes.
+    then b its size imaginary ones, from one standard_normal call of 2 rows
+    size values, so rows drawn in turn are the rows of one draw.  Callers
+    reshape a row, or split it, to their own axes.
     """
-    normals = rng.standard_normal(out=np.empty(2 * rows * size) if normals is None else normals)
-    out = np.empty((rows, size), dtype=np.complex128) if out is None else out
-    halves = normals.reshape(rows, 2, size).swapaxes(1, 2)  # (rows, size, 2): each value's real and imaginary normal
-    np.multiply(halves, np.sqrt(variance / 2), out=out.view(np.float64).reshape(rows, size, 2))  # into out, in place
+    halves = rng.standard_normal(2 * rows * size).reshape(rows, 2, size).swapaxes(1, 2)  # each value's two normals
+    out = np.empty((rows, size), dtype=np.complex128)
+    np.multiply(halves, np.sqrt(variance / 2), out=out.view(np.float64).reshape(rows, size, 2))  # one scaled pass
     return out
 
 

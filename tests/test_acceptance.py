@@ -184,7 +184,7 @@ def test_criterion_4_three_user_golden_example():
     qpsk = Constellation.qpsk()
     xs = [qpsk.points[rng.integers(0, 4, 2)] for _ in range(3)]
     stacked = np.concatenate(xs)
-    hard_all = qpsk.points[qpsk.nearest_index(link.decode(stacked))]
+    hard_all = qpsk.points[qpsk.nearest_index(stacked[link.sent])]  # noiseless: the gather alone
     recovered = {}
     for k in range(3):
         hard = hard_all[link.rows[k]]

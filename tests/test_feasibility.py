@@ -394,6 +394,27 @@ class TestGenericVerdict:
         assert e == dict(zip(_pairs(k), dims))
         assert verdict is generic
 
+    @pytest.mark.parametrize("k, n", [(200, 150), (300, 299), (500, 250)])
+    def test_row_sums_match_an_outer_sum_at_hundreds_of_users(self, k, n):
+        # e_ij and the verdict against numpy's K x K outer sum of d: a generic shape, whose row sums
+        # all equal d, so a wrong one flips the verdict, with its user of N streams first, last and
+        # anywhere, so each row sum gathers its e_ij as the first and as the second user of the
+        # pair; then 2N spread over the users at random
+        rng = np.random.default_rng(k)
+        generic = np.zeros(k, dtype=int)
+        generic[: n + 1] = [n] + [1] * n  # e_0j = 1 for each of the N users of one stream, every other e_ij 0
+        verdicts = []
+        for d in (generic, generic[::-1], rng.permutation(generic), rng.multinomial(2 * n, np.full(k, 1 / k))):
+            outer = np.maximum(0, np.add.outer(d, d) - n)
+            np.fill_diagonal(outer, 0)
+            i, j = np.triu_indices(k, 1)
+            generic_want = d.sum() == 2 * n and d.max() <= n and np.array_equal(outer.sum(axis=1), d)
+            e, verdict = feasibility.generic_verdict(StrategySpec(k, n, tuple(d.tolist())))
+            assert e == dict(zip(zip(i.tolist(), j.tolist()), outer[i, j].tolist())), (k, n)
+            assert verdict is bool(generic_want), (k, n)
+            verdicts.append(verdict)
+        assert verdicts == [True, True, True, False]
+
     def test_rate_is_the_verdict_on_every_small_shape(self):
         # 143 shapes; a generic shape verifies on every draw and any other on none
         shapes = feasible_shapes(5, 6)

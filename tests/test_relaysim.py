@@ -55,7 +55,7 @@ def link_of(strategy, channels):
 
 def decode_by_partner(link, k, x):
     """Hard QPSK decisions of receiver k from the noiseless symbols x, split into the blocks its partners sent."""
-    hard = QPSK.points[QPSK.nearest_index(link.decode(x)[link.rows[k]])]
+    hard = QPSK.points[QPSK.nearest_index(x[link.sent[link.rows[k]]])]
     return {j: hard[rows] for (i, j), rows in pair_slices(link.strategy).items() if i == k}
 
 
@@ -136,8 +136,8 @@ class ZeroingGenerator:
         self.zeroed = zeroed
         self.calls = 0
 
-    def standard_normal(self, out):
-        self.rng.standard_normal(out=out)
+    def standard_normal(self, size):
+        out = self.rng.standard_normal(size)
         if self.calls < self.zeroed:
             out[: 2 * 3 * 3] = 0  # the real and imaginary normals of the first matrix
         self.calls += 1
@@ -472,24 +472,24 @@ class TestReceiverDecode:
         x = np.concatenate([QPSK.points[rng.integers(0, 4, (4, 5))] for _ in range(3)])
         # all the noise as the decoders see it: Σd = 12 entries per trial
         w = 0.1 * (rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5)))
-        block = link.decode(x, w)
+        block = x[link.sent] + link.noise_factor_all @ w
         assert block.shape == (12, 5)
         for t in range(5):
-            single = link.decode(x[:, t], w[:, t])
+            single = x[:, t][link.sent] + link.noise_factor_all @ w[:, t]
             assert np.linalg.norm(single - block[:, t]) < 1e-12
 
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1)])
     def test_all_receivers_at_once_equal_each_receiver(self, d):
-        # row block k of the stacked decode is receiver k's rows of the relay map
-        # applied to r, less what k's own symbols put there; its noise is its rows
-        # of noise_factor_all applied to all of w, as the relay's noise reaches every receiver
+        # row block k of the stacked estimates, the gather plus the noise factor, is receiver k's
+        # rows of the relay map applied to r, less what k's own symbols put there; its noise is
+        # its rows of noise_factor_all applied to all of w, as the relay's noise reaches every receiver
         rng = np.random.default_rng(14)
         spec = StrategySpec(len(d), sum(d) // 2, d)
         link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng))
         x = [QPSK.points[rng.integers(0, 4, (d_k, 9))] for d_k in d]
         w = rng.standard_normal((sum(d), 9)) + 1j * rng.standard_normal((sum(d), 9))
         r = link.observe(np.vstack(x))
-        every = link.decode(np.vstack(x), w)
+        every = np.vstack(x)[link.sent] + link.noise_factor_all @ w
         assert every.shape == (sum(d), 9)
         for k, rows in enumerate(link.rows):
             folded = link.relay_map[link.slots[k]]  # F_k G_k
@@ -497,31 +497,22 @@ class TestReceiverDecode:
             want -= folded @ link.effective_all[:, rows] @ x[k]
             assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
 
-    def test_noise_shape_must_match_the_observation(self):
-        # w is the noise the decoders see, shaped as the (Σd, T) estimate; N-row receiver noise is refused
-        link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
-        for shape in [(3, 4), (6, 5), (2, 4)]:
-            with pytest.raises(DimensionMismatch, match="noise shape"):
-                link.decode(np.zeros((6, 4)), np.zeros(shape))
-        assert link.decode(np.zeros((6, 4)), np.zeros((6, 4))).shape == (6, 4)
-        assert link.decode(np.zeros(6)).dtype == np.complex128  # real symbols give complex estimates
-
     @pytest.mark.parametrize(
-        "call, args",
+        "x",
         [
-            ("decode", (np.zeros(5),)),  # x without Σd = 6 rows
-            ("decode", (np.zeros((6, 4, 1)),)),
-            ("decode", ([0.0] * 6,)),
-            ("observe", ([np.zeros(2)] * 3,)),  # one block per user: a list, not the stacked array
-            ("observe", ([np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 4))],)),  # ragged
+            np.zeros(5),  # without Σd = 6 rows
+            np.zeros((6, 4, 1)),
+            [0.0] * 6,
+            [np.zeros(2)] * 3,  # one block per user: a list, not the stacked array
+            [np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((2, 4))],  # ragged
         ],
         ids=["x-rows", "x-3d", "x-list", "list", "ragged-list"],
     )
-    def test_input_not_matching_the_stacked_operator_rejected(self, call, args):
-        # a wrong row count, trial count or rank, or a list, is refused before any product is formed
+    def test_input_not_matching_the_stacked_operator_rejected(self, x):
+        # a wrong row count or rank, or a list, is refused before any product is formed
         link = link_of(construct_strategy(StrategySpec(3, 3, (2, 2, 2))), identity_channels(3, 3))
         with pytest.raises(DimensionMismatch, match="shape"):
-            getattr(link, call)(*args)
+            link.observe(x)
 
     def test_unverified_strategy_rejected(self):
         plane = E3[:, [0, 1]]
@@ -623,7 +614,7 @@ class TestReceiveMap:
                 # test_noise_factor_has_the_receive_map_covariance checks
                 noise = link.noise_factor_all[rows] @ w
                 r = link.observe(x)
-                got, want = link.decode(x, w)[rows], reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
+                got, want = x[link.sent[rows]] + noise, reference_decode(link, k, ch.G[k] @ r, x[rows]) + noise
                 assert got.shape == want.shape == (spec.d[k], 6)
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (spec, k)
 
@@ -688,7 +679,7 @@ class TestReceiveMap:
     @pytest.mark.parametrize("encoders", ["designed", "hand-made"])
     def test_transfer_map_is_the_partner_selection(self, encoders):
         # over the shapes of test_noise_factor_has_the_receive_map_covariance:
-        # decode's gather sent is the 0/1 partner selection, and the reference
+        # the decoders' gather sent is the 0/1 partner selection, and the reference
         # transfer map, the cross-talk F_k G_k H_i U_i of each block (k, i != k)
         # with each receiver's own block 0, is that selection to the rank rule
         rng = np.random.default_rng(43 if encoders == "designed" else 44)
@@ -716,7 +707,8 @@ class TestReceiveMap:
         link = link_of(construct_strategy(StrategySpec(3, 2, (2, 2, 0))), identity_channels(3, 2))
         rows = link.rows[2]
         assert link.noise_factor_all[rows, rows].shape == (0, 0)
-        assert link.decode(np.zeros((4, 5)), np.zeros((4, 5)))[rows].shape == (0, 5)
+        x, w = np.zeros((4, 5)), np.zeros((4, 5))
+        assert (x[link.sent[rows]] + link.noise_factor_all[rows] @ w).shape == (0, 5)
 
     def test_maps_are_d_k_by_n_views_of_the_stacked_maps(self):
         rng = np.random.default_rng(4)
@@ -844,26 +836,26 @@ class TestRelayMapSuccess:
     @pytest.mark.parametrize("kind", ["grid", "grid of 0.1 steps", "line", "random"])
     def test_table_equals_the_scan_of_every_earlier_sum(self, kind, moved):
         constellation = sixty_four_points(kind, moved)
-        assert np.array_equal(constellation.map_success_table(), reference_map_success_table(constellation))
+        assert np.array_equal(constellation.map_success_table, reference_map_success_table(constellation))
 
     def test_moves_near_tol_merge_some_near_repeats(self):
         # the grid's 225 distinct sums when nothing moves, 2080 unordered pairs when every sum is apart
-        counts = [sixty_four_points("grid", moved).map_success_table().sum() for moved in (1e-12, 5e-10, 1e-6)]
+        counts = [sixty_four_points("grid", moved).map_success_table.sum() for moved in (1e-12, 5e-10, 1e-6)]
         assert counts[0] == 225 and 225 < counts[1] < 2080 and counts[2] == 2080
 
     def test_a_1024_point_grid_counts_each_distinct_sum_once(self):
         # the scan took about half an hour at 1024 points; one success per distinct sum of the 63 x 63
         constellation = Constellation(grid_points(32))
-        table = constellation.map_success_table()
+        table = constellation.map_success_table
         assert table.sum() == 63**2
-        assert constellation.map_success_table() is table and not table.flags.writeable
+        assert constellation.map_success_table is table and not table.flags.writeable
 
     def test_a_sweep_and_its_exact_figure_build_one_table(self, monkeypatch):
         # simulate runs the sweep, then relay_map_success, on one constellation
-        build, builds = relaysim.Constellation.__dict__["_success_table"].func, []
+        build, builds = relaysim.Constellation.__dict__["map_success_table"].func, []
         counted = functools.cached_property(lambda self: builds.append(self) or build(self))
-        counted.__set_name__(relaysim.Constellation, "_success_table")
-        monkeypatch.setattr(relaysim.Constellation, "_success_table", counted)
+        counted.__set_name__(relaysim.Constellation, "map_success_table")
+        monkeypatch.setattr(relaysim.Constellation, "map_success_table", counted)
         constellation = Constellation(grid_points(4))
         run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), constellation, [0.1, 0.01], 20, seed=0)
         relay_map_success(constellation)
@@ -891,7 +883,7 @@ class TestRelayMapSuccess:
         scaled = Constellation(QPSK.points * scale)
         frac = relay_map_success(scaled)
         assert (frac.numerator, frac.denominator) == (9, 16)
-        assert np.array_equal(scaled.map_success_table(), QPSK.map_success_table())
+        assert np.array_equal(scaled.map_success_table, QPSK.map_success_table)
 
     def test_zero_mean_check_is_relative(self):
         with pytest.raises(InvalidInput):
@@ -911,7 +903,7 @@ class TestTwoUserBaseline:
         link = scalar_link(1 + 1j, 2 - 1j, 0.5j, 1.5)
         idx = rng.integers(0, 4, (2, 500))  # one stream per user
         x = QPSK.points[idx]
-        hard = QPSK.nearest_index(link.decode(x))
+        hard = QPSK.nearest_index(x[link.sent])
         ser = tuple(float(np.mean(hard[k] != idx[1 - k])) for k in (0, 1))
         assert ser == (0.0, 0.0)
 
@@ -1041,7 +1033,7 @@ def reference_nearest_index(constellation, values):
 def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     strategy = construct_strategy(spec)
     slices = pair_slices(strategy)
-    succ_table = constellation.map_success_table()
+    succ_table = constellation.map_success_table
     pts = constellation.points
     k_users, n = spec.K, spec.N
     config = {
@@ -1270,13 +1262,13 @@ def reference_draw(rng, rows, size, variance):
 
 
 def recorded_draws(monkeypatch, module, run):
-    """run() with module's drawer recorded: per call its rows, size, variance, given buffers, states and output."""
+    """run() with module's drawer recorded: per call its rows, size, variance, generator states and output."""
     calls = []
 
-    def spy(rng, rows, size, variance, out=None, normals=None):
+    def spy(rng, rows, size, variance):
         before = rng.bit_generator.state
-        got = _complex_gaussian(rng, rows, size, variance, out, normals)
-        calls.append((rows, size, variance, out is not None, before, rng.bit_generator.state, got.copy()))
+        got = _complex_gaussian(rng, rows, size, variance)
+        calls.append((rows, size, variance, before, rng.bit_generator.state, got.copy()))
         return got
 
     with monkeypatch.context() as m:
@@ -1292,23 +1284,23 @@ class TestComplexGaussian:
     and leaves the generator where the draw does: the channel draw's 2K rows of
     N^2, the line probe's two rows of 9 a line, haar_stack's row of n d a
     subspace, the genericity draw's row of N sum(d_i) a trial, and the sweep's
-    t rows of Σd into slices of its block buffers.  Rows drawn in turn are the
-    rows of one draw of their sum, so no caller's numbers depend on its block size.
+    t rows of Σd a block.  Rows drawn in turn are the rows of one draw of
+    their sum, so no caller's numbers depend on its block size.
     """
 
-    CALLERS = {  # the module whose drawer the caller binds, the call, and its (rows, size, variance, buffered)
-        "draw_channels": (relaysim, lambda rng: draw_channels(3, 2, rng), [(6, 4, 1.0, False)]),
-        "codim_line_probe": (variety, lambda rng: codim_line_probe(rng, 5), [(10, 9, 2.0, False)]),
-        "haar_stack": (feasibility, lambda rng: haar_stack(4, 2, 3, rng), [(3, 8, 2.0, False)]),
+    CALLERS = {  # the module whose drawer the caller binds, the call, and its (rows, size, variance)
+        "draw_channels": (relaysim, lambda rng: draw_channels(3, 2, rng), [(6, 4, 1.0)]),
+        "codim_line_probe": (variety, lambda rng: codim_line_probe(rng, 5), [(10, 9, 2.0)]),
+        "haar_stack": (feasibility, lambda rng: haar_stack(4, 2, 3, rng), [(3, 8, 2.0)]),
         "generic_feasibility_rate": (
             feasibility,
             lambda rng: generic_feasibility_rate(StrategySpec(4, 3, (2, 0, 3, 1)), 5, rng),
-            [(5, 18, 2.0, False)],
+            [(5, 18, 2.0)],
         ),
         "sample_generic_strategy": (
             feasibility,
             lambda rng: sample_generic_strategy(StrategySpec(4, 3, (2, 0, 3, 1)), rng),
-            [(1, 18, 2.0, False)],
+            [(1, 18, 2.0)],
         ),
     }
 
@@ -1316,20 +1308,20 @@ class TestComplexGaussian:
     def test_each_caller_draws_one_scaled_block(self, monkeypatch, caller):
         module, run, want_calls = self.CALLERS[caller]
         calls = recorded_draws(monkeypatch, module, lambda: run(np.random.default_rng(25)))
-        assert [c[:4] for c in calls] == want_calls
+        assert [c[:3] for c in calls] == want_calls
         self.assert_scaled_draws(calls)
 
-    def test_the_sweep_draws_trial_rows_into_its_buffers(self, monkeypatch):
+    def test_the_sweep_draws_trial_rows(self, monkeypatch):
         # the channels, then a block of BLOCK_ENTRIES // 6 trials and one of 7, all from the sweep's own generator
         trials = BLOCK_ENTRIES // 6 + 7
         spec = StrategySpec(3, 3, (2, 2, 2))
         calls = recorded_draws(monkeypatch, relaysim, lambda: run_monte_carlo(spec, QPSK, [0.1], trials, seed=26))
-        assert [c[:4] for c in calls] == [(6, 9, 1.0, False), (BLOCK_ENTRIES // 6, 6, 1.0, True), (7, 6, 1.0, True)]
+        assert [c[:3] for c in calls] == [(6, 9, 1.0), (BLOCK_ENTRIES // 6, 6, 1.0), (7, 6, 1.0)]
         self.assert_scaled_draws(calls)
 
     @staticmethod
     def assert_scaled_draws(calls):
-        for rows, size, variance, _, before, after, got in calls:
+        for rows, size, variance, before, after, got in calls:
             want_rng = np.random.default_rng()
             want_rng.bit_generator.state = before
             assert np.array_equal(bits(got), bits(reference_draw(want_rng, rows, size, variance)))
@@ -1338,17 +1330,13 @@ class TestComplexGaussian:
     @pytest.mark.parametrize("variance", [1.0, 0.1, 3.7, 1e-4, 1e-300])
     @pytest.mark.parametrize("shape", [(3, 1000), (32, 200), (2, 2), (1, 7)])
     def test_buffered_draw_equals_complex_expression(self, variance, shape):
-        # one row of N trials entries: away from a zero scale or a zero normal, the
-        # in-place write gives the bits of the complex expression
+        # one row of N trials entries: away from a zero scale or a zero normal, the drawer's
+        # scaled write into the buffer it returns gives the bits of the complex expression
         n, trials = shape
         expected = reference_complex_gaussian(np.random.default_rng(21), shape, variance)
-        out = np.full((1, n * trials), np.nan + 0j)
-        normals = np.full(2 * n * trials, np.nan)
-        got = _complex_gaussian(np.random.default_rng(21), 1, n * trials, variance, out, normals)
-        assert got is out
+        got = _complex_gaussian(np.random.default_rng(21), 1, n * trials, variance)
+        assert got.shape == (1, n * trials) and got.dtype == np.complex128 and got.flags.c_contiguous
         assert np.array_equal(bits(got.reshape(shape)), bits(expected))
-        unbuffered = _complex_gaussian(np.random.default_rng(21), 1, n * trials, variance)
-        assert np.array_equal(bits(unbuffered.reshape(shape)), bits(expected))
 
     @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
     @pytest.mark.parametrize("d", [(2, 2, 2), (3, 3, 2, 2), (2, 2, 0), (4, 2, 1, 1), (0, 1), (3,)])
@@ -1362,19 +1350,10 @@ class TestComplexGaussian:
         assert np.array_equal(bits(got), bits(want))
         assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
 
-    def test_receiver_noise_fills_given_buffers(self):
-        trials, rows = 9, 10
-        out = np.full((trials, rows), np.nan + 0j)
-        normals = np.full(2 * rows * trials, np.nan)
-        got = _complex_gaussian(np.random.default_rng(3), trials, rows, 0.2, out, normals)
-        assert got is out
-        want_rng = np.random.default_rng(3)
-        assert np.array_equal(bits(got), bits(reference_draw(want_rng, trials, rows, 0.2)))
-        assert np.array_equal(normals, np.random.default_rng(3).standard_normal(2 * rows * trials))
-
     def test_one_filled_buffer_equals_two_draws(self):
+        # the drawer's one flat standard_normal call, as its rows split it
         a_rng, b_rng = np.random.default_rng(9), np.random.default_rng(9)
-        filled = a_rng.standard_normal(out=np.empty((2, 3, 11)))
+        filled = a_rng.standard_normal(2 * 3 * 11).reshape(2, 3, 11)
         assert np.array_equal(filled[0], b_rng.standard_normal((3, 11)))
         assert np.array_equal(filled[1], b_rng.standard_normal((3, 11)))
         assert a_rng.standard_normal() == b_rng.standard_normal()
@@ -1382,25 +1361,22 @@ class TestComplexGaussian:
     @pytest.mark.parametrize("variance", [1.0, 0.1, 1e-300, 5e-324, 0.0])
     @pytest.mark.parametrize("rows, t", [(6, BLOCK_ENTRIES // 6), (6, 7), (64, BLOCK_ENTRIES // 64), (10, 1)])
     def test_trial_rows_into_slices_of_larger_buffers(self, variance, rows, t):
-        # the sweep's call: t rows of Σd entries into out[:t] and normals[:2 t Σd]; a
-        # variance of 5e-324 or 0 scales by 0, and each zero keeps its normal's sign
+        # the sweep's call: t rows of Σd entries, the slice [:t] of a draw of t + 5 rows from
+        # the same state; a variance of 5e-324 or 0 scales by 0, and each zero keeps its normal's sign
         rng, want_rng = np.random.default_rng(23), np.random.default_rng(23)
-        out = np.full((t + 5, rows), np.nan + 0j)
-        normals = np.full(2 * out.size, np.nan)
-        got = _complex_gaussian(rng, t, rows, variance, out[:t], normals[: 2 * t * rows])
-        assert got.shape == (t, rows) and np.shares_memory(got, out)
+        got = _complex_gaussian(rng, t, rows, variance)
+        assert got.shape == (t, rows)
         assert np.array_equal(bits(got), bits(reference_draw(want_rng, t, rows, variance)))
-        assert np.isnan(out[t:]).all()  # the rows past t are left as they were
         assert rng.standard_normal() == want_rng.standard_normal()  # the same stream left behind
+        larger = _complex_gaussian(np.random.default_rng(23), t + 5, rows, variance)
+        assert np.array_equal(bits(got), bits(larger[:t]))
 
     @pytest.mark.parametrize("variance", [0.3, 2.0])
     @pytest.mark.parametrize("split", [(BLOCK_ENTRIES // 6, 7), (1, 1), (3, 250, 1)])
     def test_row_counts_in_turn_equal_one_draw_of_their_sum(self, variance, split):
-        # successive blocks of the sweep, through one reused buffer, against one whole draw
+        # successive blocks of the sweep against one whole draw
         rng, whole_rng = np.random.default_rng(24), np.random.default_rng(24)
-        out = np.empty((max(split), 6), dtype=np.complex128)
-        normals = np.empty(2 * out.size)
-        parts = [_complex_gaussian(rng, t, 6, variance, out[:t], normals[: 2 * t * 6]).copy() for t in split]
+        parts = [_complex_gaussian(rng, t, 6, variance) for t in split]
         whole = _complex_gaussian(whole_rng, sum(split), 6, variance)
         assert np.array_equal(bits(np.concatenate(parts)), bits(whole))
         assert rng.standard_normal() == whole_rng.standard_normal()
