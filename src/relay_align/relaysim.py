@@ -24,7 +24,8 @@ factor, and the SNR reads each stream's noise variance off them.  The
 decoders see the relay noise only through P, so all the noise of a trial,
 relay and receivers', reaches them as one Gaussian of Σd entries, w.
 run_monte_carlo is the one decoder: it forms that expression for a block of
-trials, L w once for all noise levels.
+trials, L w once for all noise levels, which run from the largest variance
+down, each re-deciding only the estimates the level above decided wrong.
 ChannelSet decides all 2K channels invertible by the rank rule once, at
 construction, so design_encoders only solves and Link only inverts.
 run_monte_carlo builds one Link and draws one set of trials per sweep, so
@@ -427,13 +428,19 @@ def run_monte_carlo(
     decoders see it: one subspace._complex_gaussian row per trial, so no
     figure depends on the block size.  A block forms L w once; each level
     var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by nearest
-    point over all Σd rows.  So a level's figures do not depend on the rest
-    of the grid, and no user's SER rises as var falls: Voronoi cells are
-    convex and hold their point.  The relay tally reads only the symbols'
-    noiseless sums (Link.summed), as the exact counting argument does: one
-    Monte Carlo estimate of relay_map_success, reported at every level.  A
-    grid that is empty, or holds a variance not finite and >= 0, raises
-    InvalidInput before any draw.
+    point.  The levels run from the largest variance down, stably, so ties
+    keep grid order: the largest decides all Σd rows of the block, and each
+    smaller one only the flat positions the level above decided wrong,
+    tallied by row (position // block width).  This is exact: Voronoi cells
+    are convex and hold their point, so an estimate decided right stays
+    right as var falls, and nearest_index gives a tie to the first point,
+    the same one at every level.  So a level's figures do not depend on the
+    rest of the grid or its order, and no user's SER rises as var falls.
+    The relay tally reads only the symbols' noiseless sums (Link.summed), as
+    the exact counting argument does: one Monte Carlo estimate of
+    relay_map_success, reported at every level.  A grid that is empty, or
+    holds a variance not finite and >= 0, raises InvalidInput before any
+    draw.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
@@ -464,16 +471,21 @@ def run_monte_carlo(
     idx = rng.integers(0, pts.size, size=(rows_total, trials))
     row_errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)  # per level and stacked row
     relay_hits = 0.0
+    order = sorted(range(len(noise_grid)), key=lambda level: -noise_grid[level])  # stable: ties keep grid order
     for cols in blocks(trials, rows_total):
-        w = _complex_gaussian(rng, cols.stop - cols.start, rows_total, 1.0)  # a row per trial
-        lw = link.noise_factor_all @ w.T
+        width = cols.stop - cols.start
+        w = _complex_gaussian(rng, width, rows_total, 1.0)  # a row per trial
+        lw = (link.noise_factor_all @ w.T).ravel()  # flat position e * width + t: row e, trial t
         ix = idx[:, cols]
-        sent_ix = ix[link.sent]
+        sent_ix = ix[link.sent].ravel()
         x_sent = pts[sent_ix]
         relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
-        for errors, var in zip(row_errors, noise_grid):
-            est = lw * math.sqrt(var) + x_sent
-            errors += np.count_nonzero(constellation.nearest_index(est) != sent_ix, axis=1)
+        wrong = np.arange(lw.size)  # flat positions left to decide: all, then each level's errors
+        for step, level in enumerate(order):
+            at = wrong if step else slice(None)  # the largest variance decides all, with no gather
+            est = lw[at] * math.sqrt(noise_grid[level]) + x_sent[at]
+            wrong = wrong[constellation.nearest_index(est) != sent_ix[at]]
+            row_errors[level] += np.bincount(wrong // width, minlength=rows_total)
 
     reports = []
     for var, errors in zip(noise_grid, row_errors):

@@ -35,7 +35,14 @@ from relay_align.relaysim import (
     relay_map_success,
     run_monte_carlo,
 )
-from relay_align.subspace import BLOCK_ENTRIES, _complex_gaussian, numeric_rank, orthonormal_stack, rank_threshold
+from relay_align.subspace import (
+    BLOCK_ENTRIES,
+    _complex_gaussian,
+    blocks,
+    numeric_rank,
+    orthonormal_stack,
+    rank_threshold,
+)
 from relay_align.variety import codim_line_probe
 
 from pair_slices import pair_slices
@@ -1031,6 +1038,11 @@ def reference_nearest_index(constellation, values):
 
 
 def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
+    return reference_sweep(spec, constellation, noise_grid, trials, seed)[0]
+
+
+def reference_sweep(spec, constellation, noise_grid, trials, seed):
+    """The reports, and per level a (Σd, trials) mask of the estimates decided wrong, each level decided in full."""
     strategy = construct_strategy(spec)
     slices = pair_slices(strategy)
     succ_table = constellation.map_success_table
@@ -1053,9 +1065,11 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
     r = link.observe(np.concatenate(x))
     w = reference_decoder_noise(rng, sum(spec.d), trials)
     reports = []
+    wrong = []
     for var in noise_grid:
         ser = []
         snrs = []
+        wrong.append(np.zeros((sum(spec.d), trials), dtype=bool))
         for k, rows in enumerate(link.rows):
             # receiver k's receive map F_k = P[slots_k] G_k^-1, and its own signal from G_k, H_k and U_k
             g = channels.G[k]
@@ -1065,7 +1079,8 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
             hard_idx = reference_nearest_index(constellation, est)
             sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(k_users) if j != k])
             d_k = spec.d[k]
-            errors = int(np.count_nonzero(hard_idx != sent_idx))
+            wrong[-1][rows] = hard_idx != sent_idx
+            errors = int(np.count_nonzero(wrong[-1][rows]))
             ser.append(errors / (d_k * trials) if d_k else 0.0)
             snrs.append(link.snr_db(var)[k])
         relay_hits = 0
@@ -1089,7 +1104,7 @@ def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
                 config=config,
             )
         )
-    return reports
+    return reports, wrong
 
 
 PSK8 = Constellation(np.exp(2j * np.pi * np.arange(8) / 8), name="8psk")
@@ -1162,16 +1177,54 @@ SWEEP_IDS = ["qpsk-3", "bpsk-57", "8psk-0", "k16-1", "qpsk-2^31-1", "k4-1234567"
 class TestSharedTrials:
     """The levels of a sweep share their trials: level var's noise is sqrt(var) times one unit draw."""
 
+    DENSE = [*np.geomspace(4.0, 1e-4, 40).tolist(), 0.0]
+
+    def trials(self, spec):
+        return 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7
+
     def sweep(self, spec, constellation, grid, seed):
-        return run_monte_carlo(spec, constellation, grid, 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7, seed)
+        return run_monte_carlo(spec, constellation, grid, self.trials(spec), seed)
 
     def test_ser_does_not_rise_as_the_noise_falls(self, spec, constellation, seed):
         # p + a n, once out of p's convex Voronoi cell, stays out as a grows; levels
         # this close would often rise in SER if each drew trials of its own
-        grid = [*np.geomspace(4.0, 1e-4, 40).tolist(), 0.0]
-        ser = np.array([rep.per_user_ser for rep in self.sweep(spec, constellation, grid, seed)])
+        ser = np.array([rep.per_user_ser for rep in self.sweep(spec, constellation, self.DENSE, seed)])
         assert (np.diff(ser, axis=0) <= 0).all()
         assert (ser[0] > 0).tolist() == [d_k > 0 for d_k in spec.d] and not ser[-1].any()
+
+    def test_skipped_decisions_equal_deciding_every_level_in_full(self, spec, constellation, seed):
+        # the sweep re-decides at each level only the previous level's errors, which
+        # the test above then meets by construction; the reference decides them all.
+        # Shuffled, with a level repeated, so the sweep must order the grid itself
+        grid = np.random.default_rng(seed).permutation([*self.DENSE, self.DENSE[9]]).tolist()
+        got = self.sweep(spec, constellation, grid, seed)
+        assert got == reference_monte_carlo(spec, constellation, grid, self.trials(spec), seed)
+
+    def test_each_level_decides_only_the_previous_levels_errors(self, spec, constellation, seed, monkeypatch):
+        # per block: the largest variance decides all Σd x T_block estimates, each
+        # smaller one just those the reference decides wrong at the level above
+        grid = [*GRID, 0.0]
+        trials = self.trials(spec)
+        _, wrong = reference_sweep(spec, constellation, grid, trials, seed)
+        want = []
+        for cols in blocks(trials, sum(spec.d)):
+            want += [sum(spec.d) * (cols.stop - cols.start), *(int(mask[:, cols].sum()) for mask in wrong[:-1])]
+        nearest_index = Constellation.nearest_index
+
+        def sizes(grid):
+            seen = []
+
+            def spy(points, values):
+                seen.append(values.size)
+                return nearest_index(points, values)
+
+            with monkeypatch.context() as m:
+                m.setattr(Constellation, "nearest_index", spy)
+                self.sweep(spec, constellation, grid, seed)
+            return seen
+
+        assert sizes(grid) == want
+        assert sizes(grid[::-1]) == want and sizes([grid[2], *grid[:2], *grid[3:]]) == want
 
     def test_a_level_does_not_depend_on_the_rest_of_the_grid(self, spec, constellation, seed):
         (alone,) = self.sweep(spec, constellation, [0.1], seed)
@@ -1251,6 +1304,11 @@ class TestNearestIndex:
     def test_shape_and_dtype(self):
         got = QPSK.nearest_index(np.zeros((2, 3, 4)))
         assert got.shape == (2, 3, 4) and got.dtype == np.intp
+
+    def test_no_values_give_no_indices(self):
+        # a sweep's smaller levels decide only the errors above them, often none
+        got = QPSK.nearest_index(np.empty(0, complex))
+        assert got.shape == (0,) and got.dtype == np.intp
 
 
 def reference_draw(rng, rows, size, variance):
