@@ -38,7 +38,6 @@ from .relaysim import (
     ChannelSet,
     Constellation,
     Link,
-    SimReport,
     design_encoders,
     draw_channels,
     relay_map_success,

@@ -198,30 +198,45 @@ def cmd_simulate(args) -> int:
     _check_count("--trials", args.trials)
     constellation = _parse_constellation(args.constellation)
     grid = _parse_grid(args.noise_grid)
-    reports = relaysim.run_monte_carlo(spec, constellation, grid, args.trials, seed)
+    strategy = feasibility.construct_strategy(spec)
+    rng = np.random.default_rng(seed)  # the channels, then the sweep's symbols and noise blocks
+    channels = relaysim.draw_channels(spec.K, spec.N, rng)
+    link = relaysim.Link(strategy, channels, relaysim.design_encoders(strategy, channels))
+    errors, relay_hits = relaysim.run_monte_carlo(link, constellation, grid, args.trials, rng)
+    relay_rate = relay_hits / (spec.N * args.trials)  # N columns of S, one pair sum each
     exact_map = relaysim.relay_map_success(constellation)
+    sers = [[int(e[r].sum()) / (d_k * args.trials) if d_k else 0.0 for r, d_k in zip(link.rows, spec.d)]
+            for e in errors]  # errors per level and stacked row, user k's in rows[k]
 
     doc = {
         "seed": seed,
-        "config": reports[0].config,
+        "config": {
+            "K": spec.K,
+            "N": spec.N,
+            "d": list(spec.d),
+            "constellation": constellation.name,
+            "points": [[p.real, p.imag] for p in constellation.points.tolist()],
+            "noise_grid": grid,
+            "trials": args.trials,
+        },
         "relay_map_success_exact": [exact_map.numerator, exact_map.denominator],
         "levels": [
             {
-                "noise_var": r.noise_var,
-                "per_user_ser": r.per_user_ser,
-                "per_user_snr_db": [_snr_db(s) for s in r.per_user_snr_db],
-                "relay_map_success_rate": r.relay_map_success_rate,
-                "trials": r.trials,
+                "noise_var": var,
+                "per_user_ser": ser,
+                "per_user_snr_db": [_snr_db(s) for s in link.snr_db(var)],
+                "relay_map_success_rate": relay_rate,
+                "trials": args.trials,
             }
-            for r in reports
+            for var, ser in zip(grid, sers)
         ],
     }
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["noise_var", "user", "ser", "snr_db", "relay_map_success"])
-    for r in reports:
-        for k, (ser, s) in enumerate(zip(r.per_user_ser, r.per_user_snr_db)):
-            writer.writerow([repr(r.noise_var), k + 1, repr(ser), _snr_db(s), repr(r.relay_map_success_rate)])
+    for level in doc["levels"]:
+        for k, (ser, snr) in enumerate(zip(level["per_user_ser"], level["per_user_snr_db"])):
+            writer.writerow([repr(level["noise_var"]), k + 1, repr(ser), snr, repr(relay_rate)])
     if args.output:
         atomic_write(args.output + ".json", _json_text(doc))
         atomic_write(args.output + ".csv", buf.getvalue())

@@ -23,16 +23,18 @@ every receiver's estimates are x[sent] + L w, one gather and one noise
 factor, and the SNR reads each stream's noise variance off them.  The
 decoders see the relay noise only through P, so all the noise of a trial,
 relay and receivers', reaches them as one Gaussian of Σd entries, w.
-run_monte_carlo is the one decoder: it forms that expression for a block of
-trials, L w once for all noise levels, which run from the largest variance
-down, each re-deciding only the estimates the level above decided wrong.
-ChannelSet decides all 2K channels invertible by the rank rule once, at
-construction, so design_encoders only solves and Link only inverts.
-run_monte_carlo builds one Link and draws one set of trials per sweep, so
-every noise level of a sweep runs over the same system and trials, its noise
-one unit draw scaled.  The channels and all noise come from
-subspace._complex_gaussian, the drawer of every complex Gaussian in the
-package.
+run_monte_carlo is the one decoder: it sweeps the Link it is given, forming
+that expression for a block of trials, L w once for all noise levels, which
+run from the largest variance down, each re-deciding only the estimates the
+level above decided wrong, and returns counts: errors per level and row, and
+the relay's MAP hits.  It draws one set of trials per sweep from the
+generator it is given, so every noise level runs over the same system and
+trials, its noise one unit draw scaled; the caller builds the system
+(draw_channels, design_encoders, Link) and forms the rates.  ChannelSet
+decides all 2K channels invertible by the rank rule once, at construction,
+so design_encoders only solves and Link only inverts.  The channels and all
+noise come from subspace._complex_gaussian, the drawer of every complex
+Gaussian in the package.
 """
 
 from __future__ import annotations
@@ -50,13 +52,12 @@ from .errors import (
     SecrecyViolation,
     SingularChannel,
 )
-from .feasibility import Strategy, StrategySpec, construct_strategy
+from .feasibility import Strategy
 from .subspace import _complex_gaussian, blocks, numeric_rank, rank_threshold
 
 __all__ = [
     "Constellation",
     "ChannelSet",
-    "SimReport",
     "Link",
     "draw_channels",
     "design_encoders",
@@ -395,82 +396,57 @@ def relay_map_success(constellation: Constellation) -> Fraction:
     return Fraction(int(constellation.map_success_table.sum()), constellation.size**2)
 
 
-@dataclass(frozen=True)
-class SimReport:
-    """One noise level's outcome: SNR in dB, symbol-error and equivocation rates."""
-
-    noise_var: float
-    per_user_snr_db: list[float]
-    per_user_ser: list[float]
-    relay_map_success_rate: float
-    trials: int
-    seed: int
-    config: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not all(0 <= r <= 1 for r in self.per_user_ser):
-            raise InvalidInput("symbol-error rates must lie in [0, 1]")
-
-
 def run_monte_carlo(
-    spec: StrategySpec,
+    link: Link,
     constellation: Constellation,
     noise_grid: list[float],
     trials: int,
-    seed: int,
-) -> list[SimReport]:
-    """Full pipeline SER / equivocation sweep over a grid of noise variances: the package's one decoder.
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, int]:
+    """Error and relay-hit counts of one Link over a grid of noise variances: the package's one decoder.
 
-    One system and one set of trials per sweep: a generator seeded with seed
-    draws the channels, which fix the Link, then all users' symbols of every
+    One set of trials per sweep, drawn from rng: all users' symbols of every
     trial (one call, the stream of K per-user draws), then per column block
     of subspace.blocks the block's unit noise w, Σd entries a trial as the
     decoders see it: one subspace._complex_gaussian row per trial, so no
-    figure depends on the block size.  A block forms L w once; each level
+    count depends on the block size.  A block forms L w once; each level
     var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by nearest
     point.  The levels run from the largest variance down, stably, so ties
     keep grid order: the largest decides all Σd rows of the block, and each
     smaller one only the flat positions the level above decided wrong,
-    tallied by row (position // block width).  This is exact: Voronoi cells
-    are convex and hold their point, so an estimate decided right stays
-    right as var falls, and nearest_index gives a tie to the first point,
-    the same one at every level.  So a level's figures do not depend on the
-    rest of the grid or its order, and no user's SER rises as var falls.
-    The relay tally reads only the symbols' noiseless sums (Link.summed), as
-    the exact counting argument does: one Monte Carlo estimate of
-    relay_map_success, reported at every level.  A grid that is empty, or
-    holds a variance not finite and >= 0, raises InvalidInput before any
-    draw.
+    tallied by row (position // block width), until a level decides none
+    wrong, after which every smaller one adds none.  This is exact: Voronoi
+    cells are convex and hold their point, so an estimate decided right
+    stays right as var falls, and nearest_index gives a tie to the first
+    point, the same one at every level.  So a level's counts do not depend
+    on the rest of the grid or its order, and no row's count rises as var
+    falls.
+
+    Returns errors, the (levels, Σd) counts of estimates decided wrong per
+    level in grid order and stacked row (receiver k's in link.rows[k]), and
+    relay_hits, how many of the N pair sums of each trial (one per column of
+    S) the relay's MAP guess reads as the pair sent.  That tally reads only
+    the symbols' noiseless sums (Link.summed), as the exact counting
+    argument does: relay_hits / (N trials) is one Monte Carlo estimate of
+    relay_map_success.  A trial count < 1 or past numpy's largest array, and
+    a grid that is empty or holds a variance not finite and >= 0, raise
+    InvalidInput before rng moves.
     """
     if trials < 1:
         raise InvalidInput("trials must be >= 1")
-    rows_total = sum(spec.d)
+    rows_total = link.sent.size  # Σd
     if 8 * rows_total * trials > np.iinfo(np.intp).max:  # the sweep's symbol indices, its largest array, in bytes
         raise InvalidInput(f"trials={trials} needs symbol indices past numpy's largest array")
-    if not noise_grid or not all(math.isfinite(v) and v >= 0 for v in noise_grid):  # before any draw
+    if not noise_grid or not all(math.isfinite(v) and v >= 0 for v in noise_grid):  # before rng moves
         raise InvalidInput("noise variances must be nonempty, finite and >= 0")
-    strategy = construct_strategy(spec)
     succ_table = constellation.map_success_table
     pts = constellation.points
-    k_users, n = spec.K, spec.N
-    config = {
-        "K": k_users,
-        "N": n,
-        "d": list(spec.d),
-        "constellation": constellation.name,
-        "points": [[p.real, p.imag] for p in pts.tolist()],
-        "noise_grid": [float(v) for v in noise_grid],
-        "trials": trials,
-    }
-    rng = np.random.default_rng(seed)
-    channels = draw_channels(k_users, n, rng)
-    link = Link(strategy, channels, design_encoders(strategy, channels))
 
     # the stream of K per-user (d_i, trials) draws: the generator keeps the
     # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
     idx = rng.integers(0, pts.size, size=(rows_total, trials))
-    row_errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)  # per level and stacked row
-    relay_hits = 0.0
+    errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)
+    relay_hits = 0
     order = sorted(range(len(noise_grid)), key=lambda level: -noise_grid[level])  # stable: ties keep grid order
     for cols in blocks(trials, rows_total):
         width = cols.stop - cols.start
@@ -479,26 +455,13 @@ def run_monte_carlo(
         ix = idx[:, cols]
         sent_ix = ix[link.sent].ravel()
         x_sent = pts[sent_ix]
-        relay_hits += succ_table[ix[link.summed[0]], ix[link.summed[1]]].sum()
+        relay_hits += np.count_nonzero(succ_table[ix[link.summed[0]], ix[link.summed[1]]])
         wrong = np.arange(lw.size)  # flat positions left to decide: all, then each level's errors
         for step, level in enumerate(order):
             at = wrong if step else slice(None)  # the largest variance decides all, with no gather
             est = lw[at] * math.sqrt(noise_grid[level]) + x_sent[at]
             wrong = wrong[constellation.nearest_index(est) != sent_ix[at]]
-            row_errors[level] += np.bincount(wrong // width, minlength=rows_total)
-
-    reports = []
-    for var, errors in zip(noise_grid, row_errors):
-        ser = [int(errors[r].sum()) / (d_k * trials) if d_k else 0.0 for r, d_k in zip(link.rows, spec.d)]
-        reports.append(
-            SimReport(
-                noise_var=float(var),
-                per_user_snr_db=link.snr_db(var),
-                per_user_ser=ser,
-                relay_map_success_rate=float(relay_hits / (n * trials)),  # N columns of S, one pair sum each
-                trials=trials,
-                seed=seed,
-                config=config,
-            )
-        )
-    return reports
+            if not wrong.size:  # every smaller level decides these right too
+                break
+            errors[level] += np.bincount(wrong // width, minlength=rows_total)
+    return errors, int(relay_hits)

@@ -623,7 +623,7 @@ class TestSimulate:
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--constellation", points) == 1
         assert "usage error: --constellation" in capsys.readouterr().err
 
-    def test_outputs_and_determinism(self, tmp_path):
+    def test_outputs_and_determinism(self, tmp_path, capsys):
         args = (
             "simulate", "-K", "3", "-N", "3", "-d", "2,2,2",
             "--trials", "200", "--noise-grid", "0.1,0.001", "--seed", "9",
@@ -632,6 +632,11 @@ class TestSimulate:
         assert run(*args, "-o", str(tmp_path / "b")) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        # -o writes what stdout prints: the JSON document, then the CSV table
+        assert capsys.readouterr().out == ""
+        assert run(*args) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert (tmp_path / "a.json").read_bytes() + (tmp_path / "a.csv").read_bytes() == stdout
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["seed"] == 9
         assert doc["relay_map_success_exact"] == [9, 16]

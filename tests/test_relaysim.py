@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import functools
 import itertools
 import math
@@ -29,7 +29,6 @@ from relay_align.relaysim import (
     ChannelSet,
     Constellation,
     Link,
-    SimReport,
     design_encoders,
     draw_channels,
     relay_map_success,
@@ -864,7 +863,7 @@ class TestRelayMapSuccess:
         counted.__set_name__(relaysim.Constellation, "map_success_table")
         monkeypatch.setattr(relaysim.Constellation, "map_success_table", counted)
         constellation = Constellation(grid_points(4))
-        run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), constellation, [0.1, 0.01], 20, seed=0)
+        seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), constellation, [0.1, 0.01], 20, seed=0)
         relay_map_success(constellation)
         assert len(builds) == 1 and builds[0] is constellation
 
@@ -920,8 +919,8 @@ class TestTwoUserBaseline:
         assert abs(h1 * u[0] - h2 * u[1]) < 1e-12
 
     def test_relay_map_rate_near_nine_sixteenths(self):
-        reports = run_monte_carlo(StrategySpec(2, 1, (1, 1)), QPSK, [0.0], 10_000, seed=10)
-        assert abs(reports[0].relay_map_success_rate - 9 / 16) < 0.02
+        _, hits = seeded_sweep(StrategySpec(2, 1, (1, 1)), QPSK, [0.0], 10_000, seed=10)
+        assert abs(hits / 10_000 - 9 / 16) < 0.02  # N = 1 pair sum a trial
 
     def test_zero_channel_rejected(self):
         with pytest.raises(SingularChannel):
@@ -930,18 +929,17 @@ class TestTwoUserBaseline:
 
 class TestRunMonteCarlo:
     def test_zero_noise_limit(self):
-        reports = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.0], 1000, seed=1)
-        assert reports[0].per_user_ser == [0.0, 0.0, 0.0]
+        errors, _ = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.0], 1000, seed=1)
+        assert errors.shape == (1, 6) and errors.dtype == np.intp and not errors.any()
 
     def test_reproducible(self):
-        a = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1, 0.01], 500, seed=7)
-        b = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1, 0.01], 500, seed=7)
-        assert [r.per_user_ser for r in a] == [r.per_user_ser for r in b]
-        assert [r.relay_map_success_rate for r in a] == [r.relay_map_success_rate for r in b]
+        a = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1, 0.01], 500, seed=7)
+        b = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1, 0.01], 500, seed=7)
+        assert np.array_equal(a[0], b[0]) and a[1] == b[1] and type(a[1]) is int
 
     def test_equivocation_near_map_rate(self):
-        reports = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.0], 10_000, seed=3)
-        assert abs(reports[0].relay_map_success_rate - 9 / 16) < 0.02
+        _, hits = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.0], 10_000, seed=3)
+        assert abs(hits / (3 * 10_000) - 9 / 16) < 0.02  # N = 3 pair sums a trial
 
     def test_signal_interference_split(self):
         # dim(G_k V_k) = d_k and G_k V = G_k V_k + G_k I_k as a direct sum
@@ -956,33 +954,36 @@ class TestRunMonteCarlo:
             assert gv.shape[1] == strategy.spec.d[k]
             assert np.linalg.matrix_rank(stacked) == gv.shape[1] + gi.shape[1]
 
-    def test_one_system_per_sweep(self):
-        # SNR = 1 / (var * max noise gain) on a fixed Link, so SNR * var is the
-        # same at every level exactly when the sweep keeps one channel draw
-        grid = [1.0, 0.1, 0.01, 0.001, 1e-4]
-        for spec in (StrategySpec(3, 3, (2, 2, 2)), StrategySpec(4, 4, (2, 2, 2, 2))):
-            reports = run_monte_carlo(spec, QPSK, grid, 20, seed=34)
-            for k in range(spec.K):
-                scaled = [rep.per_user_snr_db[k] + 10 * math.log10(rep.noise_var) for rep in reports]
-                assert all(abs(v - scaled[0]) <= 1e-12 for v in scaled)
+    def test_one_system_per_sweep(self, monkeypatch):
+        # the sweep builds no system of its own: every level runs over the Link it
+        # is given, and it draws only its trials' symbols and noise
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a system")
+
+        link, rng = seeded_link(StrategySpec(3, 3, (2, 2, 2)), 34)
+        for module, name in [(feasibility, "construct_strategy"), (relaysim, "draw_channels"),
+                             (relaysim, "design_encoders"), (relaysim, "Link")]:
+            monkeypatch.setattr(module, name, refuse)
+        errors, _ = run_monte_carlo(link, QPSK, [1.0, 0.1, 0.01, 0.001, 1e-4], 20, rng)
+        assert errors.shape == (5, 6)
+
+    @staticmethod
+    def assert_refused_before_rng_moves(grid, trials, match):
+        link, rng = seeded_link(StrategySpec(3, 3, (2, 2, 2)), 0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidInput, match=match):
+            run_monte_carlo(link, QPSK, grid, trials, rng)
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("grid", [[float("nan")], [float("inf")], [-1.0], [0.1, float("nan")]])
     def test_invalid_noise_grid(self, grid):
-        with pytest.raises(InvalidInput, match="finite and >= 0"):
-            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, grid, 20, seed=0)
+        self.assert_refused_before_rng_moves(grid, 20, "finite and >= 0")
 
-    def test_empty_noise_grid_rejected_before_any_draw(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep got past its grid check")
-
-        monkeypatch.setattr(relaysim, "construct_strategy", refuse)
-        monkeypatch.setattr(relaysim, "draw_channels", refuse)
-        with pytest.raises(InvalidInput, match="nonempty"):
-            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [], 100_000, seed=0)
+    def test_empty_noise_grid_rejected_before_any_draw(self):
+        self.assert_refused_before_rng_moves([], 100_000, "nonempty")
 
     def test_invalid_trials(self):
-        with pytest.raises(InvalidInput):
-            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1], 0, seed=0)
+        self.assert_refused_before_rng_moves([0.1], 0, "trials must be >= 1")
 
     @pytest.mark.parametrize("size", [2, 3, 4, 8])
     def test_one_symbol_draw_is_the_per_user_stream(self, size):
@@ -995,18 +996,12 @@ class TestRunMonteCarlo:
             assert np.array_equal(got, want), (d, trials)
             assert np.array_equal(one.integers(0, 3, 5), each.integers(0, 3, 5))  # the same stream left behind
 
-    def test_trials_past_the_largest_buffer_rejected_before_any_allocation(self, monkeypatch):
+    def test_trials_past_the_largest_buffer_rejected_before_any_allocation(self):
         # the sweep's symbol indices hold 8 Σd trials bytes, Σd = 6 at K=3 N=3:
-        # one trial past the largest count that fits
+        # one trial past the largest count that fits, refused before the symbols are drawn
         trials = np.iinfo(np.intp).max // (8 * 6) + 1
         assert 8 * 6 * (trials - 1) <= np.iinfo(np.intp).max < 8 * 6 * trials
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the sweep got past its buffer check")
-
-        monkeypatch.setattr(relaysim, "construct_strategy", refuse)
-        with pytest.raises(InvalidInput, match="largest array"):
-            run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), QPSK, [0.1], trials, seed=0)
+        self.assert_refused_before_rng_moves([0.1], trials, "largest array")
 
 
 # The sweep and its two kernels as they were before decoding ran in trial blocks,
@@ -1037,74 +1032,62 @@ def reference_nearest_index(constellation, values):
     return np.abs(v[..., None] - constellation.points).argmin(axis=-1)
 
 
-def reference_monte_carlo(spec, constellation, noise_grid, trials, seed):
-    return reference_sweep(spec, constellation, noise_grid, trials, seed)[0]
+def reference_monte_carlo(link, constellation, noise_grid, trials, rng):
+    wrong, relay_hits = reference_sweep(link, constellation, noise_grid, trials, rng)
+    return wrong.sum(axis=2), relay_hits
 
 
-def reference_sweep(spec, constellation, noise_grid, trials, seed):
-    """The reports, and per level a (Σd, trials) mask of the estimates decided wrong, each level decided in full."""
-    strategy = construct_strategy(spec)
+def reference_sweep(link, constellation, noise_grid, trials, rng):
+    """Per level a (Σd, trials) mask of the estimates decided wrong, every level in full; and the relay's MAP hits."""
+    strategy, channels, spec = link.strategy, link.channels, link.strategy.spec
     slices = pair_slices(strategy)
     succ_table = constellation.map_success_table
     pts = constellation.points
-    k_users, n = spec.K, spec.N
-    config = {
-        "K": k_users,
-        "N": n,
-        "d": list(spec.d),
-        "constellation": constellation.name,
-        "points": [[p.real, p.imag] for p in pts.tolist()],
-        "noise_grid": [float(v) for v in noise_grid],
-        "trials": trials,
-    }
-    rng = np.random.default_rng(seed)
-    channels = draw_channels(k_users, n, rng)
-    link = Link(strategy, channels, design_encoders(strategy, channels))
-    idx = [rng.integers(0, pts.size, size=(spec.d[i], trials)) for i in range(k_users)]
+    idx = [rng.integers(0, pts.size, size=(d_i, trials)) for d_i in spec.d]
     x = [pts[ix] for ix in idx]
     r = link.observe(np.concatenate(x))
     w = reference_decoder_noise(rng, sum(spec.d), trials)
-    reports = []
-    wrong = []
-    for var in noise_grid:
-        ser = []
-        snrs = []
-        wrong.append(np.zeros((sum(spec.d), trials), dtype=bool))
+    wrong = np.zeros((len(noise_grid), sum(spec.d), trials), dtype=bool)
+    for level, var in enumerate(noise_grid):
         for k, rows in enumerate(link.rows):
             # receiver k's receive map F_k = P[slots_k] G_k^-1, and its own signal from G_k, H_k and U_k
             g = channels.G[k]
             f = link.relay_map[link.slots[k]] @ np.linalg.inv(g)
             own = f @ (g @ (channels.H[k] @ link.encoders[k]))
             est = f @ (g @ r) + math.sqrt(var) * (link.noise_factor_all[rows] @ w) - own @ x[k]
-            hard_idx = reference_nearest_index(constellation, est)
-            sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(k_users) if j != k])
-            d_k = spec.d[k]
-            wrong[-1][rows] = hard_idx != sent_idx
-            errors = int(np.count_nonzero(wrong[-1][rows]))
-            ser.append(errors / (d_k * trials) if d_k else 0.0)
-            snrs.append(link.snr_db(var)[k])
-        relay_hits = 0
-        relay_slots = 0
-        for (i, j), dij in strategy.pair_dims().items():
-            if dij == 0:
-                continue
-            ai = idx[i][slices[i, j]]
-            aj = idx[j][slices[j, i]]
-            relay_hits += succ_table[ai, aj].sum()
-            relay_slots += ai.size
-        relay_rate = relay_hits / relay_slots if relay_slots else 0.0
-        reports.append(
-            SimReport(
-                noise_var=float(var),
-                per_user_snr_db=snrs,
-                per_user_ser=ser,
-                relay_map_success_rate=float(relay_rate),
-                trials=trials,
-                seed=seed,
-                config=config,
-            )
-        )
-    return reports, wrong
+            sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(spec.K) if j != k])
+            wrong[level, rows] = reference_nearest_index(constellation, est) != sent_idx
+    relay_hits = 0
+    for (i, j), dij in strategy.pair_dims().items():
+        if dij:
+            relay_hits += int(succ_table[idx[i][slices[i, j]], idx[j][slices[j, i]]].sum())
+    return wrong, relay_hits
+
+
+def seeded_link(spec, seed):
+    """construct_strategy's Link on seed's first channel draw, and the generator, as simulate builds them."""
+    rng = np.random.default_rng(seed)
+    return link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, rng)), rng
+
+
+def seeded_sweep(spec, constellation, grid, trials, seed):
+    """run_monte_carlo's counts over seeded_link(spec, seed), as simulate sweeps it."""
+    link, rng = seeded_link(spec, seed)
+    return run_monte_carlo(link, constellation, grid, trials, rng)
+
+
+def assert_sweep_equals_reference(link, rng, constellation, grid, trials):
+    """run_monte_carlo and the reference, each from rng's state as it stands, give equal counts and end states."""
+    want_rng = copy.deepcopy(rng)
+    errors, hits = run_monte_carlo(link, constellation, grid, trials, rng)
+    want_errors, want_hits = reference_monte_carlo(link, constellation, grid, trials, want_rng)
+    assert np.array_equal(errors, want_errors) and hits == want_hits
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def per_user(link, errors):
+    """(levels, K) error counts of the sweep's (levels, Σd) ones: user k's rows summed."""
+    return np.stack([errors[:, r].sum(axis=1) for r in link.rows], axis=1)
 
 
 PSK8 = Constellation(np.exp(2j * np.pi * np.arange(8) / 8), name="8psk")
@@ -1130,14 +1113,11 @@ class TestBlockedSweep:
     def test_ragged_blocks_equal_whole_array_reference(self, spec, constellation, grid, seed):
         # a block holds BLOCK_ENTRIES // Σd trials: two full blocks and a last one of 7
         trials = 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7
-        got = run_monte_carlo(spec, constellation, grid, trials, seed)
-        assert got == reference_monte_carlo(spec, constellation, grid, trials, seed)
+        assert_sweep_equals_reference(*seeded_link(spec, seed), constellation, grid, trials)
 
     def test_default_blocks_equal_whole_array_reference(self):
         trials = 2 * BLOCK_ENTRIES + 101
-        spec = StrategySpec(3, 3, (2, 2, 2))
-        got = run_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
-        assert got == reference_monte_carlo(spec, QPSK, [0.1, 0.01], trials, 5)
+        assert_sweep_equals_reference(*seeded_link(StrategySpec(3, 3, (2, 2, 2)), 5), QPSK, [0.1, 0.01], trials)
 
     # unequal d_k, and a user with no streams: the stacked rows of one receiver
     # differ in number from the next one's
@@ -1154,8 +1134,18 @@ class TestBlockedSweep:
     def test_unequal_streams_equal_whole_array_reference(self, spec, seed, trials):
         if trials == "2 blocks + 1":
             trials = 2 * BLOCK_ENTRIES + 1
-        got = run_monte_carlo(spec, QPSK, GRID, trials, seed)
-        assert got == reference_monte_carlo(spec, QPSK, GRID, trials, seed)
+        assert_sweep_equals_reference(*seeded_link(spec, seed), QPSK, GRID, trials)
+
+    def test_a_pairwise_strategy_equals_whole_array_reference(self):
+        # a relay map that is no coordinate selection: a strategy_from_pairwise
+        # frame with cond(S) about 22, its channels and trials from the same generator
+        pairwise = {(0, 1): 2, (0, 2): 1, (1, 3): 1, (2, 3): 1}
+        rng = np.random.default_rng(5)
+        strategy = strategy_from_pairwise(StrategySpec(4, 5, (3, 3, 2, 2), pairwise=pairwise), rng)
+        assert 20 < np.linalg.cond(strategy.relay_map()) < 25
+        link = link_of(strategy, draw_channels(4, 5, rng))
+        trials = 2 * (BLOCK_ENTRIES // 10) + 7
+        assert_sweep_equals_reference(link, rng, QPSK, [1.0, 0.0, 0.1, 0.01], trials)
 
 
 # every shape TestBlockedSweep checks against the reference, ragged d and K=16 included
@@ -1183,32 +1173,38 @@ class TestSharedTrials:
         return 2 * (BLOCK_ENTRIES // sum(spec.d)) + 7
 
     def sweep(self, spec, constellation, grid, seed):
-        return run_monte_carlo(spec, constellation, grid, self.trials(spec), seed)
+        return seeded_sweep(spec, constellation, grid, self.trials(spec), seed)
 
     def test_ser_does_not_rise_as_the_noise_falls(self, spec, constellation, seed):
         # p + a n, once out of p's convex Voronoi cell, stays out as a grows; levels
         # this close would often rise in SER if each drew trials of its own
-        ser = np.array([rep.per_user_ser for rep in self.sweep(spec, constellation, self.DENSE, seed)])
-        assert (np.diff(ser, axis=0) <= 0).all()
-        assert (ser[0] > 0).tolist() == [d_k > 0 for d_k in spec.d] and not ser[-1].any()
+        link, rng = seeded_link(spec, seed)
+        errors = per_user(link, run_monte_carlo(link, constellation, self.DENSE, self.trials(spec), rng)[0])
+        assert (np.diff(errors, axis=0) <= 0).all()
+        assert (errors[0] > 0).tolist() == [d_k > 0 for d_k in spec.d] and not errors[-1].any()
 
     def test_skipped_decisions_equal_deciding_every_level_in_full(self, spec, constellation, seed):
         # the sweep re-decides at each level only the previous level's errors, which
         # the test above then meets by construction; the reference decides them all.
         # Shuffled, with a level repeated, so the sweep must order the grid itself
         grid = np.random.default_rng(seed).permutation([*self.DENSE, self.DENSE[9]]).tolist()
-        got = self.sweep(spec, constellation, grid, seed)
-        assert got == reference_monte_carlo(spec, constellation, grid, self.trials(spec), seed)
+        assert_sweep_equals_reference(*seeded_link(spec, seed), constellation, grid, self.trials(spec))
 
     def test_each_level_decides_only_the_previous_levels_errors(self, spec, constellation, seed, monkeypatch):
         # per block: the largest variance decides all Σd x T_block estimates, each
-        # smaller one just those the reference decides wrong at the level above
+        # smaller one just those the reference decides wrong at the level above,
+        # until a level decides none wrong; no level decides an empty array
         grid = [*GRID, 0.0]
         trials = self.trials(spec)
-        _, wrong = reference_sweep(spec, constellation, grid, trials, seed)
+        link, rng = seeded_link(spec, seed)
+        wrong, _ = reference_sweep(link, constellation, grid, trials, rng)
         want = []
         for cols in blocks(trials, sum(spec.d)):
-            want += [sum(spec.d) * (cols.stop - cols.start), *(int(mask[:, cols].sum()) for mask in wrong[:-1])]
+            want.append(sum(spec.d) * (cols.stop - cols.start))
+            for mask in wrong[:-1]:
+                if not mask[:, cols].any():
+                    break
+                want.append(int(mask[:, cols].sum()))
         nearest_index = Constellation.nearest_index
 
         def sizes(grid):
@@ -1223,17 +1219,18 @@ class TestSharedTrials:
                 self.sweep(spec, constellation, grid, seed)
             return seen
 
-        assert sizes(grid) == want
+        assert sizes(grid) == want and 0 not in want
         assert sizes(grid[::-1]) == want and sizes([grid[2], *grid[:2], *grid[3:]]) == want
 
     def test_a_level_does_not_depend_on_the_rest_of_the_grid(self, spec, constellation, seed):
-        (alone,) = self.sweep(spec, constellation, [0.1], seed)
-        within = self.sweep(spec, constellation, GRID, seed)[1]
-        assert alone == dataclasses.replace(within, config={**within.config, "noise_grid": [0.1]})
+        alone, alone_hits = self.sweep(spec, constellation, [0.1], seed)
+        within, hits = self.sweep(spec, constellation, GRID, seed)
+        assert np.array_equal(alone[0], within[1]) and alone_hits == hits
 
     def test_relay_figure_is_equal_at_every_level(self, spec, constellation, seed):
-        reports = self.sweep(spec, constellation, [*GRID, 0.0], seed)
-        assert len({rep.relay_map_success_rate for rep in reports}) == 1
+        # one count per sweep, read off the noiseless sums: no grid changes it
+        hits = {self.sweep(spec, constellation, grid, seed)[1] for grid in ([*GRID, 0.0], [0.1], [0.0])}
+        assert len(hits) == 1
 
 
 def q_function(x):
@@ -1262,15 +1259,14 @@ class TestSnrExplainsSer:
     def test_monte_carlo_ser_matches_exact_from_noise_gain(self, spec, constellation, seed, trials):
         # seed 57's user 3 decodes through a badly conditioned frame: SER about
         # 0.60 at noise 0.01, which its worst stream's SNR (-12.2 dB) explains
-        reports = run_monte_carlo(spec, constellation, GRID, trials, seed)
-        link = link_of(construct_strategy(spec), draw_channels(spec.K, spec.N, np.random.default_rng(seed)))
-        for rep in reports:
-            for k in range(spec.K):
-                assert rep.per_user_snr_db[k] == link.snr_db(rep.noise_var)[k]  # the sweep's own Link
-                gains = link.noise_gain_all[link.rows[k]]
-                p = float(np.mean([exact_stream_ser(constellation, rep.noise_var * g) for g in gains]))
+        link, rng = seeded_link(spec, seed)
+        errors, _ = run_monte_carlo(link, constellation, GRID, trials, rng)
+        for var, user_errors in zip(GRID, per_user(link, errors)):
+            for k, (r, d_k) in enumerate(zip(link.rows, spec.d)):
+                gains = link.noise_gain_all[r]
+                p = float(np.mean([exact_stream_ser(constellation, var * g) for g in gains]))
                 bound = 5 * math.sqrt(p * (1 - p) / trials) + 1 / trials
-                assert abs(rep.per_user_ser[k] - p) <= bound, (seed, rep.noise_var, k, p)
+                assert abs(user_errors[k] / (d_k * trials) - p) <= bound, (seed, var, k, p)
 
 
 class TestNearestIndex:
@@ -1370,10 +1366,10 @@ class TestComplexGaussian:
         self.assert_scaled_draws(calls)
 
     def test_the_sweep_draws_trial_rows(self, monkeypatch):
-        # the channels, then a block of BLOCK_ENTRIES // 6 trials and one of 7, all from the sweep's own generator
+        # the channels, then a block of BLOCK_ENTRIES // 6 trials and one of 7, all from simulate's one generator
         trials = BLOCK_ENTRIES // 6 + 7
         spec = StrategySpec(3, 3, (2, 2, 2))
-        calls = recorded_draws(monkeypatch, relaysim, lambda: run_monte_carlo(spec, QPSK, [0.1], trials, seed=26))
+        calls = recorded_draws(monkeypatch, relaysim, lambda: seeded_sweep(spec, QPSK, [0.1], trials, seed=26))
         assert [c[:3] for c in calls] == [(6, 9, 1.0), (BLOCK_ENTRIES // 6, 6, 1.0), (7, 6, 1.0)]
         self.assert_scaled_draws(calls)
 

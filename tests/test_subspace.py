@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from relay_align import relaysim, subspace
+from relay_align import subspace
 from relay_align.errors import DimensionMismatch, InvalidInput
-from relay_align.feasibility import StrategySpec, generic_feasibility_rate, verify_strategy
-from relay_align.relaysim import Constellation, run_monte_carlo
+from relay_align.feasibility import StrategySpec, construct_strategy, generic_feasibility_rate, verify_strategy
+from relay_align.relaysim import Constellation, Link, design_encoders, draw_channels, run_monte_carlo
 from relay_align.subspace import (
     ABS_RANK_FLOOR,
     BLOCK_ENTRIES,
@@ -392,13 +392,13 @@ class TestBlocks:
             blocks(total, 5)
 
 
-def blocked_callers(monkeypatch):
+def blocked_callers():
     """Output bits and final generator state of each of the five blocked callers, on small inputs."""
-    draw, seen = relaysim.draw_channels, []
-    with monkeypatch.context() as m:  # the sweep seeds its own generator: catch it where the channels are drawn
-        m.setattr(relaysim, "draw_channels", lambda k, n, rng: seen.append(rng) or draw(k, n, rng))
-        reports = run_monte_carlo(StrategySpec(3, 3, (2, 2, 2)), Constellation.qpsk(), [0.1, 0.01], 50, 3)
-    got = {"run_monte_carlo": (reports, seen[0])}
+    rng = np.random.default_rng(3)
+    strategy, channels = construct_strategy(StrategySpec(3, 3, (2, 2, 2))), draw_channels(3, 3, rng)
+    errors, hits = run_monte_carlo(Link(strategy, channels, design_encoders(strategy, channels)),
+                                   Constellation.qpsk(), [0.1, 0.01], 50, rng)
+    got = {"run_monte_carlo": ((errors.tobytes(), hits), rng)}
     rng = np.random.default_rng(4)
     got["generic_feasibility_rate"] = (generic_feasibility_rate(StrategySpec(3, 4, (3, 3, 2)), 20, rng), rng)
     rng = np.random.default_rng(5)
@@ -415,9 +415,9 @@ class TestBlockRule:
     # and 36 (line); each caller takes one block at the default rule and several at these
     @pytest.mark.parametrize("entries", [1, 40, 150])
     def test_every_blocked_caller_gives_the_same_bits(self, monkeypatch, entries):
-        want = blocked_callers(monkeypatch)
+        want = blocked_callers()
         monkeypatch.setattr(subspace, "BLOCK_ENTRIES", entries)
         assert len(list(blocks(9, 24))) > 1
-        got = blocked_callers(monkeypatch)
+        got = blocked_callers()
         for name in want:
             assert got[name] == want[name], name
