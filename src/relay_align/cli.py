@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: feasible, construct, verify, genericity, simulate, variety.
-Every command is deterministic given (args, seed); the seed is echoed in all
-machine-readable output.  Exit codes: 0 success/feasible, 2 domain-negative
-(infeasible / verification failure / unsupported probe shape), 1 usage or
-I/O error, or a float overflow or invalid operation.
+Every command is deterministic given (args, seed); feasible, verify,
+genericity, variety and simulate's JSON echo the seed, construct's strategy
+file does not.  Exit codes: 0 success/feasible; 2 domain-negative: an
+infeasible tuple or pairwise table, a failed verification, an unsupported
+probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid,
+ResampleExhausted or DimensionMismatch; 1 usage, I/O or memory error,
+InvalidInput, or a float overflow or invalid operation.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _spec_from_args(args) -> StrategySpec:
         raise UsageError(f"-d lists {len(d)} values but -K is {args.K}")
     try:
         return StrategySpec(K=args.K, N=args.N, d=d)
-    except (InvalidInput, InconsistentPairwise) as exc:
+    except InvalidInput as exc:
         raise UsageError(str(exc))
 
 
@@ -237,12 +240,8 @@ def cmd_simulate(args) -> int:
     for level in doc["levels"]:
         for k, (ser, snr) in enumerate(zip(level["per_user_ser"], level["per_user_snr_db"])):
             writer.writerow([repr(level["noise_var"]), k + 1, repr(ser), snr, repr(relay_rate)])
-    if args.output:
-        atomic_write(args.output + ".json", _json_text(doc))
-        atomic_write(args.output + ".csv", buf.getvalue())
-    else:
-        sys.stdout.write(_json_text(doc))
-        sys.stdout.write(buf.getvalue())
+    _emit(_json_text(doc), args.output and args.output + ".json")
+    _emit(buf.getvalue(), args.output and args.output + ".csv")
     return 0
 
 
@@ -291,7 +290,6 @@ def cmd_variety(args) -> int:
     _check_count("--samples", args.samples)
     _check_count("--lines", args.lines)
     rng = np.random.default_rng(seed)
-    want_det = args.det_probe or (n == 3 and d == 2)
     if args.det_probe and (n, d) != (3, 2):
         sys.stderr.write("determinant probe requires N=3, d=2\n")
         return 2
@@ -303,18 +301,18 @@ def cmd_variety(args) -> int:
         "plucker_residual_max": float(variety.plucker_probe(n, d, args.samples, rng).max()),
         "samples": args.samples,
     }
-    if want_det:
+    if (n, d) == (3, 2):
         dets, dims = variety.determinant_probe(args.samples, rng)
         agree = np.count_nonzero((dets < variety.DET_ZERO_THRESHOLD) == (dims > 0))
         doc["determinant_abs_min"] = float(dets.min())
         doc["triple_dims"] = sorted({int(x) for x in dims})
         doc["det_triple_agreement"] = int(agree) / args.samples
-    probe = variety.codim_line_probe(rng, args.lines)
+    counts, zero = variety.codim_line_probe(rng, args.lines)
     doc["line_probe"] = {
-        "lines": probe.samples,
-        "root_counts": probe.root_counts,
-        "identically_zero": probe.identically_zero,
-        "all_lines_hit": probe.all_lines_hit,
+        "lines": args.lines,
+        "root_counts": counts.tolist(),
+        "identically_zero": zero.tolist(),
+        "all_lines_hit": bool((zero | (counts >= 1)).all()),  # each line whose cubic is not identically 0 has a root
     }
     _emit(_json_text(doc), args.output)
     return 0

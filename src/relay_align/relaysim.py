@@ -268,9 +268,8 @@ class Link:
     factors; a Cholesky of C would square its condition number.
     noise_gain_all is the diagonal of C, the squared row norms of Fz plus
     those of the F_k, so each stream has post-decoder noise variance var
-    times its gain; worst_gain_db[k] is 10 log10 of the largest gain in
-    block k, +inf for a receiver with no streams.  The G_k, which
-    ChannelSet has decided invertible, are inverted in one stacked call.
+    times its gain, which snr_db reads.  The G_k, which ChannelSet has
+    decided invertible, are inverted in one stacked call.
     Every receiver's estimates of the symbols x with noise w are then
     x[sent] + noise_factor_all @ w, the expression run_monte_carlo decodes.
     An encoder that is not N x d_i raises DimensionMismatch, one with a
@@ -289,7 +288,6 @@ class Link:
     sent: np.ndarray = field(init=False, repr=False)
     noise_factor_all: np.ndarray = field(init=False, repr=False)
     noise_gain_all: np.ndarray = field(init=False, repr=False)
-    worst_gain_db: list[float] = field(init=False, repr=False)
 
     def __post_init__(self):
         strategy, channels = self.strategy, self.channels
@@ -348,9 +346,6 @@ class Link:
         object.__setattr__(self, "sent", sent)
         object.__setattr__(self, "noise_factor_all", noise_factor)
         object.__setattr__(self, "noise_gain_all", gains)
-        # each gain >= 1, as F_k G_k B_k = I with B_k orthonormal; no streams: no signal
-        worst = [10 * math.log10(float(gains[r].max())) if r.start < r.stop else math.inf for r in rows]
-        object.__setattr__(self, "worst_gain_db", worst)
 
     def observe(self, x: np.ndarray) -> np.ndarray:
         """The relay's noiseless observation r = effective_all x = sum_i H_i U_i x[rows[i]].
@@ -367,17 +362,19 @@ class Link:
 
         With relay and receiver noise of variance var >= 0, each estimate is its
         symbol plus noise of variance var times its stream's noise gain, so
-        receiver k's SNR is 1 / (var * max of its gains).  It is computed as
-        -10 log10(var) - worst_gain_db[k], so a var near the smallest float
-        gives its dB figure and no overflow.  Gives +inf at var = 0, and -inf
-        for a receiver with no streams at var > 0; a var that is not finite
-        and >= 0 raises InvalidInput.
+        receiver k's SNR is 1 / (var * g_k), g_k the largest gain in row block
+        rows[k] of noise_gain_all, computed as -10 log10(var) - 10 log10(g_k)
+        so that a var near the smallest float gives its dB figure and no
+        overflow.  Gives +inf at var = 0, and -inf for a receiver with no
+        streams at var > 0; a var not finite and >= 0 raises InvalidInput.
         """
         if not (math.isfinite(var) and var >= 0):
             raise InvalidInput("noise variance must be finite and >= 0")
         if var == 0:
             return [math.inf] * len(self.rows)
-        return [-10 * math.log10(var) - worst for worst in self.worst_gain_db]
+        gains = self.noise_gain_all.tolist()  # each >= 1, as F_k G_k B_k = I, B_k orthonormal; no streams: no signal
+        return [-10 * math.log10(var) - (10 * math.log10(max(gains[r])) if r.start < r.stop else math.inf)
+                for r in self.rows]
 
 
 def _check_array(name: str, a, rows: int) -> None:

@@ -9,9 +9,11 @@ Every probe works on stacks of samples: the Haar draws, the wedge minors, the
 three-term relations (gathered from one cached index table per (n, d)), the
 perp lines, the determinants, the line polynomials and their root counts are
 each one stacked numpy or LAPACK call per block of samples; a single sample is
-a stack of one.  The blocks are subspace.blocks, and each block's draw one
-_complex_gaussian call of a row per subspace, or two per line; a shape past
-MAX_RELATION_TERMS is refused, and one without relations answers, before any draw.
+a stack of one.  Each probe returns plain arrays, one entry a sample, and the
+CLI forms the printed figures from them.  The blocks are subspace.blocks, and
+each block's draw one _complex_gaussian call of a row per subspace, or two per
+line; a shape past MAX_RELATION_TERMS is refused, and one without relations
+answers, before any draw.
 Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
 line-polynomial coefficient cut of codim_line_probe (1e-10).  Complex products
 and magnitudes that reach the output are formed from real and imaginary parts
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -38,7 +39,6 @@ __all__ = [
     "plucker_probe",
     "determinant_probe",
     "codim_line_probe",
-    "LineProbeReport",
 ]
 
 DET_ZERO_THRESHOLD = 1e-8
@@ -200,23 +200,7 @@ def _line_coeffs(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return np.linalg.solve(_VANDER, vals[..., None])[..., 0]
 
 
-@dataclass(frozen=True)
-class LineProbeReport:
-    """Root count, and whether the determinant vanishes identically, on each random line."""
-
-    samples: int
-    root_counts: list[int]
-    identically_zero: list[bool]
-
-    @property
-    def all_lines_hit(self) -> bool:
-        """Every non-degenerate sampled line meets the determinant's zero set."""
-        return all(
-            z or c >= 1 for c, z in zip(self.root_counts, self.identically_zero)
-        )
-
-
-def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
+def codim_line_probe(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Restrict the plane-triple determinant to random affine lines.
 
     Each sample draws random anchors and directions for the three perp lines
@@ -227,7 +211,8 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
     count is the degree left: a degree-m polynomial over C has m roots with
     multiplicity.  A generic line yields a nonconstant polynomial with at
     least one complex root, evidence that the degenerate locus has
-    codimension one.
+    codimension one.  Returns two (samples,) arrays, line t's in entry t:
+    the root counts (int) and whether each cubic is identically zero (bool).
     """
     counts, zeros = [], []
     for block in blocks(samples, 4 * 3 * 3):
@@ -238,6 +223,4 @@ def codim_line_probe(rng: np.random.Generator, samples: int) -> LineProbeReport:
         zero = peak < 1e-10
         zeros.append(zero)
         counts.append(np.where(zero, 0, 3 - np.argmax(mags > 1e-10 * peak[:, None], axis=1)))
-    return LineProbeReport(
-        samples=samples, root_counts=np.concatenate(counts).tolist(), identically_zero=np.concatenate(zeros).tolist()
-    )
+    return np.concatenate(counts), np.concatenate(zeros)

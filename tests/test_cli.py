@@ -22,6 +22,7 @@ from relay_align.feasibility import (
 )
 from relay_align.subspace import numeric_rank, rank_threshold
 from relay_align.serialization import (
+    atomic_write,
     dump_strategy,
     load_strategy,
     parse_pair_key,
@@ -79,6 +80,10 @@ class TestFeasibleCommand:
 
     def test_wrong_d_length(self):
         assert run("feasible", "-K", "3", "-N", "3", "-d", "2,2") == 1
+
+    def test_invalid_spec_usage_error(self, capsys):
+        assert run("feasible", "-K", "3", "-N", "0", "-d", "0,0,0", "--seed", "0") == 1
+        assert capsys.readouterr() == ("", "usage error: ambient dimension must be >= 1\n")
 
 
 class TestConstructAndVerify:
@@ -401,6 +406,31 @@ class TestSerialization:
         assert run("verify", str(path)) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_object_document_rejected(self):
+        with pytest.raises(InvalidInput, match="strategy document must be a JSON object"):
+            strategy_from_dict([])
+
+    @pytest.mark.parametrize("field", ["K", "N", "d", "pair_bases"])
+    def test_missing_field_rejected(self, field):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        del doc[field]
+        with pytest.raises(InvalidInput, match=f"missing strategy field: '{field}'"):
+            strategy_from_dict(doc)
+
+    def test_basis_with_wrong_row_count_rejected(self):
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["1-2"] = doc["pair_bases"]["1-2"][:2]
+        with pytest.raises(InvalidInput, match="matrix has 2 rows, expected 3"):
+            strategy_from_dict(doc)
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        # a lone surrogate cannot be encoded, so the write fails after the temp file exists
+        target = tmp_path / "s.json"
+        target.write_text("before")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write(str(target), "\ud800")
+        assert list(tmp_path.iterdir()) == [target] and target.read_text() == "before"
+
 
 # JSON texts that stand where one [re, im] pair belongs: in a strategy file or a --constellation point list
 BAD_COMPLEX = {
@@ -617,6 +647,22 @@ class TestSimulate:
     def test_nonfinite_noise_level_usage_error(self, grid, capsys):
         assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--noise-grid", grid) == 1
         assert "usage error: --noise-grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dropped", ["-K", "-N", "-d", "--trials"])
+    def test_missing_shape_or_trials_usage_error(self, dropped, capsys):
+        flags = {"-K": "3", "-N": "3", "-d": "2,2,2", "--trials": "5"}
+        del flags[dropped]
+        assert run("simulate", *[t for kv in flags.items() for t in kv], "--seed", "0") == 1
+        err = "usage error: simulate requires -K, -N, -d and --trials (flags or --config)\n"
+        assert capsys.readouterr() == ("", err)
+
+    def test_noise_grid_not_floats_usage_error(self, capsys):
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--noise-grid", "0.1,abc") == 1
+        assert capsys.readouterr() == ("", "usage error: --noise-grid expects comma-separated floats, got '0.1,abc'\n")
+
+    def test_unknown_constellation_usage_error(self, capsys):
+        assert run("simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "5", "--constellation", "8psk") == 1
+        assert capsys.readouterr() == ("", "usage error: unknown constellation '8psk'\n")
 
     @pytest.mark.parametrize("points", ["[1]", "[oops", "[[1,0,2]]"])
     def test_malformed_constellation_usage_error(self, points, capsys):

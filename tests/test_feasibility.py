@@ -6,8 +6,16 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from relay_align.errors import DimensionMismatch, InconsistentPairwise, InfeasibleTuple, InvalidInput, StrategyInvalid
+from relay_align.errors import (
+    DimensionMismatch,
+    InconsistentPairwise,
+    InfeasibleTuple,
+    InvalidInput,
+    ResampleExhausted,
+    StrategyInvalid,
+)
 from relay_align import feasibility
+from relay_align.cli import main
 from relay_align.feasibility import (
     Strategy,
     StrategySpec,
@@ -673,6 +681,55 @@ class TestPairwise:
     def test_missing_table_rejected(self):
         with pytest.raises(InconsistentPairwise):
             feasible_variety_dim(StrategySpec(3, 3, (2, 2, 2)))
+
+
+def repeat_pair_blocks(monkeypatch, degenerate):
+    """Make the first `degenerate` draws of a three-pair table repeat their first pair block as their second.
+
+    Every call still draws from the generator, so the stream is unchanged;
+    a repeated block makes the pair frame singular.  Returns the blocks the
+    calls gave, in call order.
+    """
+    real, given = feasibility.haar_stack, []
+
+    def draw(n, d, count, rng):
+        block = real(n, d, count, rng)
+        if len(given) % 3 == 1 and len(given) // 3 < degenerate:  # a degenerate draw's second block
+            block = given[-1]
+        given.append(block)
+        return block
+
+    monkeypatch.setattr(feasibility, "haar_stack", draw)
+    return given
+
+
+class TestResample:
+    SPEC = symmetric_pairwise_table(3, 3)  # d = 2,2,2, every pair of width 1
+
+    def test_degenerate_draw_is_drawn_again(self, monkeypatch):
+        given = repeat_pair_blocks(monkeypatch, 1)
+        s = strategy_from_pairwise(self.SPEC, np.random.default_rng(5))
+        assert len(given) == 6
+        rng = np.random.default_rng(5)
+        want = [haar_stack(3, 1, 1, rng)[0] for _ in range(6)][3:]  # the second draw's three pair blocks
+        assert all(np.array_equal(got, w) for got, w in zip(s.pair_bases.values(), want, strict=True))
+        s.relay_map()  # raises StrategyInvalid unless the pair frame is a basis
+
+    def test_every_draw_degenerate_raises(self, monkeypatch):
+        given = repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
+        with pytest.raises(ResampleExhausted, match=f"no verifying draw in {feasibility.MAX_ATTEMPTS} attempts"):
+            strategy_from_pairwise(self.SPEC, np.random.default_rng(5))
+        assert len(given) == 3 * feasibility.MAX_ATTEMPTS
+
+    def test_construct_exits_2_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
+        repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": 1, "1-3": 1, "2-3": 1}')
+        argv = ["construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij), "--seed", "0"]
+        assert main([*argv, "-o", str(tmp_path / "s.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: no verifying draw in 10 attempts")
+        assert list(tmp_path.iterdir()) == [dij]
 
 
 class TestVarietyDimension:

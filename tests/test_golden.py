@@ -75,6 +75,19 @@ def test_golden_output(name):
     assert out == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_file_holds_stdout(name, tmp_path):
+    # -o PREFIX prints nothing and writes what stdout prints: to PREFIX, or PREFIX.json then PREFIX.csv for simulate.
+    # The file is compared with the same command's stdout, which test_golden_output compares with the golden, so the
+    # check also holds under the BLAS kernels whose last bits three goldens do not keep
+    rc_expected, argv = CASES[name]
+    prefix = tmp_path / "out"
+    written = [tmp_path / "out.json", tmp_path / "out.csv"] if name.startswith("simulate-") else [prefix]
+    assert run_case([*argv, "-o", str(prefix)]) == (rc_expected, b"")
+    assert sorted(tmp_path.iterdir()) == sorted(written)  # no temp file left behind
+    assert b"".join(f.read_bytes() for f in written) == run_case(argv)[1]
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (rc_expected, argv) in CASES.items():

@@ -202,6 +202,15 @@ class TestDesignEncoders:
             assert np.linalg.norm(ci - b) < 1e-9
             assert np.linalg.norm(cj - b) < 1e-9
 
+    @pytest.mark.parametrize("k, n", [(3, 4), (4, 3)])
+    def test_channel_set_of_another_shape_rejected(self, k, n):
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        enc = design_encoders(strategy, identity_channels(3, 3))
+        with pytest.raises(DimensionMismatch, match="channel set does not match strategy shape"):
+            design_encoders(strategy, identity_channels(k, n))
+        with pytest.raises(DimensionMismatch, match="channel set does not match strategy shape"):
+            Link(strategy, identity_channels(k, n), enc)
+
     def test_singular_channel_rejected(self):
         # ChannelSet decides the H_i invertible, so a singular one never reaches design_encoders
         h = [np.zeros((3, 3))] + [E3] * 2
@@ -413,6 +422,14 @@ class TestSecrecyAudit:
         enc[1] = np.ones(shape, dtype=complex)
         with pytest.raises(DimensionMismatch, match="encoder 1 has shape"):
             Link(strategy, ch, enc)
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_number_of_encoders_rejected_by_link(self, count):
+        strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
+        ch = identity_channels(3, 3)
+        enc = design_encoders(strategy, ch)
+        with pytest.raises(DimensionMismatch, match="need one encoder per user"):
+            Link(strategy, ch, (enc + enc)[:count])
 
     @pytest.mark.parametrize("factor, valid", [(0.9, False), (1.1, True)])
     def test_stacked_rank_follows_tolerance(self, factor, valid):
@@ -899,6 +916,19 @@ class TestRelayMapSuccess:
     def test_nonfinite_points_rejected(self, points):
         with pytest.raises(InvalidInput, match="finite"):
             Constellation(np.array(points))
+
+    def test_empty_rejected(self):
+        with pytest.raises(InvalidInput, match="constellation must be nonempty"):
+            Constellation(np.array([]))
+
+    def test_repeated_points_rejected(self):
+        # zero-mean and finite, so only the distinctness check refuses it
+        with pytest.raises(InvalidInput, match="constellation points must be distinct"):
+            Constellation(np.array([1, 1, -1, -1]))
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(InvalidInput, match="unknown constellation '8psk'"):
+            Constellation.from_name("8psk")
 
 
 class TestTwoUserBaseline:

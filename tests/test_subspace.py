@@ -406,7 +406,7 @@ def blocked_callers():
     rng = np.random.default_rng(6)
     got["determinant_probe"] = (b"".join(a.tobytes() for a in determinant_probe(9, rng)), rng)
     rng = np.random.default_rng(7)
-    got["codim_line_probe"] = (codim_line_probe(rng, 9), rng)
+    got["codim_line_probe"] = (b"".join(a.tobytes() for a in codim_line_probe(rng, 9)), rng)
     return {name: (out, rng.bit_generator.state) for name, (out, rng) in got.items()}
 
 
