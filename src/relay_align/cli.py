@@ -7,7 +7,9 @@ file does not.  Exit codes: 0 success/feasible; 2 domain-negative: an
 infeasible tuple or pairwise table, a failed verification, an unsupported
 probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid,
 ResampleExhausted or DimensionMismatch; 1 usage, I/O or memory error,
-InvalidInput, or a float overflow or invalid operation.
+InvalidInput, or a float overflow or invalid operation.  Outputs and
+messages name user i as i + 1 and pair (i, j) by its key "i-j"
+(feasibility.pair_key), the spelling of the files the commands read.
 """
 
 from __future__ import annotations
@@ -31,10 +33,8 @@ from .errors import (
     RelayAlignError,
     StrategyInvalid,
 )
-from .feasibility import StrategySpec
-from .serialization import (
-    atomic_write, complex_array, dump_strategy, load_strategy, parse_pair_key, read_json_object
-)
+from .feasibility import StrategySpec, pair_key, parse_pair_key
+from .serialization import atomic_write, complex_array, dump_strategy, load_strategy, read_json_object
 
 SEED_ENV_VAR = "RELAY_ALIGN_SEED"
 
@@ -113,7 +113,7 @@ def cmd_feasible(args) -> int:
         "feasible": reason == "ok",
         "reason": reason,
         "generic": generic,
-        "generic_pair_dims": {f"{i + 1}-{j + 1}": e for (i, j), e in pair_dims.items()},
+        "generic_pair_dims": {pair_key(p): e for p, e in pair_dims.items()},
         "K": spec.K,
         "N": spec.N,
         "d": list(spec.d),
@@ -149,7 +149,7 @@ def cmd_verify(args) -> int:
     doc = {
         "ok": ok,
         "dims": list(report.dims),
-        "pair_dims": {f"{i + 1}-{j + 1}": v for (i, j), v in sorted(report.pair_dims.items())},
+        "pair_dims": {pair_key(p): v for p, v in sorted(report.pair_dims.items())},
         "per_user_decomposition_ok": list(report.per_user_ok),
         "global_decomposition_ok": report.global_ok,
         "worst_triple_intersection_dim": report.worst_triple_dim,

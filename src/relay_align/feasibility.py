@@ -5,7 +5,9 @@ that every V_i splits into its pairwise intersections and the whole relay
 space splits into all pairwise intersections.  The relay then only ever sees
 pairwise sums of symbols.  A Strategy holds those intersections as
 orthonormal blocks B_ij, so it is valid iff its pair frame [B_01 | B_02 | ...]
-is a basis of C^N (Strategy.relay_map).
+is a basis of C^N (Strategy.relay_map).  Users and pairs are 0-based in the
+library; files, outputs and the messages the CLI prints name pair (i, j) by
+its 1-based key "i-j" (pair_key, parse_pair_key) and user i as i + 1.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ __all__ = [
     "StrategySpec",
     "Strategy",
     "VerificationReport",
+    "pair_key",
+    "parse_pair_key",
     "feasibility_reason",
     "is_feasible_tuple",
     "generic_verdict",
@@ -59,6 +63,30 @@ MAX_ATTEMPTS = 10  # draws strategy_from_pairwise makes before it raises Resampl
 
 def _pairs(k: int) -> list[Pair]:
     return list(itertools.combinations(range(k), 2))
+
+
+def pair_key(p: Pair) -> str:
+    """The 1-based key "i-j" of the 0-based pair p = (i, j): a pair's one name in files, outputs and messages."""
+    return f"{p[0] + 1}-{p[1] + 1}"
+
+
+def parse_pair_key(key: str, k: int) -> Pair:
+    """The 0-based pair (i, j), i < j < k, of its one key pair_key((i, j)); other spellings raise InvalidInput."""
+    i, _, j = key.partition("-")
+    if i.isdecimal() and j.isdecimal() and len(key) <= 2 * len(str(k)) + 1:  # bounds the int() conversions
+        p = int(i) - 1, int(j) - 1
+        if 0 <= p[0] < p[1] < k and key == pair_key(p):
+            return p
+    raise InvalidInput(f"bad pair key {key!r}: expected 'i-j', 1 <= i < j <= K={k}, no leading zeros")
+
+
+def _row_sums(k: int, table: dict[Pair, int]) -> list[int]:
+    """sum_{j != i} table[i, j] for each user i, in one pass: each pair adds its value to the rows of i and of j."""
+    rows = [0] * k
+    for (i, j), v in table.items():
+        rows[i] += v
+        rows[j] += v
+    return rows
 
 
 @dataclass(frozen=True)
@@ -97,12 +125,9 @@ class StrategySpec:
             pw = {tuple(p): int(v) for p, v in self.pairwise.items()}
             if any(v < 0 for v in pw.values()):
                 raise InconsistentPairwise("pairwise dimensions must be >= 0")
-            for i in range(self.K):
-                row = sum(pw.get((min(i, j), max(i, j)), 0) for j in range(self.K) if j != i)
-                if row != self.d[i]:
-                    raise InconsistentPairwise(
-                        f"pairwise row sum for user {i} is {row}, expected d_i={self.d[i]}"
-                    )
+            for i, (row, d) in enumerate(zip(_row_sums(self.K, pw), self.d)):
+                if row != d:
+                    raise InconsistentPairwise(f"pairwise row sum for user {i + 1} is {row}, expected d_i={d}")
             object.__setattr__(self, "pairwise", pw)
 
     def pairwise_or_raise(self) -> dict[Pair, int]:
@@ -136,11 +161,7 @@ def generic_verdict(spec: StrategySpec) -> tuple[dict[Pair, int], bool]:
     otherwise 0 (tests check this on every feasible shape up to K=5, N=6).
     """
     e = {(i, j): max(0, spec.d[i] + spec.d[j] - spec.N) for i, j in _pairs(spec.K)}
-    rows = [0] * spec.K
-    for (i, j), v in e.items():  # one pass over the pairs: each adds e_ij to the rows of i and of j
-        rows[i] += v
-        rows[j] += v
-    return e, is_feasible_tuple(spec) and rows == list(spec.d)
+    return e, is_feasible_tuple(spec) and _row_sums(spec.K, e) == list(spec.d)
 
 
 @dataclass(frozen=True)
@@ -151,13 +172,17 @@ class Strategy:
     0 <= i < j < K, in _pairs order, and any other key raises InvalidInput.
     Only the blocks given are converted and checked; each omitted pair is one
     shared read-only N x 0 block, so a strategy costs its nonempty blocks, at
-    most N of them when it is valid.  user_bases[i] is user i's nonempty
-    blocks B_ij, partners ascending: the basis of V_i that encoders and
-    decoders use.
+    most N of them when it is valid.  frame is the pair frame S = [B_01 |
+    B_02 | ...], the nonempty blocks stacked in _pairs order (read-only),
+    and slots[i] are the columns of S holding user i's blocks, partners
+    ascending.  user_bases[i] = frame[:, slots[i]] is the basis of V_i that
+    encoders and decoders use.
     """
 
     spec: StrategySpec
     pair_bases: dict[Pair, np.ndarray]
+    frame: np.ndarray = field(init=False, repr=False)
+    slots: list[np.ndarray] = field(init=False, repr=False)
     user_bases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -169,20 +194,24 @@ class Strategy:
         empty = np.zeros((n, 0), dtype=np.complex128)
         empty.flags.writeable = False
         pb = dict.fromkeys(pairs, empty)
-        users = [[] for _ in range(k)]  # in _pairs order, user i's pairs come with partners ascending
-        for p in sorted(self.pair_bases):
+        given = sorted(self.pair_bases)  # in _pairs order
+        for p in given:
             b = pb[p] = np.asarray(self.pair_bases[p], dtype=np.complex128)
             if b.ndim != 2 or b.shape[0] != n:
-                raise DimensionMismatch(f"pair basis {p} has shape {b.shape}, expected N={n} rows")
+                raise DimensionMismatch(f"pair basis {pair_key(p)} has shape {b.shape}, expected N={n} rows")
             try:
                 _check_orthonormal(b)
             except InvalidInput as exc:
-                raise InvalidInput(f"pair basis {p}: {exc}") from None
-            if b.shape[1]:
-                users[p[0]].append(b)
-                users[p[1]].append(b)
+                raise InvalidInput(f"pair basis {pair_key(p)}: {exc}") from None
+        frame = np.hstack([empty, *(pb[p] for p in given)])  # empty gives S its N rows when no pair is given
+        frame.flags.writeable = False
+        # the pair (i, j) of each column of S; the pairs holding i, in _pairs order, are i's partners ascending
+        column_pairs = np.repeat(np.reshape(given, (-1, 2)), [pb[p].shape[1] for p in given], axis=0)
+        slots = [np.flatnonzero((column_pairs == i).any(axis=1)) for i in range(k)]
         object.__setattr__(self, "pair_bases", pb)
-        object.__setattr__(self, "user_bases", [np.hstack(u) if u else empty for u in users])
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "user_bases", [frame[:, s] for s in slots])
 
     @property
     def subspaces(self) -> list[np.ndarray]:
@@ -193,21 +222,18 @@ class Strategy:
         return {p: b.shape[1] for p, b in self.pair_bases.items()}
 
     def relay_map(self) -> np.ndarray:
-        """P = S^-1 for the pair frame S = [B_01 | B_02 | ...], pairs in _pairs order.
+        """P = S^-1 for the pair frame S = frame.
 
         The one validity test: the strategy is valid iff S is a basis of C^N.
-        Raises StrategyInvalid unless each user's blocks have its declared
-        width d_i and S has N columns of full numeric rank (subspace.is_basis).
+        Raises StrategyInvalid unless each user's slots number its declared
+        d_i and S has N columns of full numeric rank (subspace.is_basis).
         """
-        n = self.spec.N
-        widths = tuple(b.shape[1] for b in self.user_bases)
+        widths = tuple(len(s) for s in self.slots)
         if widths != self.spec.d:
             raise StrategyInvalid(f"user widths {widths} differ from the declared d={self.spec.d}")
-        nonempty = [b for b in self.pair_bases.values() if b.shape[1]]  # an N x 0 block adds no column
-        frame = np.hstack(nonempty) if nonempty else np.zeros((n, 0))
-        if not is_basis(frame[None])[0]:
-            raise StrategyInvalid(f"the pair frame ({frame.shape[1]} columns) is not a basis of C^{n}")
-        return np.linalg.inv(frame)
+        if not is_basis(self.frame[None])[0]:
+            raise StrategyInvalid(f"the pair frame ({self.frame.shape[1]} columns) is not a basis of C^{self.spec.N}")
+        return np.linalg.inv(self.frame)
 
 
 @dataclass(frozen=True)
@@ -355,7 +381,8 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
         except StrategyInvalid:
             continue
         return cand
-    raise ResampleExhausted(f"no verifying draw in {MAX_ATTEMPTS} attempts for {spec}")
+    table = {pair_key(p): v for p, v in pw.items()}
+    raise ResampleExhausted(f"no verifying draw in {MAX_ATTEMPTS} attempts for K={spec.K}, N={spec.N}, d_ij={table}")
 
 
 def feasible_variety_dim(spec: StrategySpec) -> int:

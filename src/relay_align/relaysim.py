@@ -2,12 +2,13 @@
 
 Encoders are designed so that the two symbols of every pair land on the same
 relay-side basis vector, so the relay only ever observes pairwise sums.  A
-strategy is valid iff its pair frame S = [B_01 | B_02 | ...] is a basis of
-C^N: each B_ij lies in V_i & V_j, and a direct sum forces span B_ij =
-V_i & V_j in both directions.  Its inverse P = S^-1 (Strategy.relay_map)
-reads the coordinates of every pair sum, so receiver k undoes its channel,
-takes the rows of P at its own pairs, F_k = P[slots_k] G_k^-1, subtracts its
-own symbols, and decides by nearest constellation point per coordinate.
+strategy is valid iff its pair frame S = [B_01 | B_02 | ...]
+(Strategy.frame) is a basis of C^N: each B_ij lies in V_i & V_j, and a
+direct sum forces span B_ij = V_i & V_j in both directions.  Its inverse
+P = S^-1 (Strategy.relay_map) reads the coordinates of every pair sum, so
+receiver k undoes its channel, takes the rows of P at its own pair slots
+(Strategy.slots), F_k = P[slots_k] G_k^-1, subtracts its own symbols, and
+decides by nearest constellation point per coordinate.
 
 A Link binds a valid strategy to one channel draw and encoder set and
 computes once, as one operator over all K users stacked in user order, what
@@ -230,9 +231,9 @@ class Link:
     """A strategy over one channel draw and set of aligned encoders, precomputed once as one stacked operator.
 
     Building a Link takes P = S^-1 from Strategy.relay_map (StrategyInvalid
-    unless the pair frame S is a basis of C^N) and keeps it as relay_map;
-    slots[i] are the columns of S holding user i's blocks B_i =
-    user_bases[i], in order.
+    unless the pair frame S = Strategy.frame is a basis of C^N) and keeps it
+    as relay_map; slots_i = Strategy.slots[i] are the columns of S holding
+    user i's blocks B_i = user_bases[i], in order.
 
     Users and receivers are stacked in user order: rows[k] is k's block of
     d_k rows, and of columns, of the Σd-wide arrays, and of every symbol,
@@ -280,7 +281,6 @@ class Link:
     channels: ChannelSet
     encoders: list[np.ndarray]
     relay_map: np.ndarray = field(init=False, repr=False)
-    slots: list[np.ndarray] = field(init=False, repr=False)
     rows: list[slice] = field(init=False, repr=False)
     effective_all: np.ndarray = field(init=False, repr=False)
     secrecy_residual: float = field(init=False, repr=False)
@@ -301,9 +301,6 @@ class Link:
         for i, (u, d) in enumerate(zip(self.encoders, strategy.spec.d)):
             if np.shape(u) != (strategy.spec.N, d):  # user i's columns of effective_all are its d_i streams
                 raise DimensionMismatch(f"encoder {i} has shape {np.shape(u)}, expected {(strategy.spec.N, d)}")
-        # the pair (i, j) of each column of S; the pairs holding k, in _pairs order, are k's partners ascending
-        column_pairs = np.repeat(list(strategy.pair_bases), list(strategy.pair_dims().values()), axis=0)
-        slots = [np.flatnonzero((column_pairs == k).any(axis=1)) for k in range(strategy.spec.K)]
         ends = np.cumsum(strategy.spec.d).tolist()
         rows = [slice(e - d, e) for d, e in zip(strategy.spec.d, ends)]
         effective = np.hstack([h @ u for h, u in zip(channels.H, self.encoders)])
@@ -316,7 +313,7 @@ class Link:
         for i, (r, u) in enumerate(zip(rows, self.encoders)):
             padded[:, i, :, : r.stop - r.start] = resid[:, r], u
         tops, u_norms = np.linalg.svd(padded, compute_uv=False)[..., 0]
-        for i, (r, s, top, u_norm) in enumerate(zip(rows, slots, tops, u_norms)):
+        for i, (r, s, top, u_norm) in enumerate(zip(rows, strategy.slots, tops, u_norms)):
             if not np.array_equal(np.sort(slot_of[r]), s):
                 raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
             if r.start == r.stop:  # no streams, nothing to leak
@@ -325,11 +322,12 @@ class Link:
                 raise SecrecyViolation(f"user {i}: residual {top:.3e} off its pair slots exceeds the rank threshold")
         # per column of S, the estimate rows deciding its two symbols and the symbols summed there,
         # the lower-numbered user's first (stable sorts); each row decides its partner's symbol
-        deciding = np.argsort(np.concatenate(slots), kind="stable").reshape(-1, 2).T
+        stacked_slots = np.concatenate(strategy.slots)  # the column of S of each estimate row
+        deciding = np.argsort(stacked_slots, kind="stable").reshape(-1, 2).T
         summed = np.argsort(slot_of, kind="stable").reshape(-1, 2).T
         sent = np.empty_like(slot_of)
         sent[deciding] = summed[::-1]
-        folded = relay_map[np.concatenate(slots)]
+        folded = relay_map[stacked_slots]
         receive = np.vstack([folded[r] @ gk_inv for r, gk_inv in zip(rows, np.linalg.inv(channels.G))])
         gains = np.linalg.norm(folded, axis=1) ** 2 + np.linalg.norm(receive, axis=1) ** 2
         receiver_factor = np.zeros((sent.size, sent.size), dtype=np.complex128)
@@ -338,7 +336,6 @@ class Link:
         # [folded | (+)_k R_k^H]^H = Q R, so L = R^H and L L^H = folded folded^H + (+)_k F_k F_k^H
         noise_factor = np.linalg.qr(np.hstack([folded, receiver_factor]).conj().T, mode="r").conj().T
         object.__setattr__(self, "relay_map", relay_map)
-        object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "effective_all", effective)
         object.__setattr__(self, "secrecy_residual", float(tops.max()))  # a user with no streams pads to 0

@@ -2,7 +2,8 @@
 
 Complex numbers are [re, im] pairs of JSON numbers; matrices are row-major
 nested arrays; pair bases are keyed "i-j" with 1-based user indices, i < j,
-and no other spelling (parse_pair_key).  A schema_version field guards future
+and no other spelling: feasibility.pair_key writes it and
+feasibility.parse_pair_key reads it.  A schema_version field guards future
 changes.  dump_strategy writes the one strategy file layout: json's indent=2
 layout with sorted keys, except that each pair basis sits on one line, so
 json's C encoder writes nearly all of the file.  The reader takes any JSON
@@ -19,12 +20,12 @@ import tempfile
 import numpy as np
 
 from .errors import InvalidInput
-from .feasibility import Strategy, StrategySpec
+from .feasibility import Strategy, StrategySpec, pair_key, parse_pair_key
 
 SCHEMA_VERSION = 1
 
 __all__ = [
-    "complex_array", "parse_pair_key", "strategy_to_dict", "dump_strategy", "strategy_from_dict", "load_strategy",
+    "complex_array", "strategy_to_dict", "dump_strategy", "strategy_from_dict", "load_strategy",
     "atomic_write", "read_json_object",
 ]
 
@@ -60,13 +61,13 @@ def complex_array(data, ndim: int) -> np.ndarray:
     return a.view(np.complex128)[..., 0]
 
 
-def _decode_matrix(rows, n_expected: int) -> np.ndarray:
+def _decode_matrix(key: str, rows, n_expected: int) -> np.ndarray:
     try:
         m = complex_array(rows, 2)
     except ValueError as exc:
-        raise InvalidInput(f"malformed complex matrix: {exc}") from exc
+        raise InvalidInput(f"pair basis {key}: malformed complex matrix: {exc}") from exc
     if m.shape[0] != n_expected:
-        raise InvalidInput(f"matrix has {m.shape[0]} rows, expected {n_expected}")
+        raise InvalidInput(f"pair basis {key}: matrix has {m.shape[0]} rows, expected {n_expected}")
     return m
 
 
@@ -78,9 +79,7 @@ def strategy_to_dict(strategy: Strategy) -> dict:
         "N": spec.N,
         "d": list(spec.d),
         "pair_bases": {  # a zero-width pair is left out: the reader takes an omitted pair as N x 0
-            f"{i + 1}-{j + 1}": _encode_matrix(b)
-            for (i, j), b in strategy.pair_bases.items()
-            if b.shape[1]
+            pair_key(p): _encode_matrix(b) for p, b in strategy.pair_bases.items() if b.shape[1]
         },
     }
 
@@ -101,16 +100,6 @@ def dump_strategy(strategy: Strategy) -> str:
     return text + "\n"
 
 
-def parse_pair_key(key: str, k: int) -> tuple[int, int]:
-    """The 0-based pair (i, j), i < j < k, of its one key f"{i + 1}-{j + 1}"; other spellings raise InvalidInput."""
-    i, _, j = key.partition("-")
-    if i.isdecimal() and j.isdecimal() and len(key) <= 2 * len(str(k)) + 1:  # bounds the int() conversions
-        i, j = int(i), int(j)
-        if 1 <= i < j <= k and key == f"{i}-{j}":
-            return i - 1, j - 1
-    raise InvalidInput(f"bad pair key {key!r}: expected 'i-j', 1 <= i < j <= K={k}, no leading zeros")
-
-
 def strategy_from_dict(data: dict) -> Strategy:
     if not isinstance(data, dict):
         raise InvalidInput("strategy document must be a JSON object")
@@ -125,7 +114,7 @@ def strategy_from_dict(data: dict) -> Strategy:
     if not isinstance(raw_pairs, dict):
         raise InvalidInput("strategy field pair_bases must be a JSON object")
     spec = StrategySpec(K=k, N=n, d=tuple(raw_d))
-    pair_bases = {parse_pair_key(key, spec.K): _decode_matrix(rows, spec.N) for key, rows in raw_pairs.items()}
+    pair_bases = {parse_pair_key(key, spec.K): _decode_matrix(key, rows, spec.N) for key, rows in raw_pairs.items()}
     return Strategy(spec=spec, pair_bases=pair_bases)
 
 

@@ -14,8 +14,12 @@ CLI forms the printed figures from them.  The blocks are subspace.blocks, and
 each block's draw one _complex_gaussian call of a row per subspace, or two per
 line; a shape past MAX_RELATION_TERMS is refused, and one without relations
 answers, before any draw.
-Two absolute thresholds stay outside the rank rule: DET_ZERO_THRESHOLD and the
-line-polynomial coefficient cut of codim_line_probe (1e-10).  Complex products
+Six thresholds stay outside the rank rule, three of them here:
+DET_ZERO_THRESHOLD (1e-8, absolute), the line-polynomial coefficient cut of
+codim_line_probe (1e-10, absolute and relative) and _normalize_projective's
+lead (1e-12, relative); the others are subspace._check_orthonormal's 1e-10,
+Constellation's zero-mean check (1e-12, relative) and relaysim.SUM_MATCH_TOL
+(1e-9 times the smallest point gap).  Complex products
 and magnitudes that reach the output are formed from real and imaginary parts
 (np.hypot), which round as numpy's scalar complex arithmetic does; numpy's
 vectorized complex multiply and np.abs may round differently in the last bit.

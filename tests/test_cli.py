@@ -14,6 +14,7 @@ from relay_align.cli import _parse_constellation, main
 from relay_align.errors import InvalidInput, StrategyInvalid
 from relay_align.feasibility import (
     construct_strategy,
+    parse_pair_key,
     Strategy,
     StrategySpec,
     strategy_from_pairwise,
@@ -25,7 +26,6 @@ from relay_align.serialization import (
     atomic_write,
     dump_strategy,
     load_strategy,
-    parse_pair_key,
     strategy_from_dict,
     strategy_to_dict,
 )
@@ -577,6 +577,60 @@ class TestPairKeys:
         dij.write_text(json.dumps({"1-2": 1, "2-1": 5, "1-3": 1, "2-3": 1}))
         assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 1
         assert "usage error: " in capsys.readouterr().err
+
+
+class TestMessagesNameUsersFrom1:
+    """A message names user i as i + 1 and pair (i, j) by its key "i-j", as files and outputs do."""
+
+    def test_pairwise_row_sum_names_the_user(self, tmp_path, capsys):
+        # user 2 (0-based 1) has d_12 + d_23 = 3; the message once named it user 1
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": 1, "1-3": 1, "2-3": 2}')
+        assert run("construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)) == 2
+        assert capsys.readouterr() == ("", "pairwise row sum for user 2 is 3, expected d_i=2\n")
+
+    def test_non_orthonormal_pair_basis_names_its_key(self, tmp_path, capsys):
+        # the message once named the pair (1, 2)
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["2-3"] = [[[2 * re, im] for re, im in row] for row in doc["pair_bases"]["2-3"]]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 1
+        assert capsys.readouterr() == ("", "error: pair basis 2-3: basis columns are not orthonormal\n")
+
+    def test_short_pair_basis_names_its_key(self, tmp_path, capsys):
+        # the message once named no pair
+        doc = strategy_to_dict(construct_strategy(StrategySpec(3, 3, (2, 2, 2))))
+        doc["pair_bases"]["1-2"] = doc["pair_bases"]["1-2"][:2]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert run("verify", str(path)) == 1
+        assert capsys.readouterr() == ("", "error: pair basis 1-2: matrix has 2 rows, expected 3\n")
+
+
+class TestRefusalsThroughMain:
+    """Refusals of the library that a command reaches, each with its exit code and its one message line."""
+
+    def test_negative_user_dimension_usage_error(self, capsys):
+        assert run("feasible", "-K", "2", "-N", "1", "-d", "3,-1") == 1
+        assert capsys.readouterr() == ("", "usage error: per-user dimensions must be >= 0\n")
+
+    def test_negative_pairwise_dimension_exits_2(self, tmp_path, capsys):
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": -1}')
+        assert run("construct", "-K", "2", "-N", "1", "-d", "1,1", "--dij", str(dij)) == 2
+        assert capsys.readouterr() == ("", "pairwise dimensions must be >= 0\n")
+
+    def test_infeasible_pairwise_tuple_exits_2(self, tmp_path, capsys):
+        # the table's row sums match d, but sum(d) = 2 is not 2N = 6
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": 1}')
+        assert run("construct", "-K", "3", "-N", "3", "-d", "1,1,0", "--dij", str(dij)) == 2
+        assert capsys.readouterr() == ("", "tuple (K=3, N=3, d=(1, 1, 0)) is not feasible\n")
+
+    def test_genericity_dimension_past_n_exits_1(self, capsys):
+        assert run("genericity", "-K", "2", "-N", "3", "-d", "4,2") == 1
+        assert capsys.readouterr() == ("", "error: per-user dimension exceeds ambient dimension\n")
 
 
 class TestRepeatedJsonKeys:

@@ -241,7 +241,7 @@ class TestStrategyLayout:
 
     def test_blocks_are_checked_in_pair_order(self):
         bad = np.full((3, 1), np.nan, dtype=complex)
-        with pytest.raises(InvalidInput, match=re.escape("pair basis (0, 2): basis contains non-finite")):
+        with pytest.raises(InvalidInput, match=re.escape("pair basis 1-3: basis contains non-finite")):
             Strategy(spec=StrategySpec(3, 3, (2, 2, 2)), pair_bases={(1, 2): bad, (0, 2): bad})
 
 
@@ -730,6 +730,58 @@ class TestResample:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: no verifying draw in 10 attempts")
         assert list(tmp_path.iterdir()) == [dij]
+
+    def test_construct_names_the_pairs_by_their_keys(self, monkeypatch, tmp_path, capsys):
+        # the message once printed the spec's repr, pairs as 0-based tuples
+        repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
+        dij = tmp_path / "dij.json"
+        dij.write_text('{"1-2": 1, "1-3": 1, "2-3": 1}')
+        assert main(["construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: no verifying draw in 10 attempts for K=3, N=3, d_ij={'1-2': 1, '1-3': 1, '2-3': 1}\n"
+        )
+
+
+class TestLibraryRefusals:
+    """Each refusal raises its type with its message, and one given a generator refuses before drawing."""
+
+    def test_verify_strategy_needs_two_bases(self):
+        with pytest.raises(InvalidInput, match="need at least two subspaces"):
+            verify_strategy([E3], 3)
+
+    def test_haar_stack_dimension_past_n(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidInput, match=re.escape("need n >= 1 and 0 <= d <= n, got n=3, d=4")):
+            haar_stack(3, 4, 1, rng)
+        assert rng.bit_generator.state == before
+
+    def test_variety_dim_pair_dimension_past_n(self):
+        with pytest.raises(InconsistentPairwise, match="a pairwise dimension exceeds N"):
+            feasible_variety_dim(StrategySpec(2, 3, (4, 4), pairwise={(0, 1): 4}))
+
+    @pytest.mark.parametrize(
+        "k, n, message", [(3, 3, "pairing requires an even user count"), (4, 3, "2N/K = 6/4 is not an integer")]
+    )
+    def test_paired_table_shape(self, k, n, message):
+        with pytest.raises(InconsistentPairwise, match=re.escape(message)):
+            paired_pairwise_table(k, n)
+
+    @pytest.mark.parametrize(
+        "call, spec, message",
+        [
+            (partial(generic_feasibility_rate, trials=0), StrategySpec(3, 3, (2, 2, 2)), "trials must be >= 1"),
+            (partial(generic_feasibility_rate, trials=5), StrategySpec(2, 3, (4, 2)), "per-user dimension exceeds"),
+            (sample_generic_strategy, StrategySpec(2, 3, (4, 2)), "per-user dimension exceeds"),
+        ],
+        ids=["rate-no-trials", "rate-dimension-past-n", "sample-dimension-past-n"],
+    )
+    def test_sampler_refuses_before_drawing(self, call, spec, message):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(InvalidInput, match=message):
+            call(spec, rng=rng)
+        assert rng.bit_generator.state == before
 
 
 class TestVarietyDimension:

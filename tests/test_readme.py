@@ -1,10 +1,16 @@
-"""README's python examples run as written, in order, in one namespace.
+"""README's python examples run as written, in order, in one namespace, and its dotted names resolve.
 
-A public name that README uses and the package no longer has fails here.
+A public name that README uses, in a python block or as a backticked dotted name such as
+`Strategy.relay_map`, and that the package no longer has fails here.
 """
 
+import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+
+import relay_align
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +21,27 @@ def test_readme_python_blocks_run():
     namespace = {}
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
+
+
+def _resolves(obj, attrs: list[str]) -> bool:
+    """Whether obj.attr1.attr2... exists, every field of a dataclass, init=False ones included, an attribute."""
+    for attr in attrs:
+        fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+        if not hasattr(obj, attr) and attr not in fields:
+            return False
+        obj = getattr(obj, attr, None)
+    return True
+
+
+def test_readme_dotted_names_resolve():
+    # a dotted name in backticks is the package's when its head is relay_align, one of its modules or one of
+    # the package's names (Link, Strategy, ...); others (np.intp, link.rows, test_golden.py) are not checked
+    modules = {m.name: importlib.import_module(f"relay_align.{m.name}")
+               for m in pkgutil.iter_modules(relay_align.__path__)}
+    heads = {"relay_align": relay_align, **vars(relay_align), **modules}
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    dotted = r"\b[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+"
+    names = {tuple(name.split(".")) for span in spans for name in re.findall(dotted, span)}
+    ours = sorted(name for name in names if name[0] in heads)
+    stale = [".".join(name) for name in ours if not _resolves(heads[name[0]], name[1:])]
+    assert ours and not stale, f"README names what the package does not have: {stale}"

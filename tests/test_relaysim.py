@@ -515,7 +515,7 @@ class TestReceiverDecode:
         every = np.vstack(x)[link.sent] + link.noise_factor_all @ w
         assert every.shape == (sum(d), 9)
         for k, rows in enumerate(link.rows):
-            folded = link.relay_map[link.slots[k]]  # F_k G_k
+            folded = link.relay_map[link.strategy.slots[k]]  # F_k G_k
             want = folded @ r + link.noise_factor_all[rows] @ w
             want -= folded @ link.effective_all[:, rows] @ x[k]
             assert np.linalg.norm(every[rows] - want) <= 1e-12 * max(np.linalg.norm(want), 1), (d, k)
@@ -1082,7 +1082,7 @@ def reference_sweep(link, constellation, noise_grid, trials, rng):
         for k, rows in enumerate(link.rows):
             # receiver k's receive map F_k = P[slots_k] G_k^-1, and its own signal from G_k, H_k and U_k
             g = channels.G[k]
-            f = link.relay_map[link.slots[k]] @ np.linalg.inv(g)
+            f = link.relay_map[link.strategy.slots[k]] @ np.linalg.inv(g)
             own = f @ (g @ (channels.H[k] @ link.encoders[k]))
             est = f @ (g @ r) + math.sqrt(var) * (link.noise_factor_all[rows] @ w) - own @ x[k]
             sent_idx = np.vstack([idx[j][slices[j, k]] for j in range(spec.K) if j != k])
