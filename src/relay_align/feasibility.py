@@ -118,7 +118,7 @@ class StrategySpec:
         if any(di < 0 for di in self.d):
             raise InvalidInput("per-user dimensions must be >= 0")
         if self.pairwise is not None:
-            pairs = _pairs(self.K)
+            pairs = set(_pairs(self.K))
             bad = [p for p in self.pairwise if p not in pairs]
             if bad:
                 raise InconsistentPairwise(f"pairwise key {bad[0]!r} is not (i, j) with 0 <= i < j < K={self.K}")

@@ -25,17 +25,19 @@ factor, and the SNR reads each stream's noise variance off them.  The
 decoders see the relay noise only through P, so all the noise of a trial,
 relay and receivers', reaches them as one Gaussian of Σd entries, w.
 run_monte_carlo is the one decoder: it sweeps the Link it is given, forming
-that expression for a block of trials, L w once for all noise levels, which
-run from the largest variance down, each re-deciding only the estimates the
-level above decided wrong, and returns counts: errors per level and row, and
-the relay's MAP hits.  It draws one set of trials per sweep from the
-generator it is given, so every noise level runs over the same system and
-trials, its noise one unit draw scaled; the caller builds the system
-(draw_channels, design_encoders, Link) and forms the rates.  ChannelSet
-decides all 2K channels invertible by the rank rule once, at construction,
-so design_encoders only solves and Link only inverts.  The channels and all
-noise come from subspace._complex_gaussian, the drawer of every complex
-Gaussian in the package.
+that expression for a block of trials, L w once for all noise levels, and
+each estimate's Voronoi margin m from it once (Constellation.margin_table),
+so an estimate is wrong at level var iff sqrt(var) m exceeds the table's unit
+(Constellation.margin_unit), and no level decides anything of its own.
+It returns counts: errors per level and row, and the relay's MAP hits.  It
+draws one set of trials per sweep from the generator it is given, so every
+noise level runs over the same system and trials, its noise one unit draw
+scaled; the caller builds the system (draw_channels, design_encoders, Link)
+and forms the rates.  ChannelSet decides all 2K channels invertible by the
+rank rule once, at construction, so design_encoders only solves and Link
+only inverts.  The channels and all noise come from
+subspace._complex_gaussian, the drawer of every complex Gaussian in the
+package.
 """
 
 from __future__ import annotations
@@ -109,19 +111,41 @@ class Constellation:
         return table[name.lower()]()
 
     def nearest_index(self, values: np.ndarray) -> np.ndarray:
-        """Index of the closest point, elementwise.
+        """Index of the closest point, elementwise, by argmin over every distance.
 
-        A running minimum over the points with strict <, so the first of tied
-        points wins and a NaN or infinite value gets index 0, as argmin gives.
+        The first of tied points wins, and a NaN or infinite value gets index
+        0.  No sweep calls it (run_monte_carlo reads margin_table); it holds an
+        (..., M) array of distances, M times the size of values.
         """
-        v = np.asarray(values, dtype=np.complex128)
-        best = np.abs(v - self.points[0])
-        index = np.zeros(v.shape, dtype=np.intp)
-        for i in range(1, self.size):
-            dist = np.abs(v - self.points[i])
-            index += (dist < best) * (i - index)
-            np.minimum(best, dist, out=best)
-        return index
+        return np.abs(np.asarray(values, dtype=np.complex128)[..., None] - self.points).argmin(axis=-1)
+
+    @property
+    def margin_unit(self) -> float:
+        """u, the largest power of two not above the largest |p|: the scale margin_table is measured in."""
+        return math.ldexp(1.0, math.frexp(float(np.abs(self.points).max()))[1] - 1)
+
+    @functools.cached_property
+    def margin_table(self) -> np.ndarray:
+        """c[s, j] = 2u / (p_j - p_s) = 2u conj(p_j - p_s) / |p_j - p_s|^2, c[s, s] = 0: the Voronoi margins.
+
+        With u = margin_unit, an estimate p_s + n lies nearer p_j than p_s iff
+        Re(n c[s, j]) > u (expand |n - (p_j - p_s)|^2 < |n|^2).  So it is
+        decided wrong iff its margin m = max_j Re(n c[s, j]) > u, and p_s + a
+        n, a >= 0, iff a m > u; the zero diagonal only adds m >= 0.  The gaps
+        are divided by u, a power of two, exactly, so no entry overflows, not
+        even for subnormal points; u is 1 for QPSK, BPSK and 8-PSK.
+        Tie rule: an estimate exactly as near another point as p_s counts as
+        decided right, whatever the points' order.  A tie has probability zero
+        for Gaussian noise, and near one neither this rule nor a nearest-point
+        search is exact to the last bit.  Built once per constellation,
+        read-only.
+        """
+        # (p_s - p_j) / u, part by part: a complex division by a subnormal u would overflow
+        gap = (np.subtract.outer(self.points, self.points).view(float) / self.margin_unit).view(complex)
+        table = np.zeros_like(gap)
+        np.divide(-2, gap, out=table, where=gap != 0)
+        table.flags.writeable = False
+        return table
 
     @functools.cached_property
     def map_success_table(self) -> np.ndarray:
@@ -162,9 +186,10 @@ class ChannelSet:
     K >= 2 and N >= 1 (else InvalidInput); one N x N matrix per user and
     direction (else DimensionMismatch), with finite entries (else
     InvalidInput); each of full numeric rank by the rank rule, in one SVD of
-    all 2K (else SingularChannel naming the first short H_i, then G_k).  H
-    and G are kept as read-only (K, N, N) complex copies, so no later write
-    can undo the check; h_norm is that SVD's sigma_max(H_i), for Link's audit.
+    all 2K (else SingularChannel naming the first short H_i, then G_k,
+    numbered from 1 as users are in every message).  H and G are kept as
+    read-only (K, N, N) complex copies, so no later write can undo the
+    check; h_norm is that SVD's sigma_max(H_i), for Link's audit.
     """
 
     K: int
@@ -190,7 +215,7 @@ class ChannelSet:
         short = numeric_rank(sigma, (n, n)) < n
         if short.any():
             first = int(np.argmax(short))
-            raise SingularChannel(f"H_{first} is singular" if first < k else f"G_{first - k} is singular")
+            raise SingularChannel(f"H_{first + 1} is singular" if first < k else f"G_{first - k + 1} is singular")
         stack.flags.writeable = False
         object.__setattr__(self, "H", stack[:k])
         object.__setattr__(self, "G", stack[k:])
@@ -248,10 +273,11 @@ class Link:
     rank threshold of sigma_max(P) sigma_max(H_i) sigma_max(U_i), the scale
     of the rounding in forming M_i.  Then every symbol reaches the relay
     only as one coordinate of a pair sum.  Other encoders raise
-    SecrecyViolation naming the first user that fails; secrecy_residual is
-    the largest sigma_max(R_i).  summed[:, c] are the stacked rows of the two
-    symbols summed at column c of S, the lower-numbered user's first, by M's
-    column argmax, and sent[e] the one of them that estimate row e decides.
+    SecrecyViolation naming the first user that fails, numbered from 1;
+    secrecy_residual is the largest sigma_max(R_i).  summed[:, c] are the
+    stacked rows of the two symbols summed at column c of S, the
+    lower-numbered user's first, by M's column argmax, and sent[e] the one
+    of them that estimate row e decides.
 
     Receiver k's receive map F_k = P[slots_k] G_k^-1 sends G_k (B_k s + J_k
     u) to s, J_k the pair blocks not involving k; the F_k G_k = P[slots_k],
@@ -273,8 +299,8 @@ class Link:
     decided invertible, are inverted in one stacked call.
     Every receiver's estimates of the symbols x with noise w are then
     x[sent] + noise_factor_all @ w, the expression run_monte_carlo decodes.
-    An encoder that is not N x d_i raises DimensionMismatch, one with a
-    non-finite entry InvalidInput.
+    An encoder that is not N x d_i raises DimensionMismatch naming its user
+    from 1, one with a non-finite entry InvalidInput.
     """
 
     strategy: Strategy
@@ -300,7 +326,7 @@ class Link:
         relay_map = strategy.relay_map()
         for i, (u, d) in enumerate(zip(self.encoders, strategy.spec.d)):
             if np.shape(u) != (strategy.spec.N, d):  # user i's columns of effective_all are its d_i streams
-                raise DimensionMismatch(f"encoder {i} has shape {np.shape(u)}, expected {(strategy.spec.N, d)}")
+                raise DimensionMismatch(f"encoder {i + 1} has shape {np.shape(u)}, expected {(strategy.spec.N, d)}")
         ends = np.cumsum(strategy.spec.d).tolist()
         rows = [slice(e - d, e) for d, e in zip(strategy.spec.d, ends)]
         effective = np.hstack([h @ u for h, u in zip(channels.H, self.encoders)])
@@ -315,11 +341,11 @@ class Link:
         tops, u_norms = np.linalg.svd(padded, compute_uv=False)[..., 0]
         for i, (r, s, top, u_norm) in enumerate(zip(rows, strategy.slots, tops, u_norms)):
             if not np.array_equal(np.sort(slot_of[r]), s):
-                raise SecrecyViolation(f"user {i}: relay-side columns do not select its pair slots one to one")
+                raise SecrecyViolation(f"user {i + 1}: relay-side columns do not select its pair slots one to one")
             if r.start == r.stop:  # no streams, nothing to leak
                 continue
             if top > rank_threshold(resid[:, r].shape, p_norm * channels.h_norm[i] * u_norm):
-                raise SecrecyViolation(f"user {i}: residual {top:.3e} off its pair slots exceeds the rank threshold")
+                raise SecrecyViolation(f"user {i + 1}: residual {top:.3e} off its pair slots exceeds the rank threshold")
         # per column of S, the estimate rows deciding its two symbols and the symbols summed there,
         # the lower-numbered user's first (stable sorts); each row decides its partner's symbol
         stacked_slots = np.concatenate(strategy.slots)  # the column of S of each estimate row
@@ -403,18 +429,20 @@ def run_monte_carlo(
     trial (one call, the stream of K per-user draws), then per column block
     of subspace.blocks the block's unit noise w, Σd entries a trial as the
     decoders see it: one subspace._complex_gaussian row per trial, so no
-    count depends on the block size.  A block forms L w once; each level
-    var decides x[sent] + sqrt(var) L w, noise CN(0, var C), by nearest
-    point.  The levels run from the largest variance down, stably, so ties
-    keep grid order: the largest decides all Σd rows of the block, and each
-    smaller one only the flat positions the level above decided wrong,
-    tallied by row (position // block width), until a level decides none
-    wrong, after which every smaller one adds none.  This is exact: Voronoi
-    cells are convex and hold their point, so an estimate decided right
-    stays right as var falls, and nearest_index gives a tie to the first
-    point, the same one at every level.  So a level's counts do not depend
-    on the rest of the grid or its order, and no row's count rises as var
-    falls.
+    count depends on the block size.  A block forms L w once, and from it
+    one Voronoi margin per estimate: with s the estimate's sent index and n
+    its entry of L w, m = max_j Re(n c[s, j]), c = Constellation.margin_table
+    in units of u = Constellation.margin_unit.  Level var's estimate x[sent]
+    + sqrt(var) L w, noise CN(0, var C), is decided wrong iff sqrt(var) m >
+    u, so errors[level] adds each row's count of m > u / sqrt(var), infinite
+    at var = 0.  No level decides anything of its own, so a level's counts
+    do not depend on the rest of the grid or its order, and no row's count
+    rises as var falls.  Tie rule: an estimate exactly as near another point
+    as its own counts as decided right, an event of probability zero; within
+    rounding of a Voronoi boundary neither this rule nor a nearest-point
+    search (the tests' reference included) is exact to the last bit.  A
+    threshold u / sqrt(var) that underflows to 0 still counts only m > 0,
+    the estimates some point is nearer to.
 
     Returns errors, the (levels, Σd) counts of estimates decided wrong per
     level in grid order and stacked row (receiver k's in link.rows[k]), and
@@ -434,28 +462,23 @@ def run_monte_carlo(
     if not noise_grid or not all(math.isfinite(v) and v >= 0 for v in noise_grid):  # before rng moves
         raise InvalidInput("noise variances must be nonempty, finite and >= 0")
     succ_table = constellation.map_success_table
-    pts = constellation.points
 
     # the stream of K per-user (d_i, trials) draws: the generator keeps the
     # unused half of a 64-bit draw between calls, so odd d_i * trials split nothing
-    idx = rng.integers(0, pts.size, size=(rows_total, trials))
+    idx = rng.integers(0, constellation.size, size=(rows_total, trials))
+    unit = constellation.margin_unit  # an estimate is wrong at var iff m > u / sqrt(var)
+    bars = [unit / math.sqrt(var) if var else math.inf for var in noise_grid]
     errors = np.zeros((len(noise_grid), rows_total), dtype=np.intp)
     relay_hits = 0
-    order = sorted(range(len(noise_grid)), key=lambda level: -noise_grid[level])  # stable: ties keep grid order
     for cols in blocks(trials, rows_total):
-        width = cols.stop - cols.start
-        w = _complex_gaussian(rng, width, rows_total, 1.0)  # a row per trial
-        lw = (link.noise_factor_all @ w.T).ravel()  # flat position e * width + t: row e, trial t
+        w = _complex_gaussian(rng, cols.stop - cols.start, rows_total, 1.0)  # a row per trial
+        lw = link.noise_factor_all @ w.T  # (Σd, width): the unit noise n of row e, trial t at [e, t]
         ix = idx[:, cols]
-        sent_ix = ix[link.sent].ravel()
-        x_sent = pts[sent_ix]
+        sent_ix = ix[link.sent]
         relay_hits += np.count_nonzero(succ_table[ix[link.summed[0]], ix[link.summed[1]]])
-        wrong = np.arange(lw.size)  # flat positions left to decide: all, then each level's errors
-        for step, level in enumerate(order):
-            at = wrong if step else slice(None)  # the largest variance decides all, with no gather
-            est = lw[at] * math.sqrt(noise_grid[level]) + x_sent[at]
-            wrong = wrong[constellation.nearest_index(est) != sent_ix[at]]
-            if not wrong.size:  # every smaller level decides these right too
-                break
-            errors[level] += np.bincount(wrong // width, minlength=rows_total)
+        margin = np.zeros(lw.shape)  # m = max_j Re(n c[s, j]), s = sent_ix
+        for c_j in constellation.margin_table.T:  # c_j[s] = c[s, j]
+            np.maximum(margin, (lw * c_j[sent_ix]).real, out=margin)
+        for level, bar in enumerate(bars):
+            errors[level] += (margin > bar).sum(axis=1)
     return errors, int(relay_hits)

@@ -672,6 +672,18 @@ class TestPairwise:
         with pytest.raises(InconsistentPairwise, match=re.escape(repr(key))):
             StrategySpec(3, 3, (2, 2, 2), pairwise={(0, 1): 1, key: 5, (0, 2): 1, (1, 2): 1})
 
+    def test_numpy_integer_keys_accepted(self):
+        # the keys are checked against a set of the pairs: a numpy integer hashes and compares as its int
+        pairwise = {(np.int64(0), np.int64(1)): 1, (np.intp(0), np.intp(2)): 1, (np.int32(1), np.int32(2)): 1}
+        spec = StrategySpec(3, 3, (2, 2, 2), pairwise=pairwise)
+        assert spec.pairwise == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+
+    @pytest.mark.parametrize("key", [(0, 3), (np.int64(2), np.int64(1)), (np.int64(0), 1, 2)])
+    def test_bad_key_message(self, key):
+        with pytest.raises(InconsistentPairwise) as raised:
+            StrategySpec(3, 3, (2, 2, 2), pairwise={(0, 1): 1, key: 0, (0, 2): 1, (1, 2): 1})
+        assert str(raised.value) == f"pairwise key {key!r} is not (i, j) with 0 <= i < j < K=3"
+
     def test_non_integral_symmetric_rejected(self):
         with pytest.raises(InconsistentPairwise):
             symmetric_pairwise_table(3, 4)  # d = 8/3 not an integer

@@ -37,7 +37,6 @@ from relay_align.relaysim import (
 from relay_align.subspace import (
     BLOCK_ENTRIES,
     _complex_gaussian,
-    blocks,
     numeric_rank,
     orthonormal_stack,
     rank_threshold,
@@ -214,7 +213,7 @@ class TestDesignEncoders:
     def test_singular_channel_rejected(self):
         # ChannelSet decides the H_i invertible, so a singular one never reaches design_encoders
         h = [np.zeros((3, 3))] + [E3] * 2
-        with pytest.raises(SingularChannel, match="H_0 is singular"):
+        with pytest.raises(SingularChannel, match="H_1 is singular"):
             ChannelSet(K=3, N=3, H=h, G=[E3] * 3)
 
 
@@ -342,7 +341,7 @@ class TestSecrecyAudit:
         ch = draw_channels(3, 3, rng)
         enc = design_encoders(strategy, ch)
         enc[0][:, 0] += 1e-2
-        with pytest.raises(SecrecyViolation, match="user 0"):
+        with pytest.raises(SecrecyViolation, match="user 1"):
             Link(strategy, ch, enc)
 
     def test_worked_example_passes_with_permuted_columns(self):
@@ -355,11 +354,11 @@ class TestSecrecyAudit:
         assert link.summed.tolist() == [[1, 0, 3], [2, 5, 4]]
 
     def test_unmasked_symbol_fails(self):
-        # user 0 sends both streams on its first pair's slot: one symbol reaches the relay outside any pair sum
+        # user 1 sends both streams on its first pair's slot: one symbol reaches the relay outside any pair sum
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         enc = [b.copy() for b in strategy.user_bases]
         enc[0] = E3[:, [0, 0]]
-        with pytest.raises(SecrecyViolation, match="user 0: relay-side columns do not select"):
+        with pytest.raises(SecrecyViolation, match="user 1: relay-side columns do not select"):
             Link(strategy, identity_channels(3, 3), enc)
 
     @pytest.mark.parametrize("factor, passes", [(0.9, True), (1.1, False)])
@@ -378,7 +377,7 @@ class TestSecrecyAudit:
         if passes:
             assert Link(strategy, ch, enc).secrecy_residual == pytest.approx(eps, rel=1e-12)
         else:
-            with pytest.raises(SecrecyViolation, match="user 0: residual"):
+            with pytest.raises(SecrecyViolation, match="user 1: residual"):
                 Link(strategy, ch, enc)
 
     def test_verdicts_match_the_reference(self):
@@ -414,13 +413,13 @@ class TestSecrecyAudit:
 
     @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2, 2)])
     def test_encoder_of_the_wrong_shape_rejected_by_link(self, shape):
-        # user 1's encoder fills its d_1 = 2 columns of the stacked encoder map;
+        # user 2's encoder (list index 1) fills its d_2 = 2 columns of the stacked encoder map;
         # any other width would shift every later user's columns
         strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
         ch = identity_channels(3, 3)
         enc = design_encoders(strategy, ch)
         enc[1] = np.ones(shape, dtype=complex)
-        with pytest.raises(DimensionMismatch, match="encoder 1 has shape"):
+        with pytest.raises(DimensionMismatch, match="encoder 2 has shape"):
             Link(strategy, ch, enc)
 
     @pytest.mark.parametrize("count", [2, 4])
@@ -753,12 +752,12 @@ class TestReceiveMap:
     # ChannelSet decides both channel directions by one rank rule, at construction
     @SINGULAR_3X3
     def test_singular_relay_channel_named(self, m):
-        with pytest.raises(SingularChannel, match="G_1 is singular"):
+        with pytest.raises(SingularChannel, match="G_2 is singular"):
             ChannelSet(K=3, N=3, H=[E3] * 3, G=[E3, m.astype(complex), E3])
 
     @SINGULAR_3X3
     def test_singular_user_channel_named(self, m):
-        with pytest.raises(SingularChannel, match="H_1 is singular"):
+        with pytest.raises(SingularChannel, match="H_2 is singular"):
             ChannelSet(K=3, N=3, H=[E3, m.astype(complex), E3], G=[E3] * 3)
 
     @pytest.mark.parametrize("direction", ["H", "G"])
@@ -768,7 +767,7 @@ class TestReceiveMap:
         m = np.diag([1, 1, factor * rank_threshold((3, 3), 1.0)]).astype(complex)
         mats = {"H": [E3] * 3, "G": [E3] * 3, direction: [E3, m, E3]}
         if singular:
-            with pytest.raises(SingularChannel, match=f"{direction}_1 is singular"):
+            with pytest.raises(SingularChannel, match=f"{direction}_2 is singular"):
                 ChannelSet(K=3, N=3, **mats)
         else:
             strategy = construct_strategy(StrategySpec(3, 3, (2, 2, 2)))
@@ -1214,43 +1213,17 @@ class TestSharedTrials:
         assert (errors[0] > 0).tolist() == [d_k > 0 for d_k in spec.d] and not errors[-1].any()
 
     def test_skipped_decisions_equal_deciding_every_level_in_full(self, spec, constellation, seed):
-        # the sweep re-decides at each level only the previous level's errors, which
-        # the test above then meets by construction; the reference decides them all.
-        # Shuffled, with a level repeated, so the sweep must order the grid itself
+        # the sweep reads every level off one margin per estimate, which the test
+        # above then meets by construction; the reference decides every level in
+        # full. Shuffled, with a level repeated, so no count may follow grid order
         grid = np.random.default_rng(seed).permutation([*self.DENSE, self.DENSE[9]]).tolist()
         assert_sweep_equals_reference(*seeded_link(spec, seed), constellation, grid, self.trials(spec))
 
-    def test_each_level_decides_only_the_previous_levels_errors(self, spec, constellation, seed, monkeypatch):
-        # per block: the largest variance decides all Σd x T_block estimates, each
-        # smaller one just those the reference decides wrong at the level above,
-        # until a level decides none wrong; no level decides an empty array
-        grid = [*GRID, 0.0]
-        trials = self.trials(spec)
-        link, rng = seeded_link(spec, seed)
-        wrong, _ = reference_sweep(link, constellation, grid, trials, rng)
-        want = []
-        for cols in blocks(trials, sum(spec.d)):
-            want.append(sum(spec.d) * (cols.stop - cols.start))
-            for mask in wrong[:-1]:
-                if not mask[:, cols].any():
-                    break
-                want.append(int(mask[:, cols].sum()))
-        nearest_index = Constellation.nearest_index
-
-        def sizes(grid):
-            seen = []
-
-            def spy(points, values):
-                seen.append(values.size)
-                return nearest_index(points, values)
-
-            with monkeypatch.context() as m:
-                m.setattr(Constellation, "nearest_index", spy)
-                self.sweep(spec, constellation, grid, seed)
-            return seen
-
-        assert sizes(grid) == want and 0 not in want
-        assert sizes(grid[::-1]) == want and sizes([grid[2], *grid[:2], *grid[3:]]) == want
+    def test_a_200_level_grid_equals_the_reference(self, spec, constellation, seed):
+        # 200 levels read off one margin per estimate, the last at var = 0, and
+        # every one of them decided in full by the reference; a full block and a ragged one
+        grid = [*np.geomspace(100.0, 1e-6, 199).tolist(), 0.0]
+        assert_sweep_equals_reference(*seeded_link(spec, seed), constellation, grid, BLOCK_ENTRIES // sum(spec.d) + 7)
 
     def test_a_level_does_not_depend_on_the_rest_of_the_grid(self, spec, constellation, seed):
         alone, alone_hits = self.sweep(spec, constellation, [0.1], seed)
@@ -1332,9 +1305,86 @@ class TestNearestIndex:
         assert got.shape == (2, 3, 4) and got.dtype == np.intp
 
     def test_no_values_give_no_indices(self):
-        # a sweep's smaller levels decide only the errors above them, often none
+        # an empty array of values gives an empty array of indices
         got = QPSK.nearest_index(np.empty(0, complex))
         assert got.shape == (0,) and got.dtype == np.intp
+
+
+GRID64 = Constellation(((np.arange(8) - 3.5)[:, None] + 1j * (np.arange(8) - 3.5)).ravel(), name="grid64")
+# zero-mean with no symmetry: its points and their gaps all differ
+SKEWED = Constellation(np.array([3, -1 + 2j, -1.5 - 1j, 0.25 - 0.5j, -0.75 - 0.5j]), name="skewed")
+MARGIN_SETS = [QPSK, Constellation.bpsk(), PSK8, GRID64, SKEWED]
+MARGIN_IDS = ["qpsk", "bpsk", "8psk", "grid64", "skewed"]
+
+
+class TestMarginTable:
+    """p_s + a n is decided wrong iff a m > u: m = max_j Re(n c[s, j]), c = margin_table, u = margin_unit."""
+
+    @pytest.mark.parametrize("constellation", MARGIN_SETS, ids=MARGIN_IDS)
+    def test_margin_rule_matches_nearest_point(self, constellation):
+        rng = np.random.default_rng(8)
+        s = rng.integers(0, constellation.size, 2000)
+        n = rng.standard_normal(2000) + 1j * rng.standard_normal(2000)
+        m = (n[:, None] * constellation.margin_table[s]).real.max(axis=1)
+        u = constellation.margin_unit
+        # scales from far inside to far outside s's Voronoi cell along n, a m = t u; those of 0.999
+        # and 1.001 straddle the boundary a = u / m and keep a relative 1e-3 clear of a tie.
+        # An m of 0 has no boundary along n (s's cell is unbounded there): a = 1e6 stays inside
+        for t in [1e-2, 0.5, 0.999, 1.001, 2.0, 100.0]:
+            a = np.divide(t * u, m, out=np.full(m.shape, 1e6), where=m > 0)
+            wrong = reference_nearest_index(constellation, constellation.points[s] + a * n) != s
+            assert np.array_equal(a * m > u, wrong)
+            assert wrong.any() == (t > 1) and not wrong.all()
+
+    @pytest.mark.parametrize(
+        "constellation, s, n",
+        [(QPSK, 0, (-1 + 1j) / 2), (QPSK, 2, (1 - 1j) / 2), (Constellation.bpsk(), 0, -1), (Constellation.bpsk(), 1, 1)],
+    )
+    def test_a_tie_counts_as_right_whatever_the_order(self, constellation, s, n):
+        # QPSK's (1 + 1j) / 2 is as near point 0 (1) as point 2 (1j), BPSK's 0 as near 1 as -1; these
+        # margins are exact in floats. The nearest-point search gives a tie to the lower index instead
+        m = (n * constellation.margin_table[s]).real.max()
+        assert constellation.margin_unit == 1 and m == 1
+        assert reference_nearest_index(constellation, constellation.points[s] + n) == 0
+
+    @pytest.mark.parametrize("constellation", MARGIN_SETS, ids=MARGIN_IDS)
+    def test_table_is_built_once_read_only(self, constellation):
+        table = constellation.margin_table
+        assert table is constellation.margin_table and not table.flags.writeable
+        assert table.shape == (constellation.size,) * 2 and table.dtype == np.complex128
+        assert not np.diag(table).any()  # the zero diagonal: p_s is no rival of its own
+
+    @pytest.mark.parametrize("exponent", [-900, 0, 600])
+    def test_a_set_scaled_by_a_power_of_two_keeps_its_table(self, exponent):
+        # u scales with the points, and the gaps are divided by it exactly
+        scaled = Constellation(np.ldexp(PSK8.points.view(float), exponent).view(complex))
+        assert scaled.margin_unit == math.ldexp(PSK8.margin_unit, exponent)
+        assert np.array_equal(scaled.margin_table, PSK8.margin_table)
+
+    @pytest.mark.parametrize("exponent", [-500, 500])
+    def test_a_sweep_scaled_by_a_power_of_two_counts_the_same(self, exponent):
+        # points times 2^k and variances times 4^k: the same margins, thresholds and counts
+        scaled = Constellation(np.ldexp(QPSK.points.view(float), exponent).view(complex))
+        grid = [*GRID, 0.0]
+        want = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), QPSK, grid, 3000, seed=4)
+        got = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), scaled, [math.ldexp(v, 2 * exponent) for v in grid], 3000, seed=4)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_a_threshold_that_underflows_counts_only_positive_margins(self):
+        # BPSK at 2^-1074, the smallest subnormal, has BPSK's table; at var 1e300 its threshold
+        # u / sqrt(var) underflows to 0, where BPSK's is 1e-150: both count the margins above 0
+        tiny = Constellation(np.array([5e-324, -5e-324]))
+        assert np.array_equal(tiny.margin_table, Constellation.bpsk().margin_table)
+        want = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), Constellation.bpsk(), [1e300], 3000, seed=4)
+        got = seeded_sweep(StrategySpec(3, 3, (2, 2, 2)), tiny, [1e300], 3000, seed=4)
+        assert np.array_equal(got[0], want[0]) and 0 < want[0].sum() < 6 * 3000
+
+    @pytest.mark.parametrize("points", [[1e-320, -1e-320], [5e-324, -5e-324], [1e-320, 1e-320j, -1e-320, -1e-320j]])
+    def test_subnormal_points_give_a_finite_table(self, points):
+        # 2 / (p_j - p_s) would overflow; measured in u, no entry does
+        constellation = Constellation(np.array(points))
+        assert np.isfinite(constellation.margin_table.view(float)).all()
+        assert constellation.margin_unit <= np.abs(constellation.points).max() < 2 * constellation.margin_unit
 
 
 def reference_draw(rng, rows, size, variance):
