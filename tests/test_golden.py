@@ -30,6 +30,8 @@ CASES = {
     "simulate-wide-seed0": (0, ["simulate", "-K", "16", "-N", "32", "-d", WIDE_D, "--trials", "50", "--seed", "0"]),
     # unequal d_k: receivers of 3 and 2 streams share the stacked decode
     "simulate-ragged-seed7": (0, ["simulate", "-K", "4", "-N", "5", "-d", "3,3,2,2", "--trials", "5000", "--seed", "7"]),
+    # user 4 has no streams: the alignment audit and the decoder meet an N x 0 block
+    "simulate-zero-user": (0, ["simulate", "-K", "4", "-N", "3", "-d", "3,2,1,0", "--trials", "2000", "--seed", "5"]),
     "simulate-bpsk-seed2": (
         0,
         ["simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--constellation", "bpsk", "--trials", "2000", "--seed", "2"],
@@ -55,6 +57,8 @@ CASES = {
     "genericity-rate0": (0, ["genericity", "-K", "4", "-N", "4", "-d", "2,2,2,2", "--trials", "50", "--seed", "1"]),
     # pairs of widths 2 and 1: V_0 & V_1 is a plane, the other two intersections are lines
     "genericity-mixed": (0, ["genericity", "-K", "3", "-N", "4", "-d", "3,3,2", "--trials", "50", "--seed", "1"]),
+    # user 4 has no streams: its draw is N x 0, and its three pair intersections have an empty operand
+    "genericity-zero-user": (0, ["genericity", "-K", "4", "-N", "3", "-d", "3,2,1,0", "--trials", "50", "--seed", "2"]),
     "variety": (0, ["variety", "--samples", "20", "--lines", "10", "--seed", "4"]),
     "variety-n6d3": (0, ["variety", "-N", "6", "-d", "3", "--samples", "20", "--lines", "5", "--seed", "4"]),
 }
