@@ -342,8 +342,6 @@ class Link:
         for i, (r, s, top, u_norm) in enumerate(zip(rows, strategy.slots, tops, u_norms)):
             if not np.array_equal(np.sort(slot_of[r]), s):
                 raise SecrecyViolation(f"user {i + 1}: relay-side columns do not select its pair slots one to one")
-            if r.start == r.stop:  # no streams, nothing to leak
-                continue
             if top > rank_threshold(resid[:, r].shape, p_norm * channels.h_norm[i] * u_norm):
                 raise SecrecyViolation(f"user {i + 1}: residual {top:.3e} off its pair slots exceeds the rank threshold")
         # per column of S, the estimate rows deciding its two symbols and the symbols summed there,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import tempfile
+import secrets
 
 import numpy as np
 
@@ -119,9 +119,14 @@ def strategy_from_dict(data: dict) -> Strategy:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write a file via temp-file-plus-rename so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write a file via temp-file-plus-rename so readers never see partial output.
+
+    The file gets the mode open(path, "w") gives a new file, 0o666 less the
+    umask, whether or not it existed: os.open applies the umask to the temp
+    file, which the rename keeps.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -2,10 +2,14 @@
 
 A subspace has one representation: an N x d complex array with orthonormal
 columns.  d = 0 is a first-class value (an N x 0 array) so direct-sum
-decompositions with empty parts need no special-casing.  All rank decisions
-go through a single threshold rule (rank_threshold) because everything
-downstream -- intersections, direct-sum conditions, feasibility
-verification -- reduces to numeric rank.
+decompositions with empty parts need no special-casing: every kernel takes an
+N x 0 operand through its general code, numpy's SVD of a (T, N, 0) stack
+giving empty factors, an empty spectrum rank 0 and the Gram matrix of an
+N x 0 basis the 0 x 0 identity.  That was checked on numpy 2.4.6; CI
+installs the latest numpy, so the floor of 1.25 in pyproject.toml is not
+exercised.  All rank decisions go through a single threshold rule
+(rank_threshold) because everything downstream -- intersections, direct-sum
+conditions, feasibility verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
 step for the whole stack; one basis is a stack of one,
@@ -58,8 +62,6 @@ def numeric_rank(singular_values: np.ndarray, shape: tuple[int, int]):
     A (T, k) stack of singular values gives an array of T ranks, one per row.
     """
     s = np.asarray(singular_values)
-    if s.shape[-1] == 0:
-        return np.zeros(s.shape[:-1], dtype=np.intp)
     return (s > rank_threshold(shape, s[..., :1])).sum(axis=-1)
 
 
@@ -139,8 +141,6 @@ def split_by_rank(run, stacks: list[np.ndarray]):
 
 def _check_orthonormal(b: np.ndarray) -> None:
     """Raise unless every basis of the (..., N, d) stack b is finite with orthonormal columns."""
-    if b.shape[-1] == 0:  # an N x 0 basis is empty, so finite and orthonormal
-        return
     if not np.isfinite(b).all():
         raise InvalidInput("basis contains non-finite entries")
     gram = b.conj().swapaxes(-1, -2) @ b
@@ -159,8 +159,6 @@ def orthonormal_stack(cols) -> np.ndarray:
         raise InvalidInput(f"expected a T x N x m stack with N >= 1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInput("input contains non-finite entries")
-    if a.shape[2] == 0:
-        return a
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     basis = u[..., : _common_rank(numeric_rank(s, a.shape[1:]))]
     _check_orthonormal(basis)
@@ -183,8 +181,6 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"stacks of shape {a.shape} and {b.shape} do not pair up")
     t, n, da = a.shape
     db = b.shape[2]
-    if da == 0 or db == 0:
-        return np.zeros((t, n, 0), dtype=np.complex128)
     stacked = np.concatenate([a, -b], axis=2, dtype=np.complex128)
     if da + db <= n and _full_column_rank(stacked).all():
         return np.zeros((t, n, 0), dtype=np.complex128)

@@ -14,15 +14,13 @@ CLI forms the printed figures from them.  The blocks are subspace.blocks, and
 each block's draw one _complex_gaussian call of a row per subspace, or two per
 line; a shape past MAX_RELATION_TERMS is refused, and one without relations
 answers, before any draw.
-Six thresholds stay outside the rank rule, three of them here:
+Three thresholds here stay outside the rank rule (README lists all six):
 DET_ZERO_THRESHOLD (1e-8, absolute), the line-polynomial coefficient cut of
 codim_line_probe (1e-10, absolute and relative) and _normalize_projective's
-lead (1e-12, relative); the others are subspace._check_orthonormal's 1e-10,
-Constellation's zero-mean check (1e-12, relative) and relaysim.SUM_MATCH_TOL
-(1e-9 times the smallest point gap).  Complex products
-and magnitudes that reach the output are formed from real and imaginary parts
-(np.hypot), which round as numpy's scalar complex arithmetic does; numpy's
-vectorized complex multiply and np.abs may round differently in the last bit.
+lead (1e-12, relative).  Complex products and magnitudes that reach the
+output are formed from real and imaginary parts (np.hypot), which round as
+numpy's scalar complex arithmetic does; numpy's vectorized complex multiply
+and np.abs may round differently in the last bit.
 """
 
 from __future__ import annotations
@@ -127,8 +125,6 @@ def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
     Every relation vanishes on the wedge coordinates of a subspace.
     """
     t, c = coords.shape
-    if table.left.size == 0:
-        return np.zeros(t)
     re, im = np.zeros((t, c + 1)), np.zeros((t, c + 1))
     re[:, :c], im[:, :c] = coords.real, coords.imag
     acc_re = acc_im = 0.0
@@ -136,7 +132,7 @@ def _residuals(table: _Relations, coords: np.ndarray) -> np.ndarray:
         lr, li, rr, ri = re[:, left], im[:, left], re[:, right], im[:, right]
         acc_re = acc_re + sign * (lr * rr - li * ri)
         acc_im = acc_im + sign * (lr * ri + li * rr)
-    return np.hypot(acc_re, acc_im).max(axis=1)
+    return np.hypot(acc_re, acc_im).max(axis=1, initial=0.0)
 
 
 def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.ndarray:

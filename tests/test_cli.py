@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -430,6 +431,20 @@ class TestSerialization:
         with pytest.raises(UnicodeEncodeError):
             atomic_write(str(target), "\ud800")
         assert list(tmp_path.iterdir()) == [target] and target.read_text() == "before"
+
+    def test_written_files_get_the_mode_of_a_new_file(self, tmp_path):
+        # 0o666 less the umask, as open(path, "w") gives a new file: for a new file and for one written over
+        fresh, old = tmp_path / "f.json", tmp_path / "old.json"
+        old.write_text("before")
+        old.chmod(0o644)
+        umask = os.umask(0o022)
+        try:
+            assert main(["feasible", "-K", "3", "-N", "3", "-d", "2,2,2", "--seed", "0", "-o", str(fresh)]) == 0
+            atomic_write(str(old), "after")
+        finally:
+            os.umask(umask)
+        assert [stat.S_IMODE(f.stat().st_mode) for f in (fresh, old)] == [0o644, 0o644]
+        assert sorted(tmp_path.iterdir()) == [fresh, old] and old.read_text() == "after"
 
 
 # JSON texts that stand where one [re, im] pair belongs: in a strategy file or a --constellation point list

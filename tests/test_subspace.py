@@ -144,6 +144,17 @@ class TestOrthonormalBasis:
     def test_empty_columns(self):
         s = orthonormal(np.zeros((3, 0)))
         assert s.shape[1] == 0
+        # the thin SVD of a (T, N, 0) stack has empty factors, so no branch on width 0 is needed
+        for n in (1, 3):
+            s = orthonormal_stack(np.zeros((3, n, 0)))
+            assert s.shape == (3, n, 0) and s.dtype == np.complex128
+
+    def test_empty_spectrum_has_rank_zero(self):
+        ranks = numeric_rank(np.zeros((3, 0)), (4, 0))
+        assert ranks.shape == (3,) and ranks.dtype.kind == "i" and not ranks.any()
+
+    def test_empty_bases_are_orthonormal(self):
+        subspace._check_orthonormal(np.zeros((3, 4, 0), complex))  # the Gram matrix is the 0 x 0 identity
 
 
 class TestIntersect:
@@ -186,6 +197,12 @@ class TestIntersect:
 
     def test_zero_dimensional_operand(self):
         assert intersect_stack(np.zeros((3, 0), complex)[None], span(E3[:, 0])[None]).shape[2] == 0
+        # stacks of three, the empty operand on the left, on the right or on both sides, beside widths 1 to N
+        rng = np.random.default_rng(9)
+        for da, db in [(0, 1), (0, 3), (1, 0), (3, 0), (0, 0)]:
+            a, b = (orthonormal_stack(rng.standard_normal((3, 3, d)) + 1j * rng.standard_normal((3, 3, d))) for d in (da, db))
+            got = intersect_stack(a, b)
+            assert got.shape == (3, 3, 0) and got.dtype == np.complex128, (da, db)
 
     # (N, dA, dB, shared dim): N >= dA + dB computes the thin SVD, N < dA + dB the full one
     @pytest.mark.parametrize(

@@ -78,6 +78,9 @@ class TestPluckerRelations:
         rng = np.random.default_rng(2)
         v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         assert _residuals(_relation_table(5, 1), _normalize_projective(v[None]))[0] < 1e-9
+        # the table is empty, so each of three points has the residual 0
+        got = _residuals(_relation_table(5, 1), plucker_coords(haar_stack(5, 1, 3, rng)))
+        assert _relation_table(5, 1).left.size == 0 and got.shape == (3,) and not got.any()
 
 
 class TestTripleIntersection:
