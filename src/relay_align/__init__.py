@@ -14,7 +14,6 @@ from .errors import (
     InfeasibleTuple,
     InvalidInput,
     RelayAlignError,
-    ResampleExhausted,
     SecrecyViolation,
     SingularChannel,
     StrategyInvalid,

@@ -5,8 +5,9 @@ Every command is deterministic given (args, seed); feasible, verify,
 genericity, variety and simulate's JSON echo the seed, construct's strategy
 file does not.  Exit codes: 0 success/feasible; 2 domain-negative: an
 infeasible tuple or pairwise table, a failed verification, an unsupported
-probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid,
-ResampleExhausted or DimensionMismatch; 1 usage, I/O or memory error,
+probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid or
+DimensionMismatch (a random draw is used once, so a singular channel draw
+or a degenerate --dij draw exits 2 here); 1 usage, I/O or memory error,
 InvalidInput, or a float overflow or invalid operation.  Outputs and
 messages name user i as i + 1 and pair (i, j) by its key "i-j"
 (feasibility.pair_key), the spelling of the files the commands read.

@@ -21,10 +21,6 @@ class InconsistentPairwise(RelayAlignError):
     """A pairwise dimension table violates its row-sum or integrality constraints."""
 
 
-class ResampleExhausted(RelayAlignError):
-    """Random strategy sampling failed verification for every allowed attempt."""
-
-
 class SingularChannel(RelayAlignError):
     """A channel matrix (or scalar coefficient) is singular / zero."""
 

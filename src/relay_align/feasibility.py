@@ -22,7 +22,6 @@ from .errors import (
     InconsistentPairwise,
     InfeasibleTuple,
     InvalidInput,
-    ResampleExhausted,
     StrategyInvalid,
 )
 from .subspace import (
@@ -57,8 +56,6 @@ __all__ = [
 ]
 
 Pair = tuple[int, int]
-
-MAX_ATTEMPTS = 10  # draws strategy_from_pairwise makes before it raises ResampleExhausted
 
 
 def _pairs(k: int) -> list[Pair]:
@@ -364,25 +361,20 @@ def sample_generic_strategy(spec: StrategySpec, rng: np.random.Generator) -> lis
 def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Strategy:
     """Random strategy realizing a prescribed pairwise dimension table.
 
-    Samples each pair subspace Haar-uniformly and takes V_i as the span of
-    user i's pair blocks.  The draw is valid, with V_i & V_j = span B_ij of
-    the prescribed width, iff its pair frame is a basis of C^N
-    (Strategy.relay_map); generically it is, so a draw that is not is treated
-    as degenerate and resampled, up to MAX_ATTEMPTS draws in all.
+    Draws each nonempty pair block once, Haar-uniformly, by one haar_stack
+    call per pair in the table's order, and takes V_i as the span of user
+    i's pair blocks.  The draw is valid, with V_i & V_j = span B_ij of the
+    prescribed width, iff its pair frame is a basis of C^N
+    (Strategy.relay_map).  A Haar frame of N columns is one with probability
+    one, so the draw is used once: a frame that is not raises relay_map's
+    StrategyInvalid.
     """
     pw = spec.pairwise_or_raise()
     if not is_feasible_tuple(spec):
         raise InfeasibleTuple(f"tuple (K={spec.K}, N={spec.N}, d={spec.d}) is not feasible")
-    for _ in range(MAX_ATTEMPTS):
-        pair_bases = {p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items() if dij}  # N x 0 draws nothing
-        cand = Strategy(spec=spec, pair_bases=pair_bases)
-        try:
-            cand.relay_map()
-        except StrategyInvalid:
-            continue
-        return cand
-    table = {pair_key(p): v for p, v in pw.items()}
-    raise ResampleExhausted(f"no verifying draw in {MAX_ATTEMPTS} attempts for K={spec.K}, N={spec.N}, d_ij={table}")
+    strategy = Strategy(spec=spec, pair_bases={p: haar_stack(spec.N, dij, 1, rng)[0] for p, dij in pw.items() if dij})
+    strategy.relay_map()  # StrategyInvalid unless the pair frame is a basis
+    return strategy
 
 
 def feasible_variety_dim(spec: StrategySpec) -> int:

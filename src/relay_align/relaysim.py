@@ -68,7 +68,6 @@ __all__ = [
     "run_monte_carlo",
 ]
 
-MAX_REDRAWS = 100  # draw_channels raises SingularChannel after this many singular draws in one call
 SUM_MATCH_TOL = 1e-9  # pair sums closer than this times the minimum point gap are one sum
 
 
@@ -190,14 +189,16 @@ class ChannelSet:
     numbered from 1 as users are in every message).  H and G are kept as
     read-only (K, N, N) complex copies, so no later write can undo the
     check; h_norm is that SVD's sigma_max(H_i), for Link's audit.
+    draw_channels builds one from each draw and draws nothing again, so a
+    singular draw raises here.
     """
 
     K: int
     N: int
     H: np.ndarray
     G: np.ndarray
-    redraws: int = 0
     h_norm: np.ndarray = field(init=False, repr=False)
+    redraws = 0  # not a field, always 0: perfbench/tracer.py reads it off every draw_channels result
 
     def __post_init__(self):
         k, n = self.K, self.N
@@ -226,17 +227,12 @@ def draw_channels(k: int, n: int, rng: np.random.Generator) -> ChannelSet:
     """i.i.d. standard complex Gaussian channels H_0..H_{K-1}, G_0..G_{K-1}.
 
     A draw is one subspace._complex_gaussian call of unit variance, 2K rows of
-    n^2 values, one per matrix.  A draw that ChannelSet finds singular (almost
-    never) is discarded whole and counted in redraws; MAX_REDRAWS such draws
-    raise SingularChannel.
+    n^2 values, one per matrix, and is used once: a Gaussian matrix is
+    singular with probability zero, so a draw that ChannelSet finds singular
+    raises its SingularChannel, naming the first short H_i or G_k.
     """
-    for redraws in range(MAX_REDRAWS):
-        mats = _complex_gaussian(rng, 2 * k, n * n, 1.0).reshape(2 * k, n, n)
-        try:
-            return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:], redraws=redraws)
-        except SingularChannel:
-            continue
-    raise SingularChannel(f"{MAX_REDRAWS} channel draws were singular")
+    mats = _complex_gaussian(rng, 2 * k, n * n, 1.0).reshape(2 * k, n, n)
+    return ChannelSet(K=k, N=n, H=mats[:k], G=mats[k:])
 
 
 def design_encoders(strategy: Strategy, channels: ChannelSet) -> list[np.ndarray]:

@@ -11,7 +11,6 @@ from relay_align.errors import (
     InconsistentPairwise,
     InfeasibleTuple,
     InvalidInput,
-    ResampleExhausted,
     StrategyInvalid,
 )
 from relay_align import feasibility
@@ -695,8 +694,8 @@ class TestPairwise:
             feasible_variety_dim(StrategySpec(3, 3, (2, 2, 2)))
 
 
-def repeat_pair_blocks(monkeypatch, degenerate):
-    """Make the first `degenerate` draws of a three-pair table repeat their first pair block as their second.
+def repeat_pair_blocks(monkeypatch):
+    """Make the draw of a three-pair table give its first pair block again as its second.
 
     Every call still draws from the generator, so the stream is unchanged;
     a repeated block makes the pair frame singular.  Returns the blocks the
@@ -706,52 +705,59 @@ def repeat_pair_blocks(monkeypatch, degenerate):
 
     def draw(n, d, count, rng):
         block = real(n, d, count, rng)
-        if len(given) % 3 == 1 and len(given) // 3 < degenerate:  # a degenerate draw's second block
-            block = given[-1]
-        given.append(block)
-        return block
+        given.append(given[0] if len(given) == 1 else block)
+        return given[-1]
 
     monkeypatch.setattr(feasibility, "haar_stack", draw)
     return given
 
 
 class TestResample:
+    """strategy_from_pairwise uses its one draw: a degenerate one raises StrategyInvalid, and none is redrawn."""
+
     SPEC = symmetric_pairwise_table(3, 3)  # d = 2,2,2, every pair of width 1
 
-    def test_degenerate_draw_is_drawn_again(self, monkeypatch):
-        given = repeat_pair_blocks(monkeypatch, 1)
-        s = strategy_from_pairwise(self.SPEC, np.random.default_rng(5))
-        assert len(given) == 6
-        rng = np.random.default_rng(5)
-        want = [haar_stack(3, 1, 1, rng)[0] for _ in range(6)][3:]  # the second draw's three pair blocks
-        assert all(np.array_equal(got, w) for got, w in zip(s.pair_bases.values(), want, strict=True))
-        s.relay_map()  # raises StrategyInvalid unless the pair frame is a basis
+    @pytest.mark.parametrize("pairwise", [
+        {(0, 1): 1, (0, 2): 1, (1, 2): 1},
+        {(0, 1): 0, (0, 2): 1, (0, 3): 1, (1, 2): 2, (1, 3): 1, (2, 3): 0},  # construct-dij's table
+        {(0, 1): 2, (0, 2): 0, (0, 3): 0, (1, 2): 0, (1, 3): 0, (2, 3): 2},
+    ])
+    def test_one_haar_stack_call_per_nonzero_pair(self, monkeypatch, pairwise):
+        k, n = max(j for _, j in pairwise) + 1, sum(pairwise.values())
+        spec = StrategySpec(k, n, tuple(sum(v for p, v in pairwise.items() if i in p) for i in range(k)), pairwise)
+        real, calls = feasibility.haar_stack, []
+        monkeypatch.setattr(feasibility, "haar_stack", lambda *a: calls.append(a[:3]) or real(*a))
+        rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        s = strategy_from_pairwise(spec, rng)
+        widths = [(p, v) for p, v in pairwise.items() if v]  # in _pairs order
+        assert calls == [(n, v, 1) for _, v in widths]
+        want = [real(n, v, 1, want_rng)[0] for _, v in widths]  # successive calls, one per nonzero pair
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert all(np.array_equal(s.pair_bases[p], w) for (p, _), w in zip(widths, want, strict=True))
 
-    def test_every_draw_degenerate_raises(self, monkeypatch):
-        given = repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
-        with pytest.raises(ResampleExhausted, match=f"no verifying draw in {feasibility.MAX_ATTEMPTS} attempts"):
+    def test_repeated_block_raises_strategy_invalid(self, monkeypatch):
+        given = repeat_pair_blocks(monkeypatch)
+        with pytest.raises(StrategyInvalid, match=re.escape("the pair frame (3 columns) is not a basis of C^3")):
             strategy_from_pairwise(self.SPEC, np.random.default_rng(5))
-        assert len(given) == 3 * feasibility.MAX_ATTEMPTS
+        assert len(given) == 3
 
     def test_construct_exits_2_and_writes_nothing(self, monkeypatch, tmp_path, capsys):
-        repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
+        repeat_pair_blocks(monkeypatch)
         dij = tmp_path / "dij.json"
         dij.write_text('{"1-2": 1, "1-3": 1, "2-3": 1}')
         argv = ["construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij), "--seed", "0"]
         assert main([*argv, "-o", str(tmp_path / "s.json")]) == 2
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: no verifying draw in 10 attempts")
+        assert out == "" and err.startswith("error: the pair frame")
         assert list(tmp_path.iterdir()) == [dij]
 
     def test_construct_names_the_pairs_by_their_keys(self, monkeypatch, tmp_path, capsys):
-        # the message once printed the spec's repr, pairs as 0-based tuples
-        repeat_pair_blocks(monkeypatch, feasibility.MAX_ATTEMPTS)
+        # a degenerate draw exits with Strategy.relay_map's message, which names the frame and no 0-based pair
+        repeat_pair_blocks(monkeypatch)
         dij = tmp_path / "dij.json"
         dij.write_text('{"1-2": 1, "1-3": 1, "2-3": 1}')
         assert main(["construct", "-K", "3", "-N", "3", "-d", "2,2,2", "--dij", str(dij)]) == 2
-        assert capsys.readouterr() == (
-            "", "error: no verifying draw in 10 attempts for K=3, N=3, d_ij={'1-2': 1, '1-3': 1, '2-3': 1}\n"
-        )
+        assert capsys.readouterr() == ("", "error: the pair frame (3 columns) is not a basis of C^3\n")
 
 
 class TestLibraryRefusals:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import itertools
 import math
@@ -24,7 +25,7 @@ from relay_align.feasibility import (
     strategy_from_pairwise,
     symmetric_pairwise_table,
 )
-from relay_align import feasibility, relaysim, variety
+from relay_align import cli, feasibility, relaysim, variety
 from relay_align.relaysim import (
     ChannelSet,
     Constellation,
@@ -116,21 +117,27 @@ class TestDrawChannels:
             assert np.array_equal(bits(np.concatenate([ch.H, ch.G])), bits(want))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
-    def test_singular_draw_is_redrawn_whole(self):
+    def test_singular_draw_raises_after_one_draw(self):
+        # a draw is used once: its SingularChannel is ChannelSet's own, and nothing is drawn again
         rng = ZeroingGenerator(7, zeroed=1)
-        ch = draw_channels(3, 3, rng)
-        want_rng = np.random.default_rng(7)
-        want_rng.standard_normal((6, 2, 3, 3))  # the discarded draw, whose H_0 was zero
-        want = np.stack([reference_complex_gaussian(want_rng, (3, 3), 1.0) for _ in range(6)])
-        assert ch.redraws == 1 and rng.calls == 2
-        assert np.array_equal(bits(np.concatenate([ch.H, ch.G])), bits(want))
-
-    def test_gives_up_after_max_redraws(self, monkeypatch):
-        monkeypatch.setattr(relaysim, "MAX_REDRAWS", 3)
-        rng = ZeroingGenerator(7, zeroed=math.inf)
-        with pytest.raises(SingularChannel, match="3 channel draws were singular"):
+        with pytest.raises(SingularChannel, match="^H_1 is singular$"):
             draw_channels(3, 3, rng)
-        assert rng.calls == 3
+        assert rng.calls == 1
+
+    def test_redraws_is_a_constant_not_a_field(self):
+        # the benchmark's tracer reads redraws off every draw_channels result; nothing else does
+        assert "redraws" not in {f.name for f in dataclasses.fields(ChannelSet)}
+        assert draw_channels(3, 3, np.random.default_rng(0)).redraws == ChannelSet.redraws == 0
+        with pytest.raises(TypeError, match="redraws"):
+            ChannelSet(K=2, N=1, H=[np.eye(1)] * 2, G=[np.eye(1)] * 2, redraws=0)
+
+    def test_simulate_exits_2_on_a_singular_draw(self, monkeypatch, tmp_path, capsys):
+        rng = ZeroingGenerator(0, zeroed=1)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: rng)  # the generator cmd_simulate seeds with 0
+        argv = ["simulate", "-K", "3", "-N", "3", "-d", "2,2,2", "--trials", "10", "--seed", "0"]
+        assert cli.main([*argv, "-o", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", "error: H_1 is singular\n")
+        assert list(tmp_path.iterdir()) == [] and rng.calls == 1
 
 
 class ZeroingGenerator:
