@@ -5,9 +5,10 @@ Every command is deterministic given (args, seed); feasible, verify,
 genericity, variety and simulate's JSON echo the seed, construct's strategy
 file does not.  Exit codes: 0 success/feasible; 2 domain-negative: an
 infeasible tuple or pairwise table, a failed verification, an unsupported
-probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid or
-DimensionMismatch (a random draw is used once, so a singular channel draw
-or a degenerate --dij draw exits 2 here); 1 usage, I/O or memory error,
+probe shape, or a SecrecyViolation, SingularChannel, StrategyInvalid,
+DimensionMismatch or RaggedRank (a random draw is used once, so a singular
+channel draw, a degenerate --dij draw or a degenerate Haar draw of variety
+exits 2 here); 1 usage, I/O or memory error,
 InvalidInput, or a float overflow or invalid operation.  Outputs and
 messages name user i as i + 1 and pair (i, j) by its key "i-j"
 (feasibility.pair_key), the spelling of the files the commands read.
@@ -303,8 +304,8 @@ def cmd_variety(args) -> int:
         "samples": args.samples,
     }
     if (n, d) == (3, 2):
-        dets, dims = variety.determinant_probe(args.samples, rng)
-        agree = np.count_nonzero((dets < variety.DET_ZERO_THRESHOLD) == (dims > 0))
+        dets, singular, dims = variety.determinant_probe(args.samples, rng)
+        agree = np.count_nonzero(singular == (dims > 0))
         doc["determinant_abs_min"] = float(dets.min())
         doc["triple_dims"] = sorted({int(x) for x in dims})
         doc["det_triple_agreement"] = int(agree) / args.samples

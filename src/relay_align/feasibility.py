@@ -90,7 +90,9 @@ def _row_sums(k: int, table: dict[Pair, int]) -> list[int]:
 class StrategySpec:
     """Parameters (K, N, d_1..d_K), optionally with pairwise dimensions d_ij.
 
-    Users are 0-indexed; pairwise keys are tuples (i, j) with i < j.
+    Users are 0-indexed; pairwise keys are tuples (i, j) with i < j, kept in
+    _pairs order whatever order they are given in, so what is drawn from a
+    table does not depend on the key order of its file.
     """
 
     K: int
@@ -119,7 +121,7 @@ class StrategySpec:
             bad = [p for p in self.pairwise if p not in pairs]
             if bad:
                 raise InconsistentPairwise(f"pairwise key {bad[0]!r} is not (i, j) with 0 <= i < j < K={self.K}")
-            pw = {tuple(p): int(v) for p, v in self.pairwise.items()}
+            pw = {tuple(p): int(v) for p, v in sorted(self.pairwise.items())}  # _pairs order, whatever the given one
             if any(v < 0 for v in pw.values()):
                 raise InconsistentPairwise("pairwise dimensions must be >= 0")
             for i, (row, d) in enumerate(zip(_row_sums(self.K, pw), self.d)):
@@ -362,8 +364,8 @@ def strategy_from_pairwise(spec: StrategySpec, rng: np.random.Generator) -> Stra
     """Random strategy realizing a prescribed pairwise dimension table.
 
     Draws each nonempty pair block once, Haar-uniformly, by one haar_stack
-    call per pair in the table's order, and takes V_i as the span of user
-    i's pair blocks.  The draw is valid, with V_i & V_j = span B_ij of the
+    call per pair in _pairs order, and takes V_i as the span of user i's
+    pair blocks.  The draw is valid, with V_i & V_j = span B_ij of the
     prescribed width, iff its pair frame is a basis of C^N
     (Strategy.relay_map).  A Haar frame of N columns is one with probability
     one, so the draw is used once: a frame that is not raises relay_map's

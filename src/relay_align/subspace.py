@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidInput
+from .errors import DimensionMismatch, InvalidInput, RelayAlignError
 
 __all__ = [
     "RaggedRank",
@@ -107,8 +107,12 @@ def _complex_gaussian(rng: np.random.Generator, rows: int, size: int, variance: 
     return out
 
 
-class RaggedRank(Exception):
-    """The trials of one stack disagree on a numeric rank; ranks holds each trial's."""
+class RaggedRank(RelayAlignError):
+    """The trials of one stack disagree on a numeric rank; ranks holds each trial's.
+
+    A RelayAlignError: a degenerate random draw that raises it out of a
+    command exits 2, as the other refusals of a draw do.
+    """
 
     def __init__(self, ranks: np.ndarray):
         super().__init__(f"trials disagree on a numeric rank: {np.unique(ranks).tolist()}")

@@ -2,25 +2,30 @@
 
 For K = 3 equal-dimension strategies, the bad locus is where the triple
 intersection is nonzero.  In the plane case (N = 3, d = 2) this locus is cut
-out by a single 3x3 determinant in the perp-line coordinates; in general we
-detect membership by rank computations on iterated intersections.
+out by a single 3x3 determinant, that of the three planes' normals; in
+general we detect membership by rank computations on iterated
+intersections.
 
 Every probe works on stacks of samples: the Haar draws, the wedge minors, the
 three-term relations (gathered from one cached index table per (n, d)), the
-perp lines, the determinants, the line polynomials and their root counts are
+plane normals, the determinants, the line polynomials and their root counts are
 each one stacked numpy or LAPACK call per block of samples; a single sample is
 a stack of one.  Each probe returns plain arrays, one entry a sample, and the
 CLI forms the printed figures from them.  The blocks are subspace.blocks, and
 each block's draw one _complex_gaussian call of a row per subspace, or two per
 line; a shape past MAX_RELATION_TERMS is refused, and one without relations
 answers, before any draw.
-Three thresholds here stay outside the rank rule (README lists all six):
-DET_ZERO_THRESHOLD (1e-8, absolute), the line-polynomial coefficient cut of
-codim_line_probe (1e-10, absolute and relative) and _normalize_projective's
-lead (1e-12, relative).  Complex products and magnitudes that reach the
-output are formed from real and imaginary parts (np.hypot), which round as
-numpy's scalar complex arithmetic does; numpy's vectorized complex multiply
-and np.abs may round differently in the last bit.
+Whether the normals are singular is decided by the rank rule (is_basis).
+Two thresholds here stay outside it (README lists all five): the
+line-polynomial coefficient cut of codim_line_probe (1e-10, absolute and
+relative), since the rank rule cannot decide a polynomial's degree, and
+_normalize_projective's lead (1e-12, relative), which keeps the phase of
+tied coordinates stable.  Complex magnitudes that reach the output, and the
+products of the wedge relations, are formed from real and imaginary parts
+(np.hypot), which round as numpy's scalar complex arithmetic does; numpy's
+vectorized complex multiply and np.abs may round differently in the last
+bit.  The plane normals are np.cross's vectorized products, which a stacked
+call and a call on one triple form alike.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .feasibility import haar_stack
-from .subspace import _complex_gaussian, _triple_dim, blocks, split_by_rank
+from .subspace import _complex_gaussian, _triple_dim, blocks, is_basis, split_by_rank
 
 __all__ = [
     "plucker_coords",
@@ -43,7 +48,6 @@ __all__ = [
     "codim_line_probe",
 ]
 
-DET_ZERO_THRESHOLD = 1e-8
 MAX_RELATION_TERMS = 1 << 20  # largest relation table (relations x terms), and minor stack of one sample
 
 
@@ -156,35 +160,38 @@ def plucker_probe(n: int, d: int, samples: int, rng: np.random.Generator) -> np.
     return np.concatenate([_residuals(table, plucker_coords(bases)) for bases in draws])
 
 
-def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|det| of the perp-line matrix, and the triple-intersection dim, of each of a (T, 3, 3, 2) stack of plane triples.
+def _determinant_block(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|det| of the plane normals, their singular verdict and the triple-intersection dim of a (T, 3, 3, 2) stack.
 
-    Each plane's perp line is the last right singular vector of its conjugate
-    transpose, unit and phase-normalized (_normalize_projective); the
-    determinant is zero (below DET_ZERO_THRESHOLD) exactly when the three
-    planes share a common line, i.e. the triple intersection is nonzero.  The
-    dims are _triple_dim's; a block whose triples disagree on a rank of the
-    iterated intersection runs again one triple at a time (split_by_rank).
+    The normal of span{a, b} is a x b (np.cross), the Hodge dual of the
+    plane's wedge coordinates: unit for orthonormal a and b, and a . n =
+    b . n = 0 with no conjugate, so x lies in the plane exactly when
+    n . x = 0.  Three planes therefore share a line exactly when their
+    normals are dependent, and the normals are singular when is_basis, the
+    one basis test of the rank rule, refuses them.  The dims come apart from
+    the normals, from _triple_dim, so their agreement with the verdict is a
+    check and not a tautology; a block whose triples disagree on a rank of
+    the iterated intersection runs again one triple at a time
+    (split_by_rank).
     """
-    t = planes.shape[0]
-    _, _, vh = np.linalg.svd(planes.reshape(3 * t, 3, 2).conj().swapaxes(1, 2))
-    lines = _normalize_projective(vh[:, -1].conj()).reshape(t, 3, 3)
-    det = np.linalg.det(lines.swapaxes(1, 2))
+    normals = np.cross(planes[..., 0], planes[..., 1])  # (T, 3, 3), row k the normal of plane k
+    det = np.linalg.det(normals)
     (dims,) = split_by_rank(
         lambda abc: (np.full(abc[0].shape[0], _triple_dim(*abc)),), [planes[:, 0], planes[:, 1], planes[:, 2]]
     )
-    return np.hypot(det.real, det.imag), dims
+    return np.hypot(det.real, det.imag), ~is_basis(normals), dims
 
 
-def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """|det| of the perp-line matrix and the triple-intersection dim of `samples` Haar plane triples.
+def determinant_probe(samples: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|det| of the plane normals, their singular verdict and the triple-intersection dim of `samples` Haar triples.
 
     Sample t uses the t-th three successive haar_stack(3, 2, 1, rng) draws;
-    the triples are drawn and checked in stacked blocks.
+    the triples are drawn and checked in stacked blocks (_determinant_block).
+    Returns three (samples,) arrays, sample t's in entry t: |det| (float),
+    singular (bool) and dims (int).
     """
     draws = (haar_stack(3, 2, 3 * (b.stop - b.start), rng) for b in blocks(samples, 3 * 3 * 2))
-    dets, dims = map(np.concatenate, zip(*[_determinant_block(g.reshape(-1, 3, 3, 2)) for g in draws]))
-    return dets, dims
+    return tuple(map(np.concatenate, zip(*[_determinant_block(g.reshape(-1, 3, 3, 2)) for g in draws])))
 
 
 _NODES = np.array([0.0, 1.0, -1.0, 2.0])
@@ -203,8 +210,8 @@ def _line_coeffs(anchors: np.ndarray, directions: np.ndarray) -> np.ndarray:
 def codim_line_probe(rng: np.random.Generator, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Restrict the plane-triple determinant to random affine lines.
 
-    Each sample draws random anchors and directions for the three perp lines
-    and forms the cubic det(t) (_line_coeffs).  The lines are drawn, and their
+    Each sample draws random anchors and directions for the three plane
+    normals and forms the cubic det(t) (_line_coeffs).  The lines are drawn, and their
     cubics formed and decided, in stacked blocks.  A cubic is identically zero
     when every coefficient is below 1e-10; it then has no roots.  Otherwise a
     coefficient at most 1e-10 times the largest counts as zero, and the root

@@ -37,7 +37,6 @@ from relay_align.relaysim import (
 )
 from relay_align.subspace import orthonormal_stack
 from relay_align.variety import (
-    DET_ZERO_THRESHOLD,
     _determinant_block,
     _relation_table,
     _residuals,
@@ -308,8 +307,8 @@ def test_criterion_8_variety_probes():
         [shared, plane_through(shared[:, :1]), plane_through(shared[:, :1])],
         [plane_through(line), plane_through(line), shared],
     ]
-    dets, dims = _determinant_block(np.array(triples + degenerate))
-    agree = int(np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)))
+    _, singular, dims = _determinant_block(np.array(triples + degenerate))
+    agree = int(np.count_nonzero(singular == (dims > 0)))
 
     planes = np.array(triples[:30]).reshape(90, 3, 2)
     residuals = list(_residuals(_relation_table(3, 2), plucker_coords(planes)))

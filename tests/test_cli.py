@@ -586,6 +586,19 @@ class TestPairKeys:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and repr(key) in err
 
+    def test_pairwise_table_key_order_does_not_change_the_draw(self, tmp_path):
+        # the pairs are drawn in pair order, whatever order the file lists them in
+        table = json.loads((GOLDEN / "construct-dij.json").read_text())
+        written = []
+        for order in (table, dict(reversed(table.items()))):
+            dij, out = tmp_path / "dij.json", tmp_path / f"s{len(written)}.json"
+            dij.write_text(json.dumps(order))
+            argv = ["construct", "-K", "4", "-N", "5", "-d", "2,3,3,2", "--dij", str(dij), "--seed", "0", "-o", str(out)]
+            assert run(*argv) == 0
+            written.append(out.read_bytes())
+        assert list(json.loads(dij.read_text()))[0] == "3-4"
+        assert written[0] == written[1]
+
     def test_pairwise_table_alias_is_not_merged(self, tmp_path, capsys):
         # "2-1" once overrode "1-2", and the table failed its row sums (exit 2) on d_12 = 5
         dij = tmp_path / "dij.json"
@@ -896,6 +909,21 @@ class TestVariety:
         # d = N has no relations; its N^2 minor entries a sample are past 2^20, refused before any draw
         assert run("variety", "-N", "2000", "-d", "2000", "--seed", "0") == 1
         assert "minor entries per sample" in capsys.readouterr().err
+
+    def test_degenerate_haar_draw_exits_2(self, monkeypatch, capsys):
+        # one zero plane among the determinant probe's 3 x 4 draws: the draws disagree on a rank, and the run
+        # refuses the draw with exit 2, as for a singular channel draw, not with a traceback
+        drawer = feasibility._complex_gaussian
+
+        def zero_one_plane(rng, rows, size, variance):
+            values = drawer(rng, rows, size, variance)
+            if rows == 3 * 4:  # the Plucker probe's draw has 4 rows
+                values[1] = 0
+            return values
+
+        monkeypatch.setattr(feasibility, "_complex_gaussian", zero_one_plane)
+        assert run("variety", "--samples", "4", "--lines", "2", "--seed", "0") == 2
+        assert capsys.readouterr() == ("", "error: trials disagree on a numeric rank: [0, 2]\n")
 
     def test_det_probe_unsupported_shape(self):
         assert run("variety", "-N", "4", "-d", "2", "--det-probe") == 2

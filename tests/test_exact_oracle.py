@@ -1,4 +1,4 @@
-"""The two verdicts that decide a random draw once, ChannelSet's and Strategy.relay_map's, against exact ranks.
+"""The verdicts of ChannelSet, Strategy.relay_map and verify_strategy against exact ranks.
 
 Inputs have Gaussian-integer entries in {-2..2} + i{-2..2} and N <= 4, and
 every second one is made singular by construction: a column becomes a unit
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from relay_align.errors import SingularChannel, StrategyInvalid
-from relay_align.feasibility import Strategy, StrategySpec
+from relay_align.feasibility import Strategy, StrategySpec, verify_strategy
 from relay_align.relaysim import ChannelSet
 from relay_align.subspace import orthonormal_stack
 
@@ -97,3 +97,25 @@ def test_relay_map_refuses_exactly_the_singular_frames():
     assert [got for got, _ in verdicts] == [want for _, want in verdicts]
     assert not any(got for got, _ in verdicts[1::2])
     assert sum(got for got, _ in verdicts[::2]) > CASES // 4
+
+
+def test_verify_strategy_agrees_with_exact_ranks():
+    # V_i is the span of user i's Gaussian-integer pair blocks, orthonormalised; exactly, d_i is the rank of those
+    # blocks, dim V_i & V_j is d_i + d_j - rank[V_i | V_j], and the candidate verifies iff the frame has rank N
+    rng = np.random.default_rng(26)
+    verdicts = []
+    for c in range(CASES // 2):
+        spec = _pair_table(rng)
+        frame = _gaussian_integers(rng, (spec.N, spec.N))
+        if c % 2:
+            _make_dependent(frame, rng)
+        ends = np.cumsum(list(spec.pairwise.values())).tolist()
+        blocks = {p: frame[:, e - w : e] for (p, w), e in zip(spec.pairwise.items(), ends)}
+        spans = [np.hstack([b for p, b in blocks.items() if i in p]) for i in range(spec.K)]
+        report = verify_strategy([orthonormal_stack(v[None])[0] for v in spans], spec.N)
+        dims = tuple(exact_rank(v) for v in spans)
+        pair_dims = {(i, j): dims[i] + dims[j] - exact_rank(np.hstack([spans[i], spans[j]])) for i, j in blocks}
+        verdicts.append(((report.ok, report.dims, report.pair_dims), (exact_rank(frame) == spec.N, dims, pair_dims)))
+    assert [got for got, _ in verdicts] == [want for _, want in verdicts]
+    assert not any(got[0] for got, _ in verdicts[1::2])
+    assert sum(got[0] for got, _ in verdicts[::2]) > CASES // 8

@@ -7,9 +7,15 @@ import pytest
 from relay_align import variety
 from relay_align.errors import InvalidInput
 from relay_align.feasibility import haar_stack
-from relay_align.subspace import BLOCK_ENTRIES, RaggedRank, _complex_gaussian, _triple_dim, orthonormal_stack
+from relay_align.subspace import (
+    BLOCK_ENTRIES,
+    RaggedRank,
+    _complex_gaussian,
+    _triple_dim,
+    numeric_rank,
+    orthonormal_stack,
+)
 from relay_align.variety import (
-    DET_ZERO_THRESHOLD,
     _determinant_block,
     _line_coeffs,
     _normalize_projective,
@@ -103,28 +109,46 @@ class TestTripleIntersection:
 class TestDeterminantalTest:
     def test_coordinate_planes(self):
         planes = np.stack([plane([0, 1]), plane([1, 2]), plane([0, 2])])
-        dets, dims = _determinant_block(planes[None])
-        assert abs(dets[0] - 1) < 1e-12  # perp lines are e3, e1, e2
+        dets, singular, dims = _determinant_block(planes[None])
+        assert abs(dets[0] - 1) < 1e-12  # normals are e3, e1, e2 up to sign
+        assert not singular[0]
         assert dims[0] == 0
 
     def test_degenerate_equal_planes(self):
         s = plane([0, 1])
-        dets, dims = _determinant_block(np.stack([s, s, s])[None])
-        assert dets[0] < DET_ZERO_THRESHOLD
+        dets, singular, dims = _determinant_block(np.stack([s, s, s])[None])
+        assert dets[0] == 0  # three equal rows
+        assert singular[0]
         assert dims[0] == 2
 
     def test_agreement_with_rank_test(self):
-        dets, dims = determinant_probe(100, np.random.default_rng(9))
-        assert np.count_nonzero((dets < DET_ZERO_THRESHOLD) == (dims > 0)) == 100
+        dets, singular, dims = determinant_probe(100, np.random.default_rng(9))
+        assert np.count_nonzero(singular == (dims > 0)) == 100
+        assert not singular.any() and dets.min() > 1e-3
 
     def test_perp_line_of_coordinate_plane(self):
-        # beside the coordinate planes with perp lines e_j, j != k, |det| is |w_k| for the perp line w of span{e1, e2}
-        def perp_to(j):
+        # beside the coordinate planes with normals e_j, j != k, |det| is |n_k| for the normal n = e3 of span{e1, e2}
+        def normal_to(j):
             return plane([i for i in range(3) if i != j])
 
-        triples = np.stack([[plane([0, 1]), *(perp_to(j) for j in range(3) if j != k)] for k in range(3)])
-        dets, _ = _determinant_block(triples)
+        triples = np.stack([[plane([0, 1]), *(normal_to(j) for j in range(3) if j != k)] for k in range(3)])
+        dets, singular, dims = _determinant_block(triples)
         assert np.allclose(dets, [0, 0, 1])
+        assert singular.tolist() == [True, True, False]
+        assert dims.tolist() == [1, 1, 0]
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10])
+    def test_tilted_off_a_shared_line(self, eps):
+        # in a Haar frame q0, q1, q2, P1 = span{q0, q1} and P2 = span{q0, q2} meet in q0 alone, and
+        # P3 = span{q0 + eps q1, q1 + q2} misses q0 by about eps: no line is common to all three. Untilted, P3
+        # holds q0 and the three share it. The rank rule must say so twice, for the normals and the intersection
+        frames = haar_stack(3, 3, 200, np.random.default_rng(42))
+        q0, q1, q2 = (frames[..., k : k + 1] for k in range(3))
+        for tilt, meet in ((eps, False), (0.0, True)):
+            planes = [np.concatenate(p, axis=2) for p in ((q0, q1), (q0, q2), (q0 + tilt * q1, q1 + q2))]
+            _, singular, dims = _determinant_block(np.stack([orthonormal_stack(p) for p in planes], axis=1))
+            assert singular.tolist() == [meet] * 200
+            assert dims.tolist() == [int(meet)] * 200
 
 
 def reference_roots(coeffs):
@@ -334,13 +358,13 @@ class TestStackedEquivalence:
 
     def test_determinant_probe_matches_per_sample(self, many_blocks):
         samples = 2 * (BLOCK_ENTRIES // 18) + 3 if many_blocks else 30  # 18 entries a plane triple
-        dets, dims = determinant_probe(samples, np.random.default_rng(6))
+        dets, singular, dims = determinant_probe(samples, np.random.default_rng(6))
         rng = np.random.default_rng(6)
         for t in range(samples):
             planes = [haar_stack(3, 2, 1, rng)[0] for _ in range(3)]
-            lines = [reference_normalize(np.linalg.svd(v.conj().T)[2][-1].conj()) for v in planes]
-            det = complex(np.linalg.det(np.column_stack(lines)))
-            assert same_bits(dets[t], abs(det))
+            normals = np.stack([np.cross(v[:, 0], v[:, 1]) for v in planes])
+            assert same_bits(dets[t], abs(complex(np.linalg.det(normals))))
+            assert singular[t] == (numeric_rank(np.linalg.svd(normals, compute_uv=False), (3, 3)) < 3)
             assert dims[t] == _triple_dim(*(v[None] for v in planes))
 
     def test_ragged_block_falls_back_per_sample(self):
@@ -349,9 +373,10 @@ class TestStackedEquivalence:
         planes[2] = planes[2, 0]  # sample 2: three equal planes
         with pytest.raises(RaggedRank):
             _triple_dim(planes[:, 0], planes[:, 1], planes[:, 2])
-        dets, dims = _determinant_block(planes)
+        dets, singular, dims = _determinant_block(planes)
         assert dims.tolist() == [0, 0, 2, 0]
-        assert dets[2] < DET_ZERO_THRESHOLD < dets.min(initial=1.0, where=dims == 0)
+        assert singular.tolist() == [False, False, True, False]
+        assert dets[2] == 0
 
     @pytest.mark.parametrize("n, d", [(1, 1), (4, 1), (5, 5), (1000, 1000)])
     def test_relation_free_shape_draws_nothing(self, n, d):
