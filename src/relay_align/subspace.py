@@ -13,9 +13,11 @@ conditions, feasibility verification -- reduces to numeric rank.
 
 The kernels work on (T, N, d) stacks of T bases at once, one LAPACK call per
 step for the whole stack; one basis is a stack of one,
-orthonormal_stack(x[None])[0].  A rank decision that needs no vectors takes
-the singular values alone (_full_column_rank), so an intersection that its
-shape allows to be empty pays for singular vectors only when it is not.  One
+orthonormal_stack(x[None])[0].  An intersection is one SVD of [A | -B]
+with vectors, whose null space gives both its dimension and its basis.  A
+rank decision that needs no vectors takes the singular values alone
+(_full_column_rank), so an intersection that its shape allows to be empty
+pays for singular vectors only when it is not.  One
 array holds bases of one width, so a kernel whose trials disagree on a rank
 raises RaggedRank, and split_by_rank reruns such a block one trial at a time.
 Three shared policies live here too: is_basis, the one basis test; blocks,
@@ -172,13 +174,15 @@ def orthonormal_stack(cols) -> np.ndarray:
 def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Intersections span(A_t) & span(B_t) of two (T, N, d) stacks of orthonormal bases.
 
-    Null vectors (x; y) of [A | -B] satisfy A x = B y; mapping the x-block
-    through A yields a spanning set of the intersection, which
-    orthonormal_stack turns into a basis: one SVD call each for the whole
-    stack.  When dA + dB <= N the intersection can be zero, as it is for
-    generic bases, so the singular values of [A | -B] come first: if every
-    trial has full column rank the result is (T, N, 0) with no vectors
-    computed, and otherwise the steps above run as when dA + dB > N.
+    Null vectors (x; y) of [A | -B] satisfy A x = B y, one SVD call for the
+    whole stack.  With A and B orthonormal, <x_j, x_k> = <A x_j, A x_k> =
+    <B y_j, B y_k> = <y_j, y_k>, and for orthonormal null vectors the two add
+    up to delta_jk, so each is delta_jk / 2 and sqrt(2) A X is already an
+    orthonormal basis of the intersection.  It is checked like every basis,
+    so an operand that is not orthonormal raises InvalidInput.  When dA + dB <= N the intersection can be zero, as it is
+    for generic bases, so the singular values of [A | -B] come first: if
+    every trial has full column rank the result is (T, N, 0) with no vectors
+    computed, and otherwise the step above runs as when dA + dB > N.
     Raises RaggedRank when the trials disagree on a rank.
     """
     if a.shape[:2] != b.shape[:2]:
@@ -191,7 +195,9 @@ def intersect_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # vh must be square to hold the null space; with N >= dA + dB it is square either way, and U stays N x (dA + dB)
     _, s, vh = np.linalg.svd(stacked, full_matrices=n < da + db)
     null = vh[:, _common_rank(numeric_rank(s, (n, da + db))) :].conj().swapaxes(1, 2)  # (T, dA+dB, nullity)
-    return orthonormal_stack(a @ null[:, :da])
+    basis = np.sqrt(2) * (a @ null[:, :da])
+    _check_orthonormal(basis)
+    return basis
 
 
 def _triple_dim(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> int:

@@ -55,7 +55,7 @@ def full_svd_intersect(a, b):
     _, s, vh = np.linalg.svd(stacked, full_matrices=True)
     r = int(numeric_rank(s, stacked.shape[1:])[0])
     null = vh[:, r:].conj().swapaxes(1, 2)
-    return orthonormal_stack(a @ null[:, : a.shape[2]])
+    return np.sqrt(2) * (a @ null[:, : a.shape[2]])
 
 
 def sharing_stack(t, n, da, db, shared, rng):
@@ -69,18 +69,8 @@ def sharing_stack(t, n, da, db, shared, rng):
     return np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs])
 
 
-def reference_orthonormal_stack(a):
-    """orthonormal_stack written out: one SVD of the (T, N, m) stack, truncated to the rank its trials share."""
-    if a.shape[2] == 0:
-        return a
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    ranks = numeric_rank(s, a.shape[1:])
-    assert (ranks == ranks[0]).all()
-    return u[..., : ranks[0]]
-
-
 def reference_intersect_stack(a, b):
-    """intersect_stack written out: the null space of [A | -B], mapped through A and orthonormalised."""
+    """intersect_stack written out: the null space of [A | -B], mapped through A and scaled by sqrt(2)."""
     t, n, da = a.shape
     if da == 0 or b.shape[2] == 0:
         return np.zeros((t, n, 0), dtype=np.complex128)
@@ -89,7 +79,7 @@ def reference_intersect_stack(a, b):
     ranks = numeric_rank(s, stacked.shape[1:])
     assert (ranks == ranks[0]).all()
     null = vh[:, ranks[0] :].conj().swapaxes(1, 2)
-    return reference_orthonormal_stack(a @ null[:, :da])
+    return np.sqrt(2) * (a @ null[:, :da])
 
 
 def meeting(a, db, shared, rng):
@@ -291,6 +281,67 @@ class TestValuesFirst:
         stacked = np.concatenate([a, -b], axis=2)
         assert np.linalg.svd(stacked, compute_uv=False)[:, -1] == pytest.approx(factor * threshold, rel=1e-2)
         assert intersect_stack(a, b).shape == (3, n, dim)
+
+
+class TestOneFactorisation:
+    """A meeting pair's basis is sqrt(2) A X, read off the null space (x; y) of [A | -B] that decides its dim."""
+
+    # (N, dA, dB, shared dim, compute_uv of every SVD call): dA + dB > N takes the SVD with vectors alone,
+    # dA + dB <= N the values first and the vectors only when its trials meet
+    @pytest.mark.parametrize(
+        "n, da, db, shared, calls",
+        [(3, 2, 2, 1, [True]), (3, 2, 2, 2, [True]), (5, 4, 3, 2, [True]), (6, 5, 5, 4, [True]),
+         (8, 4, 4, 1, [False, True]), (5, 2, 3, 1, [False, True]), (32, 8, 8, 2, [False, True]),
+         (4, 2, 2, 0, [False]), (32, 8, 8, 0, [False])],
+    )
+    def test_one_svd_per_intersection(self, monkeypatch, n, da, db, shared, calls):
+        rng = np.random.default_rng(n * 1000 + da * 100 + db * 10 + shared)
+        a = orthonormal_stack(rng.standard_normal((4, n, da)) + 1j * rng.standard_normal((4, n, da)))
+        b = meeting(a, db, shared, rng)
+        seen, svd = [], np.linalg.svd
+
+        def counted(x, *args, **kw):
+            seen.append(kw.get("compute_uv", True))
+            return svd(x, *args, **kw)
+
+        def refused(cols):
+            raise AssertionError("intersect_stack orthonormalised its null vectors again")
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(subspace, "orthonormal_stack", refused)
+        assert intersect_stack(a, b).shape == (4, n, max(shared, da + db - n))
+        assert seen == calls
+
+    # the shapes of TestIntersect: (N, dA, dB, shared dim) of one pair
+    @pytest.mark.parametrize(
+        "n, da, db, shared",
+        [(3, 2, 2, 2), (3, 2, 2, 1), (4, 2, 2, 0), (4, 2, 3, 1), (3, 0, 1, 0), (3, 1, 0, 0),
+         (32, 8, 8, 0), (32, 8, 8, 2), (8, 4, 4, 1), (5, 2, 3, 1), (5, 4, 3, 2), (6, 5, 5, 4)],
+    )
+    def test_basis_is_orthonormal_and_spans_the_orthonormalised_one(self, n, da, db, shared):
+        rng = np.random.default_rng(n * 1000 + da * 100 + db * 10 + shared + 1)
+        a = orthonormal_stack(rng.standard_normal((6, n, da)) + 1j * rng.standard_normal((6, n, da)))
+        b = meeting(a, db, shared, rng)
+        # the same null vectors through A, orthonormalised by a second SVD that the kernel does without
+        got, old = intersect_stack(a, b), orthonormal_stack(full_svd_intersect(a, b))
+        assert got.shape == old.shape == (6, n, max(shared, da + db - n))
+        gram = got.conj().swapaxes(1, 2) @ got
+        assert np.linalg.norm(gram - np.eye(got.shape[2]), axis=(1, 2)).max() <= 1e-13
+        proj_got, proj_old = (q @ q.conj().swapaxes(1, 2) for q in (got, old))
+        assert np.abs(proj_got - proj_old).max() <= 1e-13
+
+    @pytest.mark.parametrize("bent", ["scaled", "skewed"])
+    def test_operand_that_is_not_orthonormal_raises(self, bent):
+        # planes of C^3 meeting in a line; A scaled by 2, or its second column turned towards its first
+        rng = np.random.default_rng(19)
+        a = orthonormal_stack(rng.standard_normal((3, 3, 2)) + 1j * rng.standard_normal((3, 3, 2)))
+        b = meeting(a, 2, 1, rng)
+        if bent == "scaled":
+            a = 2 * a
+        else:
+            a[..., 1] = (a[..., 0] + a[..., 1]) / np.sqrt(2)
+        with pytest.raises(InvalidInput, match="not orthonormal"):
+            intersect_stack(a, b)
 
 
 class TestSumAndDirectSum:

@@ -137,7 +137,7 @@ class TestDeterminantalTest:
         assert singular.tolist() == [True, True, False]
         assert dims.tolist() == [1, 1, 0]
 
-    @pytest.mark.parametrize("eps", [1e-9, 1e-10])
+    @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11])
     def test_tilted_off_a_shared_line(self, eps):
         # in a Haar frame q0, q1, q2, P1 = span{q0, q1} and P2 = span{q0, q2} meet in q0 alone, and
         # P3 = span{q0 + eps q1, q1 + q2} misses q0 by about eps: no line is common to all three. Untilted, P3
@@ -149,6 +149,17 @@ class TestDeterminantalTest:
             _, singular, dims = _determinant_block(np.stack([orthonormal_stack(p) for p in planes], axis=1))
             assert singular.tolist() == [meet] * 200
             assert dims.tolist() == [int(meet)] * 200
+
+    def test_tilt_below_the_rank_threshold_reads_as_met(self):
+        # the triples above tilted 1e-12: the smallest singular value of the normals, and that of [line | -P3] in
+        # the triple intersection's last step, are both about 5e-13, below the rank rule's 1e-12 floor (at a
+        # tilt of 1e-11 both are about 5e-12, above it): both verdicts call the planes met
+        frames = haar_stack(3, 3, 200, np.random.default_rng(42))
+        q0, q1, q2 = (frames[..., k : k + 1] for k in range(3))
+        planes = [np.concatenate(p, axis=2) for p in ((q0, q1), (q0, q2), (q0 + 1e-12 * q1, q1 + q2))]
+        _, singular, dims = _determinant_block(np.stack([orthonormal_stack(p) for p in planes], axis=1))
+        assert singular.tolist() == [True] * 200
+        assert dims.tolist() == [1] * 200
 
 
 def reference_roots(coeffs):
